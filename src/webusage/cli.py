@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import gzip
+import os
 import sys
 from pathlib import Path
 
@@ -113,9 +114,19 @@ def _load_users_file(store: LogStore, path: Path) -> int:
 def cmd_collect(args: argparse.Namespace) -> int:
     replay_path = _require_file(args.replay, "replay file")
     store_path = Path(args.store)
-    if store_path.exists():
-        store_path.unlink()
-    store = LogStore(store_path)
+    # Build beside the target and swap it in only once the replay is done, so
+    # a failed run leaves any previous store as it was.
+    tmp_path = store_path.with_name(f".{store_path.name}.{os.getpid()}.tmp")
+    tmp_path.unlink(missing_ok=True)
+    try:
+        rc = _collect_into(LogStore(tmp_path), replay_path, args)
+        os.replace(tmp_path, store_path)
+        return rc
+    finally:
+        tmp_path.unlink(missing_ok=True)
+
+
+def _collect_into(store: LogStore, replay_path: Path, args: argparse.Namespace) -> int:
     try:
         if args.geoip is not None:
             with open(_require_file(args.geoip, "geoip file"), encoding="utf-8") as fh:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import urllib.parse
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 from typing import Iterable, Iterator, TextIO
 
 METHODS = ("GET", "POST")
@@ -149,6 +149,8 @@ def parse_replay_line(line: str, line_no: int | None = None) -> RawRequestEvent:
         when = datetime.fromisoformat(values["time"])
     except ValueError as exc:
         raise ReplayFormatError(f"bad time: {exc}", line_no) from None
+    if when.tzinfo is not None:
+        when = when.astimezone(timezone.utc).replace(tzinfo=None)
     try:
         server = int(values.get("server", "1"))
     except ValueError:

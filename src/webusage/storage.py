@@ -11,13 +11,16 @@ the collector can be driven from many request threads.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import sqlite3
 import threading
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -290,29 +293,23 @@ CREATE TABLE IF NOT EXISTS log_page (
 CREATE INDEX IF NOT EXISTS idx_page_session ON log_page(log_opn_id);
 """
 
-_SESSION_COLS = (
-    "opn_id", "user_id", "username", "user_type", "gender", "ip", "country_code",
-    "browser_name", "browser_version", "os_name", "os_version", "device_type",
-    "language", "referrer_url", "referral_class", "search_engine",
-    "search_keywords", "started_at", "ended_at", "end_reason",
-)
-_PAGE_COLS = (
-    "log_details_id", "log_opn_id", "log_uid", "log_username", "log_datetime",
-    "log_date", "log_server", "log_app_service", "log_module", "log_url",
-    "log_web_message", "log_subtitle", "log_page_title", "log_cookie_serialize",
-    "log_session_serialize", "log_post_serialize", "log_get_serialize",
-    "log_page_load_time", "log_error_text", "log_url_malformed",
-)
-_USER_COLS = ("user_id", "username", "user_type", "gender")
-_GEOIP_COLS = ("start_ip", "end_ip", "country_code")
-_OPEN_COLS = ("session_token", "opn_id", "user_id", "started_at", "last_activity")
-
 TABLE_COLUMNS = {
-    "user_info": _USER_COLS,
-    "log_geoip": _GEOIP_COLS,
-    "log_session": _SESSION_COLS,
-    "open_sessions": _OPEN_COLS,
-    "log_page": _PAGE_COLS,
+    "user_info": ("user_id", "username", "user_type", "gender"),
+    "log_geoip": ("start_ip", "end_ip", "country_code"),
+    "log_session": (
+        "opn_id", "user_id", "username", "user_type", "gender", "ip", "country_code",
+        "browser_name", "browser_version", "os_name", "os_version", "device_type",
+        "language", "referrer_url", "referral_class", "search_engine",
+        "search_keywords", "started_at", "ended_at", "end_reason",
+    ),
+    "open_sessions": ("session_token", "opn_id", "user_id", "started_at", "last_activity"),
+    "log_page": (
+        "log_details_id", "log_opn_id", "log_uid", "log_username", "log_datetime",
+        "log_date", "log_server", "log_app_service", "log_module", "log_url",
+        "log_web_message", "log_subtitle", "log_page_title", "log_cookie_serialize",
+        "log_session_serialize", "log_post_serialize", "log_get_serialize",
+        "log_page_load_time", "log_error_text", "log_url_malformed",
+    ),
 }
 
 _TABLE_KEYS = {
@@ -323,71 +320,63 @@ _TABLE_KEYS = {
     "log_page": "log_details_id",
 }
 
-# CSV cannot tell an empty string from NULL, so on import the empty cell
-# means NULL exactly where the schema allows NULL and the empty string
-# everywhere else.  Must track the nullable columns in _SCHEMA.
-_NULLABLE_COLUMNS = {
-    "user_info": frozenset(),
-    "log_geoip": frozenset(),
-    "log_session": frozenset(
-        {
-            "user_id", "username", "language", "referrer_url",
-            "search_engine", "search_keywords", "ended_at", "end_reason",
-        }
-    ),
-    "open_sessions": frozenset({"user_id"}),
-    "log_page": frozenset({"log_uid", "log_username", "log_error_text"}),
+# (encode, decode) for each field type stored as another SQL value; fields
+# of any other type are stored as they are.  NULL passes through both ways.
+_CONVERTERS = {
+    datetime: (dt_to_text, text_to_dt),
+    date: (date.isoformat, date.fromisoformat),
+    bool: (int, bool),
 }
 
 
-def _session_to_row(rec: SessionRecord) -> tuple:
-    return (
-        rec.opn_id, rec.user_id, rec.username, rec.user_type, rec.gender, rec.ip,
-        rec.country_code, rec.browser_name, rec.browser_version, rec.os_name,
-        rec.os_version, rec.device_type, rec.language, rec.referrer_url,
-        rec.referral_class, rec.search_engine, rec.search_keywords,
-        dt_to_text(rec.started_at),
-        dt_to_text(rec.ended_at) if rec.ended_at else None,
-        rec.end_reason,
-    )
+def _field_type(hint: Any) -> Any:
+    """``X`` for a hint of ``X`` or ``X | None``."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    return args[0] if args else hint
 
 
-def _session_from_row(row: Sequence[Any]) -> SessionRecord:
-    return SessionRecord(
-        opn_id=row[0], user_id=row[1], username=row[2], user_type=row[3],
-        gender=row[4], ip=row[5], country_code=row[6], browser_name=row[7],
-        browser_version=row[8], os_name=row[9], os_version=row[10],
-        device_type=row[11], language=row[12], referrer_url=row[13],
-        referral_class=row[14], search_engine=row[15], search_keywords=row[16],
-        started_at=text_to_dt(row[17]),
-        ended_at=text_to_dt(row[18]) if row[18] else None,
-        end_reason=row[19],
-    )
+class _Codec:
+    """Rows of one table in ``TABLE_COLUMNS`` order <-> its record dataclass."""
+
+    def __init__(self, table: str, record_type: type):
+        cols = TABLE_COLUMNS[table]
+        hints = typing.get_type_hints(record_type)
+        fields = [f.name for f in dataclasses.fields(record_type)]
+        if sorted(fields) != sorted(cols):
+            raise TypeError(f"{record_type.__name__} fields do not match {table} columns")
+        self.record_type = record_type
+        self.columns = ", ".join(cols)
+        marks = ", ".join("?" * len(cols))
+        self.insert_sql = f"INSERT INTO {table} ({self.columns}) VALUES ({marks})"
+        self._values = attrgetter(*cols)
+        # column positions in field order, for the positional constructor
+        self._in_field_order = itemgetter(*(cols.index(f) for f in fields))
+        converted = [(i, _CONVERTERS.get(_field_type(hints[c]))) for i, c in enumerate(cols)]
+        self._encoders = [(i, conv[0]) for i, conv in converted if conv]
+        self._decoders = [(i, conv[1]) for i, conv in converted if conv]
+
+    def encode(self, rec: Any) -> list:
+        row = list(self._values(rec))
+        for i, conv in self._encoders:
+            if row[i] is not None:
+                row[i] = conv(row[i])
+        return row
+
+    def decode(self, row: Sequence[Any]) -> Any:
+        row = list(row)
+        for i, conv in self._decoders:
+            if row[i] is not None:
+                row[i] = conv(row[i])
+        return self.record_type(*self._in_field_order(row))
 
 
-def _page_to_row(rec: PageRecord) -> tuple:
-    return (
-        rec.log_details_id, rec.log_opn_id, rec.log_uid, rec.log_username,
-        dt_to_text(rec.log_datetime), rec.log_date.isoformat(), rec.log_server,
-        rec.log_app_service, rec.log_module, rec.log_url, rec.log_web_message,
-        rec.log_subtitle, rec.log_page_title, rec.log_cookie_serialize,
-        rec.log_session_serialize, rec.log_post_serialize, rec.log_get_serialize,
-        rec.log_page_load_time, rec.log_error_text, int(rec.log_url_malformed),
-    )
-
-
-def _page_from_row(row: Sequence[Any]) -> PageRecord:
-    return PageRecord(
-        log_details_id=row[0], log_opn_id=row[1], log_uid=row[2],
-        log_username=row[3], log_datetime=text_to_dt(row[4]),
-        log_date=date.fromisoformat(row[5]), log_server=row[6],
-        log_app_service=row[7], log_module=row[8], log_url=row[9],
-        log_web_message=row[10], log_subtitle=row[11], log_page_title=row[12],
-        log_cookie_serialize=row[13], log_session_serialize=row[14],
-        log_post_serialize=row[15], log_get_serialize=row[16],
-        log_page_load_time=row[17], log_error_text=row[18],
-        log_url_malformed=bool(row[19]),
-    )
+_CODECS = {
+    "user_info": _Codec("user_info", UserInfo),
+    "log_geoip": _Codec("log_geoip", GeoIpRange),
+    "log_session": _Codec("log_session", SessionRecord),
+    "open_sessions": _Codec("open_sessions", OpenSession),
+    "log_page": _Codec("log_page", PageRecord),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +384,12 @@ def _page_from_row(row: Sequence[Any]) -> PageRecord:
 # ---------------------------------------------------------------------------
 
 class LogStore:
-    """Single-writer, multi-reader store over one SQLite connection."""
+    """Single-writer, multi-reader store over one SQLite connection.
+
+    Every method runs under one lock.  A method that writes with a single
+    statement relies on SQLite's own statement atomicity; callers group
+    several calls with :meth:`transaction`.
+    """
 
     def __init__(self, path: str | Path = ":memory:"):
         self.path = str(path)
@@ -410,85 +404,102 @@ class LogStore:
 
     @contextmanager
     def transaction(self) -> Iterator[sqlite3.Connection]:
-        """Serialized transaction scope; nested scopes join the outer one."""
+        """Serialized transaction scope.
+
+        A nested scope is a savepoint inside the outer transaction: an error
+        raised through it undoes only the writes made within it.
+        """
         with self._lock:
-            if self._depth == 0:
-                self._conn.execute("BEGIN IMMEDIATE")
+            outer = self._depth == 0
+            self._conn.execute("BEGIN IMMEDIATE" if outer else "SAVEPOINT nested")
             self._depth += 1
             try:
                 yield self._conn
             except BaseException:
                 self._depth -= 1
-                if self._depth == 0:
+                if outer:
                     self._conn.execute("ROLLBACK")
+                else:
+                    self._conn.execute("ROLLBACK TO nested")
+                    self._conn.execute("RELEASE nested")
                 raise
             else:
                 self._depth -= 1
-                if self._depth == 0:
-                    self._conn.execute("COMMIT")
+                self._conn.execute("COMMIT" if outer else "RELEASE nested")
 
     def _query(self, sql: str, params: Sequence[Any] = ()) -> list:
         with self._lock:
             return self._conn.execute(sql, params).fetchall()
 
+    def _select(self, table: str, clause: str, params: Sequence[Any] = ()) -> list:
+        """Records of ``table`` matching an SQL ``WHERE``/``ORDER BY`` clause."""
+        codec = _CODECS[table]
+        rows = self._query(f"SELECT {codec.columns} FROM {table} {clause}", params)
+        return [codec.decode(row) for row in rows]
+
+    def _insert(self, table: str, rows: Any, many: bool = False, suffix: str = "") -> int | None:
+        """Insert one encoded row, or a list of them with ``many``.
+
+        Returns the new row id of a single insert.  This is the one place
+        where SQLite integrity failures become store errors.
+        """
+        sql = _CODECS[table].insert_sql + suffix
+        with self._lock:
+            try:
+                if many:
+                    self._conn.executemany(sql, rows)
+                    return None
+                return self._conn.execute(sql, rows).lastrowid
+            except sqlite3.IntegrityError as exc:
+                if "FOREIGN KEY" in str(exc):
+                    raise ForeignKeyError(str(exc)) from None
+                raise ConstraintError(str(exc)) from None
+
+    def _check_new_id(self, table: str, new_id: int | None) -> None:
+        key = _TABLE_KEYS[table]
+        if new_id is not None:
+            current = self._query(f"SELECT MAX({key}) FROM {table}")[0][0]
+            if current is not None and new_id <= current:
+                raise ConstraintError(f"explicit {key} must exceed all existing ids")
+
     # -- user_info ---------------------------------------------------------
 
     def upsert_user(self, user: UserInfo) -> None:
         user.validate()
-        with self.transaction() as conn:
-            conn.execute(
-                "INSERT INTO user_info (user_id, username, user_type, gender)"
-                " VALUES (?, ?, ?, ?) ON CONFLICT(user_id) DO UPDATE SET"
-                " username=excluded.username, user_type=excluded.user_type,"
-                " gender=excluded.gender",
-                (user.user_id, user.username, user.user_type, user.gender),
-            )
+        others = TABLE_COLUMNS["user_info"][1:]
+        self._insert(
+            "user_info",
+            _CODECS["user_info"].encode(user),
+            suffix=" ON CONFLICT(user_id) DO UPDATE SET "
+            + ", ".join(f"{c}=excluded.{c}" for c in others),
+        )
 
     def get_user_by_name(self, username: str) -> UserInfo | None:
-        rows = self._query(
-            "SELECT user_id, username, user_type, gender FROM user_info WHERE username = ?",
-            (username,),
-        )
-        if not rows:
-            return None
-        return UserInfo(*rows[0])
-
-    def user_count(self) -> int:
-        return self._query("SELECT COUNT(*) FROM user_info")[0][0]
+        rows = self._select("user_info", "WHERE username = ?", (username,))
+        return rows[0] if rows else None
 
     # -- geoip -------------------------------------------------------------
 
     def replace_geoip(self, ranges: Iterable[GeoIpRange]) -> int:
+        rows = [_CODECS["log_geoip"].encode(r) for r in ranges]
         with self.transaction() as conn:
             conn.execute("DELETE FROM log_geoip")
-            rows = [(r.start_ip, r.end_ip, r.country_code) for r in ranges]
-            conn.executemany("INSERT INTO log_geoip VALUES (?, ?, ?)", rows)
-            return len(rows)
+            self._insert("log_geoip", rows, many=True)
+        return len(rows)
 
     # -- sessions ----------------------------------------------------------
 
     def insert_session(self, rec: SessionRecord) -> int:
         rec.validate()
-        with self.transaction() as conn:
-            if rec.opn_id is not None:
-                current = conn.execute("SELECT MAX(opn_id) FROM log_session").fetchone()[0]
-                if current is not None and rec.opn_id <= current:
-                    raise ConstraintError("explicit opn_id must exceed all existing ids")
-            try:
-                cur = conn.execute(
-                    f"INSERT INTO log_session ({', '.join(_SESSION_COLS)})"
-                    f" VALUES ({', '.join('?' * len(_SESSION_COLS))})",
-                    _session_to_row(rec),
-                )
-            except sqlite3.IntegrityError as exc:
-                raise ConstraintError(str(exc)) from None
-            rec.opn_id = cur.lastrowid
-            return rec.opn_id
+        with self._lock:
+            self._check_new_id("log_session", rec.opn_id)
+            rec.opn_id = self._insert("log_session", _CODECS["log_session"].encode(rec))
+        return rec.opn_id
 
     def close_session(self, opn_id: int, ended_at: datetime, reason: str) -> None:
         if reason not in END_REASONS:
             raise ConstraintError(f"bad end_reason: {reason!r}")
-        with self.transaction() as conn:
+        with self._lock:
             rows = self._query(
                 "SELECT started_at FROM log_session WHERE opn_id = ?", (opn_id,)
             )
@@ -496,17 +507,14 @@ class LogStore:
                 raise NotFoundError(f"no session {opn_id}")
             if ended_at < text_to_dt(rows[0][0]):
                 raise ConstraintError("ended_at before started_at")
-            conn.execute(
+            self._conn.execute(
                 "UPDATE log_session SET ended_at = ?, end_reason = ? WHERE opn_id = ?",
                 (dt_to_text(ended_at), reason, opn_id),
             )
 
     def get_session(self, opn_id: int) -> SessionRecord | None:
-        rows = self._query(
-            f"SELECT {', '.join(_SESSION_COLS)} FROM log_session WHERE opn_id = ?",
-            (opn_id,),
-        )
-        return _session_from_row(rows[0]) if rows else None
+        rows = self._select("log_session", "WHERE opn_id = ?", (opn_id,))
+        return rows[0] if rows else None
 
     def session_count(self) -> int:
         return self._query("SELECT COUNT(*) FROM log_session")[0][0]
@@ -514,39 +522,17 @@ class LogStore:
     # -- open sessions -----------------------------------------------------
 
     def get_open_session(self, token: str) -> OpenSession | None:
-        rows = self._query(
-            "SELECT session_token, opn_id, user_id, started_at, last_activity"
-            " FROM open_sessions WHERE session_token = ?",
-            (token,),
-        )
-        if not rows:
-            return None
-        tok, opn, uid, started, last = rows[0]
-        return OpenSession(tok, opn, uid, text_to_dt(started), text_to_dt(last))
+        rows = self._select("open_sessions", "WHERE session_token = ?", (token,))
+        return rows[0] if rows else None
 
     def put_open_session(self, open_session: OpenSession) -> None:
         if open_session.last_activity < open_session.started_at:
             raise ConstraintError("last_activity before started_at")
-        with self.transaction() as conn:
-            try:
-                conn.execute(
-                    "INSERT INTO open_sessions VALUES (?, ?, ?, ?, ?)",
-                    (
-                        open_session.session_token,
-                        open_session.opn_id,
-                        open_session.user_id,
-                        dt_to_text(open_session.started_at),
-                        dt_to_text(open_session.last_activity),
-                    ),
-                )
-            except sqlite3.IntegrityError as exc:
-                if "FOREIGN KEY" in str(exc):
-                    raise ForeignKeyError(str(exc)) from None
-                raise ConstraintError(str(exc)) from None
+        self._insert("open_sessions", _CODECS["open_sessions"].encode(open_session))
 
     def touch_open_session(self, token: str, last_activity: datetime) -> None:
-        with self.transaction() as conn:
-            cur = conn.execute(
+        with self._lock:
+            cur = self._conn.execute(
                 "UPDATE open_sessions SET last_activity = MAX(last_activity, ?)"
                 " WHERE session_token = ?",
                 (dt_to_text(last_activity), token),
@@ -555,47 +541,25 @@ class LogStore:
                 raise NotFoundError(f"no open session for token {token!r}")
 
     def delete_open_session(self, token: str) -> bool:
-        with self.transaction() as conn:
-            cur = conn.execute("DELETE FROM open_sessions WHERE session_token = ?", (token,))
+        with self._lock:
+            cur = self._conn.execute("DELETE FROM open_sessions WHERE session_token = ?", (token,))
             return cur.rowcount > 0
 
     def iter_open_sessions(self) -> list[OpenSession]:
-        rows = self._query(
-            "SELECT session_token, opn_id, user_id, started_at, last_activity"
-            " FROM open_sessions ORDER BY opn_id"
-        )
-        return [
-            OpenSession(t, o, u, text_to_dt(s), text_to_dt(l)) for t, o, u, s, l in rows
-        ]
-
-    def open_session_count(self) -> int:
-        return self._query("SELECT COUNT(*) FROM open_sessions")[0][0]
+        return self._select("open_sessions", "ORDER BY opn_id")
 
     # -- pages ---------------------------------------------------------------
 
     def insert_page(self, rec: PageRecord) -> int:
         rec.validate()
-        with self.transaction() as conn:
-            if rec.log_details_id is not None:
-                current = conn.execute("SELECT MAX(log_details_id) FROM log_page").fetchone()[0]
-                if current is not None and rec.log_details_id <= current:
-                    raise ConstraintError("explicit log_details_id must exceed all existing ids")
-            try:
-                cur = conn.execute(
-                    f"INSERT INTO log_page ({', '.join(_PAGE_COLS)})"
-                    f" VALUES ({', '.join('?' * len(_PAGE_COLS))})",
-                    _page_to_row(rec),
-                )
-            except sqlite3.IntegrityError as exc:
-                if "FOREIGN KEY" in str(exc):
-                    raise ForeignKeyError(str(exc)) from None
-                raise ConstraintError(str(exc)) from None
-            rec.log_details_id = cur.lastrowid
-            return rec.log_details_id
+        with self._lock:
+            self._check_new_id("log_page", rec.log_details_id)
+            rec.log_details_id = self._insert("log_page", _CODECS["log_page"].encode(rec))
+        return rec.log_details_id
 
     def update_page_result(self, page_id: int, result: AppPageResult) -> None:
-        with self.transaction() as conn:
-            cur = conn.execute(
+        with self._lock:
+            cur = self._conn.execute(
                 "UPDATE log_page SET log_page_title = ?, log_web_message = ?,"
                 " log_subtitle = ?, log_page_load_time = ?, log_error_text = ?"
                 " WHERE log_details_id = ?",
@@ -612,26 +576,24 @@ class LogStore:
                 raise NotFoundError(f"no page row {page_id}")
 
     def get_page(self, page_id: int) -> PageRecord | None:
-        rows = self._query(
-            f"SELECT {', '.join(_PAGE_COLS)} FROM log_page WHERE log_details_id = ?",
-            (page_id,),
-        )
-        return _page_from_row(rows[0]) if rows else None
+        rows = self._select("log_page", "WHERE log_details_id = ?", (page_id,))
+        return rows[0] if rows else None
 
     def page_count(self) -> int:
         return self._query("SELECT COUNT(*) FROM log_page")[0][0]
 
     def join_sessions_pages(self) -> Iterator[tuple[SessionRecord, PageRecord]]:
         """Inner join of sessions and their pages, ordered by page id."""
-        s_cols = ", ".join(f"s.{c}" for c in _SESSION_COLS)
-        p_cols = ", ".join(f"p.{c}" for c in _PAGE_COLS)
+        sessions, pages = _CODECS["log_session"], _CODECS["log_page"]
+        s_cols = ", ".join(f"s.{c}" for c in TABLE_COLUMNS["log_session"])
+        p_cols = ", ".join(f"p.{c}" for c in TABLE_COLUMNS["log_page"])
         rows = self._query(
             f"SELECT {s_cols}, {p_cols} FROM log_session s"
             " JOIN log_page p ON p.log_opn_id = s.opn_id ORDER BY p.log_details_id"
         )
-        split = len(_SESSION_COLS)
+        split = len(TABLE_COLUMNS["log_session"])
         for row in rows:
-            yield _session_from_row(row[:split]), _page_from_row(row[split:])
+            yield sessions.decode(row[:split]), pages.decode(row[split:])
 
     # -- CSV export / import -------------------------------------------------
 
@@ -663,6 +625,12 @@ class LogStore:
         return paths
 
     def import_table(self, table: str, stream) -> int:
+        """Load one exported CSV table.
+
+        CSV cannot tell an empty string from NULL, so an empty cell means
+        NULL exactly in the columns the schema lets be NULL (not ``NOT NULL``
+        and not the primary key) and the empty string everywhere else.
+        """
         cols = TABLE_COLUMNS.get(table)
         if cols is None:
             raise ValueError(f"unknown table {table!r}")
@@ -670,8 +638,9 @@ class LogStore:
         header = next(reader, None)
         if header != list(cols):
             raise StorageError(f"unexpected header for {table}: {header}")
-        nullable = _NULLABLE_COLUMNS[table]
-        null_at = tuple(name in nullable for name in cols)
+        info = self._query(f"PRAGMA table_info({table})")  # cid, name, type, notnull, dflt, pk
+        nullable = {name for _, name, _, notnull, _, pk in info if not notnull and not pk}
+        null_at = [name in nullable for name in cols]
         rows = []
         for row in reader:
             if not row:
@@ -686,17 +655,8 @@ class LogStore:
                     for v, is_null in zip(row, null_at)
                 )
             )
-        with self.transaction() as conn:
-            try:
-                conn.executemany(
-                    f"INSERT INTO {table} ({', '.join(cols)})"
-                    f" VALUES ({', '.join('?' * len(cols))})",
-                    rows,
-                )
-            except sqlite3.IntegrityError as exc:
-                if "FOREIGN KEY" in str(exc):
-                    raise ForeignKeyError(str(exc)) from None
-                raise ConstraintError(str(exc)) from None
+        with self.transaction():
+            self._insert(table, rows, many=True)
         return len(rows)
 
     # -- stats ---------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Command-line interface: subcommands, output contracts, exit codes."""
 
+import csv
+import json
 import subprocess
 import sys
 
 import pytest
 
 from webusage.cli import main
-from webusage.storage import TABLE_COLUMNS
+from webusage.events import AppPageResult
+from webusage.storage import TABLE_COLUMNS, LogStore
 from webusage.truth import load_truth
 
 SIM_ARGS = [
@@ -122,6 +125,39 @@ class TestCollect:
                    "--store", str(tmp_path / "s.db"), "--users", str(users)])
         assert rc == 2
         assert "users file header" in capsys.readouterr().err
+
+
+    def test_mixed_offset_and_naive_times_stored_as_utc(self, tmp_path, capsys):
+        replay = tmp_path / "mixed.replay"
+        replay.write_text(
+            "ip=10.0.0.1 time=2021-09-02T10:00:00 method=GET url=/a token=t1\n"
+            "ip=10.0.0.1 time=2021-09-02T13:05:00+03:00 method=GET url=/b token=t1\n"
+            "ip=10.0.0.2 time=2021-09-02T10:07:00Z method=GET url=/c token=t2\n",
+            encoding="utf-8",
+        )
+        store = tmp_path / "s.db"
+        rc = main(["collect", str(replay), "--store", str(store)])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert "Traceback" not in captured.err
+        assert main(["export", "--store", str(store), "--out", str(tmp_path / "x")]) == 0
+        with open(tmp_path / "x" / "log_page.csv", encoding="utf-8", newline="") as fh:
+            times = [row["log_datetime"] for row in csv.DictReader(fh)]
+        assert times == [
+            "2021-09-02 10:00:00", "2021-09-02 10:05:00", "2021-09-02 10:07:00",
+        ]
+
+    def test_failed_replay_keeps_previous_store(self, workspace, tmp_path, capsys):
+        store = tmp_path / "kept.db"
+        store.write_bytes(workspace["store"].read_bytes())
+        good = workspace["replay"].read_text(encoding="utf-8").splitlines()[0]
+        bad = tmp_path / "bad.replay"
+        bad.write_text(good + "\nthis is not a replay line\n", encoding="utf-8")
+        rc = main(["collect", str(bad), "--store", str(store)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert store.read_bytes() == workspace["store"].read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.replay", "kept.db"]
 
 
 class TestPreprocess:
@@ -274,6 +310,43 @@ class TestExport:
         rc = main(["export", "--store", str(tmp_path / "no.db"),
                    "--out", str(tmp_path / "d")])
         assert rc == 2
+
+
+class TestFormatsContract:
+    """FORMATS.md claims about output text, checked on CLI output."""
+
+    def _export(self, store, out_dir) -> list[dict]:
+        assert main(["export", "--store", str(store), "--out", str(out_dir)]) == 0
+        with open(out_dir / "log_page.csv", encoding="utf-8", newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    def test_distribution_ratios_print_as_float_repr(self, workspace, capsys):
+        assert main(["report", "--store", str(workspace["store"]), "--kind", "device"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+        total = sum(int(n) for _, n, _ in rows)
+        assert any(len(ratio) > 4 for _, _, ratio in rows)
+        for _, n, ratio in rows:
+            assert ratio == repr(int(n) / total)
+
+    def test_load_time_exports_with_dot_decimal(self, workspace, tmp_path):
+        store_path = tmp_path / "timed.db"
+        store_path.write_bytes(workspace["store"].read_bytes())
+        store = LogStore(store_path)
+        store.update_page_result(1, AppPageResult(page_load_time=0.0266))
+        store.close()
+        rows = self._export(store_path, tmp_path / "x")
+        assert rows[0]["log_page_load_time"] == "0.0266"
+        assert {r["log_page_load_time"] for r in rows[1:]} == {"0.0"}
+
+    def test_serialize_maps_are_compact_sorted_json(self, workspace, tmp_path):
+        rows = self._export(workspace["store"], tmp_path / "x")
+        assert any('","' in row["log_session_serialize"] for row in rows)
+        for row in rows:
+            for col in ("log_cookie_serialize", "log_session_serialize",
+                        "log_post_serialize", "log_get_serialize"):
+                cell = row[col]
+                assert cell == json.dumps(json.loads(cell), sort_keys=True,
+                                          separators=(",", ":"), ensure_ascii=False)
 
 
 class TestParserContract:

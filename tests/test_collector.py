@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from datetime import datetime, timedelta
 
 import pytest
@@ -174,6 +176,41 @@ class TestRequestEnd:
             collector.handle_request_end(999, AppPageResult())
 
 
+class TestConcurrentRequests:
+    def test_threads_sharing_a_store_lose_no_writes(self, tmp_path):
+        store = LogStore(tmp_path / "shared.db")
+        collector = Collector(store, site_hosts=HOSTS)
+        n_threads, n_requests = 6, 40
+        failures = []
+
+        def worker(k: int) -> None:
+            try:
+                for i in range(n_requests):
+                    _, page_id = collector.handle_request_begin(_event(f"tok{k}", i))
+                    collector.handle_request_end(page_id, AppPageResult(page_title=f"t{i}"))
+            except Exception as exc:  # reported through the assertion below
+                failures.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert store.session_count() == n_threads
+        assert store.page_count() == n_threads * n_requests
+        untitled = store._query("SELECT COUNT(*) FROM log_page WHERE log_page_title = ''")
+        assert untitled[0][0] == 0
+        assert len(store.iter_open_sessions()) == n_threads
+        store.close()
+
+
 class TestSessionEnd:
     def test_logout_true_then_false(self, collector, mem_store):
         opn, _ = collector.handle_request_begin(_event())
@@ -255,6 +292,29 @@ class TestReplay:
         collector = Collector(mem_store, site_hosts=HOSTS)
         replay_stream(collector, self._events(), final_sweep=False)
         assert len(list(mem_store.iter_open_sessions())) == 2
+
+    def test_failed_event_leaves_no_trace_in_batch(self, mem_store):
+        collector = Collector(mem_store, site_hosts=HOSTS)
+        events = [
+            _event("tokA", 0),
+            _event("tokB", 10, get_params={"x": 1}),  # new session, bad page
+            _event("tokA", 20, get_params={"x": 1}),  # open session, bad page
+            _event("tokC", 30),
+        ]
+        errors = []
+        pages, n_errors = replay_stream(
+            collector, events, final_sweep=False, on_error=errors.append
+        )
+        assert (pages, n_errors) == (2, 2)
+        assert all(isinstance(e, CollectionError) for e in errors)
+        pageless = mem_store._query(
+            "SELECT COUNT(*) FROM log_session s WHERE NOT EXISTS"
+            " (SELECT 1 FROM log_page p WHERE p.log_opn_id = s.opn_id)"
+        )[0][0]
+        assert pageless == 0
+        assert mem_store.session_count() == 2
+        assert [o.session_token for o in mem_store.iter_open_sessions()] == ["tokA", "tokC"]
+        assert mem_store.get_open_session("tokA").last_activity == T0
 
     def test_replay_deterministic(self, tmp_path):
         events = self._events(n=40, tokens=("tokA", "tokB", "tokC"))

@@ -125,6 +125,12 @@ class TestLineCodec:
         with pytest.raises(ReplayFormatError, match=fragment):
             parse_replay_line(mangle(line))
 
+    def test_offset_time_becomes_naive_utc(self):
+        line = format_replay_line(_event()).replace(
+            "time=2021-09-02T12:00:00", "time=2021-09-02T15:00:00%2B03:00"
+        )
+        assert parse_replay_line(line).timestamp == datetime(2021, 9, 2, 12, 0, 0)
+
     def test_line_number_reported(self):
         with pytest.raises(ReplayFormatError, match="line 7:") as info:
             parse_replay_line("junk", line_no=7)

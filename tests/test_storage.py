@@ -1,5 +1,7 @@
 import io
+import re
 from datetime import date, datetime
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from webusage.storage import (
     OpenSession,
     PageRecord,
     SessionRecord,
+    TABLE_COLUMNS,
     StorageError,
     UserInfo,
     deserialize_map,
@@ -282,12 +285,45 @@ class TestTransactions:
                 mem_store.insert_page(_page(opn))
         assert mem_store.page_count() == 1
 
+    def test_failed_nested_scope_undoes_only_its_writes(self, mem_store):
+        with mem_store.transaction():
+            kept = mem_store.insert_session(_session())
+            with pytest.raises(ForeignKeyError):
+                with mem_store.transaction():
+                    mem_store.insert_session(_session())
+                    mem_store.insert_page(_page(1234))
+            mem_store.insert_page(_page(kept))
+        assert mem_store.session_count() == 1
+        assert mem_store.page_count() == 1
+
     def test_session_never_lost_before_page(self, mem_store):
         with pytest.raises(ForeignKeyError):
             with mem_store.transaction():
                 mem_store.insert_session(_session())
                 mem_store.insert_page(_page(1234))
         assert mem_store.session_count() == 0
+
+
+class TestSchema:
+    TABLES = ("user_info", "log_geoip", "log_session", "open_sessions", "log_page")
+
+    def _documented_nullable(self) -> dict[str, set[str]]:
+        text = (Path(__file__).resolve().parent.parent / "FORMATS.md").read_text()
+        listing = " ".join(text.split("nullable in the schema (", 1)[1].split(")", 1)[0].split())
+        found = {t: set() for t in self.TABLES}
+        for table, cols in re.findall(r"`(\w+)`: `([\w, ]+)`", listing):
+            found[table] = {c.strip() for c in cols.split(",")}
+        return found
+
+    def test_columns_and_nullability_match_schema_and_doc(self, mem_store):
+        assert tuple(TABLE_COLUMNS) == self.TABLES
+        documented = self._documented_nullable()
+        assert all(documented[t] for t in ("log_session", "open_sessions", "log_page"))
+        for table in self.TABLES:
+            info = mem_store._query(f"PRAGMA table_info({table})")
+            assert tuple(row[1] for row in info) == TABLE_COLUMNS[table]
+            nullable = {name for _, name, _, notnull, _, pk in info if not notnull and not pk}
+            assert nullable == documented[table], table
 
 
 class TestExportImport:
