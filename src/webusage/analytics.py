@@ -12,7 +12,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
 from .enrichment import UNKNOWN, ip_to_int
-from .storage import NO_GENDER_TYPES, USER_TYPES, LogStore, text_to_dt
+from .storage import NO_GENDER_TYPES, USER_TYPES, LogStore, SessionRecord
 
 USAGE_BUCKETS = ((1, 3), (4, 10), (11, 30), (31, 100), (101, None))
 BUCKET_LABELS = ("1-3", "4-10", "11-30", "31-100", "101+")
@@ -59,27 +59,12 @@ def bucket_label(pageviews: int) -> str:
     raise ValueError(f"pageviews out of range: {pageviews}")
 
 
-@dataclass(frozen=True)
-class SessionSummary:
-    opn_id: int
-    user_id: int | None
-    username: str | None
-    user_type: str
-    gender: str
-    ip: str
-    country_code: str
-    browser_name: str
-    browser_version: str
-    os_name: str
-    os_version: str
-    device_type: str
-    language: str | None
-    referral_class: str
-    search_engine: str | None
-    search_keywords: str | None
-    started_at: datetime
-    pageview_count: int
-    dwell_seconds: int
+@dataclass
+class SessionSummary(SessionRecord):
+    """A session that has pages, with its pageview count and dwell seconds."""
+
+    pageview_count: int = 0
+    dwell_seconds: int = 0
 
 
 @dataclass
@@ -221,40 +206,17 @@ class Analytics:
 
     def session_summaries(self) -> list[SessionSummary]:
         """One row per session that has pages, with pageview count and dwell."""
-        rows = self.store._query(
-            "SELECT s.opn_id, s.user_id, s.username, s.user_type, s.gender, s.ip,"
-            " s.country_code, s.browser_name, s.browser_version, s.os_name,"
-            " s.os_version, s.device_type, s.language, s.referral_class,"
-            " s.search_engine, s.search_keywords, s.started_at,"
-            " COUNT(p.log_details_id), MIN(p.log_datetime), MAX(p.log_datetime)"
-            " FROM log_session s JOIN log_page p ON p.log_opn_id = s.opn_id"
-            " GROUP BY s.opn_id ORDER BY s.opn_id"
-        )
-        out = []
-        for row in rows:
-            first = text_to_dt(row[18])
-            last = text_to_dt(row[19])
-            out.append(
-                SessionSummary(
-                    opn_id=row[0], user_id=row[1], username=row[2], user_type=row[3],
-                    gender=row[4], ip=row[5], country_code=row[6], browser_name=row[7],
-                    browser_version=row[8], os_name=row[9], os_version=row[10],
-                    device_type=row[11], language=row[12], referral_class=row[13],
-                    search_engine=row[14], search_keywords=row[15],
-                    started_at=text_to_dt(row[16]), pageview_count=row[17],
-                    dwell_seconds=int((last - first).total_seconds()),
-                )
-            )
-        return out
+        return [
+            SessionSummary(**vars(session), pageview_count=pages, dwell_seconds=dwell)
+            for session, pages, dwell in self.store.sessions_with_pages()
+        ]
 
     # -- reports -------------------------------------------------------------
 
-    def usage_buckets(self, summaries: list[SessionSummary] | None = None) -> UsageBucketReport:
+    def usage_buckets(self) -> UsageBucketReport:
         """Sessions per pageview bucket, guests split from logged-in users."""
-        if summaries is None:
-            summaries = self.session_summaries()
         counts: dict[tuple[str, str], int] = {}
-        for s in summaries:
+        for s in self.session_summaries():
             visitor = "Guests" if s.user_type == "guest" else "Users"
             label = bucket_label(s.pageview_count)
             counts[(visitor, label)] = counts.get((visitor, label), 0) + 1
@@ -264,9 +226,7 @@ class Analytics:
                 rows.append((visitor, label, counts.get((visitor, label), 0)))
         return UsageBucketReport(rows)
 
-    def user_type_gender_report(
-        self, summaries: list[SessionSummary] | None = None
-    ) -> UserTypeGenderReport:
+    def user_type_gender_report(self) -> UserTypeGenderReport:
         """Users, sessions, pageviews, P_ps and viewing time per type/gender.
 
         Guests are counted as distinct (ip, client fingerprint) pairs and
@@ -274,10 +234,8 @@ class Analytics:
         gender but keep durations.  The total row is the column-wise sum of
         the body rows.
         """
-        if summaries is None:
-            summaries = self.session_summaries()
         groups: dict[tuple[str, str], list[SessionSummary]] = {}
-        for s in summaries:
+        for s in self.session_summaries():
             groups.setdefault((s.user_type, s.gender), []).append(s)
 
         def group_rows() -> list[tuple[str, str]]:
@@ -347,25 +305,17 @@ class Analytics:
 
     def hourly_cube(self) -> HourlyCube:
         """Pageview counts per hour of day and user type; totals conserve."""
-        rows = self.store._query(
-            "SELECT CAST(substr(p.log_datetime, 12, 2) AS INTEGER), s.user_type, COUNT(*)"
-            " FROM log_page p JOIN log_session s ON s.opn_id = p.log_opn_id"
-            " GROUP BY 1, 2"
-        )
         index = {t: i for i, t in enumerate(USER_TYPES)}
         counts = [[0] * len(USER_TYPES) for _ in range(24)]
-        for hour, user_type, n in rows:
+        for hour, user_type, n in self.store.pages_by_hour_and_user_type():
             counts[hour][index[user_type]] = n
         return HourlyCube(USER_TYPES, counts)
 
-    def distribution(
-        self, kind: str, summaries: list[SessionSummary] | None = None
-    ) -> DistributionReport:
+    def distribution(self, kind: str) -> DistributionReport:
         """Per-session share of a category; each session counts once."""
         if kind not in DISTRIBUTION_KINDS:
             raise ValueError(f"kind must be one of {DISTRIBUTION_KINDS}")
-        if summaries is None:
-            summaries = self.session_summaries()
+        summaries = self.session_summaries()
         field = {
             "device": "device_type",
             "os": "os_name",
@@ -386,15 +336,13 @@ class Analytics:
         ]
         return DistributionReport(kind, entries)
 
-    def top_ips(self, n: int = 15, summaries: list[SessionSummary] | None = None) -> TopIpReport:
+    def top_ips(self, n: int = 15) -> TopIpReport:
         """Busiest client addresses by session count.
 
         Ties break by pageviews descending, then numeric address ascending.
         """
-        if summaries is None:
-            summaries = self.session_summaries()
         per_ip: dict[str, list[int]] = {}
-        for s in summaries:
+        for s in self.session_summaries():
             cell = per_ip.setdefault(s.ip, [0, 0])
             cell[0] += 1
             cell[1] += s.pageview_count
@@ -407,12 +355,10 @@ class Analytics:
         ]
         return TopIpReport(rows)
 
-    def top_users(self, n: int = 20, summaries: list[SessionSummary] | None = None) -> TopUserReport:
+    def top_users(self, n: int = 20) -> TopUserReport:
         """Most active logged-in users by pageviews; ties by username."""
-        if summaries is None:
-            summaries = self.session_summaries()
         per_user: dict[tuple[int, str], list[int]] = {}
-        for s in summaries:
+        for s in self.session_summaries():
             if s.user_id is None:
                 continue
             cell = per_user.setdefault((s.user_id, s.username or ""), [0, 0])
@@ -425,13 +371,11 @@ class Analytics:
         ]
         return TopUserReport(rows)
 
-    def search_report(self, summaries: list[SessionSummary] | None = None) -> SearchReport:
+    def search_report(self) -> SearchReport:
         """Sessions arriving from search engines, by engine and by keywords."""
-        if summaries is None:
-            summaries = self.session_summaries()
         engines: dict[str, int] = {}
         keywords: dict[str, int] = {}
-        for s in summaries:
+        for s in self.session_summaries():
             if s.referral_class != "search_engine" or s.search_engine is None:
                 continue
             engines[s.search_engine] = engines.get(s.search_engine, 0) + 1

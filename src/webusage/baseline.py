@@ -17,10 +17,10 @@ import urllib.parse
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .enrichment import default_bots
-from .truth import GroundTruth
+from .truth import GroundTruth, TruthEvent
 
 DEFAULT_PAGE_GAP = 600.0
 DEFAULT_SESSION_GAP = 1800.0
@@ -55,18 +55,6 @@ class EclfEntry:
     referrer: str | None = None
     user_agent: str | None = None
     cookies: str | None = None
-
-
-@dataclass
-class CleanedEntry:
-    ip: str
-    timestamp: datetime
-    resource: str
-    referrer: str | None
-    user_agent: str | None
-
-    def epoch(self) -> int:
-        return int(self.timestamp.timestamp())
 
 
 @dataclass
@@ -287,19 +275,16 @@ def _static_extension(resource: str, extensions: Sequence[str]) -> bool:
 def filter_entries(
     entries: Iterable[EclfEntry],
     static_extensions: Sequence[str] = DEFAULT_STATIC_EXTENSIONS,
-    bot_substrings: Sequence[str] | None = None,
-) -> tuple[list[CleanedEntry], FilterStats]:
+) -> tuple[list[EclfEntry], FilterStats]:
     """Keep successful page requests from human clients.
 
     Drops, in order: status other than 200, static resources by extension,
     and robot agents.  Each dropped entry is counted once, under the first
     rule that removed it.
     """
-    if bot_substrings is None:
-        bot_substrings = default_bots()
-    bots = tuple(b.lower() for b in bot_substrings)
+    bots = default_bots()
     stats = FilterStats()
-    cleaned: list[CleanedEntry] = []
+    kept: list[EclfEntry] = []
     for entry in entries:
         if entry.status != 200:
             stats.dropped_status += 1
@@ -313,25 +298,17 @@ def filter_entries(
             stats.dropped_bot += 1
             continue
         stats.kept += 1
-        cleaned.append(
-            CleanedEntry(
-                ip=entry.ip,
-                timestamp=entry.timestamp,
-                resource=entry.resource,
-                referrer=entry.referrer,
-                user_agent=entry.user_agent,
-            )
-        )
-    return cleaned, stats
+        kept.append(entry)
+    return kept, stats
 
 
-def identify_users(cleaned: Iterable[CleanedEntry]) -> list[Visit]:
-    """Group cleaned entries into per-user visit streams keyed by (ip, agent).
+def identify_users(cleaned: Iterable[EclfEntry]) -> list[Visit]:
+    """Group kept entries into per-user visit streams keyed by (ip, agent).
 
     Events are time-ordered within a user; users come out sorted by key so
     the output is reproducible.
     """
-    groups: dict[tuple[str, str], list[CleanedEntry]] = {}
+    groups: dict[tuple[str, str], list[EclfEntry]] = {}
     for entry in cleaned:
         key = (entry.ip, entry.user_agent or "")
         groups.setdefault(key, []).append(entry)
@@ -427,16 +404,13 @@ def _referrer_resource(referrer: str, site_hosts: set[str]) -> str | None:
 def complete_paths(
     events: Sequence[VisitEvent],
     site_hosts: Iterable[str] = (),
-    site_graph: dict[str, set[str]] | None = None,
 ) -> tuple[list[VisitEvent], PathStats]:
     """Insert cache-hidden back navigations inferred from referrers.
 
     When an event's on-site referrer is not the previous page but did occur
     earlier in the session, the pages walked back over are re-inserted in
     reverse order, marked inferred, timestamped with the following request.
-    A referrer that never occurred earlier counts as incomplete.  With a
-    ``site_graph`` the inferred click must be a known link, else the gap is
-    left alone and counted incomplete.
+    A referrer that never occurred earlier counts as incomplete.
     """
     hosts = {h.lower() for h in site_hosts}
     stats = PathStats()
@@ -451,11 +425,6 @@ def complete_paths(
                         match = j
                         break
                 if match is None:
-                    stats.incomplete += 1
-                elif (
-                    site_graph is not None
-                    and event.resource not in site_graph.get(ref_resource, set())
-                ):
                     stats.incomplete += 1
                 else:
                     for k in range(len(result) - 2, match - 1, -1):
@@ -504,11 +473,11 @@ def _pairs(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _pairwise(pred: dict[int, int], truth: dict[int, int]) -> tuple[float, float]:
+def _pairwise(pred: dict[int, Hashable], truth: dict[int, Hashable]) -> tuple[float, float]:
     """Pairwise precision/recall of a predicted clustering of event ids."""
-    contingency: dict[tuple[int, int], int] = {}
-    pred_sizes: dict[int, int] = {}
-    truth_sizes: dict[int, int] = {}
+    contingency: dict[tuple[Hashable, Hashable], int] = {}
+    pred_sizes: dict[Hashable, int] = {}
+    truth_sizes: dict[Hashable, int] = {}
     for event_id, p_cluster in pred.items():
         t_cluster = truth[event_id]
         contingency[(p_cluster, t_cluster)] = contingency.get((p_cluster, t_cluster), 0) + 1
@@ -522,45 +491,38 @@ def _pairwise(pred: dict[int, int], truth: dict[int, int]) -> tuple[float, float
     return precision, recall
 
 
+def truth_labels(events: Sequence[TruthEvent]) -> tuple[dict[int, int], dict[int, int]]:
+    """Truth session and user labels of ``events``, keyed by event_seq."""
+    return (
+        {e.event_seq: e.true_session_id for e in events},
+        {e.event_seq: e.true_user_id for e in events},
+    )
+
+
 def score_labelings(
-    pred_session: dict[int, object],
-    pred_user: dict[int, object],
-    truth_session: dict[int, object],
-    truth_user: dict[int, object],
+    pred_session: dict[int, Hashable],
+    pred_user: dict[int, Hashable],
+    truth_session: dict[int, Hashable],
+    truth_user: dict[int, Hashable],
 ) -> AccuracyReport:
     """Score predicted session/user labels against truth labels.
 
-    All four maps must cover the same event ids.  Sessions are matched by
-    event-set equality for the exact rate; precision/recall are pairwise
-    co-membership metrics.
+    All four maps must cover the same event ids; labels need only be
+    hashable.  Sessions are matched by event-set equality for the exact
+    rate; precision/recall are pairwise co-membership metrics.
     """
     ids = set(pred_session)
     if ids != set(truth_session) or ids != set(pred_user) or ids != set(truth_user):
         raise UniverseMismatchError("label maps cover different events")
 
-    def renumber(labels: dict[int, object]) -> dict[int, int]:
-        mapping: dict[object, int] = {}
-        out = {}
-        for event_id in sorted(labels):
-            label = labels[event_id]
-            if label not in mapping:
-                mapping[label] = len(mapping)
-            out[event_id] = mapping[label]
-        return out
+    session_precision, session_recall = _pairwise(pred_session, truth_session)
+    user_precision, user_recall = _pairwise(pred_user, truth_user)
 
-    ps = renumber(pred_session)
-    pu = renumber(pred_user)
-    ts = renumber(truth_session)
-    tu = renumber(truth_user)
-
-    session_precision, session_recall = _pairwise(ps, ts)
-    user_precision, user_recall = _pairwise(pu, tu)
-
-    truth_sets: dict[int, set[int]] = {}
-    pred_sets: dict[int, set[int]] = {}
-    for event_id, cluster in ts.items():
+    truth_sets: dict[Hashable, set[int]] = {}
+    pred_sets: dict[Hashable, set[int]] = {}
+    for event_id, cluster in truth_session.items():
         truth_sets.setdefault(cluster, set()).add(event_id)
-    for event_id, cluster in ps.items():
+    for event_id, cluster in pred_session.items():
         pred_sets.setdefault(cluster, set()).add(event_id)
     predicted = {frozenset(s) for s in pred_sets.values()}
     exact = sum(1 for s in truth_sets.values() if frozenset(s) in predicted)
@@ -582,15 +544,14 @@ def score_against_truth(sessions: Sequence[Visit], truth: GroundTruth) -> Accura
     (epoch, ip, resource); duplicate keys pair up in occurrence order.  The
     two universes must contain the same key multiset.
     """
+    served = truth.served_events()
     key_to_truth: dict[tuple[int, str, str], list[int]] = {}
-    for truth_event in truth.events:
-        if truth_event.cached:
-            continue
+    for truth_event in served:
         key = (truth_event.epoch, truth_event.ip, truth_event.resource)
         key_to_truth.setdefault(key, []).append(truth_event.event_seq)
 
-    pred_session: dict[int, object] = {}
-    pred_user: dict[int, object] = {}
+    pred_session: dict[int, Hashable] = {}
+    pred_user: dict[int, Hashable] = {}
     flat: list[tuple[tuple[int, str, str], object, object]] = []
     for visit in sessions:
         cluster = (visit.user_key, visit.session_id)
@@ -616,15 +577,7 @@ def score_against_truth(sessions: Sequence[Visit], truth: GroundTruth) -> Accura
     }
     if unmatched:
         raise UniverseMismatchError(f"truth events missing from prediction: {sorted(unmatched)[:3]}")
-
-    truth_session = {}
-    truth_user = {}
-    for truth_event in truth.events:
-        if truth_event.cached:
-            continue
-        truth_session[truth_event.event_seq] = truth_event.true_session_id
-        truth_user[truth_event.event_seq] = truth_event.true_user_id
-    return score_labelings(pred_session, pred_user, truth_session, truth_user)
+    return score_labelings(pred_session, pred_user, *truth_labels(served))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,13 @@ import argparse
 import csv
 import gzip
 import os
+import sqlite3
 import sys
 from pathlib import Path
 
-from .analytics import Analytics, report_to_csv, report_to_plot, search_report_to_csv
+from .analytics import (
+    DISTRIBUTION_KINDS, Analytics, report_to_csv, report_to_plot, search_report_to_csv,
+)
 from .baseline import (
     DEFAULT_PAGE_GAP,
     DEFAULT_SESSION_GAP,
@@ -34,11 +37,20 @@ from .simulator import SITE_HOST, ConfigError, WorkloadConfig, simulate_to_dir
 from .storage import LogStore, StorageError, UserInfo
 from .truth import load_truth
 
-REPORT_KINDS = (
-    "usage-buckets", "user-type-gender", "hourly-cube",
-    "device", "os", "browser", "country", "language",
-    "top-ips", "top-users", "search-engines", "search-keywords", "stats",
-)
+# Report kinds rendered by report_to_csv / report_to_plot, in --kind order.
+REPORTS = {
+    "usage-buckets": lambda analytics, n: analytics.usage_buckets(),
+    "user-type-gender": lambda analytics, n: analytics.user_type_gender_report(),
+    "hourly-cube": lambda analytics, n: analytics.hourly_cube(),
+    **{
+        kind: lambda analytics, n, kind=kind: analytics.distribution(kind)
+        for kind in DISTRIBUTION_KINDS
+    },
+    # without --n the builders' own defaults apply
+    "top-ips": lambda analytics, n: analytics.top_ips() if n is None else analytics.top_ips(n),
+    "top-users": lambda analytics, n: analytics.top_users() if n is None else analytics.top_users(n),
+}
+REPORT_KINDS = (*REPORTS, "search-engines", "search-keywords", "stats")
 
 
 class UsageError(Exception):
@@ -176,28 +188,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         if args.kind == "stats":
             stats = store.store_stats()
             text = "\n".join(f"{k}: {v}" for k, v in sorted(stats.items())) + "\n"
-            _write_out(text, args.out)
-            return 0
-        if args.kind in ("search-engines", "search-keywords"):
+        elif args.kind in ("search-engines", "search-keywords"):
             engines_csv, keywords_csv = search_report_to_csv(analytics.search_report())
-            _write_out(
-                engines_csv if args.kind == "search-engines" else keywords_csv,
-                args.out,
-            )
-            return 0
-        if args.kind == "usage-buckets":
-            report = analytics.usage_buckets()
-        elif args.kind == "user-type-gender":
-            report = analytics.user_type_gender_report()
-        elif args.kind == "hourly-cube":
-            report = analytics.hourly_cube()
-        elif args.kind in ("device", "os", "browser", "country", "language"):
-            report = analytics.distribution(args.kind)
-        elif args.kind == "top-ips":
-            report = analytics.top_ips(args.n if args.n is not None else 15)
+            text = engines_csv if args.kind == "search-engines" else keywords_csv
         else:
-            report = analytics.top_users(args.n if args.n is not None else 20)
-        _write_out(report_to_plot(report) if args.plot else report_to_csv(report), args.out)
+            report = REPORTS[args.kind](analytics, args.n)
+            text = report_to_plot(report) if args.plot else report_to_csv(report)
+        _write_out(text, args.out)
         return 0
     finally:
         store.close()
@@ -322,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, UsageError, UniverseMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StorageError, ReplayFormatError, GeoIpLoadError, OSError) as exc:
+    except (StorageError, sqlite3.Error, ReplayFormatError, GeoIpLoadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -21,7 +21,6 @@ from typing import Iterable
 from .enrichment import (
     GeoIpTable,
     SearchRegistry,
-    UaRegistry,
     default_search_registry,
     default_ua_registry,
     first_language_tag,
@@ -108,8 +107,6 @@ class Collector:
         store: LogStore,
         site_hosts: Iterable[str],
         geoip: GeoIpTable | None = None,
-        ua_registry: UaRegistry | None = None,
-        search_registry: SearchRegistry | None = None,
         timeout: float = DEFAULT_TIMEOUT,
     ):
         if timeout <= 0:
@@ -119,10 +116,8 @@ class Collector:
         if not self.site_hosts:
             raise ValueError("site_hosts must be non-empty")
         self.geoip = geoip if geoip is not None else GeoIpTable([])
-        self.ua_registry = ua_registry if ua_registry is not None else default_ua_registry()
-        self.search_registry = (
-            search_registry if search_registry is not None else default_search_registry()
-        )
+        self.ua_registry = default_ua_registry()
+        self.search_registry = default_search_registry()
         self.timeout = timeout
         self.warnings: list[str] = []
         self.warning_count = 0

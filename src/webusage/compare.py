@@ -9,8 +9,9 @@ from some other stream fails loudly instead of scoring garbage.
 from __future__ import annotations
 
 from datetime import datetime
+from typing import Hashable
 
-from .baseline import AccuracyReport, UniverseMismatchError, score_labelings
+from .baseline import AccuracyReport, UniverseMismatchError, score_labelings, truth_labels
 from .storage import LogStore, UserInfo, deserialize_map
 from .truth import GroundTruth
 
@@ -45,10 +46,8 @@ def collector_report(store: LogStore, truth: GroundTruth) -> AccuracyReport:
         raise UniverseMismatchError(
             f"store holds {len(rows)} pageviews, truth lists {len(truth.events)}"
         )
-    pred_session: dict[int, object] = {}
-    pred_user: dict[int, object] = {}
-    truth_session: dict[int, object] = {}
-    truth_user: dict[int, object] = {}
+    pred_session: dict[int, Hashable] = {}
+    pred_user: dict[int, Hashable] = {}
     for (session, page), truth_event in zip(rows, truth.events):
         stored_epoch = int((page.log_datetime - _EPOCH0).total_seconds())
         if stored_epoch != truth_event.epoch:
@@ -57,12 +56,10 @@ def collector_report(store: LogStore, truth: GroundTruth) -> AccuracyReport:
                 f" != truth time {truth_event.epoch}"
             )
         if session.user_id is not None:
-            user_label: object = ("account", session.user_id)
+            user_label: Hashable = ("account", session.user_id)
         else:
             token = deserialize_map(page.log_cookie_serialize).get("sid")
             user_label = ("cookie", token) if token else ("lone", page.log_opn_id)
         pred_session[truth_event.event_seq] = page.log_opn_id
         pred_user[truth_event.event_seq] = user_label
-        truth_session[truth_event.event_seq] = truth_event.true_session_id
-        truth_user[truth_event.event_seq] = truth_event.true_user_id
-    return score_labelings(pred_session, pred_user, truth_session, truth_user)
+    return score_labelings(pred_session, pred_user, *truth_labels(truth.events))

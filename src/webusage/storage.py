@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import json
 import sqlite3
 import threading
@@ -379,6 +378,21 @@ _CODECS = {
 }
 
 
+def _aliased(alias: str, table: str) -> str:
+    """The table's columns in ``TABLE_COLUMNS`` order, qualified by ``alias``."""
+    return ", ".join(f"{alias}.{c}" for c in TABLE_COLUMNS[table])
+
+
+class _ByteCounter:
+    """Write-only text stream that keeps only the UTF-8 size of its input."""
+
+    def __init__(self):
+        self.bytes = 0
+
+    def write(self, text: str) -> None:
+        self.bytes += len(text.encode("utf-8"))
+
+
 # ---------------------------------------------------------------------------
 # the store
 # ---------------------------------------------------------------------------
@@ -585,15 +599,37 @@ class LogStore:
     def join_sessions_pages(self) -> Iterator[tuple[SessionRecord, PageRecord]]:
         """Inner join of sessions and their pages, ordered by page id."""
         sessions, pages = _CODECS["log_session"], _CODECS["log_page"]
-        s_cols = ", ".join(f"s.{c}" for c in TABLE_COLUMNS["log_session"])
-        p_cols = ", ".join(f"p.{c}" for c in TABLE_COLUMNS["log_page"])
         rows = self._query(
-            f"SELECT {s_cols}, {p_cols} FROM log_session s"
+            f"SELECT {_aliased('s', 'log_session')}, {_aliased('p', 'log_page')}"
+            " FROM log_session s"
             " JOIN log_page p ON p.log_opn_id = s.opn_id ORDER BY p.log_details_id"
         )
         split = len(TABLE_COLUMNS["log_session"])
         for row in rows:
             yield sessions.decode(row[:split]), pages.decode(row[split:])
+
+    # -- report reads --------------------------------------------------------
+
+    def sessions_with_pages(self) -> list[tuple[SessionRecord, int, int]]:
+        """(session, pageview count, dwell seconds) for each session with
+        pages, by opn_id; dwell is last page time minus first."""
+        rows = self._query(
+            f"SELECT {_aliased('s', 'log_session')}, COUNT(*),"
+            " strftime('%s', MAX(p.log_datetime)) - strftime('%s', MIN(p.log_datetime))"
+            " FROM log_session s JOIN log_page p ON p.log_opn_id = s.opn_id"
+            " GROUP BY s.opn_id ORDER BY s.opn_id"
+        )
+        decode = _CODECS["log_session"].decode
+        return [(decode(row[:-2]), row[-2], row[-1]) for row in rows]
+
+    def pages_by_hour_and_user_type(self) -> list[tuple[int, str, int]]:
+        """(hour of day, session user type, pageview count) for each
+        non-empty cell."""
+        return self._query(
+            "SELECT CAST(substr(p.log_datetime, 12, 2) AS INTEGER), s.user_type, COUNT(*)"
+            " FROM log_page p JOIN log_session s ON s.opn_id = p.log_opn_id"
+            " GROUP BY 1, 2"
+        )
 
     # -- CSV export / import -------------------------------------------------
 
@@ -665,14 +701,11 @@ class LogStore:
         """Average CSV-serialized row size in bytes for the two log tables."""
         stats = {}
         for table in ("log_session", "log_page"):
-            buf = io.StringIO()
-            n = self.export_table(table, buf)
-            if n == 0:
-                stats[table] = 0.0
-                continue
-            lines = buf.getvalue().splitlines()[1:]
-            total = sum(len(line.encode("utf-8")) for line in lines)
-            stats[table] = total / n
+            counter = _ByteCounter()
+            n = self.export_table(table, counter)
+            # less the header line and each row's "\n" terminator
+            body = counter.bytes - len(",".join(TABLE_COLUMNS[table])) - 1 - n
+            stats[table] = body / n if n else 0.0
         return stats
 
     def store_stats(self) -> dict[str, float]:

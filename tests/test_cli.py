@@ -2,14 +2,17 @@
 
 import csv
 import json
+import re
 import subprocess
 import sys
+from datetime import datetime
+from pathlib import Path
 
 import pytest
 
-from webusage.cli import main
+from webusage.cli import REPORT_KINDS, main
 from webusage.events import AppPageResult
-from webusage.storage import TABLE_COLUMNS, LogStore
+from webusage.storage import TABLE_COLUMNS, LogStore, PageRecord, SessionRecord, UserInfo
 from webusage.truth import load_truth
 
 SIM_ARGS = [
@@ -117,6 +120,12 @@ class TestCollect:
                    "--store", str(tmp_path / "s.db"), "--geoip", str(geoip)])
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_store_in_missing_directory_exits_1(self, workspace, tmp_path, capsys):
+        rc = main(["collect", str(workspace["replay"]),
+                   "--store", str(tmp_path / "missing" / "s.db")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unrecognized_users_file_exits_2(self, workspace, tmp_path, capsys):
         users = tmp_path / "users.csv"
@@ -253,6 +262,29 @@ class TestReport:
         assert rc == 2
         assert "store not found" in capsys.readouterr().err
 
+    def test_store_that_is_not_sqlite_exits_1(self, tmp_path, capsys):
+        bogus = tmp_path / "bogus.db"
+        bogus.write_text("not a database\n" * 100, encoding="utf-8")
+        rc = main(["report", "--store", str(bogus), "--kind", "device"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_top_lists_default_to_15_ips_and_20_users(self, tmp_path, capsys):
+        store_path = tmp_path / "many.db"
+        store = LogStore(store_path)
+        for i in range(25):
+            store.upsert_user(UserInfo(i + 1, f"user{i:02d}", "student", "female"))
+            opn = store.insert_session(SessionRecord(
+                ip=f"10.0.0.{i + 1}", started_at=datetime(2021, 9, 2, 10),
+                user_id=i + 1, username=f"user{i:02d}", user_type="student",
+                gender="female",
+            ))
+            store.insert_page(PageRecord(opn, datetime(2021, 9, 2, 10), "/x"))
+        store.close()
+        for kind, rows in (("top-ips", 15), ("top-users", 20)):
+            assert main(["report", "--store", str(store_path), "--kind", kind]) == 0
+            assert len(capsys.readouterr().out.splitlines()) == 1 + rows
+
     def test_unknown_kind_rejected_by_parser(self, workspace):
         with pytest.raises(SystemExit) as info:
             main(["report", "--store", str(workspace["store"]),
@@ -311,6 +343,13 @@ class TestExport:
                    "--out", str(tmp_path / "d")])
         assert rc == 2
 
+    def test_store_that_is_not_sqlite_exits_1(self, tmp_path, capsys):
+        bogus = tmp_path / "bogus.db"
+        bogus.write_text("not a database\n" * 100, encoding="utf-8")
+        rc = main(["export", "--store", str(bogus), "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestFormatsContract:
     """FORMATS.md claims about output text, checked on CLI output."""
@@ -319,6 +358,19 @@ class TestFormatsContract:
         assert main(["export", "--store", str(store), "--out", str(out_dir)]) == 0
         with open(out_dir / "log_page.csv", encoding="utf-8", newline="") as fh:
             return list(csv.DictReader(fh))
+
+    def test_report_kinds_list_matches_cli(self):
+        text = (Path(__file__).resolve().parent.parent / "FORMATS.md").read_text()
+        listing = text.split("Report kinds:", 1)[1].split("\n\n", 1)[0]
+        assert tuple(re.findall(r"`([\w-]+)`", listing)) == REPORT_KINDS
+
+    def test_stats_keys(self, workspace, capsys):
+        assert main(["report", "--store", str(workspace["store"]), "--kind", "stats"]) == 0
+        keys = [line.split(": ", 1)[0] for line in capsys.readouterr().out.splitlines()]
+        assert keys == sorted(
+            [f"rows.{table}" for table in TABLE_COLUMNS]
+            + ["avg_row_bytes.log_session", "avg_row_bytes.log_page"]
+        )
 
     def test_distribution_ratios_print_as_float_repr(self, workspace, capsys):
         assert main(["report", "--store", str(workspace["store"]), "--kind", "device"]) == 0

@@ -1,6 +1,6 @@
 import io
 import re
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -268,6 +268,30 @@ class TestJoin:
         _, _, truth = small_workload
         assert len(list(sim_store.join_sessions_pages())) == len(truth.events)
 
+    def test_sessions_with_pages_counts_and_dwell(self, mem_store):
+        first = mem_store.insert_session(_session())
+        mem_store.insert_session(_session())  # no pages: left out
+        third = mem_store.insert_session(_session(started_at=T0 - timedelta(days=1)))
+        for seconds in (0, 40, 95):
+            mem_store.insert_page(_page(first, log_datetime=T0 + timedelta(seconds=seconds)))
+        # across midnight, inserted out of time order
+        for when in (datetime(2021, 9, 2, 0, 0, 30), datetime(2021, 9, 1, 23, 59, 50)):
+            mem_store.insert_page(_page(third, log_datetime=when))
+        rows = mem_store.sessions_with_pages()
+        assert [(s.opn_id, pages, dwell) for s, pages, dwell in rows] == [
+            (first, 3, 95), (third, 2, 40),
+        ]
+        assert rows[0][0] == mem_store.get_session(first)
+        assert all(type(dwell) is int for _, _, dwell in rows)
+
+    def test_pages_by_hour_and_user_type(self, mem_store):
+        guest = mem_store.insert_session(_session())
+        for hour in (0, 10, 10, 23):
+            mem_store.insert_page(_page(guest, log_datetime=T0.replace(hour=hour)))
+        assert sorted(mem_store.pages_by_hour_and_user_type()) == [
+            (0, "guest", 1), (10, "guest", 2), (23, "guest", 1),
+        ]
+
 
 class TestTransactions:
     def test_rollback_on_error(self, mem_store):
@@ -377,3 +401,13 @@ class TestStats:
     def test_row_size_stats_empty_store(self, mem_store):
         stats = mem_store.row_size_stats()
         assert stats == {"log_session": 0.0, "log_page": 0.0}
+
+    @pytest.mark.parametrize("title", ["x\ny", "ders programı"])
+    def test_row_size_is_the_exported_row_in_utf8_bytes(self, mem_store, title):
+        opn = mem_store.insert_session(_session())
+        mem_store.insert_page(_page(opn, log_page_title=title))
+        buf = io.StringIO()
+        mem_store.export_table("log_page", buf)
+        row = buf.getvalue().split("\n", 1)[1].removesuffix("\n")
+        assert title in row  # a newline stays inside the quoted field
+        assert mem_store.row_size_stats()["log_page"] == len(row.encode("utf-8"))
