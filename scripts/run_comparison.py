@@ -18,7 +18,8 @@ from webusage.baseline import preprocess_log, score_against_truth
 from webusage.collector import Collector, replay_stream
 from webusage.compare import collector_report, load_roster
 from webusage.enrichment import sample_geoip_table
-from webusage.simulator import SITE_HOST, WorkloadConfig, generate, simulate_to_dir
+from webusage.events import read_replay
+from webusage.simulator import SITE_HOST, WorkloadConfig, simulate_to_dir
 from webusage.storage import LogStore
 from webusage.truth import load_truth
 
@@ -46,14 +47,14 @@ def run_scenario(name: str, overrides: dict, args: argparse.Namespace) -> tuple:
     with tempfile.TemporaryDirectory() as tmp:
         paths = simulate_to_dir(config, tmp)
         truth = load_truth(paths["truth"])
-        events, _ = generate(config)
 
         store = LogStore(":memory:")
         try:
             load_roster(store, truth)
             collector = Collector(store, [SITE_HOST], geoip=sample_geoip_table(),
                                   timeout=config.timeout)
-            replay_stream(collector, events)
+            with open(paths["replay"], encoding="utf-8") as fh:
+                replay_stream(collector, read_replay(fh))
             collector_side = collector_report(store, truth)
         finally:
             store.close()

@@ -19,7 +19,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from .enrichment import default_bots
+from .enrichment import is_bot
 from .truth import GroundTruth, TruthEvent
 
 DEFAULT_PAGE_GAP = 600.0
@@ -33,6 +33,11 @@ _MONTH_NUM = {name: i + 1 for i, name in enumerate(_MONTHS)}
 _TS_RE = re.compile(
     r"^(\d{2})/([A-Za-z]{3})/(\d{4}):(\d{2}):(\d{2}):(\d{2}) ([+-])(\d{2})(\d{2})$"
 )
+# After any run of spaces: a quoted field, a bracketed field or a bare token.
+_TOKEN_RE = re.compile(
+    r' *(?:"([^"\\]*(?:\\.[^"\\]*)*)"|\[([^\]]*)\]|([^ "\[][^ ]*))', re.S
+)
+_ESCAPE_RE = re.compile(r"\\(.)", re.S)
 
 
 class LineParseError(ValueError):
@@ -96,14 +101,14 @@ class PathStats:
 # parsing and rendering
 # ---------------------------------------------------------------------------
 
-def _parse_timestamp(text: str) -> datetime:
+def _parse_timestamp(text: str, line: str) -> datetime:
     m = _TS_RE.match(text)
     if m is None:
-        raise LineParseError(f"bad timestamp: {text!r}")
+        raise LineParseError(f"bad timestamp: {text!r}", line)
     day, mon, year, hh, mm, ss, sign, zh, zm = m.groups()
     month = _MONTH_NUM.get(mon)
     if month is None:
-        raise LineParseError(f"bad month: {mon!r}")
+        raise LineParseError(f"bad month: {mon!r}", line)
     offset = timedelta(hours=int(zh), minutes=int(zm))
     if sign == "-":
         offset = -offset
@@ -126,40 +131,28 @@ def _format_timestamp(value: datetime) -> str:
 
 
 def _split_tokens(line: str) -> list[str]:
-    """Split a log line into space-separated tokens honoring "..." and [...]."""
+    """Split a log line into space-separated tokens honoring "..." and [...].
+
+    Inside quotes a backslash escapes the next character.  Quoted tokens
+    keep their opening '"' so callers can tell them from bare ones.
+    """
     tokens: list[str] = []
-    i = 0
-    n = len(line)
-    while i < n:
-        if line[i] == " ":
-            i += 1
-            continue
-        if line[i] == '"':
-            i += 1
-            out = []
-            while i < n and line[i] != '"':
-                if line[i] == "\\" and i + 1 < n:
-                    out.append(line[i + 1])
-                    i += 2
-                else:
-                    out.append(line[i])
-                    i += 1
-            if i >= n:
-                raise LineParseError("unterminated quote", line)
-            i += 1
-            tokens.append('"' + "".join(out))
-        elif line[i] == "[":
-            end = line.find("]", i)
-            if end < 0:
-                raise LineParseError("unterminated bracket", line)
-            tokens.append(line[i + 1:end])
-            i = end + 1
+    pos = 0
+    end = len(line.rstrip(" "))
+    while pos < end:
+        m = _TOKEN_RE.match(line, pos, end)
+        if m is None:
+            opener = line[pos:end].lstrip(" ")[0]
+            message = "unterminated quote" if opener == '"' else "unterminated bracket"
+            raise LineParseError(message, line)
+        quoted, bracketed, bare = m.groups()
+        if quoted is not None:
+            if "\\" in quoted:
+                quoted = _ESCAPE_RE.sub(r"\1", quoted)
+            tokens.append('"' + quoted)
         else:
-            end = line.find(" ", i)
-            if end < 0:
-                end = n
-            tokens.append(line[i:end])
-            i = end
+            tokens.append(bare if bracketed is None else bracketed)
+        pos = m.end()
     return tokens
 
 
@@ -208,7 +201,7 @@ def parse_log_line(line: str, log_format: str = "ECLF") -> EclfEntry:
         ip=ip,
         identd=identd,
         authuser=authuser,
-        timestamp=_parse_timestamp(ts_text),
+        timestamp=_parse_timestamp(ts_text, line),
         method=method,
         resource=resource,
         protocol=protocol,
@@ -269,7 +262,7 @@ def read_log(path: str | Path, log_format: str = "ECLF") -> Iterator[tuple[EclfE
 
 def _static_extension(resource: str, extensions: Sequence[str]) -> bool:
     path = resource.split("?", 1)[0].lower()
-    return any(path.endswith(ext) for ext in extensions)
+    return path.endswith(tuple(extensions))
 
 
 def filter_entries(
@@ -282,7 +275,6 @@ def filter_entries(
     and robot agents.  Each dropped entry is counted once, under the first
     rule that removed it.
     """
-    bots = default_bots()
     stats = FilterStats()
     kept: list[EclfEntry] = []
     for entry in entries:
@@ -292,9 +284,7 @@ def filter_entries(
         if _static_extension(entry.resource, static_extensions):
             stats.dropped_static += 1
             continue
-        agent = entry.user_agent or ""
-        lowered = agent.lower()
-        if agent and any(bot in lowered for bot in bots):
+        if is_bot(entry.user_agent):
             stats.dropped_bot += 1
             continue
         stats.kept += 1
@@ -618,7 +608,6 @@ def preprocess_log(
     mode: str = "both",
     split_at_midnight: bool = False,
     site_hosts: Iterable[str] = (),
-    static_extensions: Sequence[str] = DEFAULT_STATIC_EXTENSIONS,
 ) -> PreprocessResult:
     """Run the whole pipeline over a log file."""
     entries = []
@@ -630,7 +619,7 @@ def preprocess_log(
             parse_errors += 1
         else:
             entries.append(entry)
-    cleaned, filter_stats = filter_entries(entries, static_extensions)
+    cleaned, filter_stats = filter_entries(entries)
     visits = identify_users(cleaned)
     sessions: list[Visit] = []
     path_stats = PathStats()

@@ -64,6 +64,11 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
+def _open_read_only(path: Path) -> LogStore:
+    """Open an existing store without letting the schema script write to it."""
+    return LogStore(path.resolve().as_uri() + "?mode=ro")
+
+
 def _open_text(path: Path):
     if path.suffix == ".gz":
         return gzip.open(path, "rt", encoding="utf-8")
@@ -150,12 +155,15 @@ def _collect_into(store: LogStore, replay_path: Path, args: argparse.Namespace) 
             _load_users_file(store, _require_file(args.users, "users file"))
         hosts = args.site_host or [SITE_HOST]
         collector = Collector(store, hosts, geoip=geoip, timeout=args.timeout)
-        errors = []
+        shown = []  # the first 10 errors; the rest are only counted
+
+        def keep_first(exc):
+            if len(shown) < 10:
+                shown.append(exc)
+
         with _open_text(replay_path) as fh:
-            pages, n_errors = replay_stream(
-                collector, read_replay(fh), on_error=lambda e: errors.append(e)
-            )
-        for exc in errors[:10]:
+            pages, n_errors = replay_stream(collector, read_replay(fh), on_error=keep_first)
+        for exc in shown:
             print(f"collection error: {exc}", file=sys.stderr)
         print(f"sessions={store.session_count()} pageviews={store.page_count()}")
         return 0 if n_errors == 0 else 1
@@ -181,8 +189,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    store_path = _require_file(args.store, "store")
-    store = LogStore(store_path)
+    store = _open_read_only(_require_file(args.store, "store"))
     try:
         analytics = Analytics(store)
         if args.kind == "stats":
@@ -206,7 +213,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     with open(_require_file(args.baseline, "baseline sessions file"),
               encoding="utf-8", newline="") as fh:
         baseline_sessions = read_sessions_csv(fh)
-    store = LogStore(store_path)
+    store = _open_read_only(store_path)
     try:
         collector_side = collector_report(store, truth)
     finally:
@@ -225,8 +232,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    store_path = _require_file(args.store, "store")
-    store = LogStore(store_path)
+    store = _open_read_only(_require_file(args.store, "store"))
     try:
         written = store.export_all(args.out)
     finally:

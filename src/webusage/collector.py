@@ -20,7 +20,6 @@ from typing import Iterable
 
 from .enrichment import (
     GeoIpTable,
-    SearchRegistry,
     default_search_registry,
     default_ua_registry,
     first_language_tag,
@@ -55,11 +54,7 @@ class Referral:
     flagged: bool = False
 
 
-def classify_referrer(
-    referrer: str | None,
-    site_hosts: Iterable[str],
-    search_registry: SearchRegistry | None = None,
-) -> Referral:
+def classify_referrer(referrer: str | None, site_hosts: Iterable[str]) -> Referral:
     """Classify where a session arrived from.
 
     No referrer is direct; a referrer on one of ``site_hosts`` is internal;
@@ -71,8 +66,6 @@ def classify_referrer(
         raise ValueError("site_hosts must be non-empty")
     if not referrer:
         return Referral("direct")
-    if search_registry is None:
-        search_registry = default_search_registry()
     try:
         host = urllib.parse.urlsplit(referrer).hostname
     except ValueError:
@@ -81,7 +74,7 @@ def classify_referrer(
         return Referral("external", referrer, flagged=True)
     if host.lower() in hosts:
         return Referral("internal")
-    engine = search_registry.match_host(host)
+    engine = default_search_registry().match_host(host)
     if engine is not None:
         return Referral("search_engine", engine.name)
     return Referral("external", host.lower())
@@ -166,13 +159,12 @@ class Collector:
             self._close(open_session, reason)
             return True
 
-    def sweep_expired(self, now: datetime, timeout: float | None = None) -> int:
+    def sweep_expired(self, now: datetime) -> int:
         """Retire every open session idle strictly longer than the timeout."""
-        limit = self.timeout if timeout is None else timeout
         ended = 0
         with self.store.transaction():
             for open_session in self.store.iter_open_sessions():
-                if (now - open_session.last_activity).total_seconds() > limit:
+                if (now - open_session.last_activity).total_seconds() > self.timeout:
                     self._close(open_session, "timeout")
                     ended += 1
         return ended
@@ -197,7 +189,7 @@ class Collector:
         language = first_language_tag(event.cookies.get("accept-language"))
         if language is not None:
             profile = replace(profile, language=language)
-        referral = classify_referrer(event.referrer, self.site_hosts, self.search_registry)
+        referral = classify_referrer(event.referrer, self.site_hosts)
         engine = None
         keywords = None
         if referral.kind == "search_engine":

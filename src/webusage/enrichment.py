@@ -78,7 +78,7 @@ class UaRegistry:
     tokens (Edg before Chrome before Safari) go first.
     """
 
-    def __init__(self, rules: Iterable[tuple[str, str, str]], bots: Sequence[str] = ()):
+    def __init__(self, rules: Iterable[tuple[str, str, str]]):
         self.browser_rules: list[_Rule] = []
         self.os_rules: list[_Rule] = []
         self.device_rules: list[_Rule] = []
@@ -93,10 +93,9 @@ class UaRegistry:
                 self.device_rules.append(_Rule(token, name))
             else:
                 raise UaRegistryError(f"unknown rule kind {kind!r}")
-        self.bots = tuple(b.lower() for b in bots)
 
     @classmethod
-    def from_text(cls, text: str, bots: Sequence[str] = ()) -> "UaRegistry":
+    def from_text(cls, text: str) -> "UaRegistry":
         rules = []
         for line_no, line in enumerate(text.splitlines(), start=1):
             line = line.rstrip()
@@ -106,7 +105,7 @@ class UaRegistry:
             if len(parts) != 3:
                 raise UaRegistryError(f"line {line_no}: expected 3 tab-separated fields")
             rules.append((parts[0], parts[1], parts[2]))
-        return cls(rules, bots)
+        return cls(rules)
 
 
 def _first_match(rules: Sequence[_Rule], ua: str) -> tuple[str, str]:
@@ -117,14 +116,21 @@ def _first_match(rules: Sequence[_Rule], ua: str) -> tuple[str, str]:
     return UNKNOWN, UNKNOWN
 
 
+def is_bot(agent: str | None) -> bool:
+    """True when one of the bundled bot substrings occurs in the lowercased agent."""
+    if not agent:
+        return False
+    lowered = agent.lower()
+    return any(bot in lowered for bot in default_bots())
+
+
 def parse_user_agent(ua: str | None, registry: "UaRegistry | None" = None) -> ClientProfile:
     """Classify a user-agent string.  Total: never raises on any input."""
     if registry is None:
         registry = default_ua_registry()
     if not ua:
         return ClientProfile()
-    lowered = ua.lower()
-    if any(bot in lowered for bot in registry.bots):
+    if is_bot(ua):
         return ClientProfile(device_type="bot", is_bot=True)
     browser, browser_version = _first_match(registry.browser_rules, ua)
     os_name, os_version = _first_match(registry.os_rules, ua)
@@ -313,7 +319,7 @@ def default_bots() -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def default_ua_registry() -> UaRegistry:
-    return UaRegistry.from_text(_data_text("ua_rules.tsv"), bots=default_bots())
+    return UaRegistry.from_text(_data_text("ua_rules.tsv"))
 
 
 @lru_cache(maxsize=None)

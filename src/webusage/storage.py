@@ -406,8 +406,11 @@ class LogStore:
     """
 
     def __init__(self, path: str | Path = ":memory:"):
+        # A "file:" URI may carry options, e.g. "?mode=ro" for a read-only store.
         self.path = str(path)
-        self._conn = sqlite3.connect(self.path, check_same_thread=False, isolation_level=None)
+        self._conn = sqlite3.connect(
+            self.path, uri=True, check_same_thread=False, isolation_level=None
+        )
         self._lock = threading.RLock()
         self._depth = 0
         with self._lock:

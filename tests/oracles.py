@@ -13,6 +13,8 @@ from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
+from webusage.baseline import LineParseError
+
 USER_TYPE_ORDER = (
     "guest",
     "academic_staff",
@@ -288,3 +290,41 @@ def sessionize_reference(epochs: list[float], session_gap: float, page_gap: floa
     if count:
         sizes.append(count)
     return sizes
+
+
+def split_tokens_reference(line: str) -> list[str]:
+    """Character-by-character ECLF tokenizer, the reference for ``_split_tokens``."""
+    tokens: list[str] = []
+    i = 0
+    n = len(line)
+    while i < n:
+        if line[i] == " ":
+            i += 1
+            continue
+        if line[i] == '"':
+            i += 1
+            out = []
+            while i < n and line[i] != '"':
+                if line[i] == "\\" and i + 1 < n:
+                    out.append(line[i + 1])
+                    i += 2
+                else:
+                    out.append(line[i])
+                    i += 1
+            if i >= n:
+                raise LineParseError("unterminated quote", line)
+            i += 1
+            tokens.append('"' + "".join(out))
+        elif line[i] == "[":
+            end = line.find("]", i)
+            if end < 0:
+                raise LineParseError("unterminated bracket", line)
+            tokens.append(line[i + 1:end])
+            i = end + 1
+        else:
+            end = line.find(" ", i)
+            if end < 0:
+                end = n
+            tokens.append(line[i:end])
+            i = end
+    return tokens

@@ -14,6 +14,7 @@ from webusage.baseline import (
     UniverseMismatchError,
     Visit,
     VisitEvent,
+    _split_tokens,
     complete_paths,
     filter_entries,
     identify_users,
@@ -26,6 +27,8 @@ from webusage.baseline import (
     sessionize,
     write_sessions_csv,
 )
+from webusage.enrichment import parse_user_agent
+from webusage.simulator import WorkloadConfig, simulate_to_dir
 
 import oracles
 
@@ -36,6 +39,25 @@ SAMPLE = (
 )
 
 TZ3 = timezone(timedelta(hours=3))
+
+# Simulator settings of the benchmark workloads (perfbench/workloads.py).
+# live-requests replays campus-week's traffic, so two logs cover all three.
+BENCH_WORKLOADS = {
+    "campus-week": dict(n_users=25, session_rate=20.0, pageviews_per_session_mean=10.0),
+    "stressed-short": dict(
+        n_users=70, session_rate=20.0, pageviews_per_session_mean=3.0,
+        nat_share=0.3, dynamic_ip_share=0.5, cookie_loss_share=0.25, cached_nav_share=0.3,
+    ),
+}
+
+# Text dense in the characters the tokenizer treats specially.
+TOKENIZER_TEXT = st.one_of(
+    st.text(alphabet=' "[]\\ab\t\r\n\x00é', max_size=40),
+    st.lists(
+        st.sampled_from([" ", "  ", '"', '\\"', "\\", "[", "]", "a b", "-", "x\ty", "\u00e9\u4e2d"]),
+        max_size=15,
+    ).map("".join),
+)
 
 
 def _line(
@@ -131,9 +153,20 @@ class TestParse:
         assert render_log_line(entry) == line
 
     def test_line_attached_to_error(self):
-        with pytest.raises(LineParseError) as info:
-            parse_log_line("hello")
-        assert info.value.line == "hello"
+        bad_month = _line(when="02/Xxx/2021:10:00:00 +0300")
+        bad_timestamp = _line(when="2021-09-02")
+        for line in ("hello", bad_month, bad_timestamp):
+            with pytest.raises(LineParseError) as info:
+                parse_log_line(line)
+            assert info.value.line == line
+
+    @pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+    def test_round_trip_benchmark_logs(self, name, tmp_path):
+        paths = simulate_to_dir(WorkloadConfig(seed=1, **BENCH_WORKLOADS[name]), tmp_path)
+        lines = paths["eclf"].read_text(encoding="utf-8").splitlines()
+        assert len(lines) > 1000
+        for line in lines:
+            assert render_log_line(parse_log_line(line)) == line
 
     def test_round_trip_sample_is_byte_identical(self):
         assert render_log_line(parse_log_line(SAMPLE)) == SAMPLE
@@ -152,6 +185,46 @@ class TestParse:
     def test_round_trip_variants(self, kwargs):
         line = _line(**kwargs)
         assert render_log_line(parse_log_line(line)) == line
+
+
+class TestSplitTokens:
+    @staticmethod
+    def _outcome(split, line):
+        try:
+            return split(line)
+        except LineParseError as exc:
+            return ("error", str(exc), exc.line)
+
+    @settings(max_examples=2000)
+    @given(TOKENIZER_TEXT)
+    def test_matches_reference_loop(self, line):
+        assert self._outcome(_split_tokens, line) == self._outcome(
+            oracles.split_tokens_reference, line
+        )
+
+    @pytest.mark.parametrize(
+        "line, tokens",
+        [
+            ("", []),
+            ("   ", []),
+            (' a  [b c]"d\\"e" f ', ["a", "b c", '"d"e', "f"]),
+            ('"\\\\" x"y', ['"\\', 'x"y']),
+            ("[]\"\"", ["", '"']),
+        ],
+    )
+    def test_examples(self, line, tokens):
+        assert _split_tokens(line) == tokens
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [('a "b', "unterminated quote"), ('"b\\"  ', "unterminated quote"),
+         ("a  [b c", "unterminated bracket")],
+    )
+    def test_unterminated(self, line, message):
+        with pytest.raises(LineParseError) as info:
+            _split_tokens(line)
+        assert str(info.value) == message
+        assert info.value.line == line
 
 
 class TestReadLog:
@@ -193,6 +266,12 @@ class TestFilter:
         kept, stats = filter_entries(entries)
         assert kept == []
         assert stats.dropped_bot == 1
+
+    @pytest.mark.parametrize("agent", ["-", "Mozilla/5.0", "Googlebot/2.1", "some CRAWLER v2"])
+    def test_bot_rule_is_the_collector_rule(self, agent):
+        entry = _entry(agent=agent)
+        _, stats = filter_entries([entry])
+        assert stats.dropped_bot == int(parse_user_agent(entry.user_agent).is_bot)
 
     def test_status_checked_before_extension(self):
         entries = [_entry(request="GET /x.png HTTP/1.1", status=404)]

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, output contracts, exit codes."""
 
 import csv
+import hashlib
 import json
 import re
+import sqlite3
 import subprocess
 import sys
 from datetime import datetime
@@ -167,6 +169,21 @@ class TestCollect:
         assert capsys.readouterr().err.startswith("error:")
         assert store.read_bytes() == workspace["store"].read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.replay", "kept.db"]
+
+    def test_prints_only_the_first_10_collection_errors(self, tmp_path, capsys):
+        replay = tmp_path / "bad_ips.replay"
+        replay.write_text(
+            "".join(
+                f"ip= time=2021-09-02T10:00:{i:02d} method=GET url=/a token=t{i}\n"
+                for i in range(12)
+            ),
+            encoding="utf-8",
+        )
+        rc = main(["collect", str(replay), "--store", str(tmp_path / "s.db")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("collection error:") == 10
+        assert len(err.splitlines()) == 10
 
 
 class TestPreprocess:
@@ -349,6 +366,41 @@ class TestExport:
         rc = main(["export", "--store", str(bogus), "--out", str(tmp_path / "d")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestReadOnlyCommands:
+    """report, compare and export never write into the file --store names."""
+
+    @pytest.fixture(params=["empty", "foreign"])
+    def not_a_store(self, request, tmp_path):
+        path = tmp_path / f"{request.param}.db"
+        if request.param == "empty":
+            path.write_bytes(b"")
+        else:
+            conn = sqlite3.connect(path)
+            conn.execute("CREATE TABLE notes (body TEXT)")
+            conn.execute("INSERT INTO notes VALUES ('keep me')")
+            conn.commit()
+            conn.close()
+        return path
+
+    @pytest.mark.parametrize("command", ["report", "compare", "export"])
+    def test_leaves_file_unchanged_and_exits_1(
+        self, command, not_a_store, workspace, tmp_path, capsys
+    ):
+        before = hashlib.sha256(not_a_store.read_bytes()).hexdigest()
+        extra = {
+            "report": ["--kind", "stats"],
+            "compare": ["--baseline", str(workspace["sessions"]),
+                        "--truth", str(workspace["truth"])],
+            "export": ["--out", str(tmp_path / "dump")],
+        }[command]
+        rc = main([command, "--store", str(not_a_store), *extra])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert hashlib.sha256(not_a_store.read_bytes()).hexdigest() == before
 
 
 class TestFormatsContract:

@@ -15,6 +15,7 @@ from webusage.enrichment import (
     default_ua_registry,
     first_language_tag,
     ip_to_int,
+    is_bot,
     load_geoip,
     parse_user_agent,
     sample_geoip_table,
@@ -46,6 +47,21 @@ class TestUserAgents:
         profile = parse_user_agent("Googlebot/2.1 (+http://www.google.com/bot.html)")
         assert profile.is_bot is True
         assert profile.device_type == "bot"
+
+    @pytest.mark.parametrize(
+        "agent, expected",
+        [
+            (None, False),
+            ("", False),
+            ("Mozilla/5.0 (X11; Linux x86_64) Firefox/91.0", False),
+            ("Googlebot/2.1", True),
+            ("some CRAWLER v2", True),
+            ("curl/7.79", True),
+        ],
+    )
+    def test_is_bot_matches_a_substring_of_the_lowercased_agent(self, agent, expected):
+        assert is_bot(agent) is expected
+        assert parse_user_agent(agent).is_bot is expected
 
     def test_chrome_on_windows(self):
         ua = (
