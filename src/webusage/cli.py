@@ -65,8 +65,19 @@ def _require_file(path: str, what: str) -> Path:
 
 
 def _open_read_only(path: Path) -> LogStore:
-    """Open an existing store without letting the schema script write to it."""
-    return LogStore(path.resolve().as_uri() + "?mode=ro")
+    """Open an existing store without letting the schema script write to it.
+
+    A file that lacks the store tables fails that script: an empty file or
+    another SQLite database because it may not be written to, any other
+    file because it is not SQLite.
+    """
+    try:
+        return LogStore(path.resolve().as_uri() + "?mode=ro")
+    except sqlite3.DatabaseError as exc:
+        # sqlite_errorname is new in Python 3.11; before it the raw text stays.
+        if getattr(exc, "sqlite_errorname", None) in ("SQLITE_READONLY", "SQLITE_NOTADB"):
+            raise StorageError(f"not a webusage store: {path}") from None
+        raise
 
 
 def _open_text(path: Path):

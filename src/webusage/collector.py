@@ -5,9 +5,9 @@ request arrives and :meth:`Collector.handle_request_end` when the response is
 ready.  Sessions are keyed by the client token, so two devices behind one IP
 are distinct sessions, a session crossing midnight stays open, and an idle
 gap strictly greater than the timeout retires the old session before a new
-one starts.  All cross-request state lives in the store, which serializes
-writes; the collector itself keeps no mutable shared state beyond a warning
-list.
+one starts.  Session state lives only in the store, which serializes
+writes, so collectors in any number of threads or processes may share one
+store; a collector keeps nothing but its settings and a warning sample.
 """
 
 from __future__ import annotations
@@ -18,15 +18,10 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from typing import Iterable
 
-from .enrichment import (
-    GeoIpTable,
-    default_search_registry,
-    default_ua_registry,
-    first_language_tag,
-    parse_user_agent,
-)
+from .enrichment import GeoIpTable, default_search_registry, first_language_tag, parse_user_agent
 from .events import AppPageResult, RawRequestEvent
 from .storage import (
+    LiveSession,
     LogStore,
     OpenSession,
     PageRecord,
@@ -80,18 +75,13 @@ def classify_referrer(referrer: str | None, site_hosts: Iterable[str]) -> Referr
     return Referral("external", host.lower())
 
 
-def _split_resource(url: str) -> tuple[str, bool]:
-    """Path plus query of a page URL, with a malformed flag."""
+def _is_malformed_url(url: str) -> bool:
+    """True unless the page URL is absolute http(s) with a host."""
     try:
         parts = urllib.parse.urlsplit(url)
     except ValueError:
-        return url, True
-    if parts.scheme not in ("http", "https") or not parts.netloc:
-        return url, True
-    resource = parts.path or "/"
-    if parts.query:
-        resource = f"{resource}?{parts.query}"
-    return resource, False
+        return True
+    return parts.scheme not in ("http", "https") or not parts.netloc
 
 
 class Collector:
@@ -109,38 +99,32 @@ class Collector:
         if not self.site_hosts:
             raise ValueError("site_hosts must be non-empty")
         self.geoip = geoip if geoip is not None else GeoIpTable([])
-        self.ua_registry = default_ua_registry()
-        self.search_registry = default_search_registry()
         self.timeout = timeout
         self.warnings: list[str] = []
         self.warning_count = 0
-        self._usernames: dict[int, str | None] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
-    def handle_request_begin(
-        self, event: RawRequestEvent, now: datetime | None = None
-    ) -> tuple[int, int]:
+    def handle_request_begin(self, event: RawRequestEvent) -> tuple[int, int]:
         """Record one arriving request; returns (opn_id, page_log_id).
 
         Resolves the open session for the event token, retiring it first if
-        its idle gap exceeds the timeout, then writes the page row in the
-        same transaction so a session row never lacks its first page.
+        its idle gap at ``event.timestamp`` exceeds the timeout, then writes
+        the page row in the same transaction so a session row never lacks
+        its first page.
         """
-        if now is None:
-            now = event.timestamp
         try:
             with self.store.transaction():
                 open_session = self.store.get_open_session(event.session_token)
                 if open_session is not None:
-                    gap = (now - open_session.last_activity).total_seconds()
+                    gap = (event.timestamp - open_session.last_activity).total_seconds()
                     if gap > self.timeout:
                         self._close(open_session, "timeout")
                         open_session = None
                 if open_session is None:
-                    open_session = self._start_session(event, now)
+                    open_session = self._start_session(event)
                 else:
-                    self.store.touch_open_session(event.session_token, now)
+                    self.store.touch_open_session(event.session_token, event.timestamp)
                 page_id = self._record_page(event, open_session)
                 return open_session.opn_id, page_id
         except StorageError as exc:
@@ -150,20 +134,24 @@ class Collector:
         """Attach end-of-request application data to a page row, in place."""
         self.store.update_page_result(page_log_id, result)
 
-    def end_session(self, session_token: str, reason: str = "logout") -> bool:
-        """Close the open session for a token; False when none is open."""
+    def end_session(self, session_token: str) -> bool:
+        """Close the open session for a token as a logout; False when none
+        is open."""
         with self.store.transaction():
             open_session = self.store.get_open_session(session_token)
             if open_session is None:
                 return False
-            self._close(open_session, reason)
+            self._close(open_session, "logout")
             return True
 
     def sweep_expired(self, now: datetime) -> int:
         """Retire every open session idle strictly longer than the timeout."""
         ended = 0
+        cutoff = now - timedelta(seconds=self.timeout)
         with self.store.transaction():
-            for open_session in self.store.iter_open_sessions():
+            # The store compares whole seconds, so it returns every expired
+            # session and perhaps some at the boundary; the gap test decides.
+            for open_session in self.store.open_sessions_idle_since(cutoff):
                 if (now - open_session.last_activity).total_seconds() > self.timeout:
                     self._close(open_session, "timeout")
                     ended += 1
@@ -182,10 +170,9 @@ class Collector:
         ended_at = max(open_session.last_activity, open_session.started_at)
         self.store.close_session(open_session.opn_id, ended_at, reason)
         self.store.delete_open_session(open_session.session_token)
-        self._usernames.pop(open_session.opn_id, None)
 
-    def _start_session(self, event: RawRequestEvent, now: datetime) -> OpenSession:
-        profile = parse_user_agent(event.user_agent, self.ua_registry)
+    def _start_session(self, event: RawRequestEvent) -> LiveSession:
+        profile = parse_user_agent(event.user_agent)
         language = first_language_tag(event.cookies.get("accept-language"))
         if language is not None:
             profile = replace(profile, language=language)
@@ -194,7 +181,7 @@ class Collector:
         keywords = None
         if referral.kind == "search_engine":
             engine = referral.name
-            extracted = self.search_registry.extract(event.referrer or "")
+            extracted = default_search_registry().extract(event.referrer or "")
             if extracted is not None:
                 keywords = extracted[1]
 
@@ -233,14 +220,13 @@ class Collector:
             search_engine=engine,
             search_keywords=keywords,
         )
-        opn_id = self.store.insert_session(record)
-        self._usernames[opn_id] = username
-        open_session = OpenSession(
+        open_session = LiveSession(
             session_token=event.session_token,
-            opn_id=opn_id,
+            opn_id=self.store.insert_session(record),
             user_id=user_id,
             started_at=event.timestamp,
-            last_activity=max(now, event.timestamp),
+            last_activity=event.timestamp,
+            username=username,
         )
         self.store.put_open_session(open_session)
         return open_session
@@ -251,23 +237,14 @@ class Collector:
         except (ValueError, ipaddress.AddressValueError):
             return "unknown"
 
-    def _record_page(self, event: RawRequestEvent, open_session: OpenSession) -> int:
-        _, malformed = _split_resource(event.url)
+    def _record_page(self, event: RawRequestEvent, open_session: LiveSession) -> int:
         session_map = {"ses_id": str(open_session.opn_id)}
         if open_session.user_id is not None:
             session_map["ses_uid"] = str(open_session.user_id)
-        username = None
-        if open_session.user_id is not None:
-            if open_session.opn_id in self._usernames:
-                username = self._usernames[open_session.opn_id]
-            else:
-                # Session opened by an earlier collector over the same store.
-                session_row = self.store.get_session(open_session.opn_id)
-                username = session_row.username if session_row else None
         page = PageRecord(
             log_opn_id=open_session.opn_id,
             log_uid=open_session.user_id,
-            log_username=username,
+            log_username=open_session.username,
             log_datetime=event.timestamp,
             log_server=event.server_id,
             log_app_service=event.app_service,
@@ -277,7 +254,7 @@ class Collector:
             log_session_serialize=serialize_map(session_map),
             log_post_serialize=serialize_map(event.post_params),
             log_get_serialize=serialize_map(event.get_params),
-            log_url_malformed=malformed,
+            log_url_malformed=_is_malformed_url(event.url),
         )
         return self.store.insert_page(page)
 
@@ -300,7 +277,7 @@ def replay_stream(
         for event in events:
             last_time = event.timestamp
             try:
-                collector.handle_request_begin(event, now=event.timestamp)
+                collector.handle_request_begin(event)
                 pages += 1
             except CollectionError as exc:
                 errors += 1

@@ -216,6 +216,13 @@ class OpenSession:
     last_activity: datetime
 
 
+@dataclass
+class LiveSession(OpenSession):
+    """An open session with the username of its ``log_session`` row."""
+
+    username: str | None = None
+
+
 def parse_load_time(text: str) -> float:
     """Parse a load time that may use a decimal comma ("0,0266")."""
     return float(text.strip().replace(",", "."))
@@ -538,9 +545,17 @@ class LogStore:
 
     # -- open sessions -----------------------------------------------------
 
-    def get_open_session(self, token: str) -> OpenSession | None:
-        rows = self._select("open_sessions", "WHERE session_token = ?", (token,))
-        return rows[0] if rows else None
+    def get_open_session(self, token: str) -> LiveSession | None:
+        """The open session for a token, with its session's username."""
+        rows = self._query(
+            f"SELECT {_aliased('o', 'open_sessions')}, s.username FROM open_sessions o"
+            " JOIN log_session s ON s.opn_id = o.opn_id WHERE o.session_token = ?",
+            (token,),
+        )
+        if not rows:
+            return None
+        *row, username = rows[0]
+        return LiveSession(**vars(_CODECS["open_sessions"].decode(row)), username=username)
 
     def put_open_session(self, open_session: OpenSession) -> None:
         if open_session.last_activity < open_session.started_at:
@@ -564,6 +579,13 @@ class LogStore:
 
     def iter_open_sessions(self) -> list[OpenSession]:
         return self._select("open_sessions", "ORDER BY opn_id")
+
+    def open_sessions_idle_since(self, cutoff: datetime) -> list[OpenSession]:
+        """Open sessions last active at or before ``cutoff`` taken to the
+        whole second, by opn_id."""
+        return self._select(
+            "open_sessions", "WHERE last_activity <= ? ORDER BY opn_id", (dt_to_text(cutoff),)
+        )
 
     # -- pages ---------------------------------------------------------------
 

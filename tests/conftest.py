@@ -6,6 +6,9 @@ storage build their own instances.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from webusage.collector import Collector, replay_stream
@@ -13,6 +16,11 @@ from webusage.compare import load_roster
 from webusage.enrichment import sample_geoip_table
 from webusage.simulator import SITE_HOST, WorkloadConfig, generate
 from webusage.storage import LogStore
+
+# pyproject.toml puts src/ on this process's sys.path; tests that run
+# `python -m webusage` in a subprocess need it on theirs as well.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 SMALL_CONFIG = WorkloadConfig(
     seed=17,

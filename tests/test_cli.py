@@ -403,6 +403,62 @@ class TestReadOnlyCommands:
         assert hashlib.sha256(not_a_store.read_bytes()).hexdigest() == before
 
 
+class TestNotAStore:
+    """report, compare and export name a --store file without the store tables."""
+
+    @pytest.fixture(params=["empty", "foreign", "text"])
+    def not_a_store(self, request, tmp_path):
+        path = tmp_path / f"{request.param}.db"
+        if request.param == "empty":
+            path.write_bytes(b"")
+        elif request.param == "foreign":
+            conn = sqlite3.connect(path)
+            conn.execute("CREATE TABLE notes (body TEXT)")
+            conn.commit()
+            conn.close()
+        else:
+            path.write_text("not a database\n" * 100, encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command", ["report", "compare", "export"])
+    def test_error_names_the_file(self, command, not_a_store, workspace, tmp_path, capsys):
+        extra = {
+            "report": ["--kind", "stats"],
+            "compare": ["--baseline", str(workspace["sessions"]),
+                        "--truth", str(workspace["truth"])],
+            "export": ["--out", str(tmp_path / "dump")],
+        }[command]
+        rc = main([command, "--store", str(not_a_store), *extra])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: not a webusage store: {not_a_store}\n"
+
+    def test_other_sqlite_errors_keep_their_text(self, workspace, tmp_path, capsys):
+        rc = main(["collect", str(workspace["replay"]),
+                   "--store", str(tmp_path / "missing" / "s.db")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unable to open database file\n"
+
+
+class TestCollectSessions:
+    """FORMATS.md "Sessions (request API)": what collect leaves in the store."""
+
+    def test_final_sweep_closes_every_session_at_its_last_page(self, workspace):
+        store = LogStore(workspace["store"].resolve().as_uri() + "?mode=ro")
+        try:
+            assert list(store.iter_open_sessions()) == []
+            last_page = {}
+            for session, page in store.join_sessions_pages():
+                assert (page.log_uid, page.log_username) == (session.user_id, session.username)
+                last_page[session.opn_id] = max(
+                    last_page.get(session.opn_id, page.log_datetime), page.log_datetime)
+            assert len(last_page) == store.session_count()
+            for opn_id, last in last_page.items():
+                session = store.get_session(opn_id)
+                assert (session.end_reason, session.ended_at) == ("timeout", last)
+        finally:
+            store.close()
+
+
 class TestFormatsContract:
     """FORMATS.md claims about output text, checked on CLI output."""
 

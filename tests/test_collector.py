@@ -235,6 +235,66 @@ class TestSessionEnd:
         assert collector.sweep_expired(T0) == 0
 
 
+class TestSharedStore:
+    """Collectors over one store see only what the store holds."""
+
+    def test_rolled_back_session_id_reused_by_another_collector(self, mem_store):
+        mem_store.upsert_user(UserInfo(1, "alice", "student", "female"))
+        mem_store.upsert_user(UserInfo(2, "bob", "student", "male"))
+        a = Collector(mem_store, site_hosts=HOSTS)
+        b = Collector(mem_store, site_hosts=HOSTS)
+        with pytest.raises(CollectionError):
+            a.handle_request_begin(_event("tokA", 0, auth_user="alice", get_params={"q": 1}))
+        opn, _ = b.handle_request_begin(_event("tokB", 5, auth_user="bob"))
+        assert opn == 1  # the id the failed event rolled back
+        _, page_id = a.handle_request_begin(_event("tokB", 10))
+        page = mem_store.get_page(page_id)
+        assert (page.log_uid, page.log_username) == (2, "bob")
+
+    def test_page_on_a_session_opened_by_another_collector(self, mem_store):
+        mem_store.upsert_user(UserInfo(7, "u0007", "academic_staff", "female"))
+        a = Collector(mem_store, site_hosts=HOSTS)
+        b = Collector(mem_store, site_hosts=HOSTS)
+        opn, _ = a.handle_request_begin(_event(auth_user="u0007"))
+        again, page_id = b.handle_request_begin(_event(seconds=10))
+        assert again == opn
+        page = mem_store.get_page(page_id)
+        assert (page.log_uid, page.log_username) == (7, "u0007")
+
+
+class TestSessionsContract:
+    """FORMATS.md "Sessions (request API)" claims not covered above."""
+
+    def test_sweep_closes_at_last_activity(self, collector, mem_store):
+        opn, _ = collector.handle_request_begin(_event(seconds=0))
+        collector.handle_request_begin(_event(seconds=100))
+        assert collector.sweep_expired(T0 + timedelta(days=3)) == 1
+        row = mem_store.get_session(opn)
+        assert (row.end_reason, row.ended_at) == ("timeout", T0 + timedelta(seconds=100))
+
+    def test_logout_closes_at_last_activity(self, collector, mem_store):
+        opn, _ = collector.handle_request_begin(_event(seconds=0))
+        collector.handle_request_begin(_event(seconds=100))
+        assert collector.end_session("tokA") is True
+        row = mem_store.get_session(opn)
+        assert (row.end_reason, row.ended_at) == ("logout", T0 + timedelta(seconds=100))
+
+    def test_sweep_at_a_fractional_time_is_strict(self, collector):
+        collector.handle_request_begin(_event(seconds=0))
+        assert collector.sweep_expired(T0 + timedelta(seconds=1799.5)) == 0
+        assert collector.sweep_expired(T0 + timedelta(seconds=1800)) == 0
+        assert collector.sweep_expired(T0 + timedelta(seconds=1800.5)) == 1
+
+    def test_first_request_fixes_the_session_user(self, collector, mem_store):
+        mem_store.upsert_user(UserInfo(7, "u0007", "academic_staff", "female"))
+        opn, _ = collector.handle_request_begin(_event(seconds=0))
+        again, page_id = collector.handle_request_begin(_event(seconds=10, auth_user="u0007"))
+        assert again == opn
+        assert mem_store.get_session(opn).user_id is None
+        page = mem_store.get_page(page_id)
+        assert (page.log_uid, page.log_username) == (None, None)
+
+
 class TestClassifyReferrer:
     def test_absent_is_direct(self):
         assert classify_referrer(None, HOSTS) == Referral("direct")

@@ -241,6 +241,25 @@ class TestUsersAndOpenSessions:
         mem_store.delete_open_session("tokA")
         assert mem_store.get_open_session("tokA") is None
 
+    def test_open_session_carries_its_session_username(self, mem_store):
+        mem_store.upsert_user(UserInfo(7, "u0007", "academic_staff", "female"))
+        opn = mem_store.insert_session(_session(
+            user_id=7, username="u0007", user_type="academic_staff", gender="female"))
+        mem_store.put_open_session(OpenSession("tokA", opn, 7, T0, T0))
+        guest = mem_store.insert_session(_session())
+        mem_store.put_open_session(OpenSession("tokB", guest, None, T0, T0))
+        assert mem_store.get_open_session("tokA").username == "u0007"
+        assert mem_store.get_open_session("tokB").username is None
+
+    def test_open_sessions_idle_since_reads_whole_seconds(self, mem_store):
+        for i, seconds in enumerate((30, 0, 10, 11)):
+            opn = mem_store.insert_session(_session())
+            at = T0 + timedelta(seconds=seconds)
+            mem_store.put_open_session(OpenSession(f"tok{i}", opn, None, at, at))
+        cutoff = T0 + timedelta(seconds=10, microseconds=900_000)
+        got = mem_store.open_sessions_idle_since(cutoff)
+        assert [o.session_token for o in got] == ["tok1", "tok2"]
+
     def test_iter_open_sessions(self, mem_store):
         for i in range(3):
             opn = mem_store.insert_session(_session())
