@@ -1,7 +1,11 @@
 """Usage reports computed directly over the log store.
 
-Every report is deterministic: fixed row orders, explicit tie-breaks, and
-half-up rounding at two decimals for pageviews-per-session figures.
+Each report reads one grouped query from :class:`LogStore`, which counts
+only the sessions that have pages.  Python then does three things only:
+the tie-break sorts, the ``Decimal`` half-up rounding, and the ``n / total``
+ratios.  Every report is deterministic: fixed row orders, explicit
+tie-breaks, and half-up rounding at two decimals for pageviews-per-session
+figures.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
-from .enrichment import UNKNOWN, ip_to_int
+from .enrichment import ip_to_int
 from .storage import NO_GENDER_TYPES, USER_TYPES, LogStore, SessionRecord
 
 USAGE_BUCKETS = ((1, 3), (4, 10), (11, 30), (31, 100), (101, None))
@@ -205,7 +209,10 @@ class Analytics:
         self.store = store
 
     def session_summaries(self) -> list[SessionSummary]:
-        """One row per session that has pages, with pageview count and dwell."""
+        """One row per session that has pages, with pageview count and dwell.
+
+        The reports do not use it: each reads its own grouped query.
+        """
         return [
             SessionSummary(**vars(session), pageview_count=pages, dwell_seconds=dwell)
             for session, pages, dwell in self.store.sessions_with_pages()
@@ -216,10 +223,10 @@ class Analytics:
     def usage_buckets(self) -> UsageBucketReport:
         """Sessions per pageview bucket, guests split from logged-in users."""
         counts: dict[tuple[str, str], int] = {}
-        for s in self.session_summaries():
-            visitor = "Guests" if s.user_type == "guest" else "Users"
-            label = bucket_label(s.pageview_count)
-            counts[(visitor, label)] = counts.get((visitor, label), 0) + 1
+        for user_type, pageviews, sessions in self.store.sessions_by_pageviews():
+            visitor = "Guests" if user_type == "guest" else "Users"
+            key = (visitor, bucket_label(pageviews))
+            counts[key] = counts.get(key, 0) + sessions
         rows = []
         for visitor in ("Guests", "Users"):
             for label in BUCKET_LABELS:
@@ -234,9 +241,10 @@ class Analytics:
         gender but keep durations.  The total row is the column-wise sum of
         the body rows.
         """
-        groups: dict[tuple[str, str], list[SessionSummary]] = {}
-        for s in self.session_summaries():
-            groups.setdefault((s.user_type, s.gender), []).append(s)
+        totals = {
+            (user_type, gender): rest
+            for user_type, gender, *rest in self.store.user_type_gender_totals()
+        }
 
         def group_rows() -> list[tuple[str, str]]:
             out = []
@@ -250,21 +258,7 @@ class Analytics:
 
         rows = []
         for user_type, gender in group_rows():
-            members = groups.get((user_type, gender), [])
-            sessions = len(members)
-            pageviews = sum(s.pageview_count for s in members)
-            if user_type == "guest":
-                users = len(
-                    {
-                        (
-                            s.ip, s.browser_name, s.browser_version,
-                            s.os_name, s.os_version, s.device_type,
-                        )
-                        for s in members
-                    }
-                )
-            else:
-                users = len({s.user_id for s in members})
+            users, sessions, pageviews, dwell = totals.get((user_type, gender), (0, 0, 0, 0))
             pps = (
                 pageviews_per_session(pageviews, sessions)
                 if sessions
@@ -273,7 +267,7 @@ class Analytics:
             if user_type == "guest":
                 dur_s = dur_m = dur_h = None
             else:
-                dur_s = sum(s.dwell_seconds for s in members)
+                dur_s = dwell
                 dur_m = int(
                     (Decimal(dur_s) / 60).quantize(_WHOLE, rounding=ROUND_HALF_UP)
                 )
@@ -315,24 +309,18 @@ class Analytics:
         """Per-session share of a category; each session counts once."""
         if kind not in DISTRIBUTION_KINDS:
             raise ValueError(f"kind must be one of {DISTRIBUTION_KINDS}")
-        summaries = self.session_summaries()
-        field = {
+        column = {
             "device": "device_type",
             "os": "os_name",
             "browser": "browser_name",
             "country": "country_code",
             "language": "language",
         }[kind]
-        counts: dict[str, int] = {}
-        for s in summaries:
-            value = getattr(s, field)
-            if value is None:
-                value = UNKNOWN
-            counts[value] = counts.get(value, 0) + 1
-        total = len(summaries)
+        counts = self.store.sessions_by(column)
+        total = sum(n for _, n in counts)
         entries = [
             (category, n, n / total)
-            for category, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+            for category, n in sorted(counts, key=lambda kv: (-kv[1], kv[0]))
         ]
         return DistributionReport(kind, entries)
 
@@ -340,50 +328,32 @@ class Analytics:
         """Busiest client addresses by session count.
 
         Ties break by pageviews descending, then numeric address ascending.
+        The key is total, since ``ip_to_int`` reads one text per address.
         """
-        per_ip: dict[str, list[int]] = {}
-        for s in self.session_summaries():
-            cell = per_ip.setdefault(s.ip, [0, 0])
-            cell[0] += 1
-            cell[1] += s.pageview_count
         ordered = sorted(
-            per_ip.items(), key=lambda kv: (-kv[1][0], -kv[1][1], ip_to_int(kv[0]))
+            self.store.sessions_by_ip(), key=lambda row: (-row[1], -row[2], ip_to_int(row[0]))
         )
         rows = [
             (ip, sessions, pageviews, pageviews_per_session(pageviews, sessions))
-            for ip, (sessions, pageviews) in ordered[:n]
+            for ip, sessions, pageviews in ordered[:n]
         ]
         return TopIpReport(rows)
 
     def top_users(self, n: int = 20) -> TopUserReport:
-        """Most active logged-in users by pageviews; ties by username."""
-        per_user: dict[tuple[int, str], list[int]] = {}
-        for s in self.session_summaries():
-            if s.user_id is None:
-                continue
-            cell = per_user.setdefault((s.user_id, s.username or ""), [0, 0])
-            cell[0] += s.pageview_count
-            cell[1] += 1
-        ordered = sorted(per_user.items(), key=lambda kv: (-kv[1][0], kv[0][1]))
-        rows = [
-            (uid, name, pageviews, sessions)
-            for (uid, name), (pageviews, sessions) in ordered[:n]
-        ]
-        return TopUserReport(rows)
+        """Most active logged-in users by pageviews; ties by username, then
+        by first session."""
+        ordered = sorted(self.store.sessions_by_account(), key=lambda row: (-row[2], row[1]))
+        return TopUserReport(ordered[:n])
 
     def search_report(self) -> SearchReport:
         """Sessions arriving from search engines, by engine and by keywords."""
-        engines: dict[str, int] = {}
-        keywords: dict[str, int] = {}
-        for s in self.session_summaries():
-            if s.referral_class != "search_engine" or s.search_engine is None:
-                continue
-            engines[s.search_engine] = engines.get(s.search_engine, 0) + 1
-            if s.search_keywords:
-                keywords[s.search_keywords] = keywords.get(s.search_keywords, 0) + 1
+
+        def by_count(kv: tuple[str, int]) -> tuple[int, str]:
+            return -kv[1], kv[0]
+
         return SearchReport(
-            engines=sorted(engines.items(), key=lambda kv: (-kv[1], kv[0])),
-            keywords=sorted(keywords.items(), key=lambda kv: (-kv[1], kv[0])),
+            engines=sorted(self.store.sessions_by_search_engine(), key=by_count),
+            keywords=sorted(self.store.sessions_by_search_keywords(), key=by_count),
         )
 
 

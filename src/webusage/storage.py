@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import re
 import sqlite3
 import threading
 import typing
@@ -43,6 +44,8 @@ END_REASONS = ("logout", "timeout")
 REFERRAL_CLASSES = ("direct", "internal", "search_engine", "external")
 
 _DT_FMT = "%Y-%m-%d %H:%M:%S"
+# The text _DT_FMT gives for years 1000-9999, in ASCII digits only.
+_CANONICAL_DT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")
 
 
 class StorageError(Exception):
@@ -72,6 +75,15 @@ def dt_to_text(value: datetime) -> str:
 
 
 def text_to_dt(value: str) -> datetime:
+    # fromisoformat reads the text dt_to_text writes some 30x faster than
+    # strptime.  Any other text, and any such text it rejects (month 13),
+    # goes to strptime, so what is accepted and every error message stay
+    # strptime's.
+    if _CANONICAL_DT.fullmatch(value):
+        try:
+            return datetime.fromisoformat(value)
+        except ValueError:
+            pass
     return datetime.strptime(value, _DT_FMT)
 
 
@@ -385,6 +397,14 @@ _CODECS = {
 }
 
 
+# Every report counts only the sessions ``s`` that have pages.  Reads that
+# need no page figures keep them with _HAS_PAGES, which is cheaper; the
+# others join them to _PAGE_COUNTS, the pageview count ``pages`` of each.
+_HAS_PAGES = "s.opn_id IN (SELECT log_opn_id FROM log_page)"
+_PAGE_COUNTS = "(SELECT log_opn_id, COUNT(*) AS pages FROM log_page GROUP BY log_opn_id)"
+_FROM_SEARCH = "s.referral_class = 'search_engine' AND s.search_engine IS NOT NULL"
+
+
 def _aliased(alias: str, table: str) -> str:
     """The table's columns in ``TABLE_COLUMNS`` order, qualified by ``alias``."""
     return ", ".join(f"{alias}.{c}" for c in TABLE_COLUMNS[table])
@@ -647,6 +667,81 @@ class LogStore:
         decode = _CODECS["log_session"].decode
         return [(decode(row[:-2]), row[-2], row[-1]) for row in rows]
 
+    def sessions_by_pageviews(self) -> list[tuple[str, int, int]]:
+        """(user type, pageview count, sessions) for each pair that occurs."""
+        return self._query(
+            "SELECT s.user_type, p.pages, COUNT(*) FROM log_session s"
+            f" JOIN {_PAGE_COUNTS} p ON p.log_opn_id = s.opn_id GROUP BY 1, 2"
+        )
+
+    def user_type_gender_totals(self) -> list[tuple[str, str, int, int, int, int]]:
+        """(user type, gender, users, sessions, pageviews, dwell seconds) for
+        each pair that occurs; a session's dwell is its last page time minus
+        its first.
+
+        Users are distinct accounts, or for guests distinct fingerprints:
+        (ip, browser name and version, OS name and version, device type).
+        """
+        return self._query(
+            "SELECT s.user_type, s.gender,"
+            " CASE s.user_type WHEN 'guest' THEN MAX(g.users)"
+            " ELSE COUNT(DISTINCT s.user_id) END,"
+            " COUNT(*), SUM(p.pages), SUM(p.dwell)"
+            " FROM log_session s JOIN (SELECT log_opn_id, COUNT(*) AS pages,"
+            " strftime('%s', MAX(log_datetime)) - strftime('%s', MIN(log_datetime)) AS dwell"
+            " FROM log_page GROUP BY log_opn_id) p ON p.log_opn_id = s.opn_id"
+            " LEFT JOIN (SELECT user_type, gender, COUNT(*) AS users FROM ("
+            "SELECT DISTINCT user_type, gender, ip, browser_name, browser_version,"
+            " os_name, os_version, device_type FROM log_session s"
+            f" WHERE user_type = 'guest' AND {_HAS_PAGES}) GROUP BY 1, 2) g"
+            " ON g.user_type = s.user_type AND g.gender = s.gender"
+            " GROUP BY 1, 2"
+        )
+
+    def sessions_by(self, column: str) -> list[tuple[str, int]]:
+        """(value, sessions) for each value of a ``log_session`` column; a
+        NULL counts as ``unknown``."""
+        if column not in TABLE_COLUMNS["log_session"]:
+            raise ValueError(f"unknown log_session column {column!r}")
+        return self._query(
+            f"SELECT COALESCE(s.{column}, ?), COUNT(*) FROM log_session s"
+            f" WHERE {_HAS_PAGES} GROUP BY 1",
+            (UNKNOWN,),
+        )
+
+    def sessions_by_ip(self) -> list[tuple[str, int, int]]:
+        """(ip, sessions, pageviews) for each address."""
+        return self._query(
+            "SELECT s.ip, COUNT(*), SUM(p.pages) FROM log_session s"
+            f" JOIN {_PAGE_COUNTS} p ON p.log_opn_id = s.opn_id GROUP BY 1"
+        )
+
+    def sessions_by_account(self) -> list[tuple[int, str, int, int]]:
+        """(user id, username, pageviews, sessions) for each such pair of
+        the signed-in sessions, in the order of its first session; a NULL
+        username reads as the empty string."""
+        return self._query(
+            "SELECT s.user_id, COALESCE(s.username, ''), SUM(p.pages), COUNT(*)"
+            f" FROM log_session s JOIN {_PAGE_COUNTS} p ON p.log_opn_id = s.opn_id"
+            " WHERE s.user_id IS NOT NULL GROUP BY 1, 2 ORDER BY MIN(s.opn_id)"
+        )
+
+    def sessions_by_search_engine(self) -> list[tuple[str, int]]:
+        """(engine, sessions) over the sessions referred by a named search
+        engine."""
+        return self._query(
+            "SELECT s.search_engine, COUNT(*) FROM log_session s"
+            f" WHERE {_FROM_SEARCH} AND {_HAS_PAGES} GROUP BY 1"
+        )
+
+    def sessions_by_search_keywords(self) -> list[tuple[str, int]]:
+        """(keywords, sessions) over the sessions referred by a named search
+        engine with non-empty keywords."""
+        return self._query(
+            "SELECT s.search_keywords, COUNT(*) FROM log_session s"
+            f" WHERE {_FROM_SEARCH} AND s.search_keywords <> '' AND {_HAS_PAGES} GROUP BY 1"
+        )
+
     def pages_by_hour_and_user_type(self) -> list[tuple[int, str, int]]:
         """(hour of day, session user type, pageview count) for each
         non-empty cell."""
@@ -654,6 +749,16 @@ class LogStore:
             "SELECT CAST(substr(p.log_datetime, 12, 2) AS INTEGER), s.user_type, COUNT(*)"
             " FROM log_page p JOIN log_session s ON s.opn_id = p.log_opn_id"
             " GROUP BY 1, 2"
+        )
+
+    def page_identities(self) -> list[tuple[int, int, int | None, str]]:
+        """(opn_id, page time in epoch seconds, session user_id, cookie map
+        text) for every page, by page id."""
+        return self._query(
+            "SELECT p.log_opn_id, CAST(strftime('%s', p.log_datetime) AS INTEGER),"
+            " s.user_id, p.log_cookie_serialize"
+            " FROM log_page p JOIN log_session s ON s.opn_id = p.log_opn_id"
+            " ORDER BY p.log_details_id"
         )
 
     # -- CSV export / import -------------------------------------------------
@@ -691,6 +796,12 @@ class LogStore:
         CSV cannot tell an empty string from NULL, so an empty cell means
         NULL exactly in the columns the schema lets be NULL (not ``NOT NULL``
         and not the primary key) and the empty string everywhere else.
+
+        Each new row is read back through the table's codec, and its record
+        validated, before the load commits.  A value the record cannot hold
+        (a bad enum), or holds in another form than the store writes (a
+        timestamp such as ``2021-9-2 10:00:00``), fails the whole load with
+        a :class:`StorageError` naming the table and the row's key.
         """
         cols = TABLE_COLUMNS.get(table)
         if cols is None:
@@ -716,8 +827,24 @@ class LogStore:
                     for v, is_null in zip(row, null_at)
                 )
             )
+        codec, key = _CODECS[table], _TABLE_KEYS[table]
+        at = cols.index(key)
         with self.transaction():
             self._insert(table, rows, many=True)
+            for row in rows:
+                stored = self._query(
+                    f"SELECT {codec.columns} FROM {table} WHERE {key} = ?", (row[at],)
+                )[0]
+                try:
+                    rec = codec.decode(stored)
+                    for col, written, value in zip(cols, codec.encode(rec), stored):
+                        if written != value:
+                            raise ConstraintError(f"{col} {value!r} is not in the form"
+                                                  " the store writes")
+                    if hasattr(rec, "validate"):
+                        rec.validate()
+                except (StorageError, ValueError, TypeError) as exc:
+                    raise StorageError(f"{table} row {key}={row[at]}: {exc}") from None
         return len(rows)
 
     # -- stats ---------------------------------------------------------------

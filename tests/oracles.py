@@ -13,7 +13,24 @@ from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
+from webusage.analytics import (
+    BUCKET_LABELS,
+    DISTRIBUTION_KINDS,
+    Analytics,
+    DistributionReport,
+    SearchReport,
+    SessionSummary,
+    TopIpReport,
+    TopUserReport,
+    UsageBucketReport,
+    UserTypeGenderReport,
+    UserTypeGenderRow,
+    bucket_label,
+    pageviews_per_session,
+)
 from webusage.baseline import LineParseError
+from webusage.enrichment import UNKNOWN, ip_to_int
+from webusage.storage import NO_GENDER_TYPES, USER_TYPES
 
 USER_TYPE_ORDER = (
     "guest",
@@ -328,3 +345,179 @@ def split_tokens_reference(line: str) -> list[str]:
             tokens.append(line[i:end])
             i = end
     return tokens
+
+
+_ONE_PLACE = Decimal("0.1")
+_WHOLE = Decimal("1")
+
+
+class RecordAnalytics(Analytics):
+    """The session report builders as they were before each became one
+    grouped query: every report loops over ``session_summaries()``, the
+    decoded record of each session that has pages.  The reference the
+    query-built reports must match byte for byte."""
+
+    def usage_buckets(self) -> UsageBucketReport:
+        """Sessions per pageview bucket, guests split from logged-in users."""
+        counts: dict[tuple[str, str], int] = {}
+        for s in self.session_summaries():
+            visitor = "Guests" if s.user_type == "guest" else "Users"
+            label = bucket_label(s.pageview_count)
+            counts[(visitor, label)] = counts.get((visitor, label), 0) + 1
+        rows = []
+        for visitor in ("Guests", "Users"):
+            for label in BUCKET_LABELS:
+                rows.append((visitor, label, counts.get((visitor, label), 0)))
+        return UsageBucketReport(rows)
+
+    def user_type_gender_report(self) -> UserTypeGenderReport:
+        """Users, sessions, pageviews, P_ps and viewing time per type/gender.
+
+        Guests are counted as distinct (ip, client fingerprint) pairs and
+        have no duration columns; unit accounts share the not_applicable
+        gender but keep durations.  The total row is the column-wise sum of
+        the body rows.
+        """
+        groups: dict[tuple[str, str], list[SessionSummary]] = {}
+        for s in self.session_summaries():
+            groups.setdefault((s.user_type, s.gender), []).append(s)
+
+        def group_rows() -> list[tuple[str, str]]:
+            out = []
+            for user_type in USER_TYPES:
+                if user_type in NO_GENDER_TYPES:
+                    out.append((user_type, "not_applicable"))
+                else:
+                    out.append((user_type, "male"))
+                    out.append((user_type, "female"))
+            return out
+
+        rows = []
+        for user_type, gender in group_rows():
+            members = groups.get((user_type, gender), [])
+            sessions = len(members)
+            pageviews = sum(s.pageview_count for s in members)
+            if user_type == "guest":
+                users = len(
+                    {
+                        (
+                            s.ip, s.browser_name, s.browser_version,
+                            s.os_name, s.os_version, s.device_type,
+                        )
+                        for s in members
+                    }
+                )
+            else:
+                users = len({s.user_id for s in members})
+            pps = (
+                pageviews_per_session(pageviews, sessions)
+                if sessions
+                else Decimal("0.00")
+            )
+            if user_type == "guest":
+                dur_s = dur_m = dur_h = None
+            else:
+                dur_s = sum(s.dwell_seconds for s in members)
+                dur_m = int(
+                    (Decimal(dur_s) / 60).quantize(_WHOLE, rounding=ROUND_HALF_UP)
+                )
+                dur_h = (Decimal(dur_s) / 3600).quantize(_ONE_PLACE, rounding=ROUND_HALF_UP)
+            rows.append(
+                UserTypeGenderRow(
+                    user_type, gender, users, sessions, pageviews, pps, dur_s, dur_m, dur_h
+                )
+            )
+
+        total_sessions = sum(r.sessions for r in rows)
+        total_pageviews = sum(r.pageviews for r in rows)
+        total = UserTypeGenderRow(
+            user_type="total",
+            gender="",
+            users=sum(r.users for r in rows),
+            sessions=total_sessions,
+            pageviews=total_pageviews,
+            pageviews_per_session=(
+                pageviews_per_session(total_pageviews, total_sessions)
+                if total_sessions
+                else Decimal("0.00")
+            ),
+            duration_seconds=sum(r.duration_seconds or 0 for r in rows),
+            duration_minutes=sum(r.duration_minutes or 0 for r in rows),
+            duration_hours=sum((r.duration_hours or Decimal("0.0") for r in rows), Decimal("0.0")),
+        )
+        return UserTypeGenderReport(rows, total)
+
+    def distribution(self, kind: str) -> DistributionReport:
+        """Per-session share of a category; each session counts once."""
+        if kind not in DISTRIBUTION_KINDS:
+            raise ValueError(f"kind must be one of {DISTRIBUTION_KINDS}")
+        summaries = self.session_summaries()
+        field = {
+            "device": "device_type",
+            "os": "os_name",
+            "browser": "browser_name",
+            "country": "country_code",
+            "language": "language",
+        }[kind]
+        counts: dict[str, int] = {}
+        for s in summaries:
+            value = getattr(s, field)
+            if value is None:
+                value = UNKNOWN
+            counts[value] = counts.get(value, 0) + 1
+        total = len(summaries)
+        entries = [
+            (category, n, n / total)
+            for category, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        ]
+        return DistributionReport(kind, entries)
+
+    def top_ips(self, n: int = 15) -> TopIpReport:
+        """Busiest client addresses by session count.
+
+        Ties break by pageviews descending, then numeric address ascending.
+        """
+        per_ip: dict[str, list[int]] = {}
+        for s in self.session_summaries():
+            cell = per_ip.setdefault(s.ip, [0, 0])
+            cell[0] += 1
+            cell[1] += s.pageview_count
+        ordered = sorted(
+            per_ip.items(), key=lambda kv: (-kv[1][0], -kv[1][1], ip_to_int(kv[0]))
+        )
+        rows = [
+            (ip, sessions, pageviews, pageviews_per_session(pageviews, sessions))
+            for ip, (sessions, pageviews) in ordered[:n]
+        ]
+        return TopIpReport(rows)
+
+    def top_users(self, n: int = 20) -> TopUserReport:
+        """Most active logged-in users by pageviews; ties by username."""
+        per_user: dict[tuple[int, str], list[int]] = {}
+        for s in self.session_summaries():
+            if s.user_id is None:
+                continue
+            cell = per_user.setdefault((s.user_id, s.username or ""), [0, 0])
+            cell[0] += s.pageview_count
+            cell[1] += 1
+        ordered = sorted(per_user.items(), key=lambda kv: (-kv[1][0], kv[0][1]))
+        rows = [
+            (uid, name, pageviews, sessions)
+            for (uid, name), (pageviews, sessions) in ordered[:n]
+        ]
+        return TopUserReport(rows)
+
+    def search_report(self) -> SearchReport:
+        """Sessions arriving from search engines, by engine and by keywords."""
+        engines: dict[str, int] = {}
+        keywords: dict[str, int] = {}
+        for s in self.session_summaries():
+            if s.referral_class != "search_engine" or s.search_engine is None:
+                continue
+            engines[s.search_engine] = engines.get(s.search_engine, 0) + 1
+            if s.search_keywords:
+                keywords[s.search_keywords] = keywords.get(s.search_keywords, 0) + 1
+        return SearchReport(
+            engines=sorted(engines.items(), key=lambda kv: (-kv[1], kv[0])),
+            keywords=sorted(keywords.items(), key=lambda kv: (-kv[1], kv[0])),
+        )

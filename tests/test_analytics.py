@@ -16,7 +16,8 @@ from webusage.analytics import (
     report_to_plot,
     search_report_to_csv,
 )
-from webusage.storage import PageRecord, SessionRecord
+from webusage.cli import REPORTS
+from webusage.storage import USER_TYPES, LogStore, PageRecord, SessionRecord
 
 import oracles
 
@@ -338,6 +339,16 @@ class TestTopUsers:
         assert report.rows[0][2] == 6  # pageviews
         assert report.rows[0][3] == 1  # sessions
 
+    def test_full_tie_keeps_first_session_order(self, mem_store):
+        # same pageviews and the same (missing) username: first session first
+        for uid in (2, 1, 3):
+            add_session(
+                mem_store, [T0],
+                user_id=uid, user_type="student", gender="male",
+            )
+        report = Analytics(mem_store).top_users()
+        assert [(uid, name) for uid, name, _, _ in report.rows] == [(2, ""), (1, ""), (3, "")]
+
     def test_n_limit(self, mem_store):
         for i in range(25):
             add_session(
@@ -470,3 +481,73 @@ class TestOracleEquivalence:
         engines, keywords = oracles.oracle_search(rows)
         assert report.engines == engines
         assert report.keywords == keywords
+
+
+# -- the grouped-query reports against the record-loop reference -------------
+
+_MIDNIGHT = datetime(2021, 9, 2, 23, 59, 0)
+
+
+@st.composite
+def _sessions(draw):
+    """Fields of one session and the offsets in seconds of its pages from
+    its start: guests and accounts, NULL next to literal values, few
+    distinct values so that counts tie, and starts just before midnight."""
+    fields = dict(
+        ip=draw(st.sampled_from(["10.0.0.1", "10.0.0.2", "10.0.0.10", "9.255.0.1"])),
+        started_at=draw(st.sampled_from([T0, _MIDNIGHT])),
+        browser_name=draw(st.sampled_from(["Firefox", "Chrome", "unknown"])),
+        browser_version=draw(st.sampled_from(["91", "92"])),
+        os_name=draw(st.sampled_from(["Windows", "Linux"])),
+        device_type=draw(st.sampled_from(["desktop", "mobile", "bot"])),
+        country_code=draw(st.sampled_from(["TR", "DE", "unknown"])),
+        language=draw(st.sampled_from([None, "unknown", "tr", "en"])),
+    )
+    if draw(st.booleans()):
+        user_type = draw(st.sampled_from(USER_TYPES[1:]))
+        fields.update(
+            user_id=draw(st.integers(1, 4)),
+            username=draw(st.sampled_from([None, "ua", "ub", "uc"])),
+            user_type=user_type,
+            gender=(
+                "not_applicable" if user_type == "unit_mission"
+                else draw(st.sampled_from(["male", "female"]))
+            ),
+        )
+    if draw(st.booleans()):
+        fields.update(
+            referral_class="search_engine",
+            search_engine=draw(st.sampled_from([None, "google", "bing", ""])),
+            search_keywords=draw(st.sampled_from([None, "", "sakarya", "ders programi"])),
+        )
+    offsets = draw(st.lists(st.integers(0, 150), max_size=4))
+    return fields, sorted(offsets)
+
+
+class TestGroupedQueriesMatchRecords:
+    """Every session report, built from one grouped query, renders the same
+    bytes as the builders that looped over session_summaries()."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.lists(_sessions(), max_size=12))
+    def test_rendered_reports_identical(self, sessions):
+        store = LogStore(":memory:")
+        try:
+            for fields, offsets in sessions:
+                opn = store.insert_session(SessionRecord(**fields))
+                for offset in offsets:
+                    store.insert_page(PageRecord(
+                        log_opn_id=opn,
+                        log_datetime=fields["started_at"] + timedelta(seconds=offset),
+                        log_url="/index.php",
+                    ))
+            new, old = Analytics(store), oracles.RecordAnalytics(store)
+            for kind, build in REPORTS.items():
+                for n in (None, 1, 3) if kind in ("top-ips", "top-users") else (None,):
+                    assert report_to_csv(build(new, n)) == report_to_csv(build(old, n))
+                    assert report_to_plot(build(new, n)) == report_to_plot(build(old, n))
+            assert search_report_to_csv(new.search_report()) == search_report_to_csv(
+                old.search_report()
+            )
+        finally:
+            store.close()

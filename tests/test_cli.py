@@ -12,10 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from webusage.cli import REPORT_KINDS, main
+from webusage.analytics import report_to_csv, report_to_plot, search_report_to_csv
+from webusage.cli import REPORT_KINDS, REPORTS, main
 from webusage.events import AppPageResult
 from webusage.storage import TABLE_COLUMNS, LogStore, PageRecord, SessionRecord, UserInfo
 from webusage.truth import load_truth
+
+import oracles
 
 SIM_ARGS = [
     "simulate", "--seed", "5", "--users", "12", "--session-rate", "3",
@@ -307,6 +310,49 @@ class TestReport:
             main(["report", "--store", str(workspace["store"]),
                   "--kind", "horoscope"])
         assert info.value.code == 2
+
+
+class TestReportsWithoutPages:
+    """Every kind, as CSV and as plot data, on a store holding only the
+    schema and on one whose sessions have no pages: exit 0 and the output
+    of the record-loop report builders."""
+
+    @pytest.fixture(scope="class")
+    def stores(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("pageless")
+        LogStore(root / "schema-only.db").close()
+        store = LogStore(root / "no-pages.db")
+        store.upsert_user(UserInfo(1, "ua", "student", "female"))
+        store.insert_session(SessionRecord(ip="10.0.0.1", started_at=datetime(2021, 9, 2)))
+        store.insert_session(SessionRecord(
+            ip="10.0.0.2", started_at=datetime(2021, 9, 2), user_id=1, username="ua",
+            user_type="student", gender="female", referral_class="search_engine",
+            search_engine="google", search_keywords="sakarya",
+        ))
+        store.close()
+        return {"schema-only": root / "schema-only.db", "no-pages": root / "no-pages.db"}
+
+    @pytest.mark.parametrize("plot", [False, True])
+    @pytest.mark.parametrize("which", ["schema-only", "no-pages"])
+    @pytest.mark.parametrize("kind", REPORT_KINDS)
+    def test_exits_0_with_the_reference_output(self, stores, which, kind, plot, capsys):
+        path = stores[which]
+        rc = main(["report", "--store", str(path), "--kind", kind] + ["--plot"] * plot)
+        out = capsys.readouterr().out
+        assert rc == 0
+        store = LogStore(path.resolve().as_uri() + "?mode=ro")
+        try:
+            reference = oracles.RecordAnalytics(store)
+            if kind == "stats":
+                assert "rows.log_page: 0\n" in out
+            elif kind in REPORTS:
+                report = REPORTS[kind](reference, None)
+                assert out == (report_to_plot(report) if plot else report_to_csv(report))
+            else:
+                engines, keywords = search_report_to_csv(reference.search_report())
+                assert out == (engines if kind == "search-engines" else keywords)
+        finally:
+            store.close()
 
 
 class TestCompare:

@@ -1,10 +1,11 @@
+import csv
 import io
 import re
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from webusage.events import AppPageResult
@@ -20,8 +21,10 @@ from webusage.storage import (
     StorageError,
     UserInfo,
     deserialize_map,
+    dt_to_text,
     parse_load_time,
     serialize_map,
+    text_to_dt,
 )
 
 T0 = datetime(2021, 9, 2, 10, 12, 18)
@@ -76,6 +79,62 @@ class TestSerializedMaps:
     def test_decimal_comma_load_time(self):
         assert parse_load_time("0,0266") == pytest.approx(0.0266)
         assert parse_load_time("1.5") == pytest.approx(1.5)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _joined(fields, separators, tail, cut):
+    text = "".join(f + s for f, s in zip(fields, separators)) + tail
+    return text[: len(text) - cut]
+
+
+# Timestamp text close to the stored form: two-digit fields from ASCII and
+# other Unicode digits, the stored or other separators, an optional offset
+# or fraction, and one character cut or added.
+_DIGITS = st.sampled_from("0123456789" * 4 + "\u0663\uff10\u00b2\u0e51")
+_NEAR_TIMESTAMPS = st.builds(
+    _joined,
+    st.tuples(*[st.text(_DIGITS, min_size=n, max_size=n) for n in (4, 2, 2, 2, 2, 2)]),
+    st.just("-- ::") | st.text(st.sampled_from("- T:/."), min_size=5, max_size=5),
+    st.sampled_from(["", "", "", "0", " ", "+01", "+01:00", "Z", ".5", "\n"]),
+    st.sampled_from([0, 0, 0, 1]),
+)
+
+
+class TestTextToDt:
+    """text_to_dt reads the stored form fast and must agree with strptime
+    on every other text: the same datetime or the same error message."""
+
+    @staticmethod
+    def _strptime(text):
+        return datetime.strptime(text, "%Y-%m-%d %H:%M:%S")
+
+    @settings(max_examples=2000)
+    @given(_NEAR_TIMESTAMPS | st.text(max_size=22))
+    @example("2021-09-02 10:12:18")
+    @example("2021-09-02T10:12:18")
+    @example("2021-09-02 10:12:18+01")
+    @example("2021-09-02 10:12:18+01:00")
+    @example("2021-\uff109-02 10:12:18")
+    @example("2021-02-30 10:12:18")
+    @example("2021-13-02 10:12:18")
+    @example("2021-01-01 24:00:00")
+    @example("2021-09-02 10:12:1")
+    @example("2021-09-02 10:12:180")
+    @example("2021-9-2 10:12:18")
+    def test_agrees_with_strptime(self, text):
+        assert _parse_outcome(text_to_dt, text) == _parse_outcome(self._strptime, text)
+
+    @settings(max_examples=300)
+    @given(st.datetimes(min_value=datetime(1000, 1, 1)))
+    def test_round_trips_stored_text(self, value):
+        value = value.replace(microsecond=0)
+        assert text_to_dt(dt_to_text(value)) == value
 
 
 class TestSessions:
@@ -389,6 +448,38 @@ class TestExportImport:
         restored = list(copy.join_sessions_pages())
         assert restored == original
         copy.close()
+
+    @staticmethod
+    def _sessions_csv_with(sim_store, **changes) -> tuple[str, str]:
+        """The exported log_session table with ``changes`` made to its
+        second row, and that row's opn_id."""
+        buf = io.StringIO()
+        sim_store.export_table("log_session", buf)
+        rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+        rows[1].update(changes)
+        out = io.StringIO()
+        writer = csv.DictWriter(out, TABLE_COLUMNS["log_session"], lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        return out.getvalue(), rows[1]["opn_id"]
+
+    @pytest.mark.parametrize("changes, reason", [
+        ({"user_type": "martian", "started_at": "yesterday"}, "does not match format"),
+        ({"user_type": "martian"}, "bad user_type: 'martian'"),
+        ({"referral_class": "carrier_pigeon"}, "bad referral_class"),
+        ({"started_at": "2021-9-2 10:00:00"}, "started_at '2021-9-2 10:00:00' is not in the form"),
+        ({"ended_at": "2000-01-01 00:00:00", "end_reason": "timeout"}, "ended_at before"),
+    ])
+    def test_import_rejects_invalid_rows_and_keeps_the_store(
+        self, sim_store, mem_store, changes, reason
+    ):
+        text, opn_id = self._sessions_csv_with(sim_store, **changes)
+        mem_store.upsert_user(UserInfo(1, "keep", "student", "male"))
+        with pytest.raises(StorageError, match=re.escape(f"log_session row opn_id={opn_id}: ")) as info:
+            mem_store.import_table("log_session", io.StringIO(text))
+        assert reason in str(info.value)
+        assert mem_store.session_count() == 0
+        assert mem_store._query("SELECT user_id, username FROM user_info") == [(1, "keep")]
 
     def test_import_rejects_wrong_header(self, mem_store):
         with pytest.raises(StorageError, match="header"):
