@@ -5,12 +5,14 @@ only the sessions that have pages.  Python then does three things only:
 the tie-break sorts, the ``Decimal`` half-up rounding, and the ``n / total``
 ratios.  Every report is deterministic: fixed row orders, explicit
 tie-breaks, and half-up rounding at two decimals for pageviews-per-session
-figures.
+figures.  Every builder returns a :class:`Table`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import csv
+import io
+from dataclasses import dataclass, field
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
@@ -20,7 +22,15 @@ from .storage import NO_GENDER_TYPES, USER_TYPES, LogStore, SessionRecord
 
 USAGE_BUCKETS = ((1, 3), (4, 10), (11, 30), (31, 100), (101, None))
 BUCKET_LABELS = ("1-3", "4-10", "11-30", "31-100", "101+")
-DISTRIBUTION_KINDS = ("device", "os", "browser", "country", "language")
+# distribution kind -> the log_session column it counts
+DISTRIBUTION_COLUMNS = {
+    "device": "device_type",
+    "os": "os_name",
+    "browser": "browser_name",
+    "country": "country_code",
+    "language": "language",
+}
+DISTRIBUTION_KINDS = tuple(DISTRIBUTION_COLUMNS)
 
 _TWO_PLACES = Decimal("0.01")
 _ONE_PLACE = Decimal("0.1")
@@ -71,135 +81,22 @@ class SessionSummary(SessionRecord):
     dwell_seconds: int = 0
 
 
-@dataclass
-class UsageBucketReport:
-    # (visitor_type, bucket_label, session count); Guests rows then Users rows
-    rows: list[tuple[str, str, int]]
-
-    def total_sessions(self) -> int:
-        return sum(count for _, _, count in self.rows)
-
-    def header(self) -> tuple[str, ...]:
-        return ("visitor_type", "bucket", "sessions")
-
-    def csv_rows(self) -> list[tuple]:
-        return list(self.rows)
-
-    def plot_rows(self) -> list[tuple[str, object]]:
-        return [(f"{visitor}:{label}", count) for visitor, label, count in self.rows]
+Cell = int | str | Decimal | float | None
 
 
 @dataclass
-class UserTypeGenderRow:
-    user_type: str
-    gender: str
-    users: int
-    sessions: int
-    pageviews: int
-    pageviews_per_session: Decimal
-    duration_seconds: int | None
-    duration_minutes: int | None
-    duration_hours: Decimal | None
+class Table:
+    """One report: a header, rows of typed cells, and the ``(label, value)``
+    points that ``--plot`` prints.  A ``None`` cell prints as ``-``."""
+
+    header: tuple[str, ...]
+    rows: list[tuple[Cell, ...]]
+    plot: list[tuple[str, Cell]] = field(default_factory=list)
 
 
-@dataclass
-class UserTypeGenderReport:
-    rows: list[UserTypeGenderRow]
-    total: UserTypeGenderRow
-
-    def header(self) -> tuple[str, ...]:
-        return (
-            "user_type", "gender", "users", "sessions", "pageviews",
-            "pageviews_per_session", "duration_s", "duration_m", "duration_h",
-        )
-
-    def csv_rows(self) -> list[tuple]:
-        def cells(row: UserTypeGenderRow) -> tuple:
-            return (
-                row.user_type, row.gender, row.users, row.sessions, row.pageviews,
-                str(row.pageviews_per_session),
-                "-" if row.duration_seconds is None else row.duration_seconds,
-                "-" if row.duration_minutes is None else row.duration_minutes,
-                "-" if row.duration_hours is None else str(row.duration_hours),
-            )
-
-        return [cells(r) for r in self.rows] + [cells(self.total)]
-
-    def plot_rows(self) -> list[tuple[str, object]]:
-        return [(f"{r.user_type}:{r.gender}", r.sessions) for r in self.rows]
-
-
-@dataclass
-class HourlyCube:
-    user_types: tuple[str, ...]
-    counts: list[list[int]]  # 24 rows, one column per user type
-
-    def grand_total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    def header(self) -> tuple[str, ...]:
-        return ("hour",) + self.user_types + ("total",)
-
-    def csv_rows(self) -> list[tuple]:
-        out = []
-        for hour, row in enumerate(self.counts):
-            out.append((hour,) + tuple(row) + (sum(row),))
-        return out
-
-    def plot_rows(self) -> list[tuple[str, object]]:
-        return [(f"{hour:02d}", sum(row)) for hour, row in enumerate(self.counts)]
-
-
-@dataclass
-class DistributionReport:
-    kind: str
-    # (category, session count, ratio), descending by ratio then category
-    entries: list[tuple[str, int, float]]
-
-    def header(self) -> tuple[str, ...]:
-        return (self.kind, "sessions", "ratio")
-
-    def csv_rows(self) -> list[tuple]:
-        return [(c, n, repr(r)) for c, n, r in self.entries]
-
-    def plot_rows(self) -> list[tuple[str, object]]:
-        return [(c, repr(r)) for c, _, r in self.entries]
-
-
-@dataclass
-class TopIpReport:
-    # (ip, sessions, pageviews, pageviews per session)
-    rows: list[tuple[str, int, int, Decimal]]
-
-    def header(self) -> tuple[str, ...]:
-        return ("ip", "sessions", "pageviews", "pageviews_per_session")
-
-    def csv_rows(self) -> list[tuple]:
-        return [(ip, s, p, str(r)) for ip, s, p, r in self.rows]
-
-    def plot_rows(self) -> list[tuple[str, object]]:
-        return [(ip, s) for ip, s, _, _ in self.rows]
-
-
-@dataclass
-class TopUserReport:
-    # (user_id, username, pageviews, sessions)
-    rows: list[tuple[int, str, int, int]]
-
-    def header(self) -> tuple[str, ...]:
-        return ("user_id", "username", "pageviews", "sessions")
-
-    def csv_rows(self) -> list[tuple]:
-        return list(self.rows)
-
-    def plot_rows(self) -> list[tuple[str, object]]:
-        return [(name, pageviews) for _, name, pageviews, _ in self.rows]
-
-
-@dataclass
-class SearchReport:
-    engines: list[tuple[str, int]]
-    keywords: list[tuple[str, int]]
+def _pps(pageviews: int, sessions: int) -> Decimal:
+    """Pageviews per session, ``0.00`` for a group without sessions."""
+    return pageviews_per_session(pageviews, sessions) if sessions else Decimal("0.00")
 
 
 class Analytics:
@@ -220,111 +117,88 @@ class Analytics:
 
     # -- reports -------------------------------------------------------------
 
-    def usage_buckets(self) -> UsageBucketReport:
+    def usage_buckets(self) -> Table:
         """Sessions per pageview bucket, guests split from logged-in users."""
         counts: dict[tuple[str, str], int] = {}
         for user_type, pageviews, sessions in self.store.sessions_by_pageviews():
             visitor = "Guests" if user_type == "guest" else "Users"
             key = (visitor, bucket_label(pageviews))
             counts[key] = counts.get(key, 0) + sessions
-        rows = []
-        for visitor in ("Guests", "Users"):
-            for label in BUCKET_LABELS:
-                rows.append((visitor, label, counts.get((visitor, label), 0)))
-        return UsageBucketReport(rows)
+        rows = [
+            (visitor, label, counts.get((visitor, label), 0))
+            for visitor in ("Guests", "Users")
+            for label in BUCKET_LABELS
+        ]
+        plot = [(f"{visitor}:{label}", n) for visitor, label, n in rows]
+        return Table(("visitor_type", "bucket", "sessions"), rows, plot)
 
-    def user_type_gender_report(self) -> UserTypeGenderReport:
+    def user_type_gender_report(self) -> Table:
         """Users, sessions, pageviews, P_ps and viewing time per type/gender.
 
         Guests are counted as distinct (ip, client fingerprint) pairs and
         have no duration columns; unit accounts share the not_applicable
-        gender but keep durations.  The total row is the column-wise sum of
-        the body rows.
+        gender but keep durations.  The last row, ``total``, is the
+        column-wise sum of the body rows.
         """
         totals = {
             (user_type, gender): rest
             for user_type, gender, *rest in self.store.user_type_gender_totals()
         }
-
-        def group_rows() -> list[tuple[str, str]]:
-            out = []
-            for user_type in USER_TYPES:
-                if user_type in NO_GENDER_TYPES:
-                    out.append((user_type, "not_applicable"))
-                else:
-                    out.append((user_type, "male"))
-                    out.append((user_type, "female"))
-            return out
-
         rows = []
-        for user_type, gender in group_rows():
-            users, sessions, pageviews, dwell = totals.get((user_type, gender), (0, 0, 0, 0))
-            pps = (
-                pageviews_per_session(pageviews, sessions)
-                if sessions
-                else Decimal("0.00")
-            )
-            if user_type == "guest":
-                dur_s = dur_m = dur_h = None
-            else:
-                dur_s = dwell
-                dur_m = int(
-                    (Decimal(dur_s) / 60).quantize(_WHOLE, rounding=ROUND_HALF_UP)
-                )
-                dur_h = (Decimal(dur_s) / 3600).quantize(_ONE_PLACE, rounding=ROUND_HALF_UP)
-            rows.append(
-                UserTypeGenderRow(
-                    user_type, gender, users, sessions, pageviews, pps, dur_s, dur_m, dur_h
-                )
-            )
+        for user_type in USER_TYPES:
+            genders = ("not_applicable",) if user_type in NO_GENDER_TYPES else ("male", "female")
+            for gender in genders:
+                users, sessions, pageviews, dwell = totals.get((user_type, gender), (0, 0, 0, 0))
+                if user_type == "guest":
+                    durations = (None, None, None)
+                else:
+                    durations = (
+                        dwell,
+                        int((Decimal(dwell) / 60).quantize(_WHOLE, rounding=ROUND_HALF_UP)),
+                        (Decimal(dwell) / 3600).quantize(_ONE_PLACE, rounding=ROUND_HALF_UP),
+                    )
+                rows.append((user_type, gender, users, sessions, pageviews,
+                             _pps(pageviews, sessions), *durations))
+        plot = [(f"{row[0]}:{row[1]}", row[3]) for row in rows]
 
-        total_sessions = sum(r.sessions for r in rows)
-        total_pageviews = sum(r.pageviews for r in rows)
-        total = UserTypeGenderRow(
-            user_type="total",
-            gender="",
-            users=sum(r.users for r in rows),
-            sessions=total_sessions,
-            pageviews=total_pageviews,
-            pageviews_per_session=(
-                pageviews_per_session(total_pageviews, total_sessions)
-                if total_sessions
-                else Decimal("0.00")
-            ),
-            duration_seconds=sum(r.duration_seconds or 0 for r in rows),
-            duration_minutes=sum(r.duration_minutes or 0 for r in rows),
-            duration_hours=sum((r.duration_hours or Decimal("0.0") for r in rows), Decimal("0.0")),
-        )
-        return UserTypeGenderReport(rows, total)
+        def column(i: int, start: int | Decimal = 0) -> int | Decimal:
+            return sum((row[i] or 0 for row in rows), start)
 
-    def hourly_cube(self) -> HourlyCube:
-        """Pageview counts per hour of day and user type; totals conserve."""
+        sessions, pageviews = column(3), column(4)
+        rows.append(("total", "", column(2), sessions, pageviews, _pps(pageviews, sessions),
+                     column(6), column(7), column(8, Decimal("0.0"))))
+        header = ("user_type", "gender", "users", "sessions", "pageviews",
+                  "pageviews_per_session", "duration_s", "duration_m", "duration_h")
+        return Table(header, rows, plot)
+
+    def hourly_cube(self) -> Table:
+        """Pageview counts per hour of day and user type; totals conserve.
+
+        Rows are ``(hour, one count per user type, total)``."""
         index = {t: i for i, t in enumerate(USER_TYPES)}
         counts = [[0] * len(USER_TYPES) for _ in range(24)]
         for hour, user_type, n in self.store.pages_by_hour_and_user_type():
             counts[hour][index[user_type]] = n
-        return HourlyCube(USER_TYPES, counts)
+        rows = [(hour, *row, sum(row)) for hour, row in enumerate(counts)]
+        plot = [(f"{row[0]:02d}", row[-1]) for row in rows]
+        return Table(("hour", *USER_TYPES, "total"), rows, plot)
 
-    def distribution(self, kind: str) -> DistributionReport:
-        """Per-session share of a category; each session counts once."""
-        if kind not in DISTRIBUTION_KINDS:
+    def distribution(self, kind: str) -> Table:
+        """Per-session share of a category; each session counts once.
+
+        Rows are ``(category, sessions, ratio)``, descending by ratio then
+        category."""
+        if kind not in DISTRIBUTION_COLUMNS:
             raise ValueError(f"kind must be one of {DISTRIBUTION_KINDS}")
-        column = {
-            "device": "device_type",
-            "os": "os_name",
-            "browser": "browser_name",
-            "country": "country_code",
-            "language": "language",
-        }[kind]
-        counts = self.store.sessions_by(column)
+        counts = self.store.sessions_by(DISTRIBUTION_COLUMNS[kind])
         total = sum(n for _, n in counts)
-        entries = [
+        rows = [
             (category, n, n / total)
             for category, n in sorted(counts, key=lambda kv: (-kv[1], kv[0]))
         ]
-        return DistributionReport(kind, entries)
+        return Table((kind, "sessions", "ratio"), rows, [(c, r) for c, _, r in rows])
 
-    def top_ips(self, n: int = 15) -> TopIpReport:
+    def top_ips(self, n: int = 15) -> Table:
         """Busiest client addresses by session count.
 
         Ties break by pageviews descending, then numeric address ascending.
@@ -337,23 +211,29 @@ class Analytics:
             (ip, sessions, pageviews, pageviews_per_session(pageviews, sessions))
             for ip, sessions, pageviews in ordered[:n]
         ]
-        return TopIpReport(rows)
+        header = ("ip", "sessions", "pageviews", "pageviews_per_session")
+        return Table(header, rows, [(ip, sessions) for ip, sessions, _, _ in rows])
 
-    def top_users(self, n: int = 20) -> TopUserReport:
+    def top_users(self, n: int = 20) -> Table:
         """Most active logged-in users by pageviews; ties by username, then
         by first session."""
         ordered = sorted(self.store.sessions_by_account(), key=lambda row: (-row[2], row[1]))
-        return TopUserReport(ordered[:n])
+        rows = ordered[:n]
+        header = ("user_id", "username", "pageviews", "sessions")
+        return Table(header, rows, [(name, pageviews) for _, name, pageviews, _ in rows])
 
-    def search_report(self) -> SearchReport:
-        """Sessions arriving from search engines, by engine and by keywords."""
+    def search_report(self) -> tuple[Table, Table]:
+        """Sessions arriving from search engines: the engines table and the
+        keywords table.  ``--plot`` does not apply, so neither has points."""
 
         def by_count(kv: tuple[str, int]) -> tuple[int, str]:
             return -kv[1], kv[0]
 
-        return SearchReport(
-            engines=sorted(self.store.sessions_by_search_engine(), key=by_count),
-            keywords=sorted(self.store.sessions_by_search_keywords(), key=by_count),
+        return (
+            Table(("engine", "sessions"),
+                  sorted(self.store.sessions_by_search_engine(), key=by_count)),
+            Table(("keywords", "sessions"),
+                  sorted(self.store.sessions_by_search_keywords(), key=by_count)),
         )
 
 
@@ -361,35 +241,22 @@ class Analytics:
 # rendering
 # ---------------------------------------------------------------------------
 
-def report_to_csv(report) -> str:
-    import csv
-    import io
-
+def report_to_csv(table: Table) -> str:
+    """The header and rows as CSV: ``csv.writer`` prints a float by ``repr``
+    and a ``Decimal`` by ``str``; ``None`` prints as ``-``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(report.header())
-    writer.writerows(report.csv_rows())
+    writer.writerow(table.header)
+    writer.writerows(["-" if cell is None else cell for cell in row] for row in table.rows)
     return buf.getvalue()
 
 
-def report_to_plot(report) -> str:
-    """Line-oriented plot data: category<TAB>value, one point per line."""
-    lines = [f"{category}\t{value}" for category, value in report.plot_rows()]
+def report_to_plot(table: Table) -> str:
+    """Line-oriented plot data: label<TAB>value, one point per line."""
+    lines = [f"{label}\t{value}" for label, value in table.plot]
     return "\n".join(lines) + "\n"
 
 
-def search_report_to_csv(report: SearchReport) -> tuple[str, str]:
-    import csv
-    import io
-
-    def table(header: tuple[str, str], rows: list[tuple[str, int]]) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
-
-    return (
-        table(("engine", "sessions"), report.engines),
-        table(("keywords", "sessions"), report.keywords),
-    )
+def search_report_to_csv(tables: tuple[Table, Table]) -> tuple[str, str]:
+    """The engines and keywords tables of :meth:`Analytics.search_report` as CSV."""
+    return tuple(map(report_to_csv, tables))

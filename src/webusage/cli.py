@@ -134,6 +134,9 @@ def _load_users_file(store: LogStore, path: Path) -> int:
             for row in reader:
                 if not row:
                     continue
+                if len(row) != 4:
+                    raise UsageError(f"users file {path} line {reader.line_num}: "
+                                     f"expected 4 columns, got {len(row)}")
                 store.upsert_user(UserInfo(int(row[0]), row[1], row[2], row[3]))
                 n += 1
         return n
@@ -200,6 +203,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    if args.n is not None and args.n < 0:
+        raise UsageError(f"--n must be >= 0, got {args.n}")
     store = _open_read_only(_require_file(args.store, "store"))
     try:
         analytics = Analytics(store)

@@ -30,6 +30,7 @@ from typing import Iterable, TextIO
 
 from .baseline import EclfEntry, render_log_line
 from .events import RawRequestEvent, write_replay
+from .storage import NO_GENDER_TYPES, USER_TYPES
 from .truth import GroundTruth, TruthEvent, TruthSession, TruthUser, save_truth
 
 SITE_HOST = "www.campus.example"
@@ -54,9 +55,6 @@ DEFAULT_DEVICE_MIX = (
     ("mobile", 0.28),
     ("tablet", 0.10),
 )
-
-# Account kinds that carry no personal gender.
-_NO_GENDER = ("guest", "unit_mission")
 
 _AGENTS = {
     "desktop": (
@@ -214,7 +212,7 @@ class WorkloadConfig:
         share("cookie-loss-share", self.cookie_loss_share)
         share("cached-nav-share", self.cached_nav_share)
         for flag, mix, valid in (
-            ("user-type-mix", self.user_type_mix, None),
+            ("user-type-mix", self.user_type_mix, USER_TYPES),
             ("device-mix", self.device_mix, DEVICE_TYPES),
         ):
             if not mix:
@@ -224,7 +222,7 @@ class WorkloadConfig:
                 problems.append((flag, "weights must be non-negative"))
             if abs(sum(w for _, w in mix) - 1.0) > 1e-9:
                 problems.append((flag, "weights must sum to 1"))
-            if valid is not None and any(name not in valid for name, _ in mix):
+            if any(name not in valid for name, _ in mix):
                 problems.append((flag, f"names must be among {valid}"))
         if problems:
             raise ConfigError(problems)
@@ -341,7 +339,7 @@ def _make_people(config: WorkloadConfig, rng: random.Random,
             gender = None
         else:
             username = f"u{user_id:04d}"
-            gender = None if user_type in _NO_GENDER else (
+            gender = None if user_type in NO_GENDER_TYPES else (
                 "male" if rng.random() < 0.5 else "female"
             )
         token_seq += 1

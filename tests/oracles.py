@@ -12,19 +12,14 @@ import ipaddress
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
+from typing import NamedTuple
 
 from webusage.analytics import (
     BUCKET_LABELS,
     DISTRIBUTION_KINDS,
     Analytics,
-    DistributionReport,
-    SearchReport,
     SessionSummary,
-    TopIpReport,
-    TopUserReport,
-    UsageBucketReport,
-    UserTypeGenderReport,
-    UserTypeGenderRow,
+    Table,
     bucket_label,
     pageviews_per_session,
 )
@@ -351,13 +346,27 @@ _ONE_PLACE = Decimal("0.1")
 _WHOLE = Decimal("1")
 
 
+class UserTypeGenderRow(NamedTuple):
+    """One row of the user-type-gender table, its cells named."""
+
+    user_type: str
+    gender: str
+    users: int
+    sessions: int
+    pageviews: int
+    pageviews_per_session: Decimal
+    duration_seconds: int | None
+    duration_minutes: int | None
+    duration_hours: Decimal | None
+
+
 class RecordAnalytics(Analytics):
     """The session report builders as they were before each became one
     grouped query: every report loops over ``session_summaries()``, the
     decoded record of each session that has pages.  The reference the
     query-built reports must match byte for byte."""
 
-    def usage_buckets(self) -> UsageBucketReport:
+    def usage_buckets(self) -> Table:
         """Sessions per pageview bucket, guests split from logged-in users."""
         counts: dict[tuple[str, str], int] = {}
         for s in self.session_summaries():
@@ -368,9 +377,10 @@ class RecordAnalytics(Analytics):
         for visitor in ("Guests", "Users"):
             for label in BUCKET_LABELS:
                 rows.append((visitor, label, counts.get((visitor, label), 0)))
-        return UsageBucketReport(rows)
+        plot = [(f"{visitor}:{label}", count) for visitor, label, count in rows]
+        return Table(("visitor_type", "bucket", "sessions"), rows, plot)
 
-    def user_type_gender_report(self) -> UserTypeGenderReport:
+    def user_type_gender_report(self) -> Table:
         """Users, sessions, pageviews, P_ps and viewing time per type/gender.
 
         Guests are counted as distinct (ip, client fingerprint) pairs and
@@ -445,9 +455,14 @@ class RecordAnalytics(Analytics):
             duration_minutes=sum(r.duration_minutes or 0 for r in rows),
             duration_hours=sum((r.duration_hours or Decimal("0.0") for r in rows), Decimal("0.0")),
         )
-        return UserTypeGenderReport(rows, total)
+        header = (
+            "user_type", "gender", "users", "sessions", "pageviews",
+            "pageviews_per_session", "duration_s", "duration_m", "duration_h",
+        )
+        plot = [(f"{r.user_type}:{r.gender}", r.sessions) for r in rows]
+        return Table(header, rows + [total], plot)
 
-    def distribution(self, kind: str) -> DistributionReport:
+    def distribution(self, kind: str) -> Table:
         """Per-session share of a category; each session counts once."""
         if kind not in DISTRIBUTION_KINDS:
             raise ValueError(f"kind must be one of {DISTRIBUTION_KINDS}")
@@ -470,9 +485,9 @@ class RecordAnalytics(Analytics):
             (category, n, n / total)
             for category, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         ]
-        return DistributionReport(kind, entries)
+        return Table((kind, "sessions", "ratio"), entries, [(c, r) for c, _, r in entries])
 
-    def top_ips(self, n: int = 15) -> TopIpReport:
+    def top_ips(self, n: int = 15) -> Table:
         """Busiest client addresses by session count.
 
         Ties break by pageviews descending, then numeric address ascending.
@@ -489,9 +504,10 @@ class RecordAnalytics(Analytics):
             (ip, sessions, pageviews, pageviews_per_session(pageviews, sessions))
             for ip, (sessions, pageviews) in ordered[:n]
         ]
-        return TopIpReport(rows)
+        header = ("ip", "sessions", "pageviews", "pageviews_per_session")
+        return Table(header, rows, [(ip, s) for ip, s, _, _ in rows])
 
-    def top_users(self, n: int = 20) -> TopUserReport:
+    def top_users(self, n: int = 20) -> Table:
         """Most active logged-in users by pageviews; ties by username."""
         per_user: dict[tuple[int, str], list[int]] = {}
         for s in self.session_summaries():
@@ -505,9 +521,10 @@ class RecordAnalytics(Analytics):
             (uid, name, pageviews, sessions)
             for (uid, name), (pageviews, sessions) in ordered[:n]
         ]
-        return TopUserReport(rows)
+        header = ("user_id", "username", "pageviews", "sessions")
+        return Table(header, rows, [(name, pageviews) for _, name, pageviews, _ in rows])
 
-    def search_report(self) -> SearchReport:
+    def search_report(self) -> tuple[Table, Table]:
         """Sessions arriving from search engines, by engine and by keywords."""
         engines: dict[str, int] = {}
         keywords: dict[str, int] = {}
@@ -517,7 +534,7 @@ class RecordAnalytics(Analytics):
             engines[s.search_engine] = engines.get(s.search_engine, 0) + 1
             if s.search_keywords:
                 keywords[s.search_keywords] = keywords.get(s.search_keywords, 0) + 1
-        return SearchReport(
-            engines=sorted(engines.items(), key=lambda kv: (-kv[1], kv[0])),
-            keywords=sorted(keywords.items(), key=lambda kv: (-kv[1], kv[0])),
+        return (
+            Table(("engine", "sessions"), sorted(engines.items(), key=lambda kv: (-kv[1], kv[0]))),
+            Table(("keywords", "sessions"), sorted(keywords.items(), key=lambda kv: (-kv[1], kv[0]))),
         )

@@ -155,17 +155,15 @@ class TestAcceptance:
             problems.append("usage_buckets")
 
         type_gender = analytics.user_type_gender_report()
-        got = type_gender.rows + [type_gender.total]
+        got = type_gender.rows
         want = oracles.oracle_user_type_gender(rows)
         if len(got) != len(want):
             problems.append("user_type_gender rows")
         else:
             for row, expect in zip(got, want):
                 cells = (
-                    row.user_type, row.gender, row.users, row.sessions,
-                    row.pageviews, str(row.pageviews_per_session),
-                    row.duration_seconds, row.duration_minutes,
-                    None if row.duration_hours is None else str(row.duration_hours),
+                    *row[:5], str(row[5]), row[6], row[7],
+                    None if row[8] is None else str(row[8]),
                 )
                 wanted = (
                     expect["user_type"], expect["gender"], expect["users"],
@@ -174,17 +172,17 @@ class TestAcceptance:
                     expect["duration_hours"],
                 )
                 if cells != wanted:
-                    problems.append(f"user_type_gender {row.user_type}/{row.gender}")
+                    problems.append(f"user_type_gender {row[0]}/{row[1]}")
 
         cube = analytics.hourly_cube()
         expected_hourly = oracles.oracle_hourly(export)
         for hour in range(24):
-            for col, user_type in enumerate(cube.user_types):
-                if cube.counts[hour][col] != expected_hourly.get((hour, user_type), 0):
+            for col, user_type in enumerate(cube.header[1:-1], start=1):
+                if cube.rows[hour][col] != expected_hourly.get((hour, user_type), 0):
                     problems.append(f"hourly {hour}/{user_type}")
 
         for kind in DISTRIBUTION_KINDS:
-            if analytics.distribution(kind).entries != oracles.oracle_distribution(rows, kind):
+            if analytics.distribution(kind).rows != oracles.oracle_distribution(rows, kind):
                 problems.append(f"distribution {kind}")
 
         top_ips = analytics.top_ips()
@@ -193,9 +191,9 @@ class TestAcceptance:
         if analytics.top_users().rows != oracles.oracle_top_users(rows, 20):
             problems.append("top_users")
 
-        search = analytics.search_report()
+        search_engines, search_keywords = analytics.search_report()
         engines, keywords = oracles.oracle_search(rows)
-        if search.engines != engines or search.keywords != keywords:
+        if search_engines.rows != engines or search_keywords.rows != keywords:
             problems.append("search")
 
         elapsed = time.perf_counter() - start
@@ -207,12 +205,12 @@ class TestAcceptance:
 
     def test_criterion_7_conservation_rules(self, sim_store):
         analytics = Analytics(sim_store)
-        page_total = analytics.hourly_cube().grand_total()
+        page_total = sum(row[-1] for row in analytics.hourly_cube().rows)
         pages = sim_store.page_count()
-        buckets = analytics.usage_buckets().total_sessions()
+        buckets = sum(n for _, _, n in analytics.usage_buckets().rows)
         sessions = sim_store.session_count()
         ratio_sums = {
-            kind: sum(r for _, _, r in analytics.distribution(kind).entries)
+            kind: sum(r for _, _, r in analytics.distribution(kind).rows)
             for kind in DISTRIBUTION_KINDS
         }
         ratios_ok = all(abs(total - 1.0) <= 1e-9 for total in ratio_sums.values())

@@ -8,6 +8,7 @@ import sqlite3
 import subprocess
 import sys
 from datetime import datetime
+from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,9 @@ import pytest
 from webusage.analytics import report_to_csv, report_to_plot, search_report_to_csv
 from webusage.cli import REPORT_KINDS, REPORTS, main
 from webusage.events import AppPageResult
-from webusage.storage import TABLE_COLUMNS, LogStore, PageRecord, SessionRecord, UserInfo
+from webusage.storage import (
+    TABLE_COLUMNS, USER_TYPES, LogStore, PageRecord, SessionRecord, UserInfo,
+)
 from webusage.truth import load_truth
 
 import oracles
@@ -139,6 +142,27 @@ class TestCollect:
                    "--store", str(tmp_path / "s.db"), "--users", str(users)])
         assert rc == 2
         assert "users file header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, width", [
+        ("1,alice", 2),
+        ("1,alice,student,female,extra", 5),
+    ])
+    def test_roster_row_of_wrong_width_exits_2(self, workspace, tmp_path, capsys, row, width):
+        store = tmp_path / "kept.db"
+        store.write_bytes(workspace["store"].read_bytes())
+        users = tmp_path / "users.csv"
+        users.write_text(
+            f"user_id,username,user_type,gender\n2,bob,student,male\n{row}\n",
+            encoding="utf-8",
+        )
+        rc = main(["collect", str(workspace["replay"]),
+                   "--store", str(store), "--users", str(users)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: users file {users} line 3: expected 4 columns, got {width}\n"
+        )
+        assert store.read_bytes() == workspace["store"].read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.db", "users.csv"]
 
 
     def test_mixed_offset_and_naive_times_stored_as_utc(self, tmp_path, capsys):
@@ -267,6 +291,16 @@ class TestReport:
         out = capsys.readouterr().out
         assert rc == 0
         assert len(out.splitlines()) <= 4  # header + at most 3 rows
+
+    @pytest.mark.parametrize("n", ["-1", "-100"])
+    @pytest.mark.parametrize("kind", ["top-ips", "top-users"])
+    def test_negative_n_exits_2(self, workspace, capsys, kind, n):
+        rc = main(["report", "--store", str(workspace["store"]),
+                   "--kind", kind, "--n", n])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--n" in captured.err
 
     def test_out_file_instead_of_stdout(self, workspace, tmp_path, capsys):
         target = tmp_path / "device.csv"
@@ -525,6 +559,51 @@ class TestFormatsContract:
             [f"rows.{table}" for table in TABLE_COLUMNS]
             + ["avg_row_bytes.log_session", "avg_row_bytes.log_page"]
         )
+
+    def _report(self, workspace, capsys, kind, *flags) -> str:
+        assert main(["report", "--store", str(workspace["store"]), "--kind", kind, *flags]) == 0
+        return capsys.readouterr().out
+
+    def test_user_type_gender_total_row_and_guest_durations(self, workspace, capsys):
+        header, *body, total = csv.reader(
+            self._report(workspace, capsys, "user-type-gender").splitlines()
+        )
+        cell = {name: i for i, name in enumerate(header)}
+        guest = next(row for row in body if row[0] == "guest")
+        assert [guest[cell[c]] for c in ("duration_s", "duration_m", "duration_h")] == ["-"] * 3
+        assert any(row[cell["duration_s"]] not in ("-", "0") for row in body)
+        assert total[:2] == ["total", ""]
+
+        def number(text):
+            return Decimal(0) if text == "-" else Decimal(text)
+
+        for column in ("users", "sessions", "pageviews", "duration_s", "duration_m",
+                       "duration_h"):
+            i = cell[column]
+            assert number(total[i]) == sum(number(row[i]) for row in body), column
+        ratio = Decimal(total[cell["pageviews"]]) / Decimal(total[cell["sessions"]])
+        assert total[cell["pageviews_per_session"]] == str(
+            ratio.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
+        )
+
+    def test_hourly_cube_columns(self, workspace, capsys):
+        header, *rows = csv.reader(self._report(workspace, capsys, "hourly-cube").splitlines())
+        assert header == ["hour", *USER_TYPES, "total"]
+        assert [int(row[0]) for row in rows] == list(range(24))
+        for row in rows:
+            assert int(row[-1]) == sum(int(n) for n in row[1:-1])
+
+    @pytest.mark.parametrize("kind", ["search-engines", "search-keywords", "stats"])
+    def test_plot_leaves_text_kinds_unchanged(self, workspace, capsys, kind):
+        text = self._report(workspace, capsys, kind)
+        assert self._report(workspace, capsys, kind, "--plot") == text
+
+    @pytest.mark.parametrize(
+        "kind", [k for k in REPORT_KINDS if k not in ("top-ips", "top-users")]
+    )
+    def test_n_changes_only_the_top_lists(self, workspace, capsys, kind):
+        text = self._report(workspace, capsys, kind)
+        assert self._report(workspace, capsys, kind, "--n", "1") == text
 
     def test_distribution_ratios_print_as_float_repr(self, workspace, capsys):
         assert main(["report", "--store", str(workspace["store"]), "--kind", "device"]) == 0

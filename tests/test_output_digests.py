@@ -1,13 +1,21 @@
 """scripts/output_digests.py prints one digest line per walkthrough output,
-and the same lines on every run of one checkout, workload and seed."""
+and the same lines on every run of one checkout, workload and seed.
+
+tests/data/output_digests_<workload>_seed1.txt pin those lines: any change
+to the bytes of a report, an export, the sessions CSV or the compare output
+shows up here.  A change that means to alter an output regenerates the file
+with the script and says so."""
 
 import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 from webusage.cli import REPORT_KINDS
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_digests.py"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _load_script():
@@ -35,3 +43,10 @@ def test_two_runs_print_the_same_lines(capsys):
         for table in ("user_info", "log_geoip", "log_session", "open_sessions", "log_page")
     }
     assert set(names) == expected
+
+
+@pytest.mark.parametrize("workload", ["campus-week", "stressed-short"])
+def test_prints_the_pinned_lines(capsys, workload):
+    pinned = (DATA / f"output_digests_{workload}_seed1.txt").read_text(encoding="utf-8")
+    assert _load_script().main(["--workload", workload, "--seed", "1"]) == 0
+    assert capsys.readouterr().out == pinned

@@ -78,6 +78,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="device-mix"):
             config.validate()
 
+    def test_user_type_mix_names_restricted(self):
+        config = WorkloadConfig(user_type_mix=(("martian", 1.0),))
+        with pytest.raises(ConfigError) as info:
+            config.validate()
+        assert info.value.fields == ["user-type-mix"]
+
     def test_several_problems_reported_together(self):
         config = WorkloadConfig(n_users=0, nat_share=7.0)
         with pytest.raises(ConfigError) as info:
