@@ -99,6 +99,12 @@ def _pps(pageviews: int, sessions: int) -> Decimal:
     return pageviews_per_session(pageviews, sessions) if sessions else Decimal("0.00")
 
 
+def _check_top_n(n: int) -> None:
+    # ``ordered[:n]`` would drop rows from the end for a negative n.
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+
+
 class Analytics:
     """Report builder over a :class:`LogStore`."""
 
@@ -204,6 +210,7 @@ class Analytics:
         Ties break by pageviews descending, then numeric address ascending.
         The key is total, since ``ip_to_int`` reads one text per address.
         """
+        _check_top_n(n)
         ordered = sorted(
             self.store.sessions_by_ip(), key=lambda row: (-row[1], -row[2], ip_to_int(row[0]))
         )
@@ -217,6 +224,7 @@ class Analytics:
     def top_users(self, n: int = 20) -> Table:
         """Most active logged-in users by pageviews; ties by username, then
         by first session."""
+        _check_top_n(n)
         ordered = sorted(self.store.sessions_by_account(), key=lambda row: (-row[2], row[1]))
         rows = ordered[:n]
         header = ("user_id", "username", "pageviews", "sessions")

@@ -34,7 +34,7 @@ from .compare import collector_report, load_roster
 from .enrichment import GeoIpLoadError, load_geoip, sample_geoip_table
 from .events import ReplayFormatError, read_replay
 from .simulator import SITE_HOST, ConfigError, WorkloadConfig, simulate_to_dir
-from .storage import LogStore, StorageError, UserInfo
+from .storage import ConstraintError, LogStore, StorageError, UserInfo
 from .truth import load_truth
 
 # Report kinds rendered by report_to_csv / report_to_plot, in --kind order.
@@ -134,10 +134,13 @@ def _load_users_file(store: LogStore, path: Path) -> int:
             for row in reader:
                 if not row:
                     continue
+                where = f"users file {path} line {reader.line_num}"
                 if len(row) != 4:
-                    raise UsageError(f"users file {path} line {reader.line_num}: "
-                                     f"expected 4 columns, got {len(row)}")
-                store.upsert_user(UserInfo(int(row[0]), row[1], row[2], row[3]))
+                    raise UsageError(f"{where}: expected 4 columns, got {len(row)}")
+                try:
+                    store.upsert_user(UserInfo(int(row[0]), row[1], row[2], row[3]))
+                except (ValueError, ConstraintError) as exc:
+                    raise UsageError(f"{where}: {exc}") from None
                 n += 1
         return n
 

@@ -6,6 +6,10 @@ search-engine registry ship as plain data files under ``webusage/data`` so
 behaviour can be pinned by tests and extended without code changes.  Parsing
 never raises on arbitrary agent strings; unknown fields come back as the
 literal string ``"unknown"``.
+
+``parse_user_agent`` keeps its recent results in a bounded cache.  The cache
+holds a pure lookup, a frozen profile per agent and registry, not session
+state: a site sees few distinct agents, and each new session parses one.
 """
 
 from __future__ import annotations
@@ -124,6 +128,7 @@ def is_bot(agent: str | None) -> bool:
     return any(bot in lowered for bot in default_bots())
 
 
+@lru_cache(maxsize=1024)
 def parse_user_agent(ua: str | None, registry: "UaRegistry | None" = None) -> ClientProfile:
     """Classify a user-agent string.  Total: never raises on any input."""
     if registry is None:

@@ -3,6 +3,10 @@
 A replay file carries one request per line as space-separated ``key=value``
 tokens with URL-escaped values, so any event the embedded API accepts can be
 stored in a plain text file and fed back later.
+
+Percent-decoding goes through a small cache of ``unquote`` results.  It
+holds a pure function of the escaped text, not session state: agents and
+``accept-language`` values repeat from request to request.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import urllib.parse
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import lru_cache
 from typing import Iterable, Iterator, TextIO
 
 METHODS = ("GET", "POST")
@@ -83,10 +88,24 @@ def _encode_map(m: dict[str, str]) -> str:
     return urllib.parse.urlencode(m, quote_via=urllib.parse.quote)
 
 
+_unquote = lru_cache(maxsize=256)(urllib.parse.unquote)
+
+
 def _decode_map(s: str) -> dict[str, str]:
-    if not s:
-        return {}
-    return dict(urllib.parse.parse_qsl(s, keep_blank_values=True))
+    """Equal to ``dict(parse_qsl(s, keep_blank_values=True))``: fields split
+    on '&', empty fields are skipped, a field without '=' gets an empty
+    value, and '+' reads as a space before percent-decoding."""
+    out: dict[str, str] = {}
+    for field_text in s.split("&"):
+        if not field_text:
+            continue
+        name, _, value = field_text.partition("=")
+        name = name.replace("+", " ")
+        value = value.replace("+", " ")
+        out[_unquote(name) if "%" in name else name] = (
+            _unquote(value) if "%" in value else value
+        )
+    return out
 
 
 def format_replay_line(event: RawRequestEvent) -> str:
@@ -141,7 +160,7 @@ def parse_replay_line(line: str, line_no: int | None = None) -> RawRequestEvent:
             raise ReplayFormatError(f"unknown key {key!r}", line_no)
         if key in values:
             raise ReplayFormatError(f"duplicate key {key!r}", line_no)
-        values[key] = urllib.parse.unquote(raw)
+        values[key] = _unquote(raw) if "%" in raw else raw
     missing = _REQUIRED_KEYS - values.keys()
     if missing:
         raise ReplayFormatError(f"missing keys: {sorted(missing)}", line_no)

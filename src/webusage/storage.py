@@ -71,6 +71,12 @@ class MapFormatError(StorageError):
 
 
 def dt_to_text(value: datetime) -> str:
+    # isoformat writes the same text as strftime for a naive datetime of
+    # years 1000-9999, in under half the time.  strftime writes earlier
+    # years unpadded and an aware value without its offset, so those, dates
+    # and subclasses stay with it.
+    if type(value) is datetime and value.tzinfo is None and value.year >= 1000:
+        return value.isoformat(" ", "seconds")
     return value.strftime(_DT_FMT)
 
 
@@ -93,6 +99,8 @@ def serialize_map(m: dict[str, str]) -> str:
     Equal maps serialize to identical bytes regardless of insertion order;
     the empty map is exactly ``{}``.
     """
+    if m == {}:
+        return "{}"
     for key, value in m.items():
         if not isinstance(key, str) or not isinstance(value, str):
             raise ConstraintError("map keys and values must be strings")
@@ -100,6 +108,8 @@ def serialize_map(m: dict[str, str]) -> str:
 
 
 def deserialize_map(text: str) -> dict[str, str]:
+    if text == "{}":
+        return {}
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -233,11 +243,6 @@ class LiveSession(OpenSession):
     """An open session with the username of its ``log_session`` row."""
 
     username: str | None = None
-
-
-def parse_load_time(text: str) -> float:
-    """Parse a load time that may use a decimal comma ("0,0266")."""
-    return float(text.strip().replace(",", "."))
 
 
 # ---------------------------------------------------------------------------

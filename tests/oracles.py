@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import csv
 import ipaddress
-from datetime import datetime
+import urllib.parse
+from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import NamedTuple
@@ -25,6 +26,7 @@ from webusage.analytics import (
 )
 from webusage.baseline import LineParseError
 from webusage.enrichment import UNKNOWN, ip_to_int
+from webusage.events import RawRequestEvent, ReplayFormatError
 from webusage.storage import NO_GENDER_TYPES, USER_TYPES
 
 USER_TYPE_ORDER = (
@@ -340,6 +342,72 @@ def split_tokens_reference(line: str) -> list[str]:
             tokens.append(line[i:end])
             i = end
     return tokens
+
+
+def parse_load_time(text: str) -> float:
+    """Parse a load time that may use a decimal comma ("0,0266")."""
+    return float(text.strip().replace(",", "."))
+
+
+_REPLAY_REQUIRED = frozenset({"ip", "time", "method", "url", "token"})
+_REPLAY_KEYS = _REPLAY_REQUIRED | {
+    "agent", "referrer", "user", "service", "module", "server", "get", "post", "cookies",
+}
+
+
+def _decode_map_reference(s: str) -> dict[str, str]:
+    if not s:
+        return {}
+    return dict(urllib.parse.parse_qsl(s, keep_blank_values=True))
+
+
+def parse_replay_line_reference(line: str, line_no: int | None = None) -> RawRequestEvent:
+    """The replay line decoder that unquotes every value and reads maps with
+    ``parse_qsl``, the reference for ``events.parse_replay_line``."""
+    values: dict[str, str] = {}
+    for token in line.split(" "):
+        if not token:
+            raise ReplayFormatError("empty token (double space?)", line_no)
+        key, sep, raw = token.partition("=")
+        if not sep:
+            raise ReplayFormatError(f"token without '=': {token!r}", line_no)
+        if key not in _REPLAY_KEYS:
+            raise ReplayFormatError(f"unknown key {key!r}", line_no)
+        if key in values:
+            raise ReplayFormatError(f"duplicate key {key!r}", line_no)
+        values[key] = urllib.parse.unquote(raw)
+    missing = _REPLAY_REQUIRED - values.keys()
+    if missing:
+        raise ReplayFormatError(f"missing keys: {sorted(missing)}", line_no)
+    try:
+        when = datetime.fromisoformat(values["time"])
+    except ValueError as exc:
+        raise ReplayFormatError(f"bad time: {exc}", line_no) from None
+    if when.tzinfo is not None:
+        when = when.astimezone(timezone.utc).replace(tzinfo=None)
+    try:
+        server = int(values.get("server", "1"))
+    except ValueError:
+        raise ReplayFormatError(f"bad server id: {values['server']!r}", line_no) from None
+    try:
+        return RawRequestEvent(
+            client_ip=values["ip"],
+            timestamp=when,
+            method=values["method"],
+            url=values["url"],
+            session_token=values["token"],
+            user_agent=values.get("agent", ""),
+            referrer=values.get("referrer"),
+            auth_user=values.get("user"),
+            app_service=values.get("service", ""),
+            module=values.get("module", ""),
+            server_id=server,
+            get_params=_decode_map_reference(values.get("get", "")),
+            post_params=_decode_map_reference(values.get("post", "")),
+            cookies=_decode_map_reference(values.get("cookies", "")),
+        )
+    except ValueError as exc:
+        raise ReplayFormatError(str(exc), line_no) from None
 
 
 _ONE_PLACE = Decimal("0.1")

@@ -313,6 +313,13 @@ class TestTopIps:
             add_session(mem_store, [T0], ip=f"10.0.1.{i}")
         assert len(Analytics(mem_store).top_ips().rows) == 15
         assert len(Analytics(mem_store).top_ips(n=5).rows) == 5
+        assert Analytics(mem_store).top_ips(n=0).rows == []
+
+    def test_negative_n_rejected(self, mem_store):
+        for i in range(5):
+            add_session(mem_store, [T0], ip=f"10.0.1.{i}")
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            Analytics(mem_store).top_ips(-1)
 
     def test_published_ratio_row(self, mem_store):
         add_session(mem_store, page_times(T0, *[1] * 8), ip="10.1.1.1")
@@ -363,6 +370,15 @@ class TestTopUsers:
             )
         assert len(Analytics(mem_store).top_users().rows) == 20
         assert len(Analytics(mem_store).top_users(n=3).rows) == 3
+
+    def test_negative_n_rejected(self, mem_store):
+        for i in range(5):
+            add_session(
+                mem_store, [T0],
+                user_id=i + 1, username=f"u{i}", user_type="student", gender="male",
+            )
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            Analytics(mem_store).top_users(-1)
 
 
 class TestSearchReport:

@@ -164,6 +164,29 @@ class TestCollect:
         assert store.read_bytes() == workspace["store"].read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.db", "users.csv"]
 
+    @pytest.mark.parametrize("row, reason", [
+        ("x,alice,student,female", "invalid literal for int() with base 10: 'x'"),
+        ("1,alice,martian,female", "bad user_type for account: 'martian'"),
+        ("1,alice,guest,not_applicable", "bad user_type for account: 'guest'"),
+        ("1,,student,female", "username must be non-empty"),
+        ("1,alice,unit_mission,female", "unit_mission records must carry gender not_applicable"),
+        ("3,bob,student,male", "UNIQUE constraint failed: user_info.username"),
+    ])
+    def test_bad_roster_cell_names_file_and_line(self, workspace, tmp_path, capsys, row, reason):
+        store = tmp_path / "kept.db"
+        store.write_bytes(workspace["store"].read_bytes())
+        users = tmp_path / "users.csv"
+        users.write_text(
+            f"user_id,username,user_type,gender\n2,bob,student,male\n{row}\n",
+            encoding="utf-8",
+        )
+        rc = main(["collect", str(workspace["replay"]),
+                   "--store", str(store), "--users", str(users)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: users file {users} line 3: {reason}\n"
+        assert store.read_bytes() == workspace["store"].read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.db", "users.csv"]
+
 
     def test_mixed_offset_and_naive_times_stored_as_utc(self, tmp_path, capsys):
         replay = tmp_path / "mixed.replay"

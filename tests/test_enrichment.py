@@ -111,6 +111,15 @@ class TestUserAgents:
         second = parse_user_agent(FIREFOX_UBUNTU, registry)
         assert first == second
 
+    @settings(max_examples=500)
+    @given(st.none() | st.text(max_size=120) | st.sampled_from([FIREFOX_UBUNTU, "Googlebot/2.1"]))
+    def test_cached_profile_equals_a_fresh_parse(self, ua):
+        # twice, so the second call is answered from the cache
+        for _ in range(2):
+            assert parse_user_agent(ua) == parse_user_agent.__wrapped__(ua)
+        registry = default_ua_registry()
+        assert parse_user_agent(ua, registry) == parse_user_agent.__wrapped__(ua, registry)
+
 
 class TestGeoIp:
     def test_two_rows_load(self):

@@ -1,19 +1,23 @@
 import io
+import urllib.parse
 from datetime import datetime
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from webusage.events import (
     AppPageResult,
     RawRequestEvent,
     ReplayFormatError,
+    _decode_map,
     format_replay_line,
     parse_replay_line,
     read_replay,
     write_replay,
 )
+
+from oracles import parse_replay_line_reference
 
 _text = st.text(max_size=25)
 _short = st.text(min_size=1, max_size=25)
@@ -135,6 +139,75 @@ class TestLineCodec:
         with pytest.raises(ReplayFormatError, match="line 7:") as info:
             parse_replay_line("junk", line_no=7)
         assert info.value.line_no == 7
+
+
+# Escaped text as a replay writer or a hand-edited file may hold it: escapes
+# of '%', '+', '&' and '=', bad and truncated escapes, escaped and raw
+# non-ASCII text.
+_ESCAPED = st.lists(
+    st.sampled_from([
+        "%", "%25", "%2", "%zz", "%41", "%2B", "%26", "%3D", "%20", "%C3%A9", "%FF",
+        "%E6%97%A5", "+", "&", "&&", "=", "==", "a", "Z9", "é", "ş", "日本", "\x00",
+    ]),
+    max_size=8,
+).map("".join)
+_ESCAPED_TEXT = _ESCAPED | st.text(max_size=30)
+
+
+def _decoded(parse, line):
+    """The event a decoder returns, or the message of its ReplayFormatError."""
+    try:
+        return parse(line, 3)
+    except ReplayFormatError as exc:
+        return f"error: {exc}"
+
+
+@st.composite
+def _replay_lines(draw):
+    """Lines of known keys with escaped values, so most of them decode, and
+    keys dropped, repeated or unknown now and then."""
+    keys = ["ip", "time", "method", "url", "token", "agent", "referrer", "user",
+            "service", "module", "server", "get", "post", "cookies"]
+    fixed = {"time": "2021-09-02T12:00:00", "method": "GET", "server": "1"}
+    tokens = []
+    for key in keys:
+        if draw(st.integers(0, 19)) == 0:
+            continue
+        value = fixed.get(key) if draw(st.integers(0, 4)) else None
+        tokens.append(f"{key}={draw(_ESCAPED) if value is None else value}")
+    if draw(st.booleans()):
+        tokens.append(draw(st.sampled_from(["ip=1", "bogus=1", "", "noequals"])))
+    return " ".join(tokens)
+
+
+class TestDecoderEquivalence:
+    """parse_replay_line unquotes only values holding '%' and reads maps
+    without parse_qsl; it must give what the plain decoder gives: the same
+    event or the same error message."""
+
+    @settings(max_examples=1000)
+    @given(_replay_lines() | st.text(max_size=60))
+    @example("ip=1 time=2021-09-02T12:00:00 method=GET url=%25 token=t get=a%3Db%26c%3D")
+    @example("ip=1 time=2021-09-02T12:00:00 method=GET url=/ token=t cookies=a%25%32%35=+%")
+    @example("ip=1 time=2021-09-02T12:00:00 method=GET url=/ token=t post=&&=&a=b=c")
+    @example("ip=1 time=2021-09-02T12:00:00 method=GET url=%C3%A9%FF token=%zz%")
+    @example("ip=1 time=2021-09-02T12:00:00 method=GET url=/ token=t server=%31")
+    @example("ip=1 time=2021-09-02T12:00:00 method=%47ET url=/ token=%20")
+    def test_same_event_or_error_as_reference(self, line):
+        assert _decoded(parse_replay_line, line) == _decoded(parse_replay_line_reference, line)
+
+    @settings(max_examples=300)
+    @given(events_st)
+    def test_written_lines_decode_as_reference(self, event):
+        line = format_replay_line(event)
+        assert parse_replay_line(line) == parse_replay_line_reference(line)
+
+    @settings(max_examples=1000)
+    @given(_ESCAPED_TEXT)
+    @example("a=1&&b=&c&=d&+=%2B")
+    @example("%=%%&%zz=%2")
+    def test_map_decoding_matches_parse_qsl(self, text):
+        assert _decode_map(text) == dict(urllib.parse.parse_qsl(text, keep_blank_values=True))
 
 
 class TestReplayStream:

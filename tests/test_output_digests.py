@@ -1,10 +1,10 @@
 """scripts/output_digests.py prints one digest line per walkthrough output,
 and the same lines on every run of one checkout, workload and seed.
 
-tests/data/output_digests_<workload>_seed1.txt pin those lines: any change
-to the bytes of a report, an export, the sessions CSV or the compare output
-shows up here.  A change that means to alter an output regenerates the file
-with the script and says so."""
+tests/data/output_digests_<workload>_seed<N>.txt pin those lines: any
+change to the bytes of a report, an export, the sessions CSV or the compare
+output shows up here.  A change that means to alter an output regenerates
+the file with the script and says so."""
 
 import importlib.util
 import re
@@ -45,8 +45,12 @@ def test_two_runs_print_the_same_lines(capsys):
     assert set(names) == expected
 
 
-@pytest.mark.parametrize("workload", ["campus-week", "stressed-short"])
-def test_prints_the_pinned_lines(capsys, workload):
-    pinned = (DATA / f"output_digests_{workload}_seed1.txt").read_text(encoding="utf-8")
-    assert _load_script().main(["--workload", workload, "--seed", "1"]) == 0
+@pytest.mark.parametrize("workload, seed", [
+    ("campus-week", 1),
+    ("stressed-short", 1),
+    ("stressed-short", 2),
+])
+def test_prints_the_pinned_lines(capsys, workload, seed):
+    pinned = (DATA / f"output_digests_{workload}_seed{seed}.txt").read_text(encoding="utf-8")
+    assert _load_script().main(["--workload", workload, "--seed", str(seed)]) == 0
     assert capsys.readouterr().out == pinned
