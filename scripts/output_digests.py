@@ -5,9 +5,10 @@
 
 The workload settings come from the benchmark's ``perfbench/workloads.py``.
 In a temporary directory the script runs ``webusage simulate`` with those
-settings, then ``collect``, ``preprocess``, every report kind as CSV and as
-``--plot``, ``top-ips``/``top-users`` with ``--n 3``, ``compare`` and
-``export``, all in-process through ``webusage.cli.main``.  It prints one
+settings, then ``collect``, ``preprocess`` (its sessions CSV and the
+counters it prints), every report kind as CSV and as ``--plot``,
+``top-ips``/``top-users`` with ``--n 3``, ``compare`` and ``export``, all
+in-process through ``webusage.cli.main``.  It prints one
 ``sha256  name`` line per output, sorted by name, so two checkouts compare
 with a single ``diff`` of their lines.  Exits 1 if a command fails.
 """
@@ -71,9 +72,9 @@ def output_digests(workload, seed: int, work: Path) -> dict[str, str]:
     run(simulate)
     run(["collect", str(inputs / "events.replay"), "--store", str(store),
          "--users", str(inputs / "truth.csv")])
-    run(["preprocess", str(inputs / "access.log"), "--out", str(sessions)])
+    stats = run(["preprocess", str(inputs / "access.log"), "--out", str(sessions)])
 
-    outputs = {"sessions.csv": sessions.read_bytes()}
+    outputs = {"sessions.csv": sessions.read_bytes(), "preprocess.txt": stats}
     report = ["report", "--store", str(store), "--kind"]
     for kind in cli.REPORT_KINDS:
         outputs[f"report/{kind}.csv"] = run(report + [kind])

@@ -30,13 +30,26 @@ DEFAULT_STATIC_EXTENSIONS = (".png", ".jpg", ".gif", ".css", ".js", ".ico")
 _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
            "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 _MONTH_NUM = {name: i + 1 for i, name in enumerate(_MONTHS)}
-_TS_RE = re.compile(
-    r"^(\d{2})/([A-Za-z]{3})/(\d{4}):(\d{2}):(\d{2}):(\d{2}) ([+-])(\d{2})(\d{2})$"
+_ZONES: dict[str, timezone] = {}  # "+0300" -> its timezone, filled on first use
+# Pieces of the access-log grammar (FORMATS.md).  The field patterns give
+# each slot the kind the format gives it and capture its text; the checks
+# below judge the captured text.
+_BARE = r'([^ "\[][^ ]*)'
+_QUOTED = r'"([^"\\]*(?:\\.[^"\\]*)*)"'
+_STAMP = (
+    r"([0-9]{2})/([A-Za-z]{3})/([0-9]{4}):([0-9]{2}):([0-9]{2}):([0-9]{2}) ([+-][0-9]{4})"
 )
+_REQUEST = r'"([^ "\\]*) ([^ "\\]*) ([^ "\\]*)"'
+_CLF = " ".join((_BARE, _BARE, _BARE, rf"\[{_STAMP}\]", _REQUEST, _BARE, _BARE))
+# A well-formed line is one fullmatch of its format's pattern.
+_LINE_RE = {
+    "CLF": re.compile(_CLF, re.S),
+    "ECLF": re.compile(rf"{_CLF} {_QUOTED} {_QUOTED}(?: {_QUOTED})?", re.S),
+}
+_TS_RE = re.compile(_STAMP)
+_STATUS_CODES = {str(code): code for code in range(100, 600)}  # [1-5][0-9][0-9]
 # After any run of spaces: a quoted field, a bracketed field or a bare token.
-_TOKEN_RE = re.compile(
-    r' *(?:"([^"\\]*(?:\\.[^"\\]*)*)"|\[([^\]]*)\]|([^ "\[][^ ]*))', re.S
-)
+_TOKEN_RE = re.compile(rf" *(?:{_QUOTED}|\[([^\]]*)\]|{_BARE})", re.S)
 _ESCAPE_RE = re.compile(r"\\(.)", re.S)
 
 
@@ -101,21 +114,53 @@ class PathStats:
 # parsing and rendering
 # ---------------------------------------------------------------------------
 
-def _parse_timestamp(text: str, line: str) -> datetime:
-    m = _TS_RE.match(text)
-    if m is None:
-        raise LineParseError(f"bad timestamp: {text!r}", line)
-    day, mon, year, hh, mm, ss, sign, zh, zm = m.groups()
+def _absent(text: str) -> str | None:
+    return None if text == "-" else text
+
+
+def _unescape(text: str) -> str:
+    return _ESCAPE_RE.sub(r"\1", text) if "\\" in text else text
+
+
+def _check_resource(resource: str, line: str) -> str:
+    if not (resource.startswith("/") or resource == "*"):
+        raise LineParseError(f"bad resource: {resource!r}", line)
+    return resource
+
+
+def _parse_status(text: str, line: str) -> int:
+    status = _STATUS_CODES.get(text)
+    if status is None:
+        raise LineParseError(f"bad status: {text!r}", line)
+    return status
+
+
+def _parse_bytes(text: str, line: str) -> int | None:
+    if text == "-":
+        return None
+    if not (text.isascii() and text.isdigit()):
+        raise LineParseError(f"bad byte count: {text!r}", line)
+    return int(text)
+
+
+def _parse_timestamp(
+    day: str, mon: str, year: str, hh: str, mm: str, ss: str, zone: str, line: str
+) -> datetime:
+    """The parts of ``dd/Mon/yyyy:HH:MM:SS +zzzz`` as an aware datetime."""
     month = _MONTH_NUM.get(mon)
     if month is None:
         raise LineParseError(f"bad month: {mon!r}", line)
-    offset = timedelta(hours=int(zh), minutes=int(zm))
-    if sign == "-":
-        offset = -offset
-    return datetime(
-        int(year), month, int(day), int(hh), int(mm), int(ss),
-        tzinfo=timezone(offset),
-    )
+    tzinfo = _ZONES.get(zone)
+    try:
+        if tzinfo is None:
+            if zone[3] > "5":
+                raise ValueError("zone minutes out of range")
+            offset = timedelta(hours=int(zone[1:3]), minutes=int(zone[3:]))
+            tzinfo = _ZONES[zone] = timezone(-offset if zone[0] == "-" else offset)
+        return datetime(int(year), month, int(day), int(hh), int(mm), int(ss), 0, tzinfo)
+    except ValueError:
+        text = f"{day}/{mon}/{year}:{hh}:{mm}:{ss} {zone}"
+        raise LineParseError(f"bad timestamp: {text!r}", line) from None
 
 
 def _format_timestamp(value: datetime) -> str:
@@ -147,9 +192,7 @@ def _split_tokens(line: str) -> list[str]:
             raise LineParseError(message, line)
         quoted, bracketed, bare = m.groups()
         if quoted is not None:
-            if "\\" in quoted:
-                quoted = _ESCAPE_RE.sub(r"\1", quoted)
-            tokens.append('"' + quoted)
+            tokens.append('"' + _unescape(quoted))
         else:
             tokens.append(bare if bracketed is None else bracketed)
         pos = m.end()
@@ -160,10 +203,36 @@ def parse_log_line(line: str, log_format: str = "ECLF") -> EclfEntry:
     """Parse one CLF or ECLF line into its fields.
 
     ECLF is CLF plus quoted referrer and user agent; a trailing quoted
-    cookies field is kept when present.  '-' marks an absent value.
+    cookies field is kept when present.  '-' marks an absent value.  A
+    well-formed line is read with one match; any other line is split into
+    tokens, which either parse or name the first field at fault.
     """
-    if log_format not in ("CLF", "ECLF"):
+    pattern = _LINE_RE.get(log_format)
+    if pattern is None:
         raise ValueError(f"log_format must be CLF or ECLF, got {log_format!r}")
+    m = pattern.fullmatch(line)
+    if m is None:
+        return _parse_tokens(line, log_format)
+    fields = m.groups()
+    resource = _check_resource(fields[11], line)
+    status = _parse_status(fields[13], line)
+    bytes_sent = _parse_bytes(fields[14], line)
+    entry = EclfEntry(
+        fields[0], _absent(fields[1]), _absent(fields[2]),
+        _parse_timestamp(*fields[3:10], line),
+        fields[10], resource, fields[12], status, bytes_sent,
+    )
+    if log_format == "ECLF":
+        referrer, agent, cookies = fields[15:]
+        entry.referrer = _absent(_unescape(referrer))
+        entry.user_agent = _absent(_unescape(agent))
+        if cookies is not None:
+            entry.cookies = _unescape(cookies)
+    return entry
+
+
+def _parse_tokens(line: str, log_format: str) -> EclfEntry:
+    """:func:`parse_log_line` for a line its format's pattern does not match."""
     tokens = _split_tokens(line)
     expected = 7 if log_format == "CLF" else 9
     if len(tokens) < expected or len(tokens) > expected + (0 if log_format == "CLF" else 1):
@@ -173,35 +242,21 @@ def parse_log_line(line: str, log_format: str = "ECLF") -> EclfEntry:
     ip, identd, authuser, ts_text, request = tokens[:5]
     if not request.startswith('"'):
         raise LineParseError("request line must be quoted", line)
-    identd = None if identd == "-" else identd
-    authuser = None if authuser == "-" else authuser
     parts = request[1:].split(" ")
     if len(parts) != 3:
         raise LineParseError(f"bad request line: {request[1:]!r}", line)
     method, resource, protocol = parts
-    if not (resource.startswith("/") or resource == "*"):
-        raise LineParseError(f"bad resource: {resource!r}", line)
-    try:
-        status = int(tokens[5])
-    except ValueError:
-        raise LineParseError(f"bad status: {tokens[5]!r}", line) from None
-    if not 100 <= status <= 599:
-        raise LineParseError(f"status out of range: {status}", line)
-    raw_bytes = tokens[6]
-    if raw_bytes == "-":
-        bytes_sent = None
-    else:
-        try:
-            bytes_sent = int(raw_bytes)
-        except ValueError:
-            raise LineParseError(f"bad byte count: {raw_bytes!r}", line) from None
-        if bytes_sent < 0:
-            raise LineParseError(f"negative byte count: {bytes_sent}", line)
+    resource = _check_resource(resource, line)
+    status = _parse_status(tokens[5], line)
+    bytes_sent = _parse_bytes(tokens[6], line)
+    stamp = _TS_RE.fullmatch(ts_text)
+    if stamp is None:
+        raise LineParseError(f"bad timestamp: {ts_text!r}", line)
     entry = EclfEntry(
         ip=ip,
-        identd=identd,
-        authuser=authuser,
-        timestamp=_parse_timestamp(ts_text, line),
+        identd=_absent(identd),
+        authuser=_absent(authuser),
+        timestamp=_parse_timestamp(*stamp.groups(), line),
         method=method,
         resource=resource,
         protocol=protocol,
@@ -209,6 +264,8 @@ def parse_log_line(line: str, log_format: str = "ECLF") -> EclfEntry:
         bytes_sent=bytes_sent,
     )
     if log_format == "ECLF":
+        # Quoted tokens carry their opening '"'; a bare token here loses its
+        # first character the same way.
         entry.referrer = None if tokens[7] == '"-' else tokens[7][1:]
         entry.user_agent = None if tokens[8] == '"-' else tokens[8][1:]
         if len(tokens) == 10:

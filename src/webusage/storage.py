@@ -602,9 +602,6 @@ class LogStore:
             cur = self._conn.execute("DELETE FROM open_sessions WHERE session_token = ?", (token,))
             return cur.rowcount > 0
 
-    def iter_open_sessions(self) -> list[OpenSession]:
-        return self._select("open_sessions", "ORDER BY opn_id")
-
     def open_sessions_idle_since(self, cutoff: datetime) -> list[OpenSession]:
         """Open sessions last active at or before ``cutoff`` taken to the
         whole second, by opn_id."""
@@ -638,10 +635,6 @@ class LogStore:
             )
             if cur.rowcount == 0:
                 raise NotFoundError(f"no page row {page_id}")
-
-    def get_page(self, page_id: int) -> PageRecord | None:
-        rows = self._select("log_page", "WHERE log_details_id = ?", (page_id,))
-        return rows[0] if rows else None
 
     def page_count(self) -> int:
         return self._query("SELECT COUNT(*) FROM log_page")[0][0]

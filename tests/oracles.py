@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import csv
 import ipaddress
+import re
 import urllib.parse
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import NamedTuple
@@ -24,10 +25,10 @@ from webusage.analytics import (
     bucket_label,
     pageviews_per_session,
 )
-from webusage.baseline import LineParseError
+from webusage.baseline import EclfEntry, LineParseError
 from webusage.enrichment import UNKNOWN, ip_to_int
 from webusage.events import RawRequestEvent, ReplayFormatError
-from webusage.storage import NO_GENDER_TYPES, USER_TYPES
+from webusage.storage import NO_GENDER_TYPES, USER_TYPES, LogStore, OpenSession, PageRecord
 
 USER_TYPE_ORDER = (
     "guest",
@@ -342,6 +343,92 @@ def split_tokens_reference(line: str) -> list[str]:
             tokens.append(line[i:end])
             i = end
     return tokens
+
+
+_MONTHS_REFERENCE = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+                     "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+_STAMP_REFERENCE = re.compile(
+    r"([0-9]{2})/([A-Za-z]{3})/([0-9]{4}):([0-9]{2}):([0-9]{2}):([0-9]{2})"
+    r" ([+-])([0-9]{2})([0-9]{2})"
+)
+
+
+def parse_log_line_reference(line: str, log_format: str = "ECLF") -> EclfEntry:
+    """The token-by-token CLF/ECLF parser, the reference for
+    ``baseline.parse_log_line``.
+
+    Status is ``[1-5][0-9][0-9]``, bytes ``-`` or ``[0-9]+``, timestamp
+    digits ``[0-9]``; a date, time or zone offset that does not exist is a
+    bad timestamp.
+    """
+    tokens = split_tokens_reference(line)
+    expected = 7 if log_format == "CLF" else 9
+    most = expected + (1 if log_format == "ECLF" else 0)
+    if not expected <= len(tokens) <= most:
+        raise LineParseError(
+            f"expected {expected} fields for {log_format}, got {len(tokens)}", line
+        )
+    ip, identd, authuser, ts_text, request, status_text, bytes_text = tokens[:7]
+    if not request.startswith('"'):
+        raise LineParseError("request line must be quoted", line)
+    parts = request[1:].split(" ")
+    if len(parts) != 3:
+        raise LineParseError(f"bad request line: {request[1:]!r}", line)
+    method, resource, protocol = parts
+    if not (resource.startswith("/") or resource == "*"):
+        raise LineParseError(f"bad resource: {resource!r}", line)
+    if re.fullmatch(r"[1-5][0-9][0-9]", status_text) is None:
+        raise LineParseError(f"bad status: {status_text!r}", line)
+    if bytes_text == "-":
+        bytes_sent = None
+    elif re.fullmatch(r"[0-9]+", bytes_text) is None:
+        raise LineParseError(f"bad byte count: {bytes_text!r}", line)
+    else:
+        bytes_sent = int(bytes_text)
+    m = _STAMP_REFERENCE.fullmatch(ts_text)
+    if m is None:
+        raise LineParseError(f"bad timestamp: {ts_text!r}", line)
+    day, mon, year, hh, mm, ss, sign, zh, zm = m.groups()
+    if mon not in _MONTHS_REFERENCE:
+        raise LineParseError(f"bad month: {mon!r}", line)
+    try:
+        if int(zm) >= 60:
+            raise ValueError(zm)
+        offset = timedelta(hours=int(zh), minutes=int(zm))
+        timestamp = datetime(
+            int(year), _MONTHS_REFERENCE.index(mon) + 1, int(day), int(hh), int(mm), int(ss),
+            tzinfo=timezone(-offset if sign == "-" else offset),
+        )
+    except ValueError:
+        raise LineParseError(f"bad timestamp: {ts_text!r}", line) from None
+    entry = EclfEntry(
+        ip=ip,
+        identd=None if identd == "-" else identd,
+        authuser=None if authuser == "-" else authuser,
+        timestamp=timestamp,
+        method=method,
+        resource=resource,
+        protocol=protocol,
+        status=int(status_text),
+        bytes_sent=bytes_sent,
+    )
+    if log_format == "ECLF":
+        entry.referrer = None if tokens[7] == '"-' else tokens[7][1:]
+        entry.user_agent = None if tokens[8] == '"-' else tokens[8][1:]
+        if len(tokens) == 10:
+            entry.cookies = tokens[9][1:]
+    return entry
+
+
+def get_page(store: LogStore, page_id: int) -> PageRecord | None:
+    """The decoded page row with this id, or None."""
+    rows = store._select("log_page", "WHERE log_details_id = ?", (page_id,))
+    return rows[0] if rows else None
+
+
+def iter_open_sessions(store: LogStore) -> list[OpenSession]:
+    """Every open-session row, by opn_id."""
+    return store._select("open_sessions", "ORDER BY opn_id")
 
 
 def parse_load_time(text: str) -> float:

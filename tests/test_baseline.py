@@ -14,6 +14,7 @@ from webusage.baseline import (
     UniverseMismatchError,
     Visit,
     VisitEvent,
+    _LINE_RE,
     _split_tokens,
     complete_paths,
     filter_entries,
@@ -58,6 +59,56 @@ TOKENIZER_TEXT = st.one_of(
         max_size=15,
     ).map("".join),
 )
+
+# Valid entries for render_log_line, and the characters the parser treats
+# specially, for mutating the rendered lines.
+BARE_FIELD = st.text(alphabet="abz019.:-", min_size=1, max_size=6)
+QUOTED_FIELD = st.none() | st.text(alphabet=' "[]\\-+09az/é', max_size=10)
+LOG_ENTRIES = st.builds(
+    EclfEntry,
+    ip=BARE_FIELD,
+    identd=BARE_FIELD,
+    authuser=BARE_FIELD,
+    timestamp=st.datetimes(
+        min_value=datetime(1, 1, 2),
+        max_value=datetime(9999, 12, 30),
+        timezones=st.integers(-1439, 1439).map(lambda m: timezone(timedelta(minutes=m))),
+    ),
+    method=st.sampled_from(["GET", "POST", "HEAD"]),
+    resource=st.sampled_from(["/", "*", "/a.php?x=1", "/img/b.png"]),
+    protocol=st.sampled_from(["HTTP/1.0", "HTTP/1.1"]),
+    status=st.integers(100, 599),
+    bytes_sent=st.none() | st.integers(0, 10**6),
+    referrer=QUOTED_FIELD,
+    user_agent=QUOTED_FIELD,
+    cookies=QUOTED_FIELD,
+)
+# (position, character to insert there, or None to delete the one there)
+LINE_MUTATIONS = st.lists(
+    st.tuples(st.integers(0, 10**4), st.none() | st.sampled_from(list('"[]\\-+ 0123456789'))),
+    max_size=4,
+)
+
+
+def _mutate(line: str, mutations) -> str:
+    for position, char in mutations:
+        if char is not None:
+            position %= len(line) + 1
+            line = line[:position] + char + line[position:]
+        elif line:
+            position %= len(line)
+            line = line[:position] + line[position + 1:]
+    return line
+
+
+def _parse_outcome(parse, line, log_format):
+    """What a parser makes of a line; the offset is compared too, because
+    aware datetimes compare equal across zones."""
+    try:
+        entry = parse(line, log_format)
+    except LineParseError as exc:
+        return ("error", str(exc), exc.line)
+    return ("ok", entry, entry.timestamp.utcoffset())
 
 
 def _line(
@@ -185,6 +236,91 @@ class TestParse:
     def test_round_trip_variants(self, kwargs):
         line = _line(**kwargs)
         assert render_log_line(parse_log_line(line)) == line
+
+
+class TestParseMatchesReference:
+    """parse_log_line reads a well-formed line with one match and any other
+    line token by token; both give what the reference parser gives."""
+
+    @settings(max_examples=3000)
+    @given(
+        LOG_ENTRIES,
+        st.sampled_from(["ECLF", "CLF"]),
+        st.sampled_from(["ECLF", "CLF"]),
+        LINE_MUTATIONS,
+    )
+    def test_mutated_lines(self, entry, written, read, mutations):
+        line = _mutate(render_log_line(entry, written), mutations)
+        assert _parse_outcome(parse_log_line, line, read) == _parse_outcome(
+            oracles.parse_log_line_reference, line, read
+        )
+
+    @pytest.mark.parametrize("line, log_format, field, value", [
+        ('"10.0.0.1" - - [02/Sep/2021:10:00:00 +0300] "GET /a.php HTTP/1.1" 200 5',
+         "CLF", "resource", "/a.php"),
+        ('10.0.0.1 - - 02/Sep/2021:10:00:00 +0300 "GET /a.php HTTP/1.1" 200 5 "-" "ua"',
+         "ECLF", "error", "request line must be quoted"),
+        (_line(request='GET /a\\"b.php HTTP/1.1'), "ECLF", "resource", '/a"b.php'),
+        ('10.0.0.1  -  - [02/Sep/2021:10:00:00 +0300]   "GET /a.php HTTP/1.1" 200  5  "-" "ua" ',
+         "ECLF", "bytes_sent", 5),
+        (_line() + '  "sid=abc; lang=tr"', "ECLF", "cookies", "sid=abc; lang=tr"),
+        (_line(when="02/Sep/2021:10:00:00 +0300 "), "ECLF", "error",
+         "bad timestamp: '02/Sep/2021:10:00:00 +0300 '"),
+    ])
+    def test_token_path_examples(self, line, log_format, field, value):
+        assert _LINE_RE[log_format].fullmatch(line) is None
+        outcome = _parse_outcome(parse_log_line, line, log_format)
+        assert outcome == _parse_outcome(oracles.parse_log_line_reference, line, log_format)
+        if field == "error":
+            assert outcome[:2] == ("error", value)
+        else:
+            assert getattr(outcome[1], field) == value
+
+    def test_well_formed_lines_take_one_match(self):
+        for line in (SAMPLE, SAMPLE + ' "sid=abc"', _line(agent='weird \\"quoted\\" agent')):
+            assert _LINE_RE["ECLF"].fullmatch(line) is not None
+        assert _LINE_RE["CLF"].fullmatch(SAMPLE.split(' "http')[0]) is not None
+
+    @pytest.mark.parametrize("when", [
+        "31/Feb/2021:10:00:00 +0300",
+        "00/Sep/2021:10:00:00 +0300",
+        "02/Sep/0000:10:00:00 +0300",
+        "02/Sep/2021:25:00:00 +0300",
+        "02/Sep/2021:10:60:00 +0300",
+        "02/Sep/2021:10:00:60 +0300",
+        "02/Sep/2021:10:00:00 +9999",
+        "02/Sep/2021:10:00:00 +2400",
+        "02/Sep/2021:10:00:00 -0060",
+    ])
+    @pytest.mark.parametrize("spaces", [" ", "  "])
+    def test_impossible_timestamp_is_a_parse_error(self, when, spaces):
+        line = _line(when=when).replace(" ", spaces, 1)
+        with pytest.raises(LineParseError) as info:
+            parse_log_line(line)
+        assert str(info.value) == f"bad timestamp: {when!r}"
+        assert info.value.line == line
+
+    @pytest.mark.parametrize(
+        "status", ["+200", "2_00", "0200", "\uff12\uff10\uff10", "200\n", "99", "600"]
+    )
+    def test_status_outside_grammar_rejected(self, status):
+        with pytest.raises(LineParseError) as info:
+            parse_log_line(_line(status=status))
+        assert str(info.value) == f"bad status: {status!r}"
+
+    @pytest.mark.parametrize("size", ["1_000", "+5", "-5", "\u0663", "5\n", "\u00b2"])
+    def test_byte_count_outside_grammar_rejected(self, size):
+        with pytest.raises(LineParseError) as info:
+            parse_log_line(_line(size=size))
+        assert str(info.value) == f"bad byte count: {size!r}"
+
+    @pytest.mark.parametrize(
+        "when", ["\u06602/Sep/2021:10:00:00 +0300", "02/Sep/2021:10:00:00 +\u0660300"]
+    )
+    def test_timestamp_digits_are_ascii(self, when):
+        with pytest.raises(LineParseError) as info:
+            parse_log_line(_line(when=when))
+        assert str(info.value) == f"bad timestamp: {when!r}"
 
 
 class TestSplitTokens:

@@ -249,6 +249,17 @@ class TestPreprocess:
                     "incomplete_paths:"):
             assert key in printed
 
+    def test_impossible_timestamp_counts_as_parse_error(self, workspace, tmp_path, capsys):
+        lines = workspace["eclf"].read_text(encoding="utf-8").splitlines()
+        stamp = re.search(r"\[([^\]]*)\]", lines[1]).group(1)
+        lines.insert(1, lines[1].replace(stamp, "31/Feb/2021:10:00:00 +0300"))
+        log = tmp_path / "access.log"
+        log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = main(["preprocess", str(log), "--out", str(tmp_path / "s.csv")])
+        printed = capsys.readouterr().out
+        assert rc == 0
+        assert f"lines: {len(lines)}\nparse_errors: 1\n" in printed
+
     def test_missing_log_exits_2(self, tmp_path, capsys):
         rc = main(["preprocess", str(tmp_path / "gone.log"),
                    "--out", str(tmp_path / "s.csv")])
@@ -548,7 +559,7 @@ class TestCollectSessions:
     def test_final_sweep_closes_every_session_at_its_last_page(self, workspace):
         store = LogStore(workspace["store"].resolve().as_uri() + "?mode=ro")
         try:
-            assert list(store.iter_open_sessions()) == []
+            assert list(oracles.iter_open_sessions(store)) == []
             last_page = {}
             for session, page in store.join_sessions_pages():
                 assert (page.log_uid, page.log_username) == (session.user_id, session.username)

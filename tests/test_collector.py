@@ -16,6 +16,8 @@ from webusage.compare import collector_report
 from webusage.events import AppPageResult, RawRequestEvent
 from webusage.storage import LogStore, NotFoundError, UserInfo, deserialize_map
 
+import oracles
+
 T0 = datetime(2021, 9, 2, 10, 0, 0)
 HOSTS = ["www.server.com"]
 
@@ -79,7 +81,7 @@ class TestRequestBegin:
 
     def test_malformed_url_flagged_but_stored(self, collector, mem_store):
         collector.handle_request_begin(_event(url="http://[badbracket/x"))
-        page = mem_store.get_page(1)
+        page = oracles.get_page(mem_store, 1)
         assert page.log_url == "http://[badbracket/x"
         assert page.log_url_malformed is True
 
@@ -115,7 +117,7 @@ class TestRequestBegin:
         opn, page_id = collector.handle_request_begin(
             _event(auth_user="user9", get_params={"page": "info"})
         )
-        page = mem_store.get_page(page_id)
+        page = oracles.get_page(mem_store, page_id)
         assert deserialize_map(page.log_session_serialize) == {
             "ses_id": str(opn),
             "ses_uid": "166553",
@@ -159,7 +161,7 @@ class TestRequestEnd:
             page_load_time=0.0266,
         )
         collector.handle_request_end(page_id, result)
-        page = mem_store.get_page(page_id)
+        page = oracles.get_page(mem_store, page_id)
         assert page.log_page_load_time == pytest.approx(0.0266)
         assert page.log_web_message == "Welcome to WebGate"
 
@@ -167,9 +169,9 @@ class TestRequestEnd:
         _, page_id = collector.handle_request_begin(_event())
         result = AppPageResult(page_title="Info", page_load_time=0.0266)
         collector.handle_request_end(page_id, result)
-        once = mem_store.get_page(page_id)
+        once = oracles.get_page(mem_store, page_id)
         collector.handle_request_end(page_id, result)
-        assert mem_store.get_page(page_id) == once
+        assert oracles.get_page(mem_store, page_id) == once
 
     def test_unknown_page_id(self, collector):
         with pytest.raises(NotFoundError):
@@ -207,7 +209,7 @@ class TestConcurrentRequests:
         assert store.page_count() == n_threads * n_requests
         untitled = store._query("SELECT COUNT(*) FROM log_page WHERE log_page_title = ''")
         assert untitled[0][0] == 0
-        assert len(store.iter_open_sessions()) == n_threads
+        assert len(oracles.iter_open_sessions(store)) == n_threads
         store.close()
 
 
@@ -248,7 +250,7 @@ class TestSharedStore:
         opn, _ = b.handle_request_begin(_event("tokB", 5, auth_user="bob"))
         assert opn == 1  # the id the failed event rolled back
         _, page_id = a.handle_request_begin(_event("tokB", 10))
-        page = mem_store.get_page(page_id)
+        page = oracles.get_page(mem_store, page_id)
         assert (page.log_uid, page.log_username) == (2, "bob")
 
     def test_page_on_a_session_opened_by_another_collector(self, mem_store):
@@ -258,7 +260,7 @@ class TestSharedStore:
         opn, _ = a.handle_request_begin(_event(auth_user="u0007"))
         again, page_id = b.handle_request_begin(_event(seconds=10))
         assert again == opn
-        page = mem_store.get_page(page_id)
+        page = oracles.get_page(mem_store, page_id)
         assert (page.log_uid, page.log_username) == (7, "u0007")
 
 
@@ -291,7 +293,7 @@ class TestSessionsContract:
         again, page_id = collector.handle_request_begin(_event(seconds=10, auth_user="u0007"))
         assert again == opn
         assert mem_store.get_session(opn).user_id is None
-        page = mem_store.get_page(page_id)
+        page = oracles.get_page(mem_store, page_id)
         assert (page.log_uid, page.log_username) == (None, None)
 
 
@@ -346,12 +348,12 @@ class TestReplay:
     def test_final_sweep_closes_everything(self, mem_store):
         collector = Collector(mem_store, site_hosts=HOSTS)
         replay_stream(collector, self._events())
-        assert list(mem_store.iter_open_sessions()) == []
+        assert list(oracles.iter_open_sessions(mem_store)) == []
 
     def test_no_final_sweep_leaves_open(self, mem_store):
         collector = Collector(mem_store, site_hosts=HOSTS)
         replay_stream(collector, self._events(), final_sweep=False)
-        assert len(list(mem_store.iter_open_sessions())) == 2
+        assert len(list(oracles.iter_open_sessions(mem_store))) == 2
 
     def test_failed_event_leaves_no_trace_in_batch(self, mem_store):
         collector = Collector(mem_store, site_hosts=HOSTS)
@@ -373,7 +375,7 @@ class TestReplay:
         )[0][0]
         assert pageless == 0
         assert mem_store.session_count() == 2
-        assert [o.session_token for o in mem_store.iter_open_sessions()] == ["tokA", "tokC"]
+        assert [o.session_token for o in oracles.iter_open_sessions(mem_store)] == ["tokA", "tokC"]
         assert mem_store.get_open_session("tokA").last_activity == T0
 
     def test_replay_deterministic(self, tmp_path):

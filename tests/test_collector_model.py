@@ -17,6 +17,8 @@ from webusage.collector import CollectionError, Collector
 from webusage.events import AppPageResult, RawRequestEvent
 from webusage.storage import LogStore, UserInfo
 
+import oracles
+
 T0 = datetime(2021, 9, 2, 23, 58, 0)
 TIMEOUT = 60.0
 ACCOUNTS = {"alice": 1, "bob": 2}  # "ghost" signs in without an account
@@ -102,7 +104,7 @@ class CollectorMachine(RuleBasedStateMachine):
     @rule(c=COLLECTOR, page_id=pages, title=st.text(max_size=5))
     def end(self, c, page_id, title):
         self.collectors[c].handle_request_end(page_id, AppPageResult(page_title=title))
-        assert self.store.get_page(page_id).log_page_title == title
+        assert oracles.get_page(self.store, page_id).log_page_title == title
 
     @rule(c=COLLECTOR, token=TOKEN)
     def logout(self, c, token):
@@ -118,7 +120,7 @@ class CollectorMachine(RuleBasedStateMachine):
     @invariant()
     def store_matches_model(self):
         open_rows = {o.session_token: (o.opn_id, o.last_activity)
-                     for o in self.store.iter_open_sessions()}
+                     for o in oracles.iter_open_sessions(self.store)}
         assert open_rows == {t: (s[0], s[1]) for t, s in self.model.open.items()}
         sessions, last_page = {}, {}
         for session, page in self.store.join_sessions_pages():

@@ -2,9 +2,10 @@
 and the same lines on every run of one checkout, workload and seed.
 
 tests/data/output_digests_<workload>_seed<N>.txt pin those lines: any
-change to the bytes of a report, an export, the sessions CSV or the compare
-output shows up here.  A change that means to alter an output regenerates
-the file with the script and says so."""
+change to the bytes of a report, an export, the sessions CSV, the
+preprocess counters or the compare output shows up here.  A change that
+means to alter an output regenerates the file with the script and says
+so."""
 
 import importlib.util
 import re
@@ -36,7 +37,8 @@ def test_two_runs_print_the_same_lines(capsys):
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
     names = [line.split("  ", 1)[1] for line in lines]
     assert names == sorted(names)
-    expected = {"sessions.csv", "compare.txt", "report/top-ips-n3.csv", "report/top-users-n3.csv"}
+    expected = {"sessions.csv", "preprocess.txt", "compare.txt",
+                "report/top-ips-n3.csv", "report/top-users-n3.csv"}
     expected |= {f"report/{kind}.{ext}" for kind in REPORT_KINDS for ext in ("csv", "plot")}
     expected |= {
         f"export/{table}.csv"

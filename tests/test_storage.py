@@ -25,7 +25,7 @@ from webusage.storage import (
     serialize_map,
     text_to_dt,
 )
-from oracles import parse_load_time
+from oracles import get_page, iter_open_sessions, parse_load_time
 
 T0 = datetime(2021, 9, 2, 10, 12, 18)
 
@@ -273,7 +273,7 @@ class TestPages:
             log_page_load_time=parse_load_time("0,0266"),
         )
         page_id = mem_store.insert_page(rec)
-        got = mem_store.get_page(page_id)
+        got = get_page(mem_store, page_id)
         rec.log_details_id = page_id
         assert got == rec
         assert deserialize_map(got.log_get_serialize) == {"page": "info"}
@@ -281,7 +281,7 @@ class TestPages:
     def test_log_date_defaults_to_datetime_date(self, mem_store):
         opn = mem_store.insert_session(_session())
         page_id = mem_store.insert_page(_page(opn))
-        assert mem_store.get_page(page_id).log_date == T0.date()
+        assert get_page(mem_store, page_id).log_date == T0.date()
 
     def test_log_date_mismatch_rejected(self, mem_store):
         opn = mem_store.insert_session(_session())
@@ -301,7 +301,7 @@ class TestPages:
             page_id,
             AppPageResult(page_title="Info", web_message="hi", page_load_time=0.0266),
         )
-        got = mem_store.get_page(page_id)
+        got = get_page(mem_store, page_id)
         assert got.log_page_title == "Info"
         assert got.log_page_load_time == pytest.approx(0.0266)
 
@@ -359,7 +359,7 @@ class TestUsersAndOpenSessions:
         for i in range(3):
             opn = mem_store.insert_session(_session())
             mem_store.put_open_session(OpenSession(f"tok{i}", opn, None, T0, T0))
-        assert len(list(mem_store.iter_open_sessions())) == 3
+        assert len(list(iter_open_sessions(mem_store))) == 3
 
 
 class TestJoin:
