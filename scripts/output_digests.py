@@ -5,12 +5,13 @@
 
 The workload settings come from the benchmark's ``perfbench/workloads.py``.
 In a temporary directory the script runs ``webusage simulate`` with those
-settings, then ``collect``, ``preprocess`` (its sessions CSV and the
-counters it prints), every report kind as CSV and as ``--plot``,
-``top-ips``/``top-users`` with ``--n 3``, ``compare`` and ``export``, all
-in-process through ``webusage.cli.main``.  It prints one
-``sha256  name`` line per output, sorted by name, so two checkouts compare
-with a single ``diff`` of their lines.  Exits 1 if a command fails.
+settings (its replay, access log and truth files), then ``collect``,
+``preprocess`` (its sessions CSV and the counters it prints), every report
+kind as CSV and as ``--plot``, ``top-ips``/``top-users`` with ``--n 3``,
+``compare`` and ``export``, all in-process through ``webusage.cli.main``.
+It prints one ``sha256  name`` line per output, sorted by name, so two
+checkouts compare with a single ``diff`` of their lines.  Exits 1 if a
+command fails.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ def output_digests(workload, seed: int, work: Path) -> dict[str, str]:
          "--users", str(inputs / "truth.csv")])
     stats = run(["preprocess", str(inputs / "access.log"), "--out", str(sessions)])
 
-    outputs = {"sessions.csv": sessions.read_bytes(), "preprocess.txt": stats}
+    outputs = {f"simulate/{path.name}": path.read_bytes() for path in inputs.iterdir()}
+    outputs.update({"sessions.csv": sessions.read_bytes(), "preprocess.txt": stats})
     report = ["report", "--store", str(store), "--kind"]
     for kind in cli.REPORT_KINDS:
         outputs[f"report/{kind}.csv"] = run(report + [kind])

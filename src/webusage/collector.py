@@ -27,7 +27,6 @@ from .storage import (
     PageRecord,
     SessionRecord,
     StorageError,
-    serialize_map,
 )
 
 DEFAULT_TIMEOUT = 1800.0
@@ -250,10 +249,10 @@ class Collector:
             log_app_service=event.app_service,
             log_module=event.module,
             log_url=event.url,
-            log_cookie_serialize=serialize_map(event.cookies),
-            log_session_serialize=serialize_map(session_map),
-            log_post_serialize=serialize_map(event.post_params),
-            log_get_serialize=serialize_map(event.get_params),
+            log_cookie_serialize=event.cookies,
+            log_session_serialize=session_map,
+            log_post_serialize=event.post_params,
+            log_get_serialize=event.get_params,
             log_url_malformed=_is_malformed_url(event.url),
         )
         return self.store.insert_page(page)

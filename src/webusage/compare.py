@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Hashable
 
 from .baseline import AccuracyReport, UniverseMismatchError, score_labelings, truth_labels
-from .storage import LogStore, UserInfo, deserialize_map
+from .storage import LogStore, UserInfo
 from .truth import GroundTruth
 
 
@@ -54,7 +54,7 @@ def collector_report(store: LogStore, truth: GroundTruth) -> AccuracyReport:
         if user_id is not None:
             user_label: Hashable = ("account", user_id)
         else:
-            token = deserialize_map(cookies).get("sid")
+            token = cookies.get("sid")
             user_label = ("cookie", token) if token else ("lone", opn_id)
         pred_session[truth_event.event_seq] = opn_id
         pred_user[truth_event.event_seq] = user_label

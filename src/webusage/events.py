@@ -55,7 +55,8 @@ class RawRequestEvent:
     """One HTTP request as seen by the application tier.
 
     ``session_token`` is always present: the serving layer issues one on the
-    first response even when the client arrived without a cookie.
+    first response even when the client arrived without a cookie.  A
+    ``timestamp`` with a UTC offset is kept as the naive UTC time it names.
     """
 
     client_ip: str
@@ -78,6 +79,8 @@ class RawRequestEvent:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if not self.session_token:
             raise ValueError("session_token must be non-empty")
+        if self.timestamp.tzinfo is not None:
+            self.timestamp = self.timestamp.astimezone(timezone.utc).replace(tzinfo=None)
         if self.referrer == "":
             self.referrer = None
         if self.auth_user == "":
@@ -168,8 +171,6 @@ def parse_replay_line(line: str, line_no: int | None = None) -> RawRequestEvent:
         when = datetime.fromisoformat(values["time"])
     except ValueError as exc:
         raise ReplayFormatError(f"bad time: {exc}", line_no) from None
-    if when.tzinfo is not None:
-        when = when.astimezone(timezone.utc).replace(tzinfo=None)
     try:
         server = int(values.get("server", "1"))
     except ValueError:

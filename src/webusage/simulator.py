@@ -30,12 +30,11 @@ from typing import Iterable, TextIO
 
 from .baseline import EclfEntry, render_log_line
 from .events import RawRequestEvent, write_replay
-from .storage import NO_GENDER_TYPES, USER_TYPES
+from .storage import NO_GENDER_TYPES
 from .truth import GroundTruth, TruthEvent, TruthSession, TruthUser, save_truth
 
 SITE_HOST = "www.campus.example"
 BASE_EPOCH = 1_630_540_800  # 2021-09-02 00:00:00 UTC
-DEVICE_TYPES = ("desktop", "mobile", "tablet")
 
 _EPOCH0 = datetime(1970, 1, 1)
 
@@ -176,8 +175,6 @@ class ConfigError(ValueError):
 class WorkloadConfig:
     seed: int = 42
     n_users: int = 50
-    user_type_mix: tuple[tuple[str, float], ...] = DEFAULT_USER_TYPE_MIX
-    device_mix: tuple[tuple[str, float], ...] = DEFAULT_DEVICE_MIX
     session_rate: float = 5.0
     pageviews_per_session_mean: float = 7.0
     timeout: float = 1800.0
@@ -211,19 +208,6 @@ class WorkloadConfig:
         share("dynamic-ip-share", self.dynamic_ip_share)
         share("cookie-loss-share", self.cookie_loss_share)
         share("cached-nav-share", self.cached_nav_share)
-        for flag, mix, valid in (
-            ("user-type-mix", self.user_type_mix, USER_TYPES),
-            ("device-mix", self.device_mix, DEVICE_TYPES),
-        ):
-            if not mix:
-                problems.append((flag, "must not be empty"))
-                continue
-            if any(w < 0 for _, w in mix):
-                problems.append((flag, "weights must be non-negative"))
-            if abs(sum(w for _, w in mix) - 1.0) > 1e-9:
-                problems.append((flag, "weights must sum to 1"))
-            if any(name not in valid for name, _ in mix):
-                problems.append((flag, f"names must be among {valid}"))
         if problems:
             raise ConfigError(problems)
 
@@ -319,8 +303,8 @@ def _make_people(config: WorkloadConfig, rng: random.Random,
     people = []
     token_seq = 0
     for user_id in range(1, config.n_users + 1):
-        user_type = _pick(rng, config.user_type_mix)
-        device = _pick(rng, config.device_mix)
+        user_type = _pick(rng, DEFAULT_USER_TYPE_MIX)
+        device = _pick(rng, DEFAULT_DEVICE_MIX)
         agent = _pick(rng, _AGENTS[device])
         language = _pick(rng, _LANGUAGES)
         pool = _pick(rng, [(i, w) for i, (_, _, w) in enumerate(_IP_POOLS)])
@@ -431,45 +415,39 @@ def generate(config: WorkloadConfig) -> tuple[list[RawRequestEvent], GroundTruth
         per_user_events[person.user_id] = events
 
     by_id = {p.user_id: p for p in people}
-    ordered: list[tuple[int, int, int]] = []  # (epoch, user_id, per-user index)
+    # Every event as (epoch, user id, per-user index), and the true sessions:
+    # token runs with no pause above the timeout.  A run is [start epoch,
+    # user id, first index, last index]; sorting the lists numbers them by
+    # start, then user, then run order, and each run then ends with its
+    # session id.
+    ordered: list[tuple[int, int, int]] = []
+    runs: list[list[int]] = []
+    run_of: dict[tuple[int, int], list[int]] = {}
     for user_id, events in per_user_events.items():
+        previous: _SimEvent | None = None
         for index, event in enumerate(events):
             ordered.append((event.epoch, user_id, index))
-    ordered.sort()
-
-    # True sessions are token runs with no pause above the timeout.
-    session_key_to_id: dict[tuple[int, int], int] = {}
-    session_meta: list[tuple[int, int, int, int, int]] = []
-    for person in people:
-        events = per_user_events[person.user_id]
-        run = 0
-        for index, event in enumerate(events):
-            previous = events[index - 1] if index else None
             if (
                 previous is None
                 or event.token != previous.token
                 or event.epoch - previous.epoch > config.timeout
             ):
-                run += 1
-                session_meta.append(
-                    (event.epoch, person.user_id, run, index, index)
-                )
-            else:
-                start_epoch, uid, r, first, _ = session_meta[-1]
-                session_meta[-1] = (start_epoch, uid, r, first, index)
-            session_key_to_id[(person.user_id, index)] = run
-    session_meta.sort(key=lambda m: (m[0], m[1], m[2]))
-    run_to_global: dict[tuple[int, int], int] = {}
+                runs.append([event.epoch, user_id, index, index])
+            runs[-1][3] = index
+            run_of[(user_id, index)] = runs[-1]
+            previous = event
+    ordered.sort()
+    runs.sort()
     truth_sessions = []
-    for global_id, (start_epoch, uid, run, first, last) in enumerate(session_meta, start=1):
-        run_to_global[(uid, run)] = global_id
-        events = per_user_events[uid]
+    for session_id, run in enumerate(runs, start=1):
+        start_epoch, user_id, first, last = run
+        run.append(session_id)
         truth_sessions.append(TruthSession(
-            session_id=global_id,
-            user_id=uid,
+            session_id=session_id,
+            user_id=user_id,
             pageviews=last - first + 1,
-            start_epoch=events[first].epoch,
-            end_epoch=events[last].epoch,
+            start_epoch=start_epoch,
+            end_epoch=per_user_events[user_id][last].epoch,
         ))
 
     replay_events: list[RawRequestEvent] = []
@@ -477,7 +455,6 @@ def generate(config: WorkloadConfig) -> tuple[list[RawRequestEvent], GroundTruth
     for seq, (epoch, user_id, index) in enumerate(ordered, start=1):
         person = by_id[user_id]
         event = per_user_events[user_id][index]
-        run = session_key_to_id[(user_id, index)]
         resource = event.resource
         query = resource.partition("?")[2]
         get_params = dict(urllib.parse.parse_qsl(query)) if query else {}
@@ -501,7 +478,7 @@ def generate(config: WorkloadConfig) -> tuple[list[RawRequestEvent], GroundTruth
         truth_events.append(TruthEvent(
             event_seq=seq,
             true_user_id=user_id,
-            true_session_id=run_to_global[(user_id, run)],
+            true_session_id=run_of[(user_id, index)][-1],
             epoch=epoch,
             ip=event.ip,
             resource=resource,
@@ -536,87 +513,46 @@ def emit_eclf(
     noise_rng = random.Random(config.seed + _NOISE_STREAM_OFFSET)
     lines = 0
 
-    def write(entry: EclfEntry) -> None:
+    def draw(n: int) -> int:
+        return int(noise_rng.random() * n)
+
+    def write(ip, when, method, resource, status, bytes_sent, referrer, agent) -> None:
         nonlocal lines
-        stream.write(render_log_line(entry, "ECLF"))
-        stream.write("\n")
+        stream.write(render_log_line(EclfEntry(
+            ip=ip, identd=None, authuser=None, timestamp=when, method=method,
+            resource=resource, protocol="HTTP/1.1", status=status,
+            bytes_sent=bytes_sent, referrer=referrer, user_agent=agent,
+        ), "ECLF") + "\n")
         lines += 1
 
+    # Arguments are evaluated left to right, which fixes the order of the
+    # noise draws and so the bytes of the log.
     for event, truth_event in zip(events, truth.events):
         if truth_event.cached:
             continue
         when = datetime.fromtimestamp(truth_event.epoch, tz=timezone.utc)
-        write(EclfEntry(
-            ip=event.client_ip,
-            identd=None,
-            authuser=None,
-            timestamp=when,
-            method=event.method,
-            resource=truth_event.resource,
-            protocol="HTTP/1.1",
-            status=200,
-            bytes_sent=800 + (truth_event.event_seq * 137) % 18200,
-            referrer=event.referrer,
-            user_agent=event.user_agent,
-        ))
+        ip, agent, page = event.client_ip, event.user_agent, truth_event.resource
+        write(ip, when, event.method, page, 200,
+              800 + (truth_event.event_seq * 137) % 18200, event.referrer, agent)
         if not noise:
             continue
         if noise_rng.random() < 0.40:
-            count = 1 + int(noise_rng.random() * 3)
-            for _ in range(count):
-                write(EclfEntry(
-                    ip=event.client_ip,
-                    identd=None,
-                    authuser=None,
-                    timestamp=when,
-                    method="GET",
-                    resource=_STATIC_RESOURCES[
-                        int(noise_rng.random() * len(_STATIC_RESOURCES))
-                    ],
-                    protocol="HTTP/1.1",
-                    status=200,
-                    bytes_sent=120 + int(noise_rng.random() * 4000),
-                    referrer=_full_url(truth_event.resource),
-                    user_agent=event.user_agent,
-                ))
+            for _ in range(1 + draw(3)):
+                write(ip, when, "GET", _STATIC_RESOURCES[draw(len(_STATIC_RESOURCES))],
+                      200, 120 + draw(4000), _full_url(page), agent)
         if noise_rng.random() < 0.05:
-            status = (301, 302, 404)[int(noise_rng.random() * 3)]
-            write(EclfEntry(
-                ip=event.client_ip,
-                identd=None,
-                authuser=None,
-                timestamp=when,
-                method="GET",
-                resource=_pick(noise_rng, _NEXT_PAGES),
-                protocol="HTTP/1.1",
-                status=status,
-                bytes_sent=None if status in (301, 302) else 291,
-                referrer=None,
-                user_agent=event.user_agent,
-            ))
+            status = (301, 302, 404)[draw(3)]
+            write(ip, when, "GET", _pick(noise_rng, _NEXT_PAGES), status,
+                  None if status in (301, 302) else 291, None, agent)
         if noise_rng.random() < 0.02:
-            agent = _BOT_AGENTS[int(noise_rng.random() * len(_BOT_AGENTS))]
-            ip = str(ipaddress.IPv4Address(
-                1123631104 + int(noise_rng.random() * 8192)
-            ))
-            for _ in range(1 + int(noise_rng.random() * 2)):
-                write(EclfEntry(
-                    ip=ip,
-                    identd=None,
-                    authuser=None,
-                    timestamp=when,
-                    method="GET",
-                    resource=(
-                        "/robots.txt"
-                        if noise_rng.random() < 0.4
-                        else _pick(noise_rng, _NEXT_PAGES)
-                    ),
-                    protocol="HTTP/1.1",
-                    status=200,
-                    bytes_sent=500 + int(noise_rng.random() * 3000),
-                    referrer=None,
-                    user_agent=agent,
-                ))
+            bot_agent = _BOT_AGENTS[draw(len(_BOT_AGENTS))]
+            bot_ip = str(ipaddress.IPv4Address(1123631104 + draw(8192)))
+            for _ in range(1 + draw(2)):
+                resource = (
+                    "/robots.txt" if noise_rng.random() < 0.4
+                    else _pick(noise_rng, _NEXT_PAGES)
+                )
+                write(bot_ip, when, "GET", resource, 200, 500 + draw(3000), None, bot_agent)
     return lines
 
 

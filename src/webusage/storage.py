@@ -16,9 +16,10 @@ import json
 import re
 import sqlite3
 import threading
+import types
 import typing
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -205,10 +206,10 @@ class PageRecord:
     log_web_message: str = ""
     log_subtitle: str = ""
     log_page_title: str = ""
-    log_cookie_serialize: str = "{}"
-    log_session_serialize: str = "{}"
-    log_post_serialize: str = "{}"
-    log_get_serialize: str = "{}"
+    log_cookie_serialize: dict[str, str] = field(default_factory=dict)
+    log_session_serialize: dict[str, str] = field(default_factory=dict)
+    log_post_serialize: dict[str, str] = field(default_factory=dict)
+    log_get_serialize: dict[str, str] = field(default_factory=dict)
     log_page_load_time: float = 0.0
     log_error_text: str | None = None
     log_url_malformed: bool = False
@@ -220,13 +221,6 @@ class PageRecord:
             raise ConstraintError("log_date must equal the date of log_datetime")
         if self.log_page_load_time < 0:
             raise ConstraintError("log_page_load_time must be >= 0")
-        for text in (
-            self.log_cookie_serialize,
-            self.log_session_serialize,
-            self.log_post_serialize,
-            self.log_get_serialize,
-        ):
-            deserialize_map(text)
 
 
 @dataclass
@@ -349,13 +343,15 @@ _CONVERTERS = {
     datetime: (dt_to_text, text_to_dt),
     date: (date.isoformat, date.fromisoformat),
     bool: (int, bool),
+    dict: (serialize_map, deserialize_map),
 }
 
 
 def _field_type(hint: Any) -> Any:
-    """``X`` for a hint of ``X`` or ``X | None``."""
-    args = [a for a in typing.get_args(hint) if a is not type(None)]
-    return args[0] if args else hint
+    """``X`` for a hint of ``X``, ``X | None`` or ``X[...]``."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    return typing.get_origin(hint) or hint
 
 
 class _Codec:
@@ -749,15 +745,22 @@ class LogStore:
             " GROUP BY 1, 2"
         )
 
-    def page_identities(self) -> list[tuple[int, int, int | None, str]]:
-        """(opn_id, page time in epoch seconds, session user_id, cookie map
-        text) for every page, by page id."""
-        return self._query(
+    def page_identities(self) -> list[tuple[int, int, int | None, dict[str, str]]]:
+        """(opn_id, page time in epoch seconds, session user_id, cookie map)
+        for every page, by page id.  A visitor's pages repeat one cookie
+        text, so pages with equal text share one decoded map."""
+        maps: dict[str, dict[str, str]] = {}
+        out = []
+        for opn_id, epoch, user_id, text in self._query(
             "SELECT p.log_opn_id, CAST(strftime('%s', p.log_datetime) AS INTEGER),"
             " s.user_id, p.log_cookie_serialize"
             " FROM log_page p JOIN log_session s ON s.opn_id = p.log_opn_id"
             " ORDER BY p.log_details_id"
-        )
+        ):
+            if text not in maps:
+                maps[text] = deserialize_map(text)
+            out.append((opn_id, epoch, user_id, maps[text]))
+        return out
 
     # -- CSV export / import -------------------------------------------------
 
@@ -798,8 +801,9 @@ class LogStore:
         Each new row is read back through the table's codec, and its record
         validated, before the load commits.  A value the record cannot hold
         (a bad enum), or holds in another form than the store writes (a
-        timestamp such as ``2021-9-2 10:00:00``), fails the whole load with
-        a :class:`StorageError` naming the table and the row's key.
+        timestamp such as ``2021-9-2 10:00:00``, a map with unsorted keys),
+        fails the whole load with a :class:`StorageError` naming the table
+        and the row's key.
         """
         cols = TABLE_COLUMNS.get(table)
         if cols is None:

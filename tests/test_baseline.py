@@ -237,6 +237,11 @@ class TestParse:
         line = _line(**kwargs)
         assert render_log_line(parse_log_line(line)) == line
 
+    def test_minus_zero_offset_reads_as_utc_and_renders_as_plus(self):
+        entry = _entry(when="02/Sep/2021:10:00:00 -0000")
+        assert entry.timestamp == datetime(2021, 9, 2, 10, 0, 0, tzinfo=timezone.utc)
+        assert render_log_line(entry) == _line(when="02/Sep/2021:10:00:00 +0000")
+
 
 class TestParseMatchesReference:
     """parse_log_line reads a well-formed line with one match and any other

@@ -14,7 +14,7 @@ from webusage.collector import (
 )
 from webusage.compare import collector_report
 from webusage.events import AppPageResult, RawRequestEvent
-from webusage.storage import LogStore, NotFoundError, UserInfo, deserialize_map
+from webusage.storage import LogStore, NotFoundError, UserInfo
 
 import oracles
 
@@ -53,6 +53,15 @@ class TestRequestBegin:
         assert page_id == 2
         pages = [p for _, p in mem_store.join_sessions_pages()]
         assert len([p for p in pages if p.log_opn_id == first]) == 2
+
+    def test_offset_timestamps_are_kept_as_utc(self, collector, mem_store):
+        first = datetime.fromisoformat("2021-09-02T10:00:00+03:00")
+        opn, _ = collector.handle_request_begin(_event(timestamp=first))
+        assert mem_store.get_session(opn).started_at == datetime(2021, 9, 2, 7, 0, 0)
+        later = datetime.fromisoformat("2021-09-02T10:05:00+03:00")
+        again, page_id = collector.handle_request_begin(_event(timestamp=later))
+        assert again == opn
+        assert oracles.get_page(mem_store, page_id).log_datetime == datetime(2021, 9, 2, 7, 5, 0)
 
     def test_same_ip_different_tokens_split(self, collector):
         a, _ = collector.handle_request_begin(_event(token="tokA"))
@@ -118,11 +127,11 @@ class TestRequestBegin:
             _event(auth_user="user9", get_params={"page": "info"})
         )
         page = oracles.get_page(mem_store, page_id)
-        assert deserialize_map(page.log_session_serialize) == {
+        assert page.log_session_serialize == {
             "ses_id": str(opn),
             "ses_uid": "166553",
         }
-        assert deserialize_map(page.log_get_serialize) == {"page": "info"}
+        assert page.log_get_serialize == {"page": "info"}
         assert page.log_uid == 166553
         assert page.log_username == "user9"
 

@@ -72,6 +72,12 @@ class TestEventModel:
     def test_empty_auth_user_becomes_none(self):
         assert _event(auth_user="").auth_user is None
 
+    def test_offset_timestamp_becomes_naive_utc(self):
+        event = _event(timestamp=datetime.fromisoformat("2021-09-02T15:00:00+03:00"))
+        assert event.timestamp == datetime(2021, 9, 2, 12, 0, 0)
+        assert event.timestamp.tzinfo is None
+        assert _event().timestamp == datetime(2021, 9, 2, 12, 0, 0)
+
     def test_negative_load_time_rejected(self):
         with pytest.raises(ValueError, match="page_load_time"):
             AppPageResult(page_load_time=-0.1)

@@ -2,8 +2,8 @@
 and the same lines on every run of one checkout, workload and seed.
 
 tests/data/output_digests_<workload>_seed<N>.txt pin those lines: any
-change to the bytes of a report, an export, the sessions CSV, the
-preprocess counters or the compare output shows up here.  A change that
+change to the bytes of a simulated input, a report, an export, the
+sessions CSV, the preprocess counters or the compare output shows up here.  A change that
 means to alter an output regenerates the file with the script and says
 so."""
 
@@ -40,6 +40,7 @@ def test_two_runs_print_the_same_lines(capsys):
     expected = {"sessions.csv", "preprocess.txt", "compare.txt",
                 "report/top-ips-n3.csv", "report/top-users-n3.csv"}
     expected |= {f"report/{kind}.{ext}" for kind in REPORT_KINDS for ext in ("csv", "plot")}
+    expected |= {f"simulate/{name}" for name in ("events.replay", "access.log", "truth.csv")}
     expected |= {
         f"export/{table}.csv"
         for table in ("user_info", "log_geoip", "log_session", "open_sessions", "log_page")

@@ -12,6 +12,8 @@ from webusage.compare import collector_report, load_roster
 from webusage.enrichment import sample_geoip_table
 from webusage.events import read_replay, write_replay
 from webusage.simulator import (
+    DEFAULT_DEVICE_MIX,
+    DEFAULT_USER_TYPE_MIX,
     SITE_HOST,
     ConfigError,
     WorkloadConfig,
@@ -19,7 +21,7 @@ from webusage.simulator import (
     generate,
     simulate_to_dir,
 )
-from webusage.storage import LogStore
+from webusage.storage import USER_TYPES, LogStore
 from webusage.truth import TRUTH_HEADER, GroundTruth, load_truth, read_truth, write_truth
 
 
@@ -59,30 +61,14 @@ class TestConfigValidation:
         assert flag in info.value.fields
         assert flag in str(info.value)
 
-    def test_mix_weights_must_sum_to_one(self):
-        config = WorkloadConfig(user_type_mix=(("guest", 0.5), ("student", 0.4)))
-        with pytest.raises(ConfigError, match="user-type-mix"):
-            config.validate()
-
-    def test_mix_weights_must_be_non_negative(self):
-        config = WorkloadConfig(user_type_mix=(("guest", 1.2), ("student", -0.2)))
-        with pytest.raises(ConfigError, match="non-negative"):
-            config.validate()
-
-    def test_empty_mix_rejected(self):
-        with pytest.raises(ConfigError, match="must not be empty"):
-            WorkloadConfig(device_mix=()).validate()
-
-    def test_device_mix_names_restricted(self):
-        config = WorkloadConfig(device_mix=(("desktop", 0.5), ("toaster", 0.5)))
-        with pytest.raises(ConfigError, match="device-mix"):
-            config.validate()
-
-    def test_user_type_mix_names_restricted(self):
-        config = WorkloadConfig(user_type_mix=(("martian", 1.0),))
-        with pytest.raises(ConfigError) as info:
-            config.validate()
-        assert info.value.fields == ["user-type-mix"]
+    def test_default_mixes_are_valid(self):
+        for mix, valid in (
+            (DEFAULT_USER_TYPE_MIX, USER_TYPES),
+            (DEFAULT_DEVICE_MIX, ("desktop", "mobile", "tablet")),
+        ):
+            assert all(name in valid for name, _ in mix)
+            assert all(weight >= 0 for _, weight in mix)
+            assert sum(weight for _, weight in mix) == pytest.approx(1.0, abs=1e-9)
 
     def test_several_problems_reported_together(self):
         config = WorkloadConfig(n_users=0, nat_share=7.0)

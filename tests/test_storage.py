@@ -239,6 +239,15 @@ class TestSessions:
     def test_missing_session_is_none(self, mem_store):
         assert mem_store.get_session(12345) is None
 
+    def test_explicit_id_must_exceed_existing_ids(self, mem_store):
+        assert [mem_store.insert_session(_session()) for _ in range(2)] == [1, 2]
+        with pytest.raises(ConstraintError, match="explicit opn_id must exceed all existing ids"):
+            mem_store.insert_session(_session(opn_id=2))
+        assert mem_store.session_count() == 2
+        assert mem_store.insert_session(_session(opn_id=10)) == 10
+        assert mem_store.get_session(10) is not None
+        assert mem_store.insert_session(_session()) == 11
+
 
 class TestPages:
     def test_first_page_id(self, mem_store):
@@ -266,17 +275,17 @@ class TestPages:
             log_url="http://www.gate.sakarya.edu.tr/?page=info",
             log_web_message="Welcome to WebGate",
             log_subtitle="Info :: You can review your access and security information here",
-            log_cookie_serialize=serialize_map({"theme": "0", "lang": "0", "limit": "15"}),
-            log_session_serialize=serialize_map({"ses_uid": "166553", "ses_id": str(opn)}),
-            log_post_serialize="{}",
-            log_get_serialize=serialize_map({"page": "info"}),
+            log_cookie_serialize={"theme": "0", "lang": "0", "limit": "15"},
+            log_session_serialize={"ses_uid": "166553", "ses_id": str(opn)},
+            log_post_serialize={},
+            log_get_serialize={"page": "info"},
             log_page_load_time=parse_load_time("0,0266"),
         )
         page_id = mem_store.insert_page(rec)
         got = get_page(mem_store, page_id)
         rec.log_details_id = page_id
         assert got == rec
-        assert deserialize_map(got.log_get_serialize) == {"page": "info"}
+        assert got.log_get_serialize == {"page": "info"}
 
     def test_log_date_defaults_to_datetime_date(self, mem_store):
         opn = mem_store.insert_session(_session())
@@ -287,6 +296,24 @@ class TestPages:
         opn = mem_store.insert_session(_session())
         with pytest.raises(ConstraintError):
             mem_store.insert_page(_page(opn, log_date=date(1999, 1, 1)))
+
+    def test_explicit_id_must_exceed_existing_ids(self, mem_store):
+        opn = mem_store.insert_session(_session())
+        assert mem_store.insert_page(_page(opn)) == 1
+        with pytest.raises(
+            ConstraintError, match="explicit log_details_id must exceed all existing ids"
+        ):
+            mem_store.insert_page(_page(opn, log_details_id=1, log_url="/lower"))
+        assert mem_store.page_count() == 1
+        assert get_page(mem_store, 1).log_url == "/index.php"
+        assert mem_store.insert_page(_page(opn, log_details_id=7, log_url="/higher")) == 7
+        assert get_page(mem_store, 7).log_url == "/higher"
+
+    def test_map_with_non_string_value_rejected(self, mem_store):
+        opn = mem_store.insert_session(_session())
+        with pytest.raises(ConstraintError, match="strings"):
+            mem_store.insert_page(_page(opn, log_get_serialize={"n": 3}))
+        assert mem_store.page_count() == 0
 
     def test_ids_strictly_increasing(self, mem_store):
         opn = mem_store.insert_session(_session())
@@ -520,6 +547,34 @@ class TestExportImport:
     def test_import_rejects_wrong_header(self, mem_store):
         with pytest.raises(StorageError, match="header"):
             mem_store.import_table("user_info", io.StringIO("a,b\n1,2\n"))
+
+    @pytest.mark.parametrize("cookies", [
+        '{"b":"1", "a":"2"}',
+        '{"b":"1","a":"2"}',
+        '{"a": "2"}',
+    ])
+    def test_import_rejects_a_map_not_in_the_form_the_store_writes(self, mem_store, cookies):
+        opn = mem_store.insert_session(_session())
+        mem_store.insert_page(_page(opn, log_cookie_serialize={"a": "2", "b": "1"}))
+        sessions, pages = io.StringIO(), io.StringIO()
+        mem_store.export_table("log_session", sessions)
+        mem_store.export_table("log_page", pages)
+        rows = list(csv.DictReader(io.StringIO(pages.getvalue())))
+        assert rows[0]["log_cookie_serialize"] == '{"a":"2","b":"1"}'
+        rows[0]["log_cookie_serialize"] = cookies
+        edited = io.StringIO()
+        writer = csv.DictWriter(edited, TABLE_COLUMNS["log_page"], lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        copy = LogStore(":memory:")
+        copy.import_table("log_session", io.StringIO(sessions.getvalue()))
+        with pytest.raises(StorageError, match=re.escape(
+            f"log_page row log_details_id=1: log_cookie_serialize {cookies!r}"
+            " is not in the form the store writes"
+        )):
+            copy.import_table("log_page", io.StringIO(edited.getvalue()))
+        assert copy.page_count() == 0
+        copy.close()
 
     def test_import_enforces_foreign_keys(self, mem_store):
         csv_text = (
