@@ -16,6 +16,7 @@ import re
 import urllib.parse
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from functools import lru_cache
 from pathlib import Path
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -163,15 +164,22 @@ def _parse_timestamp(
         raise LineParseError(f"bad timestamp: {text!r}", line) from None
 
 
-def _format_timestamp(value: datetime) -> str:
-    offset = value.utcoffset() or timedelta(0)
-    total = int(offset.total_seconds())
+@lru_cache(maxsize=64)
+def _zone_text(offset: timedelta | None) -> str:
+    """The ``+zzzz`` text of a UTC offset (``None`` for a naive time); seconds
+    are dropped.  Keyed by the offset, not the datetime: aware datetimes
+    naming one instant in different zones hash equal."""
+    total = int(offset.total_seconds()) if offset else 0
     sign = "+" if total >= 0 else "-"
     total = abs(total)
+    return f"{sign}{total // 3600:02d}{(total % 3600) // 60:02d}"
+
+
+def _format_timestamp(value: datetime) -> str:
     return (
         f"{value.day:02d}/{_MONTHS[value.month - 1]}/{value.year:04d}:"
         f"{value.hour:02d}:{value.minute:02d}:{value.second:02d}"
-        f" {sign}{total // 3600:02d}{(total % 3600) // 60:02d}"
+        f" {_zone_text(value.utcoffset())}"
     )
 
 

@@ -4,18 +4,21 @@ A replay file carries one request per line as space-separated ``key=value``
 tokens with URL-escaped values, so any event the embedded API accepts can be
 stored in a plain text file and fed back later.
 
-Percent-decoding goes through a small cache of ``unquote`` results.  It
-holds a pure function of the escaped text, not session state: agents and
-``accept-language`` values repeat from request to request.
+Percent-decoding goes through a small cache of ``unquote`` results, and
+percent-escaping through small caches of ``quote`` results.  Each cache
+holds a pure function of the text, not session state: agents and
+``accept-language`` values repeat from request to request.  A value holding
+no character ``quote`` would escape is written as it is, without a call.
 """
 
 from __future__ import annotations
 
+import re
 import urllib.parse
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import lru_cache
-from typing import Iterable, Iterator, TextIO
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Iterator, TextIO
 
 METHODS = ("GET", "POST")
 
@@ -23,6 +26,7 @@ METHODS = ("GET", "POST")
 # always be escaped; '=' may stay literal because the reader splits each
 # token on the first '=' only.
 _SAFE = ":/?&=._-~+@,;()'*!"
+_MAP_FIELDS = ("get_params", "post_params", "cookies")
 
 
 class ReplayFormatError(ValueError):
@@ -75,6 +79,15 @@ class RawRequestEvent:
     cookies: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.timestamp, datetime):
+            raise ValueError(f"timestamp must be a datetime, got {self.timestamp!r}")
+        for name in _MAP_FIELDS:
+            m = getattr(self, name)
+            if type(m) is not dict:
+                raise ValueError(f"{name} must be a dict, got {type(m).__name__}")
+            for key, value in m.items():
+                if type(key) is not str or type(value) is not str:
+                    raise ValueError(f"{name} keys and values must be str, got {key!r}: {value!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if not self.session_token:
@@ -87,8 +100,26 @@ class RawRequestEvent:
             self.auth_user = None
 
 
+def _escaper(safe: str) -> Callable[[str], str]:
+    """``quote(text, safe=safe)``, calling ``quote`` only for text holding a
+    character it escapes: anything but ASCII letters, digits, ``_.-~`` and
+    ``safe``."""
+    needs_escape = re.compile(f"[^A-Za-z0-9_.~{re.escape(safe)}-]").search
+    quote = lru_cache(maxsize=256)(partial(urllib.parse.quote, safe=safe))
+
+    def escape(text: str) -> str:
+        return quote(text) if needs_escape(text) else text
+
+    return escape
+
+
+_escape_value = _escaper(_SAFE)
+_escape_map_part = _escaper("")
+
+
 def _encode_map(m: dict[str, str]) -> str:
-    return urllib.parse.urlencode(m, quote_via=urllib.parse.quote)
+    """Equal to ``urlencode(m, quote_via=quote)``."""
+    return "&".join(f"{_escape_map_part(k)}={_escape_map_part(v)}" for k, v in m.items())
 
 
 _unquote = lru_cache(maxsize=256)(urllib.parse.unquote)
@@ -111,30 +142,26 @@ def _decode_map(s: str) -> dict[str, str]:
     return out
 
 
+def _map_value(m: dict[str, str]) -> str:
+    # An encoded map holds only characters of _SAFE besides '%', so escaping
+    # it as a value escapes exactly its '%'.
+    return _encode_map(m).replace("%", "%25")
+
+
 def format_replay_line(event: RawRequestEvent) -> str:
-    pairs: list[tuple[str, str]] = [
-        ("ip", event.client_ip),
-        ("time", event.timestamp.isoformat(sep="T", timespec="seconds")),
-        ("method", event.method),
-        ("url", event.url),
-        ("token", event.session_token),
-        ("agent", event.user_agent),
-    ]
-    if event.referrer is not None:
-        pairs.append(("referrer", event.referrer))
-    if event.auth_user is not None:
-        pairs.append(("user", event.auth_user))
-    pairs.extend(
-        [
-            ("service", event.app_service),
-            ("module", event.module),
-            ("server", str(event.server_id)),
-            ("get", _encode_map(event.get_params)),
-            ("post", _encode_map(event.post_params)),
-            ("cookies", _encode_map(event.cookies)),
-        ]
+    esc = _escape_value
+    # isoformat writes only digits, '-', ':', 'T' and '+', none of which quote escapes.
+    time = event.timestamp.isoformat(sep="T", timespec="seconds")
+    referrer = "" if event.referrer is None else f" referrer={esc(event.referrer)}"
+    user = "" if event.auth_user is None else f" user={esc(event.auth_user)}"
+    return (
+        f"ip={esc(event.client_ip)} time={time} method={esc(event.method)}"
+        f" url={esc(event.url)} token={esc(event.session_token)}"
+        f" agent={esc(event.user_agent)}{referrer}{user}"
+        f" service={esc(event.app_service)} module={esc(event.module)}"
+        f" server={esc(str(event.server_id))} get={_map_value(event.get_params)}"
+        f" post={_map_value(event.post_params)} cookies={_map_value(event.cookies)}"
     )
-    return " ".join(f"{k}={urllib.parse.quote(v, safe=_SAFE)}" for k, v in pairs)
 
 
 _REQUIRED_KEYS = frozenset({"ip", "time", "method", "url", "token"})
@@ -200,8 +227,7 @@ def write_replay(events: Iterable[RawRequestEvent], stream: TextIO) -> int:
     """Write events one per line; returns the number written."""
     n = 0
     for event in events:
-        stream.write(format_replay_line(event))
-        stream.write("\n")
+        stream.write(f"{format_replay_line(event)}\n")
         n += 1
     return n
 

@@ -100,6 +100,8 @@ def serialize_map(m: dict[str, str]) -> str:
     Equal maps serialize to identical bytes regardless of insertion order;
     the empty map is exactly ``{}``.
     """
+    if not isinstance(m, dict):
+        raise ConstraintError(f"map must be a dict, got {type(m).__name__}")
     if m == {}:
         return "{}"
     for key, value in m.items():

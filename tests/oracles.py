@@ -497,6 +497,60 @@ def parse_replay_line_reference(line: str, line_no: int | None = None) -> RawReq
         raise ReplayFormatError(str(exc), line_no) from None
 
 
+# Characters the replay writer leaves unescaped (FORMATS.md).
+_REPLAY_SAFE = ":/?&=._-~+@,;()'*!"
+
+
+def _encode_map_reference(m: dict[str, str]) -> str:
+    return urllib.parse.urlencode(m, quote_via=urllib.parse.quote)
+
+
+def format_replay_line_reference(event: RawRequestEvent) -> str:
+    """The replay line encoder that quotes every value and encodes maps with
+    ``urlencode``, the reference for ``events.format_replay_line``."""
+    pairs: list[tuple[str, str]] = [
+        ("ip", event.client_ip),
+        ("time", event.timestamp.isoformat(sep="T", timespec="seconds")),
+        ("method", event.method),
+        ("url", event.url),
+        ("token", event.session_token),
+        ("agent", event.user_agent),
+    ]
+    if event.referrer is not None:
+        pairs.append(("referrer", event.referrer))
+    if event.auth_user is not None:
+        pairs.append(("user", event.auth_user))
+    pairs.extend(
+        [
+            ("service", event.app_service),
+            ("module", event.module),
+            ("server", str(event.server_id)),
+            ("get", _encode_map_reference(event.get_params)),
+            ("post", _encode_map_reference(event.post_params)),
+            ("cookies", _encode_map_reference(event.cookies)),
+        ]
+    )
+    return " ".join(f"{k}={urllib.parse.quote(v, safe=_REPLAY_SAFE)}" for k, v in pairs)
+
+
+_LOG_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+               "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+def format_timestamp_reference(value: datetime) -> str:
+    """``dd/Mon/yyyy:HH:MM:SS +zzzz`` computed from the offset every time,
+    the reference for the access-log timestamp ``render_log_line`` writes."""
+    offset = value.utcoffset() or timedelta(0)
+    total = int(offset.total_seconds())
+    sign = "+" if total >= 0 else "-"
+    total = abs(total)
+    return (
+        f"{value.day:02d}/{_LOG_MONTHS[value.month - 1]}/{value.year:04d}:"
+        f"{value.hour:02d}:{value.minute:02d}:{value.second:02d}"
+        f" {sign}{total // 3600:02d}{(total % 3600) // 60:02d}"
+    )
+
+
 _ONE_PLACE = Decimal("0.1")
 _WHOLE = Decimal("1")
 

@@ -15,6 +15,7 @@ from webusage.baseline import (
     Visit,
     VisitEvent,
     _LINE_RE,
+    _format_timestamp,
     _split_tokens,
     complete_paths,
     filter_entries,
@@ -241,6 +242,49 @@ class TestParse:
         entry = _entry(when="02/Sep/2021:10:00:00 -0000")
         assert entry.timestamp == datetime(2021, 9, 2, 10, 0, 0, tzinfo=timezone.utc)
         assert render_log_line(entry) == _line(when="02/Sep/2021:10:00:00 +0000")
+
+
+_ZONES = [
+    None,
+    timezone.utc,
+    timezone(-timedelta(hours=5, minutes=30)),
+    timezone(timedelta(hours=14)),
+    timezone(timedelta(hours=5, minutes=30, seconds=15)),
+    timezone(-timedelta(hours=5, minutes=30, seconds=15)),
+]
+
+
+def _rendered_timestamp(when: datetime) -> str:
+    entry = EclfEntry(ip="10.0.0.1", identd=None, authuser=None, timestamp=when,
+                      method="GET", resource="/", protocol="HTTP/1.1", status=200, bytes_sent=5)
+    return render_log_line(entry).partition("[")[2].partition("]")[0]
+
+
+class TestRenderedTimestamp:
+    """render_log_line looks its zone text up by offset; it must write what
+    the reference formatter computes from the offset every time."""
+
+    @pytest.mark.parametrize("tz", _ZONES, ids=str)
+    def test_matches_reference(self, tz):
+        when = datetime(2021, 9, 2, 10, 0, 0, tzinfo=tz)
+        assert _rendered_timestamp(when) == oracles.format_timestamp_reference(when)
+
+    def test_one_instant_in_two_zones(self):
+        utc = datetime(2021, 9, 2, 10, 0, 0, tzinfo=timezone.utc)
+        assert utc == utc.astimezone(TZ3)
+        assert [_rendered_timestamp(utc), _rendered_timestamp(utc.astimezone(TZ3))] == [
+            "02/Sep/2021:10:00:00 +0000", "02/Sep/2021:13:00:00 +0300",
+        ]
+
+    @settings(max_examples=300)
+    @given(st.datetimes(
+        min_value=datetime(1, 1, 2),
+        max_value=datetime(9999, 12, 30),
+        timezones=st.none() | st.integers(-86399, 86399).map(
+            lambda s: timezone(timedelta(seconds=s))),
+    ))
+    def test_any_zone_matches_reference(self, when):
+        assert _format_timestamp(when) == oracles.format_timestamp_reference(when)
 
 
 class TestParseMatchesReference:

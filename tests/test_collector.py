@@ -34,6 +34,14 @@ def _event(token="tokA", seconds=0, **overrides) -> RawRequestEvent:
     return RawRequestEvent(**base)
 
 
+def _bad_page_event(token: str, seconds: int, **overrides) -> RawRequestEvent:
+    """An event whose page the store rejects: a GET value that is not text,
+    set after the event has checked its own fields."""
+    event = _event(token, seconds, **overrides)
+    event.get_params["x"] = 1
+    return event
+
+
 @pytest.fixture
 def collector(mem_store):
     return Collector(mem_store, site_hosts=HOSTS)
@@ -151,6 +159,11 @@ class TestRequestBegin:
         assert collector.warning_count == 1
         assert "ghost" in collector.warnings[0]
 
+    def test_event_without_cookie_map_never_reaches_the_collector(self, collector, mem_store):
+        with pytest.raises(ValueError, match="cookies must be a dict, got NoneType"):
+            collector.handle_request_begin(_event(cookies=None))
+        assert mem_store.session_count() == 0
+
     def test_timeout_must_be_positive(self, mem_store):
         with pytest.raises(ValueError):
             Collector(mem_store, site_hosts=HOSTS, timeout=0)
@@ -255,7 +268,7 @@ class TestSharedStore:
         a = Collector(mem_store, site_hosts=HOSTS)
         b = Collector(mem_store, site_hosts=HOSTS)
         with pytest.raises(CollectionError):
-            a.handle_request_begin(_event("tokA", 0, auth_user="alice", get_params={"q": 1}))
+            a.handle_request_begin(_bad_page_event("tokA", 0, auth_user="alice"))
         opn, _ = b.handle_request_begin(_event("tokB", 5, auth_user="bob"))
         assert opn == 1  # the id the failed event rolled back
         _, page_id = a.handle_request_begin(_event("tokB", 10))
@@ -368,8 +381,8 @@ class TestReplay:
         collector = Collector(mem_store, site_hosts=HOSTS)
         events = [
             _event("tokA", 0),
-            _event("tokB", 10, get_params={"x": 1}),  # new session, bad page
-            _event("tokA", 20, get_params={"x": 1}),  # open session, bad page
+            _bad_page_event("tokB", 10),  # new session, bad page
+            _bad_page_event("tokA", 20),  # open session, bad page
             _event("tokC", 30),
         ]
         errors = []

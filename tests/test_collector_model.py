@@ -97,9 +97,10 @@ class CollectorMachine(RuleBasedStateMachine):
 
     @rule(c=COLLECTOR, token=TOKEN, user=USER)
     def failing_begin(self, c, token, user):
+        event = self._event(token, user)
+        event.get_params["q"] = 1  # set after the event's own checks: the page insert fails
         with pytest.raises(CollectionError):
-            self.collectors[c].handle_request_begin(
-                self._event(token, user, get_params={"q": 1}))
+            self.collectors[c].handle_request_begin(event)
 
     @rule(c=COLLECTOR, page_id=pages, title=st.text(max_size=5))
     def end(self, c, page_id, title):

@@ -17,7 +17,7 @@ from webusage.events import (
     write_replay,
 )
 
-from oracles import parse_replay_line_reference
+from oracles import format_replay_line_reference, parse_replay_line_reference
 
 _text = st.text(max_size=25)
 _short = st.text(min_size=1, max_size=25)
@@ -77,6 +77,23 @@ class TestEventModel:
         assert event.timestamp == datetime(2021, 9, 2, 12, 0, 0)
         assert event.timestamp.tzinfo is None
         assert _event().timestamp == datetime(2021, 9, 2, 12, 0, 0)
+
+    @pytest.mark.parametrize("when", ["2021-09-02T12:00:00", None, 1630584000])
+    def test_timestamp_must_be_datetime(self, when):
+        with pytest.raises(ValueError, match="timestamp must be a datetime"):
+            _event(timestamp=when)
+
+    @pytest.mark.parametrize("name", ["get_params", "post_params", "cookies"])
+    @pytest.mark.parametrize("value", [None, "sid=tok1", [("sid", "tok1")]])
+    def test_map_must_be_dict(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a dict"):
+            _event(**{name: value})
+
+    @pytest.mark.parametrize("name", ["get_params", "post_params", "cookies"])
+    @pytest.mark.parametrize("value", [{"n": 3}, {3: "n"}, {"n": None}, {b"n": "1"}])
+    def test_map_entries_must_be_str(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} keys and values must be str"):
+            _event(**{name: value})
 
     def test_negative_load_time_rejected(self):
         with pytest.raises(ValueError, match="page_load_time"):
@@ -184,6 +201,77 @@ def _replay_lines(draw):
     if draw(st.booleans()):
         tokens.append(draw(st.sampled_from(["ip=1", "bogus=1", "", "noequals"])))
     return " ".join(tokens)
+
+
+class TestWireExamples:
+    """The escaping FORMATS.md states for the replay stream, byte for byte."""
+
+    def test_space_in_a_value_is_percent_20(self):
+        line = format_replay_line(_event(user_agent="Mozilla/5.0 (X11; Ubuntu)"))
+        assert " agent=Mozilla/5.0%20(X11;%20Ubuntu) " in line
+
+    def test_percent_in_a_value_is_percent_25(self):
+        assert " url=/a%2520b " in format_replay_line(_event(url="/a%20b"))
+
+    @pytest.mark.parametrize(
+        "value, wire",
+        [("a b", "a%2520b"), ("50%", "50%2525"), ("1+1", "1%252B1"), ("a/b&c=d", "a%252Fb%2526c%253Dd")],
+    )
+    def test_map_value_escaped_twice(self, value, wire):
+        event = _event(cookies={"sid": "tok1", "k": value})
+        line = format_replay_line(event)
+        assert line.endswith(f" cookies=sid=tok1&k={wire}")
+        assert parse_replay_line(line).cookies == {"sid": "tok1", "k": value}
+
+    def test_map_key_escaped_like_a_value(self):
+        line = format_replay_line(_event(get_params={"a b+": "x"}))
+        assert " get=a%2520b%252B=x " in line
+
+
+# Text dense in what the writer escapes and what it keeps: '%', '+', '&',
+# '=', '/', space, newline and non-ASCII, among plain ASCII.
+_WIRE_TEXT = st.text(
+    alphabet=st.sampled_from("%+&=/ \n~-_.:;,'*!()@?aZ9\x00\x7féş日") | st.characters(codec="utf-8"),
+    max_size=20,
+)
+_WIRE_MAP = st.dictionaries(_WIRE_TEXT, _WIRE_TEXT, max_size=4)
+
+wire_events_st = st.builds(
+    RawRequestEvent,
+    client_ip=_WIRE_TEXT,
+    timestamp=_dt,
+    method=st.sampled_from(["GET", "POST"]),
+    url=_WIRE_TEXT,
+    session_token=_WIRE_TEXT.filter(bool),
+    user_agent=_WIRE_TEXT,
+    referrer=st.none() | _WIRE_TEXT,
+    auth_user=st.none() | _WIRE_TEXT,
+    app_service=_WIRE_TEXT,
+    module=_WIRE_TEXT,
+    server_id=st.integers(min_value=-9999, max_value=9999),
+    get_params=_WIRE_MAP,
+    post_params=_WIRE_MAP,
+    cookies=_WIRE_MAP,
+)
+
+
+class TestEncoderEquivalence:
+    """format_replay_line calls quote only on text it would change and
+    encodes maps without urlencode; it must write the reference's bytes."""
+
+    @settings(max_examples=300)
+    @given(wire_events_st)
+    @example(_event(user_agent="a b", cookies={"k": "50%", "a b": "1+1"}))
+    @example(_event(url="/\u00e9?q=a&b=%zz", referrer="x\ny", auth_user="\x00"))
+    def test_same_line_as_reference(self, event):
+        assert format_replay_line(event) == format_replay_line_reference(event)
+
+    @settings(max_examples=30)
+    @given(st.lists(wire_events_st, max_size=3))
+    def test_stream_is_reference_lines(self, events):
+        out = io.StringIO()
+        assert write_replay(events, out) == len(events)
+        assert out.getvalue() == "".join(f"{format_replay_line_reference(e)}\n" for e in events)
 
 
 class TestDecoderEquivalence:

@@ -71,6 +71,11 @@ class TestSerializedMaps:
         with pytest.raises(MapFormatError, match="not a string"):
             deserialize_map('{"n": 3}')
 
+    @pytest.mark.parametrize("value", ["{}", '{"a": "1"}', None, [("a", "1")]])
+    def test_serialize_rejects_non_dict(self, value):
+        with pytest.raises(ConstraintError, match="must be a dict"):
+            serialize_map(value)
+
     @settings(max_examples=100)
     @given(st.dictionaries(st.text(max_size=10), st.text(max_size=10), max_size=5))
     def test_round_trip_property(self, m):
@@ -83,7 +88,7 @@ class TestSerializedMaps:
         with pytest.raises(MapFormatError):
             deserialize_map("{ }x")
         assert deserialize_map("{ }") == {}
-        with pytest.raises(AttributeError):
+        with pytest.raises(ConstraintError):
             serialize_map(None)
 
     def test_decimal_comma_load_time(self):
@@ -257,6 +262,11 @@ class TestPages:
     def test_dangling_session_rejected(self, mem_store):
         with pytest.raises(ForeignKeyError):
             mem_store.insert_page(_page(99))
+
+    def test_map_field_as_text_is_a_storage_error(self, mem_store):
+        opn = mem_store.insert_session(_session())
+        with pytest.raises(ConstraintError, match="must be a dict, got str"):
+            mem_store.insert_page(_page(opn, log_get_serialize="{}"))
 
     def test_sample_tuple_round_trip(self, mem_store):
         mem_store.upsert_user(UserInfo(166553, "user9", "student", "male"))
