@@ -26,31 +26,42 @@ from .truth import GroundTruth, TruthEvent
 DEFAULT_PAGE_GAP = 600.0
 DEFAULT_SESSION_GAP = 1800.0
 SESSIONIZE_MODES = ("page_gap", "session_duration", "both")
-DEFAULT_STATIC_EXTENSIONS = (".png", ".jpg", ".gif", ".css", ".js", ".ico")
+STATIC_EXTENSIONS = (".png", ".jpg", ".gif", ".css", ".js", ".ico")
 
 _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
            "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 _MONTH_NUM = {name: i + 1 for i, name in enumerate(_MONTHS)}
 _ZONES: dict[str, timezone] = {}  # "+0300" -> its timezone, filled on first use
-# Pieces of the access-log grammar (FORMATS.md).  The field patterns give
-# each slot the kind the format gives it and capture its text; the checks
-# below judge the captured text.
+# Pieces of the access-log grammar (FORMATS.md).  Each slot's piece gives
+# its text the slot's kind (bare, quoted or bracketed) and grammar and
+# captures it; the checks below judge the captured text.
 _BARE = r'([^ "\[][^ ]*)'
 _QUOTED = r'"([^"\\]*(?:\\.[^"\\]*)*)"'
 _STAMP = (
-    r"([0-9]{2})/([A-Za-z]{3})/([0-9]{4}):([0-9]{2}):([0-9]{2}):([0-9]{2}) ([+-][0-9]{4})"
+    r"\[([0-9]{2})/([A-Za-z]{3})/([0-9]{4}):([0-9]{2}):([0-9]{2}):([0-9]{2}) ([+-][0-9]{4})\]"
 )
-_REQUEST = r'"([^ "\\]*) ([^ "\\]*) ([^ "\\]*)"'
-_CLF = " ".join((_BARE, _BARE, _BARE, rf"\[{_STAMP}\]", _REQUEST, _BARE, _BARE))
+_PART = r'([^ "\\]*(?:\\.[^ "\\]*)*)'
+# (name in parse errors, kind, piece) of each slot, in line order
+_SLOTS = (
+    ("ip", _BARE, _BARE),
+    ("identd", _BARE, _BARE),
+    ("authuser", _BARE, _BARE),
+    ("timestamp", r"\[([^\]]*)\]", _STAMP),
+    ("request line", _QUOTED, f'"{_PART} {_PART} {_PART}"'),
+    ("status", _BARE, _BARE),
+    ("byte count", _BARE, _BARE),
+    ("referrer", _QUOTED, _QUOTED),
+    ("user agent", _QUOTED, _QUOTED),
+    ("cookies", _QUOTED, _QUOTED),
+)
+_FIELD_COUNTS = {"CLF": (7, 7), "ECLF": (9, 10)}  # (required, most) slots
+_CLF = " +".join(piece for _, _, piece in _SLOTS[:7])
 # A well-formed line is one fullmatch of its format's pattern.
 _LINE_RE = {
-    "CLF": re.compile(_CLF, re.S),
-    "ECLF": re.compile(rf"{_CLF} {_QUOTED} {_QUOTED}(?: {_QUOTED})?", re.S),
+    "CLF": re.compile(f" *{_CLF} *", re.S),
+    "ECLF": re.compile(f" *{_CLF} +{_QUOTED} +{_QUOTED}(?: +{_QUOTED})? *", re.S),
 }
-_TS_RE = re.compile(_STAMP)
 _STATUS_CODES = {str(code): code for code in range(100, 600)}  # [1-5][0-9][0-9]
-# After any run of spaces: a quoted field, a bracketed field or a bare token.
-_TOKEN_RE = re.compile(rf" *(?:{_QUOTED}|\[([^\]]*)\]|{_BARE})", re.S)
 _ESCAPE_RE = re.compile(r"\\(.)", re.S)
 
 
@@ -183,52 +194,29 @@ def _format_timestamp(value: datetime) -> str:
     )
 
 
-def _split_tokens(line: str) -> list[str]:
-    """Split a log line into space-separated tokens honoring "..." and [...].
-
-    Inside quotes a backslash escapes the next character.  Quoted tokens
-    keep their opening '"' so callers can tell them from bare ones.
-    """
-    tokens: list[str] = []
-    pos = 0
-    end = len(line.rstrip(" "))
-    while pos < end:
-        m = _TOKEN_RE.match(line, pos, end)
-        if m is None:
-            opener = line[pos:end].lstrip(" ")[0]
-            message = "unterminated quote" if opener == '"' else "unterminated bracket"
-            raise LineParseError(message, line)
-        quoted, bracketed, bare = m.groups()
-        if quoted is not None:
-            tokens.append('"' + _unescape(quoted))
-        else:
-            tokens.append(bare if bracketed is None else bracketed)
-        pos = m.end()
-    return tokens
-
-
 def parse_log_line(line: str, log_format: str = "ECLF") -> EclfEntry:
     """Parse one CLF or ECLF line into its fields.
 
     ECLF is CLF plus quoted referrer and user agent; a trailing quoted
-    cookies field is kept when present.  '-' marks an absent value.  A
-    well-formed line is read with one match; any other line is split into
-    tokens, which either parse or name the first field at fault.
+    cookies field is kept when present.  '-' marks an absent value.  A line
+    is read with one match of its format's pattern, and its captured fields
+    are then checked; a line the pattern does not match is a
+    :class:`LineParseError` naming the first slot at fault.
     """
     pattern = _LINE_RE.get(log_format)
     if pattern is None:
         raise ValueError(f"log_format must be CLF or ECLF, got {log_format!r}")
     m = pattern.fullmatch(line)
     if m is None:
-        return _parse_tokens(line, log_format)
+        raise _line_error(line, log_format)
     fields = m.groups()
-    resource = _check_resource(fields[11], line)
+    resource = _check_resource(_unescape(fields[11]), line)
     status = _parse_status(fields[13], line)
     bytes_sent = _parse_bytes(fields[14], line)
     entry = EclfEntry(
         fields[0], _absent(fields[1]), _absent(fields[2]),
         _parse_timestamp(*fields[3:10], line),
-        fields[10], resource, fields[12], status, bytes_sent,
+        _unescape(fields[10]), resource, _unescape(fields[12]), status, bytes_sent,
     )
     if log_format == "ECLF":
         referrer, agent, cookies = fields[15:]
@@ -239,46 +227,26 @@ def parse_log_line(line: str, log_format: str = "ECLF") -> EclfEntry:
     return entry
 
 
-def _parse_tokens(line: str, log_format: str) -> EclfEntry:
-    """:func:`parse_log_line` for a line its format's pattern does not match."""
-    tokens = _split_tokens(line)
-    expected = 7 if log_format == "CLF" else 9
-    if len(tokens) < expected or len(tokens) > expected + (0 if log_format == "CLF" else 1):
-        raise LineParseError(
-            f"expected {expected} fields for {log_format}, got {len(tokens)}", line
-        )
-    ip, identd, authuser, ts_text, request = tokens[:5]
-    if not request.startswith('"'):
-        raise LineParseError("request line must be quoted", line)
-    parts = request[1:].split(" ")
-    if len(parts) != 3:
-        raise LineParseError(f"bad request line: {request[1:]!r}", line)
-    method, resource, protocol = parts
-    resource = _check_resource(resource, line)
-    status = _parse_status(tokens[5], line)
-    bytes_sent = _parse_bytes(tokens[6], line)
-    stamp = _TS_RE.fullmatch(ts_text)
-    if stamp is None:
-        raise LineParseError(f"bad timestamp: {ts_text!r}", line)
-    entry = EclfEntry(
-        ip=ip,
-        identd=_absent(identd),
-        authuser=_absent(authuser),
-        timestamp=_parse_timestamp(*stamp.groups(), line),
-        method=method,
-        resource=resource,
-        protocol=protocol,
-        status=status,
-        bytes_sent=bytes_sent,
-    )
-    if log_format == "ECLF":
-        # Quoted tokens carry their opening '"'; a bare token here loses its
-        # first character the same way.
-        entry.referrer = None if tokens[7] == '"-' else tokens[7][1:]
-        entry.user_agent = None if tokens[8] == '"-' else tokens[8][1:]
-        if len(tokens) == 10:
-            entry.cookies = tokens[9][1:]
-    return entry
+def _line_error(line: str, log_format: str) -> LineParseError:
+    """Why ``line`` does not match its format's pattern (FORMATS.md).
+
+    The slots' pieces are matched one at a time; the reason names the first
+    slot whose text lacks its kind or grammar, or else the field count.
+    """
+    required, most = _FIELD_COUNTS[log_format]
+    end = len(line.rstrip(" "))
+    pos = len(line) - len(line.lstrip(" "))
+    for count, (name, kind, piece) in enumerate(_SLOTS[:most]):
+        if pos >= end:  # before a required slot, as the line did not match
+            return LineParseError(f"expected {required} fields for {log_format}, got {count}", line)
+        # The piece, then spaces or the end of the line (re caches compiled patterns).
+        m = re.compile(rf"{piece}(?: +|\Z)", re.S).match(line, pos, end)
+        if m is None:
+            found = re.compile(kind, re.S).match(line, pos, end)
+            text = line[pos:end].partition(" ")[0] if found is None else found[1]
+            return LineParseError(f"bad {name}: {text!r}", line)
+        pos = m.end()
+    return LineParseError(f"more than {most} fields for {log_format}", line)
 
 
 def _quoted(value: str | None) -> str:
@@ -325,15 +293,7 @@ def read_log(path: str | Path, log_format: str = "ECLF") -> Iterator[tuple[EclfE
 # filtering and user identification
 # ---------------------------------------------------------------------------
 
-def _static_extension(resource: str, extensions: Sequence[str]) -> bool:
-    path = resource.split("?", 1)[0].lower()
-    return path.endswith(tuple(extensions))
-
-
-def filter_entries(
-    entries: Iterable[EclfEntry],
-    static_extensions: Sequence[str] = DEFAULT_STATIC_EXTENSIONS,
-) -> tuple[list[EclfEntry], FilterStats]:
+def filter_entries(entries: Iterable[EclfEntry]) -> tuple[list[EclfEntry], FilterStats]:
     """Keep successful page requests from human clients.
 
     Drops, in order: status other than 200, static resources by extension,
@@ -346,7 +306,7 @@ def filter_entries(
         if entry.status != 200:
             stats.dropped_status += 1
             continue
-        if _static_extension(entry.resource, static_extensions):
+        if entry.resource.split("?", 1)[0].lower().endswith(STATIC_EXTENSIONS):
             stats.dropped_static += 1
             continue
         if is_bot(entry.user_agent):

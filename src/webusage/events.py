@@ -27,6 +27,8 @@ METHODS = ("GET", "POST")
 # token on the first '=' only.
 _SAFE = ":/?&=._-~+@,;()'*!"
 _MAP_FIELDS = ("get_params", "post_params", "cookies")
+_TEXT_FIELDS = ("client_ip", "url", "session_token", "user_agent", "app_service", "module")
+_OPTIONAL_TEXT_FIELDS = ("referrer", "auth_user")
 
 
 class ReplayFormatError(ValueError):
@@ -81,6 +83,16 @@ class RawRequestEvent:
     def __post_init__(self) -> None:
         if not isinstance(self.timestamp, datetime):
             raise ValueError(f"timestamp must be a datetime, got {self.timestamp!r}")
+        if type(self.server_id) is not int:
+            raise ValueError(f"server_id must be an int, got {self.server_id!r}")
+        for name in _TEXT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not str:
+                raise ValueError(f"{name} must be a str, got {value!r}")
+        for name in _OPTIONAL_TEXT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and type(value) is not str:
+                raise ValueError(f"{name} must be a str or None, got {value!r}")
         for name in _MAP_FIELDS:
             m = getattr(self, name)
             if type(m) is not dict:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import ipaddress
-import re
+import string
 import urllib.parse
 from datetime import datetime, timedelta, timezone
 from decimal import ROUND_HALF_UP, Decimal
@@ -307,88 +307,153 @@ def sessionize_reference(epochs: list[float], session_gap: float, page_gap: floa
     return sizes
 
 
-def split_tokens_reference(line: str) -> list[str]:
-    """Character-by-character ECLF tokenizer, the reference for ``_split_tokens``."""
-    tokens: list[str] = []
-    i = 0
-    n = len(line)
-    while i < n:
-        if line[i] == " ":
-            i += 1
-            continue
-        if line[i] == '"':
-            i += 1
-            out = []
-            while i < n and line[i] != '"':
-                if line[i] == "\\" and i + 1 < n:
-                    out.append(line[i + 1])
-                    i += 2
-                else:
-                    out.append(line[i])
-                    i += 1
-            if i >= n:
-                raise LineParseError("unterminated quote", line)
-            i += 1
-            tokens.append('"' + "".join(out))
-        elif line[i] == "[":
-            end = line.find("]", i)
-            if end < 0:
-                raise LineParseError("unterminated bracket", line)
-            tokens.append(line[i + 1:end])
-            i = end + 1
-        else:
-            end = line.find(" ", i)
-            if end < 0:
-                end = n
-            tokens.append(line[i:end])
-            i = end
-    return tokens
-
-
+# (name in parse errors, kind) of each slot of an access-log line, in order
+_LOG_SLOTS_REFERENCE = (
+    ("ip", "bare"), ("identd", "bare"), ("authuser", "bare"), ("timestamp", "bracketed"),
+    ("request line", "quoted"), ("status", "bare"), ("byte count", "bare"),
+    ("referrer", "quoted"), ("user agent", "quoted"), ("cookies", "quoted"),
+)
 _MONTHS_REFERENCE = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
                      "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
-_STAMP_REFERENCE = re.compile(
-    r"([0-9]{2})/([A-Za-z]{3})/([0-9]{4}):([0-9]{2}):([0-9]{2}):([0-9]{2})"
-    r" ([+-])([0-9]{2})([0-9]{2})"
-)
+# 9: an ASCII digit, A: an ASCII letter, S: a sign; any other character stands for itself
+_STAMP_TEMPLATE = "99/AAA/9999:99:99:99 S9999"
+
+
+def _slot_reference(line: str, i: int, end: int, kind: str) -> tuple[str, int] | None:
+    """The raw text of a field of ``kind`` starting at ``line[i]`` (inside
+    the quotes or brackets) and the index after the field, or None when no
+    such field starts there; nothing at or past ``end`` is read."""
+    if kind == "bare":
+        if line[i] in ' "[':
+            return None
+        j = i
+        while j < end and line[j] != " ":
+            j += 1
+        return line[i:j], j
+    opener, closer = ('"', '"') if kind == "quoted" else ("[", "]")
+    if line[i] != opener:
+        return None
+    j = i + 1
+    while j < end and line[j] != closer:
+        j += 2 if kind == "quoted" and line[j] == "\\" else 1
+    if j >= end:
+        return None
+    return line[i + 1:j], j + 1
+
+
+def _unescape_reference(text: str) -> str:
+    out = []
+    i = 0
+    while i < len(text):
+        if text[i] == "\\" and i + 1 < len(text):
+            i += 1
+        out.append(text[i])
+        i += 1
+    return "".join(out)
+
+
+def _request_parts_reference(text: str) -> list[str] | None:
+    """The three space-separated parts of a request line's raw text, each
+    unescaped, or None; a backslash escapes the next character."""
+    parts = [[]]
+    i = 0
+    while i < len(text):
+        if text[i] == " ":
+            parts.append([])
+        else:
+            if text[i] == "\\":
+                i += 1
+            parts[-1].append(text[i])
+        i += 1
+    return ["".join(part) for part in parts] if len(parts) == 3 else None
+
+
+def _stamp_reference(text: str) -> bool:
+    if len(text) != len(_STAMP_TEMPLATE):
+        return False
+    for char, want in zip(text, _STAMP_TEMPLATE):
+        if want == "9":
+            ok = char in string.digits
+        elif want == "A":
+            ok = char in string.ascii_letters
+        elif want == "S":
+            ok = char in "+-"
+        else:
+            ok = char == want
+        if not ok:
+            return False
+    return True
 
 
 def parse_log_line_reference(line: str, log_format: str = "ECLF") -> EclfEntry:
-    """The token-by-token CLF/ECLF parser, the reference for
-    ``baseline.parse_log_line``.
+    """The slot-by-slot CLF/ECLF parser of FORMATS.md, read character by
+    character, the reference for ``baseline.parse_log_line``.
 
-    Status is ``[1-5][0-9][0-9]``, bytes ``-`` or ``[0-9]+``, timestamp
-    digits ``[0-9]``; a date, time or zone offset that does not exist is a
-    bad timestamp.
+    A bare slot takes only a field that opens with neither '"' nor '[', a
+    quoted or bracketed slot only a field in its quotes or brackets, and
+    each field must be followed by a space or the end of the line.  Status
+    is ``[1-5][0-9][0-9]``, bytes ``-`` or ``[0-9]+``, timestamp digits
+    ``[0-9]``; a date, time or zone offset that does not exist is a bad
+    timestamp.
     """
-    tokens = split_tokens_reference(line)
-    expected = 7 if log_format == "CLF" else 9
-    most = expected + (1 if log_format == "ECLF" else 0)
-    if not expected <= len(tokens) <= most:
-        raise LineParseError(
-            f"expected {expected} fields for {log_format}, got {len(tokens)}", line
-        )
-    ip, identd, authuser, ts_text, request, status_text, bytes_text = tokens[:7]
-    if not request.startswith('"'):
-        raise LineParseError("request line must be quoted", line)
-    parts = request[1:].split(" ")
-    if len(parts) != 3:
-        raise LineParseError(f"bad request line: {request[1:]!r}", line)
-    method, resource, protocol = parts
+    required = 7 if log_format == "CLF" else 9
+    most = 7 if log_format == "CLF" else 10
+    end = len(line)
+    while end > 0 and line[end - 1] == " ":
+        end -= 1
+    i = 0
+    while i < end and line[i] == " ":
+        i += 1
+    texts: list[str] = []
+    for name, kind in _LOG_SLOTS_REFERENCE[:most]:
+        if i >= end:
+            if len(texts) >= required:
+                break
+            raise LineParseError(
+                f"expected {required} fields for {log_format}, got {len(texts)}", line
+            )
+        found = _slot_reference(line, i, end, kind)
+        ok = found is not None and (found[1] == end or line[found[1]] == " ")
+        if ok and name == "timestamp":
+            ok = _stamp_reference(found[0])
+        if ok and name == "request line":
+            ok = _request_parts_reference(found[0]) is not None
+        if not ok:
+            if found is None:
+                j = i
+                while j < end and line[j] != " ":
+                    j += 1
+                text = line[i:j]
+            else:
+                text = found[0]
+            raise LineParseError(f"bad {name}: {text!r}", line)
+        texts.append(found[0])
+        i = found[1]
+        while i < end and line[i] == " ":
+            i += 1
+    else:
+        if i < end:
+            raise LineParseError(f"more than {most} fields for {log_format}", line)
+
+    ip, identd, authuser, ts_text, request, status_text, bytes_text = texts[:7]
+    method, resource, protocol = _request_parts_reference(request)
     if not (resource.startswith("/") or resource == "*"):
         raise LineParseError(f"bad resource: {resource!r}", line)
-    if re.fullmatch(r"[1-5][0-9][0-9]", status_text) is None:
+    if not (
+        len(status_text) == 3
+        and status_text[0] in "12345"
+        and all(c in string.digits for c in status_text[1:])
+    ):
         raise LineParseError(f"bad status: {status_text!r}", line)
     if bytes_text == "-":
         bytes_sent = None
-    elif re.fullmatch(r"[0-9]+", bytes_text) is None:
-        raise LineParseError(f"bad byte count: {bytes_text!r}", line)
-    else:
+    elif all(c in string.digits for c in bytes_text):
         bytes_sent = int(bytes_text)
-    m = _STAMP_REFERENCE.fullmatch(ts_text)
-    if m is None:
-        raise LineParseError(f"bad timestamp: {ts_text!r}", line)
-    day, mon, year, hh, mm, ss, sign, zh, zm = m.groups()
+    else:
+        raise LineParseError(f"bad byte count: {bytes_text!r}", line)
+    day, mon, year = ts_text[0:2], ts_text[3:6], ts_text[7:11]
+    hh, mm, ss = ts_text[12:14], ts_text[15:17], ts_text[18:20]
+    sign, zh, zm = ts_text[21], ts_text[22:24], ts_text[24:26]
     if mon not in _MONTHS_REFERENCE:
         raise LineParseError(f"bad month: {mon!r}", line)
     try:
@@ -413,10 +478,11 @@ def parse_log_line_reference(line: str, log_format: str = "ECLF") -> EclfEntry:
         bytes_sent=bytes_sent,
     )
     if log_format == "ECLF":
-        entry.referrer = None if tokens[7] == '"-' else tokens[7][1:]
-        entry.user_agent = None if tokens[8] == '"-' else tokens[8][1:]
-        if len(tokens) == 10:
-            entry.cookies = tokens[9][1:]
+        referrer, agent = (_unescape_reference(text) for text in texts[7:9])
+        entry.referrer = None if referrer == "-" else referrer
+        entry.user_agent = None if agent == "-" else agent
+        if len(texts) == 10:
+            entry.cookies = _unescape_reference(texts[9])
     return entry
 
 

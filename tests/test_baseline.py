@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from webusage.baseline import (
-    DEFAULT_STATIC_EXTENSIONS,
+    STATIC_EXTENSIONS,
     AccuracyReport,
     EclfEntry,
     LineParseError,
@@ -16,7 +16,6 @@ from webusage.baseline import (
     VisitEvent,
     _LINE_RE,
     _format_timestamp,
-    _split_tokens,
     complete_paths,
     filter_entries,
     identify_users,
@@ -51,15 +50,6 @@ BENCH_WORKLOADS = {
         nat_share=0.3, dynamic_ip_share=0.5, cookie_loss_share=0.25, cached_nav_share=0.3,
     ),
 }
-
-# Text dense in the characters the tokenizer treats specially.
-TOKENIZER_TEXT = st.one_of(
-    st.text(alphabet=' "[]\\ab\t\r\n\x00é', max_size=40),
-    st.lists(
-        st.sampled_from([" ", "  ", '"', '\\"', "\\", "[", "]", "a b", "-", "x\ty", "\u00e9\u4e2d"]),
-        max_size=15,
-    ).map("".join),
-)
 
 # Valid entries for render_log_line, and the characters the parser treats
 # specially, for mutating the rendered lines.
@@ -288,8 +278,8 @@ class TestRenderedTimestamp:
 
 
 class TestParseMatchesReference:
-    """parse_log_line reads a well-formed line with one match and any other
-    line token by token; both give what the reference parser gives."""
+    """parse_log_line reads a line with one match of its format's pattern and
+    gives what the slot-by-slot reference parser gives, entry or error."""
 
     @settings(max_examples=3000)
     @given(
@@ -306,9 +296,9 @@ class TestParseMatchesReference:
 
     @pytest.mark.parametrize("line, log_format, field, value", [
         ('"10.0.0.1" - - [02/Sep/2021:10:00:00 +0300] "GET /a.php HTTP/1.1" 200 5',
-         "CLF", "resource", "/a.php"),
+         "CLF", "error", "bad ip: '\"10.0.0.1\"'"),
         ('10.0.0.1 - - 02/Sep/2021:10:00:00 +0300 "GET /a.php HTTP/1.1" 200 5 "-" "ua"',
-         "ECLF", "error", "request line must be quoted"),
+         "ECLF", "error", "bad timestamp: '02/Sep/2021:10:00:00'"),
         (_line(request='GET /a\\"b.php HTTP/1.1'), "ECLF", "resource", '/a"b.php'),
         ('10.0.0.1  -  - [02/Sep/2021:10:00:00 +0300]   "GET /a.php HTTP/1.1" 200  5  "-" "ua" ',
          "ECLF", "bytes_sent", 5),
@@ -316,8 +306,7 @@ class TestParseMatchesReference:
         (_line(when="02/Sep/2021:10:00:00 +0300 "), "ECLF", "error",
          "bad timestamp: '02/Sep/2021:10:00:00 +0300 '"),
     ])
-    def test_token_path_examples(self, line, log_format, field, value):
-        assert _LINE_RE[log_format].fullmatch(line) is None
+    def test_examples(self, line, log_format, field, value):
         outcome = _parse_outcome(parse_log_line, line, log_format)
         assert outcome == _parse_outcome(oracles.parse_log_line_reference, line, log_format)
         if field == "error":
@@ -372,44 +361,45 @@ class TestParseMatchesReference:
         assert str(info.value) == f"bad timestamp: {when!r}"
 
 
-class TestSplitTokens:
-    @staticmethod
-    def _outcome(split, line):
-        try:
-            return split(line)
-        except LineParseError as exc:
-            return ("error", str(exc), exc.line)
+_CLF_LINE = '10.0.0.1 - - [02/Sep/2021:10:00:00 +0300] "GET /a.php HTTP/1.1" 200 5'
 
-    @settings(max_examples=2000)
-    @given(TOKENIZER_TEXT)
-    def test_matches_reference_loop(self, line):
-        assert self._outcome(_split_tokens, line) == self._outcome(
-            oracles.split_tokens_reference, line
-        )
 
-    @pytest.mark.parametrize(
-        "line, tokens",
-        [
-            ("", []),
-            ("   ", []),
-            (' a  [b c]"d\\"e" f ', ["a", "b c", '"d"e', "f"]),
-            ('"\\\\" x"y', ['"\\', 'x"y']),
-            ("[]\"\"", ["", '"']),
-        ],
-    )
-    def test_examples(self, line, tokens):
-        assert _split_tokens(line) == tokens
+class TestParseErrors:
+    """Each parse-error reason of FORMATS.md, word for word.  A quoted ip
+    and bare text in the quoted slots were once read as fields."""
 
-    @pytest.mark.parametrize(
-        "line, message",
-        [('a "b', "unterminated quote"), ('"b\\"  ', "unterminated quote"),
-         ("a  [b c", "unterminated bracket")],
-    )
-    def test_unterminated(self, line, message):
+    @pytest.mark.parametrize("line, log_format, message", [
+        ("10.0.0.1 - -", "CLF", "expected 7 fields for CLF, got 3"),
+        (_CLF_LINE, "ECLF", "expected 9 fields for ECLF, got 7"),
+        (_CLF_LINE + ' "-"', "CLF", "more than 7 fields for CLF"),
+        (_CLF_LINE + ' "-" "ua" "sid=1" "x"', "ECLF", "more than 10 fields for ECLF"),
+        ("[10.0.0.1]" + _CLF_LINE.removeprefix("10.0.0.1"), "CLF", "bad ip: '[10.0.0.1]'"),
+        (_CLF_LINE.replace(" - - ", ' "-" - ', 1), "CLF", "bad identd: '\"-\"'"),
+        (_CLF_LINE.replace(" - - ", " - [-] ", 1), "CLF", "bad authuser: '[-]'"),
+        (_CLF_LINE.replace("[02/Sep/2021:10:00:00 +0300]", "[02/Sep/21:10:00:00 +0300]"),
+         "CLF", "bad timestamp: '02/Sep/21:10:00:00 +0300'"),
+        ('"10.0.0.1"' + _CLF_LINE.removeprefix("10.0.0.1"), "CLF", "bad ip: '\"10.0.0.1\"'"),
+        (_CLF_LINE.replace(" HTTP/1.1", ""), "CLF", "bad request line: 'GET /a.php'"),
+        (_CLF_LINE.replace('"GET /a.php HTTP/1.1"', "GET /a.php HTTP/1.1"), "CLF",
+         "bad request line: 'GET'"),
+        (_CLF_LINE.replace(" 200 ", ' "200" '), "CLF", "bad status: '\"200\"'"),
+        (_CLF_LINE.replace(" 5", " [5]"), "CLF", "bad byte count: '[5]'"),
+        (_CLF_LINE + " - ua sid=1", "ECLF", "bad referrer: '-'"),
+        (_CLF_LINE + ' "-"x "ua"', "ECLF", "bad referrer: '-'"),
+        (_CLF_LINE + ' "-" "ua', "ECLF", "bad user agent: '\"ua'"),
+        (_CLF_LINE + ' "-" "ua" sid=1', "ECLF", "bad cookies: 'sid=1'"),
+        (_CLF_LINE.replace("/a.php", "a.php"), "CLF", "bad resource: 'a.php'"),
+        (_CLF_LINE.replace(" 200 ", " 600 "), "CLF", "bad status: '600'"),
+        (_CLF_LINE.replace(" 5", " 5k"), "CLF", "bad byte count: '5k'"),
+        (_CLF_LINE.replace("Sep", "Sept"), "CLF", "bad timestamp: '02/Sept/2021:10:00:00 +0300'"),
+        (_CLF_LINE.replace("Sep", "Xxx"), "CLF", "bad month: 'Xxx'"),
+        (_CLF_LINE.replace("02/Sep", "31/Sep"), "CLF",
+         "bad timestamp: '31/Sep/2021:10:00:00 +0300'"),
+    ])
+    def test_reason(self, line, log_format, message):
         with pytest.raises(LineParseError) as info:
-            _split_tokens(line)
-        assert str(info.value) == message
-        assert info.value.line == line
+            parse_log_line(line, log_format)
+        assert (str(info.value), info.value.line) == (message, line)
 
 
 class TestReadLog:
@@ -469,14 +459,8 @@ class TestFilter:
         _, stats = filter_entries(entries)
         assert stats.dropped_static == 1
 
-    def test_custom_extension_list(self):
-        entries = [_entry(request="GET /x.css HTTP/1.1")]
-        kept, stats = filter_entries(entries, static_extensions=(".png",))
-        assert len(kept) == 1
-        assert stats.kept == 1
-
     def test_default_extensions(self):
-        assert set(DEFAULT_STATIC_EXTENSIONS) == {
+        assert set(STATIC_EXTENSIONS) == {
             ".png", ".jpg", ".gif", ".css", ".js", ".ico",
         }
 

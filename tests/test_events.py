@@ -95,6 +95,25 @@ class TestEventModel:
         with pytest.raises(ValueError, match=f"{name} keys and values must be str"):
             _event(**{name: value})
 
+    @pytest.mark.parametrize("value", ["x", "1", True, 1.0, None])
+    def test_server_id_must_be_int(self, value):
+        with pytest.raises(ValueError, match="server_id must be an int"):
+            _event(server_id=value)
+
+    @pytest.mark.parametrize(
+        "name", ["client_ip", "url", "session_token", "user_agent", "app_service", "module"]
+    )
+    @pytest.mark.parametrize("value", [None, b"x", 1])
+    def test_text_field_must_be_str(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a str,"):
+            _event(**{name: value})
+
+    @pytest.mark.parametrize("name", ["referrer", "auth_user"])
+    @pytest.mark.parametrize("value", [b"x", 1, ["x"]])
+    def test_optional_text_field_must_be_str_or_none(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a str or None"):
+            _event(**{name: value})
+
     def test_negative_load_time_rejected(self):
         with pytest.raises(ValueError, match="page_load_time"):
             AppPageResult(page_load_time=-0.1)
