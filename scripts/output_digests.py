@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Print a digest of every output of the CLI walkthrough for one workload.
+"""Print a digest of every output of the CLI walkthrough for each workload and seed.
 
     python3 scripts/output_digests.py --workload stressed-short --seed 1
+    python3 scripts/output_digests.py --workload all --seed 1 --seed 2 --seed 3
 
 The workload settings come from the benchmark's ``perfbench/workloads.py``.
 In a temporary directory the script runs ``webusage simulate`` with those
@@ -10,8 +11,10 @@ settings (its replay, access log and truth files), then ``collect``,
 kind as CSV and as ``--plot``, ``top-ips``/``top-users`` with ``--n 3``,
 ``compare`` and ``export``, all in-process through ``webusage.cli.main``.
 It prints one ``sha256  name`` line per output, sorted by name, so two
-checkouts compare with a single ``diff`` of their lines.  Exits 1 if a
-command fails.
+checkouts compare with a single ``diff`` of their lines.  ``--seed`` may be
+given more than once and ``--workload all`` names every workload; when that
+makes more than one run, each name is prefixed with ``<workload>/seed<N>/``.
+Exits 1 if a command fails.
 """
 
 from __future__ import annotations
@@ -94,13 +97,18 @@ def output_digests(workload, seed: int, work: Path) -> dict[str, str]:
 def main(argv: list[str] | None = None) -> int:
     workloads = load_workloads()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=sorted(workloads))
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", required=True, choices=sorted(workloads) + ["all"])
+    parser.add_argument("--seed", type=int, required=True, action="append",
+                        help="may be given more than once")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="output-digests-") as work:
-        digests = output_digests(workloads[args.workload], args.seed, Path(work))
-    for name, digest in sorted(digests.items()):
-        print(f"{digest}  {name}")
+    names = sorted(workloads) if args.workload == "all" else [args.workload]
+    runs = [(name, seed) for name in names for seed in args.seed]
+    for name, seed in runs:
+        prefix = f"{name}/seed{seed}/" if len(runs) > 1 else ""
+        with tempfile.TemporaryDirectory(prefix="output-digests-") as work:
+            digests = output_digests(workloads[name], seed, Path(work))
+        for output, digest in sorted(digests.items()):
+            print(f"{digest}  {prefix}{output}", flush=True)
     return 0
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import ipaddress
 import urllib.parse
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable
 
@@ -173,8 +173,6 @@ class Collector:
     def _start_session(self, event: RawRequestEvent) -> LiveSession:
         profile = parse_user_agent(event.user_agent)
         language = first_language_tag(event.cookies.get("accept-language"))
-        if language is not None:
-            profile = replace(profile, language=language)
         referral = classify_referrer(event.referrer, self.site_hosts)
         engine = None
         keywords = None
@@ -213,7 +211,7 @@ class Collector:
             os_name=profile.os_name,
             os_version=profile.os_version,
             device_type=profile.device_type,
-            language=profile.language,
+            language=language if language is not None else profile.language,
             referrer_url=event.referrer,
             referral_class=referral.kind,
             search_engine=engine,

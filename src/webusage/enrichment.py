@@ -7,9 +7,12 @@ behaviour can be pinned by tests and extended without code changes.  Parsing
 never raises on arbitrary agent strings; unknown fields come back as the
 literal string ``"unknown"``.
 
-``parse_user_agent`` keeps its recent results in a bounded cache.  The cache
-holds a pure lookup, a frozen profile per agent and registry, not session
-state: a site sees few distinct agents, and each new session parses one.
+``parse_user_agent``, ``is_bot`` and the text-to-integer step of
+``ip_to_int`` keep their recent results in bounded caches.  Each cache holds
+a pure lookup (a frozen profile per agent and registry, a bot flag per
+agent, an integer per address text), never session state: a site sees few
+distinct agents, NAT and dynamic-IP traffic repeat addresses, and an
+invalid address is not cached, so it raises on every call.
 """
 
 from __future__ import annotations
@@ -120,6 +123,7 @@ def _first_match(rules: Sequence[_Rule], ua: str) -> tuple[str, str]:
     return UNKNOWN, UNKNOWN
 
 
+@lru_cache(maxsize=1024)
 def is_bot(agent: str | None) -> bool:
     """True when one of the bundled bot substrings occurs in the lowercased agent."""
     if not agent:
@@ -165,7 +169,12 @@ class GeoIpLoadError(ValueError):
 def ip_to_int(ip: str | int) -> int:
     if isinstance(ip, int):
         return ip
-    return int(ipaddress.IPv4Address(ip))
+    return _ipv4_text_to_int(ip)
+
+
+@lru_cache(maxsize=4096)
+def _ipv4_text_to_int(text: str) -> int:
+    return int(ipaddress.IPv4Address(text))
 
 
 @dataclass(frozen=True)

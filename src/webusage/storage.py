@@ -107,7 +107,11 @@ def serialize_map(m: dict[str, str]) -> str:
     for key, value in m.items():
         if not isinstance(key, str) or not isinstance(value, str):
             raise ConstraintError("map keys and values must be strings")
-    return json.dumps(m, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    # The text json.dumps(m, sort_keys=True, separators=(",", ":"),
+    # ensure_ascii=False) gives, built with the string encoder it uses but
+    # without the new JSONEncoder it makes on every call.
+    enc = json.encoder.encode_basestring
+    return "{" + ",".join(f"{enc(k)}:{enc(v)}" for k, v in sorted(m.items())) + "}"
 
 
 def deserialize_map(text: str) -> dict[str, str]:
@@ -413,6 +417,14 @@ def _aliased(alias: str, table: str) -> str:
     return ", ".join(f"{alias}.{c}" for c in TABLE_COLUMNS[table])
 
 
+# The open session of one token joined to its session's username: the
+# open_sessions columns in TABLE_COLUMNS order, then s.username.
+_OPEN_SESSION_SQL = (
+    f"SELECT {_aliased('o', 'open_sessions')}, s.username FROM open_sessions o"
+    " JOIN log_session s ON s.opn_id = o.opn_id WHERE o.session_token = ?"
+)
+
+
 class _ByteCounter:
     """Write-only text stream that keeps only the UTF-8 size of its input."""
 
@@ -570,15 +582,13 @@ class LogStore:
 
     def get_open_session(self, token: str) -> LiveSession | None:
         """The open session for a token, with its session's username."""
-        rows = self._query(
-            f"SELECT {_aliased('o', 'open_sessions')}, s.username FROM open_sessions o"
-            " JOIN log_session s ON s.opn_id = o.opn_id WHERE o.session_token = ?",
-            (token,),
-        )
+        rows = self._query(_OPEN_SESSION_SQL, (token,))
         if not rows:
             return None
-        *row, username = rows[0]
-        return LiveSession(**vars(_CODECS["open_sessions"].decode(row)), username=username)
+        _, opn_id, user_id, started_at, last_activity, username = rows[0]
+        return LiveSession(
+            token, opn_id, user_id, text_to_dt(started_at), text_to_dt(last_activity), username
+        )
 
     def put_open_session(self, open_session: OpenSession) -> None:
         if open_session.last_activity < open_session.started_at:

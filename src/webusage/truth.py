@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 TRUTH_HEADER = (
     "kind", "user_id", "username", "user_type", "gender", "device",
@@ -20,8 +21,7 @@ TRUTH_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class TruthUser:
+class TruthUser(NamedTuple):
     user_id: int
     username: str | None   # None for visitors who never sign in
     user_type: str
@@ -29,8 +29,7 @@ class TruthUser:
     device: str
 
 
-@dataclass(frozen=True)
-class TruthSession:
+class TruthSession(NamedTuple):
     session_id: int
     user_id: int
     pageviews: int
@@ -38,8 +37,7 @@ class TruthSession:
     end_epoch: int
 
 
-@dataclass(frozen=True)
-class TruthEvent:
+class TruthEvent(NamedTuple):
     event_seq: int
     true_user_id: int
     true_session_id: int
@@ -92,40 +90,33 @@ def read_truth(stream) -> GroundTruth:
     if header != list(TRUTH_HEADER):
         raise ValueError(f"unexpected truth header: {header}")
     truth = GroundTruth()
+    users, sessions, events = truth.users, truth.sessions, truth.events
+    width = len(TRUTH_HEADER)
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
-        if len(row) != len(TRUTH_HEADER):
-            raise ValueError(f"line {line_no}: expected {len(TRUTH_HEADER)} columns")
-        kind = row[0]
-        if kind == "user":
-            truth.users.append(TruthUser(
-                user_id=int(row[1]),
-                username=row[2] or None,
-                user_type=row[3],
-                gender=row[4] or None,
-                device=row[5],
-            ))
-        elif kind == "session":
-            truth.sessions.append(TruthSession(
-                session_id=int(row[6]),
-                user_id=int(row[1]),
-                pageviews=int(row[7]),
-                start_epoch=int(row[8]),
-                end_epoch=int(row[9]),
-            ))
-        elif kind == "event":
-            truth.events.append(TruthEvent(
-                event_seq=int(row[10]),
-                true_user_id=int(row[1]),
-                true_session_id=int(row[6]),
-                epoch=int(row[12]),
-                ip=row[13],
-                resource=row[14],
-                cached=bool(int(row[11])),
-            ))
-        else:
-            raise ValueError(f"line {line_no}: unknown row kind {kind!r}")
+        if len(row) != width:
+            raise ValueError(f"line {line_no}: expected {width} columns")
+        (kind, user_id, username, user_type, gender, device, session_id, pageviews,
+         start, end, event_seq, cached, epoch, ip, resource) = row
+        try:
+            if kind == "event":
+                events.append(TruthEvent(
+                    int(event_seq), int(user_id), int(session_id), int(epoch),
+                    ip, resource, bool(int(cached)),
+                ))
+            elif kind == "session":
+                sessions.append(TruthSession(
+                    int(session_id), int(user_id), int(pageviews), int(start), int(end),
+                ))
+            elif kind == "user":
+                users.append(TruthUser(
+                    int(user_id), username or None, user_type, gender or None, device,
+                ))
+            else:
+                raise ValueError(f"unknown row kind {kind!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
     return truth
 
 

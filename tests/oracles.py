@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import ipaddress
+import json
 import string
 import urllib.parse
 from datetime import datetime, timedelta, timezone
@@ -28,7 +29,14 @@ from webusage.analytics import (
 from webusage.baseline import EclfEntry, LineParseError
 from webusage.enrichment import UNKNOWN, ip_to_int
 from webusage.events import RawRequestEvent, ReplayFormatError
-from webusage.storage import NO_GENDER_TYPES, USER_TYPES, LogStore, OpenSession, PageRecord
+from webusage.storage import (
+    NO_GENDER_TYPES,
+    USER_TYPES,
+    ConstraintError,
+    LogStore,
+    OpenSession,
+    PageRecord,
+)
 
 USER_TYPE_ORDER = (
     "guest",
@@ -495,6 +503,19 @@ def get_page(store: LogStore, page_id: int) -> PageRecord | None:
 def iter_open_sessions(store: LogStore) -> list[OpenSession]:
     """Every open-session row, by opn_id."""
     return store._select("open_sessions", "ORDER BY opn_id")
+
+
+def serialize_map_reference(m: dict[str, str]) -> str:
+    """``storage.serialize_map`` written with ``json.dumps``, the reference
+    for its text and its errors."""
+    if not isinstance(m, dict):
+        raise ConstraintError(f"map must be a dict, got {type(m).__name__}")
+    if m == {}:
+        return "{}"
+    for key, value in m.items():
+        if not isinstance(key, str) or not isinstance(value, str):
+            raise ConstraintError("map keys and values must be strings")
+    return json.dumps(m, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def parse_load_time(text: str) -> float:

@@ -75,17 +75,29 @@ LOG_ENTRIES = st.builds(
     cookies=QUOTED_FIELD,
 )
 # (position, character to insert there, or None to delete the one there)
+DOUBLE_SPACE = "double space"
+# (position, what): insert a character there, delete the one there (None),
+# or double one of the line's spaces (DOUBLE_SPACE), which random inserts
+# seldom do between two fields.
 LINE_MUTATIONS = st.lists(
-    st.tuples(st.integers(0, 10**4), st.none() | st.sampled_from(list('"[]\\-+ 0123456789'))),
+    st.tuples(
+        st.integers(0, 10**4),
+        st.none() | st.just(DOUBLE_SPACE) | st.sampled_from(list('"[]\\-+ 0123456789')),
+    ),
     max_size=4,
 )
 
 
 def _mutate(line: str, mutations) -> str:
-    for position, char in mutations:
-        if char is not None:
+    for position, what in mutations:
+        if what == DOUBLE_SPACE:
+            spaces = [i for i, char in enumerate(line) if char == " "]
+            if spaces:
+                position = spaces[position % len(spaces)]
+                line = line[:position] + " " + line[position:]
+        elif what is not None:
             position %= len(line) + 1
-            line = line[:position] + char + line[position:]
+            line = line[:position] + what + line[position:]
         elif line:
             position %= len(line)
             line = line[:position] + line[position + 1:]

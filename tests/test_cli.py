@@ -143,6 +143,24 @@ class TestCollect:
         assert rc == 2
         assert "users file header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row, reason", [
+        ("user,1,alice", "line 3: expected 15 columns"),
+        ("mystery" + "," * 14, "line 3: unknown row kind 'mystery'"),
+        ("user,x,alice,student,female,desktop,,,,,,,,,",
+         "line 3: invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_bad_truth_users_file_exits_2(self, workspace, tmp_path, capsys, row, reason):
+        store = tmp_path / "kept.db"
+        store.write_bytes(workspace["store"].read_bytes())
+        truth = tmp_path / "truth.csv"
+        lines = workspace["truth"].read_text(encoding="utf-8").splitlines()
+        truth.write_text(f"{lines[0]}\n{lines[1]}\n{row}\n", encoding="utf-8")
+        rc = main(["collect", str(workspace["replay"]),
+                   "--store", str(store), "--users", str(truth)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert store.read_bytes() == workspace["store"].read_bytes()
+
     @pytest.mark.parametrize("row, width", [
         ("1,alice", 2),
         ("1,alice,student,female,extra", 5),

@@ -129,6 +129,16 @@ class TestRequestBegin:
         assert row.search_engine == "google"
         assert row.search_keywords == "sakarya"
 
+    def test_invalid_address_is_an_unknown_country_every_time(self, mem_store):
+        from webusage.enrichment import sample_geoip_table
+
+        enriched = Collector(mem_store, site_hosts=HOSTS, geoip=sample_geoip_table())
+        for i, token in enumerate(("tokA", "tokB")):
+            opn, _ = enriched.handle_request_begin(
+                _event(token, seconds=i, client_ip="01.2.3.4")
+            )
+            assert mem_store.get_session(opn).country_code == "unknown"
+
     def test_session_map_written(self, collector, mem_store):
         mem_store.upsert_user(UserInfo(166553, "user9", "student", "male"))
         opn, page_id = collector.handle_request_begin(

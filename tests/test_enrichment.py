@@ -1,4 +1,5 @@
 import io
+import ipaddress
 import random
 import re
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from webusage import enrichment
 from webusage.enrichment import (
     ClientProfile,
     GeoIpLoadError,
@@ -60,6 +62,8 @@ class TestUserAgents:
         ],
     )
     def test_is_bot_matches_a_substring_of_the_lowercased_agent(self, agent, expected):
+        # twice, so the second call is answered from the cache
+        assert is_bot(agent) is expected
         assert is_bot(agent) is expected
         assert parse_user_agent(agent).is_bot is expected
 
@@ -184,6 +188,37 @@ class TestGeoIp:
             probes.extend([rec.start_ip, rec.end_ip, rec.start_ip - 1, rec.end_ip + 1])
         for value in probes:
             assert table.lookup(value) == geoip_lookup_linear(table.ranges, value)
+
+
+class TestCaches:
+    """The cached lookups answer as the functions they wrap, keep no
+    failure and stay bounded."""
+
+    @pytest.mark.parametrize("text", ["01.2.3.4", "256.0.0.1", "not-an-ip", ""])
+    def test_invalid_address_raises_on_every_call(self, text):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                ip_to_int(text)
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1))
+    def test_cached_address_equals_a_fresh_parse(self, value):
+        text = str(ipaddress.IPv4Address(value))
+        for _ in range(2):
+            assert ip_to_int(text) == value
+
+    @settings(max_examples=300)
+    @given(st.none() | st.text(max_size=60) | st.sampled_from([FIREFOX_UBUNTU, "Googlebot/2.1"]))
+    def test_cached_bot_flag_equals_a_fresh_check(self, agent):
+        for _ in range(2):
+            assert is_bot(agent) is is_bot.__wrapped__(agent)
+
+    @pytest.mark.parametrize("cached", [
+        enrichment.is_bot, enrichment._ipv4_text_to_int, enrichment.parse_user_agent,
+    ])
+    def test_caches_are_bounded(self, cached):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 4096
 
 
 class TestLanguages:

@@ -3,6 +3,7 @@
 import gzip
 import io
 from datetime import timezone
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +23,14 @@ from webusage.simulator import (
     simulate_to_dir,
 )
 from webusage.storage import USER_TYPES, LogStore
-from webusage.truth import TRUTH_HEADER, GroundTruth, load_truth, read_truth, write_truth
+from webusage.truth import (
+    TRUTH_HEADER,
+    GroundTruth,
+    TruthEvent,
+    load_truth,
+    read_truth,
+    write_truth,
+)
 
 
 def make_config(**overrides) -> WorkloadConfig:
@@ -312,6 +320,44 @@ class TestTruthRoundTrip:
         text = ",".join(TRUTH_HEADER) + "\nuser,1,alice\n"
         with pytest.raises(ValueError, match="columns"):
             read_truth(io.StringIO(text))
+
+    def test_read_then_write_gives_back_the_file(self, tmp_path):
+        config = make_config(cached_nav_share=0.3, cookie_loss_share=0.1, nat_share=0.2)
+        paths = simulate_to_dir(config, tmp_path)
+        written = Path(paths["truth"]).read_bytes()
+        with open(paths["truth"], encoding="utf-8", newline="") as fh:
+            truth = read_truth(fh)
+        assert {e.cached for e in truth.events} == {False, True}
+        assert None in {u.username for u in truth.users}
+        assert truth_bytes(truth) == written
+
+    def test_records_are_immutable_and_hashable(self):
+        _, truth = generate(make_config(cached_nav_share=0.3))
+        records = [truth.users[0], truth.sessions[0], truth.events[0]]
+        for record, name in zip(records, ("user_id", "session_id", "event_seq")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        assert len({*truth.users, *truth.sessions, *truth.events}) == (
+            len(truth.users) + len(truth.sessions) + len(truth.events)
+        )
+        assert TruthEvent(1, 2, 3, 4, "10.0.0.1", "/a.php").cached is False
+
+    @pytest.mark.parametrize("row, message", [
+        ("user,1,alice", "line 3: expected 15 columns"),
+        ("mystery" + "," * 14, "line 3: unknown row kind 'mystery'"),
+        ("user,x,alice,student,female,desktop,,,,,,,,,",
+         "line 3: invalid literal for int() with base 10: 'x'"),
+        ("session,1,,,,,7,3,100,1.5,,,,,",
+         "line 3: invalid literal for int() with base 10: '1.5'"),
+        ("event,1,,,,,7,,,,5,yes,100,10.0.0.1,/a.php",
+         "line 3: invalid literal for int() with base 10: 'yes'"),
+    ])
+    def test_bad_row_names_its_line(self, row, message):
+        good = "user,1,alice,student,female,desktop,,,,,,,,,"
+        text = ",".join(TRUTH_HEADER) + f"\n{good}\n{row}\n"
+        with pytest.raises(ValueError) as info:
+            read_truth(io.StringIO(text))
+        assert str(info.value) == message
 
 
 def collect_workload(events, truth, config: WorkloadConfig):

@@ -1,6 +1,7 @@
 import csv
 import io
 import re
+from collections import OrderedDict
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from webusage.storage import (
     serialize_map,
     text_to_dt,
 )
-from oracles import get_page, iter_open_sessions, parse_load_time
+from oracles import get_page, iter_open_sessions, parse_load_time, serialize_map_reference
 
 T0 = datetime(2021, 9, 2, 10, 12, 18)
 
@@ -44,6 +45,32 @@ def _page(opn_id: int, **overrides) -> PageRecord:
     )
     base.update(overrides)
     return PageRecord(**base)
+
+
+# Map text dense in what JSON escapes or might: quotes, backslashes, control
+# characters, non-ASCII, lone surrogates, and letters in both cases.
+_MAP_CHARS = st.sampled_from(
+    ['"', "\\", "/", "a", "A", "b", "B", "\x7f", "é", "É", "\u2028", "\ud800", "\udfff", "😀"]
+    + [chr(i) for i in range(0x20)]
+) | st.characters(exclude_categories=())
+_MAP_TEXT = st.text(_MAP_CHARS, max_size=8)
+
+
+@st.composite
+def _string_maps(draw):
+    """A map whose keys may come in pairs that differ only in case."""
+    m = draw(st.dictionaries(_MAP_TEXT, _MAP_TEXT, max_size=6))
+    for key in list(m):
+        if draw(st.booleans()):
+            m[key.swapcase()] = draw(_MAP_TEXT)
+    return m
+
+
+def _serialize_outcome(serialize, m):
+    try:
+        return "ok", serialize(m)
+    except ConstraintError as exc:
+        return "error", str(exc)
 
 
 class TestSerializedMaps:
@@ -75,6 +102,37 @@ class TestSerializedMaps:
     def test_serialize_rejects_non_dict(self, value):
         with pytest.raises(ConstraintError, match="must be a dict"):
             serialize_map(value)
+
+    @pytest.mark.parametrize("value", [
+        {1: "a"}, {"a": 1}, {"a": None}, {1: "a", "b": "c"}, {b"a": "1"}, {"a": b"1"},
+    ])
+    def test_serialize_rejects_non_str_keys_and_values(self, value):
+        with pytest.raises(ConstraintError, match="keys and values must be strings"):
+            serialize_map(value)
+        assert _serialize_outcome(serialize_map, value) == _serialize_outcome(
+            serialize_map_reference, value
+        )
+
+    def test_dict_subclasses_accepted(self):
+        class Params(dict):
+            pass
+
+        for m in (Params(b="1", a="2"), OrderedDict([("b", "1"), ("a", "2")])):
+            assert serialize_map(m) == serialize_map_reference(m) == '{"a":"2","b":"1"}'
+
+    def test_escapes_as_formats_md_states(self):
+        m = {"q": 'a"b\\c', "ctl": "\n\t\x01\x1f", "ü": "é€"}
+        text = r'{"ctl":"\n\t\u0001\u001f","q":"a\"b\\c","ü":"é€"}'
+        assert serialize_map(m) == text
+        formats = (Path(__file__).resolve().parent.parent / "FORMATS.md").read_text("utf-8")
+        assert f"`{text}`" in formats
+
+    @settings(max_examples=300)
+    @given(_string_maps())
+    def test_matches_json_dumps_byte_for_byte(self, m):
+        assert _serialize_outcome(serialize_map, m) == _serialize_outcome(
+            serialize_map_reference, m
+        )
 
     @settings(max_examples=100)
     @given(st.dictionaries(st.text(max_size=10), st.text(max_size=10), max_size=5))
