@@ -10,8 +10,9 @@ literal string ``"unknown"``.
 ``parse_user_agent``, ``is_bot`` and the text-to-integer step of
 ``ip_to_int`` keep their recent results in bounded caches.  Each cache holds
 a pure lookup (a frozen profile per agent and registry, a bot flag per
-agent, an integer per address text), never session state: a site sees few
-distinct agents, NAT and dynamic-IP traffic repeat addresses, and an
+agent, an integer per address text), never session state.  They pay off
+where agents and client addresses repeat: a site sees few distinct agents,
+and a user who keeps an address starts each new session from it.  An
 invalid address is not cached, so it raises on every call.
 """
 

@@ -388,11 +388,16 @@ class _Codec:
         return row
 
     def decode(self, row: Sequence[Any]) -> Any:
+        return self.record_type(*self.arguments(row))
+
+    def arguments(self, row: Sequence[Any]) -> tuple:
+        """The record's constructor arguments in field order, for a row whose
+        first columns are the table's in ``TABLE_COLUMNS`` order."""
         row = list(row)
         for i, conv in self._decoders:
             if row[i] is not None:
                 row[i] = conv(row[i])
-        return self.record_type(*self._in_field_order(row))
+        return self._in_field_order(row)
 
 
 _CODECS = {
@@ -417,8 +422,7 @@ def _aliased(alias: str, table: str) -> str:
     return ", ".join(f"{alias}.{c}" for c in TABLE_COLUMNS[table])
 
 
-# The open session of one token joined to its session's username: the
-# open_sessions columns in TABLE_COLUMNS order, then s.username.
+# The open session of one token, then its session's username.
 _OPEN_SESSION_SQL = (
     f"SELECT {_aliased('o', 'open_sessions')}, s.username FROM open_sessions o"
     " JOIN log_session s ON s.opn_id = o.opn_id WHERE o.session_token = ?"
@@ -585,10 +589,9 @@ class LogStore:
         rows = self._query(_OPEN_SESSION_SQL, (token,))
         if not rows:
             return None
-        _, opn_id, user_id, started_at, last_activity, username = rows[0]
-        return LiveSession(
-            token, opn_id, user_id, text_to_dt(started_at), text_to_dt(last_activity), username
-        )
+        row = rows[0]
+        # a LiveSession's fields are an OpenSession's, then username
+        return LiveSession(*_CODECS["open_sessions"].arguments(row), row[-1])
 
     def put_open_session(self, open_session: OpenSession) -> None:
         if open_session.last_activity < open_session.started_at:

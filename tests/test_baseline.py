@@ -74,7 +74,6 @@ LOG_ENTRIES = st.builds(
     user_agent=QUOTED_FIELD,
     cookies=QUOTED_FIELD,
 )
-# (position, character to insert there, or None to delete the one there)
 DOUBLE_SPACE = "double space"
 # (position, what): insert a character there, delete the one there (None),
 # or double one of the line's spaces (DOUBLE_SPACE), which random inserts

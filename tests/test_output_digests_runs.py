@@ -1,6 +1,7 @@
 """scripts/output_digests.py over several runs: repeated --seed and
---workload all print each run's lines under a <workload>/seed<N>/ prefix,
-so the pinned single-run files still describe each run."""
+--workload all print each run's lines, in run order, under a
+<workload>/seed<N>/ prefix (one run prints without it, as
+test_output_digests.py pins)."""
 
 import importlib.util
 from pathlib import Path
@@ -8,7 +9,6 @@ from pathlib import Path
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_digests.py"
-DATA = Path(__file__).resolve().parent / "data"
 
 
 def _load_script():
@@ -18,34 +18,27 @@ def _load_script():
     return module
 
 
-def _prefixed(workload: str, seed: int) -> str:
-    pinned = (DATA / f"output_digests_{workload}_seed{seed}.txt").read_text(encoding="utf-8")
-    lines = []
-    for line in pinned.splitlines():
-        digest, name = line.split("  ", 1)
-        lines.append(f"{digest}  {workload}/seed{seed}/{name}\n")
-    return "".join(lines)
-
-
-def test_repeated_seeds_print_each_run_under_its_prefix(capsys):
-    assert _load_script().main(
-        ["--workload", "stressed-short", "--seed", "1", "--seed", "2"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert out == _prefixed("stressed-short", 1) + _prefixed("stressed-short", 2)
-
-
-def test_all_names_every_workload(capsys, monkeypatch):
+@pytest.mark.parametrize("argv, seeds, every_workload", [
+    (["--workload", "all", "--seed", "3"], [3], True),
+    (["--workload", "stressed-short", "--seed", "1", "--seed", "2"], [1, 2], False),
+])
+def test_each_run_prints_under_its_prefix(capsys, monkeypatch, argv, seeds, every_workload):
     script = _load_script()
     ran = []
-    monkeypatch.setattr(
-        script, "output_digests",
-        lambda workload, seed, work: ran.append((workload.name, seed)) or {"x": "0" * 64},
+
+    def fake_digests(workload, seed, work):
+        ran.append((workload.name, seed))
+        return {"a": str(seed) * 64, "b": "f" * 64}
+
+    monkeypatch.setattr(script, "output_digests", fake_digests)
+    assert script.main(argv) == 0
+    names = sorted(script.load_workloads()) if every_workload else ["stressed-short"]
+    runs = [(name, seed) for name in names for seed in seeds]
+    assert ran == runs
+    assert capsys.readouterr().out == "".join(
+        f"{str(seed) * 64}  {name}/seed{seed}/a\n{'f' * 64}  {name}/seed{seed}/b\n"
+        for name, seed in runs
     )
-    assert script.main(["--workload", "all", "--seed", "3"]) == 0
-    names = sorted(script.load_workloads())
-    assert ran == [(name, 3) for name in names]
-    assert capsys.readouterr().out == "".join(f"{'0' * 64}  {name}/seed3/x\n" for name in names)
 
 
 def test_unknown_workload_is_a_usage_error():

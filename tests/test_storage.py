@@ -13,6 +13,7 @@ from webusage.events import AppPageResult
 from webusage.storage import (
     ConstraintError,
     ForeignKeyError,
+    LiveSession,
     LogStore,
     MapFormatError,
     OpenSession,
@@ -423,8 +424,7 @@ class TestUsersAndOpenSessions:
     def test_open_session_lifecycle(self, mem_store):
         opn = mem_store.insert_session(_session())
         mem_store.put_open_session(OpenSession("tokA", opn, None, T0, T0))
-        got = mem_store.get_open_session("tokA")
-        assert got.opn_id == opn
+        assert mem_store.get_open_session("tokA") == LiveSession("tokA", opn, None, T0, T0)
         later = T0.replace(hour=11)
         mem_store.touch_open_session("tokA", later)
         assert mem_store.get_open_session("tokA").last_activity == later
@@ -438,7 +438,7 @@ class TestUsersAndOpenSessions:
         mem_store.put_open_session(OpenSession("tokA", opn, 7, T0, T0))
         guest = mem_store.insert_session(_session())
         mem_store.put_open_session(OpenSession("tokB", guest, None, T0, T0))
-        assert mem_store.get_open_session("tokA").username == "u0007"
+        assert mem_store.get_open_session("tokA") == LiveSession("tokA", opn, 7, T0, T0, "u0007")
         assert mem_store.get_open_session("tokB").username is None
 
     def test_open_sessions_idle_since_reads_whole_seconds(self, mem_store):
