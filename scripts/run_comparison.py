@@ -5,7 +5,11 @@ Generates one synthetic workload per stress scenario, runs both pipelines
 on it, and prints how well each one recovers the true users and sessions.
 The collector sees the replay stream (with identity tokens); the classical
 side sees only the access log the same traffic would have produced.
+
+    python3 scripts/run_comparison.py --users 8 --session-rate 3 --seed 1
 """
+
+from __future__ import annotations
 
 import argparse
 import sys
@@ -80,7 +84,7 @@ def run_scenario(name: str, overrides: dict, args: argparse.Namespace) -> tuple:
     )
 
 
-def main() -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--users", type=int, default=100)
@@ -91,7 +95,11 @@ def main() -> int:
     parser.add_argument("--page-gap", type=float, default=1800.0,
                         help="classical page-gap threshold in seconds")
     parser.add_argument("--session-gap", type=float, default=1800.0)
-    args = parser.parse_args()
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
 
     header = (f"{'scenario':<18} {'sessions':>8} {'collector':>9} "
               f"{'baseline':>9} {'gap':>9} {'user P':>7} {'user R':>7}")

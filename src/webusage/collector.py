@@ -126,7 +126,8 @@ class Collector:
                     self.store.touch_open_session(event.session_token, event.timestamp)
                 page_id = self._record_page(event, open_session)
                 return open_session.opn_id, page_id
-        except StorageError as exc:
+        except (StorageError, UnicodeEncodeError) as exc:
+            # SQLite stores text as UTF-8, which cannot hold a lone surrogate.
             raise CollectionError(str(exc), event) from exc
 
     def handle_request_end(self, page_log_id: int, result: AppPageResult) -> None:

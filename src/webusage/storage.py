@@ -784,16 +784,13 @@ class LogStore:
         cols = TABLE_COLUMNS.get(table)
         if cols is None:
             raise ValueError(f"unknown table {table!r}")
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(cols)
-        n = 0
         rows = self._query(
             f"SELECT {', '.join(cols)} FROM {table} ORDER BY {_TABLE_KEYS[table]}"
         )
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
-            n += 1
-        return n
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(cols)
+        writer.writerows(rows)  # csv writes NULL (None) as an empty cell
+        return len(rows)
 
     def export_all(self, out_dir: str | Path) -> dict[str, Path]:
         out = Path(out_dir)

@@ -638,6 +638,42 @@ def format_timestamp_reference(value: datetime) -> str:
     )
 
 
+def pairwise_reference(pred: dict, truth: dict) -> tuple[float, float]:
+    """``baseline._pairwise`` counted with plain dicts, one event at a time:
+    the reference for its pairwise precision and recall."""
+    contingency: dict = {}
+    pred_sizes: dict = {}
+    truth_sizes: dict = {}
+    for event_id, p_cluster in pred.items():
+        t_cluster = truth[event_id]
+        contingency[(p_cluster, t_cluster)] = contingency.get((p_cluster, t_cluster), 0) + 1
+        pred_sizes[p_cluster] = pred_sizes.get(p_cluster, 0) + 1
+        truth_sizes[t_cluster] = truth_sizes.get(t_cluster, 0) + 1
+    together_both = sum(n * (n - 1) // 2 for n in contingency.values())
+    together_pred = sum(n * (n - 1) // 2 for n in pred_sizes.values())
+    together_truth = sum(n * (n - 1) // 2 for n in truth_sizes.values())
+    precision = together_both / together_pred if together_pred else 1.0
+    recall = together_both / together_truth if together_truth else 1.0
+    return precision, recall
+
+
+def write_sessions_csv_reference(sessions, stream) -> int:
+    """``baseline.write_sessions_csv`` with one ``writerow`` per event: the
+    reference for the sessions CSV bytes."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(("user_key", "session_id", "seq", "time", "resource", "inferred"))
+    n = 0
+    for visit in sessions:
+        key = f"{visit.user_key[0]}|{visit.user_key[1]}"
+        for seq, event in enumerate(visit.events, start=1):
+            writer.writerow(
+                [key, visit.session_id, seq, int(event.timestamp.timestamp()),
+                 event.resource, int(event.inferred)]
+            )
+            n += 1
+    return n
+
+
 _ONE_PLACE = Decimal("0.1")
 _WHOLE = Decimal("1")
 

@@ -15,7 +15,11 @@ from webusage.baseline import (
     Visit,
     VisitEvent,
     _LINE_RE,
+    _PLAIN_LINE_RE,
     _format_timestamp,
+    _pairwise,
+    _parse_timestamp,
+    _referrer_resource,
     complete_paths,
     filter_entries,
     identify_users,
@@ -329,6 +333,21 @@ class TestParseMatchesReference:
         for line in (SAMPLE, SAMPLE + ' "sid=abc"', _line(agent='weird \\"quoted\\" agent')):
             assert _LINE_RE["ECLF"].fullmatch(line) is not None
         assert _LINE_RE["CLF"].fullmatch(SAMPLE.split(' "http')[0]) is not None
+        for line in (SAMPLE, SAMPLE + ' "sid=abc"'):
+            assert _PLAIN_LINE_RE["ECLF"].fullmatch(line) is not None
+        assert _PLAIN_LINE_RE["CLF"].fullmatch(SAMPLE.split(' "http')[0]) is not None
+
+    @settings(max_examples=1000)
+    @given(
+        LOG_ENTRIES, st.sampled_from(["ECLF", "CLF"]), st.sampled_from(["ECLF", "CLF"]),
+        LINE_MUTATIONS,
+    )
+    def test_plain_pattern_matches_lines_without_backslash_alike(
+        self, entry, written, read, mutations
+    ):
+        line = _mutate(render_log_line(entry, written), mutations).replace("\\", "")
+        plain, full = _PLAIN_LINE_RE[read].fullmatch(line), _LINE_RE[read].fullmatch(line)
+        assert (plain and plain.groups()) == (full and full.groups())
 
     @pytest.mark.parametrize("when", [
         "31/Feb/2021:10:00:00 +0300",
@@ -688,6 +707,121 @@ class TestScoring:
         text = report.to_text(prefix="  ")
         assert "  exact_session_match_rate: 1.000000" in text
         assert "  user_precision: 1.000000" in text
+
+
+# Cluster labels as scoring sees them: ints, text and (user key, session) tuples.
+CLUSTER_LABELS = st.sampled_from(
+    [0, 1, 2, "a", "b", ("10.0.0.1", "ua"), (("10.0.0.1", "ua"), 1), (("10.0.0.1", "ua"), 2)]
+)
+
+
+@st.composite
+def _labelings(draw):
+    """Predicted and truth labels of one set of event ids, each drawn, all
+    singletons or all one cluster, the truth in another key order."""
+    ids = draw(st.lists(st.integers(0, 10**6), unique=True, max_size=40))
+
+    def labels():
+        shape = draw(st.sampled_from(["drawn", "singletons", "one cluster"]))
+        if shape == "singletons":
+            return {i: ("single", i) for i in ids}
+        if shape == "one cluster":
+            return {i: "all" for i in ids}
+        return {i: draw(CLUSTER_LABELS) for i in ids}
+
+    pred, truth = labels(), labels()
+    return pred, dict(draw(st.permutations(list(truth.items()))))
+
+
+# Text dense in what the sessions CSV quotes or splits on.
+CSV_TEXT = st.text(st.sampled_from([",", '"', "|", "\n", "\r", " ", "a", "/", "é", "ş", "😀"]),
+                   max_size=8)
+VISITS = st.lists(st.builds(
+    Visit,
+    user_key=st.tuples(CSV_TEXT, CSV_TEXT),
+    events=st.lists(st.builds(
+        VisitEvent,
+        timestamp=st.datetimes(
+            min_value=datetime(1900, 1, 2), max_value=datetime(2100, 12, 30),
+            timezones=st.integers(-1439, 1439).map(lambda m: timezone(timedelta(minutes=m))),
+        ),
+        resource=CSV_TEXT,
+        referrer=st.none() | CSV_TEXT,
+        inferred=st.booleans(),
+    ), max_size=5),
+    session_id=st.integers(1, 50),
+), max_size=6)
+
+
+class TestMatchesReference:
+    """The counted scoring and the per-visit CSV writer give exactly what
+    their one-event-at-a-time references in tests/oracles.py give."""
+
+    @settings(max_examples=500)
+    @given(_labelings())
+    def test_pairwise(self, labelings):
+        pred, truth = labelings
+        assert _pairwise(pred, truth) == oracles.pairwise_reference(pred, truth)
+        assert _pairwise(truth, pred) == oracles.pairwise_reference(truth, pred)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_pairwise_singletons_and_one_cluster(self, n):
+        singletons = {i: i for i in range(n)}
+        one = {i: "all" for i in range(n)}
+        for pred, truth in [(singletons, one), (one, singletons), (one, one)]:
+            assert _pairwise(pred, truth) == oracles.pairwise_reference(pred, truth)
+
+    @settings(max_examples=300)
+    @given(VISITS)
+    def test_sessions_csv(self, visits):
+        written, expected = io.StringIO(newline=""), io.StringIO(newline="")
+        n = write_sessions_csv(visits, written)
+        assert n == oracles.write_sessions_csv_reference(visits, expected)
+        assert written.getvalue() == expected.getvalue()
+        # The writer leaves a lone "\r" unquoted and the reader ends a row
+        # there; text read from a log never holds one.
+        if "\r" in written.getvalue():
+            return
+        written.seek(0)
+        restored = read_sessions_csv(written)
+        assert sum(len(v.events) for v in restored) == n
+        assert sorted(e.epoch() for v in restored for e in v.events) == sorted(
+            e.epoch() for v in visits for e in v.events
+        )
+
+
+class TestLookupCaches:
+    """Timestamps and referrers are parsed through bounded caches of pure
+    functions: a cached answer is the fresh one, and errors are not cached."""
+
+    def test_caches_are_bounded(self):
+        for cached in (_parse_timestamp, _referrer_resource):
+            assert 0 < cached.cache_parameters()["maxsize"] < 10**5
+
+    def test_impossible_timestamp_fails_every_time_with_its_own_line(self):
+        when = "31/Feb/2021:10:00:00 +0300"
+        for line in (_line(when=when, ip="10.0.0.1"), _line(when=when, ip="10.0.0.2")):
+            with pytest.raises(LineParseError) as info:
+                parse_log_line(line)
+            assert (str(info.value), info.value.line) == (f"bad timestamp: {when!r}", line)
+
+    @pytest.mark.parametrize("zone, offset", [
+        ("+0530", timedelta(hours=5, minutes=30)),
+        ("-0000", timedelta(0)),
+    ])
+    def test_cached_timestamp_equals_a_fresh_datetime(self, zone, offset):
+        fresh = datetime(2021, 9, 2, 10, 0, 0, tzinfo=timezone(offset))
+        _parse_timestamp.cache_clear()
+        for hits in (0, 1):
+            when = _entry(when=f"02/Sep/2021:10:00:00 {zone}").timestamp
+            assert (when, when.utcoffset()) == (fresh, offset)
+            assert _parse_timestamp.cache_info().hits == hits
+
+    def test_one_referrer_two_host_sets(self):
+        referrer = "http://www.campus.example/a.php?x=1"
+        assert _referrer_resource(referrer, frozenset({"www.campus.example"})) == "/a.php?x=1"
+        assert _referrer_resource(referrer, frozenset({"other.example"})) is None
+        assert _referrer_resource(referrer, frozenset({"www.campus.example"})) == "/a.php?x=1"
 
 
 class TestEndToEnd:

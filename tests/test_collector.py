@@ -14,7 +14,7 @@ from webusage.collector import (
 )
 from webusage.compare import collector_report
 from webusage.events import AppPageResult, RawRequestEvent
-from webusage.storage import LogStore, NotFoundError, UserInfo
+from webusage.storage import TABLE_COLUMNS, LogStore, NotFoundError, UserInfo
 
 import oracles
 
@@ -181,6 +181,46 @@ class TestRequestBegin:
     def test_site_hosts_required(self, mem_store):
         with pytest.raises(ValueError):
             Collector(mem_store, site_hosts=[])
+
+
+def _rows(store: LogStore) -> dict[str, list]:
+    return {table: store._query(f"SELECT * FROM {table}") for table in TABLE_COLUMNS}
+
+
+class TestUnstorableText:
+    """SQLite stores text as UTF-8, which cannot hold a lone surrogate: such
+    a request is a CollectionError and rolls back whole."""
+
+    @pytest.mark.parametrize("token", ["tokA", "tokB"], ids=["open session", "new session"])
+    @pytest.mark.parametrize("overrides", [
+        {"cookies": {"a": "\ud800"}},
+        {"url": "/p\udfff.php"},
+        {"session_token": "t\ud800"},
+    ], ids=["map value", "url", "token"])
+    def test_collection_error_leaves_the_store_unchanged(
+        self, collector, mem_store, token, overrides
+    ):
+        collector.handle_request_begin(_event("tokA", 0))
+        before = _rows(mem_store)
+        event = _event(token, 10, **overrides)
+        with pytest.raises(CollectionError, match="surrogates not allowed") as info:
+            collector.handle_request_begin(event)
+        assert info.value.event is event
+        assert _rows(mem_store) == before
+
+    def test_batch_records_the_event_after_it(self, mem_store):
+        collector = Collector(mem_store, site_hosts=HOSTS)
+        events = [_event("tokA", 0), _event("t\ud800", 10), _event("tokA", 20, url="/next.php")]
+        errors = []
+        pages, n_errors = replay_stream(
+            collector, events, final_sweep=False, on_error=errors.append
+        )
+        assert (pages, n_errors) == (2, 1)
+        assert [e.event for e in errors] == [events[1]]
+        assert mem_store._query("SELECT log_url FROM log_page ORDER BY log_details_id") == [
+            ("/index.php",), ("/next.php",),
+        ]
+        assert mem_store.session_count() == 1
 
 
 class TestRequestEnd:

@@ -612,6 +612,19 @@ class TestExportImport:
         assert mem_store.session_count() == 0
         assert mem_store._query("SELECT user_id, username FROM user_info") == [(1, "keep")]
 
+    def test_null_cell_exports_empty_and_imports_as_null(self, mem_store):
+        mem_store.insert_session(_session())  # still open: no ended_at
+        query = "SELECT ended_at, end_reason, user_type FROM log_session"
+        assert mem_store._query(query) == [(None, None, "guest")]
+        buf = io.StringIO()
+        assert mem_store.export_table("log_session", buf) == 1
+        row = next(csv.DictReader(io.StringIO(buf.getvalue())))
+        assert (row["ended_at"], row["end_reason"]) == ("", "")
+        copy = LogStore(":memory:")
+        assert copy.import_table("log_session", io.StringIO(buf.getvalue())) == 1
+        assert copy._query(query) == [(None, None, "guest")]
+        copy.close()
+
     def test_import_rejects_wrong_header(self, mem_store):
         with pytest.raises(StorageError, match="header"):
             mem_store.import_table("user_info", io.StringIO("a,b\n1,2\n"))
