@@ -287,8 +287,9 @@ def render_log_line(entry: EclfEntry, log_format: str = "ECLF") -> str:
     return body
 
 
-def read_log(path: str | Path, log_format: str = "ECLF") -> Iterator[tuple[EclfEntry | None, str]]:
-    """Yield (entry, line) pairs; entry is None for unparseable lines.
+def read_log(path: str | Path, log_format: str = "ECLF") -> Iterator[EclfEntry | LineParseError]:
+    """Yield an entry for each non-blank line, or the ``LineParseError``
+    for a line that does not parse; the error carries the line as ``.line``.
 
     Transparently reads gzip when the file name ends with .gz.
     """
@@ -300,9 +301,9 @@ def read_log(path: str | Path, log_format: str = "ECLF") -> Iterator[tuple[EclfE
             if not line.strip():
                 continue
             try:
-                yield parse_log_line(line, log_format), line
-            except LineParseError:
-                yield None, line
+                yield parse_log_line(line, log_format)
+            except LineParseError as exc:
+                yield exc
 
 
 # ---------------------------------------------------------------------------
@@ -652,12 +653,12 @@ def preprocess_log(
     entries = []
     lines = 0
     parse_errors = 0
-    for entry, _ in read_log(path, log_format):
+    for item in read_log(path, log_format):
         lines += 1
-        if entry is None:
+        if isinstance(item, LineParseError):
             parse_errors += 1
         else:
-            entries.append(entry)
+            entries.append(item)
     cleaned, filter_stats = filter_entries(entries)
     visits = identify_users(cleaned)
     sessions: list[Visit] = []

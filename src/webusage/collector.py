@@ -12,11 +12,9 @@ store; a collector keeps nothing but its settings and a warning sample.
 
 from __future__ import annotations
 
-import ipaddress
 import urllib.parse
-from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterable
+from typing import Container, Iterable
 
 from .enrichment import GeoIpTable, default_search_registry, first_language_tag, parse_user_agent
 from .events import AppPageResult, RawRequestEvent
@@ -41,37 +39,27 @@ class CollectionError(Exception):
         self.event = event
 
 
-@dataclass(frozen=True)
-class Referral:
-    kind: str  # direct | internal | search_engine | external
-    name: str | None = None
-    flagged: bool = False
+def classify_referrer(referrer: str | None, site_hosts: Container[str]) -> str:
+    """Classify where a session arrived from: ``direct``, ``internal``,
+    ``search_engine`` or ``external``.
 
-
-def classify_referrer(referrer: str | None, site_hosts: Iterable[str]) -> Referral:
-    """Classify where a session arrived from.
-
-    No referrer is direct; a referrer on one of ``site_hosts`` is internal;
-    a host matching the search registry names the engine; anything else is
-    external, flagged when the URL does not yield a host at all.
+    No referrer is direct; a referrer on one of the lowercase ``site_hosts``
+    is internal; a host the search registry knows is a search engine;
+    anything else, a referrer without a host included, is external.
     """
-    hosts = {h.lower() for h in site_hosts}
-    if not hosts:
-        raise ValueError("site_hosts must be non-empty")
     if not referrer:
-        return Referral("direct")
+        return "direct"
     try:
         host = urllib.parse.urlsplit(referrer).hostname
     except ValueError:
-        host = None
+        return "external"
     if not host:
-        return Referral("external", referrer, flagged=True)
-    if host.lower() in hosts:
-        return Referral("internal")
-    engine = default_search_registry().match_host(host)
-    if engine is not None:
-        return Referral("search_engine", engine.name)
-    return Referral("external", host.lower())
+        return "external"
+    if host.lower() in site_hosts:
+        return "internal"
+    if default_search_registry().match_host(host) is not None:
+        return "search_engine"
+    return "external"
 
 
 def _is_malformed_url(url: str) -> bool:
@@ -173,15 +161,11 @@ class Collector:
 
     def _start_session(self, event: RawRequestEvent) -> LiveSession:
         profile = parse_user_agent(event.user_agent)
-        language = first_language_tag(event.cookies.get("accept-language"))
-        referral = classify_referrer(event.referrer, self.site_hosts)
-        engine = None
-        keywords = None
-        if referral.kind == "search_engine":
-            engine = referral.name
-            extracted = default_search_registry().extract(event.referrer or "")
-            if extracted is not None:
-                keywords = extracted[1]
+        referral_class = classify_referrer(event.referrer, self.site_hosts)
+        engine = keywords = None
+        if referral_class == "search_engine":
+            # classify_referrer found an engine, so extract finds the same one.
+            engine, keywords = default_search_registry().extract(event.referrer)
 
         user_id = None
         username = None
@@ -212,9 +196,9 @@ class Collector:
             os_name=profile.os_name,
             os_version=profile.os_version,
             device_type=profile.device_type,
-            language=language if language is not None else profile.language,
+            language=first_language_tag(event.cookies.get("accept-language")),
             referrer_url=event.referrer,
-            referral_class=referral.kind,
+            referral_class=referral_class,
             search_engine=engine,
             search_keywords=keywords,
         )
@@ -232,7 +216,7 @@ class Collector:
     def _country(self, ip: str) -> str:
         try:
             return self.geoip.lookup(ip)
-        except (ValueError, ipaddress.AddressValueError):
+        except ValueError:
             return "unknown"
 
     def _record_page(self, event: RawRequestEvent, open_session: LiveSession) -> int:

@@ -1,19 +1,19 @@
 """Client enrichment: user-agent parsing, GeoIP lookup, language tags,
-and the search-engine registry.
+and search-engine keywords.
 
 All lookups here are table driven.  The user-agent rules, bot substrings and
-search-engine registry ship as plain data files under ``webusage/data`` so
-behaviour can be pinned by tests and extended without code changes.  Parsing
-never raises on arbitrary agent strings; unknown fields come back as the
-literal string ``"unknown"``.
+search engines ship as plain data files under ``webusage/data``, read once
+by :func:`_data_rows` and used as shipped; only the GeoIP table can be
+replaced.  Parsing never raises on arbitrary agent strings; unknown fields
+come back as the literal string ``"unknown"``.
 
 ``parse_user_agent``, ``is_bot`` and the text-to-integer step of
 ``ip_to_int`` keep their recent results in bounded caches.  Each cache holds
-a pure lookup (a frozen profile per agent and registry, a bot flag per
-agent, an integer per address text), never session state.  They pay off
-where agents and client addresses repeat: a site sees few distinct agents,
-and a user who keeps an address starts each new session from it.  An
-invalid address is not cached, so it raises on every call.
+a pure lookup keyed by its one argument (a frozen profile per agent, a bot
+flag per agent, an integer per address text), never session state.  They
+pay off where agents and client addresses repeat: a site sees few distinct
+agents, and a user who keeps an address starts each new session from it.
+An invalid address is not cached, so it raises on every call.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from typing import IO, Iterable, Sequence
 
 UNKNOWN = "unknown"
 
-DEVICE_TYPES = ("desktop", "mobile", "tablet", "bot", UNKNOWN)
-
 
 @dataclass(frozen=True)
 class ClientProfile:
@@ -40,87 +38,40 @@ class ClientProfile:
     os_name: str = UNKNOWN
     os_version: str = UNKNOWN
     device_type: str = UNKNOWN
-    is_bot: bool = False
-    language: str | None = None
 
 
 # ---------------------------------------------------------------------------
 # user agents
 # ---------------------------------------------------------------------------
 
-class UaRegistryError(ValueError):
-    pass
-
-
-class _Rule:
-    __slots__ = ("token", "name", "pattern")
-
-    def __init__(self, token: str, name: str):
-        self.token = token
-        self.name = name
+@lru_cache(maxsize=None)
+def ua_rules() -> dict[str, tuple[tuple[re.Pattern, str], ...]]:
+    """The compiled ``(pattern, name)`` rules of each kind (``browser``,
+    ``os``, ``device``), in file order: the first match of a kind wins, so
+    specific tokens (Edg before Chrome before Safari) come first."""
+    rules: dict[str, list] = {"browser": [], "os": [], "device": []}
+    for kind, token, name in _data_rows("ua_rules.tsv", 3):
         # Token must not sit inside a longer word: "Edg" must not match
         # "Edge/18", and "OPR" must not match inside unrelated text.  A
         # version may follow after '/' or a space.
-        self.pattern = re.compile(
+        pattern = re.compile(
             r"(?<![A-Za-z0-9])"
             + re.escape(token)
             + r"(?![A-Za-z])[/ ]?(\d+(?:[._]\d+)*)?",
             re.IGNORECASE,
         )
-
-    def match(self, ua: str) -> tuple[str, str] | None:
-        m = self.pattern.search(ua)
-        if m is None:
-            return None
-        version = m.group(1)
-        if version:
-            return self.name, version.replace("_", ".")
-        return self.name, UNKNOWN
+        rules[kind].append((pattern, name))
+    return {kind: tuple(found) for kind, found in rules.items()}
 
 
-class UaRegistry:
-    """Ordered token rules for browser, OS and device classification.
-
-    Rule files are tab separated: ``kind<TAB>match-token<TAB>name`` with
-    '#' comments.  First matching rule of each kind wins, so specific
-    tokens (Edg before Chrome before Safari) go first.
-    """
-
-    def __init__(self, rules: Iterable[tuple[str, str, str]]):
-        self.browser_rules: list[_Rule] = []
-        self.os_rules: list[_Rule] = []
-        self.device_rules: list[_Rule] = []
-        for kind, token, name in rules:
-            if kind == "browser":
-                self.browser_rules.append(_Rule(token, name))
-            elif kind == "os":
-                self.os_rules.append(_Rule(token, name))
-            elif kind == "device":
-                if name not in DEVICE_TYPES:
-                    raise UaRegistryError(f"unknown device type {name!r}")
-                self.device_rules.append(_Rule(token, name))
-            else:
-                raise UaRegistryError(f"unknown rule kind {kind!r}")
-
-    @classmethod
-    def from_text(cls, text: str) -> "UaRegistry":
-        rules = []
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            line = line.rstrip()
-            if not line or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise UaRegistryError(f"line {line_no}: expected 3 tab-separated fields")
-            rules.append((parts[0], parts[1], parts[2]))
-        return cls(rules)
-
-
-def _first_match(rules: Sequence[_Rule], ua: str) -> tuple[str, str]:
-    for rule in rules:
-        hit = rule.match(ua)
-        if hit is not None:
-            return hit
+def _first_match(rules: Sequence[tuple[re.Pattern, str]], ua: str) -> tuple[str, str]:
+    """(name, version) of the first rule found in ``ua``; either part may
+    be ``"unknown"``."""
+    for pattern, name in rules:
+        m = pattern.search(ua)
+        if m is not None:
+            version = m.group(1)
+            return name, (version.replace("_", ".") if version else UNKNOWN)
     return UNKNOWN, UNKNOWN
 
 
@@ -134,27 +85,23 @@ def is_bot(agent: str | None) -> bool:
 
 
 @lru_cache(maxsize=1024)
-def parse_user_agent(ua: str | None, registry: "UaRegistry | None" = None) -> ClientProfile:
-    """Classify a user-agent string.  Total: never raises on any input."""
-    if registry is None:
-        registry = default_ua_registry()
+def parse_user_agent(ua: str | None) -> ClientProfile:
+    """Classify a user-agent string.  Total: never raises on any input.
+
+    A bot is device ``bot``; an agent no device rule matches is ``desktop``
+    when a browser or OS rule matched it.
+    """
     if not ua:
         return ClientProfile()
     if is_bot(ua):
-        return ClientProfile(device_type="bot", is_bot=True)
-    browser, browser_version = _first_match(registry.browser_rules, ua)
-    os_name, os_version = _first_match(registry.os_rules, ua)
-    device, _ = _first_match(registry.device_rules, ua)
-    if device == UNKNOWN:
-        if browser != UNKNOWN or os_name != UNKNOWN:
-            device = "desktop"
-    return ClientProfile(
-        browser_name=browser,
-        browser_version=browser_version,
-        os_name=os_name,
-        os_version=os_version,
-        device_type=device,
-    )
+        return ClientProfile(device_type="bot")
+    rules = ua_rules()
+    browser, browser_version = _first_match(rules["browser"], ua)
+    os_name, os_version = _first_match(rules["os"], ua)
+    device, _ = _first_match(rules["device"], ua)
+    if device == UNKNOWN and (browser != UNKNOWN or os_name != UNKNOWN):
+        device = "desktop"
+    return ClientProfile(browser, browser_version, os_name, os_version, device)
 
 
 # ---------------------------------------------------------------------------
@@ -260,41 +207,22 @@ def first_language_tag(value: str | None) -> str | None:
 # search engines
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchEngine:
-    name: str
-    host_label: str
-    query_param: str
-
-
 class SearchRegistry:
     """Maps referrer hosts to engines and extracts search keywords.
 
-    An engine matches when its host label appears as one of the dot
-    separated labels of the referrer host, so "google" covers both
-    www.google.com and www.google.com.tr.
+    Each engine is a ``(name, host label, keyword parameter)`` tuple.  An
+    engine matches when its host label appears as one of the dot separated
+    labels of the referrer host, so "google" covers both www.google.com and
+    www.google.com.tr.
     """
 
-    def __init__(self, engines: Sequence[SearchEngine]):
+    def __init__(self, engines: Iterable[tuple[str, str, str]]):
         self.engines = tuple(engines)
 
-    @classmethod
-    def from_text(cls, text: str) -> "SearchRegistry":
-        engines = []
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            line = line.rstrip()
-            if not line or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"line {line_no}: expected 3 tab-separated fields")
-            engines.append(SearchEngine(parts[0], parts[1].lower(), parts[2]))
-        return cls(engines)
-
-    def match_host(self, host: str) -> SearchEngine | None:
+    def match_host(self, host: str) -> tuple[str, str, str] | None:
         labels = host.lower().split(".")
         for engine in self.engines:
-            if engine.host_label in labels:
+            if engine[1] in labels:
                 return engine
         return None
 
@@ -310,12 +238,11 @@ class SearchRegistry:
         engine = self.match_host(host)
         if engine is None:
             return None
-        query = urllib.parse.parse_qs(parts.query)
-        values = query.get(engine.query_param)
+        name, _, parameter = engine
+        values = urllib.parse.parse_qs(parts.query).get(parameter)
         if not values or not values[0].strip():
-            return engine.name, None
-        keywords = " ".join(values[0].split()).lower()
-        return engine.name, keywords
+            return name, None
+        return name, " ".join(values[0].split()).lower()
 
 
 # ---------------------------------------------------------------------------
@@ -326,20 +253,31 @@ def _data_text(name: str) -> str:
     return resources.files("webusage.data").joinpath(name).read_text(encoding="utf-8")
 
 
+def _data_rows(name: str, width: int) -> list[tuple[str, ...]]:
+    """The tab-separated rows of a bundled data file, without blank lines
+    and ``#`` comments.  A row of another width raises ``ValueError``."""
+    rows = []
+    for line_no, line in enumerate(_data_text(name).splitlines(), start=1):
+        line = line.rstrip()
+        if not line or line.lstrip().startswith("#"):
+            continue
+        row = tuple(line.split("\t"))
+        if len(row) != width:
+            raise ValueError(
+                f"{name} line {line_no}: expected {width} tab-separated fields, got {len(row)}"
+            )
+        rows.append(row)
+    return rows
+
+
 @lru_cache(maxsize=None)
 def default_bots() -> tuple[str, ...]:
-    lines = _data_text("bots.txt").splitlines()
-    return tuple(l.strip().lower() for l in lines if l.strip() and not l.startswith("#"))
-
-
-@lru_cache(maxsize=None)
-def default_ua_registry() -> UaRegistry:
-    return UaRegistry.from_text(_data_text("ua_rules.tsv"))
+    return tuple(bot for (bot,) in _data_rows("bots.txt", 1))
 
 
 @lru_cache(maxsize=None)
 def default_search_registry() -> SearchRegistry:
-    return SearchRegistry.from_text(_data_text("search_engines.tsv"))
+    return SearchRegistry(_data_rows("search_engines.tsv", 3))
 
 
 @lru_cache(maxsize=None)

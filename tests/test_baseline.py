@@ -438,10 +438,9 @@ class TestReadLog:
         path.write_text(SAMPLE + "\nhello\n" + SAMPLE + "\n", encoding="utf-8")
         rows = list(read_log(path, "ECLF"))
         assert len(rows) == 3
-        parsed = [entry for entry, _ in rows if entry is not None]
-        assert len(parsed) == 2
-        bad = [line for entry, line in rows if entry is None]
-        assert bad == ["hello"]
+        assert [type(row) for row in rows] == [EclfEntry, LineParseError, EclfEntry]
+        assert str(rows[1]) == "expected 9 fields for ECLF, got 1"
+        assert rows[1].line == "hello"
 
     def test_gzip_file(self, tmp_path):
         path = tmp_path / "access.log.gz"
@@ -449,7 +448,7 @@ class TestReadLog:
             fh.write(SAMPLE + "\n")
         rows = list(read_log(path, "ECLF"))
         assert len(rows) == 1
-        assert rows[0][0].ip == "193.140.253.80"
+        assert rows[0].ip == "193.140.253.80"
 
 
 class TestFilter:
@@ -476,7 +475,7 @@ class TestFilter:
     def test_bot_rule_is_the_collector_rule(self, agent):
         entry = _entry(agent=agent)
         _, stats = filter_entries([entry])
-        assert stats.dropped_bot == int(parse_user_agent(entry.user_agent).is_bot)
+        assert stats.dropped_bot == int(parse_user_agent(entry.user_agent).device_type == "bot")
 
     def test_status_checked_before_extension(self):
         entries = [_entry(request="GET /x.png HTTP/1.1", status=404)]

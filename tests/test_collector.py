@@ -4,16 +4,19 @@ import threading
 from datetime import datetime, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from webusage.collector import (
     CollectionError,
     Collector,
-    Referral,
     classify_referrer,
     replay_stream,
 )
 from webusage.compare import collector_report
+from webusage.enrichment import default_search_registry
 from webusage.events import AppPageResult, RawRequestEvent
+from webusage.simulator import _EXTERNAL_REFERRERS, _SEARCH_REFERRERS
 from webusage.storage import TABLE_COLUMNS, LogStore, NotFoundError, UserInfo
 
 import oracles
@@ -371,30 +374,50 @@ class TestSessionsContract:
 
 class TestClassifyReferrer:
     def test_absent_is_direct(self):
-        assert classify_referrer(None, HOSTS) == Referral("direct")
-        assert classify_referrer("", HOSTS) == Referral("direct")
+        assert classify_referrer(None, HOSTS) == "direct"
+        assert classify_referrer("", HOSTS) == "direct"
 
     def test_own_host_is_internal(self):
-        got = classify_referrer("http://www.server.com/", HOSTS)
-        assert got == Referral("internal")
+        assert classify_referrer("http://www.server.com/", HOSTS) == "internal"
+        assert classify_referrer("http://WWW.Server.COM:80/x", HOSTS) == "internal"
 
     def test_search_engine_named(self):
         got = classify_referrer("http://www.google.com/search?q=x", HOSTS)
-        assert got == Referral("search_engine", "google")
+        assert got == "search_engine"
 
     def test_other_host_is_external(self):
         got = classify_referrer("http://elsewhere.org/page", HOSTS)
-        assert got == Referral("external", "elsewhere.org")
+        assert got == "external"
 
-    def test_hostless_referrer_flagged(self):
-        got = classify_referrer("not a url", HOSTS)
-        assert got.kind == "external"
-        assert got.flagged is True
-        assert got.name == "not a url"
+    def test_hostless_referrer_is_external(self):
+        assert classify_referrer("not a url", HOSTS) == "external"
+        assert classify_referrer("http://[::1/", HOSTS) == "external"
 
-    def test_empty_hosts_rejected(self):
-        with pytest.raises(ValueError):
-            classify_referrer(None, [])
+    @settings(max_examples=1000)
+    @given(st.one_of(
+        st.sampled_from([url for url, _ in _SEARCH_REFERRERS + _EXTERNAL_REFERRERS]),
+        st.builds(
+            "{}://{}{}{}".format,
+            st.sampled_from(["http", "https", "ftp", "HTTP", ""]),
+            st.sampled_from([
+                "www.google.com", "WWW.Bing.com", "search.yahoo.com", "yandex.com.tr",
+                "duckduckgo.com", "notgoogle.com", "google", "www.server.com",
+                "elsewhere.org", "[::1]", "[::1", "::1]", "[fe80::1%Zone]", "user@bing.com",
+                "bing.com:8080", "bing.com:x", "",
+            ]),
+            st.sampled_from(["", "/", "/search", "/?q=x", "?p=a+b", "#q=x"]),
+            st.text(alphabet="?&=q/:.#%[]@ +", max_size=12),
+        ),
+        st.text(alphabet="abgo.:/[]@?=q ", max_size=30),
+        st.text(max_size=30),
+    ))
+    def test_search_engine_exactly_when_extract_finds_one(self, referrer):
+        # _start_session unpacks extract() for every search_engine referrer.
+        kind = classify_referrer(referrer, HOSTS)
+        assert kind in ("direct", "internal", "search_engine", "external")
+        if kind != "internal":
+            found = default_search_registry().extract(referrer)
+            assert (kind == "search_engine") == (found is not None)
 
 
 class TestReplay:

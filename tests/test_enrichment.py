@@ -13,8 +13,9 @@ from webusage.enrichment import (
     GeoIpLoadError,
     GeoIpRange,
     GeoIpTable,
+    _data_rows,
+    default_bots,
     default_search_registry,
-    default_ua_registry,
     first_language_tag,
     ip_to_int,
     is_bot,
@@ -38,7 +39,6 @@ class TestUserAgents:
         assert profile.os_name == "Linux"
         assert profile.os_version == "unknown"
         assert profile.device_type == "desktop"
-        assert profile.is_bot is False
 
     def test_empty_and_none_are_unknown(self):
         assert parse_user_agent("") == ClientProfile()
@@ -47,8 +47,7 @@ class TestUserAgents:
 
     def test_googlebot_is_bot(self):
         profile = parse_user_agent("Googlebot/2.1 (+http://www.google.com/bot.html)")
-        assert profile.is_bot is True
-        assert profile.device_type == "bot"
+        assert profile == ClientProfile(device_type="bot")
 
     @pytest.mark.parametrize(
         "agent, expected",
@@ -65,7 +64,7 @@ class TestUserAgents:
         # twice, so the second call is answered from the cache
         assert is_bot(agent) is expected
         assert is_bot(agent) is expected
-        assert parse_user_agent(agent).is_bot is expected
+        assert (parse_user_agent(agent).device_type == "bot") is expected
 
     def test_chrome_on_windows(self):
         ua = (
@@ -109,20 +108,12 @@ class TestUserAgents:
             r"^[\w.]+$", profile.browser_version
         )
 
-    def test_registry_reused(self):
-        registry = default_ua_registry()
-        first = parse_user_agent(FIREFOX_UBUNTU, registry)
-        second = parse_user_agent(FIREFOX_UBUNTU, registry)
-        assert first == second
-
     @settings(max_examples=500)
     @given(st.none() | st.text(max_size=120) | st.sampled_from([FIREFOX_UBUNTU, "Googlebot/2.1"]))
     def test_cached_profile_equals_a_fresh_parse(self, ua):
         # twice, so the second call is answered from the cache
         for _ in range(2):
             assert parse_user_agent(ua) == parse_user_agent.__wrapped__(ua)
-        registry = default_ua_registry()
-        assert parse_user_agent(ua, registry) == parse_user_agent.__wrapped__(ua, registry)
 
 
 class TestGeoIp:
@@ -275,3 +266,41 @@ class TestSearchRegistry:
     def test_label_must_be_whole_component(self):
         registry = default_search_registry()
         assert registry.extract("http://notgoogle.com/?q=x") is None
+
+
+class TestBundledData:
+    """The shipped lookup tables hold only what the code expects of them."""
+
+    def test_ua_rule_kinds_and_device_names(self):
+        rows = _data_rows("ua_rules.tsv", 3)
+        assert {kind for kind, _, _ in rows} == {"browser", "os", "device"}
+        devices = {name for kind, _, name in rows if kind == "device"}
+        assert devices <= {"desktop", "mobile", "tablet"}
+        assert all(token and name for _, token, name in rows)
+
+    def test_search_engine_rows(self):
+        rows = _data_rows("search_engines.tsv", 3)
+        assert rows
+        for name, label, parameter in rows:
+            assert name and parameter
+            # match_host compares the label with lowercased host labels
+            assert label and label == label.lower() and "." not in label
+        assert default_search_registry().engines == tuple(rows)
+
+    def test_bots_are_lowercase_text(self):
+        bots = default_bots()
+        assert bots
+        for bot in bots:
+            # is_bot looks for each entry in the lowercased agent
+            assert bot.strip() and bot == bot.lower() and bot == bot.strip()
+
+    def test_wrong_width_row_names_file_and_line(self, monkeypatch):
+        text = "# comment\n\nbrowser\tEdg\tEdge\nos\tLinux\n"
+        monkeypatch.setattr(enrichment, "_data_text", lambda name: text)
+        with pytest.raises(ValueError, match=r"^rules\.tsv line 4: expected 3 tab-separated fields, got 2$"):
+            _data_rows("rules.tsv", 3)
+
+    def test_rows_skip_comments_and_blank_lines(self, monkeypatch):
+        text = "# a\n\n  # b\nx\ty \n   \n"
+        monkeypatch.setattr(enrichment, "_data_text", lambda name: text)
+        assert _data_rows("t.tsv", 2) == [("x", "y")]
