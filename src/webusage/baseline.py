@@ -702,26 +702,31 @@ def write_sessions_csv(sessions: Sequence[Visit], stream) -> int:
 
 
 def read_sessions_csv(stream) -> list[Visit]:
+    """Visits from a sessions CSV; any unreadable row raises ``ValueError``
+    naming its 1-based line."""
     reader = csv.reader(stream)
-    header = next(reader, None)
-    if header != list(_SESSION_CSV_HEADER):
-        raise ValueError(f"unexpected sessions header: {header}")
     grouped: dict[tuple[str, int], Visit] = {}
-    for row in reader:
-        if not row:
-            continue
-        key_text, session_id, _, epoch, resource, inferred = row
-        cluster = (key_text, int(session_id))
-        visit = grouped.get(cluster)
-        if visit is None:
-            ip, _, agent = key_text.partition("|")
-            visit = Visit(user_key=(ip, agent), events=[], session_id=cluster[1])
-            grouped[cluster] = visit
-        visit.events.append(
-            VisitEvent(
-                timestamp=datetime.fromtimestamp(int(epoch), timezone.utc),
-                resource=resource,
-                inferred=bool(int(inferred)),
+    try:
+        header = next(reader, None)
+        if header != list(_SESSION_CSV_HEADER):
+            raise ValueError(f"unexpected sessions header: {header}")
+        for row in reader:
+            if not row:
+                continue
+            key_text, session_id, _, epoch, resource, inferred = row
+            cluster = (key_text, int(session_id))
+            visit = grouped.get(cluster)
+            if visit is None:
+                ip, _, agent = key_text.partition("|")
+                visit = Visit(user_key=(ip, agent), events=[], session_id=cluster[1])
+                grouped[cluster] = visit
+            visit.events.append(
+                VisitEvent(
+                    timestamp=datetime.fromtimestamp(int(epoch), timezone.utc),
+                    resource=resource,
+                    inferred=bool(int(inferred)),
+                )
             )
-        )
+    except (csv.Error, ValueError, OverflowError) as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     return [grouped[k] for k in sorted(grouped, key=lambda c: (c[0], c[1]))]

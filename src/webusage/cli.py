@@ -126,22 +126,25 @@ def _load_users_file(store: LogStore, path: Path) -> int:
         if first.startswith("kind,"):
             return load_roster(store, load_truth(path))
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["user_id", "username", "user_type", "gender"]:
-            raise UsageError(f"unrecognized users file header: {header}")
-        n = 0
-        with store.transaction():
-            for row in reader:
-                if not row:
-                    continue
-                where = f"users file {path} line {reader.line_num}"
-                if len(row) != 4:
-                    raise UsageError(f"{where}: expected 4 columns, got {len(row)}")
-                try:
-                    store.upsert_user(UserInfo(int(row[0]), row[1], row[2], row[3]))
-                except (ValueError, ConstraintError) as exc:
-                    raise UsageError(f"{where}: {exc}") from None
-                n += 1
+        try:
+            header = next(reader, None)
+            if header != ["user_id", "username", "user_type", "gender"]:
+                raise UsageError(f"unrecognized users file header: {header}")
+            n = 0
+            with store.transaction():
+                for row in reader:
+                    if not row:
+                        continue
+                    where = f"users file {path} line {reader.line_num}"
+                    if len(row) != 4:
+                        raise UsageError(f"{where}: expected 4 columns, got {len(row)}")
+                    try:
+                        store.upsert_user(UserInfo(int(row[0]), row[1], row[2], row[3]))
+                    except (ValueError, ConstraintError) as exc:
+                        raise UsageError(f"{where}: {exc}") from None
+                    n += 1
+        except csv.Error as exc:  # a cell over csv.field_size_limit()
+            raise UsageError(f"users file {path} line {reader.line_num}: {exc}") from None
         return n
 
 
@@ -163,8 +166,13 @@ def cmd_collect(args: argparse.Namespace) -> int:
 def _collect_into(store: LogStore, replay_path: Path, args: argparse.Namespace) -> int:
     try:
         if args.geoip is not None:
-            with open(_require_file(args.geoip, "geoip file"), encoding="utf-8") as fh:
-                geoip = load_geoip(fh)
+            geoip_path = _require_file(args.geoip, "geoip file")
+            with open(geoip_path, encoding="utf-8") as fh:
+                try:
+                    geoip = load_geoip(fh)
+                except GeoIpLoadError as exc:
+                    raise GeoIpLoadError(exc.reason, exc.line_no,
+                                         f"geoip file {geoip_path}") from None
         else:
             geoip = sample_geoip_table()
         store.replace_geoip(geoip.ranges)
@@ -229,9 +237,12 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     store_path = _require_file(args.store, "store")
     truth = load_truth(_require_file(args.truth, "truth file"))
-    with open(_require_file(args.baseline, "baseline sessions file"),
-              encoding="utf-8", newline="") as fh:
-        baseline_sessions = read_sessions_csv(fh)
+    baseline_path = _require_file(args.baseline, "baseline sessions file")
+    with open(baseline_path, encoding="utf-8", newline="") as fh:
+        try:
+            baseline_sessions = read_sessions_csv(fh)
+        except ValueError as exc:
+            raise ValueError(f"baseline sessions file {baseline_path} {exc}") from None
     store = _open_read_only(store_path)
     try:
         collector_side = collector_report(store, truth)

@@ -109,9 +109,14 @@ def parse_user_agent(ua: str | None) -> ClientProfile:
 # ---------------------------------------------------------------------------
 
 class GeoIpLoadError(ValueError):
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, message: str, line_no: int, source: str | None = None):
+        where = f"{source} line {line_no}" if source else f"line {line_no}"
+        super().__init__(f"{where}: {message}")
         self.line_no = line_no
+        self.reason = message
+
+
+_MAX_IPV4 = 2**32 - 1
 
 
 def ip_to_int(ip: str | int) -> int:
@@ -159,23 +164,30 @@ def load_geoip(source: IO[str] | Iterable[str]) -> GeoIpTable:
     Rows may arrive unsorted.  Errors name the offending 1-based line.
     """
     rows: list[tuple[GeoIpRange, int]] = []
-    for line_no, row in enumerate(csv.reader(source), start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if row[0].lstrip().startswith("#"):
-            continue
-        if len(row) != 3:
-            raise GeoIpLoadError("expected 3 columns", line_no)
-        try:
-            start, end = int(row[0]), int(row[1])
-        except ValueError:
-            raise GeoIpLoadError("ip bounds must be integers", line_no) from None
-        code = row[2].strip()
-        if not code:
-            raise GeoIpLoadError("empty country code", line_no)
-        if start > end:
-            raise GeoIpLoadError("start_ip greater than end_ip", line_no)
-        rows.append((GeoIpRange(start, end, code), line_no))
+    reader = csv.reader(source)
+    try:
+        for row in reader:
+            line_no = reader.line_num
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if row[0].lstrip().startswith("#"):
+                continue
+            if len(row) != 3:
+                raise GeoIpLoadError("expected 3 columns", line_no)
+            try:
+                start, end = int(row[0]), int(row[1])
+            except ValueError:
+                raise GeoIpLoadError("ip bounds must be integers", line_no) from None
+            if not (0 <= start <= _MAX_IPV4 and 0 <= end <= _MAX_IPV4):
+                raise GeoIpLoadError(f"ip bounds must be in 0..{_MAX_IPV4}", line_no)
+            code = row[2].strip()
+            if not code:
+                raise GeoIpLoadError("empty country code", line_no)
+            if start > end:
+                raise GeoIpLoadError("start_ip greater than end_ip", line_no)
+            rows.append((GeoIpRange(start, end, code), line_no))
+    except csv.Error as exc:  # a cell over csv.field_size_limit()
+        raise GeoIpLoadError(str(exc), reader.line_num) from None
     rows.sort(key=lambda item: item[0].start_ip)
     for prev, cur in zip(rows, rows[1:]):
         if cur[0].start_ip <= prev[0].end_ip:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import re
 import sqlite3
@@ -429,14 +430,48 @@ _OPEN_SESSION_SQL = (
 )
 
 
-class _ByteCounter:
-    """Write-only text stream that keeps only the UTF-8 size of its input."""
+def _export_writer(stream):
+    """The CSV writer of every exported table."""
+    return csv.writer(stream, lineterminator="\n")
 
-    def __init__(self):
-        self.bytes = 0
 
-    def write(self, text: str) -> None:
-        self.bytes += len(text.encode("utf-8"))
+def _quote_triggers() -> tuple[str, ...]:
+    """The characters that make the export writer quote a field.
+
+    They depend on the Python version (3.13 also quotes a lone ``\\r``), so
+    each ASCII character, the only kind a dialect names, is written once
+    as a one-field row and kept when it comes out quoted.
+    """
+    buf = io.StringIO()
+    writer = _export_writer(buf)
+    found = []
+    for char in map(chr, range(128)):
+        buf.seek(0)
+        buf.truncate()
+        try:
+            writer.writerow([char])
+        except csv.Error:  # NUL, before Python 3.11
+            continue
+        if buf.getvalue() != f"{char}\n":
+            found.append(char)
+    return tuple(found)
+
+
+def _text_cell_bytes(col: str) -> str:
+    """SQL for the exported UTF-8 size of a TEXT cell, NULL for a NULL.
+
+    A field holding ``"`` is quoted and each ``"`` doubled; a field holding
+    another trigger is only quoted.  ``length(CAST(... AS BLOB))`` counts
+    bytes, where ``length`` of text would count characters up to a NUL.
+    """
+    size = f"length(CAST({col} AS BLOB))"
+    unquoted = f"length(CAST(replace({col}, '\"', '') AS BLOB))"
+    others = " OR ".join(f"instr({col}, char({ord(c)}))" for c in _QUOTE_TRIGGERS if c != '"')
+    return (f"CASE WHEN instr({col}, '\"') THEN 2 * {size} - {unquoted} + 2"
+            f" WHEN {others} THEN {size} + 2 ELSE {size} END")
+
+
+_QUOTE_TRIGGERS = _quote_triggers()
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +822,7 @@ class LogStore:
         rows = self._query(
             f"SELECT {', '.join(cols)} FROM {table} ORDER BY {_TABLE_KEYS[table]}"
         )
-        writer = csv.writer(stream, lineterminator="\n")
+        writer = _export_writer(stream)
         writer.writerow(cols)
         writer.writerows(rows)  # csv writes NULL (None) as an empty cell
         return len(rows)
@@ -863,21 +898,38 @@ class LogStore:
 
     # -- stats ---------------------------------------------------------------
 
-    def row_size_stats(self) -> dict[str, float]:
-        """Average CSV-serialized row size in bytes for the two log tables."""
-        stats = {}
+    def _log_table_sizes(self) -> dict[str, tuple[int, float]]:
+        """Rows and mean exported row bytes (without the row's ``\\n``) of
+        the two log tables, each table counted by one aggregate read."""
+        out = {}
         for table in ("log_session", "log_page"):
-            counter = _ByteCounter()
-            n = self.export_table(table, counter)
-            # less the header line and each row's "\n" terminator
-            body = counter.bytes - len(",".join(TABLE_COLUMNS[table])) - 1 - n
-            stats[table] = body / n if n else 0.0
-        return stats
+            info = self._query(f"PRAGMA table_info({table})")  # cid, name, type, ...
+            sums = [
+                f"SUM({_text_cell_bytes(col)})" if sql_type == "TEXT" else f"SUM(length({col}))"
+                for _, col, sql_type, *_ in info if sql_type != "REAL"
+            ]
+            rows, *sizes = self._query(f"SELECT COUNT(*), {', '.join(sums)} FROM {table}")[0]
+            size = sum(s or 0 for s in sizes) + (len(info) - 1) * rows  # the commas
+            # The export writes a REAL as Python's repr, not as SQLite's text.
+            for col in (col for _, col, sql_type, *_ in info if sql_type == "REAL"):
+                size += sum(len(repr(v)) * n for v, n in self._query(
+                    f"SELECT {col}, COUNT(*) FROM {table} WHERE {col} IS NOT NULL GROUP BY 1"
+                ))
+            out[table] = (rows, size / rows if rows else 0.0)
+        return out
+
+    def row_size_stats(self) -> dict[str, float]:
+        """Mean CSV-exported row size in bytes for the two log tables."""
+        return {table: mean for table, (_, mean) in self._log_table_sizes().items()}
 
     def store_stats(self) -> dict[str, float]:
+        sizes = self._log_table_sizes()
         out: dict[str, float] = {}
         for table in TABLE_COLUMNS:
-            out[f"rows.{table}"] = self._query(f"SELECT COUNT(*) FROM {table}")[0][0]
-        for table, size in self.row_size_stats().items():
-            out[f"avg_row_bytes.{table}"] = round(size, 1)
+            if table in sizes:
+                out[f"rows.{table}"] = sizes[table][0]
+            else:
+                out[f"rows.{table}"] = self._query(f"SELECT COUNT(*) FROM {table}")[0][0]
+        for table, (_, mean) in sizes.items():
+            out[f"avg_row_bytes.{table}"] = round(mean, 1)
         return out

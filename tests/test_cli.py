@@ -292,6 +292,15 @@ class TestPreprocess:
 
 
 class TestReport:
+    def test_stats_leaves_a_read_only_store_unchanged(self, workspace, tmp_path, capsys):
+        store = tmp_path / "kept.db"
+        store.write_bytes(workspace["store"].read_bytes())
+        store.chmod(0o444)
+        assert main(["report", "--store", str(store), "--kind", "stats"]) == 0
+        assert "avg_row_bytes.log_page: " in capsys.readouterr().out
+        assert store.read_bytes() == workspace["store"].read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.db"]
+
     @pytest.mark.parametrize("kind,first_header_cell", [
         ("usage-buckets", "visitor_type"),
         ("user-type-gender", "user_type"),
@@ -471,6 +480,67 @@ class TestCompare:
                    "--truth", str(truncated)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestUnreadableInputRows:
+    """A row of an input CSV that cannot be read ends in one `error:` line
+    naming the file and the row's 1-based line, with the documented code."""
+
+    BIG = "x" * (csv.field_size_limit() + 1)
+
+    def _compare(self, workspace, tmp_path, rows):
+        baseline = tmp_path / "sessions.csv"
+        lines = workspace["sessions"].read_text(encoding="utf-8").splitlines()
+        baseline.write_text("\n".join(lines[:2] + rows) + "\n", encoding="utf-8")
+        rc = main(["compare", "--store", str(workspace["store"]),
+                   "--baseline", str(baseline), "--truth", str(workspace["truth"])])
+        return rc, baseline
+
+    @pytest.mark.parametrize("row, reason", [
+        ("a|b,1,1,0,/x", "not enough values to unpack (expected 6, got 5)"),
+        ("a|b,1,1,0,/x,0,extra", "too many values to unpack (expected 6)"),
+        ("a|b,x,1,0,/x,0", "invalid literal for int() with base 10: 'x'"),
+        ("a|b,1,1,0,/x,yes", "invalid literal for int() with base 10: 'yes'"),
+        (f"a|b,1,1,0,{BIG},0", "field larger than field limit (131072)"),
+    ])
+    def test_bad_sessions_csv_row(self, workspace, tmp_path, capsys, row, reason):
+        rc, baseline = self._compare(workspace, tmp_path, [row])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: baseline sessions file {baseline} line 3: {reason}\n"
+        )
+
+    def test_sessions_csv_time_out_of_range(self, workspace, tmp_path, capsys):
+        rc, baseline = self._compare(workspace, tmp_path, ["a|b,1,1,99999999999999999999,/x,0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: baseline sessions file {baseline} line 3: ")
+        assert len(err.splitlines()) == 1
+
+    def test_oversized_users_cell(self, workspace, tmp_path, capsys):
+        users = tmp_path / "users.csv"
+        users.write_text(f"user_id,username,user_type,gender\n1,{self.BIG},student,male\n",
+                         encoding="utf-8")
+        rc = main(["collect", str(workspace["replay"]),
+                   "--store", str(tmp_path / "s.db"), "--users", str(users)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: users file {users} line 2: field larger than field limit (131072)\n"
+        )
+
+    @pytest.mark.parametrize("row, reason", [
+        (f"200,300,{BIG}", "field larger than field limit (131072)"),
+        ("0,99999999999999,XX", "ip bounds must be in 0..4294967295"),
+        ("-1,5,XX", "ip bounds must be in 0..4294967295"),
+    ])
+    def test_bad_geoip_row(self, workspace, tmp_path, capsys, row, reason):
+        geoip = tmp_path / "geo.csv"
+        geoip.write_text(f"# ranges\n{row}\n", encoding="utf-8")
+        rc = main(["collect", str(workspace["replay"]),
+                   "--store", str(tmp_path / "s.db"), "--geoip", str(geoip)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: geoip file {geoip} line 2: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["geo.csv"]
 
 
 class TestExport:

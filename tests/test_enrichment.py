@@ -1,3 +1,4 @@
+import csv
 import io
 import ipaddress
 import random
@@ -143,6 +144,23 @@ class TestGeoIp:
         ]:
             with pytest.raises(GeoIpLoadError, match=fragment):
                 load_geoip(io.StringIO(text))
+
+    @pytest.mark.parametrize("row", [
+        "0,99999999999999,XX", "0,4294967296,XX", "-5,100,XX", "-10,-1,XX",
+        "4294967296,4294967297,XX",
+    ])
+    def test_bounds_outside_ipv4_rejected_with_line(self, row):
+        with pytest.raises(GeoIpLoadError, match=r"line 2: ip bounds must be in 0\.\.4294967295"):
+            load_geoip(io.StringIO(f"0,100,AA\n{row}\n"))
+
+    def test_full_ipv4_range_accepted(self):
+        table = load_geoip(io.StringIO("0,4294967295,XX\n"))
+        assert table.lookup("255.255.255.255") == table.lookup("0.0.0.0") == "XX"
+
+    def test_cell_over_the_field_limit_names_its_line(self):
+        big = "x" * (csv.field_size_limit() + 1)
+        with pytest.raises(GeoIpLoadError, match="line 3: field larger than field limit"):
+            load_geoip(io.StringIO(f"0,100,AA\n\n200,300,{big}\n"))
 
     def test_comments_and_blanks_skipped(self):
         table = load_geoip(io.StringIO("# header\n\n0,100,AA\n"))

@@ -693,3 +693,58 @@ class TestStats:
         row = buf.getvalue().split("\n", 1)[1].removesuffix("\n")
         assert title in row  # a newline stays inside the quoted field
         assert mem_store.row_size_stats()["log_page"] == len(row.encode("utf-8"))
+
+    # Text the export writer quotes (`,` `"` `\n`, and `\r` from Python
+    # 3.13), NUL before and after such a character, non-ASCII, and empty.
+    ODD_TEXT = ["a,b", 'say "hi"', '""', "x\ny", "cr\ronly", "\r\n", "nul\x00,after",
+                'nul\x00"q', "\x00", "ders programı", "😀,é", "", "plain"]
+    # Floats whose repr is not SQLite's 15-digit text, and plain ones.
+    ODD_FLOATS = [0.1 + 0.2, 1e-07, 1e16, 123456.789012345678, 0.0, 1.5, 2.0]
+
+    @staticmethod
+    def _exported_mean(store, table) -> float:
+        """Mean bytes of an exported row, less its header line and each
+        row's `\n`, measured on ``export_table`` itself."""
+        buf = io.StringIO()
+        rows = store.export_table(table, buf)
+        body = len(buf.getvalue().encode("utf-8")) - len(",".join(TABLE_COLUMNS[table])) - 1
+        return (body - rows) / rows if rows else 0.0
+
+    def _assert_sizes_match_export(self, store):
+        stats = store.row_size_stats()
+        assert stats == {table: self._exported_mean(store, table)
+                         for table in ("log_session", "log_page")}
+
+    def test_row_size_matches_export_with_odd_values(self, mem_store):
+        odd = self.ODD_TEXT
+        for i, text in enumerate(odd):
+            nullable = None if i % 2 else ""  # '' and NULL in the nullable columns
+            opn = mem_store.insert_session(_session(
+                ip=text or "-", username=nullable, language=text or nullable,
+                referrer_url=text, search_engine=nullable, search_keywords=text,
+                browser_name=text, os_version=odd[-1 - i],
+                ended_at=T0 + timedelta(hours=1) if i % 3 else None,
+                end_reason="timeout" if i % 3 else None,
+            ))
+            mem_store.insert_page(_page(
+                opn, log_url=text, log_username=nullable, log_page_title=odd[-1 - i],
+                log_web_message=text, log_error_text=text if i % 2 else nullable,
+                log_cookie_serialize={"k": text, "x,y": '"'} if i % 2 else {},
+                log_get_serialize={text: text},
+                log_page_load_time=self.ODD_FLOATS[i % len(self.ODD_FLOATS)],
+                log_url_malformed=bool(i % 2), log_server=10 ** i,
+            ))
+        self._assert_sizes_match_export(mem_store)
+
+    @pytest.mark.parametrize("load_time", ODD_FLOATS)
+    def test_real_sized_as_its_repr(self, mem_store, load_time):
+        opn = mem_store.insert_session(_session())
+        for _ in range(3):
+            mem_store.insert_page(_page(opn, log_page_load_time=load_time))
+        self._assert_sizes_match_export(mem_store)
+
+    def test_row_size_of_empty_log_tables(self, mem_store):
+        self._assert_sizes_match_export(mem_store)
+        mem_store.insert_session(_session())  # sessions, but no pages
+        self._assert_sizes_match_export(mem_store)
+        assert mem_store.row_size_stats()["log_page"] == 0.0
