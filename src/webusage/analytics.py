@@ -10,13 +10,13 @@ figures.  Every builder returns a :class:`Table`.
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass, field
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
+from . import csvio
 from .enrichment import ip_to_int
 from .storage import NO_GENDER_TYPES, USER_TYPES, LogStore, SessionRecord
 
@@ -250,10 +250,10 @@ class Analytics:
 # ---------------------------------------------------------------------------
 
 def report_to_csv(table: Table) -> str:
-    """The header and rows as CSV: ``csv.writer`` prints a float by ``repr``
+    """The header and rows as CSV: the writer prints a float by ``repr``
     and a ``Decimal`` by ``str``; ``None`` prints as ``-``."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csvio.writer(buf)
     writer.writerow(table.header)
     writer.writerows(["-" if cell is None else cell for cell in row] for row in table.rows)
     return buf.getvalue()

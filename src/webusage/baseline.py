@@ -15,7 +15,6 @@ a referrer, which pays because a site has few pages to be referred from.
 
 from __future__ import annotations
 
-import csv
 import gzip
 import re
 import urllib.parse
@@ -27,6 +26,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Hashable, Iterable, Iterator, Sequence
 
+from . import csvio
 from .enrichment import is_bot
 from .truth import GroundTruth, TruthEvent
 
@@ -687,7 +687,7 @@ _SESSION_CSV_HEADER = ("user_key", "session_id", "seq", "time", "resource", "inf
 
 def write_sessions_csv(sessions: Sequence[Visit], stream) -> int:
     """One row per event: user_key, session_id, seq, epoch, resource, inferred."""
-    writer = csv.writer(stream, lineterminator="\n")
+    writer = csvio.writer(stream)
     writer.writerow(_SESSION_CSV_HEADER)
     n = 0
     for visit in sessions:
@@ -702,18 +702,13 @@ def write_sessions_csv(sessions: Sequence[Visit], stream) -> int:
 
 
 def read_sessions_csv(stream) -> list[Visit]:
-    """Visits from a sessions CSV; any unreadable row raises ``ValueError``
-    naming its 1-based line."""
-    reader = csv.reader(stream)
+    """Visits from a sessions CSV; any unreadable row raises
+    :class:`csvio.RowError` naming its line."""
     grouped: dict[tuple[str, int], Visit] = {}
-    try:
-        header = next(reader, None)
-        if header != list(_SESSION_CSV_HEADER):
-            raise ValueError(f"unexpected sessions header: {header}")
-        for row in reader:
-            if not row:
-                continue
-            key_text, session_id, _, epoch, resource, inferred = row
+    for line_no, (key_text, session_id, _, epoch, resource, inferred) in csvio.rows(
+        stream, _SESSION_CSV_HEADER
+    ):
+        try:
             cluster = (key_text, int(session_id))
             visit = grouped.get(cluster)
             if visit is None:
@@ -727,6 +722,6 @@ def read_sessions_csv(stream) -> list[Visit]:
                     inferred=bool(int(inferred)),
                 )
             )
-    except (csv.Error, ValueError, OverflowError) as exc:
-        raise ValueError(f"line {reader.line_num}: {exc}") from None
+        except (ValueError, OverflowError) as exc:
+            raise csvio.RowError(str(exc), line_no) from None
     return [grouped[k] for k in sorted(grouped, key=lambda c: (c[0], c[1]))]

@@ -9,11 +9,11 @@ Exit codes: 0 success, 1 runtime error, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import csv
 import gzip
 import os
 import sqlite3
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .analytics import (
@@ -31,6 +31,7 @@ from .baseline import (
 )
 from .collector import DEFAULT_TIMEOUT, Collector, replay_stream
 from .compare import collector_report, load_roster
+from .csvio import RowError, rows
 from .enrichment import GeoIpLoadError, load_geoip, sample_geoip_table
 from .events import ReplayFormatError, read_replay
 from .simulator import SITE_HOST, ConfigError, WorkloadConfig, simulate_to_dir
@@ -119,33 +120,30 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_users_file(store: LogStore, path: Path) -> int:
+@contextmanager
+def _naming(what: str, path: Path):
+    """Name the file, as ``users file PATH``, in a RowError raised inside."""
+    try:
+        yield
+    except RowError as exc:
+        exc.label = f"{what} {path}"
+        raise
+
+
+def _load_users_file(store: LogStore, path: Path) -> None:
+    """Register the accounts of a roster CSV or, by its ``kind,`` header, a truth file."""
     with open(path, encoding="utf-8", newline="") as fh:
-        first = fh.readline()
+        if fh.readline().startswith("kind,"):
+            with _naming("truth file", path):
+                load_roster(store, load_truth(path))
+            return
         fh.seek(0)
-        if first.startswith("kind,"):
-            return load_roster(store, load_truth(path))
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header != ["user_id", "username", "user_type", "gender"]:
-                raise UsageError(f"unrecognized users file header: {header}")
-            n = 0
-            with store.transaction():
-                for row in reader:
-                    if not row:
-                        continue
-                    where = f"users file {path} line {reader.line_num}"
-                    if len(row) != 4:
-                        raise UsageError(f"{where}: expected 4 columns, got {len(row)}")
-                    try:
-                        store.upsert_user(UserInfo(int(row[0]), row[1], row[2], row[3]))
-                    except (ValueError, ConstraintError) as exc:
-                        raise UsageError(f"{where}: {exc}") from None
-                    n += 1
-        except csv.Error as exc:  # a cell over csv.field_size_limit()
-            raise UsageError(f"users file {path} line {reader.line_num}: {exc}") from None
-        return n
+        with _naming("users file", path), store.transaction():
+            for line_no, row in rows(fh, ("user_id", "username", "user_type", "gender")):
+                try:
+                    store.upsert_user(UserInfo(int(row[0]), row[1], row[2], row[3]))
+                except (ValueError, ConstraintError) as exc:
+                    raise RowError(str(exc), line_no) from None
 
 
 def cmd_collect(args: argparse.Namespace) -> int:
@@ -167,12 +165,8 @@ def _collect_into(store: LogStore, replay_path: Path, args: argparse.Namespace) 
     try:
         if args.geoip is not None:
             geoip_path = _require_file(args.geoip, "geoip file")
-            with open(geoip_path, encoding="utf-8") as fh:
-                try:
-                    geoip = load_geoip(fh)
-                except GeoIpLoadError as exc:
-                    raise GeoIpLoadError(exc.reason, exc.line_no,
-                                         f"geoip file {geoip_path}") from None
+            with _naming("geoip file", geoip_path), open(geoip_path, encoding="utf-8") as fh:
+                geoip = load_geoip(fh)
         else:
             geoip = sample_geoip_table()
         store.replace_geoip(geoip.ranges)
@@ -186,7 +180,7 @@ def _collect_into(store: LogStore, replay_path: Path, args: argparse.Namespace) 
             if len(shown) < 10:
                 shown.append(exc)
 
-        with _open_text(replay_path) as fh:
+        with _naming("replay file", replay_path), _open_text(replay_path) as fh:
             pages, n_errors = replay_stream(collector, read_replay(fh), on_error=keep_first)
         for exc in shown:
             print(f"collection error: {exc}", file=sys.stderr)
@@ -236,13 +230,13 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     store_path = _require_file(args.store, "store")
-    truth = load_truth(_require_file(args.truth, "truth file"))
+    truth_path = _require_file(args.truth, "truth file")
+    with _naming("truth file", truth_path):
+        truth = load_truth(truth_path)
     baseline_path = _require_file(args.baseline, "baseline sessions file")
-    with open(baseline_path, encoding="utf-8", newline="") as fh:
-        try:
-            baseline_sessions = read_sessions_csv(fh)
-        except ValueError as exc:
-            raise ValueError(f"baseline sessions file {baseline_path} {exc}") from None
+    with _naming("baseline sessions file", baseline_path), \
+            open(baseline_path, encoding="utf-8", newline="") as fh:
+        baseline_sessions = read_sessions_csv(fh)
     store = _open_read_only(store_path)
     try:
         collector_side = collector_report(store, truth)
@@ -359,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        # Unreadable input files (wrong headers, malformed truth rows).
+        # Unreadable rows of a roster, truth file or sessions CSV.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,6 @@ An invalid address is not cached, so it raises on every call.
 from __future__ import annotations
 
 import bisect
-import csv
 import ipaddress
 import re
 import urllib.parse
@@ -27,6 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import IO, Iterable, Sequence
+
+from . import csvio
 
 UNKNOWN = "unknown"
 
@@ -108,12 +109,8 @@ def parse_user_agent(ua: str | None) -> ClientProfile:
 # GeoIP
 # ---------------------------------------------------------------------------
 
-class GeoIpLoadError(ValueError):
-    def __init__(self, message: str, line_no: int, source: str | None = None):
-        where = f"{source} line {line_no}" if source else f"line {line_no}"
-        super().__init__(f"{where}: {message}")
-        self.line_no = line_no
-        self.reason = message
+class GeoIpLoadError(csvio.RowError):
+    """A GeoIP table that cannot be loaded."""
 
 
 _MAX_IPV4 = 2**32 - 1
@@ -161,38 +158,35 @@ class GeoIpTable:
 def load_geoip(source: IO[str] | Iterable[str]) -> GeoIpTable:
     """Parse ``start_ip,end_ip,country_code`` CSV rows into a lookup table.
 
-    Rows may arrive unsorted.  Errors name the offending 1-based line.
+    A first row equal to that header, blank rows and ``#`` comments are
+    skipped.  Rows may arrive unsorted.  Errors name the 1-based line.
     """
-    rows: list[tuple[GeoIpRange, int]] = []
-    reader = csv.reader(source)
+    found: list[tuple[GeoIpRange, int]] = []
     try:
-        for row in reader:
-            line_no = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
+        for line_no, row in csvio.rows(source):
+            if (row[0].lstrip().startswith("#") or (len(row) == 1 and not row[0].strip())
+                    or (line_no == 1 and row == ["start_ip", "end_ip", "country_code"])):
                 continue
-            if row[0].lstrip().startswith("#"):
-                continue
-            if len(row) != 3:
-                raise GeoIpLoadError("expected 3 columns", line_no)
+            csvio.check_width(row, 3, line_no)
             try:
                 start, end = int(row[0]), int(row[1])
             except ValueError:
-                raise GeoIpLoadError("ip bounds must be integers", line_no) from None
+                raise csvio.RowError("ip bounds must be integers", line_no) from None
             if not (0 <= start <= _MAX_IPV4 and 0 <= end <= _MAX_IPV4):
-                raise GeoIpLoadError(f"ip bounds must be in 0..{_MAX_IPV4}", line_no)
+                raise csvio.RowError(f"ip bounds must be in 0..{_MAX_IPV4}", line_no)
             code = row[2].strip()
             if not code:
-                raise GeoIpLoadError("empty country code", line_no)
+                raise csvio.RowError("empty country code", line_no)
             if start > end:
-                raise GeoIpLoadError("start_ip greater than end_ip", line_no)
-            rows.append((GeoIpRange(start, end, code), line_no))
-    except csv.Error as exc:  # a cell over csv.field_size_limit()
-        raise GeoIpLoadError(str(exc), reader.line_num) from None
-    rows.sort(key=lambda item: item[0].start_ip)
-    for prev, cur in zip(rows, rows[1:]):
-        if cur[0].start_ip <= prev[0].end_ip:
-            raise GeoIpLoadError("range overlaps a previous range", cur[1])
-    return GeoIpTable([r for r, _ in rows])
+                raise csvio.RowError("start_ip greater than end_ip", line_no)
+            found.append((GeoIpRange(start, end, code), line_no))
+        found.sort(key=lambda item: item[0].start_ip)
+        for prev, cur in zip(found, found[1:]):
+            if cur[0].start_ip <= prev[0].end_ip:
+                raise csvio.RowError("range overlaps a previous range", cur[1])
+    except csvio.RowError as exc:
+        raise GeoIpLoadError(exc.reason, exc.line_no) from None
+    return GeoIpTable([r for r, _ in found])
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from datetime import datetime, timezone
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, TextIO
 
+from .csvio import RowError
+
 METHODS = ("GET", "POST")
 
 # Characters left unescaped in replay values.  Space, newline and '%' must
@@ -31,14 +33,8 @@ _TEXT_FIELDS = ("client_ip", "url", "session_token", "user_agent", "app_service"
 _OPTIONAL_TEXT_FIELDS = ("referrer", "auth_user")
 
 
-class ReplayFormatError(ValueError):
+class ReplayFormatError(RowError):
     """A replay line could not be decoded."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
 
 
 @dataclass

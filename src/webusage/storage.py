@@ -10,9 +10,7 @@ the collector can be driven from many request threads.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import json
 import re
 import sqlite3
@@ -26,6 +24,7 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
+from . import csvio
 from .enrichment import UNKNOWN, GeoIpRange
 from .events import AppPageResult
 
@@ -430,33 +429,6 @@ _OPEN_SESSION_SQL = (
 )
 
 
-def _export_writer(stream):
-    """The CSV writer of every exported table."""
-    return csv.writer(stream, lineterminator="\n")
-
-
-def _quote_triggers() -> tuple[str, ...]:
-    """The characters that make the export writer quote a field.
-
-    They depend on the Python version (3.13 also quotes a lone ``\\r``), so
-    each ASCII character, the only kind a dialect names, is written once
-    as a one-field row and kept when it comes out quoted.
-    """
-    buf = io.StringIO()
-    writer = _export_writer(buf)
-    found = []
-    for char in map(chr, range(128)):
-        buf.seek(0)
-        buf.truncate()
-        try:
-            writer.writerow([char])
-        except csv.Error:  # NUL, before Python 3.11
-            continue
-        if buf.getvalue() != f"{char}\n":
-            found.append(char)
-    return tuple(found)
-
-
 def _text_cell_bytes(col: str) -> str:
     """SQL for the exported UTF-8 size of a TEXT cell, NULL for a NULL.
 
@@ -466,12 +438,9 @@ def _text_cell_bytes(col: str) -> str:
     """
     size = f"length(CAST({col} AS BLOB))"
     unquoted = f"length(CAST(replace({col}, '\"', '') AS BLOB))"
-    others = " OR ".join(f"instr({col}, char({ord(c)}))" for c in _QUOTE_TRIGGERS if c != '"')
+    others = " OR ".join(f"instr({col}, char({ord(c)}))" for c in csvio.QUOTE_TRIGGERS if c != '"')
     return (f"CASE WHEN instr({col}, '\"') THEN 2 * {size} - {unquoted} + 2"
             f" WHEN {others} THEN {size} + 2 ELSE {size} END")
-
-
-_QUOTE_TRIGGERS = _quote_triggers()
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +791,7 @@ class LogStore:
         rows = self._query(
             f"SELECT {', '.join(cols)} FROM {table} ORDER BY {_TABLE_KEYS[table]}"
         )
-        writer = _export_writer(stream)
+        writer = csvio.writer(stream)
         writer.writerow(cols)
         writer.writerows(rows)  # csv writes NULL (None) as an empty cell
         return len(rows)
@@ -850,32 +819,22 @@ class LogStore:
         (a bad enum), or holds in another form than the store writes (a
         timestamp such as ``2021-9-2 10:00:00``, a map with unsorted keys),
         fails the whole load with a :class:`StorageError` naming the table
-        and the row's key.
+        and the row's key.  A wrong header, a row of the wrong width, or one
+        ``csv`` cannot read fails it naming the table and the line.
         """
         cols = TABLE_COLUMNS.get(table)
         if cols is None:
             raise ValueError(f"unknown table {table!r}")
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header != list(cols):
-            raise StorageError(f"unexpected header for {table}: {header}")
         info = self._query(f"PRAGMA table_info({table})")  # cid, name, type, notnull, dflt, pk
         nullable = {name for _, name, _, notnull, _, pk in info if not notnull and not pk}
         null_at = [name in nullable for name in cols]
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(cols):
-                raise StorageError(
-                    f"{table}: expected {len(cols)} columns, got {len(row)}"
-                )
-            rows.append(
-                tuple(
-                    None if v == "" and is_null else v
-                    for v, is_null in zip(row, null_at)
-                )
-            )
+        try:
+            rows = [
+                tuple(None if v == "" and is_null else v for v, is_null in zip(row, null_at))
+                for _, row in csvio.rows(stream, cols)
+            ]
+        except csvio.RowError as exc:
+            raise StorageError(f"{table} {exc}") from None
         codec, key = _CODECS[table], _TABLE_KEYS[table]
         at = cols.index(key)
         with self.transaction():

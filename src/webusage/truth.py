@@ -9,10 +9,11 @@ empty.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
+
+from . import csvio
 
 TRUTH_HEADER = (
     "kind", "user_id", "username", "user_type", "gender", "device",
@@ -62,7 +63,7 @@ class GroundTruth:
 
 
 def write_truth(truth: GroundTruth, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
+    writer = csvio.writer(stream)
     writer.writerow(TRUTH_HEADER)
     for user in truth.users:
         writer.writerow([
@@ -85,41 +86,29 @@ def write_truth(truth: GroundTruth, stream) -> None:
 
 
 def read_truth(stream) -> GroundTruth:
-    reader = csv.reader(stream)
     truth = GroundTruth()
     users, sessions, events = truth.users, truth.sessions, truth.events
-    width = len(TRUTH_HEADER)
-    try:
-        header = next(reader, None)
-        if header != list(TRUTH_HEADER):
-            raise ValueError(f"unexpected truth header: {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise ValueError(f"line {line_no}: expected {width} columns")
-            (kind, user_id, username, user_type, gender, device, session_id, pageviews,
-             start, end, event_seq, cached, epoch, ip, resource) = row
-            try:
-                if kind == "event":
-                    events.append(TruthEvent(
-                        int(event_seq), int(user_id), int(session_id), int(epoch),
-                        ip, resource, bool(int(cached)),
-                    ))
-                elif kind == "session":
-                    sessions.append(TruthSession(
-                        int(session_id), int(user_id), int(pageviews), int(start), int(end),
-                    ))
-                elif kind == "user":
-                    users.append(TruthUser(
-                        int(user_id), username or None, user_type, gender or None, device,
-                    ))
-                else:
-                    raise ValueError(f"unknown row kind {kind!r}")
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: {exc}") from None
-    except csv.Error as exc:  # a cell over csv.field_size_limit()
-        raise ValueError(f"line {reader.line_num}: {exc}") from None
+    for line_no, row in csvio.rows(stream, TRUTH_HEADER):
+        (kind, user_id, username, user_type, gender, device, session_id, pageviews,
+         start, end, event_seq, cached, epoch, ip, resource) = row
+        try:
+            if kind == "event":
+                events.append(TruthEvent(
+                    int(event_seq), int(user_id), int(session_id), int(epoch),
+                    ip, resource, bool(int(cached)),
+                ))
+            elif kind == "session":
+                sessions.append(TruthSession(
+                    int(session_id), int(user_id), int(pageviews), int(start), int(end),
+                ))
+            elif kind == "user":
+                users.append(TruthUser(
+                    int(user_id), username or None, user_type, gender or None, device,
+                ))
+            else:
+                raise ValueError(f"unknown row kind {kind!r}")
+        except ValueError as exc:
+            raise csvio.RowError(str(exc), line_no) from None
     return truth
 
 

@@ -119,7 +119,21 @@ class TestCollect:
         bad.write_text("this is not a replay line\n", encoding="utf-8")
         rc = main(["collect", str(bad), "--store", str(tmp_path / "s.db")])
         assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: replay file {bad} line 1: token without '=': 'this'\n"
+        )
+
+    def test_exported_geoip_table_loads_back(self, workspace, tmp_path, capsys):
+        assert main(["export", "--store", str(workspace["store"]),
+                     "--out", str(tmp_path / "export")]) == 0
+        store = tmp_path / "s.db"
+        rc = main(["collect", str(workspace["replay"]), "--store", str(store),
+                   "--geoip", str(tmp_path / "export" / "log_geoip.csv")])
+        assert rc == 0
+        assert main(["export", "--store", str(store), "--out", str(tmp_path / "again")]) == 0
+        exported = (tmp_path / "export" / "log_geoip.csv").read_text(encoding="utf-8")
+        assert exported.count("\n") > 1
+        assert (tmp_path / "again" / "log_geoip.csv").read_text(encoding="utf-8") == exported
 
     def test_bad_geoip_file_exits_1(self, workspace, tmp_path, capsys):
         geoip = tmp_path / "geo.csv"
@@ -141,13 +155,15 @@ class TestCollect:
         rc = main(["collect", str(workspace["replay"]),
                    "--store", str(tmp_path / "s.db"), "--users", str(users)])
         assert rc == 2
-        assert "users file header" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: users file {users} line 1: expected header user_id,username,user_type,gender\n"
+        )
 
     @pytest.mark.parametrize("row, reason", [
-        ("user,1,alice", "line 3: expected 15 columns"),
-        ("mystery" + "," * 14, "line 3: unknown row kind 'mystery'"),
+        ("user,1,alice", "expected 15 columns, got 3"),
+        ("mystery" + "," * 14, "unknown row kind 'mystery'"),
         ("user,x,alice,student,female,desktop,,,,,,,,,",
-         "line 3: invalid literal for int() with base 10: 'x'"),
+         "invalid literal for int() with base 10: 'x'"),
     ])
     def test_bad_truth_users_file_exits_2(self, workspace, tmp_path, capsys, row, reason):
         store = tmp_path / "kept.db"
@@ -158,7 +174,7 @@ class TestCollect:
         rc = main(["collect", str(workspace["replay"]),
                    "--store", str(store), "--users", str(truth)])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert capsys.readouterr().err == f"error: truth file {truth} line 3: {reason}\n"
         assert store.read_bytes() == workspace["store"].read_bytes()
 
     @pytest.mark.parametrize("row, width", [
@@ -497,8 +513,8 @@ class TestUnreadableInputRows:
         return rc, baseline
 
     @pytest.mark.parametrize("row, reason", [
-        ("a|b,1,1,0,/x", "not enough values to unpack (expected 6, got 5)"),
-        ("a|b,1,1,0,/x,0,extra", "too many values to unpack (expected 6)"),
+        ("a|b,1,1,0,/x", "expected 6 columns, got 5"),
+        ("a|b,1,1,0,/x,0,extra", "expected 6 columns, got 7"),
         ("a|b,x,1,0,/x,0", "invalid literal for int() with base 10: 'x'"),
         ("a|b,1,1,0,/x,yes", "invalid literal for int() with base 10: 'yes'"),
         (f"a|b,1,1,0,{BIG},0", "field larger than field limit (131072)"),
@@ -516,6 +532,35 @@ class TestUnreadableInputRows:
         err = capsys.readouterr().err
         assert err.startswith(f"error: baseline sessions file {baseline} line 3: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["collect", "compare"])
+    def test_truth_row_after_a_multi_line_cell_names_file_and_physical_line(
+        self, workspace, tmp_path, capsys, command
+    ):
+        truth = tmp_path / "truth.csv"
+        header = workspace["truth"].read_text(encoding="utf-8").splitlines()[0]
+        truth.write_text(f'{header}\nuser,1,"ali\nce",student,female,desktop,,,,,,,,,\n'
+                         "user,2,bob\n", encoding="utf-8")
+        if command == "collect":
+            argv = ["collect", str(workspace["replay"]), "--store", str(tmp_path / "s.db"),
+                    "--users", str(truth)]
+        else:
+            argv = ["compare", "--store", str(workspace["store"]),
+                    "--baseline", str(workspace["sessions"]), "--truth", str(truth)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: truth file {truth} line 4: expected 15 columns, got 3\n"
+        )
+
+    def test_bad_replay_line_names_file_and_line(self, tmp_path, capsys):
+        replay = tmp_path / "bad.replay"
+        replay.write_text("# comment\nthis is not a replay line\n", encoding="utf-8")
+        rc = main(["collect", str(replay), "--store", str(tmp_path / "s.db")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: replay file {replay} line 2: token without '=': 'this'\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.replay"]
 
     def test_oversized_users_cell(self, workspace, tmp_path, capsys):
         users = tmp_path / "users.csv"

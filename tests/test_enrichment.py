@@ -136,14 +136,22 @@ class TestGeoIp:
         assert table.lookup(99) == "AA"
 
     def test_bad_rows_rejected(self):
-        for text, fragment in [
-            ("1,2\n", "3 columns"),
-            ("a,2,XX\n", "integers"),
-            ("5,2,XX\n", "greater than"),
-            ("1,2,\n", "empty country"),
+        for text, message in [
+            ("1,2\n", "line 1: expected 3 columns, got 2"),
+            ("a,2,XX\n", "line 1: ip bounds must be integers"),
+            ("5,2,XX\n", "line 1: start_ip greater than end_ip"),
+            ("1,2,\n", "line 1: empty country code"),
         ]:
-            with pytest.raises(GeoIpLoadError, match=fragment):
+            with pytest.raises(GeoIpLoadError) as info:
                 load_geoip(io.StringIO(text))
+            assert str(info.value) == message
+
+    def test_header_only_as_first_row(self):
+        header = "start_ip,end_ip,country_code\n"
+        assert len(load_geoip(io.StringIO(header + "0,100,AA\n"))) == 1
+        with pytest.raises(GeoIpLoadError) as info:
+            load_geoip(io.StringIO("0,100,AA\n" + header))
+        assert str(info.value) == "line 2: ip bounds must be integers"
 
     @pytest.mark.parametrize("row", [
         "0,99999999999999,XX", "0,4294967296,XX", "-5,100,XX", "-10,-1,XX",

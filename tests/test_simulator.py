@@ -343,7 +343,7 @@ class TestTruthRoundTrip:
         assert TruthEvent(1, 2, 3, 4, "10.0.0.1", "/a.php").cached is False
 
     @pytest.mark.parametrize("row, message", [
-        ("user,1,alice", "line 3: expected 15 columns"),
+        ("user,1,alice", "line 3: expected 15 columns, got 3"),
         ("mystery" + "," * 14, "line 3: unknown row kind 'mystery'"),
         ("user,x,alice,student,female,desktop,,,,,,,,,",
          "line 3: invalid literal for int() with base 10: 'x'"),

@@ -33,3 +33,9 @@ def test_imports_only_the_standard_library(path):
         if name.split(".")[0] not in sys.stdlib_module_names and name.split(".")[0] != "webusage"
     ]
     assert foreign == []
+
+
+def test_only_the_csv_module_imports_csv():
+    """One module owns the CSV dialect and the form of an unreadable row."""
+    importers = [p.name for p in MODULES if "csv" in _absolute_imports(p)]
+    assert importers == ["csvio.py"]

@@ -626,8 +626,26 @@ class TestExportImport:
         copy.close()
 
     def test_import_rejects_wrong_header(self, mem_store):
-        with pytest.raises(StorageError, match="header"):
+        with pytest.raises(StorageError) as info:
             mem_store.import_table("user_info", io.StringIO("a,b\n1,2\n"))
+        assert str(info.value) == (
+            "user_info line 1: expected header user_id,username,user_type,gender"
+        )
+
+    @pytest.mark.parametrize("row, reason", [
+        ("3,carol,student", re.escape("expected 4 columns, got 3")),
+        # csv's hint after this text differs between Python versions
+        ("3,c\rd,student,female", "new-line character seen in unquoted field - .*"),
+        (f"3,{'x' * (csv.field_size_limit() + 1)},student,female",
+         re.escape(f"field larger than field limit ({csv.field_size_limit()})")),
+    ], ids=["width", "lone-cr", "over-field-limit"])
+    def test_unreadable_row_names_table_and_line_and_keeps_the_store(self, mem_store, row, reason):
+        mem_store.upsert_user(UserInfo(1, "keep", "student", "male"))
+        text = f"user_id,username,user_type,gender\n2,bob,student,male\n\n{row}\n"
+        with pytest.raises(StorageError) as info:
+            mem_store.import_table("user_info", io.StringIO(text))
+        assert re.fullmatch(f"user_info line 4: {reason}", str(info.value))
+        assert mem_store._query("SELECT user_id, username FROM user_info") == [(1, "keep")]
 
     @pytest.mark.parametrize("cookies", [
         '{"b":"1", "a":"2"}',
