@@ -1,8 +1,9 @@
 """Usage reports computed directly over the log store.
 
-Each report reads one grouped query from :class:`LogStore`, which counts
-only the sessions that have pages.  Python then does three things only:
-the tie-break sorts, the ``Decimal`` half-up rounding, and the ``n / total``
+Each report builder holds its own grouped SQL query and runs it through
+``LogStore._query``, the store's locked read; every query counts only the
+sessions that have pages.  Python then does three things only: the
+tie-break sorts, the ``Decimal`` half-up rounding, and the ``n / total``
 ratios.  Every report is deterministic: fixed row orders, explicit
 tie-breaks, and half-up rounding at two decimals for pageviews-per-session
 figures.  Every builder returns a :class:`Table`.
@@ -17,7 +18,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
 from . import csvio
-from .enrichment import ip_to_int
+from .enrichment import UNKNOWN, ip_to_int
 from .storage import NO_GENDER_TYPES, USER_TYPES, LogStore, SessionRecord
 
 USAGE_BUCKETS = ((1, 3), (4, 10), (11, 30), (31, 100), (101, None))
@@ -31,6 +32,13 @@ DISTRIBUTION_COLUMNS = {
     "language": "language",
 }
 DISTRIBUTION_KINDS = tuple(DISTRIBUTION_COLUMNS)
+
+# Every report counts only the sessions ``s`` that have pages.  Reads that
+# need no page figures keep them with _HAS_PAGES, which is cheaper; the
+# others join them to _PAGE_COUNTS, the pageview count ``pages`` of each.
+_HAS_PAGES = "s.opn_id IN (SELECT log_opn_id FROM log_page)"
+_PAGE_COUNTS = "(SELECT log_opn_id, COUNT(*) AS pages FROM log_page GROUP BY log_opn_id)"
+_FROM_SEARCH = "s.referral_class = 'search_engine' AND s.search_engine IS NOT NULL"
 
 _TWO_PLACES = Decimal("0.01")
 _ONE_PLACE = Decimal("0.1")
@@ -99,6 +107,14 @@ def _pps(pageviews: int, sessions: int) -> Decimal:
     return pageviews_per_session(pageviews, sessions) if sessions else Decimal("0.00")
 
 
+def _address_key(ip: str) -> tuple[int, int | str]:
+    """IPv4 addresses by number, then every other address by its text."""
+    try:
+        return 0, ip_to_int(ip)
+    except ValueError:
+        return 1, ip
+
+
 def _check_top_n(n: int) -> None:
     # ``ordered[:n]`` would drop rows from the end for a negative n.
     if n < 0:
@@ -126,7 +142,10 @@ class Analytics:
     def usage_buckets(self) -> Table:
         """Sessions per pageview bucket, guests split from logged-in users."""
         counts: dict[tuple[str, str], int] = {}
-        for user_type, pageviews, sessions in self.store.sessions_by_pageviews():
+        for user_type, pageviews, sessions in self.store._query(
+            "SELECT s.user_type, p.pages, COUNT(*) FROM log_session s"
+            f" JOIN {_PAGE_COUNTS} p ON p.log_opn_id = s.opn_id GROUP BY 1, 2"
+        ):
             visitor = "Guests" if user_type == "guest" else "Users"
             key = (visitor, bucket_label(pageviews))
             counts[key] = counts.get(key, 0) + sessions
@@ -141,14 +160,30 @@ class Analytics:
     def user_type_gender_report(self) -> Table:
         """Users, sessions, pageviews, P_ps and viewing time per type/gender.
 
-        Guests are counted as distinct (ip, client fingerprint) pairs and
-        have no duration columns; unit accounts share the not_applicable
-        gender but keep durations.  The last row, ``total``, is the
-        column-wise sum of the body rows.
+        Guests are counted as distinct fingerprints (ip, browser name and
+        version, OS name and version, device type) and have no duration
+        columns; unit accounts share the not_applicable gender but keep
+        durations, a session's dwell being its last page time minus its
+        first.  The last row, ``total``, is the column-wise sum of the body
+        rows.
         """
         totals = {
             (user_type, gender): rest
-            for user_type, gender, *rest in self.store.user_type_gender_totals()
+            for user_type, gender, *rest in self.store._query(
+                "SELECT s.user_type, s.gender,"
+                " CASE s.user_type WHEN 'guest' THEN MAX(g.users)"
+                " ELSE COUNT(DISTINCT s.user_id) END,"
+                " COUNT(*), SUM(p.pages), SUM(p.dwell)"
+                " FROM log_session s JOIN (SELECT log_opn_id, COUNT(*) AS pages,"
+                " strftime('%s', MAX(log_datetime)) - strftime('%s', MIN(log_datetime)) AS dwell"
+                " FROM log_page GROUP BY log_opn_id) p ON p.log_opn_id = s.opn_id"
+                " LEFT JOIN (SELECT user_type, gender, COUNT(*) AS users FROM ("
+                "SELECT DISTINCT user_type, gender, ip, browser_name, browser_version,"
+                " os_name, os_version, device_type FROM log_session s"
+                f" WHERE user_type = 'guest' AND {_HAS_PAGES}) GROUP BY 1, 2) g"
+                " ON g.user_type = s.user_type AND g.gender = s.gender"
+                " GROUP BY 1, 2"
+            )
         }
         rows = []
         for user_type in USER_TYPES:
@@ -183,20 +218,29 @@ class Analytics:
         Rows are ``(hour, one count per user type, total)``."""
         index = {t: i for i, t in enumerate(USER_TYPES)}
         counts = [[0] * len(USER_TYPES) for _ in range(24)]
-        for hour, user_type, n in self.store.pages_by_hour_and_user_type():
+        for hour, user_type, n in self.store._query(
+            "SELECT CAST(substr(p.log_datetime, 12, 2) AS INTEGER), s.user_type, COUNT(*)"
+            " FROM log_page p JOIN log_session s ON s.opn_id = p.log_opn_id"
+            " GROUP BY 1, 2"
+        ):
             counts[hour][index[user_type]] = n
         rows = [(hour, *row, sum(row)) for hour, row in enumerate(counts)]
         plot = [(f"{row[0]:02d}", row[-1]) for row in rows]
         return Table(("hour", *USER_TYPES, "total"), rows, plot)
 
     def distribution(self, kind: str) -> Table:
-        """Per-session share of a category; each session counts once.
+        """Per-session share of a category; each session counts once, and a
+        NULL category counts as ``unknown``.
 
         Rows are ``(category, sessions, ratio)``, descending by ratio then
         category."""
         if kind not in DISTRIBUTION_COLUMNS:
             raise ValueError(f"kind must be one of {DISTRIBUTION_KINDS}")
-        counts = self.store.sessions_by(DISTRIBUTION_COLUMNS[kind])
+        counts = self.store._query(
+            f"SELECT COALESCE(s.{DISTRIBUTION_COLUMNS[kind]}, ?), COUNT(*) FROM log_session s"
+            f" WHERE {_HAS_PAGES} GROUP BY 1",
+            (UNKNOWN,),
+        )
         total = sum(n for _, n in counts)
         rows = [
             (category, n, n / total)
@@ -207,12 +251,16 @@ class Analytics:
     def top_ips(self, n: int = 15) -> Table:
         """Busiest client addresses by session count.
 
-        Ties break by pageviews descending, then numeric address ascending.
-        The key is total, since ``ip_to_int`` reads one text per address.
+        Ties break by pageviews descending, then by address: IPv4 addresses
+        by number, lowest first, then every other address by its text.
         """
         _check_top_n(n)
         ordered = sorted(
-            self.store.sessions_by_ip(), key=lambda row: (-row[1], -row[2], ip_to_int(row[0]))
+            self.store._query(
+                "SELECT s.ip, COUNT(*), SUM(p.pages) FROM log_session s"
+                f" JOIN {_PAGE_COUNTS} p ON p.log_opn_id = s.opn_id GROUP BY 1"
+            ),
+            key=lambda row: (-row[1], -row[2], _address_key(row[0])),
         )
         rows = [
             (ip, sessions, pageviews, pageviews_per_session(pageviews, sessions))
@@ -223,25 +271,42 @@ class Analytics:
 
     def top_users(self, n: int = 20) -> Table:
         """Most active logged-in users by pageviews; ties by username, then
-        by first session."""
+        by first session.
+
+        One row per (user id, username) pair of the signed-in sessions; a
+        NULL username reads as the empty string."""
         _check_top_n(n)
-        ordered = sorted(self.store.sessions_by_account(), key=lambda row: (-row[2], row[1]))
+        ordered = sorted(
+            self.store._query(
+                "SELECT s.user_id, COALESCE(s.username, ''), SUM(p.pages), COUNT(*)"
+                f" FROM log_session s JOIN {_PAGE_COUNTS} p ON p.log_opn_id = s.opn_id"
+                " WHERE s.user_id IS NOT NULL GROUP BY 1, 2 ORDER BY MIN(s.opn_id)"
+            ),
+            key=lambda row: (-row[2], row[1]),
+        )
         rows = ordered[:n]
         header = ("user_id", "username", "pageviews", "sessions")
         return Table(header, rows, [(name, pageviews) for _, name, pageviews, _ in rows])
 
     def search_report(self) -> tuple[Table, Table]:
-        """Sessions arriving from search engines: the engines table and the
-        keywords table.  ``--plot`` does not apply, so neither has points."""
+        """Sessions referred by a named search engine: the engines table and
+        the keywords table, which leaves out empty keywords.  ``--plot`` does
+        not apply, so neither has points."""
 
         def by_count(kv: tuple[str, int]) -> tuple[int, str]:
             return -kv[1], kv[0]
 
+        engines = self.store._query(
+            "SELECT s.search_engine, COUNT(*) FROM log_session s"
+            f" WHERE {_FROM_SEARCH} AND {_HAS_PAGES} GROUP BY 1"
+        )
+        keywords = self.store._query(
+            "SELECT s.search_keywords, COUNT(*) FROM log_session s"
+            f" WHERE {_FROM_SEARCH} AND s.search_keywords <> '' AND {_HAS_PAGES} GROUP BY 1"
+        )
         return (
-            Table(("engine", "sessions"),
-                  sorted(self.store.sessions_by_search_engine(), key=by_count)),
-            Table(("keywords", "sessions"),
-                  sorted(self.store.sessions_by_search_keywords(), key=by_count)),
+            Table(("engine", "sessions"), sorted(engines, key=by_count)),
+            Table(("keywords", "sessions"), sorted(keywords, key=by_count)),
         )
 
 

@@ -378,8 +378,9 @@ def sessionize(
     """
     if mode not in SESSIONIZE_MODES:
         raise ValueError(f"mode must be one of {SESSIONIZE_MODES}")
-    if session_gap <= 0 or page_gap <= 0:
-        raise ValueError("gap thresholds must be positive")
+    for name, gap in (("session_gap", session_gap), ("page_gap", page_gap)):
+        if not gap > 0:  # NaN fails too
+            raise ValueError(f"{name} must be greater than 0, got {gap}")
     sessions: list[Visit] = []
     current: list[VisitEvent] = []
     session_start: datetime | None = None

@@ -79,8 +79,10 @@ class Collector:
         geoip: GeoIpTable | None = None,
         timeout: float = DEFAULT_TIMEOUT,
     ):
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
+        # At most a year, so the sweep's cutoff and horizon (an event time
+        # minus or plus the timeout) stay inside the calendar; NaN fails too.
+        if not 0 < timeout <= 31_536_000.0:
+            raise ValueError(f"timeout must be in (0, 31536000] seconds, got {timeout}")
         self.store = store
         self.site_hosts = tuple(h.lower() for h in site_hosts)
         if not self.site_hosts:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Hashable
 
 from .baseline import AccuracyReport, UniverseMismatchError, score_labelings, truth_labels
-from .storage import LogStore, UserInfo
+from .storage import LogStore, UserInfo, deserialize_map
 from .truth import GroundTruth
 
 
@@ -38,7 +38,20 @@ def collector_report(store: LogStore, truth: GroundTruth) -> AccuracyReport:
     A visitor's identity is the account id when the session is signed in,
     else the persistent "sid" cookie captured with each page.
     """
-    rows = store.page_identities()
+    # (opn_id, page time in epoch seconds, session user_id, cookie map) for
+    # every page, by page id.  A visitor's pages repeat one cookie text, so
+    # pages with equal text share one decoded map.
+    maps: dict[str, dict[str, str]] = {}
+    rows = []
+    for opn_id, epoch, user_id, text in store._query(
+        "SELECT p.log_opn_id, CAST(strftime('%s', p.log_datetime) AS INTEGER),"
+        " s.user_id, p.log_cookie_serialize"
+        " FROM log_page p JOIN log_session s ON s.opn_id = p.log_opn_id"
+        " ORDER BY p.log_details_id"
+    ):
+        if text not in maps:
+            maps[text] = deserialize_map(text)
+        rows.append((opn_id, epoch, user_id, maps[text]))
     if len(rows) != len(truth.events):
         raise UniverseMismatchError(
             f"store holds {len(rows)} pageviews, truth lists {len(truth.events)}"

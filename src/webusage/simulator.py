@@ -200,10 +200,14 @@ class WorkloadConfig:
                 "pageviews-mean",
                 f"must be in [1, 1000], got {self.pageviews_per_session_mean}",
             ))
-        if self.timeout < 60.0:
-            problems.append(("timeout", f"must be at least 60 seconds, got {self.timeout}"))
-        if self.duration < 3600.0:
-            problems.append(("duration", f"must be at least 3600 seconds, got {self.duration}"))
+        # The upper bounds keep every generated time well inside the calendar;
+        # written as ``not low <= x <= high``, each check also rejects NaN.
+        if not 60.0 <= self.timeout <= 31_536_000.0:
+            problems.append(("timeout", f"must be in [60, 31536000] seconds, got {self.timeout}"))
+        if not 3600.0 <= self.duration <= 315_360_000.0:
+            problems.append((
+                "duration", f"must be in [3600, 315360000] seconds, got {self.duration}",
+            ))
         share("nat-share", self.nat_share)
         share("dynamic-ip-share", self.dynamic_ip_share)
         share("cookie-loss-share", self.cookie_loss_share)

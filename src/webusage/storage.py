@@ -409,14 +409,6 @@ _CODECS = {
 }
 
 
-# Every report counts only the sessions ``s`` that have pages.  Reads that
-# need no page figures keep them with _HAS_PAGES, which is cheaper; the
-# others join them to _PAGE_COUNTS, the pageview count ``pages`` of each.
-_HAS_PAGES = "s.opn_id IN (SELECT log_opn_id FROM log_page)"
-_PAGE_COUNTS = "(SELECT log_opn_id, COUNT(*) AS pages FROM log_page GROUP BY log_opn_id)"
-_FROM_SEARCH = "s.referral_class = 'search_engine' AND s.search_engine IS NOT NULL"
-
-
 def _aliased(alias: str, table: str) -> str:
     """The table's columns in ``TABLE_COLUMNS`` order, qualified by ``alias``."""
     return ", ".join(f"{alias}.{c}" for c in TABLE_COLUMNS[table])
@@ -680,107 +672,6 @@ class LogStore:
         decode = _CODECS["log_session"].decode
         return [(decode(row[:-2]), row[-2], row[-1]) for row in rows]
 
-    def sessions_by_pageviews(self) -> list[tuple[str, int, int]]:
-        """(user type, pageview count, sessions) for each pair that occurs."""
-        return self._query(
-            "SELECT s.user_type, p.pages, COUNT(*) FROM log_session s"
-            f" JOIN {_PAGE_COUNTS} p ON p.log_opn_id = s.opn_id GROUP BY 1, 2"
-        )
-
-    def user_type_gender_totals(self) -> list[tuple[str, str, int, int, int, int]]:
-        """(user type, gender, users, sessions, pageviews, dwell seconds) for
-        each pair that occurs; a session's dwell is its last page time minus
-        its first.
-
-        Users are distinct accounts, or for guests distinct fingerprints:
-        (ip, browser name and version, OS name and version, device type).
-        """
-        return self._query(
-            "SELECT s.user_type, s.gender,"
-            " CASE s.user_type WHEN 'guest' THEN MAX(g.users)"
-            " ELSE COUNT(DISTINCT s.user_id) END,"
-            " COUNT(*), SUM(p.pages), SUM(p.dwell)"
-            " FROM log_session s JOIN (SELECT log_opn_id, COUNT(*) AS pages,"
-            " strftime('%s', MAX(log_datetime)) - strftime('%s', MIN(log_datetime)) AS dwell"
-            " FROM log_page GROUP BY log_opn_id) p ON p.log_opn_id = s.opn_id"
-            " LEFT JOIN (SELECT user_type, gender, COUNT(*) AS users FROM ("
-            "SELECT DISTINCT user_type, gender, ip, browser_name, browser_version,"
-            " os_name, os_version, device_type FROM log_session s"
-            f" WHERE user_type = 'guest' AND {_HAS_PAGES}) GROUP BY 1, 2) g"
-            " ON g.user_type = s.user_type AND g.gender = s.gender"
-            " GROUP BY 1, 2"
-        )
-
-    def sessions_by(self, column: str) -> list[tuple[str, int]]:
-        """(value, sessions) for each value of a ``log_session`` column; a
-        NULL counts as ``unknown``."""
-        if column not in TABLE_COLUMNS["log_session"]:
-            raise ValueError(f"unknown log_session column {column!r}")
-        return self._query(
-            f"SELECT COALESCE(s.{column}, ?), COUNT(*) FROM log_session s"
-            f" WHERE {_HAS_PAGES} GROUP BY 1",
-            (UNKNOWN,),
-        )
-
-    def sessions_by_ip(self) -> list[tuple[str, int, int]]:
-        """(ip, sessions, pageviews) for each address."""
-        return self._query(
-            "SELECT s.ip, COUNT(*), SUM(p.pages) FROM log_session s"
-            f" JOIN {_PAGE_COUNTS} p ON p.log_opn_id = s.opn_id GROUP BY 1"
-        )
-
-    def sessions_by_account(self) -> list[tuple[int, str, int, int]]:
-        """(user id, username, pageviews, sessions) for each such pair of
-        the signed-in sessions, in the order of its first session; a NULL
-        username reads as the empty string."""
-        return self._query(
-            "SELECT s.user_id, COALESCE(s.username, ''), SUM(p.pages), COUNT(*)"
-            f" FROM log_session s JOIN {_PAGE_COUNTS} p ON p.log_opn_id = s.opn_id"
-            " WHERE s.user_id IS NOT NULL GROUP BY 1, 2 ORDER BY MIN(s.opn_id)"
-        )
-
-    def sessions_by_search_engine(self) -> list[tuple[str, int]]:
-        """(engine, sessions) over the sessions referred by a named search
-        engine."""
-        return self._query(
-            "SELECT s.search_engine, COUNT(*) FROM log_session s"
-            f" WHERE {_FROM_SEARCH} AND {_HAS_PAGES} GROUP BY 1"
-        )
-
-    def sessions_by_search_keywords(self) -> list[tuple[str, int]]:
-        """(keywords, sessions) over the sessions referred by a named search
-        engine with non-empty keywords."""
-        return self._query(
-            "SELECT s.search_keywords, COUNT(*) FROM log_session s"
-            f" WHERE {_FROM_SEARCH} AND s.search_keywords <> '' AND {_HAS_PAGES} GROUP BY 1"
-        )
-
-    def pages_by_hour_and_user_type(self) -> list[tuple[int, str, int]]:
-        """(hour of day, session user type, pageview count) for each
-        non-empty cell."""
-        return self._query(
-            "SELECT CAST(substr(p.log_datetime, 12, 2) AS INTEGER), s.user_type, COUNT(*)"
-            " FROM log_page p JOIN log_session s ON s.opn_id = p.log_opn_id"
-            " GROUP BY 1, 2"
-        )
-
-    def page_identities(self) -> list[tuple[int, int, int | None, dict[str, str]]]:
-        """(opn_id, page time in epoch seconds, session user_id, cookie map)
-        for every page, by page id.  A visitor's pages repeat one cookie
-        text, so pages with equal text share one decoded map."""
-        maps: dict[str, dict[str, str]] = {}
-        out = []
-        for opn_id, epoch, user_id, text in self._query(
-            "SELECT p.log_opn_id, CAST(strftime('%s', p.log_datetime) AS INTEGER),"
-            " s.user_id, p.log_cookie_serialize"
-            " FROM log_page p JOIN log_session s ON s.opn_id = p.log_opn_id"
-            " ORDER BY p.log_details_id"
-        ):
-            if text not in maps:
-                maps[text] = deserialize_map(text)
-            out.append((opn_id, epoch, user_id, maps[text]))
-        return out
-
     # -- CSV export / import -------------------------------------------------
 
     def export_table(self, table: str, stream) -> int:
@@ -876,10 +767,6 @@ class LogStore:
                 ))
             out[table] = (rows, size / rows if rows else 0.0)
         return out
-
-    def row_size_stats(self) -> dict[str, float]:
-        """Mean CSV-exported row size in bytes for the two log tables."""
-        return {table: mean for table, (_, mean) in self._log_table_sizes().items()}
 
     def store_stats(self) -> dict[str, float]:
         sizes = self._log_table_sizes()

@@ -256,6 +256,14 @@ class TestHourlyCube:
         assert cube.rows[23][guest_col] == 1
         assert sum(row[-1] for row in cube.rows) == 2
 
+    def test_pages_by_hour_and_user_type(self, mem_store):
+        add_session(mem_store, [T0.replace(hour=hour) for hour in (0, 10, 10, 23)])
+        guest = {0: 1, 10: 2, 23: 1}  # guest is the first user type column
+        assert Analytics(mem_store).hourly_cube().rows == [
+            (hour, guest.get(hour, 0), *[0] * (len(USER_TYPES) - 1), guest.get(hour, 0))
+            for hour in range(24)
+        ]
+
     def test_conservation(self, sim_store):
         cube = Analytics(sim_store).hourly_cube()
         assert sum(row[-1] for row in cube.rows) == sim_store.page_count()
@@ -320,6 +328,16 @@ class TestTopIps:
             add_session(mem_store, [T0], ip=f"10.0.1.{i}")
         with pytest.raises(ValueError, match="n must be >= 0, got -1"):
             Analytics(mem_store).top_ips(-1)
+
+    def test_ipv4_by_number_then_other_addresses_by_text(self, mem_store):
+        for ip in ("fe80::1", "10.0.0.10", "::1", "2001:db8::1", "10.0.0.9"):
+            add_session(mem_store, [T0], ip=ip)
+        for _ in range(2):  # more sessions still rank first
+            add_session(mem_store, [T0], ip="::2")
+        report = Analytics(mem_store).top_ips()
+        assert [row[0] for row in report.rows] == [
+            "::2", "10.0.0.9", "10.0.0.10", "2001:db8::1", "::1", "fe80::1",
+        ]
 
     def test_published_ratio_row(self, mem_store):
         add_session(mem_store, page_times(T0, *[1] * 8), ip="10.1.1.1")

@@ -307,6 +307,54 @@ class TestPreprocess:
         assert info.value.code == 2
 
 
+class TestNumericRanges:
+    """A value outside a numeric flag's range, NaN included, exits 2 with one
+    error line naming the flag or field, and writes nothing."""
+
+    @pytest.mark.parametrize("value", ["inf", "1e308", "nan", "1e12"])
+    def test_collect_timeout(self, workspace, tmp_path, capsys, value):
+        rc = main(["collect", str(workspace["replay"]), "--store", str(tmp_path / "s.db"),
+                   "--timeout", value])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: timeout must be in (0, 31536000] seconds, got {float(value)}\n"
+        )
+        assert list(tmp_path.iterdir()) == []  # no store, no temporary file
+
+    SIMULATE_RANGES = {"--timeout": "[60, 31536000]", "--duration": "[3600, 315360000]"}
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--timeout", "nan"), ("--timeout", "inf"),
+        ("--duration", "nan"), ("--duration", "inf"), ("--duration", "1e12"),
+    ])
+    def test_simulate(self, tmp_path, capsys, flag, value):
+        rc = main(["simulate", flag, value, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag[2:]}: must be in {self.SIMULATE_RANGES[flag]} seconds,"
+            f" got {float(value)}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--page-gap", "--session-gap"])
+    def test_preprocess_gap_nan(self, workspace, tmp_path, capsys, flag):
+        rc = main(["preprocess", str(workspace["eclf"]), flag, "nan",
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag[2:].replace('-', '_')} must be greater than 0, got nan\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_values_accepted(self, workspace, tmp_path):
+        assert main(["simulate", "--users", "2", "--timeout", "31536000",
+                     "--duration", "315360000", "--out", str(tmp_path / "sim")]) == 0
+        assert main(["collect", str(tmp_path / "sim" / "events.replay"),
+                     "--store", str(tmp_path / "s.db"), "--timeout", "31536000"]) == 0
+        assert main(["preprocess", str(workspace["eclf"]), "--page-gap", "inf",
+                     "--session-gap", "inf", "--out", str(tmp_path / "s.csv")]) == 0
+
+
 class TestReport:
     def test_stats_leaves_a_read_only_store_unchanged(self, workspace, tmp_path, capsys):
         store = tmp_path / "kept.db"

@@ -56,7 +56,11 @@ class TestConfigValidation:
         ("pageviews_per_session_mean", 0.5, "pageviews-mean"),
         ("pageviews_per_session_mean", 1001.0, "pageviews-mean"),
         ("timeout", 59.0, "timeout"),
+        ("timeout", 31_536_001.0, "timeout"),
+        ("timeout", float("nan"), "timeout"),
         ("duration", 3599.0, "duration"),
+        ("duration", 315_360_001.0, "duration"),
+        ("duration", float("nan"), "duration"),
         ("nat_share", 1.5, "nat-share"),
         ("dynamic_ip_share", -0.1, "dynamic-ip-share"),
         ("cookie_loss_share", 2.0, "cookie-loss-share"),
