@@ -362,6 +362,14 @@ def identify_users(cleaned: Iterable[EclfEntry]) -> list[Visit]:
 # sessionization
 # ---------------------------------------------------------------------------
 
+def _check_sessionize_args(session_gap: float, page_gap: float, mode: str) -> None:
+    if mode not in SESSIONIZE_MODES:
+        raise ValueError(f"mode must be one of {SESSIONIZE_MODES}")
+    for name, gap in (("session_gap", session_gap), ("page_gap", page_gap)):
+        if not gap > 0:  # NaN fails too
+            raise ValueError(f"{name} must be greater than 0, got {gap}")
+
+
 def sessionize(
     visit: Visit,
     session_gap: float = DEFAULT_SESSION_GAP,
@@ -376,11 +384,7 @@ def sessionize(
     started exceeds it; ``both`` applies either.  ``split_at_midnight``
     reproduces the defective calendar-day cut some pipelines apply.
     """
-    if mode not in SESSIONIZE_MODES:
-        raise ValueError(f"mode must be one of {SESSIONIZE_MODES}")
-    for name, gap in (("session_gap", session_gap), ("page_gap", page_gap)):
-        if not gap > 0:  # NaN fails too
-            raise ValueError(f"{name} must be greater than 0, got {gap}")
+    _check_sessionize_args(session_gap, page_gap, mode)
     sessions: list[Visit] = []
     current: list[VisitEvent] = []
     session_start: datetime | None = None
@@ -651,6 +655,9 @@ def preprocess_log(
     site_hosts: Iterable[str] = (),
 ) -> PreprocessResult:
     """Run the whole pipeline over a log file."""
+    # Checked before the log is read: a log without a kept visitor never
+    # reaches sessionize.
+    _check_sessionize_args(session_gap, page_gap, mode)
     entries = []
     lines = 0
     parse_errors = 0

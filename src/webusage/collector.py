@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import urllib.parse
 from datetime import datetime, timedelta
+from functools import lru_cache
 from typing import Container, Iterable
 
 from .enrichment import GeoIpTable, default_search_registry, first_language_tag, parse_user_agent
@@ -62,8 +63,10 @@ def classify_referrer(referrer: str | None, site_hosts: Container[str]) -> str:
     return "external"
 
 
+@lru_cache(maxsize=1024)
 def _is_malformed_url(url: str) -> bool:
-    """True unless the page URL is absolute http(s) with a host."""
+    """True unless the page URL is absolute http(s) with a host.  Cached: a
+    pure function of the URL, and a site's page URLs repeat."""
     try:
         parts = urllib.parse.urlsplit(url)
     except ValueError:
@@ -268,6 +271,14 @@ def replay_stream(
                 if on_error is not None:
                     on_error(exc)
         if final_sweep and last_time is not None:
-            horizon = last_time + timedelta(seconds=collector.timeout + 1)
-            collector.sweep_expired(horizon)
+            # One second past the last event's timeout, every open session is
+            # idle past its own.  Near the end of year 9999 that time does not
+            # exist; every open session is then retired as that sweep would.
+            try:
+                horizon = last_time + timedelta(seconds=collector.timeout + 1)
+            except OverflowError:
+                for open_session in collector.store.open_sessions_idle_since(datetime.max):
+                    collector._close(open_session, "timeout")
+            else:
+                collector.sweep_expired(horizon)
     return pages, errors

@@ -17,9 +17,9 @@ import sqlite3
 import threading
 import types
 import typing
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime
+from functools import lru_cache
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
@@ -47,6 +47,8 @@ REFERRAL_CLASSES = ("direct", "internal", "search_engine", "external")
 _DT_FMT = "%Y-%m-%d %H:%M:%S"
 # The text _DT_FMT gives for years 1000-9999, in ASCII digits only.
 _CANONICAL_DT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")
+# JSON's string encoder: a quoted string, escaped as json.dumps escapes it.
+_encode_string = json.encoder.encode_basestring
 
 
 class StorageError(Exception):
@@ -102,16 +104,26 @@ def serialize_map(m: dict[str, str]) -> str:
     """
     if not isinstance(m, dict):
         raise ConstraintError(f"map must be a dict, got {type(m).__name__}")
-    if m == {}:
+    if not m:
         return "{}"
+    # Every type is checked first: the sort would raise its own TypeError on
+    # keys that do not compare, and the cache needs hashable items.
     for key, value in m.items():
         if not isinstance(key, str) or not isinstance(value, str):
             raise ConstraintError("map keys and values must be strings")
+    return _map_text(tuple(m.items()))
+
+
+@lru_cache(maxsize=256)
+def _map_text(items: tuple[tuple[str, str], ...]) -> str:
+    """The text of a checked map's items.  Cached: a pure function of the
+    items, and a visit's cookie and session maps repeat on each of its pages,
+    so the maps of the visits active at once fill the cache."""
     # The text json.dumps(m, sort_keys=True, separators=(",", ":"),
     # ensure_ascii=False) gives, built with the string encoder it uses but
     # without the new JSONEncoder it makes on every call.
-    enc = json.encoder.encode_basestring
-    return "{" + ",".join(f"{enc(k)}:{enc(v)}" for k, v in sorted(m.items())) + "}"
+    enc = _encode_string
+    return "{" + ",".join([enc(k) + ":" + enc(v) for k, v in sorted(items)]) + "}"
 
 
 def deserialize_map(text: str) -> dict[str, str]:
@@ -388,16 +400,11 @@ class _Codec:
         return row
 
     def decode(self, row: Sequence[Any]) -> Any:
-        return self.record_type(*self.arguments(row))
-
-    def arguments(self, row: Sequence[Any]) -> tuple:
-        """The record's constructor arguments in field order, for a row whose
-        first columns are the table's in ``TABLE_COLUMNS`` order."""
         row = list(row)
         for i, conv in self._decoders:
             if row[i] is not None:
                 row[i] = conv(row[i])
-        return self._in_field_order(row)
+        return self.record_type(*self._in_field_order(row))
 
 
 _CODECS = {
@@ -439,6 +446,56 @@ def _text_cell_bytes(col: str) -> str:
 # the store
 # ---------------------------------------------------------------------------
 
+class _Transaction:
+    """One :meth:`LogStore.transaction` scope: ``BEGIN IMMEDIATE`` and
+    ``COMMIT``/``ROLLBACK`` at depth 0, a ``nested`` savepoint deeper.
+
+    A plain class rather than a generator context manager, which costs a
+    generator and its frame on every request.  The store's ``_conn`` is looked
+    up on entry and exit, not kept, so a wrapper installed after the store
+    opened sees the statements.
+    """
+
+    __slots__ = ("_store", "_outer")
+
+    def __init__(self, store: LogStore):
+        self._store = store
+
+    def __enter__(self) -> sqlite3.Connection:
+        store = self._store
+        store._lock.acquire()
+        try:
+            self._outer = store._depth == 0
+            store._conn.execute("BEGIN IMMEDIATE" if self._outer else "SAVEPOINT nested")
+        except BaseException:
+            store._lock.release()
+            raise
+        store._depth += 1
+        return store._conn
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        store = self._store
+        conn = store._conn
+        try:
+            store._depth -= 1
+            if not self._outer:
+                if exc_type is not None:
+                    conn.execute("ROLLBACK TO nested")
+                conn.execute("RELEASE nested")
+            elif exc_type is not None:
+                conn.execute("ROLLBACK")
+            else:
+                try:
+                    conn.execute("COMMIT")
+                except BaseException:
+                    # A refused COMMIT (another connection still reading)
+                    # leaves the transaction open: undo it, as for any error.
+                    conn.execute("ROLLBACK")
+                    raise
+        finally:
+            store._lock.release()
+
+
 class LogStore:
     """Single-writer, multi-reader store over one SQLite connection.
 
@@ -461,30 +518,17 @@ class LogStore:
     def close(self) -> None:
         self._conn.close()
 
-    @contextmanager
-    def transaction(self) -> Iterator[sqlite3.Connection]:
+    def transaction(self) -> _Transaction:
         """Serialized transaction scope.
 
-        A nested scope is a savepoint inside the outer transaction: an error
-        raised through it undoes only the writes made within it.
+        Entering takes the store's lock, which the scope holds until it
+        exits; a ``BEGIN IMMEDIATE`` that fails releases it.  An error
+        raised through the outer scope, or a ``COMMIT`` SQLite refuses, rolls
+        the whole transaction back.  A nested scope is a savepoint inside the
+        outer transaction: an error raised through it undoes only the writes
+        made within it.
         """
-        with self._lock:
-            outer = self._depth == 0
-            self._conn.execute("BEGIN IMMEDIATE" if outer else "SAVEPOINT nested")
-            self._depth += 1
-            try:
-                yield self._conn
-            except BaseException:
-                self._depth -= 1
-                if outer:
-                    self._conn.execute("ROLLBACK")
-                else:
-                    self._conn.execute("ROLLBACK TO nested")
-                    self._conn.execute("RELEASE nested")
-                raise
-            else:
-                self._depth -= 1
-                self._conn.execute("COMMIT" if outer else "RELEASE nested")
+        return _Transaction(self)
 
     def _query(self, sql: str, params: Sequence[Any] = ()) -> list:
         with self._lock:
@@ -585,9 +629,13 @@ class LogStore:
         rows = self._query(_OPEN_SESSION_SQL, (token,))
         if not rows:
             return None
-        row = rows[0]
-        # a LiveSession's fields are an OpenSession's, then username
-        return LiveSession(*_CODECS["open_sessions"].arguments(row), row[-1])
+        # open_sessions in TABLE_COLUMNS order, then the username (a test
+        # holds the two orders together)
+        session_token, opn_id, user_id, started_at, last_activity, username = rows[0]
+        return LiveSession(
+            session_token, opn_id, user_id, text_to_dt(started_at), text_to_dt(last_activity),
+            username,
+        )
 
     def put_open_session(self, open_session: OpenSession) -> None:
         if open_session.last_activity < open_session.started_at:

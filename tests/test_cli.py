@@ -242,6 +242,27 @@ class TestCollect:
             "2021-09-02 10:00:00", "2021-09-02 10:05:00", "2021-09-02 10:07:00",
         ]
 
+    def test_last_event_at_the_end_of_the_calendar_is_swept(self, tmp_path, capsys):
+        # The final sweep's time, one second past the last event's timeout,
+        # is past 9999-12-31 23:59:59; the session is closed all the same.
+        replay = tmp_path / "late.replay"
+        replay.write_text(
+            "ip=10.0.0.1 time=9999-12-31T23:59:00 method=GET url=/a token=t1\n",
+            encoding="utf-8",
+        )
+        store = tmp_path / "s.db"
+        rc = main(["collect", str(replay), "--store", str(store)])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (0, "")
+        assert captured.out == "sessions=1 pageviews=1\n"
+        assert main(["export", "--store", str(store), "--out", str(tmp_path / "x")]) == 0
+        with open(tmp_path / "x" / "log_session.csv", encoding="utf-8", newline="") as fh:
+            rows = [(r["ended_at"], r["end_reason"]) for r in csv.DictReader(fh)]
+        assert rows == [("9999-12-31 23:59:00", "timeout")]
+        assert (tmp_path / "x" / "open_sessions.csv").read_text(encoding="utf-8") == (
+            "session_token,opn_id,user_id,started_at,last_activity\n"
+        )
+
     def test_failed_replay_keeps_previous_store(self, workspace, tmp_path, capsys):
         store = tmp_path / "kept.db"
         store.write_bytes(workspace["store"].read_bytes())
@@ -338,13 +359,19 @@ class TestNumericRanges:
 
     @pytest.mark.parametrize("flag", ["--page-gap", "--session-gap"])
     def test_preprocess_gap_nan(self, workspace, tmp_path, capsys, flag):
-        rc = main(["preprocess", str(workspace["eclf"]), flag, "nan",
-                   "--out", str(tmp_path / "s.csv")])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            f"error: {flag[2:].replace('-', '_')} must be greater than 0, got nan\n"
-        )
-        assert list(tmp_path.iterdir()) == []
+        # An empty log keeps no visitor, so the gaps are never used to split.
+        empty = tmp_path / "logs" / "empty.log"
+        empty.parent.mkdir()
+        empty.write_text("", encoding="utf-8")
+        for log in (workspace["eclf"], empty):
+            out_dir = tmp_path / f"out-{log.stem}"
+            out_dir.mkdir()
+            rc = main(["preprocess", str(log), flag, "nan", "--out", str(out_dir / "s.csv")])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                f"error: {flag[2:].replace('-', '_')} must be greater than 0, got nan\n"
+            )
+            assert list(out_dir.iterdir()) == []
 
     def test_largest_values_accepted(self, workspace, tmp_path):
         assert main(["simulate", "--users", "2", "--timeout", "31536000",

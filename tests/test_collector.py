@@ -445,6 +445,28 @@ class TestReplay:
         replay_stream(collector, self._events())
         assert list(oracles.iter_open_sessions(mem_store)) == []
 
+    def test_final_sweep_at_the_end_of_the_calendar_closes_everything(self, mem_store):
+        # No time lies a timeout past tokB's and tokC's last activity
+        # (23:59:00); tokA, idle since 20:00:00, would be swept at 23:59:59.
+        last = datetime(9999, 12, 31, 23, 59, 0)
+        events = [
+            _event("tokA", timestamp=datetime(9999, 12, 31, 20, 0, 0)),
+            _event("tokB", timestamp=datetime(9999, 12, 31, 23, 40, 0)),
+            _event("tokC", timestamp=last),
+            _event("tokB", timestamp=last),
+        ]
+        collector = Collector(mem_store, site_hosts=HOSTS)
+        assert replay_stream(collector, events) == (4, 0)
+        assert list(oracles.iter_open_sessions(mem_store)) == []
+        closed = mem_store._query(
+            "SELECT ended_at, end_reason FROM log_session ORDER BY opn_id"
+        )
+        assert closed == [
+            ("9999-12-31 20:00:00", "timeout"),
+            ("9999-12-31 23:59:00", "timeout"),
+            ("9999-12-31 23:59:00", "timeout"),
+        ]
+
     def test_no_final_sweep_leaves_open(self, mem_store):
         collector = Collector(mem_store, site_hosts=HOSTS)
         replay_stream(collector, self._events(), final_sweep=False)

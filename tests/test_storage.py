@@ -1,6 +1,8 @@
 import csv
 import io
 import re
+import sqlite3
+import threading
 from collections import OrderedDict
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -441,6 +443,24 @@ class TestUsersAndOpenSessions:
         assert mem_store.get_open_session("tokA") == LiveSession("tokA", opn, 7, T0, T0, "u0007")
         assert mem_store.get_open_session("tokB").username is None
 
+    def test_open_session_read_follows_table_columns(self, mem_store):
+        # get_open_session unpacks its row by position; every column holds a
+        # value no other column holds, so a read in another order than
+        # TABLE_COLUMNS gives a field another column's value.
+        mem_store.upsert_user(UserInfo(7, "u0007", "academic_staff", "female"))
+        mem_store.insert_session(_session())
+        opn = mem_store.insert_session(_session(
+            user_id=7, username="u0007", user_type="academic_staff", gender="female"))
+        later = T0 + timedelta(minutes=5)
+        mem_store.put_open_session(OpenSession("tokA", opn, 7, T0, later))
+        cols = TABLE_COLUMNS["open_sessions"]
+        stored = mem_store._query(f"SELECT {', '.join(cols)} FROM open_sessions")[0]
+        assert len(set(stored)) == len(cols)
+        live = mem_store.get_open_session("tokA")
+        read = [getattr(live, col) for col in cols]
+        assert [dt_to_text(v) if isinstance(v, datetime) else v for v in read] == list(stored)
+        assert live.username == "u0007"
+
     def test_open_sessions_idle_since_reads_whole_seconds(self, mem_store):
         for i, seconds in enumerate((30, 0, 10, 11)):
             opn = mem_store.insert_session(_session())
@@ -527,6 +547,87 @@ class TestTransactions:
                 mem_store.insert_session(_session())
                 mem_store.insert_page(_page(1234))
         assert mem_store.session_count() == 0
+
+
+class TestTransactionFailures:
+    """The scope's lock and depth where SQLite refuses a statement of its own."""
+
+    @pytest.fixture
+    def stores(self, tmp_path):
+        """A store and a second connection to its file, neither waiting for
+        a lock the other holds."""
+        path = tmp_path / "s.db"
+        store = LogStore(path)
+        store._conn.execute("PRAGMA busy_timeout=0")
+        other = sqlite3.connect(path, isolation_level=None)
+        other.execute("PRAGMA busy_timeout=0")
+        yield store, other
+        other.close()
+        store.close()
+
+    @staticmethod
+    def _enters_from_another_thread(store) -> bool:
+        """True when another thread runs a whole scope; a lock kept by this
+        thread would hold it at the door."""
+        entered = threading.Event()
+
+        def run():
+            with store.transaction():
+                entered.set()
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        return entered.is_set() and not thread.is_alive()
+
+    def test_refused_begin_releases_the_lock(self, stores):
+        store, other = stores
+        other.execute("BEGIN IMMEDIATE")
+        with pytest.raises(sqlite3.OperationalError, match="database is locked"):
+            with store.transaction():
+                pytest.fail("the scope's body ran")
+        assert store._depth == 0
+        other.execute("COMMIT")
+        assert self._enters_from_another_thread(store)
+        with store.transaction():
+            store.insert_session(_session())
+        assert store.session_count() == 1
+
+    def test_refused_commit_undoes_the_scope(self, stores):
+        store, other = stores
+        other.execute("BEGIN")
+        other.execute("SELECT COUNT(*) FROM log_session").fetchall()  # a read lock
+        with pytest.raises(sqlite3.OperationalError, match="database is locked"):
+            with store.transaction():
+                store.insert_session(_session())
+        assert store._depth == 0
+        assert not store._conn.in_transaction
+        assert store.session_count() == 0
+        other.execute("COMMIT")
+        assert self._enters_from_another_thread(store)
+        with store.transaction():
+            store.insert_session(_session())
+        assert store.session_count() == 1
+
+    def test_error_in_a_scope_releases_the_lock(self, stores):
+        store, _ = stores
+        with pytest.raises(RuntimeError):
+            with store.transaction():
+                raise RuntimeError("boom")
+        assert store._depth == 0
+        assert self._enters_from_another_thread(store)
+
+    def test_failed_nested_scope_restores_the_depth(self, stores):
+        store, _ = stores
+        with store.transaction():
+            with pytest.raises(RuntimeError):
+                with store.transaction():
+                    assert store._depth == 2
+                    raise RuntimeError("boom")
+            assert store._depth == 1
+            assert store._conn.in_transaction
+        assert store._depth == 0
+        assert not store._conn.in_transaction
 
 
 class TestSchema:
