@@ -694,17 +694,21 @@ _SESSION_CSV_HEADER = ("user_key", "session_id", "seq", "time", "resource", "inf
 
 
 def write_sessions_csv(sessions: Sequence[Visit], stream) -> int:
-    """One row per event: user_key, session_id, seq, epoch, resource, inferred."""
-    writer = csvio.writer(stream)
-    writer.writerow(_SESSION_CSV_HEADER)
+    """One row per event: user_key, session_id, seq, epoch, resource, inferred.
+
+    The key and resource cells repeat across rows, so each is encoded once
+    through :func:`csvio.cell`; the integer cells never need quoting.
+    """
+    csvio.writer(stream).writerow(_SESSION_CSV_HEADER)
+    cell = csvio.cell
     n = 0
     for visit in sessions:
-        key = f"{visit.user_key[0]}|{visit.user_key[1]}"
-        session_id = visit.session_id
-        writer.writerows(
-            (key, session_id, seq, event.epoch(), event.resource, int(event.inferred))
+        session_id = "" if visit.session_id is None else visit.session_id
+        prefix = f"{cell(f'{visit.user_key[0]}|{visit.user_key[1]}')},{session_id}"
+        stream.write("".join([
+            f"{prefix},{seq},{event.epoch()},{cell(event.resource)},{int(event.inferred)}\n"
             for seq, event in enumerate(visit.events, start=1)
-        )
+        ]))
         n += len(visit.events)
     return n
 

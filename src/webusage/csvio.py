@@ -1,13 +1,15 @@
 """The package's one CSV dialect, and the form of an unreadable input row.
 
-Every CSV file the package writes comes from :func:`writer`, and every one
-it reads goes through :func:`rows`.
+Every CSV file the package writes comes from :func:`writer`, or from cells
+it has encoded (:func:`cell`), and every one it reads goes through
+:func:`rows`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
@@ -30,6 +32,19 @@ class RowError(ValueError):
 
 def writer(stream):
     return csv.writer(stream, lineterminator="\n")
+
+
+@lru_cache(maxsize=1024)
+def cell(text: str) -> str:
+    """The text of ``text`` as one cell of a wider row, as :func:`writer`
+    writes it, except that a cell holding ``\\r`` is always quoted: before
+    Python 3.13 the writer leaves it bare and :func:`rows` ends the row
+    there.  A cell the writer refuses raises its ``csv.Error``."""
+    buf = io.StringIO()
+    writer(buf).writerow((text, ""))
+    if "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return buf.getvalue()[:-2]
 
 
 def check_width(row: Sequence[str], width: int, line_no: int) -> None:

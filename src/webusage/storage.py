@@ -261,8 +261,11 @@ class LiveSession(OpenSession):
 # schema and row codecs
 # ---------------------------------------------------------------------------
 
+# One transaction for all the CREATEs, so a new file store pays one journal
+# round, not one per statement; the PRAGMA does nothing inside a transaction.
 _SCHEMA = """
 PRAGMA foreign_keys = ON;
+BEGIN;
 CREATE TABLE IF NOT EXISTS user_info (
     user_id     INTEGER PRIMARY KEY,
     username    TEXT NOT NULL UNIQUE,
@@ -326,6 +329,7 @@ CREATE TABLE IF NOT EXISTS log_page (
     log_url_malformed     INTEGER NOT NULL DEFAULT 0
 );
 CREATE INDEX IF NOT EXISTS idx_page_session ON log_page(log_opn_id);
+COMMIT;
 """
 
 TABLE_COLUMNS = {
@@ -512,8 +516,11 @@ class LogStore:
         )
         self._lock = threading.RLock()
         self._depth = 0
-        with self._lock:
+        try:
             self._conn.executescript(_SCHEMA)
+        except BaseException:  # e.g. a read-only file without the tables
+            self._conn.close()
+            raise
 
     def close(self) -> None:
         self._conn.close()

@@ -8,6 +8,7 @@ constants, so a bug in the library cannot hide in its own oracle.
 from __future__ import annotations
 
 import csv
+import io
 import ipaddress
 import json
 import string
@@ -659,14 +660,20 @@ def pairwise_reference(pred: dict, truth: dict) -> tuple[float, float]:
 
 def write_sessions_csv_reference(sessions, stream) -> int:
     """``baseline.write_sessions_csv`` with one ``writerow`` per event: the
-    reference for the sessions CSV bytes."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(("user_key", "session_id", "seq", "time", "resource", "inferred"))
+    reference for the sessions CSV bytes.  Each row is written with a
+    ``\\r\\n`` terminator, which makes ``csv`` quote every cell holding
+    ``\\r`` as Python 3.13 does, and the terminator is then cut to ``\\n``."""
+    def writerow(row):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        stream.write(buf.getvalue()[:-2] + "\n")
+
+    writerow(("user_key", "session_id", "seq", "time", "resource", "inferred"))
     n = 0
     for visit in sessions:
         key = f"{visit.user_key[0]}|{visit.user_key[1]}"
         for seq, event in enumerate(visit.events, start=1):
-            writer.writerow(
+            writerow(
                 [key, visit.session_id, seq, int(event.timestamp.timestamp()),
                  event.resource, int(event.inferred)]
             )

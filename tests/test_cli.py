@@ -315,6 +315,20 @@ class TestPreprocess:
         assert rc == 0
         assert f"lines: {len(lines)}\nparse_errors: 1\n" in printed
 
+    def test_invalid_utf8_is_replaced_and_the_line_still_parsed(self, tmp_path, capsys):
+        log = tmp_path / "access.log"
+        log.write_bytes(
+            b'10.0.0.1 - - [02/Sep/2021:10:00:00 +0300] "GET /a.php HTTP/1.1" 200 512'
+            b' "-" "Agent\xff/1.0"\n'
+        )
+        out = tmp_path / "s.csv"
+        rc = main(["preprocess", str(log), "--out", str(out)])
+        assert rc == 0
+        assert "parse_errors: 0\n" in capsys.readouterr().out
+        assert out.read_text(encoding="utf-8").splitlines()[1:] == [
+            "10.0.0.1|Agent\ufffd/1.0,1,1,1630566000,/a.php,0",
+        ]
+
     def test_missing_log_exits_2(self, tmp_path, capsys):
         rc = main(["preprocess", str(tmp_path / "gone.log"),
                    "--out", str(tmp_path / "s.csv")])

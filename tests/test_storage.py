@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from webusage import storage
 from webusage.events import AppPageResult
 from webusage.storage import (
     ConstraintError,
@@ -650,6 +651,30 @@ class TestSchema:
             assert tuple(row[1] for row in info) == TABLE_COLUMNS[table]
             nullable = {name for _, name, _, notnull, _, pk in info if not notnull and not pk}
             assert nullable == documented[table], table
+
+
+    def test_schema_in_one_transaction_builds_the_same_store(self, tmp_path):
+        # The same statements run each on its own, as autocommit runs them.
+        reference = sqlite3.connect(tmp_path / "reference.db", isolation_level=None)
+        reference.executescript(storage._SCHEMA.replace("BEGIN;", "").replace("COMMIT;", ""))
+        store = LogStore(tmp_path / "store.db")
+        try:
+            master = "SELECT type, name, tbl_name, rootpage, sql FROM sqlite_master"
+            rows = store._query(master)
+            assert rows == reference.execute(master).fetchall()
+            assert [(kind, name) for kind, name, *_ in rows] == [
+                ("table", "user_info"), ("index", "sqlite_autoindex_user_info_1"),
+                ("table", "log_geoip"), ("table", "log_session"),
+                ("table", "sqlite_sequence"), ("table", "open_sessions"),
+                ("index", "sqlite_autoindex_open_sessions_1"),
+                ("index", "sqlite_autoindex_open_sessions_2"),
+                ("table", "log_page"), ("index", "idx_page_session"),
+            ]
+            assert store._query("PRAGMA foreign_keys") == [(1,)]
+            assert not store._conn.in_transaction
+        finally:
+            store.close()
+            reference.close()
 
 
 class TestExportImport:
