@@ -11,7 +11,6 @@ figures.  Every builder returns a :class:`Table`.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal
@@ -315,13 +314,11 @@ class Analytics:
 # ---------------------------------------------------------------------------
 
 def report_to_csv(table: Table) -> str:
-    """The header and rows as CSV: the writer prints a float by ``repr``
-    and a ``Decimal`` by ``str``; ``None`` prints as ``-``."""
-    buf = io.StringIO()
-    writer = csvio.writer(buf)
-    writer.writerow(table.header)
-    writer.writerows(["-" if cell is None else cell for cell in row] for row in table.rows)
-    return buf.getvalue()
+    """The header and rows as CSV: a float prints by ``repr``, a ``Decimal``
+    by ``str`` and ``None`` as ``-``."""
+    return csvio.row(table.header) + "".join([
+        csvio.row(["-" if cell is None else cell for cell in row]) for row in table.rows
+    ])
 
 
 def report_to_plot(table: Table) -> str:

@@ -699,7 +699,7 @@ def write_sessions_csv(sessions: Sequence[Visit], stream) -> int:
     The key and resource cells repeat across rows, so each is encoded once
     through :func:`csvio.cell`; the integer cells never need quoting.
     """
-    csvio.writer(stream).writerow(_SESSION_CSV_HEADER)
+    stream.write(csvio.row(_SESSION_CSV_HEADER))
     cell = csvio.cell
     n = 0
     for visit in sessions:

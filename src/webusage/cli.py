@@ -75,8 +75,9 @@ def _open_read_only(path: Path) -> LogStore:
     try:
         return LogStore(path.resolve().as_uri() + "?mode=ro")
     except sqlite3.DatabaseError as exc:
-        # sqlite_errorname is new in Python 3.11; before it the raw text stays.
-        if getattr(exc, "sqlite_errorname", None) in ("SQLITE_READONLY", "SQLITE_NOTADB"):
+        # SQLite's own text of SQLITE_READONLY and SQLITE_NOTADB; the error's
+        # sqlite_errorname would name them, but only from Python 3.11.
+        if str(exc) in ("attempt to write a readonly database", "file is not a database"):
             raise StorageError(f"not a webusage store: {path}") from None
         raise
 

@@ -1,14 +1,15 @@
 """The package's one CSV dialect, and the form of an unreadable input row.
 
-Every CSV file the package writes comes from :func:`writer`, or from cells
-it has encoded (:func:`cell`), and every one it reads goes through
-:func:`rows`.
+Every CSV file the package writes is built from :func:`cell` and :func:`row`,
+and every one it reads goes through :func:`rows`.  The dialect is RFC 4180's
+with ``\\n`` line ends: a cell holding a character of :data:`QUOTE_TRIGGERS`
+is quoted and each ``"`` in it doubled; any other cell, NUL included, is
+written as it is.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -30,26 +31,29 @@ class RowError(ValueError):
         return f"{self.label + ' ' if self.label else ''}line {self.line_no}: {self.reason}"
 
 
-def writer(stream):
-    return csv.writer(stream, lineterminator="\n")
+# The characters that make a cell quoted; :func:`cell` spells them out.
+QUOTE_TRIGGERS = (",", '"', "\n", "\r")
 
 
 @lru_cache(maxsize=1024)
 def cell(text: str) -> str:
-    """The text of ``text`` as one cell of a wider row, as :func:`writer`
-    writes it, except that a cell holding ``\\r`` is always quoted: before
-    Python 3.13 the writer leaves it bare and :func:`rows` ends the row
-    there.  A cell the writer refuses raises its ``csv.Error``."""
-    buf = io.StringIO()
-    writer(buf).writerow((text, ""))
-    if "\r" in text:
+    """``text`` as one cell of a row."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
-    return buf.getvalue()[:-2]
+    return text
 
 
-def check_width(row: Sequence[str], width: int, line_no: int) -> None:
-    if len(row) != width:
-        raise RowError(f"expected {width} columns, got {len(row)}", line_no)
+def row(values: Iterable[object]) -> str:
+    """One ``\\n``-terminated line: ``None`` is an empty cell, a ``str`` goes
+    through :func:`cell`, anything else is its ``str()`` (a float's repr)."""
+    return ",".join([
+        "" if v is None else cell(v) if isinstance(v, str) else str(v) for v in values
+    ]) + "\n"
+
+
+def check_width(cells: Sequence[str], width: int, line_no: int) -> None:
+    if len(cells) != width:
+        raise RowError(f"expected {width} columns, got {len(cells)}", line_no)
 
 
 def rows(stream: Iterable[str], header: Sequence[str] | None = None
@@ -61,25 +65,10 @@ def rows(stream: Iterable[str], header: Sequence[str] | None = None
     try:
         if width is not None and next(reader, None) != list(header):
             raise RowError(f"expected header {','.join(header)}", max(reader.line_num, 1))
-        for row in reader:
-            if row:
-                if width is not None and len(row) != width:
-                    check_width(row, width, reader.line_num)
-                yield reader.line_num, row
+        for cells in reader:
+            if cells:
+                if width is not None and len(cells) != width:
+                    check_width(cells, width, reader.line_num)
+                yield reader.line_num, cells
     except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
         raise RowError(str(exc), reader.line_num) from None
-
-
-def _quoted(char: str) -> bool:
-    """Whether :func:`writer` quotes a field holding ``char``: on Python
-    3.13 it also quotes a lone ``\\r``, so the dialect is probed, not named."""
-    buf = io.StringIO()
-    try:
-        writer(buf).writerow([char])
-    except csv.Error:  # NUL, before Python 3.11
-        return False
-    return buf.getvalue() != f"{char}\n"
-
-
-# The ASCII characters, the only kind a dialect names, that make a field quoted.
-QUOTE_TRIGGERS = tuple(filter(_quoted, map(chr, range(128))))

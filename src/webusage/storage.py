@@ -737,9 +737,8 @@ class LogStore:
         rows = self._query(
             f"SELECT {', '.join(cols)} FROM {table} ORDER BY {_TABLE_KEYS[table]}"
         )
-        writer = csvio.writer(stream)
-        writer.writerow(cols)
-        writer.writerows(rows)  # csv writes NULL (None) as an empty cell
+        stream.write(csvio.row(cols))
+        stream.writelines(map(csvio.row, rows))  # NULL (None) is an empty cell
         return len(rows)
 
     def export_all(self, out_dir: str | Path) -> dict[str, Path]:

@@ -63,26 +63,25 @@ class GroundTruth:
 
 
 def write_truth(truth: GroundTruth, stream) -> None:
-    writer = csvio.writer(stream)
-    writer.writerow(TRUTH_HEADER)
-    for user in truth.users:
-        writer.writerow([
-            "user", user.user_id, user.username or "", user.user_type,
-            user.gender or "", user.device, "", "", "", "", "", "", "", "", "",
-        ])
-    for session in truth.sessions:
-        writer.writerow([
-            "session", session.user_id, "", "", "", "",
-            session.session_id, session.pageviews,
-            session.start_epoch, session.end_epoch, "", "", "", "", "",
-        ])
-    for event in truth.events:
-        writer.writerow([
-            "event", event.true_user_id, "", "", "", "",
-            event.true_session_id, "", "", "",
-            event.event_seq, int(event.cached), event.epoch, event.ip,
-            event.resource,
-        ])
+    """The header, then one row per user, session and event.  The text
+    cells repeat across rows, so each is encoded once through
+    :func:`csvio.cell`; the integer cells never need quoting."""
+    cell = csvio.cell
+    stream.write(csvio.row(TRUTH_HEADER))
+    stream.write("".join([
+        f"user,{u.user_id},{cell(u.username or '')},{cell(u.user_type)},"
+        f"{cell(u.gender or '')},{cell(u.device)},,,,,,,,,\n"
+        for u in truth.users
+    ]))
+    stream.write("".join([
+        f"session,{s.user_id},,,,,{s.session_id},{s.pageviews},{s.start_epoch},{s.end_epoch},,,,,\n"
+        for s in truth.sessions
+    ]))
+    stream.write("".join([
+        f"event,{e.true_user_id},,,,,{e.true_session_id},,,,{e.event_seq},{int(e.cached)},"
+        f"{e.epoch},{cell(e.ip)},{cell(e.resource)}\n"
+        for e in truth.events
+    ]))
 
 
 def read_truth(stream) -> GroundTruth:

@@ -12,6 +12,7 @@ import io
 import ipaddress
 import json
 import string
+import sys
 import urllib.parse
 from datetime import datetime, timedelta, timezone
 from decimal import ROUND_HALF_UP, Decimal
@@ -658,25 +659,32 @@ def pairwise_reference(pred: dict, truth: dict) -> tuple[float, float]:
     return precision, recall
 
 
-def write_sessions_csv_reference(sessions, stream) -> int:
-    """``baseline.write_sessions_csv`` with one ``writerow`` per event: the
-    reference for the sessions CSV bytes.  Each row is written with a
-    ``\\r\\n`` terminator, which makes ``csv`` quote every cell holding
-    ``\\r`` as Python 3.13 does, and the terminator is then cut to ``\\n``."""
-    def writerow(row):
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\r\n").writerow(row)
-        stream.write(buf.getvalue()[:-2] + "\n")
+# Python 3.10's csv neither writes nor reads a cell holding NUL.
+CSV_REFUSES_NUL = sys.version_info < (3, 11)
 
-    writerow(("user_key", "session_id", "seq", "time", "resource", "inferred"))
+
+def csv_row_reference(values) -> str:
+    """One row of the package's CSV dialect: ``csv.writer`` with a ``\\r\\n``
+    terminator, which makes it quote every cell holding ``\\r`` on every
+    Python, and the terminator then cut to ``\\n``.  Raises ``csv.Error``
+    for a NUL where :data:`CSV_REFUSES_NUL`."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(values)
+    return buf.getvalue()[:-2] + "\n"
+
+
+def write_sessions_csv_reference(sessions, stream) -> int:
+    """``baseline.write_sessions_csv`` with one :func:`csv_row_reference`
+    per event: the reference for the sessions CSV bytes."""
+    stream.write(csv_row_reference(("user_key", "session_id", "seq", "time", "resource", "inferred")))
     n = 0
     for visit in sessions:
         key = f"{visit.user_key[0]}|{visit.user_key[1]}"
         for seq, event in enumerate(visit.events, start=1):
-            writerow(
+            stream.write(csv_row_reference(
                 [key, visit.session_id, seq, int(event.timestamp.timestamp()),
                  event.resource, int(event.inferred)]
-            )
+            ))
             n += 1
     return n
 

@@ -787,30 +787,15 @@ class TestMatchesReference:
         )
 
 
-def _both_cells(text: str) -> str:
-    """A two-cell row of ``text`` as :func:`csvio.writer` writes it."""
-    buf = io.StringIO()
-    csvio.writer(buf).writerow((text, text))
-    return buf.getvalue()
-
-
 class TestCell:
-    """``csvio.cell`` is the text the writer gives one cell of a wider row,
-    except that a cell holding ``\\r`` is always quoted; either way ``csv``
-    reads the cell back as it was."""
+    """``csvio.cell`` is the text ``oracles.csv_row_reference`` gives one
+    cell of a wider row, and ``csv`` reads the cell back as it was."""
 
     def check(self, text):
-        try:
-            row = _both_cells(text)
-        except csv.Error:  # a cell the writer refuses, NUL before Python 3.11
-            with pytest.raises(csv.Error):
-                csvio.cell(text)
-            return
+        if oracles.CSV_REFUSES_NUL and "\x00" in text:
+            pytest.skip("this Python's csv refuses NUL")
         cell = csvio.cell(text)
-        if "\r" in text:
-            assert cell == '"' + text.replace('"', '""') + '"'
-        else:
-            assert row == f"{cell},{cell}\n"
+        assert oracles.csv_row_reference((text, text)) == f"{cell},{cell}\n"
         assert list(csv.reader(io.StringIO(f"{cell},{cell}\n", newline=""))) == [[text, text]]
 
     @pytest.mark.parametrize("char", [chr(i) for i in range(128)])
@@ -826,7 +811,8 @@ class TestCell:
         self.check(text)
 
     @settings(max_examples=500)
-    @given(st.text(max_size=20) | CSV_TEXT)
+    @given((st.text(max_size=20) | CSV_TEXT).filter(
+        lambda text: not (oracles.CSV_REFUSES_NUL and "\x00" in text)))
     def test_any_text(self, text):
         self.check(text)
 

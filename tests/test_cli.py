@@ -768,6 +768,24 @@ class TestNotAStore:
         assert rc == 1
         assert capsys.readouterr().err == f"error: not a webusage store: {not_a_store}\n"
 
+    @pytest.mark.parametrize("error, message, named", [
+        (sqlite3.DatabaseError, "file is not a database", True),
+        (sqlite3.OperationalError, "attempt to write a readonly database", True),
+        (sqlite3.OperationalError, "database is locked", False),
+    ])
+    def test_error_without_its_sqlite_name(self, error, message, named, workspace,
+                                           monkeypatch, capsys):
+        """Before Python 3.11 a ``sqlite3`` error carries only its text, as
+        one raised here does: a file that is not a store is still named, and
+        a locked store still gives its own error."""
+        def refuse(path):
+            raise error(message)
+
+        monkeypatch.setattr("webusage.cli.LogStore", refuse)
+        rc = main(["report", "--store", str(workspace["store"]), "--kind", "stats"])
+        shown = f"not a webusage store: {workspace['store']}" if named else message
+        assert (rc, capsys.readouterr().err) == (1, f"error: {shown}\n")
+
     def test_other_sqlite_errors_keep_their_text(self, workspace, tmp_path, capsys):
         rc = main(["collect", str(workspace["replay"]),
                    "--store", str(tmp_path / "missing" / "s.db")])

@@ -1,0 +1,120 @@
+"""The package's one CSV dialect (FORMATS.md "CSV dialect"): every writer
+gives, row for row, what ``oracles.csv_row_reference`` gives, and NUL is
+written as it is on every Python."""
+
+import io
+from datetime import datetime, timedelta
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from webusage import csvio
+from webusage.analytics import Table, report_to_csv
+from webusage.storage import TABLE_COLUMNS, LogStore, PageRecord, SessionRecord, UserInfo
+from webusage.truth import TRUTH_HEADER, GroundTruth, TruthEvent, TruthSession, TruthUser, \
+    read_truth, write_truth
+
+import oracles
+
+# Text dense in what the dialect quotes, with NUL where the reference writes it.
+CSV_TEXT = st.text(st.sampled_from(
+    [",", '"', "|", "\n", "\r", " ", "a", "/", "é", "ş", "😀"]
+    + ([] if oracles.CSV_REFUSES_NUL else ["\x00"])
+), max_size=8)
+CELLS = (st.none() | CSV_TEXT | st.integers() | st.floats() | st.decimals()
+         | st.booleans())
+T0 = datetime(2021, 9, 2, 10, 12, 18)
+
+
+def _reference(rows) -> str:
+    return "".join(map(oracles.csv_row_reference, rows))
+
+
+class TestRule:
+    @settings(max_examples=300)
+    @given(CSV_TEXT)
+    def test_cell(self, text):
+        cell = csvio.cell(text)
+        assert oracles.csv_row_reference((text, text)) == f"{cell},{cell}\n"
+
+    @settings(max_examples=300)
+    @given(st.lists(CELLS, min_size=2, max_size=6))
+    def test_row(self, values):
+        assert csvio.row(values) == oracles.csv_row_reference(values)
+
+    @pytest.mark.parametrize("values, line", [
+        (["a\x00b", "\x00"], "a\x00b,\x00\n"),
+        (["\x00,", 'n\x00"'], '"\x00,","n\x00"""\n'),
+        (["cr\ronly", "\r\n", None], '"cr\ronly","\r\n",\n'),
+        ([1, 0.1 + 0.2, True, None], "1,0.30000000000000004,True,\n"),
+    ])
+    def test_named_rows(self, values, line):
+        assert csvio.row(values) == line
+
+    def test_nul_reads_back_or_names_its_line(self):
+        stream = io.StringIO(csvio.row(("a", "b")) + csvio.row(("n\x00", "x")), newline="")
+        if oracles.CSV_REFUSES_NUL:
+            with pytest.raises(csvio.RowError, match="^line 2: line contains NUL$"):
+                list(csvio.rows(stream, ("a", "b")))
+        else:
+            assert list(csvio.rows(stream, ("a", "b"))) == [(2, ["n\x00", "x"])]
+
+
+class TestWriters:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(CSV_TEXT, CSV_TEXT, st.floats(0, 1e9)), min_size=1, max_size=4))
+    def test_export_table(self, values):
+        store = LogStore()
+        try:
+            for i, (text, other, load_time) in enumerate(values, start=1):
+                store.upsert_user(UserInfo(i, f"u{i}{text}", "student", "female"))
+                opn = store.insert_session(SessionRecord(
+                    ip=f"ip{text}", started_at=T0, user_id=i, username=other or None,
+                    user_type="student", gender="female", referrer_url=text,
+                    search_keywords=other, language=text or None,
+                    ended_at=T0 + timedelta(hours=i), end_reason="timeout",
+                ))
+                store.insert_page(PageRecord(
+                    log_opn_id=opn, log_datetime=T0, log_url=text, log_page_title=other,
+                    log_error_text=text or None, log_get_serialize={text: other},
+                    log_page_load_time=load_time,
+                ))
+            for table, cols in TABLE_COLUMNS.items():
+                buf = io.StringIO(newline="")
+                store.export_table(table, buf)
+                rows = store._query(f"SELECT {', '.join(cols)} FROM {table} ORDER BY 1")
+                assert buf.getvalue() == _reference([cols, *rows])
+        finally:
+            store.close()
+
+    @given(st.lists(st.tuples(CELLS, CELLS, CELLS), max_size=4))
+    def test_report_to_csv(self, rows):
+        expected = _reference([("a,b", "c"), *(["-" if v is None else v for v in row]
+                                               for row in rows)])
+        assert report_to_csv(Table(("a,b", "c"), rows)) == expected
+
+    @settings(max_examples=100)
+    @given(
+        st.lists(st.builds(TruthUser, st.integers(0, 99), st.none() | CSV_TEXT, CSV_TEXT,
+                           st.none() | CSV_TEXT, CSV_TEXT), max_size=3),
+        st.lists(st.builds(TruthSession, *[st.integers(0, 2**40)] * 5), max_size=3),
+        st.lists(st.builds(TruthEvent, *[st.integers(0, 2**40)] * 4, CSV_TEXT, CSV_TEXT,
+                           st.booleans()), max_size=3),
+    )
+    def test_write_truth(self, users, sessions, events):
+        truth = GroundTruth(users, sessions, events)
+        written = io.StringIO(newline="")
+        write_truth(truth, written)
+        assert written.getvalue() == _reference([
+            TRUTH_HEADER,
+            *(["user", u.user_id, u.username or "", u.user_type, u.gender or "", u.device]
+              + [""] * 9 for u in users),
+            *(["session", s.user_id, "", "", "", "", s.session_id, s.pageviews,
+               s.start_epoch, s.end_epoch] + [""] * 5 for s in sessions),
+            *(["event", e.true_user_id, "", "", "", "", e.true_session_id, "", "", "",
+               e.event_seq, int(e.cached), e.epoch, e.ip, e.resource] for e in events),
+        ])
+        written.seek(0)
+        restored = read_truth(written)
+        assert (restored.sessions, restored.events) == (sessions, events)

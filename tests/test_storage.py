@@ -835,8 +835,8 @@ class TestStats:
         assert title in row  # a newline stays inside the quoted field
         assert _row_sizes(mem_store)["log_page"] == len(row.encode("utf-8"))
 
-    # Text the export writer quotes (`,` `"` `\n`, and `\r` from Python
-    # 3.13), NUL before and after such a character, non-ASCII, and empty.
+    # Text the export quotes (`,` `"` `\n` `\r`), NUL before and after such a
+    # character, non-ASCII, and empty.
     ODD_TEXT = ["a,b", 'say "hi"', '""', "x\ny", "cr\ronly", "\r\n", "nul\x00,after",
                 'nul\x00"q', "\x00", "ders programı", "😀,é", "", "plain"]
     # Floats whose repr is not SQLite's 15-digit text, and plain ones.
@@ -856,18 +856,18 @@ class TestStats:
         assert stats == {table: self._exported_mean(store, table)
                          for table in ("log_session", "log_page")}
 
-    def test_row_size_matches_export_with_odd_values(self, mem_store):
+    def _fill_with_odd_values(self, store):
         odd = self.ODD_TEXT
         for i, text in enumerate(odd):
             nullable = None if i % 2 else ""  # '' and NULL in the nullable columns
-            opn = mem_store.insert_session(_session(
+            opn = store.insert_session(_session(
                 ip=text or "-", username=nullable, language=text or nullable,
                 referrer_url=text, search_engine=nullable, search_keywords=text,
                 browser_name=text, os_version=odd[-1 - i],
                 ended_at=T0 + timedelta(hours=1) if i % 3 else None,
                 end_reason="timeout" if i % 3 else None,
             ))
-            mem_store.insert_page(_page(
+            store.insert_page(_page(
                 opn, log_url=text, log_username=nullable, log_page_title=odd[-1 - i],
                 log_web_message=text, log_error_text=text if i % 2 else nullable,
                 log_cookie_serialize={"k": text, "x,y": '"'} if i % 2 else {},
@@ -875,7 +875,24 @@ class TestStats:
                 log_page_load_time=self.ODD_FLOATS[i % len(self.ODD_FLOATS)],
                 log_url_malformed=bool(i % 2), log_server=10 ** i,
             ))
+
+    def test_row_size_matches_export_with_odd_values(self, mem_store):
+        self._fill_with_odd_values(mem_store)
         self._assert_sizes_match_export(mem_store)
+
+    def test_odd_values_export_import_export_the_same_bytes(self, mem_store):
+        """A cell holding a lone ``\r`` is quoted, so its row reads back whole."""
+        self._fill_with_odd_values(mem_store)
+        copy = LogStore(":memory:")
+        try:
+            for table in TABLE_COLUMNS:
+                first, second = io.StringIO(newline=""), io.StringIO(newline="")
+                mem_store.export_table(table, first)
+                copy.import_table(table, io.StringIO(first.getvalue(), newline=""))
+                copy.export_table(table, second)
+                assert second.getvalue() == first.getvalue()
+        finally:
+            copy.close()
 
     @pytest.mark.parametrize("load_time", ODD_FLOATS)
     def test_real_sized_as_its_repr(self, mem_store, load_time):
