@@ -5,58 +5,3 @@ client token; the baseline package half reconstructs the same facts from an
 access log the traditional way so the two approaches can be compared on
 simulator-labeled traffic.
 """
-
-from .analytics import Analytics, dwell_time, pageviews_per_session
-from .baseline import (
-    AccuracyReport,
-    parse_log_line,
-    preprocess_log,
-    render_log_line,
-    score_against_truth,
-    sessionize,
-)
-from .collector import Collector, CollectionError, replay_stream
-from .compare import collector_report, load_roster
-from .enrichment import (
-    GeoIpTable,
-    load_geoip,
-    parse_user_agent,
-)
-from .events import AppPageResult, RawRequestEvent, read_replay, write_replay
-from .simulator import WorkloadConfig, emit_eclf, generate, simulate_to_dir
-from .storage import LogStore
-from .truth import GroundTruth, load_truth, save_truth
-
-__all__ = [
-    "AccuracyReport",
-    "Analytics",
-    "AppPageResult",
-    "CollectionError",
-    "Collector",
-    "GeoIpTable",
-    "GroundTruth",
-    "LogStore",
-    "RawRequestEvent",
-    "WorkloadConfig",
-    "collector_report",
-    "dwell_time",
-    "emit_eclf",
-    "generate",
-    "load_geoip",
-    "load_roster",
-    "load_truth",
-    "pageviews_per_session",
-    "parse_log_line",
-    "parse_user_agent",
-    "preprocess_log",
-    "read_replay",
-    "render_log_line",
-    "replay_stream",
-    "save_truth",
-    "score_against_truth",
-    "sessionize",
-    "simulate_to_dir",
-    "write_replay",
-]
-
-__version__ = "0.1.0"

@@ -127,9 +127,6 @@ class FilterStats:
     dropped_static: int = 0
     dropped_bot: int = 0
 
-    def dropped(self) -> int:
-        return self.dropped_status + self.dropped_static + self.dropped_bot
-
 
 @dataclass
 class PathStats:

@@ -88,6 +88,19 @@ def _open_text(path: Path):
     return open(path, encoding="utf-8")
 
 
+def _bad_utf8_line(path: Path, gzipped: bool) -> int | None:
+    """The 1-based line of the first byte of ``path`` that is not UTF-8,
+    counting lines as the text readers do."""
+    opener = gzip.open if gzipped else open
+    with opener(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:  # a bad byte decoded to a lone surrogate
+                return line_no
+    return None
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -122,29 +135,40 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 @contextmanager
-def _naming(what: str, path: Path):
-    """Name the file, as ``users file PATH``, in a RowError raised inside."""
+def _naming(what: str, path: Path, error: type[RowError] = RowError, gzipped: bool = False):
+    """Name the file, as ``users file PATH``, in a RowError raised inside.
+
+    Text that is not UTF-8 becomes an ``error`` for the line of its first
+    bad byte.  A reader decodes ahead of the line it is on, so that line is
+    found by reading the file (through gzip when ``gzipped``) once more.
+    """
     try:
         yield
     except RowError as exc:
         exc.label = f"{what} {path}"
         raise
+    except UnicodeDecodeError:
+        exc = error("invalid UTF-8", _bad_utf8_line(path, gzipped))
+        exc.label = f"{what} {path}"
+        raise exc from None
 
 
 def _load_users_file(store: LogStore, path: Path) -> None:
     """Register the accounts of a roster CSV or, by its ``kind,`` header, a truth file."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        if fh.readline().startswith("kind,"):
-            with _naming("truth file", path):
-                load_roster(store, load_truth(path))
-            return
-        fh.seek(0)
-        with _naming("users file", path), store.transaction():
-            for line_no, row in rows(fh, ("user_id", "username", "user_type", "gender")):
-                try:
-                    store.upsert_user(UserInfo(int(row[0]), row[1], row[2], row[3]))
-                except (ValueError, ConstraintError) as exc:
-                    raise RowError(str(exc), line_no) from None
+    # Sniffed as bytes, which cannot fail to decode; the header is ASCII.
+    with open(path, "rb") as fh:
+        is_truth = fh.read(5) == b"kind,"
+    if is_truth:
+        with _naming("truth file", path):
+            load_roster(store, load_truth(path))
+        return
+    with _naming("users file", path), open(path, encoding="utf-8", newline="") as fh, \
+            store.transaction():
+        for line_no, row in rows(fh, ("user_id", "username", "user_type", "gender")):
+            try:
+                store.upsert_user(UserInfo(int(row[0]), row[1], row[2], row[3]))
+            except (ValueError, ConstraintError) as exc:
+                raise RowError(str(exc), line_no) from None
 
 
 def cmd_collect(args: argparse.Namespace) -> int:
@@ -166,7 +190,8 @@ def _collect_into(store: LogStore, replay_path: Path, args: argparse.Namespace) 
     try:
         if args.geoip is not None:
             geoip_path = _require_file(args.geoip, "geoip file")
-            with _naming("geoip file", geoip_path), open(geoip_path, encoding="utf-8") as fh:
+            with _naming("geoip file", geoip_path, GeoIpLoadError), \
+                    open(geoip_path, encoding="utf-8") as fh:
                 geoip = load_geoip(fh)
         else:
             geoip = sample_geoip_table()
@@ -181,7 +206,9 @@ def _collect_into(store: LogStore, replay_path: Path, args: argparse.Namespace) 
             if len(shown) < 10:
                 shown.append(exc)
 
-        with _naming("replay file", replay_path), _open_text(replay_path) as fh:
+        gzipped = replay_path.suffix == ".gz"
+        with _naming("replay file", replay_path, ReplayFormatError, gzipped), \
+                _open_text(replay_path) as fh:
             pages, n_errors = replay_stream(collector, read_replay(fh), on_error=keep_first)
         for exc in shown:
             print(f"collection error: {exc}", file=sys.stderr)

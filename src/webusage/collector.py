@@ -12,6 +12,7 @@ store; a collector keeps nothing but its settings and a warning sample.
 
 from __future__ import annotations
 
+import sqlite3
 import urllib.parse
 from datetime import datetime, timedelta
 from functools import lru_cache
@@ -119,8 +120,9 @@ class Collector:
                     self.store.touch_open_session(event.session_token, event.timestamp)
                 page_id = self._record_page(event, open_session)
                 return open_session.opn_id, page_id
-        except (StorageError, UnicodeEncodeError) as exc:
-            # SQLite stores text as UTF-8, which cannot hold a lone surrogate.
+        except (StorageError, UnicodeEncodeError, sqlite3.OperationalError) as exc:
+            # SQLite stores text as UTF-8, which cannot hold a lone surrogate;
+            # a store another connection holds locked is an OperationalError.
             raise CollectionError(str(exc), event) from exc
 
     def handle_request_end(self, page_log_id: int, result: AppPageResult) -> None:

@@ -235,8 +235,7 @@ class SearchRegistry:
     def extract(self, referrer_url: str) -> tuple[str, str | None] | None:
         """(engine name, normalized keywords or None), or None if no engine."""
         try:
-            parts = urllib.parse.urlsplit(referrer_url)
-            host = parts.hostname
+            host = urllib.parse.urlsplit(referrer_url).hostname
         except ValueError:
             return None
         if not host:
@@ -245,7 +244,9 @@ class SearchRegistry:
         if engine is None:
             return None
         name, _, parameter = engine
-        values = urllib.parse.parse_qs(parts.query).get(parameter)
+        # The query as written: urlsplit's would have lost any CR, LF or tab.
+        query = referrer_url.partition("#")[0].partition("?")[2]
+        values = urllib.parse.parse_qs(query).get(parameter)
         if not values or not values[0].strip():
             return name, None
         return name, " ".join(values[0].split()).lower()

@@ -565,13 +565,6 @@ class LogStore:
                     raise ForeignKeyError(str(exc)) from None
                 raise ConstraintError(str(exc)) from None
 
-    def _check_new_id(self, table: str, new_id: int | None) -> None:
-        key = _TABLE_KEYS[table]
-        if new_id is not None:
-            current = self._query(f"SELECT MAX({key}) FROM {table}")[0][0]
-            if current is not None and new_id <= current:
-                raise ConstraintError(f"explicit {key} must exceed all existing ids")
-
     # -- user_info ---------------------------------------------------------
 
     def upsert_user(self, user: UserInfo) -> None:
@@ -600,10 +593,11 @@ class LogStore:
     # -- sessions ----------------------------------------------------------
 
     def insert_session(self, rec: SessionRecord) -> int:
+        """Insert a new session and set its ``opn_id``, which the store assigns."""
+        if rec.opn_id is not None:
+            raise ConstraintError("opn_id is assigned by the store")
         rec.validate()
-        with self._lock:
-            self._check_new_id("log_session", rec.opn_id)
-            rec.opn_id = self._insert("log_session", _CODECS["log_session"].encode(rec))
+        rec.opn_id = self._insert("log_session", _CODECS["log_session"].encode(rec))
         return rec.opn_id
 
     def close_session(self, opn_id: int, ended_at: datetime, reason: str) -> None:
@@ -674,10 +668,12 @@ class LogStore:
     # -- pages ---------------------------------------------------------------
 
     def insert_page(self, rec: PageRecord) -> int:
+        """Insert a new page and set its ``log_details_id``, which the store
+        assigns in insertion order."""
+        if rec.log_details_id is not None:
+            raise ConstraintError("log_details_id is assigned by the store")
         rec.validate()
-        with self._lock:
-            self._check_new_id("log_page", rec.log_details_id)
-            rec.log_details_id = self._insert("log_page", _CODECS["log_page"].encode(rec))
+        rec.log_details_id = self._insert("log_page", _CODECS["log_page"].encode(rec))
         return rec.log_details_id
 
     def update_page_result(self, page_id: int, result: AppPageResult) -> None:

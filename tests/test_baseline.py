@@ -513,9 +513,9 @@ class TestFilter:
         ]
         kept, stats = filter_entries(entries)
         assert stats.kept == len(kept)
-        assert stats.kept + stats.dropped() == len(entries)
-        assert stats.dropped() == (
-            stats.dropped_status + stats.dropped_static + stats.dropped_bot
+        assert (
+            stats.kept + stats.dropped_status + stats.dropped_static + stats.dropped_bot
+            == len(entries)
         )
         kept_keys = [(e.timestamp, e.resource) for e in kept]
         all_keys = [(e.timestamp, e.resource) for e in entries]

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, output contracts, exit codes."""
 
 import csv
+import gzip
 import hashlib
 import json
 import re
@@ -675,6 +676,82 @@ class TestUnreadableInputRows:
         assert rc == 1
         assert capsys.readouterr().err == f"error: geoip file {geoip} line 2: {reason}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["geo.csv"]
+
+
+def _spoiled(lines: list[str], out: Path) -> int:
+    """Write ``lines`` to ``out``, through gzip for ``.gz``, with byte 0xff
+    ending the first line that starts past 8 KiB, beyond the text readers'
+    first decoded chunk; return that line's number."""
+    data, bad = b"", None
+    for line_no, line in enumerate(lines, start=1):
+        if bad is None and len(data) > 8192:
+            bad, line = line_no, line + "\udcff"
+        data += line.encode("utf-8", "surrogateescape") + b"\n"
+    assert bad is not None
+    out.write_bytes(gzip.compress(data) if out.suffix == ".gz" else data)
+    return bad
+
+
+class TestInvalidUtf8:
+    """A byte that is not UTF-8 in an input other than the access log ends
+    in one `error:` line naming the file and the line of that byte, with
+    the exit code of the file's other unreadable rows, and writes nothing."""
+
+    def _check(self, argv, tmp_path, capsys, code, what, path, line_no):
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == code
+        assert capsys.readouterr().err == f"error: {what} {path} line {line_no}: invalid UTF-8\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("name", ["bad.replay", "bad.replay.gz"])
+    def test_replay(self, workspace, tmp_path, capsys, name):
+        replay = tmp_path / name
+        line_no = _spoiled(workspace["replay"].read_text(encoding="utf-8").splitlines(), replay)
+        self._check(["collect", str(replay), "--store", str(tmp_path / "s.db")],
+                    tmp_path, capsys, 1, "replay file", replay, line_no)
+
+    def test_geoip(self, workspace, tmp_path, capsys):
+        geoip = tmp_path / "geo.csv"
+        line_no = _spoiled([f"{i * 10},{i * 10 + 5},XX" for i in range(1000)], geoip)
+        self._check(["collect", str(workspace["replay"]), "--store", str(tmp_path / "s.db"),
+                     "--geoip", str(geoip)], tmp_path, capsys, 1, "geoip file", geoip, line_no)
+
+    def test_roster(self, workspace, tmp_path, capsys):
+        users = tmp_path / "users.csv"
+        line_no = _spoiled(["user_id,username,user_type,gender"]
+                           + [f"{i},user{i},student,male" for i in range(1, 1000)], users)
+        self._check(["collect", str(workspace["replay"]), "--store", str(tmp_path / "s.db"),
+                     "--users", str(users)], tmp_path, capsys, 2, "users file", users, line_no)
+
+    @pytest.mark.parametrize("what", ["users file", "truth file"])
+    def test_users_file_kind_is_read_before_the_bad_byte(self, workspace, tmp_path, capsys,
+                                                         what):
+        users = tmp_path / "users.csv"
+        header = ("user_id,username,user_type,gender" if what == "users file"
+                  else workspace["truth"].read_text(encoding="utf-8").splitlines()[0])
+        users.write_bytes(header.encode() + b"\n1,\xff,student,male\n")
+        self._check(["collect", str(workspace["replay"]), "--store", str(tmp_path / "s.db"),
+                     "--users", str(users)], tmp_path, capsys, 2, what, users, 2)
+
+    @pytest.mark.parametrize("command", ["collect", "compare"])
+    def test_truth(self, workspace, tmp_path, capsys, command):
+        truth = tmp_path / "truth.csv"
+        line_no = _spoiled(workspace["truth"].read_text(encoding="utf-8").splitlines(), truth)
+        if command == "collect":
+            argv = ["collect", str(workspace["replay"]), "--store", str(tmp_path / "s.db"),
+                    "--users", str(truth)]
+        else:
+            argv = ["compare", "--store", str(workspace["store"]),
+                    "--baseline", str(workspace["sessions"]), "--truth", str(truth)]
+        self._check(argv, tmp_path, capsys, 2, "truth file", truth, line_no)
+
+    def test_sessions_csv(self, workspace, tmp_path, capsys):
+        baseline = tmp_path / "sessions.csv"
+        line_no = _spoiled(workspace["sessions"].read_text(encoding="utf-8").splitlines(),
+                           baseline)
+        self._check(["compare", "--store", str(workspace["store"]), "--baseline", str(baseline),
+                     "--truth", str(workspace["truth"])],
+                    tmp_path, capsys, 2, "baseline sessions file", baseline, line_no)
 
 
 class TestExport:

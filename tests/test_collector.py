@@ -1,4 +1,5 @@
 import random
+import sqlite3
 import sys
 import threading
 from datetime import datetime, timedelta
@@ -224,6 +225,41 @@ class TestUnstorableText:
             ("/index.php",), ("/next.php",),
         ]
         assert mem_store.session_count() == 1
+
+
+class TestLockedStore:
+    """A store another connection holds locked is a CollectionError, not a
+    raw sqlite3 error; the request leaves no trace, and the next one after
+    the lock is gone is recorded."""
+
+    def test_collection_error_then_recorded_once_unlocked(self, tmp_path):
+        path = tmp_path / "locked.db"
+        store = LogStore(path)
+        try:
+            collector = Collector(store, site_hosts=HOSTS)
+            collector.handle_request_begin(_event("tokA", 0))
+            store._conn.execute("PRAGMA busy_timeout=0")
+            before = _rows(store)
+            other = sqlite3.connect(path, isolation_level=None)
+            try:
+                other.execute("BEGIN IMMEDIATE")
+                event = _event("tokB", 10)
+                with pytest.raises(CollectionError, match="database is locked") as info:
+                    collector.handle_request_begin(event)
+                assert info.value.event is event
+                other.execute("ROLLBACK")
+            finally:
+                other.close()
+            assert _rows(store) == before
+            assert collector.handle_request_begin(_event("tokB", 20)) == (2, 2)
+        finally:
+            store.close()
+
+    def test_closed_store_is_not_a_collection_error(self, mem_store):
+        collector = Collector(mem_store, site_hosts=HOSTS)
+        mem_store.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            collector.handle_request_begin(_event())
 
 
 class TestRequestEnd:

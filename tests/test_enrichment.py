@@ -284,6 +284,17 @@ class TestSearchRegistry:
         got = registry.extract("http://www.google.com/search?q=Ders++Program%C4%B1")
         assert got == ("google", "ders programı")
 
+    @pytest.mark.parametrize("space", ["\r", "\n", "\t", "\r\n"])
+    def test_control_whitespace_collapses_to_a_space(self, space):
+        registry = default_search_registry()
+        got = registry.extract(f"https://www.google.com/search?q=cr{space}nul&hl=en")
+        assert got == ("google", "cr nul")
+
+    def test_fragment_is_not_the_query(self):
+        registry = default_search_registry()
+        assert registry.extract("https://www.google.com/search?q=a#b?q=c") == ("google", "a")
+        assert registry.extract("https://www.google.com/#x?q=c") == ("google", None)
+
     def test_non_engine_is_none(self):
         registry = default_search_registry()
         assert registry.extract("http://www.example.com/?q=x") is None

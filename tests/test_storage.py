@@ -306,14 +306,13 @@ class TestSessions:
     def test_missing_session_is_none(self, mem_store):
         assert mem_store.get_session(12345) is None
 
-    def test_explicit_id_must_exceed_existing_ids(self, mem_store):
+    @pytest.mark.parametrize("preset", [1, 3, 10])
+    def test_preset_id_rejected(self, mem_store, preset):
         assert [mem_store.insert_session(_session()) for _ in range(2)] == [1, 2]
-        with pytest.raises(ConstraintError, match="explicit opn_id must exceed all existing ids"):
-            mem_store.insert_session(_session(opn_id=2))
+        with pytest.raises(ConstraintError, match="opn_id is assigned by the store"):
+            mem_store.insert_session(_session(opn_id=preset))
         assert mem_store.session_count() == 2
-        assert mem_store.insert_session(_session(opn_id=10)) == 10
-        assert mem_store.get_session(10) is not None
-        assert mem_store.insert_session(_session()) == 11
+        assert mem_store.insert_session(_session()) == 3
 
 
 class TestPages:
@@ -369,17 +368,15 @@ class TestPages:
         with pytest.raises(ConstraintError):
             mem_store.insert_page(_page(opn, log_date=date(1999, 1, 1)))
 
-    def test_explicit_id_must_exceed_existing_ids(self, mem_store):
+    @pytest.mark.parametrize("preset", [1, 2, 7])
+    def test_preset_id_rejected(self, mem_store, preset):
         opn = mem_store.insert_session(_session())
         assert mem_store.insert_page(_page(opn)) == 1
-        with pytest.raises(
-            ConstraintError, match="explicit log_details_id must exceed all existing ids"
-        ):
-            mem_store.insert_page(_page(opn, log_details_id=1, log_url="/lower"))
+        with pytest.raises(ConstraintError, match="log_details_id is assigned by the store"):
+            mem_store.insert_page(_page(opn, log_details_id=preset, log_url="/preset"))
         assert mem_store.page_count() == 1
-        assert get_page(mem_store, 1).log_url == "/index.php"
-        assert mem_store.insert_page(_page(opn, log_details_id=7, log_url="/higher")) == 7
-        assert get_page(mem_store, 7).log_url == "/higher"
+        assert mem_store.insert_page(_page(opn, log_url="/next")) == 2
+        assert get_page(mem_store, 2).log_url == "/next"
 
     def test_map_with_non_string_value_rejected(self, mem_store):
         opn = mem_store.insert_session(_session())

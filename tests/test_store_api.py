@@ -1,45 +1,65 @@
-"""Every public ``LogStore`` method has a caller in the program: the package,
-its scripts or perfbench.  A method only tests call is dead API.
+"""Every public function, class and method of the package is used by the
+program: the package, its scripts or perfbench.  A name only tests use is
+dead API.
 
-A call is matched by attribute name (``x.NAME(...)``), so the check is loose
-for a common name such as ``close``, but it catches a method nobody calls."""
+A use is matched by name (``NAME`` or ``x.NAME``), so the check is loose for
+a common name such as ``close``, but it catches a name nobody uses."""
 
 import ast
 from pathlib import Path
 
-from webusage.storage import LogStore
-
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "webusage").glob("*.py"))
 SOURCES = sorted(p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
-# Public methods without a caller.  perfbench/tracing.py wraps get_session and
-# join_sessions_pages by name, and FORMATS.md documents import_table.  A name
-# leaves this list when it gains a caller or is deleted.
-EXEMPT = {"get_session", "join_sessions_pages", "import_table"}
+# Public names without a use, each with its reason.  A name leaves this map
+# when it gains a use or is deleted.
+EXEMPT = {
+    "get_session": "perfbench/tracing.py wraps it by name",
+    "join_sessions_pages": "perfbench/tracing.py wraps it by name",
+    "session_summaries": "perfbench/tracing.py wraps it by name",
+    "import_table": "FORMATS.md documents it",
+    "end_session": "FORMATS.md documents it",
+    "dwell_time": "acceptance criterion 10 pins it",
+}
 
 
-def _public_methods() -> set[str]:
-    return {name for name, value in vars(LogStore).items()
-            if callable(value) and not name.startswith("_")}
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
-def _called_names() -> set[str]:
+def _public_names() -> set[str]:
+    """Module-level functions and classes of the package, and the methods
+    of its classes, whose names do not start with ``_``."""
+    names = set()
+    for path in PACKAGE:
+        for node in _parse(path).body:
+            defs = [node] + (node.body if isinstance(node, ast.ClassDef) else [])
+            names.update(d.name for d in defs
+                         if isinstance(d, (ast.FunctionDef, ast.ClassDef)))
+    return {name for name in names if not name.startswith("_")}
+
+
+def _used_names() -> set[str]:
     names = set()
     for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                names.add(node.func.attr)
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
     return names
 
 
 def test_sources_are_found():
     assert {"storage.py", "output_digests.py", "tracing.py"} <= {p.name for p in SOURCES}
+    assert {"LogStore", "Collector", "handle_request_begin", "cell"} <= _public_names()
 
 
-def test_every_public_store_method_has_a_caller():
-    assert _public_methods() - EXEMPT - _called_names() == set()
+def test_every_public_name_has_a_use():
+    assert _public_names() - EXEMPT.keys() - _used_names() == set()
 
 
-def test_exempt_names_are_public_methods_without_a_caller():
-    assert EXEMPT <= _public_methods()
-    assert EXEMPT & _called_names() == set()
+def test_exempt_names_are_public_names_without_a_use():
+    assert EXEMPT.keys() <= _public_names()
+    assert EXEMPT.keys() & _used_names() == set()
