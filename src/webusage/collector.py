@@ -83,8 +83,9 @@ class Collector:
         geoip: GeoIpTable | None = None,
         timeout: float = DEFAULT_TIMEOUT,
     ):
-        # At most a year, so the sweep's cutoff and horizon (an event time
-        # minus or plus the timeout) stay inside the calendar; NaN fails too.
+        # At most a year; NaN fails too.  A time minus or plus the timeout
+        # (the sweep's cutoff, the final sweep's horizon) can still leave the
+        # calendar near either end, and both sweeps allow for that.
         if not 0 < timeout <= 31_536_000.0:
             raise ValueError(f"timeout must be in (0, 31536000] seconds, got {timeout}")
         self.store = store
@@ -142,7 +143,10 @@ class Collector:
     def sweep_expired(self, now: datetime) -> int:
         """Retire every open session idle strictly longer than the timeout."""
         ended = 0
-        cutoff = now - timedelta(seconds=self.timeout)
+        try:
+            cutoff = now - timedelta(seconds=self.timeout)
+        except OverflowError:
+            return 0  # before datetime.min plus the timeout nothing is idle that long
         with self.store.transaction():
             # The store compares whole seconds, so it returns every expired
             # session and perhaps some at the boundary; the gap test decides.

@@ -7,13 +7,13 @@ by :func:`_data_rows` and used as shipped; only the GeoIP table can be
 replaced.  Parsing never raises on arbitrary agent strings; unknown fields
 come back as the literal string ``"unknown"``.
 
-``parse_user_agent``, ``is_bot`` and the text-to-integer step of
-``ip_to_int`` keep their recent results in bounded caches.  Each cache holds
-a pure lookup keyed by its one argument (a frozen profile per agent, a bot
-flag per agent, an integer per address text), never session state.  They
-pay off where agents and client addresses repeat: a site sees few distinct
-agents, and a user who keeps an address starts each new session from it.
-An invalid address is not cached, so it raises on every call.
+``parse_user_agent``, ``is_bot`` and ``ip_to_int`` keep their recent
+results in bounded caches.  Each cache holds a pure lookup keyed by its one
+argument (a frozen profile per agent, a bot flag per agent, an integer per
+address), never session state.  They pay off where agents and client
+addresses repeat: a site sees few distinct agents, and a user who keeps an
+address starts each new session from it.  An invalid address is not
+cached, so it raises on every call.
 """
 
 from __future__ import annotations
@@ -116,15 +116,9 @@ class GeoIpLoadError(csvio.RowError):
 _MAX_IPV4 = 2**32 - 1
 
 
-def ip_to_int(ip: str | int) -> int:
-    if isinstance(ip, int):
-        return ip
-    return _ipv4_text_to_int(ip)
-
-
 @lru_cache(maxsize=4096)
-def _ipv4_text_to_int(text: str) -> int:
-    return int(ipaddress.IPv4Address(text))
+def ip_to_int(ip: str | int) -> int:
+    return int(ipaddress.IPv4Address(ip))
 
 
 @dataclass(frozen=True)

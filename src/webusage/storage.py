@@ -44,8 +44,7 @@ NO_GENDER_TYPES = ("guest", "unit_mission")
 END_REASONS = ("logout", "timeout")
 REFERRAL_CLASSES = ("direct", "internal", "search_engine", "external")
 
-_DT_FMT = "%Y-%m-%d %H:%M:%S"
-# The text _DT_FMT gives for years 1000-9999, in ASCII digits only.
+# A stored time: zero-padded ASCII digits, so text order is time order.
 _CANONICAL_DT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")
 # JSON's string encoder: a quoted string, escaped as json.dumps escapes it.
 _encode_string = json.encoder.encode_basestring
@@ -74,26 +73,15 @@ class MapFormatError(StorageError):
 
 
 def dt_to_text(value: datetime) -> str:
-    # isoformat writes the same text as strftime for a naive datetime of
-    # years 1000-9999, in under half the time.  strftime writes earlier
-    # years unpadded and an aware value without its offset, so those, dates
-    # and subclasses stay with it.
-    if type(value) is datetime and value.tzinfo is None and value.year >= 1000:
-        return value.isoformat(" ", "seconds")
-    return value.strftime(_DT_FMT)
+    if type(value) is not datetime or value.tzinfo is not None:
+        raise ConstraintError(f"a stored time must be a naive datetime, got {value!r}")
+    return value.isoformat(" ", "seconds")
 
 
 def text_to_dt(value: str) -> datetime:
-    # fromisoformat reads the text dt_to_text writes some 30x faster than
-    # strptime.  Any other text, and any such text it rejects (month 13),
-    # goes to strptime, so what is accepted and every error message stay
-    # strptime's.
-    if _CANONICAL_DT.fullmatch(value):
-        try:
-            return datetime.fromisoformat(value)
-        except ValueError:
-            pass
-    return datetime.strptime(value, _DT_FMT)
+    if not _CANONICAL_DT.fullmatch(value):
+        raise ValueError(f"time {value!r} is not in the YYYY-MM-DD HH:MM:SS form")
+    return datetime.fromisoformat(value)
 
 
 def serialize_map(m: dict[str, str]) -> str:
@@ -757,8 +745,8 @@ class LogStore:
 
         Each new row is read back through the table's codec, and its record
         validated, before the load commits.  A value the record cannot hold
-        (a bad enum), or holds in another form than the store writes (a
-        timestamp such as ``2021-9-2 10:00:00``, a map with unsorted keys),
+        (a bad enum, a timestamp such as ``2021-9-2 10:00:00``), or holds in
+        another form than the store writes (a map with unsorted keys),
         fails the whole load with a :class:`StorageError` naming the table
         and the row's key.  A wrong header, a row of the wrong width, or one
         ``csv`` cannot read fails it naming the table and the line.

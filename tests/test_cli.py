@@ -3,6 +3,7 @@
 import csv
 import gzip
 import hashlib
+import io
 import json
 import re
 import sqlite3
@@ -16,7 +17,8 @@ import pytest
 
 from webusage.analytics import report_to_csv, report_to_plot, search_report_to_csv
 from webusage.cli import REPORT_KINDS, REPORTS, main
-from webusage.events import AppPageResult
+from webusage.collector import Collector
+from webusage.events import AppPageResult, parse_replay_line
 from webusage.storage import (
     TABLE_COLUMNS, USER_TYPES, LogStore, PageRecord, SessionRecord, UserInfo,
 )
@@ -886,6 +888,52 @@ class TestCollectSessions:
             for opn_id, last in last_page.items():
                 session = store.get_session(opn_id)
                 assert (session.end_reason, session.ended_at) == ("timeout", last)
+        finally:
+            store.close()
+
+
+class TestYear999:
+    """FORMATS.md "Store": a time before year 1000 is stored with its year
+    zero-padded, and reads back through every path."""
+
+    REPLAY = "".join(
+        f"ip=10.0.0.1 time=0999-12-31T23:0{minute}:00 method=GET"
+        f" url=http://www.campus.example/{page}.php token=t1 agent=Mozilla/5.0"
+        f" service=campus module={page} server=1 get= post= cookies=\n"
+        for minute, page in [(0, "a"), (5, "b")]
+    )
+
+    def test_collect_report_export_and_import(self, tmp_path, capsys):
+        replay, store = tmp_path / "old.replay", tmp_path / "old.db"
+        replay.write_text(self.REPLAY, encoding="utf-8")
+        assert main(["collect", str(replay), "--store", str(store)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--store", str(store), "--kind", "hourly-cube"]) == 0
+        cube = {row[0]: row[-1] for row in csv.reader(capsys.readouterr().out.splitlines())}
+        assert cube["23"] == "2"
+        assert main(["export", "--store", str(store), "--out", str(tmp_path / "out")]) == 0
+        sessions, pages = ((tmp_path / "out" / f"{table}.csv").read_text(encoding="utf-8")
+                           for table in ("log_session", "log_page"))
+        assert ",0999-12-31 23:00:00,0999-12-31 23:05:00,timeout\n" in sessions
+        assert ",0999-12-31 23:00:00,0999-12-31," in pages
+        copy = LogStore(":memory:")
+        try:
+            assert copy.import_table("log_session", io.StringIO(sessions)) == 1
+            assert copy.import_table("log_page", io.StringIO(pages)) == 2
+            again = io.StringIO()
+            copy.export_table("log_page", again)
+            assert again.getvalue() == pages
+        finally:
+            copy.close()
+
+    def test_second_request_on_the_token_is_recorded(self):
+        store = LogStore(":memory:")
+        try:
+            collector = Collector(store, ["www.campus.example"])
+            first, second = (parse_replay_line(line) for line in self.REPLAY.splitlines())
+            opn_id, _ = collector.handle_request_begin(first)
+            assert collector.handle_request_begin(second)[0] == opn_id
+            assert store.page_count() == 2
         finally:
             store.close()
 

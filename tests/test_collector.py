@@ -347,6 +347,12 @@ class TestSessionEnd:
     def test_sweep_empty_store(self, collector):
         assert collector.sweep_expired(T0) == 0
 
+    def test_sweep_within_the_timeout_of_the_calendar_start(self, collector):
+        collector.handle_request_begin(_event(timestamp=datetime.min))
+        assert collector.sweep_expired(datetime.min) == 0
+        assert collector.sweep_expired(datetime(1, 1, 1, 0, 10)) == 0
+        assert collector.sweep_expired(datetime(1, 1, 1, 0, 30, 1)) == 1
+
 
 class TestSharedStore:
     """Collectors over one store see only what the store holds."""

@@ -231,7 +231,7 @@ class TestCaches:
             assert is_bot(agent) is is_bot.__wrapped__(agent)
 
     @pytest.mark.parametrize("cached", [
-        enrichment.is_bot, enrichment._ipv4_text_to_int, enrichment.parse_user_agent,
+        enrichment.is_bot, enrichment.ip_to_int, enrichment.parse_user_agent,
     ])
     def test_caches_are_bounded(self, cached):
         maxsize = cached.cache_info().maxsize

@@ -183,34 +183,50 @@ _NEAR_TIMESTAMPS = st.builds(
 )
 
 
-class TestTextToDt:
-    """text_to_dt reads the stored form fast and must agree with strptime
-    on every other text: the same datetime or the same error message."""
+_STORED_TIMES = st.datetimes().map(lambda value: value.replace(microsecond=0))
 
-    @staticmethod
-    def _strptime(text):
-        return datetime.strptime(text, "%Y-%m-%d %H:%M:%S")
+
+class TestTextToDt:
+    """text_to_dt reads exactly the text dt_to_text writes, and rejects
+    every other text with a ValueError."""
 
     @settings(max_examples=2000)
     @given(_NEAR_TIMESTAMPS | st.text(max_size=22))
     @example("2021-09-02 10:12:18")
-    @example("2021-09-02T10:12:18")
-    @example("2021-09-02 10:12:18+01")
-    @example("2021-09-02 10:12:18+01:00")
-    @example("2021-\uff109-02 10:12:18")
+    @example("0999-12-31 23:00:00")
     @example("2021-02-30 10:12:18")
     @example("2021-13-02 10:12:18")
     @example("2021-01-01 24:00:00")
-    @example("2021-09-02 10:12:1")
-    @example("2021-09-02 10:12:180")
-    @example("2021-9-2 10:12:18")
-    def test_agrees_with_strptime(self, text):
-        assert _parse_outcome(text_to_dt, text) == _parse_outcome(self._strptime, text)
+    @example("0000-01-01 00:00:00")
+    def test_accepts_only_the_stored_form(self, text):
+        outcome = _parse_outcome(text_to_dt, text)
+        if isinstance(outcome, datetime):
+            assert dt_to_text(outcome) == text
+        elif not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}", text):
+            assert outcome == f"time {text!r} is not in the YYYY-MM-DD HH:MM:SS form"
+
+    @pytest.mark.parametrize("text", [
+        "2021-9-2 10:12:18",
+        "999-12-31 23:00:00",
+        "2021-09-02T10:12:18",
+        "2021-09-02 10:12:18+01:00",
+        "2021-09-02 10:12:18.5",
+        "2021-09-02 10:12:1",
+        "2021-\uff109-02 10:12:18",
+        "2021-09-02 10:12:18\n",
+        "",
+    ])
+    def test_other_text_is_not_in_the_form(self, text):
+        with pytest.raises(ValueError) as info:
+            text_to_dt(text)
+        assert str(info.value) == f"time {text!r} is not in the YYYY-MM-DD HH:MM:SS form"
 
     @settings(max_examples=300)
-    @given(st.datetimes(min_value=datetime(1000, 1, 1)))
+    @given(_STORED_TIMES)
+    @example(datetime.min)
+    @example(datetime(999, 12, 31, 23))
+    @example(datetime.max.replace(microsecond=0))
     def test_round_trips_stored_text(self, value):
-        value = value.replace(microsecond=0)
         assert text_to_dt(dt_to_text(value)) == value
 
 
@@ -222,22 +238,36 @@ _OFFSETS = st.builds(
 
 
 class TestDtToText:
-    """dt_to_text writes naive datetimes through isoformat; every value
-    must still get strftime's text."""
+    """dt_to_text writes every naive datetime as YYYY-MM-DD HH:MM:SS, the
+    year zero-padded to four digits, and refuses any other value."""
 
-    @settings(max_examples=1000)
-    @given(st.datetimes(timezones=st.none() | _OFFSETS))
-    @example(datetime(1, 1, 1))
-    @example(datetime(999, 12, 31, 23, 59, 59, 999999))
-    @example(datetime(1000, 1, 1))
-    @example(datetime(9999, 12, 31, 23, 59, 59, 999999))
-    @example(datetime(2021, 9, 2, 10, 12, 18, 500000, tzinfo=timezone.utc))
-    @example(datetime(2021, 9, 2, 10, 12, 18, fold=1))
-    def test_agrees_with_strftime(self, value):
-        assert dt_to_text(value) == value.strftime("%Y-%m-%d %H:%M:%S")
+    @pytest.mark.parametrize("value, text", [
+        (datetime(1, 1, 1), "0001-01-01 00:00:00"),
+        (datetime(999, 12, 31, 23, 59, 59, 999999), "0999-12-31 23:59:59"),
+        (datetime(1000, 1, 1), "1000-01-01 00:00:00"),
+        (datetime(2021, 9, 2, 10, 12, 18, 500000, fold=1), "2021-09-02 10:12:18"),
+        (datetime.max, "9999-12-31 23:59:59"),
+    ])
+    def test_writes_the_stored_form(self, value, text):
+        assert dt_to_text(value) == text
 
-    def test_date_agrees_with_strftime(self):
-        assert dt_to_text(date(2021, 9, 2)) == "2021-09-02 00:00:00"
+    @settings(max_examples=300)
+    @given(_STORED_TIMES, _STORED_TIMES)
+    @example(datetime(999, 12, 31, 23, 59, 59), datetime(1000, 1, 1))
+    @example(datetime(99, 1, 1), datetime(100, 1, 1))
+    def test_text_order_is_time_order(self, a, b):
+        assert (dt_to_text(a) < dt_to_text(b)) == (a < b)
+
+    @settings(max_examples=100)
+    @given(st.datetimes(timezones=_OFFSETS))
+    @example(datetime(2021, 9, 2, 10, 12, 18, tzinfo=timezone.utc))
+    def test_aware_datetime_is_refused(self, value):
+        with pytest.raises(ConstraintError, match="a stored time must be a naive datetime"):
+            dt_to_text(value)
+
+    def test_date_is_refused(self):
+        with pytest.raises(ConstraintError, match="a stored time must be a naive datetime"):
+            dt_to_text(date(2021, 9, 2))
 
 
 class TestSessions:
@@ -710,10 +740,12 @@ class TestExportImport:
         return out.getvalue(), rows[1]["opn_id"]
 
     @pytest.mark.parametrize("changes, reason", [
-        ({"user_type": "martian", "started_at": "yesterday"}, "does not match format"),
+        ({"user_type": "martian", "started_at": "yesterday"},
+         "time 'yesterday' is not in the YYYY-MM-DD HH:MM:SS form"),
         ({"user_type": "martian"}, "bad user_type: 'martian'"),
         ({"referral_class": "carrier_pigeon"}, "bad referral_class"),
-        ({"started_at": "2021-9-2 10:00:00"}, "started_at '2021-9-2 10:00:00' is not in the form"),
+        ({"started_at": "2021-9-2 10:00:00"},
+         "time '2021-9-2 10:00:00' is not in the YYYY-MM-DD HH:MM:SS form"),
         ({"ended_at": "2000-01-01 00:00:00", "end_reason": "timeout"}, "ended_at before"),
     ])
     def test_import_rejects_invalid_rows_and_keeps_the_store(

@@ -3,12 +3,14 @@
     PYTHONPATH=src python tests/walkthrough.py WORKDIR
 
 In WORKDIR the script writes a two-request replay (a URL and a search
-referrer holding CR, NUL, `"` and `,`), an access log whose user agent holds
-NUL, a roster whose username holds NUL and a text file that is not a store.
-It then runs, in-process through ``webusage.cli.main``: ``collect``,
-``export``, ``report --kind stats`` and ``--kind search-keywords``,
-``preprocess``, ``collect --users`` with that roster, and ``report`` on the
-text file.  It prints one JSON object: each step's exit code, standard
+referrer holding CR, NUL, `"` and `,`), a one-request replay dated in year
+999, an access log whose user agent holds NUL, a roster whose username
+holds NUL and a text file that is not a store.  It then runs, in-process
+through ``webusage.cli.main``: ``collect``, ``export``, ``report --kind
+stats`` and ``--kind search-keywords``, ``preprocess``, ``collect --users``
+with that roster, ``report`` on the text file, and ``collect`` and
+``export`` of the year-999 replay, whose stored times are zero-padded
+whatever the C library.  It prints one JSON object: each step's exit code, standard
 output and standard error, then the text of every CSV file the steps wrote.
 Paths are relative to WORKDIR, so two interpreters print the same object
 exactly when they behave the same.  Needs only the standard library.
@@ -36,6 +38,10 @@ REPLAY = (
     " agent=Mozilla/5.0%20(X11;%20Linux%20x86_64)%20Firefox/91.0"
     " service=campus module=b server=1 get= post= cookies=\n"
 )
+OLD_REPLAY = (
+    "ip=10.0.0.2 time=0999-12-31T23:00:00 method=GET url=http://www.campus.example/a.php"
+    " token=t2 agent=Mozilla/5.0 service=campus module=a server=1 get= post= cookies=\n"
+)
 LOG = (
     '10.0.0.1 - - [02/Sep/2021:10:00:00 +0000] "GET /a.php?x=1,2 HTTP/1.1" 200 5'
     ' "-" "Agent\x00 \\"q\\",c"\n'
@@ -52,12 +58,15 @@ STEPS = [
     ["preprocess", "access.log", "--out", "sessions.csv"],
     ["collect", "events.replay", "--store", "roster.db", "--users", "roster.csv"],
     ["report", "--store", "not-a-store.txt", "--kind", "stats"],
+    ["collect", "old.replay", "--store", "old.db"],
+    ["export", "--store", "old.db", "--out", "old-export"],
 ]
 
 
 def walk() -> dict:
-    for name, text in [("events.replay", REPLAY), ("access.log", LOG),
-                       ("roster.csv", ROSTER), ("not-a-store.txt", "not a store\n")]:
+    for name, text in [("events.replay", REPLAY), ("old.replay", OLD_REPLAY),
+                       ("access.log", LOG), ("roster.csv", ROSTER),
+                       ("not-a-store.txt", "not a store\n")]:
         Path(name).write_text(text, encoding="utf-8", newline="")
     steps = []
     for argv in STEPS:
