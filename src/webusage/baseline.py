@@ -7,10 +7,14 @@ cache-hidden navigation from referrers.  Its output can be scored against a
 simulator ground truth, which is where the request-time collector and this
 pipeline get compared on equal footing.
 
-Two pure lookups are cached, each in a bounded ``lru_cache`` that holds no
-state of a visit: the datetime of a log timestamp, which pays because page
-assets are logged in the same second as their page, and the on-site path of
-a referrer, which pays because a site has few pages to be referred from.
+Four pure lookups are cached, each in a bounded ``lru_cache`` that holds
+no state of a visit: the datetime of a log timestamp (``_parse_timestamp``),
+which pays because page assets are logged in the same second as their page;
+the on-site path of a referrer (``_referrer_resource``), which pays because
+a site has few pages to be referred from; and, for writing, the ``+zzzz``
+text of a zone offset (``_zone_text``) and the quoted text of a field
+(``_quoted``), which pay because offsets, referrers and agents repeat from
+line to line.
 """
 
 from __future__ import annotations
@@ -182,10 +186,10 @@ def _zone_text(offset: timedelta | None) -> str:
 
 
 def _format_timestamp(value: datetime) -> str:
-    return (
-        f"{value.day:02d}/{_MONTHS[value.month - 1]}/{value.year:04d}:"
-        f"{value.hour:02d}:{value.minute:02d}:{value.second:02d}"
-        f" {_zone_text(value.utcoffset())}"
+    # '%' formatting runs faster here than format specs in an f-string.
+    return "%02d/%s/%04d:%02d:%02d:%02d %s" % (
+        value.day, _MONTHS[value.month - 1], value.year,
+        value.hour, value.minute, value.second, _zone_text(value.utcoffset()),
     )
 
 
@@ -262,26 +266,42 @@ def _line_error(line: str, log_format: str) -> LineParseError:
     return LineParseError(f"more than {most} fields for {log_format}", line)
 
 
+@lru_cache(maxsize=256)
 def _quoted(value: str | None) -> str:
+    """A quoted field: ``"-"`` for ``None``, else the text with each ``\\``
+    and ``"`` escaped by a backslash."""
     if value is None:
         return '"-"'
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _log_line(ip: str, identd: str | None, authuser: str | None, stamp: str, method: str,
+              resource: str, protocol: str, status: int, bytes_sent: int | None,
+              *quoted: str | None) -> str:
+    """One log line, without its newline: ``stamp`` is the text of
+    :func:`_format_timestamp` and ``quoted`` the values of the fields after
+    the byte count (none for CLF), which are written quoted."""
+    line = (
+        f"{ip} {identd or '-'} {authuser or '-'} [{stamp}]"
+        f' "{method} {resource} {protocol}"'
+        f" {status} {'-' if bytes_sent is None else bytes_sent}"
+    )
+    for value in quoted:
+        line = f"{line} {_quoted(value)}"
+    return line
+
+
 def render_log_line(entry: EclfEntry, log_format: str = "ECLF") -> str:
     """Inverse of :func:`parse_log_line` for well-formed lines."""
-    body = (
-        f"{entry.ip} {entry.identd or '-'} {entry.authuser or '-'}"
-        f" [{_format_timestamp(entry.timestamp)}]"
-        f' "{entry.method} {entry.resource} {entry.protocol}"'
-        f" {entry.status} {'-' if entry.bytes_sent is None else entry.bytes_sent}"
+    quoted = ()
+    if log_format != "CLF":
+        quoted = (entry.referrer, entry.user_agent)
+        if entry.cookies is not None:
+            quoted += (entry.cookies,)
+    return _log_line(
+        entry.ip, entry.identd, entry.authuser, _format_timestamp(entry.timestamp),
+        entry.method, entry.resource, entry.protocol, entry.status, entry.bytes_sent, *quoted,
     )
-    if log_format == "CLF":
-        return body
-    body += f" {_quoted(entry.referrer)} {_quoted(entry.user_agent)}"
-    if entry.cookies is not None:
-        body += f" {_quoted(entry.cookies)}"
-    return body
 
 
 def read_log(path: str | Path, log_format: str = "ECLF") -> Iterator[EclfEntry | LineParseError]:

@@ -4,11 +4,14 @@ A replay file carries one request per line as space-separated ``key=value``
 tokens with URL-escaped values, so any event the embedded API accepts can be
 stored in a plain text file and fed back later.
 
-Percent-decoding goes through a small cache of ``unquote`` results, and
-percent-escaping through small caches of ``quote`` results.  Each cache
-holds a pure function of the text, not session state: agents and
-``accept-language`` values repeat from request to request.  A value holding
-no character ``quote`` would escape is written as it is, without a call.
+The codec goes through four bounded ``lru_cache``s, each of a pure
+function of its text and none holding session state: ``_unquote``
+percent-decodes a value, ``_escape_value`` and ``_escape_map_part``
+percent-escape a value and a map key or value, and ``_map_value`` holds the
+written text of a map, keyed by its items.  They pay because addresses,
+tokens, agents and cookie maps repeat from request to request.  A value
+holding no character ``quote`` would escape is written as it is, without a
+call.
 """
 
 from __future__ import annotations
@@ -101,7 +104,13 @@ class RawRequestEvent:
         if not self.session_token:
             raise ValueError("session_token must be non-empty")
         if self.timestamp.tzinfo is not None:
-            self.timestamp = self.timestamp.astimezone(timezone.utc).replace(tzinfo=None)
+            try:
+                utc = self.timestamp.astimezone(timezone.utc)
+            except OverflowError:
+                raise ValueError(
+                    f"timestamp {self.timestamp.isoformat()} is outside years 1-9999 in UTC"
+                ) from None
+            self.timestamp = utc.replace(tzinfo=None)
         if self.referrer == "":
             self.referrer = None
         if self.auth_user == "":
@@ -109,12 +118,13 @@ class RawRequestEvent:
 
 
 def _escaper(safe: str) -> Callable[[str], str]:
-    """``quote(text, safe=safe)``, calling ``quote`` only for text holding a
-    character it escapes: anything but ASCII letters, digits, ``_.-~`` and
-    ``safe``."""
+    """``quote(text, safe=safe)`` through a bounded cache, calling ``quote``
+    only for text holding a character it escapes: anything but ASCII
+    letters, digits, ``_.-~`` and ``safe``."""
     needs_escape = re.compile(f"[^A-Za-z0-9_.~{re.escape(safe)}-]").search
-    quote = lru_cache(maxsize=256)(partial(urllib.parse.quote, safe=safe))
+    quote = partial(urllib.parse.quote, safe=safe)
 
+    @lru_cache(maxsize=1024)
     def escape(text: str) -> str:
         return quote(text) if needs_escape(text) else text
 
@@ -125,9 +135,13 @@ _escape_value = _escaper(_SAFE)
 _escape_map_part = _escaper("")
 
 
-def _encode_map(m: dict[str, str]) -> str:
-    """Equal to ``urlencode(m, quote_via=quote)``."""
-    return "&".join(f"{_escape_map_part(k)}={_escape_map_part(v)}" for k, v in m.items())
+@lru_cache(maxsize=1024)
+def _map_value(items: tuple[tuple[str, str], ...]) -> str:
+    """The replay value of a map given as its items: ``urlencode(m,
+    quote_via=quote)`` escaped as a value.  An encoded map holds only
+    characters of _SAFE besides '%', so that escapes exactly its '%'."""
+    esc = _escape_map_part
+    return "&".join(f"{esc(k)}={esc(v)}" for k, v in items).replace("%", "%25")
 
 
 _unquote = lru_cache(maxsize=256)(urllib.parse.unquote)
@@ -150,15 +164,10 @@ def _decode_map(s: str) -> dict[str, str]:
     return out
 
 
-def _map_value(m: dict[str, str]) -> str:
-    # An encoded map holds only characters of _SAFE besides '%', so escaping
-    # it as a value escapes exactly its '%'.
-    return _encode_map(m).replace("%", "%25")
-
-
 def format_replay_line(event: RawRequestEvent) -> str:
     esc = _escape_value
-    # isoformat writes only digits, '-', ':', 'T' and '+', none of which quote escapes.
+    # isoformat writes only digits, '-', ':', 'T' and '+', and an int only
+    # digits and '-', none of which quote escapes.
     time = event.timestamp.isoformat(sep="T", timespec="seconds")
     referrer = "" if event.referrer is None else f" referrer={esc(event.referrer)}"
     user = "" if event.auth_user is None else f" user={esc(event.auth_user)}"
@@ -167,8 +176,9 @@ def format_replay_line(event: RawRequestEvent) -> str:
         f" url={esc(event.url)} token={esc(event.session_token)}"
         f" agent={esc(event.user_agent)}{referrer}{user}"
         f" service={esc(event.app_service)} module={esc(event.module)}"
-        f" server={esc(str(event.server_id))} get={_map_value(event.get_params)}"
-        f" post={_map_value(event.post_params)} cookies={_map_value(event.cookies)}"
+        f" server={event.server_id} get={_map_value(tuple(event.get_params.items()))}"
+        f" post={_map_value(tuple(event.post_params.items()))}"
+        f" cookies={_map_value(tuple(event.cookies.items()))}"
     )
 
 

@@ -15,6 +15,12 @@ identity, so the ground truth splits there too.  NAT pools, mid-session IP
 changes, cache-hidden back navigations, and log-only noise (static files,
 error responses, crawler hits) each stress one classical-preprocessing
 weakness without touching what the collector sees.
+
+The simulator keeps no cache of its own.  Access-log lines are built by
+``baseline._log_line``, which quotes each referrer and agent through the
+bounded ``baseline._quoted`` cache; a page event's time is formatted once
+for all of its lines, which are written together.  Replay lines go through
+the bounded escape and map caches of ``events``.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from .baseline import EclfEntry, render_log_line
+from .baseline import _format_timestamp, _log_line
 from .events import RawRequestEvent, write_replay
 from .storage import NO_GENDER_TYPES
 from .truth import GroundTruth, TruthEvent, TruthSession, TruthUser, save_truth
@@ -520,43 +526,44 @@ def emit_eclf(
     def draw(n: int) -> int:
         return int(noise_rng.random() * n)
 
-    def write(ip, when, method, resource, status, bytes_sent, referrer, agent) -> None:
-        nonlocal lines
-        stream.write(render_log_line(EclfEntry(
-            ip=ip, identd=None, authuser=None, timestamp=when, method=method,
-            resource=resource, protocol="HTTP/1.1", status=status,
-            bytes_sent=bytes_sent, referrer=referrer, user_agent=agent,
-        ), "ECLF") + "\n")
-        lines += 1
-
     # Arguments are evaluated left to right, which fixes the order of the
-    # noise draws and so the bytes of the log.
+    # noise draws and so the bytes of the log.  Every line of a page event
+    # carries its time, so the time is formatted once, and its lines are
+    # written together.
     for event, truth_event in zip(events, truth.events):
         if truth_event.cached:
             continue
-        when = datetime.fromtimestamp(truth_event.epoch, tz=timezone.utc)
+        stamp = _format_timestamp(datetime.fromtimestamp(truth_event.epoch, tz=timezone.utc))
         ip, agent, page = event.client_ip, event.user_agent, truth_event.resource
-        write(ip, when, event.method, page, 200,
-              800 + (truth_event.event_seq * 137) % 18200, event.referrer, agent)
-        if not noise:
-            continue
-        if noise_rng.random() < 0.40:
-            for _ in range(1 + draw(3)):
-                write(ip, when, "GET", _STATIC_RESOURCES[draw(len(_STATIC_RESOURCES))],
-                      200, 120 + draw(4000), _full_url(page), agent)
-        if noise_rng.random() < 0.05:
-            status = (301, 302, 404)[draw(3)]
-            write(ip, when, "GET", _pick(noise_rng, _NEXT_PAGES), status,
-                  None if status in (301, 302) else 291, None, agent)
-        if noise_rng.random() < 0.02:
-            bot_agent = _BOT_AGENTS[draw(len(_BOT_AGENTS))]
-            bot_ip = str(ipaddress.IPv4Address(1123631104 + draw(8192)))
-            for _ in range(1 + draw(2)):
-                resource = (
-                    "/robots.txt" if noise_rng.random() < 0.4
-                    else _pick(noise_rng, _NEXT_PAGES)
-                )
-                write(bot_ip, when, "GET", resource, 200, 500 + draw(3000), None, bot_agent)
+        out = [_log_line(ip, None, None, stamp, event.method, page, "HTTP/1.1", 200,
+                         800 + (truth_event.event_seq * 137) % 18200, event.referrer, agent)]
+        if noise:
+            if noise_rng.random() < 0.40:
+                referrer = _full_url(page)
+                for _ in range(1 + draw(3)):
+                    out.append(_log_line(
+                        ip, None, None, stamp, "GET",
+                        _STATIC_RESOURCES[draw(len(_STATIC_RESOURCES))], "HTTP/1.1", 200,
+                        120 + draw(4000), referrer, agent,
+                    ))
+            if noise_rng.random() < 0.05:
+                status = (301, 302, 404)[draw(3)]
+                out.append(_log_line(
+                    ip, None, None, stamp, "GET", _pick(noise_rng, _NEXT_PAGES), "HTTP/1.1",
+                    status, None if status in (301, 302) else 291, None, agent,
+                ))
+            if noise_rng.random() < 0.02:
+                bot_agent = _BOT_AGENTS[draw(len(_BOT_AGENTS))]
+                bot_ip = str(ipaddress.IPv4Address(1123631104 + draw(8192)))
+                for _ in range(1 + draw(2)):
+                    resource = (
+                        "/robots.txt" if noise_rng.random() < 0.4
+                        else _pick(noise_rng, _NEXT_PAGES)
+                    )
+                    out.append(_log_line(bot_ip, None, None, stamp, "GET", resource, "HTTP/1.1",
+                                         200, 500 + draw(3000), None, bot_agent))
+        stream.write("\n".join(out) + "\n")
+        lines += len(out)
     return lines
 
 

@@ -11,6 +11,7 @@ import csv
 import io
 import ipaddress
 import json
+import random
 import string
 import sys
 import urllib.parse
@@ -31,6 +32,14 @@ from webusage.analytics import (
 from webusage.baseline import EclfEntry, LineParseError
 from webusage.enrichment import UNKNOWN, ip_to_int
 from webusage.events import RawRequestEvent, ReplayFormatError
+from webusage.simulator import (
+    _BOT_AGENTS,
+    _NEXT_PAGES,
+    _NOISE_STREAM_OFFSET,
+    _STATIC_RESOURCES,
+    SITE_HOST,
+    _pick,
+)
 from webusage.storage import (
     NO_GENDER_TYPES,
     USER_TYPES,
@@ -638,6 +647,62 @@ def format_timestamp_reference(value: datetime) -> str:
         f"{value.hour:02d}:{value.minute:02d}:{value.second:02d}"
         f" {sign}{total // 3600:02d}{(total % 3600) // 60:02d}"
     )
+
+
+def _log_quoted_reference(value: str | None) -> str:
+    if value is None:
+        return '"-"'
+    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def emit_eclf_reference(events, truth, config, stream, noise: bool = True) -> int:
+    """``simulator.emit_eclf`` as it was before it formatted each page
+    event's time once and wrote its lines together: every line is rendered
+    from its fields with its own timestamp and written on its own.  The
+    noise constants are the simulator's; the rendering is FORMATS.md's."""
+    noise_rng = random.Random(config.seed + _NOISE_STREAM_OFFSET)
+    lines = 0
+
+    def draw(n: int) -> int:
+        return int(noise_rng.random() * n)
+
+    def write(ip, when, method, resource, status, bytes_sent, referrer, agent) -> None:
+        nonlocal lines
+        size = "-" if bytes_sent is None else str(bytes_sent)
+        stream.write(
+            f"{ip} - - [{format_timestamp_reference(when)}]"
+            f' "{method} {resource} HTTP/1.1" {status} {size}'
+            f" {_log_quoted_reference(referrer)} {_log_quoted_reference(agent)}\n"
+        )
+        lines += 1
+
+    for event, truth_event in zip(events, truth.events):
+        if truth_event.cached:
+            continue
+        when = datetime.fromtimestamp(truth_event.epoch, tz=timezone.utc)
+        ip, agent, page = event.client_ip, event.user_agent, truth_event.resource
+        write(ip, when, event.method, page, 200,
+              800 + (truth_event.event_seq * 137) % 18200, event.referrer, agent)
+        if not noise:
+            continue
+        if noise_rng.random() < 0.40:
+            for _ in range(1 + draw(3)):
+                write(ip, when, "GET", _STATIC_RESOURCES[draw(len(_STATIC_RESOURCES))],
+                      200, 120 + draw(4000), f"http://{SITE_HOST}{page}", agent)
+        if noise_rng.random() < 0.05:
+            status = (301, 302, 404)[draw(3)]
+            write(ip, when, "GET", _pick(noise_rng, _NEXT_PAGES), status,
+                  None if status in (301, 302) else 291, None, agent)
+        if noise_rng.random() < 0.02:
+            bot_agent = _BOT_AGENTS[draw(len(_BOT_AGENTS))]
+            bot_ip = str(ipaddress.IPv4Address(1123631104 + draw(8192)))
+            for _ in range(1 + draw(2)):
+                resource = (
+                    "/robots.txt" if noise_rng.random() < 0.4
+                    else _pick(noise_rng, _NEXT_PAGES)
+                )
+                write(bot_ip, when, "GET", resource, 200, 500 + draw(3000), None, bot_agent)
+    return lines
 
 
 def pairwise_reference(pred: dict, truth: dict) -> tuple[float, float]:

@@ -21,6 +21,7 @@ from webusage.baseline import (
     _format_timestamp,
     _pairwise,
     _parse_timestamp,
+    _quoted,
     _referrer_resource,
     complete_paths,
     filter_entries,
@@ -830,12 +831,19 @@ class TestCell:
 
 
 class TestLookupCaches:
-    """Timestamps and referrers are parsed through bounded caches of pure
-    functions: a cached answer is the fresh one, and errors are not cached."""
+    """Timestamps and referrers are parsed, and quoted fields written,
+    through bounded caches of pure functions: a cached answer is the fresh
+    one, and errors are not cached."""
 
     def test_caches_are_bounded(self):
-        for cached in (_parse_timestamp, _referrer_resource, csvio.cell):
+        for cached in (_parse_timestamp, _referrer_resource, _quoted, csvio.cell):
             assert 0 < cached.cache_parameters()["maxsize"] < 10**5
+
+    @settings(max_examples=200)
+    @given(st.none() | st.text(alphabet=st.sampled_from('"\\ a-é'), max_size=8))
+    def test_cached_quoted_field_equals_a_fresh_one(self, value):
+        for _ in range(2):
+            assert _quoted(value) == _quoted.__wrapped__(value)
 
     def test_impossible_timestamp_fails_every_time_with_its_own_line(self):
         when = "31/Feb/2021:10:00:00 +0300"

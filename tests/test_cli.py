@@ -278,6 +278,25 @@ class TestCollect:
         assert store.read_bytes() == workspace["store"].read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.replay", "kept.db"]
 
+    @pytest.mark.parametrize("time", ["0001-01-01T00:30:00+03:00", "9999-12-31T23:30:00-03:00"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-store", "existing-store"])
+    def test_offset_time_outside_the_calendar_in_utc_exits_1(
+        self, workspace, tmp_path, capsys, time, existing,
+    ):
+        store = tmp_path / "kept.db"
+        if existing:
+            store.write_bytes(workspace["store"].read_bytes())
+        bad = tmp_path / "bad.replay"
+        bad.write_text(f"ip=10.0.0.1 time={time} method=GET url=/a token=t1\n", encoding="utf-8")
+        rc = main(["collect", str(bad), "--store", str(store)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: replay file {bad} line 1: timestamp {time} is outside years 1-9999 in UTC\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.replay"] + ["kept.db"] * existing
+        if existing:
+            assert store.read_bytes() == workspace["store"].read_bytes()
+
     def test_prints_only_the_first_10_collection_errors(self, tmp_path, capsys):
         replay = tmp_path / "bad_ips.replay"
         replay.write_text(

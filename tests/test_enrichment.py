@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from webusage import enrichment
+from webusage import enrichment, events
 from webusage.enrichment import (
     ClientProfile,
     GeoIpLoadError,
@@ -209,7 +209,7 @@ class TestGeoIp:
 
 class TestCaches:
     """The cached lookups answer as the functions they wrap, keep no
-    failure and stay bounded."""
+    failure and stay bounded; so do the replay writer's escape caches."""
 
     @pytest.mark.parametrize("text", ["01.2.3.4", "256.0.0.1", "not-an-ip", ""])
     def test_invalid_address_raises_on_every_call(self, text):
@@ -232,6 +232,7 @@ class TestCaches:
 
     @pytest.mark.parametrize("cached", [
         enrichment.is_bot, enrichment.ip_to_int, enrichment.parse_user_agent,
+        events._escape_value, events._escape_map_part, events._map_value,
     ])
     def test_caches_are_bounded(self, cached):
         maxsize = cached.cache_info().maxsize

@@ -18,6 +18,7 @@ from webusage.events import (
 )
 
 from oracles import format_replay_line_reference, parse_replay_line_reference
+from strategies import wire_events
 
 _text = st.text(max_size=25)
 _short = st.text(min_size=1, max_size=25)
@@ -77,6 +78,17 @@ class TestEventModel:
         assert event.timestamp == datetime(2021, 9, 2, 12, 0, 0)
         assert event.timestamp.tzinfo is None
         assert _event().timestamp == datetime(2021, 9, 2, 12, 0, 0)
+
+    @pytest.mark.parametrize("text", ["0001-01-01T00:30:00+03:00", "9999-12-31T23:30:00-03:00"])
+    def test_offset_timestamp_outside_the_calendar_in_utc(self, text):
+        message = f"timestamp {text} is outside years 1-9999 in UTC"
+        with pytest.raises(ValueError) as info:
+            _event(timestamp=datetime.fromisoformat(text))
+        assert str(info.value) == message
+        line = format_replay_line(_event()).replace("2021-09-02T12:00:00", text)
+        with pytest.raises(ReplayFormatError) as info:
+            parse_replay_line(line, 4)
+        assert str(info.value) == f"line 4: {message}"
 
     @pytest.mark.parametrize("when", ["2021-09-02T12:00:00", None, 1630584000])
     def test_timestamp_must_be_datetime(self, when):
@@ -247,46 +259,24 @@ class TestWireExamples:
         assert " get=a%2520b%252B=x " in line
 
 
-# Text dense in what the writer escapes and what it keeps: '%', '+', '&',
-# '=', '/', space, newline and non-ASCII, among plain ASCII.
-_WIRE_TEXT = st.text(
-    alphabet=st.sampled_from("%+&=/ \n~-_.:;,'*!()@?aZ9\x00\x7féş日") | st.characters(codec="utf-8"),
-    max_size=20,
-)
-_WIRE_MAP = st.dictionaries(_WIRE_TEXT, _WIRE_TEXT, max_size=4)
-
-wire_events_st = st.builds(
-    RawRequestEvent,
-    client_ip=_WIRE_TEXT,
-    timestamp=_dt,
-    method=st.sampled_from(["GET", "POST"]),
-    url=_WIRE_TEXT,
-    session_token=_WIRE_TEXT.filter(bool),
-    user_agent=_WIRE_TEXT,
-    referrer=st.none() | _WIRE_TEXT,
-    auth_user=st.none() | _WIRE_TEXT,
-    app_service=_WIRE_TEXT,
-    module=_WIRE_TEXT,
-    server_id=st.integers(min_value=-9999, max_value=9999),
-    get_params=_WIRE_MAP,
-    post_params=_WIRE_MAP,
-    cookies=_WIRE_MAP,
-)
-
-
 class TestEncoderEquivalence:
-    """format_replay_line calls quote only on text it would change and
-    encodes maps without urlencode; it must write the reference's bytes."""
+    """format_replay_line escapes each value and each map through bounded
+    caches, calls quote only on text it would change and encodes maps
+    without urlencode; it must write the reference's bytes, from the cache
+    too."""
 
     @settings(max_examples=300)
-    @given(wire_events_st)
+    @given(wire_events)
     @example(_event(user_agent="a b", cookies={"k": "50%", "a b": "1+1"}))
     @example(_event(url="/\u00e9?q=a&b=%zz", referrer="x\ny", auth_user="\x00"))
+    @example(_event(user_agent="", referrer="", auth_user="", get_params={"": ""}))
+    @example(_event(user_agent='a "quoted" \\ agent', cookies={'"': "\\"}, server_id=-7))
     def test_same_line_as_reference(self, event):
-        assert format_replay_line(event) == format_replay_line_reference(event)
+        for _ in range(2):
+            assert format_replay_line(event) == format_replay_line_reference(event)
 
     @settings(max_examples=30)
-    @given(st.lists(wire_events_st, max_size=3))
+    @given(st.lists(wire_events, max_size=3))
     def test_stream_is_reference_lines(self, events):
         out = io.StringIO()
         assert write_replay(events, out) == len(events)

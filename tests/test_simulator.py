@@ -2,10 +2,13 @@
 
 import gzip
 import io
+import itertools
 from datetime import timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from webusage.baseline import parse_log_line, preprocess_log, render_log_line, score_against_truth
 from webusage.collector import Collector, replay_stream
@@ -31,6 +34,9 @@ from webusage.truth import (
     read_truth,
     write_truth,
 )
+
+import oracles
+from strategies import WIRE_TEXT, wire_events
 
 
 def make_config(**overrides) -> WorkloadConfig:
@@ -244,6 +250,69 @@ class TestWorkloadShape:
         events, _ = generate(make_config())
         assert all(e.url.startswith(f"http://{SITE_HOST}/") for e in events)
 
+
+_STRESSES = ("nat_share", "dynamic_ip_share", "cookie_loss_share", "cached_nav_share")
+
+
+@st.composite
+def _hostile_streams(draw):
+    """Events of hostile text with truth events to match: any time, any
+    resource text, cached or served."""
+    events = draw(st.lists(wire_events, max_size=6))
+    truth_events = [
+        TruthEvent(
+            event_seq=seq, true_user_id=1, true_session_id=1,
+            epoch=draw(st.integers(0, 253_402_300_799)), ip=event.client_ip,
+            resource=draw(WIRE_TEXT), cached=draw(st.booleans()),
+        )
+        for seq, event in enumerate(events, start=1)
+    ]
+    return events, GroundTruth(events=truth_events)
+
+
+class TestWritersMatchReference:
+    """emit_eclf formats each page event's time once, quotes through a
+    cache and writes a page event's lines together, and write_replay
+    escapes through caches; both must write the references' bytes."""
+
+    @pytest.mark.parametrize(
+        "levels", list(itertools.product((0.0, 1.0), repeat=len(_STRESSES))),
+        ids=lambda levels: "-".join(f"{level:g}" for level in levels),
+    )
+    def test_workload_files(self, levels):
+        config = make_config(n_users=8, duration=86400.0, **dict(zip(_STRESSES, levels)))
+        events, truth = generate(config)
+        for noise in (False, True):
+            got, want = io.StringIO(), io.StringIO()
+            count = emit_eclf(events, truth, config, got, noise=noise)
+            assert count == oracles.emit_eclf_reference(events, truth, config, want, noise=noise)
+            assert got.getvalue() == want.getvalue()
+        replay = io.StringIO()
+        assert write_replay(events, replay) == len(events)
+        assert replay.getvalue() == "".join(
+            f"{oracles.format_replay_line_reference(event)}\n" for event in events
+        )
+
+    @settings(max_examples=150)
+    @given(_hostile_streams(), st.integers(0, 2**32), st.booleans())
+    def test_hostile_text(self, stream, seed, noise):
+        events, truth = stream
+        config = WorkloadConfig(seed=seed)
+        got, want = io.StringIO(), io.StringIO()
+        count = emit_eclf(events, truth, config, got, noise=noise)
+        assert count == oracles.emit_eclf_reference(events, truth, config, want, noise=noise)
+        assert got.getvalue() == want.getvalue()
+
+    def test_one_write_per_served_page_event(self):
+        config = make_config(cached_nav_share=0.3)
+        events, truth = generate(config)
+        writes: list[str] = []
+        stream = io.StringIO()
+        stream.write = writes.append
+        count = emit_eclf(events, truth, config, stream, noise=True)
+        assert len(writes) == len(truth.served_events()) < count
+        assert all(text.endswith("\n") for text in writes)
+        assert sum(text.count("\n") for text in writes) == count
 
 class TestEclfEmission:
     def emit(self, config: WorkloadConfig, noise: bool) -> tuple[list[str], int, GroundTruth]:

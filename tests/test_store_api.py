@@ -20,6 +20,7 @@ EXEMPT = {
     "session_summaries": "perfbench/tracing.py wraps it by name",
     "import_table": "FORMATS.md documents it",
     "end_session": "FORMATS.md documents it",
+    "render_log_line": "FORMATS.md documents it",
     "dwell_time": "acceptance criterion 10 pins it",
 }
 
