@@ -26,7 +26,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
-from operator import itemgetter
 from pathlib import Path
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -529,61 +528,50 @@ def _pairs(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _pairwise(pred: dict[int, Hashable], truth: dict[int, Hashable]) -> tuple[float, float]:
-    """Pairwise precision/recall of a predicted clustering of event ids."""
-    pred_clusters = list(pred.values())
-    truth_clusters = [truth[event_id] for event_id in pred]
-    together_both = sum(map(_pairs, Counter(zip(pred_clusters, truth_clusters)).values()))
-    together_pred = sum(map(_pairs, Counter(pred_clusters).values()))
-    together_truth = sum(map(_pairs, Counter(truth_clusters).values()))
+def _precision_recall(joint: Counter, pred: Counter, truth: Counter) -> tuple[float, float]:
+    """Pairwise precision/recall from the events under each label pair and label."""
+    together_both = sum(map(_pairs, joint.values()))
+    together_pred = sum(map(_pairs, pred.values()))
+    together_truth = sum(map(_pairs, truth.values()))
     precision = together_both / together_pred if together_pred else 1.0
     recall = together_both / together_truth if together_truth else 1.0
     return precision, recall
 
 
-def truth_labels(events: Sequence[TruthEvent]) -> tuple[dict[int, int], dict[int, int]]:
-    """Truth session and user labels of ``events``, keyed by event_seq."""
-    return (
-        {e.event_seq: e.true_session_id for e in events},
-        {e.event_seq: e.true_user_id for e in events},
-    )
+def _pairwise(pred: Sequence[Hashable], truth: Sequence[Hashable]) -> tuple[float, float]:
+    """Pairwise precision/recall of a predicted clustering of events, the
+    labels of event i at index i of both sequences."""
+    return _precision_recall(Counter(zip(pred, truth)), Counter(pred), Counter(truth))
 
 
 def score_labelings(
-    pred_session: dict[int, Hashable],
-    pred_user: dict[int, Hashable],
-    truth_session: dict[int, Hashable],
-    truth_user: dict[int, Hashable],
+    pred_session: Sequence[Hashable],
+    pred_user: Sequence[Hashable],
+    truth_session: Sequence[Hashable],
+    truth_user: Sequence[Hashable],
 ) -> AccuracyReport:
     """Score predicted session/user labels against truth labels.
 
-    All four maps must cover the same event ids; labels need only be
-    hashable.  Sessions are matched by event-set equality for the exact
-    rate; precision/recall are pairwise co-membership metrics.
+    Index i of each of the four sequences labels the same event; labels
+    need only be hashable.  Precision/recall are pairwise co-membership
+    metrics.  A truth session is matched exactly when one predicted session
+    holds the same events: then their joint count equals both sessions' sizes.
     """
-    ids = set(pred_session)
-    if ids != set(truth_session) or ids != set(pred_user) or ids != set(truth_user):
-        raise UniverseMismatchError("label maps cover different events")
-
-    session_precision, session_recall = _pairwise(pred_session, truth_session)
+    if not len(pred_session) == len(pred_user) == len(truth_session) == len(truth_user):
+        raise UniverseMismatchError("label sequences cover different events")
+    sessions = Counter(zip(pred_session, truth_session))
+    pred_sizes, truth_sizes = Counter(pred_session), Counter(truth_session)
+    session_precision, session_recall = _precision_recall(sessions, pred_sizes, truth_sizes)
     user_precision, user_recall = _pairwise(pred_user, truth_user)
-
-    truth_sets: dict[Hashable, set[int]] = {}
-    pred_sets: dict[Hashable, set[int]] = {}
-    for event_id, cluster in truth_session.items():
-        truth_sets.setdefault(cluster, set()).add(event_id)
-    for event_id, cluster in pred_session.items():
-        pred_sets.setdefault(cluster, set()).add(event_id)
-    predicted = {frozenset(s) for s in pred_sets.values()}
-    exact = sum(1 for s in truth_sets.values() if frozenset(s) in predicted)
+    exact = sum(1 for (p, t), n in sessions.items() if n == pred_sizes[p] == truth_sizes[t])
     return AccuracyReport(
         user_precision=user_precision,
         user_recall=user_recall,
         session_precision=session_precision,
         session_recall=session_recall,
-        exact_session_match_rate=exact / len(truth_sets) if truth_sets else 1.0,
-        truth_sessions=len(truth_sets),
-        predicted_sessions=len(pred_sets),
+        exact_session_match_rate=exact / len(truth_sizes) if truth_sizes else 1.0,
+        truth_sessions=len(truth_sizes),
+        predicted_sessions=len(pred_sizes),
     )
 
 
@@ -591,45 +579,46 @@ def score_against_truth(sessions: Sequence[Visit], truth: GroundTruth) -> Accura
     """Score reconstructed sessions against ground truth.
 
     Real (non-inferred) events are joined to non-cached truth events by
-    (epoch, ip, resource); duplicate keys pair up in occurrence order.  The
-    two universes must contain the same key multiset.
+    (epoch, ip, resource); duplicate keys pair up in occurrence order, the
+    predicted events taken by the text of their (user key, session id).
+    The two universes must contain the same key multiset.
     """
     served = truth.served_events()
-    key_to_truth: dict[tuple[int, str, str], list[int]] = {}
-    for truth_event in served:
-        key = (truth_event.epoch, truth_event.ip, truth_event.resource)
-        key_to_truth.setdefault(key, []).append(truth_event.event_seq)
-
-    pred_session: dict[int, Hashable] = {}
-    pred_user: dict[int, Hashable] = {}
-    # (key, str(cluster), cluster, user key) per real event
-    flat: list[tuple[tuple[int, str, str], str, object, object]] = []
-    for visit in sessions:
+    # key -> the positions in ``served`` of its events not yet paired
+    positions: dict[tuple[int, str, str], list[int]] = {}
+    for i, e in enumerate(served):
+        positions.setdefault((e.epoch, e.ip, e.resource), []).append(i)
+    pred_session: list[Hashable] = [None] * len(served)
+    pred_user: list[Hashable] = [None] * len(served)
+    for visit in sorted(sessions, key=lambda v: str((v.user_key, v.session_id))):
         user_key = visit.user_key
         ip = user_key[0]
         cluster = (user_key, visit.session_id)
-        order = str(cluster)
         for event in visit.events:
             if not event.inferred:
-                flat.append(((event.epoch(), ip, event.resource), order, cluster, user_key))
-    flat.sort(key=itemgetter(0, 1))
-
-    consumed: dict[tuple[int, str, str], int] = {}
-    for key, _, cluster, user_key in flat:
-        candidates = key_to_truth.get(key)
-        index = consumed.get(key, 0)
-        if candidates is None or index >= len(candidates):
-            raise UniverseMismatchError(f"predicted event not in truth: {key}")
-        consumed[key] = index + 1
-        event_seq = candidates[index]
-        pred_session[event_seq] = cluster
-        pred_user[event_seq] = user_key
-    unmatched = {
-        key for key, ids in key_to_truth.items() if consumed.get(key, 0) != len(ids)
-    }
+                free = positions.get((event.epoch(), ip, event.resource))
+                if not free:
+                    raise UniverseMismatchError(
+                        f"predicted event not in truth: {_first_excess(sessions, served)}"
+                    )
+                i = free.pop(0)
+                pred_session[i] = cluster
+                pred_user[i] = user_key
+    unmatched = [key for key, free in positions.items() if free]
     if unmatched:
         raise UniverseMismatchError(f"truth events missing from prediction: {sorted(unmatched)[:3]}")
-    return score_labelings(pred_session, pred_user, *truth_labels(served))
+    return score_labelings(pred_session, pred_user, [e.true_session_id for e in served],
+                           [e.true_user_id for e in served])
+
+
+def _first_excess(sessions: Sequence[Visit], served: Sequence[TruthEvent]) -> tuple[int, str, str]:
+    """The least key that more real events of ``sessions`` carry than ``served`` does."""
+    truth_keys = Counter((e.epoch, e.ip, e.resource) for e in served)
+    pred_keys = Counter(
+        (event.epoch(), visit.user_key[0], event.resource)
+        for visit in sessions for event in visit.events if not event.inferred
+    )
+    return min(key for key, n in pred_keys.items() if n > truth_keys[key])
 
 
 # ---------------------------------------------------------------------------
@@ -731,26 +720,28 @@ def write_sessions_csv(sessions: Sequence[Visit], stream) -> int:
 
 
 def read_sessions_csv(stream) -> list[Visit]:
-    """Visits from a sessions CSV; any unreadable row raises
-    :class:`csvio.RowError` naming its line."""
+    """Visits from a sessions CSV, ordered by (user_key, session_id); any
+    unreadable row raises :class:`csvio.RowError` naming its line."""
     grouped: dict[tuple[str, int], Visit] = {}
+    # A visit's rows are written together, so a row whose first two cells
+    # repeat the row before's adds to that row's visit.
+    last_key = last_session = events = None
     for line_no, (key_text, session_id, _, epoch, resource, inferred) in csvio.rows(
         stream, _SESSION_CSV_HEADER
     ):
         try:
-            cluster = (key_text, int(session_id))
-            visit = grouped.get(cluster)
-            if visit is None:
-                ip, _, agent = key_text.partition("|")
-                visit = Visit(user_key=(ip, agent), events=[], session_id=cluster[1])
-                grouped[cluster] = visit
-            visit.events.append(
-                VisitEvent(
-                    timestamp=datetime.fromtimestamp(int(epoch), timezone.utc),
-                    resource=resource,
-                    inferred=bool(int(inferred)),
-                )
-            )
+            if key_text != last_key or session_id != last_session:
+                cluster = (key_text, int(session_id))
+                visit = grouped.get(cluster)
+                if visit is None:
+                    ip, _, agent = key_text.partition("|")
+                    visit = Visit(user_key=(ip, agent), events=[], session_id=cluster[1])
+                    grouped[cluster] = visit
+                last_key, last_session, events = key_text, session_id, visit.events
+            events.append(VisitEvent(
+                datetime.fromtimestamp(int(epoch), timezone.utc), resource, None,
+                bool(int(inferred)),
+            ))
         except (ValueError, OverflowError) as exc:
             raise csvio.RowError(str(exc), line_no) from None
-    return [grouped[k] for k in sorted(grouped, key=lambda c: (c[0], c[1]))]
+    return [grouped[k] for k in sorted(grouped)]

@@ -87,15 +87,16 @@ def write_truth(truth: GroundTruth, stream) -> None:
 def read_truth(stream) -> GroundTruth:
     truth = GroundTruth()
     users, sessions, events = truth.users, truth.sessions, truth.events
+    new_event = TruthEvent._make
     for line_no, row in csvio.rows(stream, TRUTH_HEADER):
         (kind, user_id, username, user_type, gender, device, session_id, pageviews,
          start, end, event_seq, cached, epoch, ip, resource) = row
         try:
             if kind == "event":
-                events.append(TruthEvent(
+                events.append(new_event((
                     int(event_seq), int(user_id), int(session_id), int(epoch),
                     ip, resource, bool(int(cached)),
-                ))
+                )))
             elif kind == "session":
                 sessions.append(TruthSession(
                     int(session_id), int(user_id), int(pageviews), int(start), int(end),

@@ -29,7 +29,7 @@ from webusage.analytics import (
     bucket_label,
     pageviews_per_session,
 )
-from webusage.baseline import EclfEntry, LineParseError
+from webusage.baseline import AccuracyReport, EclfEntry, LineParseError, UniverseMismatchError
 from webusage.enrichment import UNKNOWN, ip_to_int
 from webusage.events import RawRequestEvent, ReplayFormatError
 from webusage.simulator import (
@@ -722,6 +722,35 @@ def pairwise_reference(pred: dict, truth: dict) -> tuple[float, float]:
     precision = together_both / together_pred if together_pred else 1.0
     recall = together_both / together_truth if together_truth else 1.0
     return precision, recall
+
+
+def score_labelings_reference(pred_session: dict, pred_user: dict,
+                              truth_session: dict, truth_user: dict) -> AccuracyReport:
+    """``baseline.score_labelings`` over four label maps keyed by event id,
+    its exact matches found by comparing the event sets of the sessions as
+    frozensets: the reference for the joint-count scorer."""
+    ids = set(pred_session)
+    if ids != set(truth_session) or ids != set(pred_user) or ids != set(truth_user):
+        raise UniverseMismatchError("label maps cover different events")
+    session_precision, session_recall = pairwise_reference(pred_session, truth_session)
+    user_precision, user_recall = pairwise_reference(pred_user, truth_user)
+    truth_sets: dict = {}
+    pred_sets: dict = {}
+    for event_id, cluster in truth_session.items():
+        truth_sets.setdefault(cluster, set()).add(event_id)
+    for event_id, cluster in pred_session.items():
+        pred_sets.setdefault(cluster, set()).add(event_id)
+    predicted = {frozenset(s) for s in pred_sets.values()}
+    exact = sum(1 for s in truth_sets.values() if frozenset(s) in predicted)
+    return AccuracyReport(
+        user_precision=user_precision,
+        user_recall=user_recall,
+        session_precision=session_precision,
+        session_recall=session_recall,
+        exact_session_match_rate=exact / len(truth_sets) if truth_sets else 1.0,
+        truth_sessions=len(truth_sets),
+        predicted_sessions=len(pred_sets),
+    )
 
 
 # Python 3.10's csv neither writes nor reads a cell holding NUL.

@@ -31,12 +31,14 @@ from webusage.baseline import (
     read_log,
     read_sessions_csv,
     render_log_line,
+    score_against_truth,
     score_labelings,
     sessionize,
     write_sessions_csv,
 )
 from webusage.enrichment import parse_user_agent
 from webusage.simulator import WorkloadConfig, simulate_to_dir
+from webusage.truth import GroundTruth, TruthEvent
 
 import oracles
 
@@ -675,10 +677,10 @@ class TestCompletePaths:
 
 class TestScoring:
     def test_identical_labelings_all_ones(self):
-        pred = {1: "a", 2: "a", 3: "b"}
-        truth_sess = {1: 10, 2: 10, 3: 11}
-        users_pred = {1: "u1", 2: "u1", 3: "u1"}
-        users_truth = {1: 5, 2: 5, 3: 5}
+        pred = ["a", "a", "b"]
+        truth_sess = [10, 10, 11]
+        users_pred = ["u1", "u1", "u1"]
+        users_truth = [5, 5, 5]
         report = score_labelings(pred, users_pred, truth_sess, users_truth)
         assert report.user_precision == 1.0
         assert report.user_recall == 1.0
@@ -687,28 +689,52 @@ class TestScoring:
         assert report.exact_session_match_rate == 1.0
 
     def test_singletons_vs_one_session(self):
-        pred = {1: "a", 2: "b", 3: "c"}
-        truth_sess = {1: 10, 2: 10, 3: 10}
-        users = {1: "u", 2: "u", 3: "u"}
+        pred = ["a", "b", "c"]
+        truth_sess = [10, 10, 10]
+        users = ["u", "u", "u"]
         report = score_labelings(pred, users, truth_sess, users)
         assert report.exact_session_match_rate == 0.0
         assert report.session_precision == 1.0  # no false pair predicted
         assert report.session_recall == 0.0
 
     def test_merged_vs_split_truth(self):
-        pred = {1: "a", 2: "a"}
-        truth_sess = {1: 10, 2: 11}
-        users = {1: "u", 2: "u"}
+        pred = ["a", "a"]
+        truth_sess = [10, 11]
+        users = ["u", "u"]
         report = score_labelings(pred, users, truth_sess, users)
         assert report.session_precision == 0.0
         assert report.session_recall == 1.0
 
     def test_report_text_shape(self):
-        pred = {1: "a"}
-        report = score_labelings(pred, pred, {1: 1}, {1: 1})
+        pred = ["a"]
+        report = score_labelings(pred, pred, [1], [1])
         text = report.to_text(prefix="  ")
         assert "  exact_session_match_rate: 1.000000" in text
         assert "  user_precision: 1.000000" in text
+
+    def test_duplicate_keys_pair_in_session_text_order(self):
+        """Truth events 1 and 3 share a key.  Session 10's event of that key
+        takes event 1, as str((user_key, 10)) sorts before str((user_key, 2)),
+        although session 2 comes first in the list and in tuple order."""
+        ip = "10.0.0.1"
+        truth = GroundTruth(events=[
+            TruthEvent(1, 1, 1, 100, ip, "/a"),
+            TruthEvent(2, 1, 1, 160, ip, "/b"),
+            TruthEvent(3, 2, 2, 100, ip, "/a"),
+        ])
+        at = lambda epoch, resource: VisitEvent(datetime.fromtimestamp(epoch, timezone.utc), resource)
+        sessions = [
+            Visit((ip, "ua"), [at(100, "/a")], session_id=2),
+            Visit((ip, "ua"), [at(100, "/a"), at(160, "/b")], session_id=10),
+        ]
+        report = score_against_truth(sessions, truth)
+        assert report.exact_session_match_rate == 1.0
+        assert report.session_precision == report.session_recall == 1.0
+
+    @pytest.mark.parametrize("lengths", [(2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2)])
+    def test_sequences_of_different_lengths_raise(self, lengths):
+        with pytest.raises(UniverseMismatchError, match="label sequences cover different events"):
+            score_labelings(*(["a"] * n for n in lengths))
 
 
 # Cluster labels as scoring sees them: ints, text and (user key, session) tuples.
@@ -718,21 +744,31 @@ CLUSTER_LABELS = st.sampled_from(
 
 
 @st.composite
-def _labelings(draw):
-    """Predicted and truth labels of one set of event ids, each drawn, all
-    singletons or all one cluster, the truth in another key order."""
-    ids = draw(st.lists(st.integers(0, 10**6), unique=True, max_size=40))
+def _labelings(draw, n=None):
+    """Predicted and truth labels of ``n`` events (drawn when not given),
+    index i of both labelling event i.  The truth is drawn, all singletons
+    or all one cluster; the prediction one of those too, or the truth's
+    clusters with some events moved to drawn labels."""
+    if n is None:
+        n = draw(st.integers(0, 40))
 
     def labels():
         shape = draw(st.sampled_from(["drawn", "singletons", "one cluster"]))
         if shape == "singletons":
-            return {i: ("single", i) for i in ids}
+            return [("single", i) for i in range(n)]
         if shape == "one cluster":
-            return {i: "all" for i in ids}
-        return {i: draw(CLUSTER_LABELS) for i in ids}
+            return ["all"] * n
+        return [draw(CLUSTER_LABELS) for _ in range(n)]
 
-    pred, truth = labels(), labels()
-    return pred, dict(draw(st.permutations(list(truth.items()))))
+    truth = labels()
+    if draw(st.booleans()):
+        return labels(), truth
+    return [draw(CLUSTER_LABELS) if draw(st.booleans()) else ("truth", t) for t in truth], truth
+
+
+def _keyed(labels):
+    """Labels as the reference scorers take them: a map from event id."""
+    return dict(enumerate(labels))
 
 
 # Text dense in what the sessions CSV quotes or splits on.
@@ -763,15 +799,28 @@ class TestMatchesReference:
     @given(_labelings())
     def test_pairwise(self, labelings):
         pred, truth = labelings
-        assert _pairwise(pred, truth) == oracles.pairwise_reference(pred, truth)
-        assert _pairwise(truth, pred) == oracles.pairwise_reference(truth, pred)
+        assert _pairwise(pred, truth) == oracles.pairwise_reference(_keyed(pred), _keyed(truth))
+        assert _pairwise(truth, pred) == oracles.pairwise_reference(_keyed(truth), _keyed(pred))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7])
     def test_pairwise_singletons_and_one_cluster(self, n):
-        singletons = {i: i for i in range(n)}
-        one = {i: "all" for i in range(n)}
+        singletons = list(range(n))
+        one = ["all"] * n
         for pred, truth in [(singletons, one), (one, singletons), (one, one)]:
-            assert _pairwise(pred, truth) == oracles.pairwise_reference(pred, truth)
+            assert _pairwise(pred, truth) == oracles.pairwise_reference(
+                _keyed(pred), _keyed(truth)
+            )
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 40).flatmap(lambda n: st.tuples(_labelings(n), _labelings(n))))
+    def test_score_labelings(self, labelings):
+        """The whole report, exact-match rate and session counts included,
+        equals the frozenset reference's."""
+        (pred_session, truth_session), (pred_user, truth_user) = labelings
+        report = score_labelings(pred_session, pred_user, truth_session, truth_user)
+        assert report == oracles.score_labelings_reference(
+            _keyed(pred_session), _keyed(pred_user), _keyed(truth_session), _keyed(truth_user)
+        )
 
     @settings(max_examples=300)
     @given(VISITS)
@@ -941,7 +990,23 @@ class TestUniverseChecks:
             sessions=truth.sessions,
             events=truth.events[:-1],
         )
-        from webusage.baseline import score_against_truth
-
         with pytest.raises(UniverseMismatchError):
             score_against_truth(result.sessions, wrong)
+
+    def test_least_unpaired_keys_are_named(self):
+        """Whatever the order of the visits, the error names the least key
+        the prediction holds more often than the truth, or else the least
+        three the truth holds more often than the prediction."""
+        ip = "10.0.0.1"
+        truth = GroundTruth(events=[TruthEvent(i, 1, 1, 100 * i, ip, "/a") for i in range(1, 6)])
+        at = lambda epoch: VisitEvent(datetime.fromtimestamp(epoch, timezone.utc), "/a")
+        sessions = [Visit((ip, "a"), [at(100), at(350)], 1), Visit((ip, "b"), [at(250)], 1)]
+        with pytest.raises(UniverseMismatchError) as excinfo:
+            score_against_truth(sessions, truth)
+        assert str(excinfo.value) == f"predicted event not in truth: (250, '{ip}', '/a')"
+        with pytest.raises(UniverseMismatchError) as excinfo:
+            score_against_truth([Visit((ip, "a"), [at(300)], 1)], truth)
+        assert str(excinfo.value) == (
+            f"truth events missing from prediction: "
+            f"[(100, '{ip}', '/a'), (200, '{ip}', '/a'), (400, '{ip}', '/a')]"
+        )

@@ -598,15 +598,83 @@ class TestCompare:
         collector_block = out.split("baseline:")[0]
         assert "  exact_session_match_rate: 1.000000" in collector_block
 
+    # Each way the three inputs can fail to describe one set of events ends
+    # in exit 2 and one `error:` line.
+
+    @staticmethod
+    def _rows(path):
+        with open(path, encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))
+
+    @staticmethod
+    def _write(path, rows):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        return path
+
+    @staticmethod
+    def _compare(workspace, capsys, truth=None, baseline=None):
+        rc = main(["compare", "--store", str(workspace["store"]),
+                   "--baseline", str(baseline or workspace["sessions"]),
+                   "--truth", str(truth or workspace["truth"])])
+        return rc, capsys.readouterr().err
+
     def test_mismatched_truth_exits_2(self, workspace, tmp_path, capsys):
         truncated = tmp_path / "short.csv"
         lines = workspace["truth"].read_text(encoding="utf-8").splitlines()
         truncated.write_text("\n".join(lines[:-5]) + "\n", encoding="utf-8")
-        rc = main(["compare", "--store", str(workspace["store"]),
-                   "--baseline", str(workspace["sessions"]),
-                   "--truth", str(truncated)])
+        events = sum(line.startswith("event,") for line in lines)
+        rc, err = self._compare(workspace, capsys, truth=truncated)
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        assert err == f"error: store holds {events} pageviews, truth lists {events - 5}\n"
+
+    def test_truth_time_unlike_the_store_exits_2(self, workspace, tmp_path, capsys):
+        rows = self._rows(workspace["truth"])
+        third = [row for row in rows if row[0] == "event"][2]
+        assert third[10] == "3"
+        stored = int(third[12])
+        third[12] = str(stored + 1)
+        rc, err = self._compare(workspace, capsys, truth=self._write(tmp_path / "t.csv", rows))
+        assert rc == 2
+        assert err == f"error: event 3: store time {stored} != truth time {stored + 1}\n"
+
+    def test_baseline_event_not_in_truth_exits_2(self, workspace, tmp_path, capsys):
+        rows = self._rows(workspace["sessions"])
+        real = next(row for row in rows[1:] if row[5] == "0")
+        real[3] = "0"
+        rc, err = self._compare(workspace, capsys,
+                                baseline=self._write(tmp_path / "s.csv", rows))
+        assert rc == 2
+        key = (0, real[0].partition("|")[0], real[4])
+        assert err == f"error: predicted event not in truth: {key}\n"
+
+    def test_truth_event_missing_from_baseline_exits_2(self, workspace, tmp_path, capsys):
+        rows = self._rows(workspace["sessions"])
+        real = next(row for row in rows[1:] if row[5] == "0")
+        rows.remove(real)
+        rc, err = self._compare(workspace, capsys,
+                                baseline=self._write(tmp_path / "s.csv", rows))
+        assert rc == 2
+        key = (int(real[3]), real[0].partition("|")[0], real[4])
+        assert err == f"error: truth events missing from prediction: [{key}]\n"
+
+    def test_event_seq_not_its_position_exits_2(self, workspace, tmp_path, capsys):
+        """FORMATS.md: `event_seq` N is the N-th replay line.  A truth whose
+        second event repeats the first's seq is refused by compare, and
+        collect, which reads only its accounts, takes it as before."""
+        rows = self._rows(workspace["truth"])
+        first, second = [row for row in rows if row[0] == "event"][:2]
+        second[10] = first[10]
+        truth = self._write(tmp_path / "t.csv", rows)
+        rc, err = self._compare(workspace, capsys, truth=truth)
+        assert rc == 2
+        assert err == "error: truth event 2 has event_seq 1\n"
+        outputs = []
+        for users in (workspace["truth"], truth):
+            assert main(["collect", str(workspace["replay"]),
+                         "--store", str(tmp_path / "s.db"), "--users", str(users)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
 
 
 class TestUnreadableInputRows:
