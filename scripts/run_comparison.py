@@ -18,9 +18,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from webusage.baseline import preprocess_log, score_against_truth
+from webusage.baseline import preprocess_log, session_rows
 from webusage.collector import Collector, replay_stream
-from webusage.compare import collector_report, load_roster
+from webusage.compare import collector_report, load_roster, score_against_truth
 from webusage.enrichment import sample_geoip_table
 from webusage.events import read_replay
 from webusage.simulator import SITE_HOST, WorkloadConfig, simulate_to_dir
@@ -70,7 +70,7 @@ def run_scenario(name: str, overrides: dict, args: argparse.Namespace) -> tuple:
             session_gap=args.session_gap,
             site_hosts=[SITE_HOST],
         )
-        baseline_side = score_against_truth(result.sessions, truth)
+        baseline_side = score_against_truth(session_rows(result.sessions), truth)
 
     return (
         name,

@@ -3,9 +3,10 @@
 The reference pipeline reconstructs visits from an access log the way log
 miners have to: parse combined-format lines, drop irrelevant entries, key
 users by (address, agent), split visits with time heuristics, and patch
-cache-hidden navigation from referrers.  Its output can be scored against a
-simulator ground truth, which is where the request-time collector and this
-pipeline get compared on equal footing.
+cache-hidden navigation from referrers.  Its output is the sessions CSV,
+which this module writes and reads; ``webusage.compare`` scores the CSV's
+rows against a simulator ground truth, where the request-time collector and
+this pipeline get compared on equal footing.
 
 Four pure lookups are cached, each in a bounded ``lru_cache`` that holds
 no state of a visit: the datetime of a log timestamp (``_parse_timestamp``),
@@ -22,16 +23,14 @@ from __future__ import annotations
 import gzip
 import re
 import urllib.parse
-from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 from pathlib import Path
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import csvio
 from .enrichment import is_bot
-from .truth import GroundTruth, TruthEvent
 
 DEFAULT_PAGE_GAP = 600.0
 DEFAULT_SESSION_GAP = 1800.0
@@ -111,9 +110,6 @@ class VisitEvent:
     resource: str
     referrer: str | None = None
     inferred: bool = False
-
-    def epoch(self) -> int:
-        return int(self.timestamp.timestamp())
 
 
 @dataclass
@@ -496,132 +492,6 @@ def complete_paths(
 
 
 # ---------------------------------------------------------------------------
-# accuracy scoring
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AccuracyReport:
-    user_precision: float
-    user_recall: float
-    session_precision: float
-    session_recall: float
-    exact_session_match_rate: float
-    truth_sessions: int = 0
-    predicted_sessions: int = 0
-
-    def to_text(self, prefix: str = "") -> str:
-        names = (
-            "user_precision", "user_recall", "session_precision",
-            "session_recall", "exact_session_match_rate",
-        )
-        lines = [f"{prefix}{n}: {getattr(self, n):.6f}" for n in names]
-        lines.append(f"{prefix}truth_sessions: {self.truth_sessions}")
-        lines.append(f"{prefix}predicted_sessions: {self.predicted_sessions}")
-        return "\n".join(lines)
-
-
-class UniverseMismatchError(ValueError):
-    """Prediction and truth do not describe the same set of events."""
-
-
-def _pairs(n: int) -> int:
-    return n * (n - 1) // 2
-
-
-def _precision_recall(joint: Counter, pred: Counter, truth: Counter) -> tuple[float, float]:
-    """Pairwise precision/recall from the events under each label pair and label."""
-    together_both = sum(map(_pairs, joint.values()))
-    together_pred = sum(map(_pairs, pred.values()))
-    together_truth = sum(map(_pairs, truth.values()))
-    precision = together_both / together_pred if together_pred else 1.0
-    recall = together_both / together_truth if together_truth else 1.0
-    return precision, recall
-
-
-def _pairwise(pred: Sequence[Hashable], truth: Sequence[Hashable]) -> tuple[float, float]:
-    """Pairwise precision/recall of a predicted clustering of events, the
-    labels of event i at index i of both sequences."""
-    return _precision_recall(Counter(zip(pred, truth)), Counter(pred), Counter(truth))
-
-
-def score_labelings(
-    pred_session: Sequence[Hashable],
-    pred_user: Sequence[Hashable],
-    truth_session: Sequence[Hashable],
-    truth_user: Sequence[Hashable],
-) -> AccuracyReport:
-    """Score predicted session/user labels against truth labels.
-
-    Index i of each of the four sequences labels the same event; labels
-    need only be hashable.  Precision/recall are pairwise co-membership
-    metrics.  A truth session is matched exactly when one predicted session
-    holds the same events: then their joint count equals both sessions' sizes.
-    """
-    if not len(pred_session) == len(pred_user) == len(truth_session) == len(truth_user):
-        raise UniverseMismatchError("label sequences cover different events")
-    sessions = Counter(zip(pred_session, truth_session))
-    pred_sizes, truth_sizes = Counter(pred_session), Counter(truth_session)
-    session_precision, session_recall = _precision_recall(sessions, pred_sizes, truth_sizes)
-    user_precision, user_recall = _pairwise(pred_user, truth_user)
-    exact = sum(1 for (p, t), n in sessions.items() if n == pred_sizes[p] == truth_sizes[t])
-    return AccuracyReport(
-        user_precision=user_precision,
-        user_recall=user_recall,
-        session_precision=session_precision,
-        session_recall=session_recall,
-        exact_session_match_rate=exact / len(truth_sizes) if truth_sizes else 1.0,
-        truth_sessions=len(truth_sizes),
-        predicted_sessions=len(pred_sizes),
-    )
-
-
-def score_against_truth(sessions: Sequence[Visit], truth: GroundTruth) -> AccuracyReport:
-    """Score reconstructed sessions against ground truth.
-
-    Real (non-inferred) events are joined to non-cached truth events by
-    (epoch, ip, resource); duplicate keys pair up in occurrence order, the
-    predicted events taken by the text of their (user key, session id).
-    The two universes must contain the same key multiset.
-    """
-    served = truth.served_events()
-    # key -> the positions in ``served`` of its events not yet paired
-    positions: dict[tuple[int, str, str], list[int]] = {}
-    for i, e in enumerate(served):
-        positions.setdefault((e.epoch, e.ip, e.resource), []).append(i)
-    pred_session: list[Hashable] = [None] * len(served)
-    pred_user: list[Hashable] = [None] * len(served)
-    for visit in sorted(sessions, key=lambda v: str((v.user_key, v.session_id))):
-        user_key = visit.user_key
-        ip = user_key[0]
-        cluster = (user_key, visit.session_id)
-        for event in visit.events:
-            if not event.inferred:
-                free = positions.get((event.epoch(), ip, event.resource))
-                if not free:
-                    raise UniverseMismatchError(
-                        f"predicted event not in truth: {_first_excess(sessions, served)}"
-                    )
-                i = free.pop(0)
-                pred_session[i] = cluster
-                pred_user[i] = user_key
-    unmatched = [key for key, free in positions.items() if free]
-    if unmatched:
-        raise UniverseMismatchError(f"truth events missing from prediction: {sorted(unmatched)[:3]}")
-    return score_labelings(pred_session, pred_user, [e.true_session_id for e in served],
-                           [e.true_user_id for e in served])
-
-
-def _first_excess(sessions: Sequence[Visit], served: Sequence[TruthEvent]) -> tuple[int, str, str]:
-    """The least key that more real events of ``sessions`` carry than ``served`` does."""
-    truth_keys = Counter((e.epoch, e.ip, e.resource) for e in served)
-    pred_keys = Counter(
-        (event.epoch(), visit.user_key[0], event.resource)
-        for visit in sessions for event in visit.events if not event.inferred
-    )
-    return min(key for key, n in pred_keys.items() if n > truth_keys[key])
-
-
-# ---------------------------------------------------------------------------
 # pipeline orchestration and session CSV
 # ---------------------------------------------------------------------------
 
@@ -712,36 +582,34 @@ def write_sessions_csv(sessions: Sequence[Visit], stream) -> int:
         session_id = "" if visit.session_id is None else visit.session_id
         prefix = f"{cell(f'{visit.user_key[0]}|{visit.user_key[1]}')},{session_id}"
         stream.write("".join([
-            f"{prefix},{seq},{event.epoch()},{cell(event.resource)},{int(event.inferred)}\n"
+            f"{prefix},{seq},{int(event.timestamp.timestamp())},{cell(event.resource)},"
+            f"{int(event.inferred)}\n"
             for seq, event in enumerate(visit.events, start=1)
         ]))
         n += len(visit.events)
     return n
 
 
-def read_sessions_csv(stream) -> list[Visit]:
-    """Visits from a sessions CSV, ordered by (user_key, session_id); any
-    unreadable row raises :class:`csvio.RowError` naming its line."""
-    grouped: dict[tuple[str, int], Visit] = {}
-    # A visit's rows are written together, so a row whose first two cells
-    # repeat the row before's adds to that row's visit.
-    last_key = last_session = events = None
-    for line_no, (key_text, session_id, _, epoch, resource, inferred) in csvio.rows(
+def session_rows(sessions: Iterable[Visit]) -> Iterator[tuple[str, int, int, str, bool]]:
+    """The rows :func:`read_sessions_csv` reads back from what
+    :func:`write_sessions_csv` writes of ``sessions``, without the file."""
+    return (("|".join(v.user_key), v.session_id, int(e.timestamp.timestamp()), e.resource,
+             e.inferred) for v in sessions for e in v.events)
+
+
+def read_sessions_csv(stream) -> list[tuple[str, int, int, str, bool]]:
+    """The rows of a sessions CSV in file order, each ``(user_key,
+    session_id, epoch, resource, inferred)``; any unreadable row raises
+    :class:`csvio.RowError` naming its line."""
+    rows = []
+    for line_no, (user_key, session_id, _, time, resource, inferred) in csvio.rows(
         stream, _SESSION_CSV_HEADER
     ):
         try:
-            if key_text != last_key or session_id != last_session:
-                cluster = (key_text, int(session_id))
-                visit = grouped.get(cluster)
-                if visit is None:
-                    ip, _, agent = key_text.partition("|")
-                    visit = Visit(user_key=(ip, agent), events=[], session_id=cluster[1])
-                    grouped[cluster] = visit
-                last_key, last_session, events = key_text, session_id, visit.events
-            events.append(VisitEvent(
-                datetime.fromtimestamp(int(epoch), timezone.utc), resource, None,
-                bool(int(inferred)),
-            ))
-        except (ValueError, OverflowError) as exc:
+            session, epoch = int(session_id), int(time)
+            if not -62135596800 <= epoch <= 253402300799:  # 0001-01-01 to 9999-12-31 UTC
+                raise ValueError(f"time {epoch} is outside years 1-9999 in UTC")
+            rows.append((user_key, session, epoch, resource, csvio.flag(inferred, "inferred")))
+        except ValueError as exc:
             raise csvio.RowError(str(exc), line_no) from None
-    return [grouped[k] for k in sorted(grouped)]
+    return rows

@@ -25,12 +25,10 @@ from .baseline import (
     SESSIONIZE_MODES,
     preprocess_log,
     read_sessions_csv,
-    score_against_truth,
     write_sessions_csv,
-    UniverseMismatchError,
 )
 from .collector import DEFAULT_TIMEOUT, Collector, replay_stream
-from .compare import collector_report, load_roster
+from .compare import UniverseMismatchError, collector_report, load_roster, score_against_truth
 from .csvio import RowError, rows
 from .enrichment import GeoIpLoadError, load_geoip, sample_geoip_table
 from .events import ReplayFormatError, read_replay
@@ -264,17 +262,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     baseline_path = _require_file(args.baseline, "baseline sessions file")
     with _naming("baseline sessions file", baseline_path), \
             open(baseline_path, encoding="utf-8", newline="") as fh:
-        baseline_sessions = read_sessions_csv(fh)
+        baseline_rows = read_sessions_csv(fh)
     store = _open_read_only(store_path)
     try:
         collector_side = collector_report(store, truth)
     finally:
         store.close()
-    baseline_side = score_against_truth(baseline_sessions, truth)
+    baseline_side = score_against_truth(baseline_rows, truth)
     print("collector:")
-    print(collector_side.to_text(prefix="  "))
+    print(collector_side.to_text())
     print("baseline:")
-    print(baseline_side.to_text(prefix="  "))
+    print(baseline_side.to_text())
     gap = (
         collector_side.exact_session_match_rate
         - baseline_side.exact_session_match_rate

@@ -51,6 +51,14 @@ def row(values: Iterable[object]) -> str:
     ]) + "\n"
 
 
+def flag(text: str, name: str) -> bool:
+    """A 0/1 cell as a bool; a cell that is no integer keeps ``int``'s reason."""
+    if text != "0" and text != "1":
+        int(text)
+        raise ValueError(f"{name} must be 0 or 1, got {text!r}")
+    return text == "1"
+
+
 def check_width(cells: Sequence[str], width: int, line_no: int) -> None:
     if len(cells) != width:
         raise RowError(f"expected {width} columns, got {len(cells)}", line_no)

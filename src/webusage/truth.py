@@ -95,7 +95,7 @@ def read_truth(stream) -> GroundTruth:
             if kind == "event":
                 events.append(new_event((
                     int(event_seq), int(user_id), int(session_id), int(epoch),
-                    ip, resource, bool(int(cached)),
+                    ip, resource, csvio.flag(cached, "cached"),
                 )))
             elif kind == "session":
                 sessions.append(TruthSession(

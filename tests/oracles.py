@@ -29,7 +29,8 @@ from webusage.analytics import (
     bucket_label,
     pageviews_per_session,
 )
-from webusage.baseline import AccuracyReport, EclfEntry, LineParseError, UniverseMismatchError
+from webusage.baseline import EclfEntry, LineParseError
+from webusage.compare import AccuracyReport, UniverseMismatchError
 from webusage.enrichment import UNKNOWN, ip_to_int
 from webusage.events import RawRequestEvent, ReplayFormatError
 from webusage.simulator import (

@@ -13,11 +13,9 @@ from hypothesis import strategies as st
 
 from webusage.events import RawRequestEvent
 
-WIRE_TEXT = st.just("") | st.text(
-    alphabet=st.sampled_from('%+&=/ \n"\\~-_.:;,\'*!()@?aZ9\x00\x7féş日')
-    | st.characters(codec="utf-8"),
-    max_size=20,
-)
+_WIRE_CHARS = (st.sampled_from('%+&=/ \n"\\~-_.:;,\'*!()@?aZ9\x00\x7féş日')
+               | st.characters(codec="utf-8"))
+WIRE_TEXT = st.just("") | st.text(alphabet=_WIRE_CHARS, max_size=20)
 _WIRE_MAP = st.dictionaries(WIRE_TEXT, WIRE_TEXT, max_size=4)
 _SECONDS = st.datetimes(
     min_value=datetime(2000, 1, 1), max_value=datetime(2099, 12, 31)
@@ -29,7 +27,7 @@ wire_events = st.builds(
     timestamp=_SECONDS,
     method=st.sampled_from(["GET", "POST"]),
     url=WIRE_TEXT,
-    session_token=WIRE_TEXT.filter(bool),
+    session_token=st.text(alphabet=_WIRE_CHARS, min_size=1, max_size=20),
     user_agent=WIRE_TEXT,
     referrer=st.none() | WIRE_TEXT,
     auth_user=st.none() | WIRE_TEXT,

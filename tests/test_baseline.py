@@ -10,16 +10,13 @@ from hypothesis import strategies as st
 from webusage import csvio
 from webusage.baseline import (
     STATIC_EXTENSIONS,
-    AccuracyReport,
     EclfEntry,
     LineParseError,
-    UniverseMismatchError,
     Visit,
     VisitEvent,
     _LINE_RE,
     _PLAIN_LINE_RE,
     _format_timestamp,
-    _pairwise,
     _parse_timestamp,
     _quoted,
     _referrer_resource,
@@ -31,10 +28,12 @@ from webusage.baseline import (
     read_log,
     read_sessions_csv,
     render_log_line,
-    score_against_truth,
-    score_labelings,
+    session_rows,
     sessionize,
     write_sessions_csv,
+)
+from webusage.compare import (
+    AccuracyReport, UniverseMismatchError, _pairwise, score_against_truth, score_labelings,
 )
 from webusage.enrichment import parse_user_agent
 from webusage.simulator import WorkloadConfig, simulate_to_dir
@@ -708,7 +707,7 @@ class TestScoring:
     def test_report_text_shape(self):
         pred = ["a"]
         report = score_labelings(pred, pred, [1], [1])
-        text = report.to_text(prefix="  ")
+        text = report.to_text()
         assert "  exact_session_match_rate: 1.000000" in text
         assert "  user_precision: 1.000000" in text
 
@@ -727,9 +726,17 @@ class TestScoring:
             Visit((ip, "ua"), [at(100, "/a")], session_id=2),
             Visit((ip, "ua"), [at(100, "/a"), at(160, "/b")], session_id=10),
         ]
-        report = score_against_truth(sessions, truth)
+        report = score_against_truth(session_rows(sessions), truth)
         assert report.exact_session_match_rate == 1.0
         assert report.session_precision == report.session_recall == 1.0
+
+    def test_ip_is_the_user_key_up_to_its_first_bar(self):
+        """An agent holding '|' leaves the ip of the join whole."""
+        truth = GroundTruth(events=[TruthEvent(1, 1, 1, 100, "10.0.0.1", "/a")])
+        at = datetime.fromtimestamp(100, timezone.utc)
+        visits = [Visit(("10.0.0.1", "ua|x|y"), [VisitEvent(at, "/a")], session_id=1)]
+        report = score_against_truth(session_rows(visits), truth)
+        assert report.exact_session_match_rate == 1.0
 
     @pytest.mark.parametrize("lengths", [(2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2)])
     def test_sequences_of_different_lengths_raise(self, lengths):
@@ -830,11 +837,7 @@ class TestMatchesReference:
         assert n == oracles.write_sessions_csv_reference(visits, expected)
         assert written.getvalue() == expected.getvalue()
         written.seek(0)
-        restored = read_sessions_csv(written)
-        assert sum(len(v.events) for v in restored) == n
-        assert sorted(e.epoch() for v in restored for e in v.events) == sorted(
-            e.epoch() for v in visits for e in v.events
-        )
+        assert read_sessions_csv(written) == list(session_rows(visits))
 
 
 class TestCell:
@@ -875,8 +878,7 @@ class TestCell:
             '"10.0.0.1|Agent ""x""\r",1,1,1630540800,"/a\rb",0\n'
         )
         written.seek(0)
-        [restored] = read_sessions_csv(written)
-        assert (restored.user_key, restored.events[0].resource) == (visits[0].user_key, "/a\rb")
+        assert read_sessions_csv(written) == list(session_rows(visits))
 
 
 class TestLookupCaches:
@@ -972,10 +974,23 @@ class TestEndToEnd:
             write_sessions_csv(sessions, fh)
         with out.open(encoding="utf-8", newline="") as fh:
             restored = read_sessions_csv(fh)
-        assert [len(s.events) for s in restored] == [2, 2]
-        assert restored[0].user_key == visit.user_key
-        assert restored[0].events[0].resource == visit.events[0].resource
-        assert restored[0].events[0].timestamp == visit.events[0].timestamp
+        assert [row[1] for row in restored] == [1, 1, 2, 2]
+        assert restored[0][0] == "|".join(visit.user_key)
+        assert restored[0][3] == visit.events[0].resource
+        assert restored[0][2] == int(visit.events[0].timestamp.timestamp())
+
+    def test_sessions_csv_times_at_the_ends_of_the_calendar(self):
+        """The first second of year 1 and the last of year 9999 in UTC read
+        back as they are; a second past either is refused."""
+        lines = ["user_key,session_id,seq,time,resource,inferred",
+                 "a|b,1,1,-62135596800,/x,0", "a|b,1,2,253402300799,/y,1"]
+        assert read_sessions_csv(io.StringIO("\n".join(lines) + "\n")) == [
+            ("a|b", 1, -62135596800, "/x", False), ("a|b", 1, 253402300799, "/y", True),
+        ]
+        for epoch in (-62135596801, 253402300800):
+            with pytest.raises(csvio.RowError) as info:
+                read_sessions_csv(io.StringIO(f"{lines[0]}\na|b,1,1,{epoch},/x,0\n"))
+            assert str(info.value) == f"line 2: time {epoch} is outside years 1-9999 in UTC"
 
 
 class TestUniverseChecks:
@@ -991,7 +1006,7 @@ class TestUniverseChecks:
             events=truth.events[:-1],
         )
         with pytest.raises(UniverseMismatchError):
-            score_against_truth(result.sessions, wrong)
+            score_against_truth(session_rows(result.sessions), wrong)
 
     def test_least_unpaired_keys_are_named(self):
         """Whatever the order of the visits, the error names the least key
@@ -1002,10 +1017,10 @@ class TestUniverseChecks:
         at = lambda epoch: VisitEvent(datetime.fromtimestamp(epoch, timezone.utc), "/a")
         sessions = [Visit((ip, "a"), [at(100), at(350)], 1), Visit((ip, "b"), [at(250)], 1)]
         with pytest.raises(UniverseMismatchError) as excinfo:
-            score_against_truth(sessions, truth)
+            score_against_truth(session_rows(sessions), truth)
         assert str(excinfo.value) == f"predicted event not in truth: (250, '{ip}', '/a')"
         with pytest.raises(UniverseMismatchError) as excinfo:
-            score_against_truth([Visit((ip, "a"), [at(300)], 1)], truth)
+            score_against_truth(session_rows([Visit((ip, "a"), [at(300)], 1)]), truth)
         assert str(excinfo.value) == (
             f"truth events missing from prediction: "
             f"[(100, '{ip}', '/a'), (200, '{ip}', '/a'), (400, '{ip}', '/a')]"

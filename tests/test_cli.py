@@ -696,6 +696,10 @@ class TestUnreadableInputRows:
         ("a|b,1,1,0,/x,0,extra", "expected 6 columns, got 7"),
         ("a|b,x,1,0,/x,0", "invalid literal for int() with base 10: 'x'"),
         ("a|b,1,1,0,/x,yes", "invalid literal for int() with base 10: 'yes'"),
+        ("a|b,1,1,0,/x,2", "inferred must be 0 or 1, got '2'"),
+        ("a|b,1,1,0,/x,-3", "inferred must be 0 or 1, got '-3'"),
+        ("a|b,1,1,253402300800,/x,0", "time 253402300800 is outside years 1-9999 in UTC"),
+        ("a|b,1,1,-62135596801,/x,0", "time -62135596801 is outside years 1-9999 in UTC"),
         (f"a|b,1,1,0,{BIG},0", "field larger than field limit (131072)"),
     ])
     def test_bad_sessions_csv_row(self, workspace, tmp_path, capsys, row, reason):
@@ -711,6 +715,19 @@ class TestUnreadableInputRows:
         err = capsys.readouterr().err
         assert err.startswith(f"error: baseline sessions file {baseline} line 3: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("cached", ["2", "-1"])
+    def test_truth_cached_other_than_0_or_1(self, workspace, tmp_path, capsys, cached):
+        truth = tmp_path / "truth.csv"
+        header = workspace["truth"].read_text(encoding="utf-8").splitlines()[0]
+        truth.write_text(f"{header}\nevent,1,,,,,1,,,,1,{cached},100,10.0.0.1,/a\n",
+                         encoding="utf-8")
+        rc = main(["compare", "--store", str(workspace["store"]),
+                   "--baseline", str(workspace["sessions"]), "--truth", str(truth)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: truth file {truth} line 2: cached must be 0 or 1, got '{cached}'\n"
+        )
 
     @pytest.mark.parametrize("command", ["collect", "compare"])
     def test_truth_row_after_a_multi_line_cell_names_file_and_physical_line(

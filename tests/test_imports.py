@@ -23,6 +23,7 @@ def _loaded_after(module: str) -> set[str]:
 @pytest.mark.parametrize("module, loaded", [
     ("webusage.collector", {"collector", "storage", "enrichment", "events", "csvio"}),
     ("webusage.csvio", {"csvio"}),
+    ("webusage.compare", {"compare", "truth", "storage", "enrichment", "events", "csvio"}),
 ])
 def test_import_loads_only_its_dependencies(module, loaded):
     assert _loaded_after(module) == {"webusage"} | {f"webusage.{name}" for name in loaded}

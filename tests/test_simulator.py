@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from webusage.baseline import parse_log_line, preprocess_log, render_log_line, score_against_truth
+from webusage.baseline import parse_log_line, preprocess_log, render_log_line, session_rows
 from webusage.collector import Collector, replay_stream
-from webusage.compare import collector_report, load_roster
+from webusage.compare import collector_report, load_roster, score_against_truth
 from webusage.enrichment import sample_geoip_table
 from webusage.events import read_replay, write_replay
 from webusage.simulator import (
@@ -467,7 +467,7 @@ class TestPipelineAccuracy:
             paths["eclf"], mode="page_gap", page_gap=config.timeout,
             site_hosts=[SITE_HOST],
         )
-        baseline = score_against_truth(result.sessions, truth)
+        baseline = score_against_truth(session_rows(result.sessions), truth)
         assert baseline.exact_session_match_rate == 1.0
         assert baseline.user_precision == baseline.user_recall == 1.0
 
@@ -491,7 +491,7 @@ class TestPipelineAccuracy:
             paths["eclf"], mode="page_gap", page_gap=config.timeout,
             site_hosts=[SITE_HOST],
         )
-        baseline_side = score_against_truth(result.sessions, truth)
+        baseline_side = score_against_truth(session_rows(result.sessions), truth)
         assert collector_side.exact_session_match_rate == 1.0
         assert baseline_side.exact_session_match_rate < 1.0
         assert (baseline_side.exact_session_match_rate
