@@ -12,9 +12,7 @@ figures.  Every builder returns a :class:`Table`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Sequence
 
 from . import csvio
 from .enrichment import UNKNOWN, ip_to_int
@@ -42,23 +40,6 @@ _FROM_SEARCH = "s.referral_class = 'search_engine' AND s.search_engine IS NOT NU
 _TWO_PLACES = Decimal("0.01")
 _ONE_PLACE = Decimal("0.1")
 _WHOLE = Decimal("1")
-
-
-def dwell_time(page_times: Sequence[datetime]) -> float:
-    """Total viewing seconds for a session: sum of successive page gaps.
-
-    The last page has no successor and contributes zero, so the sum
-    telescopes to last minus first.
-    """
-    if not page_times:
-        raise ValueError("page_times must be non-empty")
-    total = 0.0
-    for earlier, later in zip(page_times, page_times[1:]):
-        gap = (later - earlier).total_seconds()
-        if gap < 0:
-            raise ValueError("page_times must be non-decreasing")
-        total += gap
-    return total
 
 
 def pageviews_per_session(total_pageviews: int, session_count: int) -> Decimal:

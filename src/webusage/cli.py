@@ -14,6 +14,7 @@ import os
 import sqlite3
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 from pathlib import Path
 
 from .analytics import (
@@ -296,7 +297,10 @@ def cmd_export(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    each ``parse_args`` fills a new namespace, so no call sees another's."""
     parser = argparse.ArgumentParser(
         prog="webusage",
         description="Request-time web usage collection, classical log "

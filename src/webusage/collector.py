@@ -8,6 +8,10 @@ gap strictly greater than the timeout retires the old session before a new
 one starts.  Session state lives only in the store, which serializes
 writes, so collectors in any number of threads or processes may share one
 store; a collector keeps nothing but its settings and a warning sample.
+A token's open session holds only its ``opn_id`` and last activity; the
+session's user and start are kept in its ``log_session`` row alone.  Every
+close, by timeout, logout or at the end of a replay, ends the session at
+its last activity.
 """
 
 from __future__ import annotations
@@ -83,9 +87,9 @@ class Collector:
         geoip: GeoIpTable | None = None,
         timeout: float = DEFAULT_TIMEOUT,
     ):
-        # At most a year; NaN fails too.  A time minus or plus the timeout
-        # (the sweep's cutoff, the final sweep's horizon) can still leave the
-        # calendar near either end, and both sweeps allow for that.
+        # At most a year; NaN fails too.  A time minus the timeout (a sweep's
+        # cutoff) can still fall before the calendar, and the sweep allows
+        # for that.
         if not 0 < timeout <= 31_536_000.0:
             raise ValueError(f"timeout must be in (0, 31536000] seconds, got {timeout}")
         self.store = store
@@ -166,8 +170,7 @@ class Collector:
             self.warnings.append(message)
 
     def _close(self, open_session: OpenSession, reason: str) -> None:
-        ended_at = max(open_session.last_activity, open_session.started_at)
-        self.store.close_session(open_session.opn_id, ended_at, reason)
+        self.store.close_session(open_session.opn_id, open_session.last_activity, reason)
         self.store.delete_open_session(open_session.session_token)
 
     def _start_session(self, event: RawRequestEvent) -> LiveSession:
@@ -216,9 +219,8 @@ class Collector:
         open_session = LiveSession(
             session_token=event.session_token,
             opn_id=self.store.insert_session(record),
-            user_id=user_id,
-            started_at=event.timestamp,
             last_activity=event.timestamp,
+            user_id=user_id,
             username=username,
         )
         self.store.put_open_session(open_session)
@@ -255,13 +257,15 @@ class Collector:
 def replay_stream(
     collector: Collector,
     events: Iterable[RawRequestEvent],
-    final_sweep: bool = True,
     on_error=None,
 ) -> tuple[int, int]:
     """Feed events through a collector in one batch transaction.
 
     Returns (pages recorded, collection errors).  Errors never abort the
-    replay; they are counted and optionally passed to ``on_error``.
+    replay; they are counted and optionally passed to ``on_error``.  The
+    replay ends by closing, as ``timeout`` at its last activity, every open
+    session last active at or before the last event's time, so a replay in
+    time order leaves no session open.
     """
     pages = 0
     errors = 0
@@ -276,15 +280,7 @@ def replay_stream(
                 errors += 1
                 if on_error is not None:
                     on_error(exc)
-        if final_sweep and last_time is not None:
-            # One second past the last event's timeout, every open session is
-            # idle past its own.  Near the end of year 9999 that time does not
-            # exist; every open session is then retired as that sweep would.
-            try:
-                horizon = last_time + timedelta(seconds=collector.timeout + 1)
-            except OverflowError:
-                for open_session in collector.store.open_sessions_idle_since(datetime.max):
-                    collector._close(open_session, "timeout")
-            else:
-                collector.sweep_expired(horizon)
+        if last_time is not None:
+            for open_session in collector.store.open_sessions_idle_since(last_time):
+                collector._close(open_session, "timeout")
     return pages, errors

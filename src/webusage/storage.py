@@ -231,18 +231,20 @@ class PageRecord:
 
 @dataclass
 class OpenSession:
+    """A token's live state; every other fact of the session is its
+    ``log_session`` row's."""
+
     session_token: str
     opn_id: int
-    user_id: int | None
-    started_at: datetime
     last_activity: datetime
 
 
 @dataclass
 class LiveSession(OpenSession):
-    """An open session with the username of its ``log_session`` row."""
+    """An open session with the user of its ``log_session`` row."""
 
-    username: str | None = None
+    user_id: int | None
+    username: str | None
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +292,6 @@ CREATE TABLE IF NOT EXISTS log_session (
 CREATE TABLE IF NOT EXISTS open_sessions (
     session_token TEXT PRIMARY KEY,
     opn_id        INTEGER NOT NULL UNIQUE REFERENCES log_session(opn_id),
-    user_id       INTEGER,
-    started_at    TEXT NOT NULL,
     last_activity TEXT NOT NULL
 );
 CREATE TABLE IF NOT EXISTS log_page (
@@ -329,7 +329,7 @@ TABLE_COLUMNS = {
         "language", "referrer_url", "referral_class", "search_engine",
         "search_keywords", "started_at", "ended_at", "end_reason",
     ),
-    "open_sessions": ("session_token", "opn_id", "user_id", "started_at", "last_activity"),
+    "open_sessions": ("session_token", "opn_id", "last_activity"),
     "log_page": (
         "log_details_id", "log_opn_id", "log_uid", "log_username", "log_datetime",
         "log_date", "log_server", "log_app_service", "log_module", "log_url",
@@ -413,9 +413,9 @@ def _aliased(alias: str, table: str) -> str:
     return ", ".join(f"{alias}.{c}" for c in TABLE_COLUMNS[table])
 
 
-# The open session of one token, then its session's username.
+# The open session of one token, then its session's user.
 _OPEN_SESSION_SQL = (
-    f"SELECT {_aliased('o', 'open_sessions')}, s.username FROM open_sessions o"
+    f"SELECT {_aliased('o', 'open_sessions')}, s.user_id, s.username FROM open_sessions o"
     " JOIN log_session s ON s.opn_id = o.opn_id WHERE o.session_token = ?"
 )
 
@@ -614,21 +614,16 @@ class LogStore:
     # -- open sessions -----------------------------------------------------
 
     def get_open_session(self, token: str) -> LiveSession | None:
-        """The open session for a token, with its session's username."""
+        """The open session for a token, with its session's user."""
         rows = self._query(_OPEN_SESSION_SQL, (token,))
         if not rows:
             return None
-        # open_sessions in TABLE_COLUMNS order, then the username (a test
-        # holds the two orders together)
-        session_token, opn_id, user_id, started_at, last_activity, username = rows[0]
-        return LiveSession(
-            session_token, opn_id, user_id, text_to_dt(started_at), text_to_dt(last_activity),
-            username,
-        )
+        # open_sessions in TABLE_COLUMNS order, then the user (a test holds
+        # the two orders together)
+        session_token, opn_id, last_activity, user_id, username = rows[0]
+        return LiveSession(session_token, opn_id, text_to_dt(last_activity), user_id, username)
 
     def put_open_session(self, open_session: OpenSession) -> None:
-        if open_session.last_activity < open_session.started_at:
-            raise ConstraintError("last_activity before started_at")
         self._insert("open_sessions", _CODECS["open_sessions"].encode(open_session))
 
     def touch_open_session(self, token: str, last_activity: datetime) -> None:
@@ -748,8 +743,10 @@ class LogStore:
         (a bad enum, a timestamp such as ``2021-9-2 10:00:00``), or holds in
         another form than the store writes (a map with unsorted keys),
         fails the whole load with a :class:`StorageError` naming the table
-        and the row's key.  A wrong header, a row of the wrong width, or one
-        ``csv`` cannot read fails it naming the table and the line.
+        and the row's key.  So does an ``open_sessions`` row whose session
+        has ended or started after its ``last_activity``.  A wrong header, a
+        row of the wrong width, or one ``csv`` cannot read fails it naming
+        the table and the line.
         """
         cols = TABLE_COLUMNS.get(table)
         if cols is None:
@@ -780,6 +777,16 @@ class LogStore:
                                                   " the store writes")
                     if hasattr(rec, "validate"):
                         rec.validate()
+                    if table == "open_sessions":
+                        # Only a session the collector could still continue.
+                        started_at, ended_at = self._query(
+                            "SELECT started_at, ended_at FROM log_session WHERE opn_id = ?",
+                            (rec.opn_id,),
+                        )[0]
+                        if ended_at is not None:
+                            raise ConstraintError(f"its session ended at {ended_at}")
+                        if rec.last_activity < text_to_dt(started_at):
+                            raise ConstraintError("last_activity before its session's started_at")
                 except (StorageError, ValueError, TypeError) as exc:
                     raise StorageError(f"{table} row {key}={row[at]}: {exc}") from None
         return len(rows)

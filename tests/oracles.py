@@ -18,7 +18,7 @@ import urllib.parse
 from datetime import datetime, timedelta, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from webusage.analytics import (
     BUCKET_LABELS,
@@ -82,6 +82,23 @@ def oracle_pps(pageviews: int, sessions: int) -> str:
         return "0.00"
     value = Decimal(pageviews) / Decimal(sessions)
     return str(value.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+
+
+def dwell_time(page_times: Sequence[datetime]) -> float:
+    """Total viewing seconds for a session: sum of successive page gaps.
+
+    The last page has no successor and contributes zero, so the sum
+    telescopes to last minus first.
+    """
+    if not page_times:
+        raise ValueError("page_times must be non-empty")
+    total = 0.0
+    for earlier, later in zip(page_times, page_times[1:]):
+        gap = (later - earlier).total_seconds()
+        if gap < 0:
+            raise ValueError("page_times must be non-decreasing")
+        total += gap
+    return total
 
 
 def oracle_dwell(times) -> float:

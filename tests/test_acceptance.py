@@ -10,7 +10,7 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from webusage.analytics import DISTRIBUTION_KINDS, Analytics, dwell_time, pageviews_per_session
+from webusage.analytics import DISTRIBUTION_KINDS, Analytics, pageviews_per_session
 from webusage.baseline import (
     Visit,
     VisitEvent,
@@ -28,6 +28,7 @@ from webusage.storage import LogStore
 from webusage.truth import load_truth
 
 import oracles
+from oracles import dwell_time
 
 SAMPLE_LINE = (
     '193.140.253.80 - - [15/Aug/2021:17:30:51 +0300] "GET /index.php HTTP/1.1"'

@@ -10,7 +10,6 @@ from webusage.analytics import (
     DISTRIBUTION_KINDS,
     Analytics,
     bucket_label,
-    dwell_time,
     pageviews_per_session,
     report_to_csv,
     report_to_plot,
@@ -20,6 +19,7 @@ from webusage.cli import REPORTS
 from webusage.storage import USER_TYPES, LogStore, PageRecord, SessionRecord
 
 import oracles
+from oracles import dwell_time
 
 T0 = datetime(2021, 9, 2, 10, 0, 0)
 

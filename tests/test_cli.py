@@ -15,10 +15,12 @@ from pathlib import Path
 
 import pytest
 
+from webusage import cli
 from webusage.analytics import report_to_csv, report_to_plot, search_report_to_csv
 from webusage.cli import REPORT_KINDS, REPORTS, main
 from webusage.collector import Collector
 from webusage.events import AppPageResult, parse_replay_line
+from webusage.simulator import SITE_HOST
 from webusage.storage import (
     TABLE_COLUMNS, USER_TYPES, LogStore, PageRecord, SessionRecord, UserInfo,
 )
@@ -246,8 +248,8 @@ class TestCollect:
         ]
 
     def test_last_event_at_the_end_of_the_calendar_is_swept(self, tmp_path, capsys):
-        # The final sweep's time, one second past the last event's timeout,
-        # is past 9999-12-31 23:59:59; the session is closed all the same.
+        # The last event's time plus the timeout is past 9999-12-31
+        # 23:59:59; the session is closed all the same.
         replay = tmp_path / "late.replay"
         replay.write_text(
             "ip=10.0.0.1 time=9999-12-31T23:59:00 method=GET url=/a token=t1\n",
@@ -263,7 +265,7 @@ class TestCollect:
             rows = [(r["ended_at"], r["end_reason"]) for r in csv.DictReader(fh)]
         assert rows == [("9999-12-31 23:59:00", "timeout")]
         assert (tmp_path / "x" / "open_sessions.csv").read_text(encoding="utf-8") == (
-            "session_token,opn_id,user_id,started_at,last_activity\n"
+            "session_token,opn_id,last_activity\n"
         )
 
     def test_failed_replay_keeps_previous_store(self, workspace, tmp_path, capsys):
@@ -1147,6 +1149,32 @@ class TestParserContract:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+    def test_a_second_call_gets_the_defaults_the_first_call_set(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # main builds its parser once per process; no call may see the
+        # values an earlier call gave.
+        seen = []
+
+        def stop(value):
+            seen.append(value)
+            raise cli.UsageError("stopped")
+
+        monkeypatch.setattr(cli, "preprocess_log", lambda log, **kw: stop(kw["site_hosts"]))
+        monkeypatch.setitem(cli.REPORTS, "top-ips", lambda analytics, n: stop(n))
+        log = tmp_path / "access.log"
+        log.write_text("", encoding="utf-8")
+        store = tmp_path / "s.db"
+        LogStore(store).close()
+        preprocess = ["preprocess", str(log), "--out", str(tmp_path / "sessions.csv")]
+        report = ["report", "--store", str(store), "--kind", "top-ips"]
+        assert main([*preprocess, "--site-host", "a.example", "--site-host", "b.example"]) == 2
+        assert main(preprocess) == 2
+        assert main([*report, "--n", "3"]) == 2
+        assert main(report) == 2
+        assert seen == [["a.example", "b.example"], [SITE_HOST], 3, None]
+        assert capsys.readouterr().err == "error: stopped\n" * 4
 
 
 class TestSubprocess:

@@ -1,3 +1,4 @@
+import io
 import random
 import sqlite3
 import sys
@@ -18,7 +19,7 @@ from webusage.compare import collector_report
 from webusage.enrichment import default_search_registry
 from webusage.events import AppPageResult, RawRequestEvent
 from webusage.simulator import _EXTERNAL_REFERRERS, _SEARCH_REFERRERS
-from webusage.storage import TABLE_COLUMNS, LogStore, NotFoundError, UserInfo
+from webusage.storage import TABLE_COLUMNS, LogStore, NotFoundError, StorageError, UserInfo
 
 import oracles
 
@@ -216,9 +217,7 @@ class TestUnstorableText:
         collector = Collector(mem_store, site_hosts=HOSTS)
         events = [_event("tokA", 0), _event("t\ud800", 10), _event("tokA", 20, url="/next.php")]
         errors = []
-        pages, n_errors = replay_stream(
-            collector, events, final_sweep=False, on_error=errors.append
-        )
+        pages, n_errors = replay_stream(collector, events, on_error=errors.append)
         assert (pages, n_errors) == (2, 1)
         assert [e.event for e in errors] == [events[1]]
         assert mem_store._query("SELECT log_url FROM log_page ORDER BY log_details_id") == [
@@ -413,6 +412,30 @@ class TestSessionsContract:
         page = oracles.get_page(mem_store, page_id)
         assert (page.log_uid, page.log_username) == (None, None)
 
+    def test_request_on_an_imported_open_session_records_its_session_user(self, mem_store):
+        source = LogStore(":memory:")
+        source.upsert_user(UserInfo(7, "alice", "student", "female"))
+        Collector(source, site_hosts=HOSTS).handle_request_begin(_event(auth_user="alice"))
+        exported = {}
+        for table in ("user_info", "log_session", "open_sessions"):
+            exported[table] = io.StringIO()
+            source.export_table(table, exported[table])
+        source.close()
+        for table in ("user_info", "log_session"):
+            mem_store.import_table(table, io.StringIO(exported[table].getvalue()))
+        # An open session cannot carry a user of its own, such as account 9.
+        stale = ("session_token,opn_id,user_id,started_at,last_activity\n"
+                 "tokA,1,9,2021-09-02 10:00:00,2021-09-02 10:00:00\n")
+        with pytest.raises(StorageError, match="open_sessions line 1: expected header"):
+            mem_store.import_table("open_sessions", io.StringIO(stale))
+        mem_store.import_table("open_sessions", io.StringIO(exported["open_sessions"].getvalue()))
+        opn, page_id = Collector(mem_store, site_hosts=HOSTS).handle_request_begin(
+            _event(seconds=300))
+        assert opn == 1
+        page = oracles.get_page(mem_store, page_id)
+        assert (page.log_uid, page.log_username) == (7, "alice")
+        assert page.log_session_serialize == {"ses_id": "1", "ses_uid": "7"}
+
 
 class TestClassifyReferrer:
     def test_absent_is_direct(self):
@@ -509,11 +532,6 @@ class TestReplay:
             ("9999-12-31 23:59:00", "timeout"),
         ]
 
-    def test_no_final_sweep_leaves_open(self, mem_store):
-        collector = Collector(mem_store, site_hosts=HOSTS)
-        replay_stream(collector, self._events(), final_sweep=False)
-        assert len(list(oracles.iter_open_sessions(mem_store))) == 2
-
     def test_failed_event_leaves_no_trace_in_batch(self, mem_store):
         collector = Collector(mem_store, site_hosts=HOSTS)
         events = [
@@ -523,9 +541,15 @@ class TestReplay:
             _event("tokC", 30),
         ]
         errors = []
-        pages, n_errors = replay_stream(
-            collector, events, final_sweep=False, on_error=errors.append
-        )
+        # One transaction, each request a savepoint in it, as in a replay;
+        # without the replay's final close, the open sessions stay to be seen.
+        with mem_store.transaction():
+            for event in events:
+                try:
+                    collector.handle_request_begin(event)
+                except CollectionError as exc:
+                    errors.append(exc)
+        pages, n_errors = len(events) - len(errors), len(errors)
         assert (pages, n_errors) == (2, 2)
         assert all(isinstance(e, CollectionError) for e in errors)
         pageless = mem_store._query(

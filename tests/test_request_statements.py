@@ -10,7 +10,7 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from webusage.collector import Collector, replay_stream
+from webusage.collector import CollectionError, Collector, replay_stream
 from webusage.events import AppPageResult, RawRequestEvent
 from webusage.storage import LogStore, UserInfo
 
@@ -19,8 +19,8 @@ IP = "193.140.253.80"
 URL = "http://www.server.com/a.php"
 
 OPEN = (
-    "SELECT o.session_token, o.opn_id, o.user_id, o.started_at, o.last_activity,"
-    " s.username FROM open_sessions o JOIN log_session s ON s.opn_id = o.opn_id"
+    "SELECT o.session_token, o.opn_id, o.last_activity, s.user_id, s.username"
+    " FROM open_sessions o JOIN log_session s ON s.opn_id = o.opn_id"
     " WHERE o.session_token = ?"
 )
 USER = "SELECT user_id, username, user_type, gender FROM user_info WHERE username = ?"
@@ -30,10 +30,7 @@ INSERT_SESSION = (
     " language, referrer_url, referral_class, search_engine, search_keywords,"
     " started_at, ended_at, end_reason) VALUES (" + ", ".join("?" * 20) + ")"
 )
-INSERT_OPEN = (
-    "INSERT INTO open_sessions (session_token, opn_id, user_id, started_at,"
-    " last_activity) VALUES (?, ?, ?, ?, ?)"
-)
+INSERT_OPEN = "INSERT INTO open_sessions (session_token, opn_id, last_activity) VALUES (?, ?, ?)"
 INSERT_PAGE = (
     "INSERT INTO log_page (log_details_id, log_opn_id, log_uid, log_username,"
     " log_datetime, log_date, log_server, log_app_service, log_module, log_url,"
@@ -50,7 +47,7 @@ STARTED = "SELECT started_at FROM log_session WHERE opn_id = ?"
 CLOSE = "UPDATE log_session SET ended_at = ?, end_reason = ? WHERE opn_id = ?"
 DELETE_OPEN = "DELETE FROM open_sessions WHERE session_token = ?"
 IDLE = (
-    "SELECT session_token, opn_id, user_id, started_at, last_activity FROM open_sessions"
+    "SELECT session_token, opn_id, last_activity FROM open_sessions"
     " WHERE last_activity <= ? ORDER BY opn_id"
 )
 RESULT = (
@@ -137,7 +134,7 @@ def _start(token, opn_id, page_id, when, cookies="{}"):
     return [
         _sql(OPEN, token),
         _insert_session(opn_id, when),
-        _sql(INSERT_OPEN, token, opn_id, None, _text(when), _text(when)),
+        _sql(INSERT_OPEN, token, opn_id, _text(when)),
         _insert_page(page_id, opn_id, when, cookies=cookies),
     ]
 
@@ -168,7 +165,7 @@ class TestSingleRequest:
             _sql(OPEN, "tokA"),
             _sql(USER, "alice"),
             _insert_session(1, T0, user=(7, "alice", "student", "female")),
-            _sql(INSERT_OPEN, "tokA", 1, 7, _text(T0), _text(T0)),
+            _sql(INSERT_OPEN, "tokA", 1, _text(T0)),
             _insert_page(1, 1, T0, user_id=7, username="alice"),
             "COMMIT",
         ]
@@ -228,7 +225,6 @@ class TestReplay:
         ]
         replay_stream(traced.collector, events)
         t = [T0 + timedelta(seconds=s) for s in (0, 10, 20, 700)]
-        horizon = t[3] + timedelta(seconds=601)
         assert traced.take() == [
             "BEGIN IMMEDIATE",
             "SAVEPOINT nested", *_start("tokA", 1, 1, t[0]), "RELEASE nested",
@@ -236,7 +232,7 @@ class TestReplay:
             _sql(OPEN, "tokB"),
             _sql(USER, "alice"),
             _insert_session(2, t[1], user=(7, "alice", "student", "female")),
-            _sql(INSERT_OPEN, "tokB", 2, 7, _text(t[1]), _text(t[1])),
+            _sql(INSERT_OPEN, "tokB", 2, _text(t[1])),
             _insert_page(2, 2, t[1], user_id=7, username="alice"),
             "RELEASE nested",
             "SAVEPOINT nested",
@@ -249,19 +245,21 @@ class TestReplay:
             *_timeout_close("tokA", 1, t[2]),
             *_start("tokA", 3, 4, t[3])[1:],
             "RELEASE nested",
-            # the final sweep, one second past the last event's timeout
-            "SAVEPOINT nested",
-            _sql(IDLE, _text(horizon - timedelta(seconds=600))),
+            # the final close: every session idle at the last event's time
+            _sql(IDLE, _text(t[3])),
             *_timeout_close("tokB", 2, t[1]),
             *_timeout_close("tokA", 3, t[3]),
-            "RELEASE nested",
             "COMMIT",
         ]
 
     def test_failed_request_rolls_back_its_savepoint(self, traced):
         bad = _event("tokB", 10)
         bad.get_params["x"] = 1  # the store rejects the page before it runs
-        replay_stream(traced.collector, [_event("tokA", 0), bad], final_sweep=False)
+        # The requests of a replay, without its final close.
+        with traced.store.transaction():
+            traced.collector.handle_request_begin(_event("tokA", 0))
+            with pytest.raises(CollectionError):
+                traced.collector.handle_request_begin(bad)
         assert traced.take() == [
             "BEGIN IMMEDIATE",
             "SAVEPOINT nested", *_start("tokA", 1, 1, T0), "RELEASE nested",

@@ -453,8 +453,8 @@ class TestUsersAndOpenSessions:
 
     def test_open_session_lifecycle(self, mem_store):
         opn = mem_store.insert_session(_session())
-        mem_store.put_open_session(OpenSession("tokA", opn, None, T0, T0))
-        assert mem_store.get_open_session("tokA") == LiveSession("tokA", opn, None, T0, T0)
+        mem_store.put_open_session(OpenSession("tokA", opn, T0))
+        assert mem_store.get_open_session("tokA") == LiveSession("tokA", opn, T0, None, None)
         later = T0.replace(hour=11)
         mem_store.touch_open_session("tokA", later)
         assert mem_store.get_open_session("tokA").last_activity == later
@@ -465,11 +465,11 @@ class TestUsersAndOpenSessions:
         mem_store.upsert_user(UserInfo(7, "u0007", "academic_staff", "female"))
         opn = mem_store.insert_session(_session(
             user_id=7, username="u0007", user_type="academic_staff", gender="female"))
-        mem_store.put_open_session(OpenSession("tokA", opn, 7, T0, T0))
+        mem_store.put_open_session(OpenSession("tokA", opn, T0))
         guest = mem_store.insert_session(_session())
-        mem_store.put_open_session(OpenSession("tokB", guest, None, T0, T0))
-        assert mem_store.get_open_session("tokA") == LiveSession("tokA", opn, 7, T0, T0, "u0007")
-        assert mem_store.get_open_session("tokB").username is None
+        mem_store.put_open_session(OpenSession("tokB", guest, T0))
+        assert mem_store.get_open_session("tokA") == LiveSession("tokA", opn, T0, 7, "u0007")
+        assert mem_store.get_open_session("tokB") == LiveSession("tokB", guest, T0, None, None)
 
     def test_open_session_read_follows_table_columns(self, mem_store):
         # get_open_session unpacks its row by position; every column holds a
@@ -480,20 +480,20 @@ class TestUsersAndOpenSessions:
         opn = mem_store.insert_session(_session(
             user_id=7, username="u0007", user_type="academic_staff", gender="female"))
         later = T0 + timedelta(minutes=5)
-        mem_store.put_open_session(OpenSession("tokA", opn, 7, T0, later))
+        mem_store.put_open_session(OpenSession("tokA", opn, later))
         cols = TABLE_COLUMNS["open_sessions"]
         stored = mem_store._query(f"SELECT {', '.join(cols)} FROM open_sessions")[0]
         assert len(set(stored)) == len(cols)
         live = mem_store.get_open_session("tokA")
         read = [getattr(live, col) for col in cols]
         assert [dt_to_text(v) if isinstance(v, datetime) else v for v in read] == list(stored)
-        assert live.username == "u0007"
+        assert (live.user_id, live.username) == (7, "u0007")
 
     def test_open_sessions_idle_since_reads_whole_seconds(self, mem_store):
         for i, seconds in enumerate((30, 0, 10, 11)):
             opn = mem_store.insert_session(_session())
             at = T0 + timedelta(seconds=seconds)
-            mem_store.put_open_session(OpenSession(f"tok{i}", opn, None, at, at))
+            mem_store.put_open_session(OpenSession(f"tok{i}", opn, at))
         cutoff = T0 + timedelta(seconds=10, microseconds=900_000)
         got = mem_store.open_sessions_idle_since(cutoff)
         assert [o.session_token for o in got] == ["tok1", "tok2"]
@@ -501,7 +501,7 @@ class TestUsersAndOpenSessions:
     def test_iter_open_sessions(self, mem_store):
         for i in range(3):
             opn = mem_store.insert_session(_session())
-            mem_store.put_open_session(OpenSession(f"tok{i}", opn, None, T0, T0))
+            mem_store.put_open_session(OpenSession(f"tok{i}", opn, T0))
         assert len(list(iter_open_sessions(mem_store))) == 3
 
 
@@ -672,7 +672,7 @@ class TestSchema:
     def test_columns_and_nullability_match_schema_and_doc(self, mem_store):
         assert tuple(TABLE_COLUMNS) == self.TABLES
         documented = self._documented_nullable()
-        assert all(documented[t] for t in ("log_session", "open_sessions", "log_page"))
+        assert all(documented[t] for t in ("log_session", "log_page"))
         for table in self.TABLES:
             info = mem_store._query(f"PRAGMA table_info({table})")
             assert tuple(row[1] for row in info) == TABLE_COLUMNS[table]
@@ -833,6 +833,25 @@ class TestExportImport:
         )
         with pytest.raises(ForeignKeyError):
             mem_store.import_table("log_page", io.StringIO(csv_text))
+
+    @pytest.mark.parametrize("session, last_activity, reason", [
+        ({"ended_at": T0 + timedelta(minutes=1), "end_reason": "logout"},
+         T0 + timedelta(minutes=1), "its session ended at 2021-09-02 10:13:18"),
+        ({}, T0 - timedelta(seconds=1), "last_activity before its session's started_at"),
+    ], ids=["session-ended", "active-before-start"])
+    def test_import_rejects_an_open_session_the_collector_could_not_have_written(
+        self, mem_store, session, last_activity, reason
+    ):
+        bad = mem_store.insert_session(_session(**session))
+        good = mem_store.insert_session(_session())
+        text = (f"session_token,opn_id,last_activity\ntokB,{good},{dt_to_text(T0)}\n"
+                f"tokA,{bad},{dt_to_text(last_activity)}\n")
+        sessions = mem_store._query("SELECT * FROM log_session")
+        with pytest.raises(StorageError) as info:
+            mem_store.import_table("open_sessions", io.StringIO(text))
+        assert str(info.value) == f"open_sessions row opn_id={bad}: {reason}"
+        assert mem_store._query("SELECT COUNT(*) FROM open_sessions") == [(0,)]
+        assert mem_store._query("SELECT * FROM log_session") == sessions
 
 
 def _row_sizes(store) -> dict[str, float]:

@@ -21,7 +21,6 @@ EXEMPT = {
     "import_table": "FORMATS.md documents it",
     "end_session": "FORMATS.md documents it",
     "render_log_line": "FORMATS.md documents it",
-    "dwell_time": "acceptance criterion 10 pins it",
 }
 
 
