@@ -27,6 +27,7 @@ from .events import AppPageResult, RawRequestEvent
 from .storage import (
     LiveSession,
     LogStore,
+    NotFoundError,
     OpenSession,
     PageRecord,
     SessionRecord,
@@ -35,10 +36,17 @@ from .storage import (
 
 DEFAULT_TIMEOUT = 1800.0
 
+# What a request-API call turns into CollectionError.  SQLite stores text as
+# UTF-8, which cannot hold a lone surrogate; a store another connection holds
+# locked is an OperationalError.
+_STORE_FAILURES = (StorageError, UnicodeEncodeError, sqlite3.OperationalError)
+
 
 class CollectionError(Exception):
-    """A request could not be recorded.  Serving must not be blocked: the
-    caller decides whether to drop or retry the event carried here."""
+    """A request-API call could not be recorded: the store refused it, could
+    not encode its text, or was locked.  Serving must not be blocked: the
+    caller decides whether to drop or retry.  ``event`` is the request for
+    ``handle_request_begin`` and None for the other calls."""
 
     def __init__(self, message: str, event: RawRequestEvent | None = None):
         super().__init__(message)
@@ -125,24 +133,31 @@ class Collector:
                     self.store.touch_open_session(event.session_token, event.timestamp)
                 page_id = self._record_page(event, open_session)
                 return open_session.opn_id, page_id
-        except (StorageError, UnicodeEncodeError, sqlite3.OperationalError) as exc:
-            # SQLite stores text as UTF-8, which cannot hold a lone surrogate;
-            # a store another connection holds locked is an OperationalError.
+        except _STORE_FAILURES as exc:
             raise CollectionError(str(exc), event) from exc
 
     def handle_request_end(self, page_log_id: int, result: AppPageResult) -> None:
-        """Attach end-of-request application data to a page row, in place."""
-        self.store.update_page_result(page_log_id, result)
+        """Attach end-of-request application data to a page row, in place.
+        An unknown ``page_log_id`` raises NotFoundError."""
+        try:
+            self.store.update_page_result(page_log_id, result)
+        except NotFoundError:
+            raise
+        except _STORE_FAILURES as exc:
+            raise CollectionError(str(exc)) from exc
 
     def end_session(self, session_token: str) -> bool:
         """Close the open session for a token as a logout; False when none
         is open."""
-        with self.store.transaction():
-            open_session = self.store.get_open_session(session_token)
-            if open_session is None:
-                return False
-            self._close(open_session, "logout")
-            return True
+        try:
+            with self.store.transaction():
+                open_session = self.store.get_open_session(session_token)
+                if open_session is None:
+                    return False
+                self._close(open_session, "logout")
+                return True
+        except _STORE_FAILURES as exc:
+            raise CollectionError(str(exc)) from exc
 
     def sweep_expired(self, now: datetime) -> int:
         """Retire every open session idle strictly longer than the timeout."""
@@ -151,13 +166,16 @@ class Collector:
             cutoff = now - timedelta(seconds=self.timeout)
         except OverflowError:
             return 0  # before datetime.min plus the timeout nothing is idle that long
-        with self.store.transaction():
-            # The store compares whole seconds, so it returns every expired
-            # session and perhaps some at the boundary; the gap test decides.
-            for open_session in self.store.open_sessions_idle_since(cutoff):
-                if (now - open_session.last_activity).total_seconds() > self.timeout:
-                    self._close(open_session, "timeout")
-                    ended += 1
+        try:
+            with self.store.transaction():
+                # The store compares whole seconds, so it returns every expired
+                # session and perhaps some at the boundary; the gap test decides.
+                for open_session in self.store.open_sessions_idle_since(cutoff):
+                    if (now - open_session.last_activity).total_seconds() > self.timeout:
+                        self._close(open_session, "timeout")
+                        ended += 1
+        except _STORE_FAILURES as exc:
+            raise CollectionError(str(exc)) from exc
         return ended
 
     # -- internals -----------------------------------------------------------

@@ -17,6 +17,7 @@ call.
 from __future__ import annotations
 
 import re
+import sys
 import urllib.parse
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -40,9 +41,20 @@ class ReplayFormatError(RowError):
     """A replay line could not be decoded."""
 
 
+def is_load_time(value: object) -> bool:
+    """True for a page load time the store can hold as a decimal: an int or
+    a float, not a bool, finite and at least 0."""
+    return type(value) in (int, float) and 0 <= value <= sys.float_info.max
+
+
 @dataclass
 class AppPageResult:
-    """End-of-request application data for one served page."""
+    """End-of-request application data for one served page.
+
+    The three titles are text, ``error_text`` text or None, and
+    ``page_load_time`` a finite number of seconds, at least 0, kept as a
+    float; anything else raises ValueError.
+    """
 
     page_title: str = ""
     web_message: str = ""
@@ -51,8 +63,17 @@ class AppPageResult:
     error_text: str | None = None
 
     def __post_init__(self) -> None:
-        if self.page_load_time < 0:
-            raise ValueError("page_load_time must be >= 0")
+        for name in ("page_title", "web_message", "subtitle"):
+            value = getattr(self, name)
+            if type(value) is not str:
+                raise ValueError(f"{name} must be a str, got {value!r}")
+        if self.error_text is not None and type(self.error_text) is not str:
+            raise ValueError(f"error_text must be a str or None, got {self.error_text!r}")
+        if not is_load_time(self.page_load_time):
+            raise ValueError(
+                f"page_load_time must be a finite number >= 0, got {self.page_load_time!r}"
+            )
+        self.page_load_time = float(self.page_load_time)
 
 
 @dataclass

@@ -31,6 +31,7 @@ import random
 import urllib.parse
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -273,6 +274,8 @@ class _SimEvent:
     referrer: str | None
     token: str
     cached: bool
+    person: _Person
+    run: list[int]  # true session: [start epoch, user id, pages, end epoch, session id]
 
 
 class _IpAllocator:
@@ -356,30 +359,33 @@ def _make_people(config: WorkloadConfig, rng: random.Random,
 def generate(config: WorkloadConfig) -> tuple[list[RawRequestEvent], GroundTruth]:
     """Produce the replay event list and its ground truth.
 
-    Events come out globally time-ordered; event_seq N in the truth is the
-    N-th replay line.  Deterministic for a given config.
+    Events come out in (epoch, user id) order; event_seq N in the truth is
+    the N-th replay line.  Deterministic for a given config.
     """
     config.validate()
     rng = random.Random(config.seed)
     alloc = _IpAllocator()
     people = _make_people(config, rng, alloc)
 
-    intra_cap = max(1, min(300, int(config.timeout // 2)))
+    timeout = config.timeout
+    intra_cap = max(1, min(300, int(timeout // 2)))
     token_seq = len(people)
-    per_user_events: dict[int, list[_SimEvent]] = {}
+    drawn: list[_SimEvent] = []
+    # A true session is a run of one visitor's events under one token with
+    # no pause above the timeout; each event joins its run as it is drawn.
+    runs: list[list[int]] = []
 
     for person in people:
         n_sessions = _poisson(rng, config.session_rate)
-        events: list[_SimEvent] = []
         starts = sorted(
             BASE_EPOCH + int(config.duration * rng.random())
             for _ in range(n_sessions)
         )
-        prev_end: int | None = None
+        previous: _SimEvent | None = None
         for raw_start in starts:
             start = raw_start
-            if prev_end is not None:
-                floor = prev_end + int(config.timeout) + 1 + _exp_seconds(rng, 300.0)
+            if previous is not None:
+                floor = previous.epoch + int(timeout) + 1 + _exp_seconds(rng, 300.0)
                 if start < floor:
                     start = floor
             n_pages = 1 + _poisson(rng, config.pageviews_per_session_mean - 1.0)
@@ -412,66 +418,38 @@ def generate(config: WorkloadConfig) -> tuple[list[RawRequestEvent], GroundTruth
                     referrer = _full_url(prev_resource) if prev_resource else None
                 if not cached:
                     history.append(resource)
-                events.append(_SimEvent(
-                    epoch=t,
-                    ip=ip,
-                    resource=resource,
-                    referrer=referrer,
-                    token=person.token,
-                    cached=cached,
-                ))
+                if previous and person.token == previous.token and t - previous.epoch <= timeout:
+                    run = previous.run
+                else:
+                    run = [t, person.user_id, 0, t]
+                    runs.append(run)
+                run[2] += 1
+                run[3] = t
+                previous = _SimEvent(t, ip, resource, referrer, person.token, cached, person, run)
+                drawn.append(previous)
                 prev_resource = resource
-            prev_end = t
-        per_user_events[person.user_id] = events
 
-    by_id = {p.user_id: p for p in people}
-    # Every event as (epoch, user id, per-user index), and the true sessions:
-    # token runs with no pause above the timeout.  A run is [start epoch,
-    # user id, first index, last index]; sorting the lists numbers them by
-    # start, then user, then run order, and each run then ends with its
-    # session id.
-    ordered: list[tuple[int, int, int]] = []
-    runs: list[list[int]] = []
-    run_of: dict[tuple[int, int], list[int]] = {}
-    for user_id, events in per_user_events.items():
-        previous: _SimEvent | None = None
-        for index, event in enumerate(events):
-            ordered.append((event.epoch, user_id, index))
-            if (
-                previous is None
-                or event.token != previous.token
-                or event.epoch - previous.epoch > config.timeout
-            ):
-                runs.append([event.epoch, user_id, index, index])
-            runs[-1][3] = index
-            run_of[(user_id, index)] = runs[-1]
-            previous = event
-    ordered.sort()
+    # A visitor's times strictly rise: each page adds at least a second, and
+    # each session starts after the previous one's end plus the timeout.  So
+    # (start epoch, user id) numbers the runs and (epoch, user id) orders the
+    # events with no ties.
     runs.sort()
-    truth_sessions = []
     for session_id, run in enumerate(runs, start=1):
-        start_epoch, user_id, first, last = run
         run.append(session_id)
-        truth_sessions.append(TruthSession(
-            session_id=session_id,
-            user_id=user_id,
-            pageviews=last - first + 1,
-            start_epoch=start_epoch,
-            end_epoch=per_user_events[user_id][last].epoch,
-        ))
+    truth_sessions = [TruthSession(run[4], run[1], run[2], run[0], run[3]) for run in runs]
+    drawn.sort(key=attrgetter("epoch", "person.user_id"))
 
     replay_events: list[RawRequestEvent] = []
     truth_events: list[TruthEvent] = []
-    for seq, (epoch, user_id, index) in enumerate(ordered, start=1):
-        person = by_id[user_id]
-        event = per_user_events[user_id][index]
+    for seq, event in enumerate(drawn, start=1):
+        person = event.person
         resource = event.resource
         query = resource.partition("?")[2]
         get_params = dict(urllib.parse.parse_qsl(query)) if query else {}
         module = resource.partition("?")[0].lstrip("/").removesuffix(".php") or "index"
         replay_events.append(RawRequestEvent(
             client_ip=event.ip,
-            timestamp=_EPOCH0 + timedelta(seconds=epoch),
+            timestamp=_EPOCH0 + timedelta(seconds=event.epoch),
             method="GET",
             url=_full_url(resource),
             session_token=event.token,
@@ -487,9 +465,9 @@ def generate(config: WorkloadConfig) -> tuple[list[RawRequestEvent], GroundTruth
         ))
         truth_events.append(TruthEvent(
             event_seq=seq,
-            true_user_id=user_id,
-            true_session_id=run_of[(user_id, index)][-1],
-            epoch=epoch,
+            true_user_id=person.user_id,
+            true_session_id=event.run[4],
+            epoch=event.epoch,
             ip=event.ip,
             resource=resource,
             cached=event.cached,

@@ -26,7 +26,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from . import csvio
 from .enrichment import UNKNOWN, GeoIpRange
-from .events import AppPageResult
+from .events import AppPageResult, is_load_time
 
 USER_TYPES = (
     "guest",
@@ -225,8 +225,11 @@ class PageRecord:
             self.log_date = self.log_datetime.date()
         elif self.log_date != self.log_datetime.date():
             raise ConstraintError("log_date must equal the date of log_datetime")
-        if self.log_page_load_time < 0:
-            raise ConstraintError("log_page_load_time must be >= 0")
+        if not is_load_time(self.log_page_load_time):
+            raise ConstraintError(
+                f"log_page_load_time must be a finite number >= 0, got {self.log_page_load_time!r}"
+            )
+        self.log_page_load_time = float(self.log_page_load_time)
 
 
 @dataclass

@@ -225,6 +225,22 @@ class TestUnstorableText:
         ]
         assert mem_store.session_count() == 1
 
+    def test_request_end_with_unstorable_text(self, collector, mem_store):
+        _, page_id = collector.handle_request_begin(_event())
+        before = _rows(mem_store)
+        with pytest.raises(CollectionError, match="surrogates not allowed") as info:
+            collector.handle_request_end(page_id, AppPageResult(page_title="t\ud800"))
+        assert info.value.event is None
+        assert _rows(mem_store) == before
+
+    def test_end_session_with_unstorable_token(self, collector, mem_store):
+        collector.handle_request_begin(_event())
+        before = _rows(mem_store)
+        with pytest.raises(CollectionError, match="surrogates not allowed") as info:
+            collector.end_session("t\ud800")
+        assert info.value.event is None
+        assert _rows(mem_store) == before
+
 
 class TestLockedStore:
     """A store another connection holds locked is a CollectionError, not a
@@ -251,6 +267,34 @@ class TestLockedStore:
                 other.close()
             assert _rows(store) == before
             assert collector.handle_request_begin(_event("tokB", 20)) == (2, 2)
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("call", [
+        lambda collector: collector.handle_request_end(1, AppPageResult(page_title="Info")),
+        lambda collector: collector.end_session("tokA"),
+        lambda collector: collector.sweep_expired(T0 + timedelta(days=1)),
+    ], ids=["handle_request_end", "end_session", "sweep_expired"])
+    def test_every_call_is_a_collection_error_then_succeeds_unlocked(self, tmp_path, call):
+        path = tmp_path / "locked.db"
+        store = LogStore(path)
+        try:
+            collector = Collector(store, site_hosts=HOSTS)
+            collector.handle_request_begin(_event("tokA", 0))
+            store._conn.execute("PRAGMA busy_timeout=0")
+            before = _rows(store)
+            other = sqlite3.connect(path, isolation_level=None)
+            try:
+                other.execute("BEGIN IMMEDIATE")
+                with pytest.raises(CollectionError, match="database is locked") as info:
+                    call(collector)
+                assert info.value.event is None
+                other.execute("ROLLBACK")
+            finally:
+                other.close()
+            assert _rows(store) == before
+            call(collector)
+            assert _rows(store) != before
         finally:
             store.close()
 

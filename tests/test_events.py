@@ -133,6 +133,30 @@ class TestEventModel:
     def test_load_time_zero_ok(self):
         assert AppPageResult().page_load_time == 0.0
 
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), -float("inf"), True, "0.1", None, 10 ** 400,
+    ], ids=["nan", "inf", "-inf", "bool", "text", "none", "beyond-float"])
+    def test_load_time_must_be_a_finite_number(self, value):
+        with pytest.raises(ValueError, match="page_load_time must be a finite number >= 0"):
+            AppPageResult(page_load_time=value)
+
+    def test_int_load_time_is_kept_as_a_float(self):
+        result = AppPageResult(page_load_time=2 ** 64)
+        assert type(result.page_load_time) is float
+        assert result.page_load_time == float(2 ** 64)
+
+    @pytest.mark.parametrize("name", ["page_title", "web_message", "subtitle"])
+    @pytest.mark.parametrize("value", [5, b"x", None])
+    def test_result_text_must_be_str(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a str,"):
+            AppPageResult(**{name: value})
+
+    @pytest.mark.parametrize("value", [3, b"x"])
+    def test_error_text_must_be_str_or_none(self, value):
+        with pytest.raises(ValueError, match="error_text must be a str or None"):
+            AppPageResult(error_text=value)
+        assert AppPageResult(error_text=None).error_text is None
+
 
 class TestLineCodec:
     def test_key_order_is_fixed(self):

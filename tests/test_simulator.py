@@ -1,6 +1,7 @@
 """Workload generator: determinism, accounting, log emission, scoring."""
 
 import gzip
+import hashlib
 import io
 import itertools
 from datetime import timezone
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from webusage import cli
 from webusage.baseline import parse_log_line, preprocess_log, render_log_line, session_rows
 from webusage.collector import Collector, replay_stream
 from webusage.compare import collector_report, load_roster, score_against_truth
@@ -507,3 +509,96 @@ class TestPipelineAccuracy:
         zipped = preprocess_log(gz_path, site_hosts=[SITE_HOST])
         assert zipped.lines == plain.lines
         assert len(zipped.sessions) == len(plain.sessions)
+
+
+class TestExtremeConfigBytes:
+    """The sha256 of the three ``simulate`` files for two extreme configs
+    that the digest workloads do not reach: every stress at 1.0 with the
+    shortest timeout, and a one-year timeout over one hour."""
+
+    PINNED = {
+        "all-stress-timeout-60": (
+            ["--users", "12", "--timeout", "60", "--nat-share", "1",
+             "--dynamic-ip-share", "1", "--cookie-loss-share", "1", "--cached-nav-share", "1"],
+            {
+                "events.replay": "01594a119dd350359df77975f0103153d1c60f051395a805c34e47a55f988161",
+                "access.log": "3e8deddfe24cfc2f5e8c9aa4d82bfa1cba291f61382b84e32b8f44905aabb6e7",
+                "truth.csv": "7b9c311532fc6b60b7ce718211af476149de00a7465653600d26163cd68268e3",
+            },
+        ),
+        "year-timeout-one-hour": (
+            ["--users", "12", "--timeout", "31536000", "--duration", "3600",
+             "--cookie-loss-share", "0.5", "--cached-nav-share", "0.5", "--nat-share", "0.5"],
+            {
+                "events.replay": "de41544cbed1a2af411d53502d9950e4ab2b34cbbc798e210b8c07b774b97fdd",
+                "access.log": "4b98e225879709c2585014343139c474ed1ab5c99ce3e64d4d36f6d568fda577",
+                "truth.csv": "8ab176f7d1c8b481cab4c70ac39fb528f4c0543e44025f1ff3082976be4478df",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_simulate_writes_the_pinned_bytes(self, tmp_path, capsys, name):
+        flags, digests = self.PINNED[name]
+        assert cli.main(["simulate", *flags, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        got = {
+            file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+            for file in digests
+        }
+        assert got == digests
+
+
+_SHARES = st.sampled_from((0.0, 0.5, 1.0))
+
+
+def small_workloads(cookie_loss=_SHARES):
+    """Bounded configs over the whole workload space, drawn without filtering."""
+    return st.builds(
+        WorkloadConfig,
+        seed=st.integers(0, 2**32),
+        n_users=st.integers(1, 8),
+        session_rate=st.floats(0.0, 5.0, exclude_min=True),
+        pageviews_per_session_mean=st.floats(1.0, 8.0),
+        timeout=st.sampled_from((60.0, 600.0, 1800.0, 31_536_000.0)),
+        nat_share=_SHARES,
+        dynamic_ip_share=_SHARES,
+        cookie_loss_share=cookie_loss,
+        cached_nav_share=_SHARES,
+        duration=st.sampled_from((3600.0, 7 * 86400.0)),
+    )
+
+
+class TestWorkloadProperties:
+    """FORMATS.md "Truth CSV" orders, and the paper's claim that the
+    collector is exact while identity tokens are intact, on any small
+    config rather than one seed."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_workloads())
+    def test_truth_orders(self, config):
+        _, truth = generate(config)
+        last_epoch: dict[int, int] = {}
+        for event in truth.events:
+            assert event.epoch > last_epoch.get(event.true_user_id, -1)
+            last_epoch[event.true_user_id] = event.epoch
+        keys = [(e.epoch, e.true_user_id) for e in truth.events]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert [s.session_id for s in truth.sessions] == list(range(1, len(truth.sessions) + 1))
+        starts = [(s.start_epoch, s.user_id) for s in truth.sessions]
+        assert all(a < b for a, b in zip(starts, starts[1:]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_workloads(cookie_loss=st.just(0.0)))
+    def test_collector_is_exact_with_intact_cookies(self, config):
+        events, truth = generate(config)
+        store = collect_workload(events, truth, config)
+        try:
+            report = collector_report(store, truth)
+        finally:
+            store.close()
+        assert (
+            report.user_precision, report.user_recall,
+            report.session_precision, report.session_recall,
+            report.exact_session_match_rate,
+        ) == (1.0,) * 5

@@ -354,6 +354,13 @@ class TestPages:
         with pytest.raises(ForeignKeyError):
             mem_store.insert_page(_page(99))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, True, "0.1", None])
+    def test_load_time_must_be_a_finite_number(self, mem_store, value):
+        opn = mem_store.insert_session(_session())
+        with pytest.raises(ConstraintError, match="^log_page_load_time must be a finite number"):
+            mem_store.insert_page(_page(opn, log_page_load_time=value))
+        assert mem_store.page_count() == 0
+
     def test_map_field_as_text_is_a_storage_error(self, mem_store):
         opn = mem_store.insert_session(_session())
         with pytest.raises(ConstraintError, match="must be a dict, got str"):
@@ -819,6 +826,32 @@ class TestExportImport:
             " is not in the form the store writes"
         )):
             copy.import_table("log_page", io.StringIO(edited.getvalue()))
+        assert copy.page_count() == 0
+        copy.close()
+
+    @pytest.mark.parametrize("cell, shown", [
+        ("1e999", "inf"), ("-1e999", "-inf"), ("abc", "'abc'"), ("", "''"),
+    ])
+    def test_import_rejects_a_load_time_the_store_cannot_write(self, mem_store, cell, shown):
+        opn = mem_store.insert_session(_session())
+        mem_store.insert_page(_page(opn))
+        sessions, pages = io.StringIO(), io.StringIO()
+        mem_store.export_table("log_session", sessions)
+        mem_store.export_table("log_page", pages)
+        rows = list(csv.DictReader(io.StringIO(pages.getvalue())))
+        rows[0]["log_page_load_time"] = cell
+        edited = io.StringIO()
+        writer = csv.DictWriter(edited, TABLE_COLUMNS["log_page"], lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        copy = LogStore(":memory:")
+        copy.import_table("log_session", io.StringIO(sessions.getvalue()))
+        with pytest.raises(StorageError) as info:
+            copy.import_table("log_page", io.StringIO(edited.getvalue()))
+        assert str(info.value) == (
+            "log_page row log_details_id=1: log_page_load_time must be a finite number"
+            f" >= 0, got {shown}"
+        )
         assert copy.page_count() == 0
         copy.close()
 
