@@ -13,6 +13,7 @@ import gzip
 import os
 import sqlite3
 import sys
+import zlib
 from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
@@ -55,6 +56,11 @@ REPORT_KINDS = (*REPORTS, "search-engines", "search-keywords", "stats")
 
 class UsageError(Exception):
     pass
+
+
+# What reading a damaged gzip file raises: BadGzipFile for a bad header or
+# trailer, EOFError for a cut stream, zlib.error for corrupt deflate data.
+_GZIP_ERRORS = (gzip.BadGzipFile, EOFError, zlib.error)
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -140,16 +146,22 @@ def _naming(what: str, path: Path, error: type[RowError] = RowError, gzipped: bo
     Text that is not UTF-8 becomes an ``error`` for the line of its first
     bad byte.  A reader decodes ahead of the line it is on, so that line is
     found by reading the file (through gzip when ``gzipped``) once more.
+    Damaged gzip data, met by either read, becomes an OSError naming the
+    file.
     """
+    label = f"{what} {path}"
     try:
-        yield
-    except RowError as exc:
-        exc.label = f"{what} {path}"
-        raise
-    except UnicodeDecodeError:
-        exc = error("invalid UTF-8", _bad_utf8_line(path, gzipped))
-        exc.label = f"{what} {path}"
-        raise exc from None
+        try:
+            yield
+        except RowError as exc:
+            exc.label = label
+            raise
+        except UnicodeDecodeError:
+            exc = error("invalid UTF-8", _bad_utf8_line(path, gzipped))
+            exc.label = label
+            raise exc from None
+    except _GZIP_ERRORS as exc:
+        raise OSError(f"{label}: {exc}") from None
 
 
 def _load_users_file(store: LogStore, path: Path) -> None:
@@ -219,15 +231,16 @@ def _collect_into(store: LogStore, replay_path: Path, args: argparse.Namespace) 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
     log_path = _require_file(args.log, "log file")
-    result = preprocess_log(
-        log_path,
-        log_format=args.format,
-        page_gap=args.page_gap,
-        session_gap=args.session_gap,
-        mode=args.mode,
-        split_at_midnight=args.split_at_midnight,
-        site_hosts=args.site_host or [SITE_HOST],
-    )
+    with _naming("log file", log_path):
+        result = preprocess_log(
+            log_path,
+            log_format=args.format,
+            page_gap=args.page_gap,
+            session_gap=args.session_gap,
+            mode=args.mode,
+            split_at_midnight=args.split_at_midnight,
+            site_hosts=args.site_host or [SITE_HOST],
+        )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_sessions_csv(result.sessions, fh)
     print(result.stats_text())

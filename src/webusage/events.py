@@ -4,6 +4,11 @@ A replay file carries one request per line as space-separated ``key=value``
 tokens with URL-escaped values, so any event the embedded API accepts can be
 stored in a plain text file and fed back later.
 
+A ``RawRequestEvent`` checks the type of every field when it is built,
+decoded or not, in one boolean pass over all of them.  Only an event that
+fails that pass runs the field-by-field checks, in a fixed order, so the
+``ValueError`` names the first bad field in that order.
+
 The codec goes through four bounded ``lru_cache``s, each of a pure
 function of its text and none holding session state: ``_unquote``
 percent-decodes a value, ``_escape_value`` and ``_escape_map_part``
@@ -47,13 +52,14 @@ def is_load_time(value: object) -> bool:
     return type(value) in (int, float) and 0 <= value <= sys.float_info.max
 
 
-@dataclass
+@dataclass(frozen=True)
 class AppPageResult:
     """End-of-request application data for one served page.
 
     The three titles are text, ``error_text`` text or None, and
     ``page_load_time`` a finite number of seconds, at least 0, kept as a
-    float; anything else raises ValueError.
+    float; anything else raises ValueError.  A result is frozen, so what
+    was checked when it was built is what the store writes.
     """
 
     page_title: str = ""
@@ -73,7 +79,7 @@ class AppPageResult:
             raise ValueError(
                 f"page_load_time must be a finite number >= 0, got {self.page_load_time!r}"
             )
-        self.page_load_time = float(self.page_load_time)
+        object.__setattr__(self, "page_load_time", float(self.page_load_time))
 
 
 @dataclass
@@ -101,6 +107,51 @@ class RawRequestEvent:
     cookies: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Every field's type in one pass; only a refused event pays for the
+        # ordered checks that name its first bad field.
+        ok = (
+            isinstance(self.timestamp, datetime)
+            and type(self.server_id) is int
+            and type(self.client_ip) is str
+            and type(self.url) is str
+            and type(self.session_token) is str
+            and type(self.user_agent) is str
+            and type(self.app_service) is str
+            and type(self.module) is str
+            and (self.referrer is None or type(self.referrer) is str)
+            and (self.auth_user is None or type(self.auth_user) is str)
+            and type(self.get_params) is dict
+            and type(self.post_params) is dict
+            and type(self.cookies) is dict
+        )
+        if ok:
+            for m in (self.get_params, self.post_params, self.cookies):
+                if m:
+                    for key, value in m.items():
+                        if type(key) is not str or type(value) is not str:
+                            ok = False
+        if not ok:
+            self._raise_type_error()
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        if not self.session_token:
+            raise ValueError("session_token must be non-empty")
+        if self.timestamp.tzinfo is not None:
+            try:
+                utc = self.timestamp.astimezone(timezone.utc)
+            except OverflowError:
+                raise ValueError(
+                    f"timestamp {self.timestamp.isoformat()} is outside years 1-9999 in UTC"
+                ) from None
+            self.timestamp = utc.replace(tzinfo=None)
+        if self.referrer == "":
+            self.referrer = None
+        if self.auth_user == "":
+            self.auth_user = None
+
+    def _raise_type_error(self) -> None:
+        """Raise the ValueError naming the first field, in this order, whose
+        type ``__post_init__`` refused."""
         if not isinstance(self.timestamp, datetime):
             raise ValueError(f"timestamp must be a datetime, got {self.timestamp!r}")
         if type(self.server_id) is not int:
@@ -120,22 +171,6 @@ class RawRequestEvent:
             for key, value in m.items():
                 if type(key) is not str or type(value) is not str:
                     raise ValueError(f"{name} keys and values must be str, got {key!r}: {value!r}")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not self.session_token:
-            raise ValueError("session_token must be non-empty")
-        if self.timestamp.tzinfo is not None:
-            try:
-                utc = self.timestamp.astimezone(timezone.utc)
-            except OverflowError:
-                raise ValueError(
-                    f"timestamp {self.timestamp.isoformat()} is outside years 1-9999 in UTC"
-                ) from None
-            self.timestamp = utc.replace(tzinfo=None)
-        if self.referrer == "":
-            self.referrer = None
-        if self.auth_user == "":
-            self.auth_user = None
 
 
 def _escaper(safe: str) -> Callable[[str], str]:

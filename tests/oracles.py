@@ -613,6 +613,40 @@ def parse_replay_line_reference(line: str, line_no: int | None = None) -> RawReq
         raise ReplayFormatError(str(exc), line_no) from None
 
 
+_EVENT_TEXT_FIELDS = ("client_ip", "url", "session_token", "user_agent", "app_service", "module")
+_EVENT_OPTIONAL_TEXT_FIELDS = ("referrer", "auth_user")
+_EVENT_MAP_FIELDS = ("get_params", "post_params", "cookies")
+
+
+def check_event_fields_reference(fields: dict[str, object]) -> None:
+    """Raise the ValueError that a ``RawRequestEvent`` with these fields
+    (every field given, defaults included) must raise, from the field-by-field
+    checks in their fixed order, the reference for its one-pass check."""
+    if not isinstance(fields["timestamp"], datetime):
+        raise ValueError(f"timestamp must be a datetime, got {fields['timestamp']!r}")
+    if type(fields["server_id"]) is not int:
+        raise ValueError(f"server_id must be an int, got {fields['server_id']!r}")
+    for name in _EVENT_TEXT_FIELDS:
+        value = fields[name]
+        if type(value) is not str:
+            raise ValueError(f"{name} must be a str, got {value!r}")
+    for name in _EVENT_OPTIONAL_TEXT_FIELDS:
+        value = fields[name]
+        if value is not None and type(value) is not str:
+            raise ValueError(f"{name} must be a str or None, got {value!r}")
+    for name in _EVENT_MAP_FIELDS:
+        m = fields[name]
+        if type(m) is not dict:
+            raise ValueError(f"{name} must be a dict, got {type(m).__name__}")
+        for key, value in m.items():
+            if type(key) is not str or type(value) is not str:
+                raise ValueError(f"{name} keys and values must be str, got {key!r}: {value!r}")
+    if fields["method"] not in ("GET", "POST"):
+        raise ValueError(f"method must be one of ('GET', 'POST'), got {fields['method']!r}")
+    if not fields["session_token"]:
+        raise ValueError("session_token must be non-empty")
+
+
 # Characters the replay writer leaves unescaped (FORMATS.md).
 _REPLAY_SAFE = ":/?&=._-~+@,;()'*!"
 

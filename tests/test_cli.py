@@ -862,6 +862,68 @@ class TestInvalidUtf8:
                     tmp_path, capsys, 2, "baseline sessions file", baseline, line_no)
 
 
+# A gzip member header (no flags, mtime 0, unknown OS) followed by a deflate
+# block of the reserved type 3, which zlib refuses as "invalid block type".
+_BAD_BLOCK_MEMBER = bytes.fromhex("1f8b08000000000000ff") + b"\x07"
+
+
+def _damaged(data: bytes, damage: str) -> bytes:
+    """``data`` gzipped, then damaged: not gzip at all, cut short after its
+    first half, or a whole first member followed by one with corrupt data."""
+    if damage == "not-gzip":
+        return data
+    if damage == "cut":
+        packed = gzip.compress(data, mtime=0)
+        return packed[: len(packed) // 2]
+    return gzip.compress(data, mtime=0) + _BAD_BLOCK_MEMBER
+
+
+class TestDamagedGzip:
+    """A `.gz` input that is not gzip, is cut short or holds corrupt data
+    ends in one `error:` line naming the file, exit 1, and writes nothing."""
+
+    DAMAGE = {
+        "not-gzip": "Not a gzipped file (b'ip')",
+        "cut": "Compressed file ended before the end-of-stream marker was reached",
+        "corrupt": "Error -3 while decompressing data: invalid block type",
+    }
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_collect(self, workspace, tmp_path, capsys, damage):
+        replay = tmp_path / "events.replay.gz"
+        replay.write_bytes(_damaged(workspace["replay"].read_bytes(), damage))
+        store = tmp_path / "s.db"
+        store.write_bytes(workspace["store"].read_bytes())
+        before = sorted(tmp_path.iterdir())
+        assert main(["collect", str(replay), "--store", str(store)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: replay file {replay}: {self.DAMAGE[damage]}\n"
+        assert sorted(tmp_path.iterdir()) == before
+        assert store.read_bytes() == workspace["store"].read_bytes()
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_preprocess(self, workspace, tmp_path, capsys, damage):
+        log = tmp_path / "access.log.gz"
+        data = workspace["eclf"].read_bytes()
+        log.write_bytes(_damaged(data, damage))
+        reason = self.DAMAGE[damage]
+        if damage == "not-gzip":
+            reason = f"Not a gzipped file ({data[:2]!r})"
+        assert main(["preprocess", str(log), "--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr() == ("", f"error: log file {log}: {reason}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["access.log.gz"]
+
+    def test_rescan_for_a_bad_byte_names_the_file(self, workspace, tmp_path):
+        """The second read that finds the line of a byte that is not UTF-8
+        reports damaged gzip data as the first read does."""
+        replay = tmp_path / "events.replay.gz"
+        replay.write_bytes(_damaged(workspace["replay"].read_bytes(), "cut"))
+        with pytest.raises(OSError) as info:
+            with cli._naming("replay file", replay, gzipped=True):
+                raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+        assert str(info.value) == f"replay file {replay}: {self.DAMAGE['cut']}"
+
+
 class TestExport:
     def test_writes_one_csv_per_table(self, workspace, tmp_path, capsys):
         out_dir = tmp_path / "dump"

@@ -1,6 +1,8 @@
+import dataclasses
 import io
+import itertools
 import urllib.parse
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +19,11 @@ from webusage.events import (
     write_replay,
 )
 
-from oracles import format_replay_line_reference, parse_replay_line_reference
+from oracles import (
+    check_event_fields_reference,
+    format_replay_line_reference,
+    parse_replay_line_reference,
+)
 from strategies import wire_events
 
 _text = st.text(max_size=25)
@@ -156,6 +162,110 @@ class TestEventModel:
         with pytest.raises(ValueError, match="error_text must be a str or None"):
             AppPageResult(error_text=value)
         assert AppPageResult(error_text=None).error_text is None
+
+
+class TestFrozenResult:
+    """What ``AppPageResult`` checked when it was built is what the store
+    writes: no field can be set afterwards."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("page_title", b"x"), ("web_message", "hi"), ("subtitle", 5),
+        ("page_load_time", float("nan")), ("error_text", "oops"),
+    ])
+    def test_assignment_raises(self, name, value):
+        result = AppPageResult(page_title="Info", page_load_time=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(result, name, value)
+        assert result == AppPageResult("Info", "", "", 3.0, None)
+        assert type(result.page_load_time) is float
+
+
+class _Stamp(datetime):
+    """A datetime subclass, which an event takes as its timestamp."""
+
+
+_FIELDS = dict(
+    client_ip="10.0.0.1",
+    timestamp=datetime(2021, 9, 2, 12, 0, 0),
+    method="GET",
+    url="/index.php",
+    session_token="tok1",
+    user_agent="agent",
+    referrer="http://www.campus.example/",
+    auth_user="u0001",
+    app_service="campus",
+    module="index",
+    server_id=1,
+    get_params={"id": "101"},
+    post_params={},
+    cookies={"sid": "tok1"},
+)
+_MAP_WRONG = [None, "sid=tok1", [("sid", "tok1")], {3: "n"}, {"n": None},
+               {"a": "b", b"n": "1"}]
+# Values each field's own check refuses.
+_WRONG = {
+    "timestamp": ["2021-09-02T12:00:00", None, 1630584000],
+    "server_id": [True, "1", 1.0, None],
+    **{name: [None, b"x", 1] for name in
+       ("client_ip", "url", "user_agent", "app_service", "module")},
+    "session_token": [None, b"x", 1, ""],
+    "referrer": [b"x", 1, ["x"]],
+    "auth_user": [b"x", 1, ["x"]],
+    "get_params": _MAP_WRONG,
+    "post_params": _MAP_WRONG,
+    "cookies": _MAP_WRONG,
+    "method": ["PUT", None],
+}
+_ONE_WRONG = [(name, value) for name, values in _WRONG.items() for value in values]
+
+
+def _reference_message(fields: dict) -> str:
+    with pytest.raises(ValueError) as info:
+        check_event_fields_reference(fields)
+    return str(info.value)
+
+
+def _message(fields: dict) -> str:
+    with pytest.raises(ValueError) as info:
+        RawRequestEvent(**fields)
+    return str(info.value)
+
+
+class TestOnePassCheck:
+    """The one-pass type check refuses exactly what the field-by-field
+    checks refuse, and names the same field: the first bad one in their
+    order."""
+
+    def test_fields_cover_the_event(self):
+        assert set(_FIELDS) == {f.name for f in dataclasses.fields(RawRequestEvent)}
+        assert set(_WRONG) == set(_FIELDS)
+        check_event_fields_reference(_FIELDS)
+        RawRequestEvent(**_FIELDS)
+
+    @pytest.mark.parametrize("name, value", _ONE_WRONG,
+                             ids=[f"{name}={value!r}" for name, value in _ONE_WRONG])
+    def test_one_wrong_field(self, name, value):
+        fields = {**_FIELDS, name: value}
+        assert _message(fields) == _reference_message(fields)
+
+    def test_two_wrong_fields(self):
+        pairs = 0
+        for (name1, value1), (name2, value2) in itertools.combinations(_ONE_WRONG, 2):
+            if name1 == name2:
+                continue
+            fields = {**_FIELDS, name1: value1, name2: value2}
+            assert _message(fields) == _reference_message(fields), (name1, name2)
+            pairs += 1
+        assert pairs > 1000
+
+    @pytest.mark.parametrize("stamp, naive", [
+        (_Stamp(2021, 9, 2, 12, 0, 0), datetime(2021, 9, 2, 12, 0, 0)),
+        (_Stamp(2021, 9, 2, 15, 0, 0, tzinfo=timezone(timedelta(hours=3))),
+         datetime(2021, 9, 2, 12, 0, 0)),
+    ])
+    def test_datetime_subclass_is_accepted(self, stamp, naive):
+        event = RawRequestEvent(**{**_FIELDS, "timestamp": stamp})
+        assert event.timestamp == naive and event.timestamp.tzinfo is None
 
 
 class TestLineCodec:

@@ -4,6 +4,7 @@ import gzip
 import hashlib
 import io
 import itertools
+import urllib.parse
 from datetime import timezone
 from pathlib import Path
 
@@ -602,3 +603,31 @@ class TestWorkloadProperties:
             report.session_precision, report.session_recall,
             report.exact_session_match_rate,
         ) == (1.0,) * 5
+
+
+class TestEventsFollowFromResources:
+    """Each replay event ``generate`` builds carries what its truth event's
+    resource fixes, in maps of its own."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_workloads())
+    def test_fields_follow_from_the_resource(self, config):
+        events, truth = generate(config)
+        assert len(events) == len(truth.events)
+        for event, truth_event in zip(events, truth.events):
+            resource = truth_event.resource
+            path, _, query = resource.partition("?")
+            assert event.url == f"http://{SITE_HOST}{resource}"
+            assert event.module == path.removeprefix("/").removesuffix(".php")
+            assert event.get_params == {k: v[0] for k, v in urllib.parse.parse_qs(query).items()}
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_workloads())
+    def test_no_two_events_share_a_map(self, config):
+        events, _ = generate(config)
+        maps = [m for e in events for m in (e.get_params, e.post_params, e.cookies)]
+        assert len({id(m) for m in maps}) == len(maps)
+        before = [dict(m) for m in maps[3:]]
+        for m in maps[:3]:
+            m["mutated"] = "1"
+        assert [dict(m) for m in maps[3:]] == before
