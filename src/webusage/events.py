@@ -5,9 +5,8 @@ tokens with URL-escaped values, so any event the embedded API accepts can be
 stored in a plain text file and fed back later.
 
 A ``RawRequestEvent`` checks the type of every field when it is built,
-decoded or not, in one boolean pass over all of them.  Only an event that
-fails that pass runs the field-by-field checks, in a fixed order, so the
-``ValueError`` names the first bad field in that order.
+decoded or not, in one pass of per-field tests written out in a fixed
+order, so the ``ValueError`` names the first bad field in that order.
 
 The codec goes through four bounded ``lru_cache``s, each of a pure
 function of its text and none holding session state: ``_unquote``
@@ -37,9 +36,6 @@ METHODS = ("GET", "POST")
 # always be escaped; '=' may stay literal because the reader splits each
 # token on the first '=' only.
 _SAFE = ":/?&=._-~+@,;()'*!"
-_MAP_FIELDS = ("get_params", "post_params", "cookies")
-_TEXT_FIELDS = ("client_ip", "url", "session_token", "user_agent", "app_service", "module")
-_OPTIONAL_TEXT_FIELDS = ("referrer", "auth_user")
 
 
 class ReplayFormatError(RowError):
@@ -89,6 +85,9 @@ class RawRequestEvent:
     ``session_token`` is always present: the serving layer issues one on the
     first response even when the client arrived without a cookie.  A
     ``timestamp`` with a UTC offset is kept as the naive UTC time it names.
+
+    ``simulator.generate`` builds events positionally, so the field order
+    below is part of its contract.
     """
 
     client_ip: str
@@ -107,31 +106,43 @@ class RawRequestEvent:
     cookies: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Every field's type in one pass; only a refused event pays for the
-        # ordered checks that name its first bad field.
-        ok = (
-            isinstance(self.timestamp, datetime)
-            and type(self.server_id) is int
-            and type(self.client_ip) is str
-            and type(self.url) is str
-            and type(self.session_token) is str
-            and type(self.user_agent) is str
-            and type(self.app_service) is str
-            and type(self.module) is str
-            and (self.referrer is None or type(self.referrer) is str)
-            and (self.auth_user is None or type(self.auth_user) is str)
-            and type(self.get_params) is dict
-            and type(self.post_params) is dict
-            and type(self.cookies) is dict
-        )
-        if ok:
-            for m in (self.get_params, self.post_params, self.cookies):
-                if m:
-                    for key, value in m.items():
-                        if type(key) is not str or type(value) is not str:
-                            ok = False
-        if not ok:
-            self._raise_type_error()
+        # One check per field, in a fixed order, so a refused event is named
+        # by its first bad field in that order.
+        if not isinstance(self.timestamp, datetime):
+            raise ValueError(f"timestamp must be a datetime, got {self.timestamp!r}")
+        if type(self.server_id) is not int:
+            raise ValueError(f"server_id must be an int, got {self.server_id!r}")
+        if type(self.client_ip) is not str:
+            raise ValueError(f"client_ip must be a str, got {self.client_ip!r}")
+        if type(self.url) is not str:
+            raise ValueError(f"url must be a str, got {self.url!r}")
+        if type(self.session_token) is not str:
+            raise ValueError(f"session_token must be a str, got {self.session_token!r}")
+        if type(self.user_agent) is not str:
+            raise ValueError(f"user_agent must be a str, got {self.user_agent!r}")
+        if type(self.app_service) is not str:
+            raise ValueError(f"app_service must be a str, got {self.app_service!r}")
+        if type(self.module) is not str:
+            raise ValueError(f"module must be a str, got {self.module!r}")
+        if self.referrer is not None and type(self.referrer) is not str:
+            raise ValueError(f"referrer must be a str or None, got {self.referrer!r}")
+        if self.auth_user is not None and type(self.auth_user) is not str:
+            raise ValueError(f"auth_user must be a str or None, got {self.auth_user!r}")
+        if type(self.get_params) is not dict:
+            raise ValueError(f"get_params must be a dict, got {type(self.get_params).__name__}")
+        for key, value in self.get_params.items():
+            if type(key) is not str or type(value) is not str:
+                raise ValueError(f"get_params keys and values must be str, got {key!r}: {value!r}")
+        if type(self.post_params) is not dict:
+            raise ValueError(f"post_params must be a dict, got {type(self.post_params).__name__}")
+        for key, value in self.post_params.items():
+            if type(key) is not str or type(value) is not str:
+                raise ValueError(f"post_params keys and values must be str, got {key!r}: {value!r}")
+        if type(self.cookies) is not dict:
+            raise ValueError(f"cookies must be a dict, got {type(self.cookies).__name__}")
+        for key, value in self.cookies.items():
+            if type(key) is not str or type(value) is not str:
+                raise ValueError(f"cookies keys and values must be str, got {key!r}: {value!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if not self.session_token:
@@ -148,29 +159,6 @@ class RawRequestEvent:
             self.referrer = None
         if self.auth_user == "":
             self.auth_user = None
-
-    def _raise_type_error(self) -> None:
-        """Raise the ValueError naming the first field, in this order, whose
-        type ``__post_init__`` refused."""
-        if not isinstance(self.timestamp, datetime):
-            raise ValueError(f"timestamp must be a datetime, got {self.timestamp!r}")
-        if type(self.server_id) is not int:
-            raise ValueError(f"server_id must be an int, got {self.server_id!r}")
-        for name in _TEXT_FIELDS:
-            value = getattr(self, name)
-            if type(value) is not str:
-                raise ValueError(f"{name} must be a str, got {value!r}")
-        for name in _OPTIONAL_TEXT_FIELDS:
-            value = getattr(self, name)
-            if value is not None and type(value) is not str:
-                raise ValueError(f"{name} must be a str or None, got {value!r}")
-        for name in _MAP_FIELDS:
-            m = getattr(self, name)
-            if type(m) is not dict:
-                raise ValueError(f"{name} must be a dict, got {type(m).__name__}")
-            for key, value in m.items():
-                if type(key) is not str or type(value) is not str:
-                    raise ValueError(f"{name} keys and values must be str, got {key!r}: {value!r}")
 
 
 def _escaper(safe: str) -> Callable[[str], str]:

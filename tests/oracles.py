@@ -621,7 +621,8 @@ _EVENT_MAP_FIELDS = ("get_params", "post_params", "cookies")
 def check_event_fields_reference(fields: dict[str, object]) -> None:
     """Raise the ValueError that a ``RawRequestEvent`` with these fields
     (every field given, defaults included) must raise, from the field-by-field
-    checks in their fixed order, the reference for its one-pass check."""
+    loops in their fixed order, the reference for ``__post_init__``'s
+    written-out checks."""
     if not isinstance(fields["timestamp"], datetime):
         raise ValueError(f"timestamp must be a datetime, got {fields['timestamp']!r}")
     if type(fields["server_id"]) is not int:

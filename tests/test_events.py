@@ -232,9 +232,9 @@ def _message(fields: dict) -> str:
 
 
 class TestOnePassCheck:
-    """The one-pass type check refuses exactly what the field-by-field
-    checks refuse, and names the same field: the first bad one in their
-    order."""
+    """The written-out type checks, one pass over the fields, refuse exactly
+    what the reference's field-by-field loops refuse, and name the same
+    field: the first bad one in their order."""
 
     def test_fields_cover_the_event(self):
         assert set(_FIELDS) == {f.name for f in dataclasses.fields(RawRequestEvent)}

@@ -620,6 +620,13 @@ class TestEventsFollowFromResources:
             assert event.url == f"http://{SITE_HOST}{resource}"
             assert event.module == path.removeprefix("/").removesuffix(".php")
             assert event.get_params == {k: v[0] for k, v in urllib.parse.parse_qs(query).items()}
+            # generate builds events positionally: a swapped argument shows here.
+            assert event.client_ip == truth_event.ip
+            assert event.timestamp.replace(tzinfo=timezone.utc).timestamp() == truth_event.epoch
+            assert event.method == "GET" and event.app_service == "campus"
+            assert event.server_id == 1 and event.post_params == {}
+            assert event.session_token == event.cookies["sid"]
+            assert list(event.cookies) == ["sid", "accept-language"]
 
     @settings(max_examples=100, deadline=None)
     @given(small_workloads())
