@@ -33,7 +33,7 @@ import math
 import random
 import urllib.parse
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -505,11 +505,12 @@ def emit_eclf(
     # Arguments are evaluated left to right, which fixes the order of the
     # noise draws and so the bytes of the log.  Every line of a page event
     # carries its time, so the time is formatted once, and its lines are
-    # written together.
+    # written together.  The truth epoch is formatted as the naive UTC time
+    # it names, which a naive time's zone text (+0000) states.
     for event, truth_event in zip(events, truth.events):
         if truth_event.cached:
             continue
-        stamp = _format_timestamp(datetime.fromtimestamp(truth_event.epoch, tz=timezone.utc))
+        stamp = _format_timestamp(_EPOCH0 + timedelta(0, truth_event.epoch))
         ip, agent, page = event.client_ip, event.user_agent, truth_event.resource
         out = [_log_line(ip, None, None, stamp, event.method, page, "HTTP/1.1", 200,
                          800 + (truth_event.event_seq * 137) % 18200, event.referrer, agent)]

@@ -3,9 +3,11 @@
 Five tables mirror the collection data model: ``user_info`` (app-managed
 accounts), ``open_sessions`` (live bookkeeping), ``log_geoip`` (country
 ranges), ``log_session`` (one row per visit) and ``log_page`` (one row per
-pageview, foreign-keyed to its session).  SQLite provides transactions and
-referential integrity; a process-wide lock gives single-writer semantics so
-the collector can be driven from many request threads.
+pageview, foreign-keyed to its session).  Each table has one record
+dataclass, whose fields are the table's columns, in order.  SQLite provides
+transactions and referential integrity; a process-wide lock gives
+single-writer semantics so the collector can be driven from many request
+threads.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import typing
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from functools import lru_cache
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -158,15 +160,14 @@ def _check_gender(user_type: str, gender: str) -> None:
         raise ConstraintError(f"{user_type} records must carry male or female")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SessionRecord:
-    ip: str
-    started_at: datetime
     opn_id: int | None = None
     user_id: int | None = None
     username: str | None = None
     user_type: str = "guest"
     gender: str = "not_applicable"
+    ip: str
     country_code: str = UNKNOWN
     browser_name: str = UNKNOWN
     browser_version: str = UNKNOWN
@@ -178,6 +179,7 @@ class SessionRecord:
     referral_class: str = "direct"
     search_engine: str | None = None
     search_keywords: str | None = None
+    started_at: datetime
     ended_at: datetime | None = None
     end_reason: str | None = None
 
@@ -197,18 +199,18 @@ class SessionRecord:
             raise ConstraintError("ended_at before started_at")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class PageRecord:
-    log_opn_id: int
-    log_datetime: datetime
-    log_url: str
     log_details_id: int | None = None
+    log_opn_id: int
     log_uid: int | None = None
     log_username: str | None = None
+    log_datetime: datetime
     log_date: date | None = None
     log_server: int = 1
     log_app_service: str = ""
     log_module: str = ""
+    log_url: str
     log_web_message: str = ""
     log_subtitle: str = ""
     log_page_title: str = ""
@@ -323,25 +325,6 @@ CREATE INDEX IF NOT EXISTS idx_page_session ON log_page(log_opn_id);
 COMMIT;
 """
 
-TABLE_COLUMNS = {
-    "user_info": ("user_id", "username", "user_type", "gender"),
-    "log_geoip": ("start_ip", "end_ip", "country_code"),
-    "log_session": (
-        "opn_id", "user_id", "username", "user_type", "gender", "ip", "country_code",
-        "browser_name", "browser_version", "os_name", "os_version", "device_type",
-        "language", "referrer_url", "referral_class", "search_engine",
-        "search_keywords", "started_at", "ended_at", "end_reason",
-    ),
-    "open_sessions": ("session_token", "opn_id", "last_activity"),
-    "log_page": (
-        "log_details_id", "log_opn_id", "log_uid", "log_username", "log_datetime",
-        "log_date", "log_server", "log_app_service", "log_module", "log_url",
-        "log_web_message", "log_subtitle", "log_page_title", "log_cookie_serialize",
-        "log_session_serialize", "log_post_serialize", "log_get_serialize",
-        "log_page_load_time", "log_error_text", "log_url_malformed",
-    ),
-}
-
 _TABLE_KEYS = {
     "user_info": "user_id",
     "log_geoip": "start_ip",
@@ -368,24 +351,24 @@ def _field_type(hint: Any) -> Any:
 
 
 class _Codec:
-    """Rows of one table in ``TABLE_COLUMNS`` order <-> its record dataclass."""
+    """Rows of one table <-> its record dataclass, whose fields are the
+    table's columns in order."""
 
     def __init__(self, table: str, record_type: type):
-        cols = TABLE_COLUMNS[table]
         hints = typing.get_type_hints(record_type)
-        fields = [f.name for f in dataclasses.fields(record_type)]
-        if sorted(fields) != sorted(cols):
-            raise TypeError(f"{record_type.__name__} fields do not match {table} columns")
+        self.names = cols = tuple(f.name for f in dataclasses.fields(record_type))
+        kinds = [_field_type(hints[c]) for c in cols]
         self.record_type = record_type
         self.columns = ", ".join(cols)
         marks = ", ".join("?" * len(cols))
         self.insert_sql = f"INSERT INTO {table} ({self.columns}) VALUES ({marks})"
         self._values = attrgetter(*cols)
-        # column positions in field order, for the positional constructor
-        self._in_field_order = itemgetter(*(cols.index(f) for f in fields))
-        converted = [(i, _CONVERTERS.get(_field_type(hints[c]))) for i, c in enumerate(cols)]
+        converted = [(i, _CONVERTERS.get(kind)) for i, kind in enumerate(kinds)]
         self._encoders = [(i, conv[0]) for i, conv in converted if conv]
         self._decoders = [(i, conv[1]) for i, conv in converted if conv]
+        # SQLite keeps a value it cannot convert as it is, even in an
+        # INTEGER column, so a field typed int is checked on import.
+        self.integers = [(i, c) for i, (c, kind) in enumerate(zip(cols, kinds)) if kind is int]
 
     def encode(self, rec: Any) -> list:
         row = list(self._values(rec))
@@ -399,16 +382,19 @@ class _Codec:
         for i, conv in self._decoders:
             if row[i] is not None:
                 row[i] = conv(row[i])
-        return self.record_type(*self._in_field_order(row))
+        return self.record_type(**dict(zip(self.names, row)))
 
 
-_CODECS = {
-    "user_info": _Codec("user_info", UserInfo),
-    "log_geoip": _Codec("log_geoip", GeoIpRange),
-    "log_session": _Codec("log_session", SessionRecord),
-    "open_sessions": _Codec("open_sessions", OpenSession),
-    "log_page": _Codec("log_page", PageRecord),
-}
+# Each table's record, in export order; a record's fields are its table's
+# columns, in order.
+_CODECS = {table: _Codec(table, record_type) for table, record_type in {
+    "user_info": UserInfo,
+    "log_geoip": GeoIpRange,
+    "log_session": SessionRecord,
+    "open_sessions": OpenSession,
+    "log_page": PageRecord,
+}.items()}
+TABLE_COLUMNS = {table: codec.names for table, codec in _CODECS.items()}
 
 
 def _aliased(alias: str, table: str) -> str:
@@ -743,8 +729,9 @@ class LogStore:
 
         Each new row is read back through the table's codec, and its record
         validated, before the load commits.  A value the record cannot hold
-        (a bad enum, a timestamp such as ``2021-9-2 10:00:00``), or holds in
-        another form than the store writes (a map with unsorted keys),
+        (a bad enum, a timestamp such as ``2021-9-2 10:00:00``, anything but
+        an integer or NULL in a field typed ``int``), or holds in another
+        form than the store writes (a map with unsorted keys),
         fails the whole load with a :class:`StorageError` naming the table
         and the row's key.  So does an ``open_sessions`` row whose session
         has ended or started after its ``last_activity``.  A wrong header, a
@@ -773,6 +760,9 @@ class LogStore:
                     f"SELECT {codec.columns} FROM {table} WHERE {key} = ?", (row[at],)
                 )[0]
                 try:
+                    for i, col in codec.integers:
+                        if stored[i] is not None and type(stored[i]) is not int:
+                            raise ConstraintError(f"{col} must be an integer, got {stored[i]!r}")
                     rec = codec.decode(stored)
                     for col, written, value in zip(cols, codec.encode(rec), stored):
                         if written != value:

@@ -523,7 +523,8 @@ class TestReport:
                 user_id=i + 1, username=f"user{i:02d}", user_type="student",
                 gender="female",
             ))
-            store.insert_page(PageRecord(opn, datetime(2021, 9, 2, 10), "/x"))
+            store.insert_page(PageRecord(log_opn_id=opn, log_datetime=datetime(2021, 9, 2, 10),
+                                         log_url="/x"))
         store.close()
         for kind, rows in (("top-ips", 15), ("top-users", 20)):
             assert main(["report", "--store", str(store_path), "--kind", kind]) == 0

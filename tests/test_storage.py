@@ -3,6 +3,7 @@ import io
 import re
 import sqlite3
 import threading
+import typing
 from collections import OrderedDict
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from webusage import storage
+from webusage.enrichment import GeoIpRange
 from webusage.events import AppPageResult
 from webusage.storage import (
     ConstraintError,
@@ -686,6 +688,16 @@ class TestSchema:
             nullable = {name for _, name, _, notnull, _, pk in info if not notnull and not pk}
             assert nullable == documented[table], table
 
+    def test_field_types_match_column_types(self, mem_store):
+        # The import checks a column by its record field's type, and stats
+        # sizes a cell by its column's SQL type: both hold while they agree.
+        sql_types = {int: "INTEGER", bool: "INTEGER", float: "REAL"}
+        for table, codec in storage._CODECS.items():
+            hints = typing.get_type_hints(codec.record_type)
+            expected = [sql_types.get(storage._field_type(hints[c]), "TEXT")
+                        for c in TABLE_COLUMNS[table]]
+            info = mem_store._query(f"PRAGMA table_info({table})")
+            assert [sql_type for _, _, sql_type, *_ in info] == expected, table
 
     def test_schema_in_one_transaction_builds_the_same_store(self, tmp_path):
         # The same statements run each on its own, as autocommit runs them.
@@ -866,6 +878,47 @@ class TestExportImport:
         )
         with pytest.raises(ForeignKeyError):
             mem_store.import_table("log_page", io.StringIO(csv_text))
+
+    @pytest.mark.parametrize("table, changes, reason", [
+        ("log_session", {"user_id": "x,y"}, "user_id must be an integer, got 'x,y'"),
+        ("log_session", {"user_id": "1.5"}, "user_id must be an integer, got 1.5"),
+        ("log_page", {"log_server": "a,b"}, "log_server must be an integer, got 'a,b'"),
+        ("log_page", {"log_uid": "p,q"}, "log_uid must be an integer, got 'p,q'"),
+        ("log_page", {"log_server": "a,b", "log_uid": "p,q"},
+         "log_uid must be an integer, got 'p,q'"),
+        ("log_page", {"log_server": "1.5"}, "log_server must be an integer, got 1.5"),
+        ("log_geoip", {"end_ip": "x"}, "end_ip must be an integer, got 'x'"),
+    ], ids=["user_id-text", "user_id-float", "log_server-text", "log_uid-text",
+            "log_uid-first", "log_server-float", "end_ip-text"])
+    def test_import_rejects_a_non_integer_in_an_integer_column(
+        self, mem_store, table, changes, reason
+    ):
+        mem_store.upsert_user(UserInfo(7, "u0007", "student", "female"))
+        opn = mem_store.insert_session(_session(
+            user_id=7, username="u0007", user_type="student", gender="female"))
+        mem_store.insert_page(_page(opn, log_uid=7, log_username="u0007"))
+        mem_store.replace_geoip([GeoIpRange(167772160, 184549375, "TR")])
+        exported = {}
+        for name in ("log_session", table):
+            buf = io.StringIO()
+            mem_store.export_table(name, buf)
+            exported[name] = buf.getvalue()
+        rows = list(csv.DictReader(io.StringIO(exported[table])))
+        rows[0].update(changes)
+        edited = io.StringIO()
+        writer = csv.DictWriter(edited, TABLE_COLUMNS[table], lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        copy = LogStore(":memory:")
+        if table == "log_page":
+            copy.import_table("log_session", io.StringIO(exported["log_session"]))
+        before = {name: copy._query(f"SELECT * FROM {name}") for name in TABLE_COLUMNS}
+        key = TABLE_COLUMNS[table][0]
+        with pytest.raises(StorageError) as info:
+            copy.import_table(table, io.StringIO(edited.getvalue()))
+        assert str(info.value) == f"{table} row {key}={rows[0][key]}: {reason}"
+        assert {name: copy._query(f"SELECT * FROM {name}") for name in TABLE_COLUMNS} == before
+        copy.close()
 
     @pytest.mark.parametrize("session, last_activity, reason", [
         ({"ended_at": T0 + timedelta(minutes=1), "end_reason": "logout"},
