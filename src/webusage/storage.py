@@ -366,9 +366,6 @@ class _Codec:
         converted = [(i, _CONVERTERS.get(kind)) for i, kind in enumerate(kinds)]
         self._encoders = [(i, conv[0]) for i, conv in converted if conv]
         self._decoders = [(i, conv[1]) for i, conv in converted if conv]
-        # SQLite keeps a value it cannot convert as it is, even in an
-        # INTEGER column, so a field typed int is checked on import.
-        self.integers = [(i, c) for i, (c, kind) in enumerate(zip(cols, kinds)) if kind is int]
 
     def encode(self, rec: Any) -> list:
         row = list(self._values(rec))
@@ -695,7 +692,7 @@ class LogStore:
         decode = _CODECS["log_session"].decode
         return [(decode(row[:-2]), row[-2], row[-1]) for row in rows]
 
-    # -- CSV export / import -------------------------------------------------
+    # -- CSV export ----------------------------------------------------------
 
     def export_table(self, table: str, stream) -> int:
         """Write one table as CSV (header + rows, ordered by primary key)."""
@@ -719,70 +716,6 @@ class LogStore:
                 self.export_table(table, fh)
             paths[table] = path
         return paths
-
-    def import_table(self, table: str, stream) -> int:
-        """Load one exported CSV table.
-
-        CSV cannot tell an empty string from NULL, so an empty cell means
-        NULL exactly in the columns the schema lets be NULL (not ``NOT NULL``
-        and not the primary key) and the empty string everywhere else.
-
-        Each new row is read back through the table's codec, and its record
-        validated, before the load commits.  A value the record cannot hold
-        (a bad enum, a timestamp such as ``2021-9-2 10:00:00``, anything but
-        an integer or NULL in a field typed ``int``), or holds in another
-        form than the store writes (a map with unsorted keys),
-        fails the whole load with a :class:`StorageError` naming the table
-        and the row's key.  So does an ``open_sessions`` row whose session
-        has ended or started after its ``last_activity``.  A wrong header, a
-        row of the wrong width, or one ``csv`` cannot read fails it naming
-        the table and the line.
-        """
-        cols = TABLE_COLUMNS.get(table)
-        if cols is None:
-            raise ValueError(f"unknown table {table!r}")
-        info = self._query(f"PRAGMA table_info({table})")  # cid, name, type, notnull, dflt, pk
-        nullable = {name for _, name, _, notnull, _, pk in info if not notnull and not pk}
-        null_at = [name in nullable for name in cols]
-        try:
-            rows = [
-                tuple(None if v == "" and is_null else v for v, is_null in zip(row, null_at))
-                for _, row in csvio.rows(stream, cols)
-            ]
-        except csvio.RowError as exc:
-            raise StorageError(f"{table} {exc}") from None
-        codec, key = _CODECS[table], _TABLE_KEYS[table]
-        at = cols.index(key)
-        with self.transaction():
-            self._insert(table, rows, many=True)
-            for row in rows:
-                stored = self._query(
-                    f"SELECT {codec.columns} FROM {table} WHERE {key} = ?", (row[at],)
-                )[0]
-                try:
-                    for i, col in codec.integers:
-                        if stored[i] is not None and type(stored[i]) is not int:
-                            raise ConstraintError(f"{col} must be an integer, got {stored[i]!r}")
-                    rec = codec.decode(stored)
-                    for col, written, value in zip(cols, codec.encode(rec), stored):
-                        if written != value:
-                            raise ConstraintError(f"{col} {value!r} is not in the form"
-                                                  " the store writes")
-                    if hasattr(rec, "validate"):
-                        rec.validate()
-                    if table == "open_sessions":
-                        # Only a session the collector could still continue.
-                        started_at, ended_at = self._query(
-                            "SELECT started_at, ended_at FROM log_session WHERE opn_id = ?",
-                            (rec.opn_id,),
-                        )[0]
-                        if ended_at is not None:
-                            raise ConstraintError(f"its session ended at {ended_at}")
-                        if rec.last_activity < text_to_dt(started_at):
-                            raise ConstraintError("last_activity before its session's started_at")
-                except (StorageError, ValueError, TypeError) as exc:
-                    raise StorageError(f"{table} row {key}={row[at]}: {exc}") from None
-        return len(rows)
 
     # -- stats ---------------------------------------------------------------
 

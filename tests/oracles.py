@@ -48,6 +48,7 @@ from webusage.storage import (
     LogStore,
     OpenSession,
     PageRecord,
+    TABLE_COLUMNS,
 )
 
 USER_TYPE_ORDER = (
@@ -532,6 +533,65 @@ def get_page(store: LogStore, page_id: int) -> PageRecord | None:
 def iter_open_sessions(store: LogStore) -> list[OpenSession]:
     """Every open-session row, by opn_id."""
     return store._select("open_sessions", "ORDER BY opn_id")
+
+
+def copy_tables(source: LogStore, target: LogStore, tables: Sequence[str]) -> None:
+    """Copy every row of each table, in the order given, from one store into
+    another with plain SQL."""
+    with target.transaction() as conn:
+        for table in tables:
+            rows = source._query(f"SELECT * FROM {table}")
+            if rows:
+                marks = ", ".join("?" * len(rows[0]))
+                conn.executemany(f"INSERT INTO {table} VALUES ({marks})", rows)
+
+
+# The column each exported table is ordered by.
+EXPORT_KEYS = {
+    "user_info": "user_id",
+    "log_geoip": "start_ip",
+    "log_session": "opn_id",
+    "open_sessions": "opn_id",
+    "log_page": "log_details_id",
+}
+
+
+def _column_info(store: LogStore, table: str) -> list[tuple[str, str, bool]]:
+    """(name, SQL type, nullable) of each column, in schema order; a column
+    is nullable when it is neither ``NOT NULL`` nor the primary key."""
+    return [(name, sql_type, not notnull and not pk)
+            for _, name, sql_type, notnull, _, pk in store._query(f"PRAGMA table_info({table})")]
+
+
+def read_export_table(store: LogStore, table: str, stream) -> list[tuple]:
+    """An exported table read back with ``csv`` alone, one tuple per row.
+
+    Each cell is typed from its column in the store's schema: an empty cell
+    in a nullable column is ``None``, an INTEGER cell an ``int``, a REAL cell
+    a ``float``, and any other cell stays text.  ``stream`` is opened with
+    ``newline=""``, as the export is written."""
+    columns = _column_info(store, table)
+    header, *body = csv.reader(stream)
+    assert header == [name for name, _, _ in columns], header
+    kinds = [({"INTEGER": int, "REAL": float}.get(sql_type, str), nullable)
+             for _, sql_type, nullable in columns]
+    out = []
+    for row in body:
+        assert len(row) == len(kinds), row
+        out.append(tuple(None if cell == "" and nullable else kind(cell)
+                         for cell, (kind, nullable) in zip(row, kinds)))
+    return out
+
+
+def stored_rows(store: LogStore, table: str, blank_is_null: bool = False) -> list[tuple]:
+    """The table's rows as SQL reads them, in ``TABLE_COLUMNS`` and export
+    order.  With ``blank_is_null``, an empty string in a nullable column
+    reads as NULL, the one difference CSV cannot show."""
+    columns = _column_info(store, table)
+    assert tuple(name for name, _, _ in columns) == TABLE_COLUMNS[table]
+    cells = [f"NULLIF({name}, '')" if blank_is_null and nullable else name
+             for name, _, nullable in columns]
+    return store._query(f"SELECT {', '.join(cells)} FROM {table} ORDER BY {EXPORT_KEYS[table]}")
 
 
 def serialize_map_reference(m: dict[str, str]) -> str:

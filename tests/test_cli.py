@@ -3,13 +3,13 @@
 import csv
 import gzip
 import hashlib
-import io
 import json
 import re
+import shutil
 import sqlite3
 import subprocess
 import sys
-from datetime import datetime
+from datetime import datetime, timedelta
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -18,8 +18,8 @@ import pytest
 from webusage import cli
 from webusage.analytics import report_to_csv, report_to_plot, search_report_to_csv
 from webusage.cli import REPORT_KINDS, REPORTS, main
-from webusage.collector import Collector
-from webusage.events import AppPageResult, parse_replay_line
+from webusage.collector import CollectionError, Collector
+from webusage.events import AppPageResult, RawRequestEvent, parse_replay_line
 from webusage.simulator import SITE_HOST
 from webusage.storage import (
     TABLE_COLUMNS, USER_TYPES, LogStore, PageRecord, SessionRecord, UserInfo,
@@ -1072,7 +1072,7 @@ class TestYear999:
         for minute, page in [(0, "a"), (5, "b")]
     )
 
-    def test_collect_report_export_and_import(self, tmp_path, capsys):
+    def test_collect_report_and_export(self, tmp_path, capsys):
         replay, store = tmp_path / "old.replay", tmp_path / "old.db"
         replay.write_text(self.REPLAY, encoding="utf-8")
         assert main(["collect", str(replay), "--store", str(store)]) == 0
@@ -1080,20 +1080,21 @@ class TestYear999:
         assert main(["report", "--store", str(store), "--kind", "hourly-cube"]) == 0
         cube = {row[0]: row[-1] for row in csv.reader(capsys.readouterr().out.splitlines())}
         assert cube["23"] == "2"
-        assert main(["export", "--store", str(store), "--out", str(tmp_path / "out")]) == 0
-        sessions, pages = ((tmp_path / "out" / f"{table}.csv").read_text(encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["export", "--store", str(store), "--out", str(out)]) == 0
+        sessions, pages = ((out / f"{table}.csv").read_text(encoding="utf-8")
                            for table in ("log_session", "log_page"))
         assert ",0999-12-31 23:00:00,0999-12-31 23:05:00,timeout\n" in sessions
         assert ",0999-12-31 23:00:00,0999-12-31," in pages
-        copy = LogStore(":memory:")
+        reader = LogStore(store.resolve().as_uri() + "?mode=ro")
         try:
-            assert copy.import_table("log_session", io.StringIO(sessions)) == 1
-            assert copy.import_table("log_page", io.StringIO(pages)) == 2
-            again = io.StringIO()
-            copy.export_table("log_page", again)
-            assert again.getvalue() == pages
+            for table in TABLE_COLUMNS:
+                with (out / f"{table}.csv").open(encoding="utf-8", newline="") as fh:
+                    read = oracles.read_export_table(reader, table, fh)
+                assert read == oracles.stored_rows(reader, table)
+            assert len(read) == 2  # log_page, the last table
         finally:
-            copy.close()
+            reader.close()
 
     def test_second_request_on_the_token_is_recorded(self):
         store = LogStore(":memory:")
@@ -1105,6 +1106,98 @@ class TestYear999:
             assert store.page_count() == 2
         finally:
             store.close()
+
+
+class TestOldOpenSessionsStore:
+    """FORMATS.md "Store": a store file written before `open_sessions` lost
+    its `user_id` and `started_at` columns."""
+
+    # open_sessions as such a file declares it
+    OLD_OPEN_SESSIONS = """CREATE TABLE open_sessions (
+        session_token TEXT PRIMARY KEY,
+        opn_id        INTEGER NOT NULL UNIQUE REFERENCES log_session(opn_id),
+        user_id       INTEGER,
+        started_at    TEXT NOT NULL,
+        last_activity TEXT NOT NULL
+    )"""
+
+    @pytest.fixture
+    def old_store(self, workspace, tmp_path):
+        """A copy of the workspace store with the old ``open_sessions``,
+        whose last session is open again under the token ``old``: the path,
+        the session's opn_id and its last activity."""
+        path = tmp_path / "old.db"
+        shutil.copyfile(workspace["store"], path)
+        conn = sqlite3.connect(path)
+        try:
+            with conn:
+                conn.execute("DROP TABLE open_sessions")
+                conn.execute(self.OLD_OPEN_SESSIONS)
+                opn, user_id, started_at, last = conn.execute(
+                    "SELECT s.opn_id, s.user_id, s.started_at, MAX(p.log_datetime)"
+                    " FROM log_session s JOIN log_page p ON p.log_opn_id = s.opn_id"
+                    " GROUP BY s.opn_id ORDER BY s.opn_id DESC LIMIT 1"
+                ).fetchone()
+                conn.execute("UPDATE log_session SET ended_at = NULL, end_reason = NULL"
+                             " WHERE opn_id = ?", (opn,))
+                conn.execute("INSERT INTO open_sessions VALUES ('old', ?, ?, ?, ?)",
+                             (opn, user_id, started_at, last))
+        finally:
+            conn.close()
+        return path, opn, datetime.fromisoformat(last)
+
+    @staticmethod
+    def _event(token: str, at: datetime) -> RawRequestEvent:
+        return RawRequestEvent(client_ip="10.0.0.1", timestamp=at, method="GET",
+                               url=f"http://{SITE_HOST}/index.php", session_token=token)
+
+    @pytest.mark.parametrize("close", ["logout", "sweep"])
+    def test_only_a_new_session_fails(self, old_store, close):
+        path, opn, last = old_store
+        store = LogStore(path)
+        try:
+            collector = Collector(store, [SITE_HOST])
+
+            def tables() -> dict[str, list]:
+                return {table: store._query(f"SELECT * FROM {table}") for table in TABLE_COLUMNS}
+
+            before = tables()
+            with pytest.raises(CollectionError) as info:
+                collector.handle_request_begin(self._event("new", last))
+            assert "NOT NULL constraint failed: open_sessions.started_at" in str(info.value)
+            assert tables() == before
+            at = last + timedelta(seconds=60)
+            assert collector.handle_request_begin(self._event("old", at))[0] == opn
+            if close == "logout":
+                assert collector.end_session("old") is True
+            else:
+                assert collector.sweep_expired(at + timedelta(seconds=collector.timeout + 1)) == 1
+            assert store._query("SELECT COUNT(*) FROM open_sessions") == [(0,)]
+            assert store._query("SELECT ended_at, end_reason FROM log_session WHERE opn_id = ?",
+                                (opn,)) == [(str(at), "timeout" if close == "sweep" else close)]
+        finally:
+            store.close()
+
+    def test_report_compare_and_export_read_it(self, old_store, workspace, tmp_path, capsys):
+        path, opn, last = old_store
+
+        def run(store, *args) -> str:
+            assert main([args[0], "--store", str(store), *args[1:]]) == 0
+            return capsys.readouterr().out
+
+        compare = ("compare", "--baseline", str(workspace["sessions"]),
+                   "--truth", str(workspace["truth"]))
+        assert run(path, *compare) == run(workspace["store"], *compare)
+        # The reopened session's empty end changes only the stats sizes.
+        for kind in REPORT_KINDS:
+            got, want = (run(store, "report", "--kind", kind) for store in (path, workspace["store"]))
+            if kind == "stats":
+                assert "rows.open_sessions: 1\n" in got
+            else:
+                assert got == want, kind
+        run(path, "export", "--out", str(tmp_path / "out"))
+        assert (tmp_path / "out" / "open_sessions.csv").read_text(encoding="utf-8") == (
+            f"session_token,opn_id,last_activity\nold,{opn},{last}\n")
 
 
 class TestFormatsContract:

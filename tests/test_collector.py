@@ -1,4 +1,3 @@
-import io
 import random
 import sqlite3
 import sys
@@ -19,7 +18,7 @@ from webusage.compare import collector_report
 from webusage.enrichment import default_search_registry
 from webusage.events import AppPageResult, RawRequestEvent
 from webusage.simulator import _EXTERNAL_REFERRERS, _SEARCH_REFERRERS
-from webusage.storage import TABLE_COLUMNS, LogStore, NotFoundError, StorageError, UserInfo
+from webusage.storage import TABLE_COLUMNS, LogStore, NotFoundError, UserInfo
 
 import oracles
 
@@ -456,23 +455,12 @@ class TestSessionsContract:
         page = oracles.get_page(mem_store, page_id)
         assert (page.log_uid, page.log_username) == (None, None)
 
-    def test_request_on_an_imported_open_session_records_its_session_user(self, mem_store):
+    def test_request_on_a_copied_open_session_records_its_session_user(self, mem_store):
         source = LogStore(":memory:")
         source.upsert_user(UserInfo(7, "alice", "student", "female"))
         Collector(source, site_hosts=HOSTS).handle_request_begin(_event(auth_user="alice"))
-        exported = {}
-        for table in ("user_info", "log_session", "open_sessions"):
-            exported[table] = io.StringIO()
-            source.export_table(table, exported[table])
+        oracles.copy_tables(source, mem_store, ("user_info", "log_session", "open_sessions"))
         source.close()
-        for table in ("user_info", "log_session"):
-            mem_store.import_table(table, io.StringIO(exported[table].getvalue()))
-        # An open session cannot carry a user of its own, such as account 9.
-        stale = ("session_token,opn_id,user_id,started_at,last_activity\n"
-                 "tokA,1,9,2021-09-02 10:00:00,2021-09-02 10:00:00\n")
-        with pytest.raises(StorageError, match="open_sessions line 1: expected header"):
-            mem_store.import_table("open_sessions", io.StringIO(stale))
-        mem_store.import_table("open_sessions", io.StringIO(exported["open_sessions"].getvalue()))
         opn, page_id = Collector(mem_store, site_hosts=HOSTS).handle_request_begin(
             _event(seconds=300))
         assert opn == 1

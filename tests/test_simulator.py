@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from webusage import cli
+from webusage.analytics import DISTRIBUTION_KINDS, Analytics
 from webusage.baseline import parse_log_line, preprocess_log, render_log_line, session_rows
 from webusage.collector import Collector, replay_stream
 from webusage.compare import collector_report, load_roster, score_against_truth
@@ -596,6 +597,17 @@ class TestWorkloadProperties:
         store = collect_workload(events, truth, config)
         try:
             report = collector_report(store, truth)
+            # Criterion 7: the reports conserve the store's pageviews and sessions.
+            analytics = Analytics(store)
+            pages, sessions = store.page_count(), store.session_count()
+            assert sum(row[-1] for row in analytics.hourly_cube().rows) == pages
+            assert sum(row[-1] for row in analytics.usage_buckets().rows) == sessions
+            for kind in DISTRIBUTION_KINDS:
+                ratios = [ratio for _, _, ratio in analytics.distribution(kind).rows]
+                if sessions:
+                    assert sum(ratios) == pytest.approx(1.0, abs=1e-9), kind
+                else:
+                    assert ratios == [], kind
         finally:
             store.close()
         assert (

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from webusage import storage
-from webusage.enrichment import GeoIpRange
 from webusage.events import AppPageResult
 from webusage.storage import (
     ConstraintError,
@@ -32,7 +31,14 @@ from webusage.storage import (
     serialize_map,
     text_to_dt,
 )
-from oracles import get_page, iter_open_sessions, parse_load_time, serialize_map_reference
+from oracles import (
+    get_page,
+    iter_open_sessions,
+    parse_load_time,
+    read_export_table,
+    serialize_map_reference,
+    stored_rows,
+)
 
 T0 = datetime(2021, 9, 2, 10, 12, 18)
 
@@ -445,6 +451,26 @@ class TestPages:
             mem_store.update_page_result(999, AppPageResult())
 
 
+@pytest.mark.parametrize("table, changes, reason", [
+    ("log_session", {"user_type": "martian"}, "bad user_type: 'martian'"),
+    ("log_session", {"referral_class": "carrier_pigeon"}, "bad referral_class: 'carrier_pigeon'"),
+    ("log_session", {"ended_at": datetime(2000, 1, 1), "end_reason": "timeout"},
+     "ended_at before started_at"),
+    ("log_page", {"log_page_load_time": float("-inf")},
+     "log_page_load_time must be a finite number >= 0, got -inf"),
+], ids=["user_type", "referral_class", "ended-before-started", "load-time"])
+def test_record_check_refuses_the_write_and_keeps_the_store(mem_store, table, changes, reason):
+    opn = mem_store.insert_session(_session())
+    before = {name: mem_store._query(f"SELECT * FROM {name}") for name in TABLE_COLUMNS}
+    with pytest.raises(ConstraintError) as info:
+        if table == "log_session":
+            mem_store.insert_session(_session(**changes))
+        else:
+            mem_store.insert_page(_page(opn, **changes))
+    assert str(info.value) == reason
+    assert {name: mem_store._query(f"SELECT * FROM {name}") for name in TABLE_COLUMNS} == before
+
+
 class TestUsersAndOpenSessions:
     def test_upsert_and_lookup(self, mem_store):
         mem_store.upsert_user(UserInfo(7, "u0007", "student", "female"))
@@ -689,8 +715,8 @@ class TestSchema:
             assert nullable == documented[table], table
 
     def test_field_types_match_column_types(self, mem_store):
-        # The import checks a column by its record field's type, and stats
-        # sizes a cell by its column's SQL type: both hold while they agree.
+        # The codecs convert a cell by its record field's type, and stats
+        # sizes it by its column's SQL type: both hold while they agree.
         sql_types = {int: "INTEGER", bool: "INTEGER", float: "REAL"}
         for table, codec in storage._CODECS.items():
             hints = typing.get_type_hints(codec.record_type)
@@ -723,221 +749,39 @@ class TestSchema:
             reference.close()
 
 
-class TestExportImport:
+class TestExport:
     def test_unknown_table_rejected(self, mem_store):
         with pytest.raises(ValueError, match="unknown table"):
             mem_store.export_table("no_such", io.StringIO())
 
-    def test_export_import_round_trip(self, sim_store, tmp_path):
+    def test_export_reads_back_as_the_stored_rows(self, sim_store, tmp_path):
         paths = sim_store.export_all(tmp_path)
         assert set(paths) == {
             "user_info", "log_geoip", "log_session", "open_sessions", "log_page",
         }
-        copy = LogStore(":memory:")
-        for table in ("user_info", "log_geoip", "log_session", "open_sessions", "log_page"):
-            with paths[table].open(encoding="utf-8", newline="") as fh:
-                copy.import_table(table, fh)
-        assert copy.session_count() == sim_store.session_count()
-        assert copy.page_count() == sim_store.page_count()
-        original = list(sim_store.join_sessions_pages())
-        restored = list(copy.join_sessions_pages())
-        assert restored == original
-        copy.close()
+        for table, path in paths.items():
+            with path.open(encoding="utf-8", newline="") as fh:
+                assert read_export_table(sim_store, table, fh) == stored_rows(sim_store, table)
+        assert len(stored_rows(sim_store, "log_page")) == sim_store.page_count() > 0
 
-    @staticmethod
-    def _sessions_csv_with(sim_store, **changes) -> tuple[str, str]:
-        """The exported log_session table with ``changes`` made to its
-        second row, and that row's opn_id."""
-        buf = io.StringIO()
-        sim_store.export_table("log_session", buf)
-        rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
-        rows[1].update(changes)
-        out = io.StringIO()
-        writer = csv.DictWriter(out, TABLE_COLUMNS["log_session"], lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        return out.getvalue(), rows[1]["opn_id"]
-
-    @pytest.mark.parametrize("changes, reason", [
-        ({"user_type": "martian", "started_at": "yesterday"},
-         "time 'yesterday' is not in the YYYY-MM-DD HH:MM:SS form"),
-        ({"user_type": "martian"}, "bad user_type: 'martian'"),
-        ({"referral_class": "carrier_pigeon"}, "bad referral_class"),
-        ({"started_at": "2021-9-2 10:00:00"},
-         "time '2021-9-2 10:00:00' is not in the YYYY-MM-DD HH:MM:SS form"),
-        ({"ended_at": "2000-01-01 00:00:00", "end_reason": "timeout"}, "ended_at before"),
-    ])
-    def test_import_rejects_invalid_rows_and_keeps_the_store(
-        self, sim_store, mem_store, changes, reason
-    ):
-        text, opn_id = self._sessions_csv_with(sim_store, **changes)
-        mem_store.upsert_user(UserInfo(1, "keep", "student", "male"))
-        with pytest.raises(StorageError, match=re.escape(f"log_session row opn_id={opn_id}: ")) as info:
-            mem_store.import_table("log_session", io.StringIO(text))
-        assert reason in str(info.value)
-        assert mem_store.session_count() == 0
-        assert mem_store._query("SELECT user_id, username FROM user_info") == [(1, "keep")]
-
-    def test_null_cell_exports_empty_and_imports_as_null(self, mem_store):
-        mem_store.insert_session(_session())  # still open: no ended_at
-        query = "SELECT ended_at, end_reason, user_type FROM log_session"
-        assert mem_store._query(query) == [(None, None, "guest")]
-        buf = io.StringIO()
-        assert mem_store.export_table("log_session", buf) == 1
-        row = next(csv.DictReader(io.StringIO(buf.getvalue())))
-        assert (row["ended_at"], row["end_reason"]) == ("", "")
-        copy = LogStore(":memory:")
-        assert copy.import_table("log_session", io.StringIO(buf.getvalue())) == 1
-        assert copy._query(query) == [(None, None, "guest")]
-        copy.close()
-
-    def test_import_rejects_wrong_header(self, mem_store):
-        with pytest.raises(StorageError) as info:
-            mem_store.import_table("user_info", io.StringIO("a,b\n1,2\n"))
-        assert str(info.value) == (
-            "user_info line 1: expected header user_id,username,user_type,gender"
-        )
-
-    @pytest.mark.parametrize("row, reason", [
-        ("3,carol,student", re.escape("expected 4 columns, got 3")),
-        # csv's hint after this text differs between Python versions
-        ("3,c\rd,student,female", "new-line character seen in unquoted field - .*"),
-        (f"3,{'x' * (csv.field_size_limit() + 1)},student,female",
-         re.escape(f"field larger than field limit ({csv.field_size_limit()})")),
-    ], ids=["width", "lone-cr", "over-field-limit"])
-    def test_unreadable_row_names_table_and_line_and_keeps_the_store(self, mem_store, row, reason):
-        mem_store.upsert_user(UserInfo(1, "keep", "student", "male"))
-        text = f"user_id,username,user_type,gender\n2,bob,student,male\n\n{row}\n"
-        with pytest.raises(StorageError) as info:
-            mem_store.import_table("user_info", io.StringIO(text))
-        assert re.fullmatch(f"user_info line 4: {reason}", str(info.value))
-        assert mem_store._query("SELECT user_id, username FROM user_info") == [(1, "keep")]
-
-    @pytest.mark.parametrize("cookies", [
-        '{"b":"1", "a":"2"}',
-        '{"b":"1","a":"2"}',
-        '{"a": "2"}',
-    ])
-    def test_import_rejects_a_map_not_in_the_form_the_store_writes(self, mem_store, cookies):
-        opn = mem_store.insert_session(_session())
-        mem_store.insert_page(_page(opn, log_cookie_serialize={"a": "2", "b": "1"}))
-        sessions, pages = io.StringIO(), io.StringIO()
-        mem_store.export_table("log_session", sessions)
-        mem_store.export_table("log_page", pages)
-        rows = list(csv.DictReader(io.StringIO(pages.getvalue())))
-        assert rows[0]["log_cookie_serialize"] == '{"a":"2","b":"1"}'
-        rows[0]["log_cookie_serialize"] = cookies
-        edited = io.StringIO()
-        writer = csv.DictWriter(edited, TABLE_COLUMNS["log_page"], lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        copy = LogStore(":memory:")
-        copy.import_table("log_session", io.StringIO(sessions.getvalue()))
-        with pytest.raises(StorageError, match=re.escape(
-            f"log_page row log_details_id=1: log_cookie_serialize {cookies!r}"
-            " is not in the form the store writes"
-        )):
-            copy.import_table("log_page", io.StringIO(edited.getvalue()))
-        assert copy.page_count() == 0
-        copy.close()
-
-    @pytest.mark.parametrize("cell, shown", [
-        ("1e999", "inf"), ("-1e999", "-inf"), ("abc", "'abc'"), ("", "''"),
-    ])
-    def test_import_rejects_a_load_time_the_store_cannot_write(self, mem_store, cell, shown):
-        opn = mem_store.insert_session(_session())
+    def test_null_cell_exports_empty_and_reads_back_as_none_only_where_nullable(self, mem_store):
+        opn = mem_store.insert_session(_session(browser_name=""))  # still open: no ended_at
         mem_store.insert_page(_page(opn))
-        sessions, pages = io.StringIO(), io.StringIO()
-        mem_store.export_table("log_session", sessions)
+        query = "SELECT ended_at, end_reason, browser_name FROM log_session"
+        assert mem_store._query(query) == [(None, None, "")]
+        buf = io.StringIO(newline="")
+        assert mem_store.export_table("log_session", buf) == 1
+        row = next(csv.DictReader(io.StringIO(buf.getvalue(), newline="")))
+        assert (row["ended_at"], row["end_reason"], row["browser_name"]) == ("", "", "")
+        (read,) = read_export_table(mem_store, "log_session", io.StringIO(buf.getvalue(), newline=""))
+        cols = TABLE_COLUMNS["log_session"]
+        assert [read[cols.index(c)] for c in ("ended_at", "end_reason", "browser_name")] == [
+            None, None, ""]
+        pages = io.StringIO(newline="")
         mem_store.export_table("log_page", pages)
-        rows = list(csv.DictReader(io.StringIO(pages.getvalue())))
-        rows[0]["log_page_load_time"] = cell
-        edited = io.StringIO()
-        writer = csv.DictWriter(edited, TABLE_COLUMNS["log_page"], lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        copy = LogStore(":memory:")
-        copy.import_table("log_session", io.StringIO(sessions.getvalue()))
-        with pytest.raises(StorageError) as info:
-            copy.import_table("log_page", io.StringIO(edited.getvalue()))
-        assert str(info.value) == (
-            "log_page row log_details_id=1: log_page_load_time must be a finite number"
-            f" >= 0, got {shown}"
-        )
-        assert copy.page_count() == 0
-        copy.close()
-
-    def test_import_enforces_foreign_keys(self, mem_store):
-        csv_text = (
-            "log_details_id,log_opn_id,log_uid,log_username,log_datetime,log_date,"
-            "log_server,log_app_service,log_module,log_url,log_web_message,"
-            "log_subtitle,log_page_title,log_cookie_serialize,log_session_serialize,"
-            "log_post_serialize,log_get_serialize,log_page_load_time,log_error_text,"
-            "log_url_malformed\n"
-            '1,42,,,2021-09-02 10:12:18,2021-09-02,1,,, /x,,,,{},{},{},{},0.0,,0\n'
-        )
-        with pytest.raises(ForeignKeyError):
-            mem_store.import_table("log_page", io.StringIO(csv_text))
-
-    @pytest.mark.parametrize("table, changes, reason", [
-        ("log_session", {"user_id": "x,y"}, "user_id must be an integer, got 'x,y'"),
-        ("log_session", {"user_id": "1.5"}, "user_id must be an integer, got 1.5"),
-        ("log_page", {"log_server": "a,b"}, "log_server must be an integer, got 'a,b'"),
-        ("log_page", {"log_uid": "p,q"}, "log_uid must be an integer, got 'p,q'"),
-        ("log_page", {"log_server": "a,b", "log_uid": "p,q"},
-         "log_uid must be an integer, got 'p,q'"),
-        ("log_page", {"log_server": "1.5"}, "log_server must be an integer, got 1.5"),
-        ("log_geoip", {"end_ip": "x"}, "end_ip must be an integer, got 'x'"),
-    ], ids=["user_id-text", "user_id-float", "log_server-text", "log_uid-text",
-            "log_uid-first", "log_server-float", "end_ip-text"])
-    def test_import_rejects_a_non_integer_in_an_integer_column(
-        self, mem_store, table, changes, reason
-    ):
-        mem_store.upsert_user(UserInfo(7, "u0007", "student", "female"))
-        opn = mem_store.insert_session(_session(
-            user_id=7, username="u0007", user_type="student", gender="female"))
-        mem_store.insert_page(_page(opn, log_uid=7, log_username="u0007"))
-        mem_store.replace_geoip([GeoIpRange(167772160, 184549375, "TR")])
-        exported = {}
-        for name in ("log_session", table):
-            buf = io.StringIO()
-            mem_store.export_table(name, buf)
-            exported[name] = buf.getvalue()
-        rows = list(csv.DictReader(io.StringIO(exported[table])))
-        rows[0].update(changes)
-        edited = io.StringIO()
-        writer = csv.DictWriter(edited, TABLE_COLUMNS[table], lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        copy = LogStore(":memory:")
-        if table == "log_page":
-            copy.import_table("log_session", io.StringIO(exported["log_session"]))
-        before = {name: copy._query(f"SELECT * FROM {name}") for name in TABLE_COLUMNS}
-        key = TABLE_COLUMNS[table][0]
-        with pytest.raises(StorageError) as info:
-            copy.import_table(table, io.StringIO(edited.getvalue()))
-        assert str(info.value) == f"{table} row {key}={rows[0][key]}: {reason}"
-        assert {name: copy._query(f"SELECT * FROM {name}") for name in TABLE_COLUMNS} == before
-        copy.close()
-
-    @pytest.mark.parametrize("session, last_activity, reason", [
-        ({"ended_at": T0 + timedelta(minutes=1), "end_reason": "logout"},
-         T0 + timedelta(minutes=1), "its session ended at 2021-09-02 10:13:18"),
-        ({}, T0 - timedelta(seconds=1), "last_activity before its session's started_at"),
-    ], ids=["session-ended", "active-before-start"])
-    def test_import_rejects_an_open_session_the_collector_could_not_have_written(
-        self, mem_store, session, last_activity, reason
-    ):
-        bad = mem_store.insert_session(_session(**session))
-        good = mem_store.insert_session(_session())
-        text = (f"session_token,opn_id,last_activity\ntokB,{good},{dt_to_text(T0)}\n"
-                f"tokA,{bad},{dt_to_text(last_activity)}\n")
-        sessions = mem_store._query("SELECT * FROM log_session")
-        with pytest.raises(StorageError) as info:
-            mem_store.import_table("open_sessions", io.StringIO(text))
-        assert str(info.value) == f"open_sessions row opn_id={bad}: {reason}"
-        assert mem_store._query("SELECT COUNT(*) FROM open_sessions") == [(0,)]
-        assert mem_store._query("SELECT * FROM log_session") == sessions
+        (page,) = read_export_table(mem_store, "log_page", io.StringIO(pages.getvalue(), newline=""))
+        cols = TABLE_COLUMNS["log_page"]
+        assert [page[cols.index(c)] for c in ("log_error_text", "log_app_service")] == [None, ""]
 
 
 def _row_sizes(store) -> dict[str, float]:
@@ -1014,19 +858,16 @@ class TestStats:
         self._fill_with_odd_values(mem_store)
         self._assert_sizes_match_export(mem_store)
 
-    def test_odd_values_export_import_export_the_same_bytes(self, mem_store):
+    def test_odd_values_export_reads_back_as_the_stored_rows(self, mem_store):
         """A cell holding a lone ``\r`` is quoted, so its row reads back whole."""
         self._fill_with_odd_values(mem_store)
-        copy = LogStore(":memory:")
-        try:
-            for table in TABLE_COLUMNS:
-                first, second = io.StringIO(newline=""), io.StringIO(newline="")
-                mem_store.export_table(table, first)
-                copy.import_table(table, io.StringIO(first.getvalue(), newline=""))
-                copy.export_table(table, second)
-                assert second.getvalue() == first.getvalue()
-        finally:
-            copy.close()
+        for table in TABLE_COLUMNS:
+            buf = io.StringIO(newline="")
+            mem_store.export_table(table, buf)
+            read = read_export_table(mem_store, table, io.StringIO(buf.getvalue(), newline=""))
+            assert read == stored_rows(mem_store, table, blank_is_null=True)
+        # The store holds '' in nullable columns, which reads back as None.
+        assert read != stored_rows(mem_store, "log_page")
 
     @pytest.mark.parametrize("load_time", ODD_FLOATS)
     def test_real_sized_as_its_repr(self, mem_store, load_time):

@@ -18,7 +18,6 @@ EXEMPT = {
     "get_session": "perfbench/tracing.py wraps it by name",
     "join_sessions_pages": "perfbench/tracing.py wraps it by name",
     "session_summaries": "perfbench/tracing.py wraps it by name",
-    "import_table": "FORMATS.md documents it",
     "end_session": "FORMATS.md documents it",
     "render_log_line": "FORMATS.md documents it",
 }
