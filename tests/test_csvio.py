@@ -2,7 +2,9 @@
 gives, row for row, what ``oracles.csv_row_reference`` gives, and NUL is
 written as it is on every Python."""
 
+import csv
 import io
+import re
 from datetime import datetime, timedelta
 
 import pytest
@@ -59,6 +61,41 @@ class TestRule:
                 list(csvio.rows(stream, ("a", "b")))
         else:
             assert list(csvio.rows(stream, ("a", "b"))) == [(2, ["n\x00", "x"])]
+
+
+class TestRows:
+    """``csvio.rows``, the one reader of every CSV input: each row with the
+    line it ends on, blank lines skipped, and an unreadable row a
+    ``RowError`` naming its line."""
+
+    def test_without_a_header_any_width_is_read(self):
+        assert list(csvio.rows(io.StringIO("a\n\nb,c\n", newline=""))) == [
+            (1, ["a"]), (3, ["b", "c"])]
+
+    def test_a_row_spanning_lines_is_named_by_its_last(self):
+        stream = io.StringIO('a,b\n1,"x\ny"\n2,z\n', newline="")
+        assert list(csvio.rows(stream, ("a", "b"))) == [(3, ["1", "x\ny"]), (4, ["2", "z"])]
+
+    @pytest.mark.parametrize("text", ["x,y\n1,2\n", ""], ids=["wrong", "empty"])
+    def test_header_must_match(self, text):
+        with pytest.raises(csvio.RowError) as info:
+            list(csvio.rows(io.StringIO(text, newline=""), ("a", "b")))
+        assert str(info.value) == "line 1: expected header a,b"
+
+    @pytest.mark.parametrize("row, reason", [
+        ("3", re.escape("expected 2 columns, got 1")),
+        # csv's hint after this text differs between Python versions
+        ("3,c\rd", "new-line character seen in unquoted field - .*"),
+        (f"3,{'x' * (csv.field_size_limit() + 1)}",
+         re.escape(f"field larger than field limit ({csv.field_size_limit()})")),
+    ], ids=["width", "lone-cr", "over-field-limit"])
+    def test_unreadable_row_names_its_line(self, row, reason):
+        read = []
+        with pytest.raises(csvio.RowError) as info:
+            for line_no, cells in csvio.rows(io.StringIO(f"a,b\n1,2\n\n{row}\n"), ("a", "b")):
+                read.append((line_no, cells))
+        assert re.fullmatch(f"line 4: {reason}", str(info.value))
+        assert read == [(2, ["1", "2"])]
 
 
 class TestWriters:

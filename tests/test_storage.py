@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import re
 import sqlite3
@@ -452,18 +453,48 @@ class TestPages:
 
 
 @pytest.mark.parametrize("table, changes, reason", [
-    ("log_session", {"user_type": "martian"}, "bad user_type: 'martian'"),
-    ("log_session", {"referral_class": "carrier_pigeon"}, "bad referral_class: 'carrier_pigeon'"),
-    ("log_session", {"ended_at": datetime(2000, 1, 1), "end_reason": "timeout"},
-     "ended_at before started_at"),
-    ("log_page", {"log_page_load_time": float("-inf")},
-     "log_page_load_time must be a finite number >= 0, got -inf"),
-], ids=["user_type", "referral_class", "ended-before-started", "load-time"])
+    pytest.param("user_info", {"username": ""}, "username must be non-empty", id="username"),
+    pytest.param("user_info", {"user_type": "guest", "gender": "not_applicable"},
+                 "bad user_type for account: 'guest'", id="account-type"),
+    pytest.param("user_info", {"gender": "other"}, "bad gender: 'other'", id="user-gender"),
+    pytest.param("log_session", {"ip": ""}, "ip must be non-empty", id="ip"),
+    pytest.param("log_session", {"user_type": "martian"}, "bad user_type: 'martian'",
+                 id="user_type"),
+    pytest.param("log_session", {"user_id": 7}, "user_id absent exactly for guest sessions",
+                 id="guest-with-user-id"),
+    pytest.param("log_session", {"user_type": "student", "gender": "female"},
+                 "user_id absent exactly for guest sessions", id="account-without-user-id"),
+    pytest.param("log_session", {"gender": "female"},
+                 "guest records must carry gender not_applicable", id="guest-gender"),
+    pytest.param("log_session", {"user_id": 7, "user_type": "student"},
+                 "student records must carry male or female", id="account-gender"),
+    pytest.param("log_session", {"referral_class": "carrier_pigeon"},
+                 "bad referral_class: 'carrier_pigeon'", id="referral_class"),
+    pytest.param("log_session", {"ended_at": T0, "end_reason": "gave-up"},
+                 "bad end_reason: 'gave-up'", id="end_reason"),
+    pytest.param("log_session", {"ended_at": datetime(2000, 1, 1), "end_reason": "timeout"},
+                 "ended_at before started_at", id="ended-before-started"),
+    pytest.param("log_page", {"log_date": date(1999, 1, 1)},
+                 "log_date must equal the date of log_datetime", id="log-date"),
+    pytest.param("log_page", {"log_page_load_time": float("-inf")},
+                 "log_page_load_time must be a finite number >= 0, got -inf", id="load-time"),
+    pytest.param("log_page", {"log_page_load_time": float("inf")},
+                 "log_page_load_time must be a finite number >= 0, got inf", id="load-time-inf"),
+    pytest.param("log_page", {"log_page_load_time": "abc"},
+                 "log_page_load_time must be a finite number >= 0, got 'abc'",
+                 id="load-time-text"),
+    pytest.param("log_page", {"log_post_serialize": {"a": 1}},
+                 "map keys and values must be strings", id="map-value"),
+])
 def test_record_check_refuses_the_write_and_keeps_the_store(mem_store, table, changes, reason):
+    user = UserInfo(7, "u0007", "student", "female")
+    mem_store.upsert_user(user)
     opn = mem_store.insert_session(_session())
     before = {name: mem_store._query(f"SELECT * FROM {name}") for name in TABLE_COLUMNS}
     with pytest.raises(ConstraintError) as info:
-        if table == "log_session":
+        if table == "user_info":  # the stored user's id: a refused upsert replaces nothing
+            mem_store.upsert_user(dataclasses.replace(user, **changes))
+        elif table == "log_session":
             mem_store.insert_session(_session(**changes))
         else:
             mem_store.insert_page(_page(opn, **changes))
