@@ -202,7 +202,7 @@ def _collect_into(store: LogStore, replay_path: Path, args: argparse.Namespace) 
         if args.geoip is not None:
             geoip_path = _require_file(args.geoip, "geoip file")
             with _naming("geoip file", geoip_path, GeoIpLoadError), \
-                    open(geoip_path, encoding="utf-8") as fh:
+                    open(geoip_path, encoding="utf-8", newline="") as fh:
                 geoip = load_geoip(fh)
         else:
             geoip = sample_geoip_table()

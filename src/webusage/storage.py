@@ -3,8 +3,8 @@
 Five tables mirror the collection data model: ``user_info`` (app-managed
 accounts), ``open_sessions`` (live bookkeeping), ``log_geoip`` (country
 ranges), ``log_session`` (one row per visit) and ``log_page`` (one row per
-pageview, foreign-keyed to its session).  Each table has one record
-dataclass, whose fields are the table's columns, in order.  SQLite provides
+pageview, foreign-keyed to its session).  Each table's schema is built from
+its record dataclass, whose fields are its columns, in order.  SQLite gives
 transactions and referential integrity; a process-wide lock gives
 single-writer semantics so the collector can be driven from many request
 threads.
@@ -256,82 +256,8 @@ class LiveSession(OpenSession):
 # schema and row codecs
 # ---------------------------------------------------------------------------
 
-# One transaction for all the CREATEs, so a new file store pays one journal
-# round, not one per statement; the PRAGMA does nothing inside a transaction.
-_SCHEMA = """
-PRAGMA foreign_keys = ON;
-BEGIN;
-CREATE TABLE IF NOT EXISTS user_info (
-    user_id     INTEGER PRIMARY KEY,
-    username    TEXT NOT NULL UNIQUE,
-    user_type   TEXT NOT NULL,
-    gender      TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS log_geoip (
-    start_ip     INTEGER PRIMARY KEY,
-    end_ip       INTEGER NOT NULL,
-    country_code TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS log_session (
-    opn_id          INTEGER PRIMARY KEY AUTOINCREMENT,
-    user_id         INTEGER,
-    username        TEXT,
-    user_type       TEXT NOT NULL,
-    gender          TEXT NOT NULL,
-    ip              TEXT NOT NULL,
-    country_code    TEXT NOT NULL,
-    browser_name    TEXT NOT NULL,
-    browser_version TEXT NOT NULL,
-    os_name         TEXT NOT NULL,
-    os_version      TEXT NOT NULL,
-    device_type     TEXT NOT NULL,
-    language        TEXT,
-    referrer_url    TEXT,
-    referral_class  TEXT NOT NULL,
-    search_engine   TEXT,
-    search_keywords TEXT,
-    started_at      TEXT NOT NULL,
-    ended_at        TEXT,
-    end_reason      TEXT
-);
-CREATE TABLE IF NOT EXISTS open_sessions (
-    session_token TEXT PRIMARY KEY,
-    opn_id        INTEGER NOT NULL UNIQUE REFERENCES log_session(opn_id),
-    last_activity TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS log_page (
-    log_details_id        INTEGER PRIMARY KEY AUTOINCREMENT,
-    log_opn_id            INTEGER NOT NULL REFERENCES log_session(opn_id),
-    log_uid               INTEGER,
-    log_username          TEXT,
-    log_datetime          TEXT NOT NULL,
-    log_date              TEXT NOT NULL,
-    log_server            INTEGER NOT NULL,
-    log_app_service       TEXT NOT NULL,
-    log_module            TEXT NOT NULL,
-    log_url               TEXT NOT NULL,
-    log_web_message       TEXT NOT NULL,
-    log_subtitle          TEXT NOT NULL,
-    log_page_title        TEXT NOT NULL,
-    log_cookie_serialize  TEXT NOT NULL,
-    log_session_serialize TEXT NOT NULL,
-    log_post_serialize    TEXT NOT NULL,
-    log_get_serialize     TEXT NOT NULL,
-    log_page_load_time    REAL NOT NULL,
-    log_error_text        TEXT,
-    log_url_malformed     INTEGER NOT NULL DEFAULT 0
-);
-CREATE INDEX IF NOT EXISTS idx_page_session ON log_page(log_opn_id);
-COMMIT;
-"""
-
-_TABLE_KEYS = {
-    "user_info": "user_id",
-    "log_geoip": "start_ip",
-    "log_session": "opn_id",
-    "open_sessions": "opn_id",
-    "log_page": "log_details_id",
-}
+# The SQL type of each field type; any other field type is stored as TEXT.
+_SQL_TYPES = {int: "INTEGER", bool: "INTEGER", float: "REAL"}
 
 # (encode, decode) for each field type stored as another SQL value; fields
 # of any other type are stored as they are.  NULL passes through both ways.
@@ -351,24 +277,46 @@ def _field_type(hint: Any) -> Any:
 
 
 class _Codec:
-    """Rows of one table <-> its record dataclass, whose fields are the
-    table's columns in order."""
+    """One table: rows <-> its record dataclass, whose fields are the
+    table's columns in order, and the table's ``CREATE`` statement.
 
-    def __init__(self, table: str, record_type: type):
+    A column is INTEGER, REAL or TEXT by its field's type, and ``NOT NULL``
+    unless its field may be ``None`` or it is the primary key; ``constraints``
+    maps a column to the SQL its type cannot state.  ``order_by`` is the
+    column the export is ordered by.  ``encode`` refuses a field typed ``int``
+    that holds anything but an ``int`` or ``None``, a ``bool`` included.
+    """
+
+    def __init__(self, table: str, record_type: type, order_by: str, **constraints: str):
         hints = typing.get_type_hints(record_type)
         self.names = cols = tuple(f.name for f in dataclasses.fields(record_type))
         kinds = [_field_type(hints[c]) for c in cols]
+        self.sql_types = [_SQL_TYPES.get(kind, "TEXT") for kind in kinds]
+        self.table = table
         self.record_type = record_type
+        self.order_by = order_by
         self.columns = ", ".join(cols)
         marks = ", ".join("?" * len(cols))
         self.insert_sql = f"INSERT INTO {table} ({self.columns}) VALUES ({marks})"
+        lines = []
+        for col, sql_type in zip(cols, self.sql_types):
+            constraint = constraints.get(col, "")
+            nullable = type(None) in typing.get_args(hints[col])
+            if not nullable and "PRIMARY KEY" not in constraint:
+                constraint = f"NOT NULL {constraint}"
+            lines.append(f"    {col} {sql_type} {constraint}".rstrip())
+        self.create_sql = f"CREATE TABLE IF NOT EXISTS {table} (\n" + ",\n".join(lines) + "\n);"
         self._values = attrgetter(*cols)
         converted = [(i, _CONVERTERS.get(kind)) for i, kind in enumerate(kinds)]
         self._encoders = [(i, conv[0]) for i, conv in converted if conv]
         self._decoders = [(i, conv[1]) for i, conv in converted if conv]
+        self._integers = [i for i, kind in enumerate(kinds) if kind is int]
 
     def encode(self, rec: Any) -> list:
         row = list(self._values(rec))
+        for i in self._integers:
+            if row[i] is not None and type(row[i]) is not int:
+                raise ConstraintError(f"{self.names[i]} must be an integer, got {row[i]!r}")
         for i, conv in self._encoders:
             if row[i] is not None:
                 row[i] = conv(row[i])
@@ -382,16 +330,30 @@ class _Codec:
         return self.record_type(**dict(zip(self.names, row)))
 
 
-# Each table's record, in export order; a record's fields are its table's
-# columns, in order.
-_CODECS = {table: _Codec(table, record_type) for table, record_type in {
-    "user_info": UserInfo,
-    "log_geoip": GeoIpRange,
-    "log_session": SessionRecord,
-    "open_sessions": OpenSession,
-    "log_page": PageRecord,
-}.items()}
+# Each table, in export order.
+_CODECS = {codec.table: codec for codec in (
+    _Codec("user_info", UserInfo, "user_id", user_id="PRIMARY KEY", username="UNIQUE"),
+    _Codec("log_geoip", GeoIpRange, "start_ip", start_ip="PRIMARY KEY"),
+    _Codec("log_session", SessionRecord, "opn_id", opn_id="PRIMARY KEY AUTOINCREMENT"),
+    _Codec("open_sessions", OpenSession, "opn_id", session_token="PRIMARY KEY",
+           opn_id="UNIQUE REFERENCES log_session(opn_id)"),
+    _Codec("log_page", PageRecord, "log_details_id",
+           log_details_id="PRIMARY KEY AUTOINCREMENT",
+           log_opn_id="REFERENCES log_session(opn_id)",
+           log_date="NOT NULL",  # None only until PageRecord.validate fills it
+           log_url_malformed="DEFAULT 0"),
+)}
 TABLE_COLUMNS = {table: codec.names for table, codec in _CODECS.items()}
+
+# One transaction for all the CREATEs, so a new file store pays one journal
+# round, not one per statement; the PRAGMA does nothing inside a transaction.
+_SCHEMA = "\n".join([
+    "PRAGMA foreign_keys = ON;",
+    "BEGIN;",
+    *(codec.create_sql for codec in _CODECS.values()),
+    "CREATE INDEX IF NOT EXISTS idx_page_session ON log_page(log_opn_id);",
+    "COMMIT;",
+])
 
 
 def _aliased(alias: str, table: str) -> str:
@@ -695,14 +657,12 @@ class LogStore:
     # -- CSV export ----------------------------------------------------------
 
     def export_table(self, table: str, stream) -> int:
-        """Write one table as CSV (header + rows, ordered by primary key)."""
-        cols = TABLE_COLUMNS.get(table)
-        if cols is None:
+        """Write one table as CSV (header + rows, ordered by its export key)."""
+        codec = _CODECS.get(table)
+        if codec is None:
             raise ValueError(f"unknown table {table!r}")
-        rows = self._query(
-            f"SELECT {', '.join(cols)} FROM {table} ORDER BY {_TABLE_KEYS[table]}"
-        )
-        stream.write(csvio.row(cols))
+        rows = self._query(f"SELECT {codec.columns} FROM {table} ORDER BY {codec.order_by}")
+        stream.write(csvio.row(codec.names))
         stream.writelines(map(csvio.row, rows))  # NULL (None) is an empty cell
         return len(rows)
 
@@ -724,15 +684,15 @@ class LogStore:
         the two log tables, each table counted by one aggregate read."""
         out = {}
         for table in ("log_session", "log_page"):
-            info = self._query(f"PRAGMA table_info({table})")  # cid, name, type, ...
+            columns = list(zip(TABLE_COLUMNS[table], _CODECS[table].sql_types))
             sums = [
                 f"SUM({_text_cell_bytes(col)})" if sql_type == "TEXT" else f"SUM(length({col}))"
-                for _, col, sql_type, *_ in info if sql_type != "REAL"
+                for col, sql_type in columns if sql_type != "REAL"
             ]
             rows, *sizes = self._query(f"SELECT COUNT(*), {', '.join(sums)} FROM {table}")[0]
-            size = sum(s or 0 for s in sizes) + (len(info) - 1) * rows  # the commas
+            size = sum(s or 0 for s in sizes) + (len(columns) - 1) * rows  # the commas
             # The export writes a REAL as Python's repr, not as SQLite's text.
-            for col in (col for _, col, sql_type, *_ in info if sql_type == "REAL"):
+            for col in (col for col, sql_type in columns if sql_type == "REAL"):
                 size += sum(len(repr(v)) * n for v, n in self._query(
                     f"SELECT {col}, COUNT(*) FROM {table} WHERE {col} IS NOT NULL GROUP BY 1"
                 ))

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, output contracts, exit codes."""
 
+import argparse
 import csv
 import gzip
 import hashlib
@@ -139,6 +140,24 @@ class TestCollect:
         exported = (tmp_path / "export" / "log_geoip.csv").read_text(encoding="utf-8")
         assert exported.count("\n") > 1
         assert (tmp_path / "again" / "log_geoip.csv").read_text(encoding="utf-8") == exported
+
+    def test_geoip_file_is_read_as_the_csv_dialect(self, workspace, tmp_path, capsys):
+        # A quoted cell keeps its CR LF, as in every other CSV input.
+        geoip = tmp_path / "geo.csv"
+        geoip.write_bytes(b'0,4294967295,"T\r\nR"\r\n')
+        store = tmp_path / "s.db"
+        assert main(["collect", str(workspace["replay"]), "--store", str(store),
+                     "--geoip", str(geoip)]) == 0
+        conn = sqlite3.connect(store)
+        try:
+            assert conn.execute("SELECT * FROM log_geoip").fetchall() == [
+                (0, 4294967295, "T\r\nR")
+            ]
+            assert conn.execute("SELECT DISTINCT country_code FROM log_session").fetchall() == [
+                ("T\r\nR",)
+            ]
+        finally:
+            conn.close()
 
     def test_bad_geoip_file_exits_1(self, workspace, tmp_path, capsys):
         geoip = tmp_path / "geo.csv"
@@ -1212,6 +1231,22 @@ class TestFormatsContract:
         text = (Path(__file__).resolve().parent.parent / "FORMATS.md").read_text()
         listing = text.split("Report kinds:", 1)[1].split("\n\n", 1)[0]
         assert tuple(re.findall(r"`([\w-]+)`", listing)) == REPORT_KINDS
+
+    def test_synopsis_options_match_the_parser(self):
+        text = (Path(__file__).resolve().parent.parent / "FORMATS.md").read_text()
+        synopsis = text.split("## CLI", 1)[1].split("```", 2)[1]
+        documented = {}
+        for line in synopsis.strip().splitlines():
+            if line.startswith("webusage "):
+                options = documented.setdefault(line.split()[1], set())
+            options.update(re.findall(r"--[\w-]+", line))
+        (commands,) = [a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        assert documented == {
+            name: {opt for action in sub._actions for opt in action.option_strings
+                   if opt.startswith("--") and opt != "--help"}
+            for name, sub in commands.choices.items()
+        }
 
     def test_stats_keys(self, workspace, capsys):
         assert main(["report", "--store", str(workspace["store"]), "--kind", "stats"]) == 0

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from webusage import storage
+from webusage.enrichment import GeoIpRange
 from webusage.events import AppPageResult
 from webusage.storage import (
     ConstraintError,
@@ -485,15 +486,30 @@ class TestPages:
                  id="load-time-text"),
     pytest.param("log_page", {"log_post_serialize": {"a": 1}},
                  "map keys and values must be strings", id="map-value"),
+    pytest.param("user_info", {"user_id": "a"}, "user_id must be an integer, got 'a'",
+                 id="user-id-text"),
+    pytest.param("log_session", {"user_id": "x,y", "user_type": "student", "gender": "female"},
+                 "user_id must be an integer, got 'x,y'", id="session-user-id-text"),
+    pytest.param("log_page", {"log_server": "a,b"}, "log_server must be an integer, got 'a,b'",
+                 id="log-server-text"),
+    pytest.param("log_page", {"log_server": True}, "log_server must be an integer, got True",
+                 id="log-server-bool"),
+    pytest.param("log_page", {"log_uid": "p,q"}, "log_uid must be an integer, got 'p,q'",
+                 id="log-uid-text"),
+    pytest.param("log_geoip", {"end_ip": "9"}, "end_ip must be an integer, got '9'",
+                 id="end-ip-text"),
 ])
 def test_record_check_refuses_the_write_and_keeps_the_store(mem_store, table, changes, reason):
     user = UserInfo(7, "u0007", "student", "female")
     mem_store.upsert_user(user)
+    mem_store.replace_geoip([GeoIpRange(0, 9, "AA")])
     opn = mem_store.insert_session(_session())
     before = {name: mem_store._query(f"SELECT * FROM {name}") for name in TABLE_COLUMNS}
     with pytest.raises(ConstraintError) as info:
         if table == "user_info":  # the stored user's id: a refused upsert replaces nothing
             mem_store.upsert_user(dataclasses.replace(user, **changes))
+        elif table == "log_geoip":  # a refused replace keeps the stored ranges
+            mem_store.replace_geoip([dataclasses.replace(GeoIpRange(0, 9, "BB"), **changes)])
         elif table == "log_session":
             mem_store.insert_session(_session(**changes))
         else:
@@ -735,6 +751,14 @@ class TestSchema:
             found[table] = {c.strip() for c in cols.split(",")}
         return found
 
+    def test_export_columns_match_doc(self):
+        text = (Path(__file__).resolve().parent.parent / "FORMATS.md").read_text()
+        store = text.split("## Store (SQLite) and CSV export", 1)[1].split("\n## ", 1)[0]
+        listed = re.findall(r"^- `(\w+)`: `([\w,]+)`$", store, re.MULTILINE)
+        assert [(table, tuple(cols.split(","))) for table, cols in listed] == list(
+            TABLE_COLUMNS.items()
+        )
+
     def test_columns_and_nullability_match_schema_and_doc(self, mem_store):
         assert tuple(TABLE_COLUMNS) == self.TABLES
         documented = self._documented_nullable()
@@ -745,9 +769,74 @@ class TestSchema:
             nullable = {name for _, name, _, notnull, _, pk in info if not notnull and not pk}
             assert nullable == documented[table], table
 
+    # Each table as SQLite reports it: its PRAGMA table_info rows (name,
+    # type, notnull, dflt_value, pk), index_list rows (unique, origin) and
+    # foreign_key_list rows (table, from, to).
+    STRUCTURE = {
+        "user_info": (
+            [("user_id", "INTEGER", 0, None, 1), ("username", "TEXT", 1, None, 0),
+             ("user_type", "TEXT", 1, None, 0), ("gender", "TEXT", 1, None, 0)],
+            [(1, "u")],
+            [],
+        ),
+        "log_geoip": (
+            [("start_ip", "INTEGER", 0, None, 1), ("end_ip", "INTEGER", 1, None, 0),
+             ("country_code", "TEXT", 1, None, 0)],
+            [],
+            [],
+        ),
+        "log_session": (
+            [("opn_id", "INTEGER", 0, None, 1), ("user_id", "INTEGER", 0, None, 0),
+             ("username", "TEXT", 0, None, 0), ("user_type", "TEXT", 1, None, 0),
+             ("gender", "TEXT", 1, None, 0), ("ip", "TEXT", 1, None, 0),
+             ("country_code", "TEXT", 1, None, 0), ("browser_name", "TEXT", 1, None, 0),
+             ("browser_version", "TEXT", 1, None, 0), ("os_name", "TEXT", 1, None, 0),
+             ("os_version", "TEXT", 1, None, 0), ("device_type", "TEXT", 1, None, 0),
+             ("language", "TEXT", 0, None, 0), ("referrer_url", "TEXT", 0, None, 0),
+             ("referral_class", "TEXT", 1, None, 0), ("search_engine", "TEXT", 0, None, 0),
+             ("search_keywords", "TEXT", 0, None, 0), ("started_at", "TEXT", 1, None, 0),
+             ("ended_at", "TEXT", 0, None, 0), ("end_reason", "TEXT", 0, None, 0)],
+            [],
+            [],
+        ),
+        "open_sessions": (
+            [("session_token", "TEXT", 0, None, 1), ("opn_id", "INTEGER", 1, None, 0),
+             ("last_activity", "TEXT", 1, None, 0)],
+            [(1, "u"), (1, "pk")],
+            [("log_session", "opn_id", "opn_id")],
+        ),
+        "log_page": (
+            [("log_details_id", "INTEGER", 0, None, 1), ("log_opn_id", "INTEGER", 1, None, 0),
+             ("log_uid", "INTEGER", 0, None, 0), ("log_username", "TEXT", 0, None, 0),
+             ("log_datetime", "TEXT", 1, None, 0), ("log_date", "TEXT", 1, None, 0),
+             ("log_server", "INTEGER", 1, None, 0), ("log_app_service", "TEXT", 1, None, 0),
+             ("log_module", "TEXT", 1, None, 0), ("log_url", "TEXT", 1, None, 0),
+             ("log_web_message", "TEXT", 1, None, 0), ("log_subtitle", "TEXT", 1, None, 0),
+             ("log_page_title", "TEXT", 1, None, 0),
+             ("log_cookie_serialize", "TEXT", 1, None, 0),
+             ("log_session_serialize", "TEXT", 1, None, 0),
+             ("log_post_serialize", "TEXT", 1, None, 0),
+             ("log_get_serialize", "TEXT", 1, None, 0),
+             ("log_page_load_time", "REAL", 1, None, 0), ("log_error_text", "TEXT", 0, None, 0),
+             ("log_url_malformed", "INTEGER", 1, "0", 0)],
+            [(0, "c")],
+            [("log_session", "log_opn_id", "opn_id")],
+        ),
+    }
+
+    def test_structure_of_each_table(self, mem_store):
+        for table, (columns, indexes, foreign_keys) in self.STRUCTURE.items():
+            info = mem_store._query(f"PRAGMA table_info({table})")
+            assert [tuple(row[1:]) for row in info] == columns, table
+            index_list = mem_store._query(f"PRAGMA index_list({table})")
+            assert [tuple(row[2:4]) for row in index_list] == indexes, table
+            keys = mem_store._query(f"PRAGMA foreign_key_list({table})")
+            assert [tuple(row[2:5]) for row in keys] == foreign_keys, table
+
     def test_field_types_match_column_types(self, mem_store):
-        # The codecs convert a cell by its record field's type, and stats
-        # sizes it by its column's SQL type: both hold while they agree.
+        # The codecs convert a cell, and stats sizes it, by its record
+        # field's type; SQLite stores it by its column's SQL type: both hold
+        # while they agree.
         sql_types = {int: "INTEGER", bool: "INTEGER", float: "REAL"}
         for table, codec in storage._CODECS.items():
             hints = typing.get_type_hints(codec.record_type)
