@@ -32,18 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from webusage import cli  # noqa: E402
-
-# WorkloadConfig field -> `webusage simulate` flag
-SIMULATE_FLAGS = {
-    "seed": "--seed",
-    "n_users": "--users",
-    "session_rate": "--session-rate",
-    "pageviews_per_session_mean": "--pageviews-mean",
-    "nat_share": "--nat-share",
-    "dynamic_ip_share": "--dynamic-ip-share",
-    "cookie_loss_share": "--cookie-loss-share",
-    "cached_nav_share": "--cached-nav-share",
-}
+from webusage.simulator import OPTION_NAMES  # noqa: E402
 
 
 def load_workloads() -> dict:
@@ -72,7 +61,7 @@ def output_digests(workload, seed: int, work: Path) -> dict[str, str]:
     store, sessions, export = work / "usage.db", work / "sessions.csv", work / "export"
     simulate = ["simulate", "--out", str(inputs)]
     for field, value in workload.config_kwargs(seed).items():
-        simulate += [SIMULATE_FLAGS[field], str(value)]
+        simulate += [f"--{OPTION_NAMES[field]}", str(value)]
     run(simulate)
     run(["collect", str(inputs / "events.replay"), "--store", str(store),
          "--users", str(inputs / "truth.csv")])

@@ -18,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from webusage.baseline import preprocess_log, session_rows
+from webusage.baseline import SESSIONIZE_MODES, preprocess_log, session_rows
 from webusage.collector import Collector, replay_stream
 from webusage.compare import collector_report, load_roster, score_against_truth
 from webusage.enrichment import sample_geoip_table
@@ -90,8 +90,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser.add_argument("--users", type=int, default=100)
     parser.add_argument("--session-rate", type=float, default=5.0)
     parser.add_argument("--pageviews-mean", type=float, default=7.0)
-    parser.add_argument("--mode", default="page_gap",
-                        choices=("page_gap", "session_duration", "both"))
+    parser.add_argument("--mode", default="page_gap", choices=SESSIONIZE_MODES)
     parser.add_argument("--page-gap", type=float, default=1800.0,
                         help="classical page-gap threshold in seconds")
     parser.add_argument("--session-gap", type=float, default=1800.0)

@@ -15,6 +15,7 @@ import sqlite3
 import sys
 import zlib
 from contextlib import contextmanager
+from dataclasses import fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -34,8 +35,8 @@ from .compare import UniverseMismatchError, collector_report, load_roster, score
 from .csvio import RowError, rows
 from .enrichment import GeoIpLoadError, load_geoip, sample_geoip_table
 from .events import ReplayFormatError, read_replay
-from .simulator import SITE_HOST, ConfigError, WorkloadConfig, simulate_to_dir
-from .storage import ConstraintError, LogStore, StorageError, UserInfo
+from .simulator import OPTION_NAMES, SITE_HOST, ConfigError, WorkloadConfig, simulate_to_dir
+from .storage import TABLE_COLUMNS, ConstraintError, LogStore, StorageError, UserInfo
 from .truth import load_truth
 
 # Report kinds rendered by report_to_csv / report_to_plot, in --kind order.
@@ -120,18 +121,9 @@ def _write_out(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = WorkloadConfig(
-        seed=args.seed,
-        n_users=args.users,
-        session_rate=args.session_rate,
-        pageviews_per_session_mean=args.pageviews_mean,
-        timeout=args.timeout,
-        nat_share=args.nat_share,
-        dynamic_ip_share=args.dynamic_ip_share,
-        cookie_loss_share=args.cookie_loss_share,
-        cached_nav_share=args.cached_nav_share,
-        duration=args.duration,
-    )
+    # argparse keeps each option's value under its name with "_" for "-".
+    config = WorkloadConfig(**{name: getattr(args, option.replace("-", "_"))
+                               for name, option in OPTION_NAMES.items()})
     config.validate()
     paths = simulate_to_dir(config, args.out, noise=not args.no_noise)
     for name in ("replay", "eclf", "truth"):
@@ -175,9 +167,9 @@ def _load_users_file(store: LogStore, path: Path) -> None:
         return
     with _naming("users file", path), open(path, encoding="utf-8", newline="") as fh, \
             store.transaction():
-        for line_no, row in rows(fh, ("user_id", "username", "user_type", "gender")):
+        for line_no, row in rows(fh, TABLE_COLUMNS["user_info"]):
             try:
-                store.upsert_user(UserInfo(int(row[0]), row[1], row[2], row[3]))
+                store.upsert_user(UserInfo(int(row[0]), *row[1:]))
             except (ValueError, ConstraintError) as exc:
                 raise RowError(str(exc), line_no) from None
 
@@ -322,19 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic workload")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--users", type=int, default=50)
-    p.add_argument("--session-rate", type=float, default=5.0,
-                   help="mean sessions per user")
-    p.add_argument("--pageviews-mean", type=float, default=7.0,
-                   help="mean pageviews per session")
-    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
-    p.add_argument("--nat-share", type=float, default=0.0)
-    p.add_argument("--dynamic-ip-share", type=float, default=0.0)
-    p.add_argument("--cookie-loss-share", type=float, default=0.0)
-    p.add_argument("--cached-nav-share", type=float, default=0.0)
-    p.add_argument("--duration", type=float, default=7 * 86400.0,
-                   help="simulated span in seconds")
+    for f in fields(WorkloadConfig):  # each default is of its field's type
+        p.add_argument(f"--{OPTION_NAMES[f.name]}", type=type(f.default), default=f.default,
+                       help=f.metadata.get("help"))
     p.add_argument("--no-noise", action="store_true",
                    help="omit static/error/crawler lines from the access log")
     p.add_argument("--out", required=True, help="output directory")

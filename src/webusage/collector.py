@@ -199,35 +199,21 @@ class Collector:
             # classify_referrer found an engine, so extract finds the same one.
             engine, keywords = default_search_registry().extract(event.referrer)
 
-        user_id = None
-        username = None
-        user_type = "guest"
-        gender = "not_applicable"
+        account = None
         if event.auth_user is not None:
             account = self.store.get_user_by_name(event.auth_user)
             if account is None:
                 self._warn(
                     f"unknown auth_user {event.auth_user!r}; session recorded as guest"
                 )
-            else:
-                user_id = account.user_id
-                username = account.username
-                user_type = account.user_type
-                gender = account.gender
 
+        # A guest keeps the record's user defaults.
         record = SessionRecord(
             ip=event.client_ip,
             started_at=event.timestamp,
-            user_id=user_id,
-            username=username,
-            user_type=user_type,
-            gender=gender,
+            **(vars(account) if account is not None else {}),
             country_code=self._country(event.client_ip),
-            browser_name=profile.browser_name,
-            browser_version=profile.browser_version,
-            os_name=profile.os_name,
-            os_version=profile.os_version,
-            device_type=profile.device_type,
+            **vars(profile),
             language=first_language_tag(event.cookies.get("accept-language")),
             referrer_url=event.referrer,
             referral_class=referral_class,
@@ -238,8 +224,8 @@ class Collector:
             session_token=event.session_token,
             opn_id=self.store.insert_session(record),
             last_activity=event.timestamp,
-            user_id=user_id,
-            username=username,
+            user_id=record.user_id,
+            username=record.username,
         )
         self.store.put_open_session(open_session)
         return open_session

@@ -22,7 +22,7 @@ import bisect
 import ipaddress
 import re
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from importlib import resources
 from typing import IO, Iterable, Sequence
@@ -159,7 +159,7 @@ def load_geoip(source: IO[str] | Iterable[str]) -> GeoIpTable:
     try:
         for line_no, row in csvio.rows(source):
             if (row[0].lstrip().startswith("#") or (len(row) == 1 and not row[0].strip())
-                    or (line_no == 1 and row == ["start_ip", "end_ip", "country_code"])):
+                    or (line_no == 1 and row == [f.name for f in fields(GeoIpRange)])):
                 continue
             csvio.check_width(row, 3, line_no)
             try:

@@ -32,7 +32,7 @@ import ipaddress
 import math
 import random
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
 from operator import attrgetter
 from pathlib import Path
@@ -183,31 +183,32 @@ class ConfigError(ValueError):
 
 @dataclass
 class WorkloadConfig:
+    """A workload's settings, which are the `simulate` options: ``n_users`` is
+    ``--users``, ``pageviews_per_session_mean`` is ``--pageviews-mean``, and any
+    other field is ``--`` and its name with ``-`` for ``_`` (``OPTION_NAMES``).
+    Each option takes its field's type, default and ``help`` metadata."""
+
     seed: int = 42
     n_users: int = 50
-    session_rate: float = 5.0
-    pageviews_per_session_mean: float = 7.0
+    session_rate: float = field(default=5.0, metadata={"help": "mean sessions per user"})
+    pageviews_per_session_mean: float = field(
+        default=7.0, metadata={"help": "mean pageviews per session"})
     timeout: float = 1800.0
     nat_share: float = 0.0
     dynamic_ip_share: float = 0.0
     cookie_loss_share: float = 0.0
     cached_nav_share: float = 0.0
-    duration: float = 7 * 86400.0
+    duration: float = field(default=7 * 86400.0, metadata={"help": "simulated span in seconds"})
 
     def validate(self) -> None:
         problems: list[tuple[str, str]] = []
-
-        def share(flag: str, value: float) -> None:
-            if not 0.0 <= value <= 1.0:
-                problems.append((flag, f"must be within [0, 1], got {value}"))
-
-        if self.n_users < 1:
-            problems.append(("users", "must be at least 1"))
+        if type(self.n_users) is not int or self.n_users < 1:  # a bool is refused too
+            problems.append(("n_users", f"must be an integer of at least 1, got {self.n_users}"))
         if not 0.0 < self.session_rate <= 1000.0:
-            problems.append(("session-rate", f"must be in (0, 1000], got {self.session_rate}"))
+            problems.append(("session_rate", f"must be in (0, 1000], got {self.session_rate}"))
         if not 1.0 <= self.pageviews_per_session_mean <= 1000.0:
             problems.append((
-                "pageviews-mean",
+                "pageviews_per_session_mean",
                 f"must be in [1, 1000], got {self.pageviews_per_session_mean}",
             ))
         # The upper bounds keep every generated time well inside the calendar;
@@ -218,12 +219,17 @@ class WorkloadConfig:
             problems.append((
                 "duration", f"must be in [3600, 315360000] seconds, got {self.duration}",
             ))
-        share("nat-share", self.nat_share)
-        share("dynamic-ip-share", self.dynamic_ip_share)
-        share("cookie-loss-share", self.cookie_loss_share)
-        share("cached-nav-share", self.cached_nav_share)
+        for name in ("nat_share", "dynamic_ip_share", "cookie_loss_share", "cached_nav_share"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                problems.append((name, f"must be within [0, 1], got {value}"))
         if problems:
-            raise ConfigError(problems)
+            raise ConfigError([(OPTION_NAMES[name], why) for name, why in problems])
+
+
+# WorkloadConfig field -> its `simulate` option without the "--".
+OPTION_NAMES = {f.name: f.name.replace("_", "-") for f in fields(WorkloadConfig)}
+OPTION_NAMES.update(n_users="users", pageviews_per_session_mean="pageviews-mean")
 
 
 def _pick(rng: random.Random, weighted: Iterable[tuple[object, float]]):

@@ -283,8 +283,8 @@ class _Codec:
     A column is INTEGER, REAL or TEXT by its field's type, and ``NOT NULL``
     unless its field may be ``None`` or it is the primary key; ``constraints``
     maps a column to the SQL its type cannot state.  ``order_by`` is the
-    column the export is ordered by.  ``encode`` refuses a field typed ``int``
-    that holds anything but an ``int`` or ``None``, a ``bool`` included.
+    column the export is ordered by.  ``encode`` refuses, in a field typed
+    ``int``, ``str`` or ``bool``, any value but ``None`` and that exact type.
     """
 
     def __init__(self, table: str, record_type: type, order_by: str, **constraints: str):
@@ -310,13 +310,14 @@ class _Codec:
         converted = [(i, _CONVERTERS.get(kind)) for i, kind in enumerate(kinds)]
         self._encoders = [(i, conv[0]) for i, conv in converted if conv]
         self._decoders = [(i, conv[1]) for i, conv in converted if conv]
-        self._integers = [i for i, kind in enumerate(kinds) if kind is int]
+        self._typed = [(i, kind) for i, kind in enumerate(kinds) if kind in (int, str, bool)]
 
     def encode(self, rec: Any) -> list:
         row = list(self._values(rec))
-        for i in self._integers:
-            if row[i] is not None and type(row[i]) is not int:
-                raise ConstraintError(f"{self.names[i]} must be an integer, got {row[i]!r}")
+        for i, kind in self._typed:
+            if row[i] is not None and type(row[i]) is not kind:
+                what = "an integer" if kind is int else f"a {kind.__name__}"
+                raise ConstraintError(f"{self.names[i]} must be {what}, got {row[i]!r}")
         for i, conv in self._encoders:
             if row[i] is not None:
                 row[i] = conv(row[i])

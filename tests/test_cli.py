@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import gzip
 import hashlib
 import json
@@ -10,6 +11,7 @@ import shutil
 import sqlite3
 import subprocess
 import sys
+import typing
 from datetime import datetime, timedelta
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -21,7 +23,7 @@ from webusage.analytics import report_to_csv, report_to_plot, search_report_to_c
 from webusage.cli import REPORT_KINDS, REPORTS, main
 from webusage.collector import CollectionError, Collector
 from webusage.events import AppPageResult, RawRequestEvent, parse_replay_line
-from webusage.simulator import SITE_HOST
+from webusage.simulator import SITE_HOST, WorkloadConfig
 from webusage.storage import (
     TABLE_COLUMNS, USER_TYPES, LogStore, PageRecord, SessionRecord, UserInfo,
 )
@@ -91,6 +93,20 @@ class TestSimulate:
         assert rc == 2
         err = capsys.readouterr().err
         assert "nat-share" in err and err.startswith("error:")
+
+    def test_defaults_are_the_workload_config_defaults(self, capsys):
+        args = vars(cli.build_parser().parse_args(["simulate", "--out", "x"]))
+        defaults = dataclasses.asdict(WorkloadConfig())
+        defaults["users"] = defaults.pop("n_users")
+        defaults["pageviews_mean"] = defaults.pop("pageviews_per_session_mean")
+        assert {k: v for k, v in args.items() if k not in ("command", "func")} == {
+            **defaults, "no_noise": False, "out": "x"}
+        hints = typing.get_type_hints(WorkloadConfig)
+        assert all(type(getattr(WorkloadConfig(), name)) is hint for name, hint in hints.items())
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        shown = capsys.readouterr().out
+        assert "--users USERS" in shown and "--pageviews-mean PAGEVIEWS_MEAN" in shown
 
     def test_no_noise_log_has_no_crawler_lines(self, tmp_path):
         out_dir = tmp_path / "quiet"

@@ -2,6 +2,7 @@ import random
 import sqlite3
 import sys
 import threading
+import typing
 from datetime import datetime, timedelta
 
 import pytest
@@ -15,10 +16,12 @@ from webusage.collector import (
     replay_stream,
 )
 from webusage.compare import collector_report
-from webusage.enrichment import default_search_registry
+from webusage.enrichment import ClientProfile, default_search_registry
 from webusage.events import AppPageResult, RawRequestEvent
 from webusage.simulator import _EXTERNAL_REFERRERS, _SEARCH_REFERRERS
-from webusage.storage import TABLE_COLUMNS, LogStore, NotFoundError, UserInfo
+from webusage.storage import (
+    TABLE_COLUMNS, LogStore, NotFoundError, SessionRecord, UserInfo, _field_type,
+)
 
 import oracles
 
@@ -467,6 +470,12 @@ class TestSessionsContract:
         page = oracles.get_page(mem_store, page_id)
         assert (page.log_uid, page.log_username) == (7, "alice")
         assert page.log_session_serialize == {"ses_id": "1", "ses_uid": "7"}
+
+    def test_account_and_client_fields_are_session_columns_of_the_same_kind(self):
+        session = typing.get_type_hints(SessionRecord)
+        for record_type in (UserInfo, ClientProfile):
+            for name, hint in typing.get_type_hints(record_type).items():
+                assert _field_type(session[name]) is _field_type(hint), name
 
 
 class TestClassifyReferrer:

@@ -1,5 +1,6 @@
 """Workload generator: determinism, accounting, log emission, scoring."""
 
+import argparse
 import gzip
 import hashlib
 import io
@@ -61,6 +62,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field,value,flag", [
         ("n_users", 0, "users"),
+        ("n_users", 2.5, "users"),
+        ("n_users", True, "users"),
         ("session_rate", 0.0, "session-rate"),
         ("session_rate", 1000.5, "session-rate"),
         ("pageviews_per_session_mean", 0.5, "pageviews-mean"),
@@ -82,6 +85,9 @@ class TestConfigValidation:
             config.validate()
         assert flag in info.value.fields
         assert flag in str(info.value)
+        (commands,) = [a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        assert f"--{flag}" in commands.choices["simulate"]._option_string_actions
 
     def test_default_mixes_are_valid(self):
         for mix, valid in (

@@ -498,6 +498,24 @@ class TestPages:
                  id="log-uid-text"),
     pytest.param("log_geoip", {"end_ip": "9"}, "end_ip must be an integer, got '9'",
                  id="end-ip-text"),
+    pytest.param("log_session", {"browser_name": b"a,b"},
+                 "browser_name must be a str, got b'a,b'", id="browser-name-bytes"),
+    pytest.param("log_session", {"os_name": 5}, "os_name must be a str, got 5", id="os-name-int"),
+    pytest.param("log_page", {"log_url": 5}, "log_url must be a str, got 5", id="log-url-int"),
+    pytest.param("user_info", {"username": b"bob"}, "username must be a str, got b'bob'",
+                 id="username-bytes"),
+    pytest.param("open_sessions", {"session_token": 7}, "session_token must be a str, got 7",
+                 id="session-token-int"),
+    pytest.param("log_geoip", {"country_code": 5}, "country_code must be a str, got 5",
+                 id="country-code-int"),
+    pytest.param("log_page", {"log_url_malformed": 2}, "log_url_malformed must be a bool, got 2",
+                 id="malformed-int"),
+    pytest.param("log_page", {"log_url_malformed": "1"},
+                 "log_url_malformed must be a bool, got '1'", id="malformed-text"),
+    pytest.param("log_page", {"log_url_malformed": 1.7},
+                 "log_url_malformed must be a bool, got 1.7", id="malformed-float"),
+    pytest.param("log_page", {"log_url_malformed": "a"},
+                 "log_url_malformed must be a bool, got 'a'", id="malformed-letter"),
 ])
 def test_record_check_refuses_the_write_and_keeps_the_store(mem_store, table, changes, reason):
     user = UserInfo(7, "u0007", "student", "female")
@@ -512,6 +530,8 @@ def test_record_check_refuses_the_write_and_keeps_the_store(mem_store, table, ch
             mem_store.replace_geoip([dataclasses.replace(GeoIpRange(0, 9, "BB"), **changes)])
         elif table == "log_session":
             mem_store.insert_session(_session(**changes))
+        elif table == "open_sessions":
+            mem_store.put_open_session(dataclasses.replace(OpenSession("t", opn, T0), **changes))
         else:
             mem_store.insert_page(_page(opn, **changes))
     assert str(info.value) == reason
