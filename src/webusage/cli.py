@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import gzip
-import os
 import sqlite3
 import sys
 import zlib
@@ -32,7 +31,7 @@ from .baseline import (
 )
 from .collector import DEFAULT_TIMEOUT, Collector, replay_stream
 from .compare import UniverseMismatchError, collector_report, load_roster, score_against_truth
-from .csvio import RowError, rows
+from .csvio import RowError, replacing, rows
 from .enrichment import GeoIpLoadError, load_geoip, sample_geoip_table
 from .events import ReplayFormatError, read_replay
 from .simulator import OPTION_NAMES, SITE_HOST, ConfigError, WorkloadConfig, simulate_to_dir
@@ -113,7 +112,8 @@ def _write_out(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with replacing(out) as tmp:
+            tmp.write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +176,8 @@ def _load_users_file(store: LogStore, path: Path) -> None:
 
 def cmd_collect(args: argparse.Namespace) -> int:
     replay_path = _require_file(args.replay, "replay file")
-    store_path = Path(args.store)
-    # Build beside the target and swap it in only once the replay is done, so
-    # a failed run leaves any previous store as it was.
-    tmp_path = store_path.with_name(f".{store_path.name}.{os.getpid()}.tmp")
-    tmp_path.unlink(missing_ok=True)
-    try:
-        rc = _collect_into(LogStore(tmp_path), replay_path, args)
-        os.replace(tmp_path, store_path)
-        return rc
-    finally:
-        tmp_path.unlink(missing_ok=True)
+    with replacing(args.store) as tmp:
+        return _collect_into(LogStore(tmp), replay_path, args)
 
 
 def _collect_into(store: LogStore, replay_path: Path, args: argparse.Namespace) -> int:
@@ -233,7 +224,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
             split_at_midnight=args.split_at_midnight,
             site_hosts=args.site_host or [SITE_HOST],
         )
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with replacing(args.out) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
         write_sessions_csv(result.sessions, fh)
     print(result.stats_text())
     return 0

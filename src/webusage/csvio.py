@@ -1,16 +1,21 @@
-"""The package's one CSV dialect, and the form of an unreadable input row.
+"""The package's CSV dialect, its unreadable-row error, and its one writer.
 
 Every CSV file the package writes is built from :func:`cell` and :func:`row`,
 and every one it reads goes through :func:`rows`.  The dialect is RFC 4180's
 with ``\\n`` line ends: a cell holding a character of :data:`QUOTE_TRIGGERS`
 is quoted and each ``"`` in it doubled; any other cell, NUL included, is
-written as it is.
+written as it is.  Every output file, CSV or not, is written through
+:func:`replacing`, so it appears whole or not at all.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+import re
+from contextlib import contextmanager
 from functools import lru_cache
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 
@@ -80,3 +85,27 @@ def rows(stream: Iterable[str], header: Sequence[str] | None = None
                 yield reader.line_num, cells
     except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
         raise RowError(str(exc), reader.line_num) from None
+
+
+@contextmanager
+def replacing(target: str | os.PathLike) -> Iterator[Path]:
+    """Yield ``.NAME.PID.tmp`` beside ``target``, moved onto it on a clean exit
+    and removed on an error, once each ``.NAME.<digits>.tmp[-journal]`` a
+    killed run left there is removed.  A symlink's file is replaced and the
+    link kept; a target that exists but is no regular file is refused."""
+    path = Path(os.path.realpath(target))
+    if path.exists() and not path.is_file():
+        raise OSError(f"{target} is not a regular file")
+    stale = re.compile(rf"\.{re.escape(path.name)}\.[0-9]+\.tmp(-journal)?")
+    for old in path.parent.iterdir() if path.parent.is_dir() else ():
+        if stale.fullmatch(old.name):
+            old.unlink(missing_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            exc.filename = os.fspath(target)  # name the file asked for, not its stand-in
+        raise
+    os.replace(tmp, path)

@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Iterable, TextIO
 
 from .baseline import _format_timestamp, _log_line
+from .csvio import replacing
 from .events import RawRequestEvent, write_replay
 from .storage import NO_GENDER_TYPES
 from .truth import GroundTruth, TruthEvent, TruthSession, TruthUser, save_truth
@@ -174,7 +175,7 @@ _NOISE_STREAM_OFFSET = 1_000_003
 
 
 class ConfigError(ValueError):
-    """One or more workload fields are out of range; names use flag spelling."""
+    """Workload fields of the wrong type or out of range; names use flag spelling."""
 
     def __init__(self, problems: list[tuple[str, str]]):
         self.fields = [flag for flag, _ in problems]
@@ -201,28 +202,28 @@ class WorkloadConfig:
     duration: float = field(default=7 * 86400.0, metadata={"help": "simulated span in seconds"})
 
     def validate(self) -> None:
+        # field -> (test, text).  Each test, as ``low <= x <= high``, also
+        # refuses NaN; the upper bounds keep generated times in the calendar.
+        share = (lambda v: 0.0 <= v <= 1.0, "must be within [0, 1]")
+        ranges = {
+            "n_users": (lambda v: v >= 1, "must be an integer of at least 1"),
+            "session_rate": (lambda v: 0.0 < v <= 1000.0, "must be in (0, 1000]"),
+            "pageviews_per_session_mean": (lambda v: 1.0 <= v <= 1000.0, "must be in [1, 1000]"),
+            "timeout": (lambda v: 60.0 <= v <= 31_536_000.0, "must be in [60, 31536000] seconds"),
+            "nat_share": share, "dynamic_ip_share": share,
+            "cookie_loss_share": share, "cached_nav_share": share,
+            "duration": (lambda v: 3600.0 <= v <= 315_360_000.0,
+                         "must be in [3600, 315360000] seconds"),
+        }
         problems: list[tuple[str, str]] = []
-        if type(self.n_users) is not int or self.n_users < 1:  # a bool is refused too
-            problems.append(("n_users", f"must be an integer of at least 1, got {self.n_users}"))
-        if not 0.0 < self.session_rate <= 1000.0:
-            problems.append(("session_rate", f"must be in (0, 1000], got {self.session_rate}"))
-        if not 1.0 <= self.pageviews_per_session_mean <= 1000.0:
-            problems.append((
-                "pageviews_per_session_mean",
-                f"must be in [1, 1000], got {self.pageviews_per_session_mean}",
-            ))
-        # The upper bounds keep every generated time well inside the calendar;
-        # written as ``not low <= x <= high``, each check also rejects NaN.
-        if not 60.0 <= self.timeout <= 31_536_000.0:
-            problems.append(("timeout", f"must be in [60, 31536000] seconds, got {self.timeout}"))
-        if not 3600.0 <= self.duration <= 315_360_000.0:
-            problems.append((
-                "duration", f"must be in [3600, 315360000] seconds, got {self.duration}",
-            ))
-        for name in ("nat_share", "dynamic_ip_share", "cookie_loss_share", "cached_nav_share"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                problems.append((name, f"must be within [0, 1], got {value}"))
+        for f in fields(self):  # f.type is the annotation's text
+            value = getattr(self, f.name)
+            # an int field takes an int, a float field an int or float; a bool neither
+            if type(value) is not int and (f.type == "int" or type(value) is not float):
+                kind = "an integer" if f.type == "int" else "a number"
+                problems.append((f.name, f"must be {kind}, got {value!r}"))
+            elif f.name in ranges and not ranges[f.name][0](value):
+                problems.append((f.name, f"{ranges[f.name][1]}, got {value}"))
         if problems:
             raise ConfigError([(OPTION_NAMES[name], why) for name, why in problems])
 
@@ -564,9 +565,9 @@ def simulate_to_dir(
         "eclf": out / "access.log",
         "truth": out / "truth.csv",
     }
-    with open(paths["replay"], "w", encoding="utf-8", newline="") as fh:
+    with replacing(paths["replay"]) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
         write_replay(events, fh)
-    with open(paths["eclf"], "w", encoding="utf-8", newline="") as fh:
+    with replacing(paths["eclf"]) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
         emit_eclf(events, truth, config, fh, noise=noise)
     save_truth(truth, paths["truth"])
     return paths

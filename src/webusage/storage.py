@@ -670,12 +670,10 @@ class LogStore:
     def export_all(self, out_dir: str | Path) -> dict[str, Path]:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        paths = {}
-        for table in TABLE_COLUMNS:
-            path = out / f"{table}.csv"
-            with path.open("w", encoding="utf-8", newline="") as fh:
+        paths = {table: out / f"{table}.csv" for table in TABLE_COLUMNS}
+        for table, path in paths.items():
+            with csvio.replacing(path) as tmp, tmp.open("w", encoding="utf-8", newline="") as fh:
                 self.export_table(table, fh)
-            paths[table] = path
         return paths
 
     # -- stats ---------------------------------------------------------------

@@ -118,5 +118,5 @@ def load_truth(path: str | Path) -> GroundTruth:
 
 
 def save_truth(truth: GroundTruth, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with csvio.replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
         write_truth(truth, fh)

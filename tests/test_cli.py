@@ -6,6 +6,7 @@ import dataclasses
 import gzip
 import hashlib
 import json
+import os
 import re
 import shutil
 import sqlite3
@@ -985,6 +986,68 @@ class TestExport:
         rc = main(["export", "--store", str(bogus), "--out", str(tmp_path / "d")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestOutputTargets:
+    """Each command writes its files through one ``.NAME.PID.tmp`` moved
+    into place (FORMATS.md "CLI"): a symlink keeps naming the file it named,
+    and a target that is no regular file is refused."""
+
+    @staticmethod
+    def writers(workspace, tmp_path):
+        """Each writing command, and the target it writes under ``tmp_path``."""
+        store = str(workspace["store"])
+        return {
+            "simulate": (SIM_ARGS + ["--out", str(tmp_path)], "events.replay"),
+            "collect": (["collect", str(workspace["replay"]), "--store", str(tmp_path / "t")],
+                        "t"),
+            "preprocess": (["preprocess", str(workspace["eclf"]), "--out", str(tmp_path / "t")],
+                           "t"),
+            "report": (["report", "--store", store, "--kind", "device",
+                        "--out", str(tmp_path / "t")], "t"),
+            "export": (["export", "--store", store, "--out", str(tmp_path)], "user_info.csv"),
+        }
+
+    @pytest.mark.parametrize("command", ["simulate", "collect", "preprocess", "report", "export"])
+    def test_a_symlink_keeps_naming_the_replaced_file(self, workspace, tmp_path, capsys,
+                                                      command):
+        plain, linked = tmp_path / "plain", tmp_path / "linked"
+        plain.mkdir()
+        linked.mkdir()
+        argv, name = self.writers(workspace, plain)[command]
+        assert main(argv) == 0
+        (tmp_path / "real").write_bytes(b"old\n")
+        (linked / name).symlink_to(tmp_path / "real")
+        argv, _ = self.writers(workspace, linked)[command]
+        assert main(argv) == 0
+        assert os.readlink(linked / name) == str(tmp_path / "real")
+        assert (tmp_path / "real").read_bytes() == (plain / name).read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["linked", "plain", "real"]
+        assert not any(linked.glob(".*"))
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    @pytest.mark.parametrize("command", ["simulate", "collect", "preprocess", "report", "export"])
+    def test_a_target_that_is_no_regular_file_is_refused(self, workspace, tmp_path, capsys,
+                                                         command, kind):
+        argv, name = self.writers(workspace, tmp_path)[command]
+        target = tmp_path / name
+        if kind == "fifo":
+            os.mkfifo(target)
+        else:
+            target.mkdir()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {target} is not a regular file\n"
+        assert target.is_fifo() if kind == "fifo" else target.is_dir()
+        assert not any(tmp_path.glob(".*.tmp*"))
+
+    @pytest.mark.parametrize("command", ["preprocess", "report"])
+    def test_a_missing_directory_is_named_by_the_target(self, workspace, tmp_path, capsys,
+                                                        command):
+        argv, name = self.writers(workspace, tmp_path / "missing")[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == (f"error: [Errno 2] No such file or directory: "
+                       f"'{tmp_path / 'missing' / name}'")
 
 
 class TestReadOnlyCommands:

@@ -1,11 +1,15 @@
 """The package's one CSV dialect (FORMATS.md "CSV dialect"): every writer
 gives, row for row, what ``oracles.csv_row_reference`` gives, and NUL is
-written as it is on every Python."""
+written as it is on every Python.  Every output file is written through
+``csvio.replacing`` (FORMATS.md "CLI")."""
 
+import ast
 import csv
 import io
+import os
 import re
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -155,3 +159,143 @@ class TestWriters:
         written.seek(0)
         restored = read_truth(written)
         assert (restored.sessions, restored.events) == (sessions, events)
+
+
+class TestReplacing:
+    def test_a_clean_exit_moves_the_temporary_file_onto_the_target(self, tmp_path):
+        target = tmp_path / "t.csv"
+        target.write_text("old")
+        with csvio.replacing(target) as tmp:
+            assert tmp == tmp_path / f".t.csv.{os.getpid()}.tmp"
+            tmp.write_text("new")
+            assert target.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+        assert target.read_text() == "new"
+
+    def test_an_error_removes_the_temporary_file_and_keeps_the_target(self, tmp_path):
+        target = tmp_path / "t.csv"
+        target.write_text("old")
+        with pytest.raises(KeyError), csvio.replacing(target) as tmp:
+            tmp.write_text("new")
+            raise KeyError
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+        assert target.read_text() == "old"
+
+    def test_only_the_targets_stale_temporary_files_are_removed(self, tmp_path):
+        stale = [".t.csv.1.tmp", ".t.csv.123.tmp-journal"]
+        kept = [".t.csv.x.tmp", ".t.csv.1.tmp.bak", ".t.csv.1.tmp-wal", "t.csv.1.tmp",
+                ".u.csv.1.tmp", ".t.csv.tmp", ".tXcsv.1.tmp", ".t.csv.٣.tmp"]
+        for name in stale + kept:
+            (tmp_path / name).write_text(name)
+        with csvio.replacing(tmp_path / "t.csv") as tmp:
+            tmp.write_text("new")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(kept + ["t.csv"])
+
+    def test_a_symlink_keeps_naming_the_replaced_file(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        real = tmp_path / "real" / "t.csv"
+        real.write_text("old")
+        (tmp_path / ".link.1.tmp").write_text("not the target's")
+        link = tmp_path / "link"
+        link.symlink_to(real)
+        with csvio.replacing(link) as tmp:
+            assert tmp.parent == real.parent
+            tmp.write_text("new")
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text() == "new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".link.1.tmp", "link", "real"]
+
+    def test_a_target_that_is_no_regular_file_is_refused(self, tmp_path):
+        fifo, directory = tmp_path / "fifo", tmp_path / "dir"
+        os.mkfifo(fifo)
+        directory.mkdir()
+        for target in (fifo, directory):
+            with pytest.raises(OSError, match=f"^{re.escape(str(target))} is not a regular file$"):
+                with csvio.replacing(target):
+                    pytest.fail("yielded")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "fifo"]
+        assert fifo.is_fifo() and directory.is_dir()
+
+
+def _unsafe_writes(source: str) -> list[int]:
+    """Lines of ``source`` that write a file other than a name bound by
+    ``with replacing(...) as NAME``: ``open`` or ``.open`` in a mode that
+    writes, ``write_text``, ``write_bytes``, or a ``LogStore`` not opened
+    ``?mode=ro``."""
+    tree = ast.parse(source)
+    bound = {
+        item.optional_vars.id
+        for node in ast.walk(tree) if isinstance(node, ast.With)
+        for item in node.items
+        if isinstance(item.context_expr, ast.Call)
+        and ast.unparse(item.context_expr.func).split(".")[-1] == "replacing"
+        and isinstance(item.optional_vars, ast.Name)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, written = ast.unparse(node.func).split(".")[-1], None
+        if func == "open":
+            kw = {k.arg: k.value for k in node.keywords}
+            modes = [a for a in node.args if isinstance(a, ast.Constant)
+                     and isinstance(a.value, str) and set(a.value) <= set("rwxabt+")]
+            mode = kw.get("mode", modes[0] if modes else None)
+            if mode is not None and set(ast.literal_eval(mode)) & set("wax+"):
+                files = [a for a in node.args if a is not mode]
+                written = kw.get("file", files[0] if files else getattr(node.func, "value", node))
+        elif func in ("write_text", "write_bytes"):
+            written = node.func.value
+        elif func == "LogStore" and "?mode=ro" not in ast.unparse(node):
+            written = node.args[0] if node.args else node
+        if written is not None and not (isinstance(written, ast.Name) and written.id in bound):
+            lines.append(node.lineno)
+    return lines
+
+
+class TestOneWritePath:
+    SOURCES = sorted(Path(csvio.__file__).parent.glob("*.py"))
+
+    def test_every_file_is_written_through_replacing(self):
+        assert len(self.SOURCES) > 10
+        assert {path.name: _unsafe_writes(path.read_text(encoding="utf-8"))
+                for path in self.SOURCES} == {path.name: [] for path in self.SOURCES}
+
+    @pytest.mark.parametrize("source", [
+        "open(p, 'w')",
+        "open('out.csv', 'w')",
+        "open(p, mode='a')",
+        "open(file=p, mode='wb')",
+        "gzip.open(p, 'wt')",
+        "p.open('w')",
+        "p.open(mode='r+')",
+        "Path(p).write_text('x')",
+        "p.write_bytes(b'x')",
+        "LogStore(p)",
+        "LogStore()",
+        "with replacing(a) as tmp:\n    open(b, 'w')",
+        "with replacing(a) as tmp:\n    tmp.parent.joinpath('x').write_text('x')",
+        "with other(a) as tmp:\n    tmp.write_text('x')",
+    ])
+    def test_a_write_outside_replacing_is_caught(self, source):
+        assert _unsafe_writes(source) != []
+
+    @pytest.mark.parametrize("source", [
+        "open(p)", "open(p, 'rb')", "gzip.open(p, 'rt')", "p.open('r')",
+        "LogStore(p.as_uri() + '?mode=ro')",
+        "with replacing(a) as tmp, open(tmp, 'w') as fh:\n    pass",
+        "with csvio.replacing(a) as tmp:\n    tmp.open('w')",
+    ])
+    def test_a_read_or_a_write_through_replacing_passes(self, source):
+        assert _unsafe_writes(source) == []
+
+    def test_only_csvio_replaces_files_or_names_its_process(self):
+        used = {}
+        for path in self.SOURCES:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            names = {ast.unparse(n) for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+            names |= {f"os.{a.name}" for n in ast.walk(tree)
+                      if isinstance(n, ast.ImportFrom) and n.module == "os" for a in n.names}
+            used.update({path.name: sorted(names & {"os.replace", "os.getpid"})})
+        assert {name: found for name, found in used.items() if found} == {
+            "csvio.py": ["os.getpid", "os.replace"]}

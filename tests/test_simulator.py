@@ -78,6 +78,13 @@ class TestConfigValidation:
         ("dynamic_ip_share", -0.1, "dynamic-ip-share"),
         ("cookie_loss_share", 2.0, "cookie-loss-share"),
         ("cached_nav_share", -1.0, "cached-nav-share"),
+        ("seed", "x", "seed"),
+        ("seed", 1.5, "seed"),
+        ("seed", True, "seed"),
+        ("session_rate", "5", "session-rate"),
+        ("duration", "3600", "duration"),
+        ("nat_share", None, "nat-share"),
+        ("cached_nav_share", True, "cached-nav-share"),
     ])
     def test_out_of_range_field_names_its_flag(self, field, value, flag):
         config = WorkloadConfig(**{field: value})
@@ -97,6 +104,16 @@ class TestConfigValidation:
             assert all(name in valid for name, _ in mix)
             assert all(weight >= 0 for _, weight in mix)
             assert sum(weight for _, weight in mix) == pytest.approx(1.0, abs=1e-9)
+
+    def test_wrong_type_names_the_kind_and_skips_the_range(self):
+        config = WorkloadConfig(seed="x", n_users=2.0, session_rate="5", timeout=True,
+                                nat_share=1)
+        with pytest.raises(ConfigError) as info:
+            config.validate()
+        assert str(info.value) == (
+            "seed: must be an integer, got 'x'; users: must be an integer, got 2.0; "
+            "session-rate: must be a number, got '5'; timeout: must be a number, got True"
+        )
 
     def test_several_problems_reported_together(self):
         config = WorkloadConfig(n_users=0, nat_share=7.0)
