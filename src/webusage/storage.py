@@ -369,18 +369,15 @@ _OPEN_SESSION_SQL = (
 )
 
 
-def _text_cell_bytes(col: str) -> str:
-    """SQL for the exported UTF-8 size of a TEXT cell, NULL for a NULL.
+# Rows per ``stats`` read of a log table: the most cells one concatenation holds.
+_STATS_CHUNK = 1024
 
-    A field holding ``"`` is quoted and each ``"`` doubled; a field holding
-    another trigger is only quoted.  ``length(CAST(... AS BLOB))`` counts
-    bytes, where ``length`` of text would count characters up to a NUL.
-    """
-    size = f"length(CAST({col} AS BLOB))"
-    unquoted = f"length(CAST(replace({col}, '\"', '') AS BLOB))"
-    others = " OR ".join(f"instr({col}, char({ord(c)}))" for c in csvio.QUOTE_TRIGGERS if c != '"')
-    return (f"CASE WHEN instr({col}, '\"') THEN 2 * {size} - {unquoted} + 2"
-            f" WHEN {others} THEN {size} + 2 ELSE {size} END")
+
+def _quoted_cells(col: str, text: str) -> str:
+    """SQL counting the cells of a TEXT column that the export quotes, where
+    ``text`` holds every character of those cells."""
+    holds = " OR ".join(f"instr({col}, char({ord(c)}))" for c in csvio.QUOTE_TRIGGERS if c in text)
+    return f"COUNT(CASE WHEN {holds} THEN 1 END)"
 
 
 # ---------------------------------------------------------------------------
@@ -680,16 +677,39 @@ class LogStore:
 
     def _log_table_sizes(self) -> dict[str, tuple[int, float]]:
         """Rows and mean exported row bytes (without the row's ``\\n``) of
-        the two log tables, each table counted by one aggregate read."""
+        the two log tables, read in chunks of at most ``_STATS_CHUNK`` rows.
+
+        A TEXT column exports ``B + Q + 2T`` bytes: the UTF-8 bytes ``B`` of
+        its cells, one more for each of their ``Q`` ``"`` (doubled) and two
+        for each of the ``T`` cells holding a quote trigger.  One read per
+        chunk concatenates each TEXT column; only a column whose
+        concatenation holds a trigger is read again, to count ``T``.
+        """
         out = {}
         for table in ("log_session", "log_page"):
-            columns = list(zip(TABLE_COLUMNS[table], _CODECS[table].sql_types))
-            sums = [
-                f"SUM({_text_cell_bytes(col)})" if sql_type == "TEXT" else f"SUM(length({col}))"
-                for col, sql_type in columns if sql_type != "REAL"
-            ]
-            rows, *sizes = self._query(f"SELECT COUNT(*), {', '.join(sums)} FROM {table}")[0]
-            size = sum(s or 0 for s in sizes) + (len(columns) - 1) * rows  # the commas
+            codec = _CODECS[table]
+            key, columns = codec.order_by, list(zip(codec.names, codec.sql_types))
+            texts = [col for col, sql_type in columns if sql_type == "TEXT"]
+            reads = [f"group_concat({col}, '')" for col in texts] + [
+                f"SUM(length({col}))" for col, sql_type in columns if sql_type == "INTEGER"]
+            after = f"FROM {table} WHERE {key} > ?1"
+            span = f"{after} AND {key} <= ?2"  # a chunk: primary keys after ?1 up to ?2
+            chunk = (f"SELECT COUNT(*), MAX({key}), {', '.join(reads)} {after} AND {key} <="
+                     f" (SELECT MAX({key}) FROM (SELECT {key} {after}"
+                     f" ORDER BY {key} LIMIT {_STATS_CHUNK}))")
+            rows, size, last = 0, 0, float("-inf")  # below every key
+            with self._lock:  # no write lands between a chunk's two reads
+                while (read := self._query(chunk, (last,))[0])[0]:
+                    n, top, *cells = read
+                    joined = [text or "" for text in cells[:len(texts)]]
+                    size += sum(len(text.encode()) + text.count('"') for text in joined)
+                    size += sum(s or 0 for s in cells[len(texts):])
+                    quoted = ", ".join(_quoted_cells(col, text) for col, text in zip(texts, joined)
+                                       if any(c in text for c in csvio.QUOTE_TRIGGERS))
+                    if quoted:
+                        size += 2 * sum(self._query(f"SELECT {quoted} {span}", (last, top))[0])
+                    rows, last = rows + n, top
+            size += (len(columns) - 1) * rows  # the commas
             # The export writes a REAL as Python's repr, not as SQLite's text.
             for col in (col for col, sql_type in columns if sql_type == "REAL"):
                 size += sum(len(repr(v)) * n for v, n in self._query(

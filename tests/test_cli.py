@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import gzip
 import hashlib
+import io
 import json
 import os
 import re
@@ -500,6 +501,21 @@ class TestReport:
                      "--kind", "stats"]) == 0
         out = capsys.readouterr().out
         assert "rows.log_page:" in out and "rows.log_session:" in out
+
+    def test_stats_row_bytes_are_the_export_means(self, workspace, tmp_path, capsys):
+        """FORMATS.md "Reports": each ``avg_row_bytes`` is the mean UTF-8 size
+        of a row of that table's export, without its ``\\n``, to 1 place."""
+        store = str(workspace["store"])
+        assert main(["report", "--store", store, "--kind", "stats"]) == 0
+        stats = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        assert main(["export", "--store", store, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        for table in ("log_session", "log_page"):
+            data = (tmp_path / f"{table}.csv").read_bytes()
+            _, body = data.split(b"\n", 1)  # the header line
+            rows = len(list(csv.reader(io.StringIO(body.decode("utf-8"), newline=""))))
+            assert rows > 1 and stats[f"rows.{table}"] == str(rows)
+            assert stats[f"avg_row_bytes.{table}"] == str(round((len(body) - rows) / rows, 1))
 
     def test_plot_emits_tab_separated_points(self, workspace, capsys):
         rc = main(["report", "--store", str(workspace["store"]),

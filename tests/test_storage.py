@@ -8,6 +8,7 @@ import typing
 from collections import OrderedDict
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -929,6 +930,40 @@ def _row_sizes(store) -> dict[str, float]:
     return {table: mean for table, (_, mean) in store._log_table_sizes().items()}
 
 
+# The TEXT columns whose record checks take only a few values; every other
+# TEXT column but the times takes any text.
+_CHECKED_TEXT = ("user_type", "gender", "referral_class", "end_reason")
+
+
+def _free_text_columns(table: str) -> dict[str, tuple[type, bool]]:
+    """``(kind, nullable)`` of each column of ``table`` that takes any text:
+    ``str``, or ``dict`` for a map stored as its JSON text."""
+    hints = typing.get_type_hints(storage._CODECS[table].record_type)
+    columns = {}
+    for col in TABLE_COLUMNS[table]:
+        kind = storage._field_type(hints[col])  # a time is a datetime or date
+        if kind in (str, dict) and col not in _CHECKED_TEXT:
+            columns[col] = kind, type(None) in typing.get_args(hints[col])
+    return columns
+
+
+# Text dense in what the export quotes (`,` `"` `\n` `\r`), NUL, the braces
+# of a map's JSON and non-ASCII, often empty.
+_STATS_CHARS = st.sampled_from([",", '"', "\n", "\r", "\x00", "{", "}", "é", "😀", "a"])
+_STATS_TEXT = st.text(_STATS_CHARS, max_size=6)
+
+
+def _odd_records(table: str, **fixed) -> st.SearchStrategy[dict]:
+    """Keyword arguments for a record of ``table``: ``_STATS_TEXT``, or None
+    where the column may be NULL, in every free-text column; a map of it in
+    every map column; ``fixed`` names the strategies of other fields."""
+    fields = {}
+    for col, (kind, nullable) in _free_text_columns(table).items():
+        text = _STATS_TEXT if kind is str else st.dictionaries(_STATS_TEXT, _STATS_TEXT, max_size=3)
+        fields[col] = st.none() | text if nullable else text
+    return st.fixed_dictionaries({**fields, **fixed})
+
+
 class TestStats:
     def test_store_stats_row_counts(self, sim_store, small_workload):
         _, _, truth = small_workload
@@ -1021,3 +1056,63 @@ class TestStats:
         mem_store.insert_session(_session())  # sessions, but no pages
         self._assert_sizes_match_export(mem_store)
         assert _row_sizes(mem_store)["log_page"] == 0.0
+
+    def test_row_size_matches_export_with_odd_text_in_every_free_text_column(self, mem_store):
+        columns = {table: _free_text_columns(table) for table in ("log_session", "log_page")}
+        assert {"country_code", "browser_version", "os_name", "device_type",
+                "language"} <= set(columns["log_session"])
+        assert {"log_app_service", "log_module", "log_subtitle", "log_session_serialize",
+                "log_post_serialize"} <= set(columns["log_page"])
+        for text in self.ODD_TEXT:
+            session, page = (
+                {col: {text: text} if kind is dict else text for col, (kind, _) in cols.items()}
+                for cols in columns.values()
+            )
+            session["ip"] = text or "-"  # SessionRecord.validate refuses an empty ip
+            opn = mem_store.insert_session(_session(**session))
+            mem_store.insert_page(_page(opn, **page))
+        self._assert_sizes_match_export(mem_store)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_sizes_match_export_across_chunk_boundaries(self, mem_store, sim_store, monkeypatch,
+                                                        chunk):
+        monkeypatch.setattr(storage, "_STATS_CHUNK", chunk)
+
+        def plain_rows():
+            for _ in range(3):
+                mem_store.insert_page(_page(mem_store.insert_session(_session())))
+
+        # Rows without a quote trigger in any cell before and after the odd ones,
+        # so a chunk that needs no count of quoted cells borders one that does.
+        plain_rows()
+        self._fill_with_odd_values(mem_store)
+        plain_rows()
+        reads = []
+        mem_store._conn.set_trace_callback(reads.append)
+        self._assert_sizes_match_export(mem_store)
+        mem_store._conn.set_trace_callback(None)
+        chunk_reads = sum("group_concat" in sql and "log_page" in sql for sql in reads)
+        pages = mem_store.page_count()
+        assert chunk_reads == -(-pages // chunk) + 1  # the last read finds no row
+        self._assert_sizes_match_export(sim_store)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sessions=st.lists(st.tuples(
+            _odd_records("log_session", ip=st.text(_STATS_CHARS, min_size=1, max_size=6)),
+            st.lists(_odd_records("log_page", log_page_load_time=st.sampled_from(ODD_FLOATS)),
+                     max_size=3),
+        ), max_size=6),
+        chunk=st.sampled_from([1, 2, 3, 1024]),
+    )
+    def test_sizes_equal_the_export_means(self, sessions, chunk):
+        store = LogStore(":memory:")
+        try:
+            for session, pages in sessions:
+                opn = store.insert_session(_session(**session))
+                for page in pages:
+                    store.insert_page(_page(opn, **page))
+            with mock.patch.object(storage, "_STATS_CHUNK", chunk):
+                self._assert_sizes_match_export(store)
+        finally:
+            store.close()
