@@ -5,7 +5,8 @@ request arrives and :meth:`Collector.handle_request_end` when the response is
 ready.  Sessions are keyed by the client token, so two devices behind one IP
 are distinct sessions, a session crossing midnight stays open, and an idle
 gap strictly greater than the timeout retires the old session before a new
-one starts.  Session state lives only in the store, which serializes
+one starts; a gap is taken between times cut to the whole second, as the
+store keeps them.  Session state lives only in the store, which serializes
 writes, so collectors in any number of threads or processes may share one
 store; a collector keeps nothing but its settings and a warning sample.
 A token's open session holds only its ``opn_id`` and last activity; the
@@ -123,7 +124,10 @@ class Collector:
             with self.store.transaction():
                 open_session = self.store.get_open_session(event.session_token)
                 if open_session is not None:
-                    gap = (event.timestamp - open_session.last_activity).total_seconds()
+                    now = event.timestamp
+                    if now.microsecond:
+                        now = now.replace(microsecond=0)
+                    gap = (now - open_session.last_activity).total_seconds()
                     if gap > self.timeout:
                         self._close(open_session, "timeout")
                         open_session = None
@@ -162,6 +166,7 @@ class Collector:
     def sweep_expired(self, now: datetime) -> int:
         """Retire every open session idle strictly longer than the timeout."""
         ended = 0
+        now = now.replace(microsecond=0)
         try:
             cutoff = now - timedelta(seconds=self.timeout)
         except OverflowError:

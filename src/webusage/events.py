@@ -26,7 +26,7 @@ import urllib.parse
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .csvio import RowError
 
@@ -226,61 +226,50 @@ def format_replay_line(event: RawRequestEvent) -> str:
     )
 
 
-_REQUIRED_KEYS = frozenset({"ip", "time", "method", "url", "token"})
-_ALL_KEYS = _REQUIRED_KEYS | {
-    "agent",
-    "referrer",
-    "user",
-    "service",
-    "module",
-    "server",
-    "get",
-    "post",
-    "cookies",
+# Each replay key and the RawRequestEvent field it sets, in the order
+# writers emit them; the first five keys are the required ones.
+_FIELDS = {
+    "ip": "client_ip", "time": "timestamp", "method": "method", "url": "url",
+    "token": "session_token", "agent": "user_agent", "referrer": "referrer",
+    "user": "auth_user", "service": "app_service", "module": "module",
+    "server": "server_id", "get": "get_params", "post": "post_params", "cookies": "cookies",
 }
+_REQUIRED = tuple(_FIELDS)[:5]
 
 
 def parse_replay_line(line: str, line_no: int | None = None) -> RawRequestEvent:
-    values: dict[str, str] = {}
+    """Decode one replay line.  A missing optional key leaves its field's
+    default."""
+    fields: dict[str, Any] = {}
     for token in line.split(" "):
         if not token:
             raise ReplayFormatError("empty token (double space?)", line_no)
         key, sep, raw = token.partition("=")
         if not sep:
             raise ReplayFormatError(f"token without '=': {token!r}", line_no)
-        if key not in _ALL_KEYS:
+        name = _FIELDS.get(key)
+        if name is None:
             raise ReplayFormatError(f"unknown key {key!r}", line_no)
-        if key in values:
+        if name in fields:
             raise ReplayFormatError(f"duplicate key {key!r}", line_no)
-        values[key] = _unquote(raw) if "%" in raw else raw
-    missing = _REQUIRED_KEYS - values.keys()
+        fields[name] = _unquote(raw) if "%" in raw else raw
+    missing = [key for key in _REQUIRED if _FIELDS[key] not in fields]
     if missing:
         raise ReplayFormatError(f"missing keys: {sorted(missing)}", line_no)
     try:
-        when = datetime.fromisoformat(values["time"])
+        fields["timestamp"] = datetime.fromisoformat(fields["timestamp"])
     except ValueError as exc:
         raise ReplayFormatError(f"bad time: {exc}", line_no) from None
+    if "server_id" in fields:
+        try:
+            fields["server_id"] = int(fields["server_id"])
+        except ValueError:
+            raise ReplayFormatError(f"bad server id: {fields['server_id']!r}", line_no) from None
+    for name in ("get_params", "post_params", "cookies"):
+        if name in fields:
+            fields[name] = _decode_map(fields[name])
     try:
-        server = int(values.get("server", "1"))
-    except ValueError:
-        raise ReplayFormatError(f"bad server id: {values['server']!r}", line_no) from None
-    try:
-        return RawRequestEvent(
-            client_ip=values["ip"],
-            timestamp=when,
-            method=values["method"],
-            url=values["url"],
-            session_token=values["token"],
-            user_agent=values.get("agent", ""),
-            referrer=values.get("referrer"),
-            auth_user=values.get("user"),
-            app_service=values.get("service", ""),
-            module=values.get("module", ""),
-            server_id=server,
-            get_params=_decode_map(values.get("get", "")),
-            post_params=_decode_map(values.get("post", "")),
-            cookies=_decode_map(values.get("cookies", "")),
-        )
+        return RawRequestEvent(**fields)
     except ValueError as exc:
         raise ReplayFormatError(str(exc), line_no) from None
 

@@ -336,7 +336,6 @@ def _make_people(config: WorkloadConfig, rng: random.Random,
     nat_count = int(round(config.nat_share * config.n_users))
     nat_ips: list[str] = []
     people = []
-    token_seq = 0
     for user_id in range(1, config.n_users + 1):
         user_type = _pick(rng, DEFAULT_USER_TYPE_MIX)
         device = _pick(rng, DEFAULT_DEVICE_MIX)
@@ -361,7 +360,6 @@ def _make_people(config: WorkloadConfig, rng: random.Random,
             gender = None if user_type in NO_GENDER_TYPES else (
                 "male" if rng.random() < 0.5 else "female"
             )
-        token_seq += 1
         people.append(_Person(
             user_id=user_id,
             username=username,
@@ -373,7 +371,7 @@ def _make_people(config: WorkloadConfig, rng: random.Random,
             ip=ip,
             pool=pool,
             dynamic=dynamic,
-            token=f"v{user_id:06d}x{token_seq:08d}",
+            token=f"v{user_id:06d}x{user_id:08d}",
         ))
     return people
 
@@ -414,7 +412,6 @@ def generate(config: WorkloadConfig) -> tuple[list[RawRequestEvent], GroundTruth
             t = start
             ip = person.ip
             history: list[str] = []
-            prev_resource: str | None = None
             for page_index in range(n_pages):
                 if rng.random() < config.cookie_loss_share:
                     token_seq += 1
@@ -431,13 +428,13 @@ def generate(config: WorkloadConfig) -> tuple[list[RawRequestEvent], GroundTruth
                 if page_index == 0:
                     resource = _pick(rng, _ENTRY_PAGES)
                     referrer = _entry_referrer(rng)
-                elif cached:
-                    resource = history[-2]
-                    referrer = _PAGES[prev_resource][0] if prev_resource else None
-                    history.pop()
                 else:
-                    resource = _pick(rng, _NEXT_PAGES)
-                    referrer = _PAGES[prev_resource][0] if prev_resource else None
+                    referrer = _PAGES[history[-1]][0]  # the page just viewed
+                    if cached:
+                        history.pop()
+                        resource = history[-1]
+                    else:
+                        resource = _pick(rng, _NEXT_PAGES)
                 if not cached:
                     history.append(resource)
                 if previous and person.token == previous.token and t - previous.epoch <= timeout:
@@ -449,7 +446,6 @@ def generate(config: WorkloadConfig) -> tuple[list[RawRequestEvent], GroundTruth
                 run[3] = t
                 previous = _SimEvent(t, ip, resource, referrer, person.token, cached, person, run)
                 drawn.append(previous)
-                prev_resource = resource
 
     # A visitor's times strictly rise: each page adds at least a second, and
     # each session starts after the previous one's end plus the timeout.  So

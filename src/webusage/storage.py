@@ -283,8 +283,11 @@ class _Codec:
     A column is INTEGER, REAL or TEXT by its field's type, and ``NOT NULL``
     unless its field may be ``None`` or it is the primary key; ``constraints``
     maps a column to the SQL its type cannot state.  ``order_by`` is the
-    column the export is ordered by.  ``encode`` refuses, in a field typed
-    ``int``, ``str`` or ``bool``, any value but ``None`` and that exact type.
+    column the export is ordered by, and ``assigned`` the ``AUTOINCREMENT``
+    column, if any, whose value the store assigns.  ``encode`` refuses a
+    record whose ``assigned`` column is set, runs the record's ``validate``,
+    if it has one, and refuses, in a field typed ``int``, ``str`` or
+    ``bool``, any value but ``None`` and that exact type.
     """
 
     def __init__(self, table: str, record_type: type, order_by: str, **constraints: str):
@@ -295,6 +298,8 @@ class _Codec:
         self.table = table
         self.record_type = record_type
         self.order_by = order_by
+        self.assigned = next((c for c, sql in constraints.items() if "AUTOINCREMENT" in sql), None)
+        self._validate = getattr(record_type, "validate", None)
         self.columns = ", ".join(cols)
         marks = ", ".join("?" * len(cols))
         self.insert_sql = f"INSERT INTO {table} ({self.columns}) VALUES ({marks})"
@@ -313,6 +318,10 @@ class _Codec:
         self._typed = [(i, kind) for i, kind in enumerate(kinds) if kind in (int, str, bool)]
 
     def encode(self, rec: Any) -> list:
+        if self.assigned is not None and getattr(rec, self.assigned) is not None:
+            raise ConstraintError(f"{self.assigned} is assigned by the store")
+        if self._validate is not None:
+            self._validate(rec)
         row = list(self._values(rec))
         for i, kind in self._typed:
             if row[i] is not None and type(row[i]) is not kind:
@@ -345,6 +354,8 @@ _CODECS = {codec.table: codec for codec in (
            log_url_malformed="DEFAULT 0"),
 )}
 TABLE_COLUMNS = {table: codec.names for table, codec in _CODECS.items()}
+_UPSERT_USER = " ON CONFLICT(user_id) DO UPDATE SET " + ", ".join(
+    f"{c}=excluded.{c}" for c in TABLE_COLUMNS["user_info"][1:])
 
 # One transaction for all the CREATEs, so a new file store pays one journal
 # round, not one per statement; the PRAGMA does nothing inside a transaction.
@@ -368,6 +379,12 @@ _OPEN_SESSION_SQL = (
     " JOIN log_session s ON s.opn_id = o.opn_id WHERE o.session_token = ?"
 )
 
+
+# The columns an AppPageResult sets: ``log_<field>`` for each of its fields.
+_RESULT_FIELDS = [f.name for f in dataclasses.fields(AppPageResult)]
+_RESULT_SQL = (f"UPDATE log_page SET {', '.join(f'log_{f} = ?' for f in _RESULT_FIELDS)}"
+               " WHERE log_details_id = ?")
+_result_values = attrgetter(*_RESULT_FIELDS)
 
 # Rows per ``stats`` read of a log table: the most cells one concatenation holds.
 _STATS_CHUNK = 1024
@@ -444,10 +461,8 @@ class LogStore:
 
     def __init__(self, path: str | Path = ":memory:"):
         # A "file:" URI may carry options, e.g. "?mode=ro" for a read-only store.
-        self.path = str(path)
-        self._conn = sqlite3.connect(
-            self.path, uri=True, check_same_thread=False, isolation_level=None
-        )
+        self._conn = sqlite3.connect(str(path), uri=True, check_same_thread=False,
+                                     isolation_level=None)
         self._lock = threading.RLock()
         self._depth = 0
         try:
@@ -481,35 +496,35 @@ class LogStore:
         rows = self._query(f"SELECT {codec.columns} FROM {table} {clause}", params)
         return [codec.decode(row) for row in rows]
 
-    def _insert(self, table: str, rows: Any, many: bool = False, suffix: str = "") -> int | None:
-        """Insert one encoded row, or a list of them with ``many``.
+    def _insert(self, table: str, *records: Any, suffix: str = "") -> int | None:
+        """Encode records and insert them as rows of ``table``.
 
-        Returns the new row id of a single insert.  This is the one place
-        where SQLite integrity failures become store errors.
+        A single record gets the id the store assigns it, if its table has
+        one, and its row id is returned; any other number of records is one
+        ``executemany``.  This is the one place where SQLite integrity
+        failures become store errors.
         """
-        sql = _CODECS[table].insert_sql + suffix
+        codec = _CODECS[table]
+        rows = list(map(codec.encode, records))
+        sql = codec.insert_sql + suffix
         with self._lock:
             try:
-                if many:
+                if len(rows) != 1:
                     self._conn.executemany(sql, rows)
                     return None
-                return self._conn.execute(sql, rows).lastrowid
+                row_id = self._conn.execute(sql, rows[0]).lastrowid
             except sqlite3.IntegrityError as exc:
                 if "FOREIGN KEY" in str(exc):
                     raise ForeignKeyError(str(exc)) from None
                 raise ConstraintError(str(exc)) from None
+        if codec.assigned is not None:
+            setattr(records[0], codec.assigned, row_id)
+        return row_id
 
     # -- user_info ---------------------------------------------------------
 
     def upsert_user(self, user: UserInfo) -> None:
-        user.validate()
-        others = TABLE_COLUMNS["user_info"][1:]
-        self._insert(
-            "user_info",
-            _CODECS["user_info"].encode(user),
-            suffix=" ON CONFLICT(user_id) DO UPDATE SET "
-            + ", ".join(f"{c}=excluded.{c}" for c in others),
-        )
+        self._insert("user_info", user, suffix=_UPSERT_USER)
 
     def get_user_by_name(self, username: str) -> UserInfo | None:
         rows = self._select("user_info", "WHERE username = ?", (username,))
@@ -518,21 +533,17 @@ class LogStore:
     # -- geoip -------------------------------------------------------------
 
     def replace_geoip(self, ranges: Iterable[GeoIpRange]) -> int:
-        rows = [_CODECS["log_geoip"].encode(r) for r in ranges]
+        ranges = tuple(ranges)
         with self.transaction() as conn:
             conn.execute("DELETE FROM log_geoip")
-            self._insert("log_geoip", rows, many=True)
-        return len(rows)
+            self._insert("log_geoip", *ranges)
+        return len(ranges)
 
     # -- sessions ----------------------------------------------------------
 
     def insert_session(self, rec: SessionRecord) -> int:
         """Insert a new session and set its ``opn_id``, which the store assigns."""
-        if rec.opn_id is not None:
-            raise ConstraintError("opn_id is assigned by the store")
-        rec.validate()
-        rec.opn_id = self._insert("log_session", _CODECS["log_session"].encode(rec))
-        return rec.opn_id
+        return self._insert("log_session", rec)
 
     def close_session(self, opn_id: int, ended_at: datetime, reason: str) -> None:
         if reason not in END_REASONS:
@@ -570,7 +581,7 @@ class LogStore:
         return LiveSession(session_token, opn_id, text_to_dt(last_activity), user_id, username)
 
     def put_open_session(self, open_session: OpenSession) -> None:
-        self._insert("open_sessions", _CODECS["open_sessions"].encode(open_session))
+        self._insert("open_sessions", open_session)
 
     def touch_open_session(self, token: str, last_activity: datetime) -> None:
         with self._lock:
@@ -599,27 +610,11 @@ class LogStore:
     def insert_page(self, rec: PageRecord) -> int:
         """Insert a new page and set its ``log_details_id``, which the store
         assigns in insertion order."""
-        if rec.log_details_id is not None:
-            raise ConstraintError("log_details_id is assigned by the store")
-        rec.validate()
-        rec.log_details_id = self._insert("log_page", _CODECS["log_page"].encode(rec))
-        return rec.log_details_id
+        return self._insert("log_page", rec)
 
     def update_page_result(self, page_id: int, result: AppPageResult) -> None:
         with self._lock:
-            cur = self._conn.execute(
-                "UPDATE log_page SET log_page_title = ?, log_web_message = ?,"
-                " log_subtitle = ?, log_page_load_time = ?, log_error_text = ?"
-                " WHERE log_details_id = ?",
-                (
-                    result.page_title,
-                    result.web_message,
-                    result.subtitle,
-                    result.page_load_time,
-                    result.error_text,
-                    page_id,
-                ),
-            )
+            cur = self._conn.execute(_RESULT_SQL, _result_values(result) + (page_id,))
             if cur.rowcount == 0:
                 raise NotFoundError(f"no page row {page_id}")
 

@@ -444,10 +444,23 @@ class TestSessionsContract:
         assert (row.end_reason, row.ended_at) == ("logout", T0 + timedelta(seconds=100))
 
     def test_sweep_at_a_fractional_time_is_strict(self, collector):
+        # The sweep's time is taken to the whole second, as the store keeps it.
         collector.handle_request_begin(_event(seconds=0))
         assert collector.sweep_expired(T0 + timedelta(seconds=1799.5)) == 0
         assert collector.sweep_expired(T0 + timedelta(seconds=1800)) == 0
-        assert collector.sweep_expired(T0 + timedelta(seconds=1800.5)) == 1
+        assert collector.sweep_expired(T0 + timedelta(seconds=1800.5)) == 0
+        assert collector.sweep_expired(T0 + timedelta(seconds=1801)) == 1
+
+    def test_fractional_times_are_taken_to_the_whole_second(self, mem_store):
+        # FORMATS.md's example: the store keeps 10:00:00, so the gap is 60 s.
+        collector = Collector(mem_store, site_hosts=HOSTS, timeout=60)
+        first, _ = collector.handle_request_begin(_event(seconds=0.9))
+        again, _ = collector.handle_request_begin(_event(seconds=60.5))
+        assert again == first
+        assert mem_store.get_session(first).end_reason is None
+        assert collector.sweep_expired(T0 + timedelta(seconds=60.5)) == 0
+        assert collector.sweep_expired(T0 + timedelta(seconds=120.9)) == 0
+        assert collector.sweep_expired(T0 + timedelta(seconds=121)) == 1
 
     def test_first_request_fixes_the_session_user(self, collector, mem_store):
         mem_store.upsert_user(UserInfo(7, "u0007", "academic_staff", "female"))

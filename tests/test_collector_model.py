@@ -2,8 +2,9 @@
 
 Two collectors share one store.  Hypothesis drives them with requests
 (guest, signed-in, unknown user, and failing ones), page results, logouts
-and sweeps on a clock that jumps by arbitrary amounts, and after every step
-the store must hold what the model predicts.
+and sweeps on a clock that jumps by arbitrary amounts, fractions of a
+second included, and after every step the store must hold what the model
+predicts.
 """
 
 from datetime import datetime, timedelta
@@ -38,7 +39,8 @@ class SessionModel:
         self.next_id = 1
 
     def idle(self, token, now):
-        return (now - self.open[token][1]).total_seconds() > TIMEOUT
+        # The store keeps whole seconds, and a gap is taken between them.
+        return (now.replace(microsecond=0) - self.open[token][1]).total_seconds() > TIMEOUT
 
     def close(self, token, reason):
         opn_id, last, _, _ = self.open.pop(token)
@@ -54,7 +56,6 @@ class SessionModel:
             opn_id, self.next_id = self.next_id, self.next_id + 1
             username = user if user in ACCOUNTS else None
             user_id = ACCOUNTS.get(username)
-        # The store keeps whole seconds.
         self.open[token] = (opn_id, now.replace(microsecond=0), user_id, username)
         return opn_id
 
@@ -85,9 +86,10 @@ class CollectorMachine(RuleBasedStateMachine):
         return RawRequestEvent("10.0.0.1", self.now, "GET", "/p.php", token,
                                auth_user=user, **overrides)
 
-    @rule(seconds=st.one_of(st.just(TIMEOUT), st.floats(0, 3 * TIMEOUT)))
-    def advance(self, seconds):
-        self.now += timedelta(seconds=seconds)
+    @rule(seconds=st.one_of(st.just(TIMEOUT), st.floats(0, 3 * TIMEOUT)),
+          microseconds=st.sampled_from([0, 1, 500_000, 999_999]))
+    def advance(self, seconds, microseconds):
+        self.now += timedelta(seconds=seconds, microseconds=microseconds)
 
     @rule(target=pages, c=COLLECTOR, token=TOKEN, user=USER)
     def begin(self, c, token, user):

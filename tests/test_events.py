@@ -1,14 +1,18 @@
 import dataclasses
 import io
 import itertools
+import re
 import urllib.parse
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from webusage.events import (
+    _FIELDS as _REPLAY_FIELDS,
+    _REQUIRED as _REPLAY_REQUIRED,
     AppPageResult,
     RawRequestEvent,
     ReplayFormatError,
@@ -445,6 +449,34 @@ class TestDecoderEquivalence:
     @example("%=%%&%zz=%2")
     def test_map_decoding_matches_parse_qsl(self, text):
         assert _decode_map(text) == dict(urllib.parse.parse_qsl(text, keep_blank_values=True))
+
+
+class TestReplayTableMatchesFormats:
+    """FORMATS.md "Replay stream": the writer's key order, the required keys
+    and the defaults of missing keys are the reader's ``_FIELDS`` table."""
+
+    def _section(self) -> str:
+        text = (Path(__file__).resolve().parent.parent / "FORMATS.md").read_text("utf-8")
+        return text.split("## Replay stream", 1)[1].split("\n## ", 1)[0]
+
+    def test_writer_key_order_line_is_the_table(self):
+        order = self._section().split("```\n", 2)[1].split("\n", 1)[0]
+        assert tuple(key.strip("[]") for key in order.split()) == tuple(_REPLAY_FIELDS)
+
+    def test_required_keys_are_the_first_five(self):
+        claim = " ".join(self._section().split()).split("require at least ", 1)[1]
+        assert tuple(re.findall(r"`(\w+)`", claim.split(".", 1)[0])) == _REPLAY_REQUIRED
+        assert _REPLAY_REQUIRED == tuple(_REPLAY_FIELDS)[:5]
+        with pytest.raises(ReplayFormatError, match=r"missing keys: \['ip', 'url'\]"):
+            parse_replay_line("time=2021-09-02T12:00:00 method=GET token=tok1")
+
+    def test_writer_emits_keys_in_table_order(self):
+        line = format_replay_line(_event(referrer="http://x/", auth_user="u0001"))
+        assert [token.partition("=")[0] for token in line.split(" ")] == list(_REPLAY_FIELDS)
+
+    def test_missing_optional_keys_take_the_field_defaults(self):
+        line = "ip=10.0.0.1 time=2021-09-02T12:00:00 method=GET url=/index.php token=tok1"
+        assert parse_replay_line(line) == _event()  # every other field its default
 
 
 class TestReplayStream:

@@ -772,6 +772,11 @@ class TestSchema:
             found[table] = {c.strip() for c in cols.split(",")}
         return found
 
+    def test_every_page_result_field_has_its_column(self):
+        # update_page_result sets log_<field> for each AppPageResult field.
+        for f in dataclasses.fields(AppPageResult):
+            assert f"log_{f.name}" in TABLE_COLUMNS["log_page"], f.name
+
     def test_export_columns_match_doc(self):
         text = (Path(__file__).resolve().parent.parent / "FORMATS.md").read_text()
         store = text.split("## Store (SQLite) and CSV export", 1)[1].split("\n## ", 1)[0]
