@@ -8,14 +8,15 @@ which this module writes and reads; ``webusage.compare`` scores the CSV's
 rows against a simulator ground truth, where the request-time collector and
 this pipeline get compared on equal footing.
 
-Four pure lookups are cached, each in a bounded ``lru_cache`` that holds
+Five pure lookups are cached, each in a bounded ``lru_cache`` that holds
 no state of a visit: the datetime of a log timestamp (``_parse_timestamp``),
 which pays because page assets are logged in the same second as their page;
-the on-site path of a referrer (``_referrer_resource``), which pays because
-a site has few pages to be referred from; and, for writing, the ``+zzzz``
-text of a zone offset (``_zone_text``) and the quoted text of a field
-(``_quoted``), which pay because offsets, referrers and agents repeat from
-line to line.
+whether a resource is static (``_is_static``), which pays because resources
+repeat; the on-site path of a referrer (``_referrer_resource``), which pays
+because a site has few pages to be referred from; and, for writing, the
+``+zzzz`` text of a zone offset (``_zone_text``) and the quoted text of a
+field (``_quoted``), which pay because offsets, referrers and agents repeat
+from line to line.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import urllib.parse
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -79,7 +81,9 @@ _PLAIN_LINE_RE = {
     for name, pattern in _LINE_PATTERNS.items()
 }
 _STATUS_CODES = {str(code): code for code in range(100, 600)}  # [1-5][0-9][0-9]
+_TWO_DIGITS = {f"{n:02d}": n for n in range(100)}  # a timestamp's pairs; faster than int()
 _ESCAPE_RE = re.compile(r"\\(.)", re.S)
+_FIRST_EPOCH, _LAST_EPOCH = -62135596800, 253402300799  # 0001-01-01 to 9999-12-31 UTC
 
 
 class LineParseError(ValueError):
@@ -126,6 +130,22 @@ class FilterStats:
     dropped_static: int = 0
     dropped_bot: int = 0
 
+    def admits(self, status: int, resource: str, agent: str | None) -> bool:
+        """Whether a line with these fields is kept.  It is dropped for a
+        status other than 200, a static resource by extension or a robot
+        agent, and counted once: as kept, or under the first of those rules
+        that drops it."""
+        if status != 200:
+            self.dropped_status += 1
+        elif _is_static(resource):
+            self.dropped_static += 1
+        elif is_bot(agent):
+            self.dropped_bot += 1
+        else:
+            self.kept += 1
+            return True
+        return False
+
 
 @dataclass
 class PathStats:
@@ -147,8 +167,9 @@ def _parse_timestamp(text: str) -> datetime:
     datetime.
 
     A pure lookup, cached because page assets are logged in the same second
-    as their page.  An impossible timestamp raises :class:`LineParseError`
-    without its line, which the caller attaches; errors are never cached.
+    as their page.  A timestamp that does not exist, or whose instant falls
+    outside years 1-9999 in UTC, raises :class:`LineParseError` without its
+    line, which the caller attaches; errors are never cached.
     """
     month = _MONTH_NUM.get(text[3:6])
     if month is None:
@@ -161,10 +182,15 @@ def _parse_timestamp(text: str) -> datetime:
                 raise ValueError("zone minutes out of range")
             offset = timedelta(hours=int(zone[1:3]), minutes=int(zone[3:]))
             tzinfo = _ZONES[zone] = timezone(-offset if zone[0] == "-" else offset)
-        return datetime(
-            int(text[7:11]), month, int(text[:2]),
-            int(text[12:14]), int(text[15:17]), int(text[18:20]), 0, tzinfo,
+        year = int(text[7:11])
+        when = datetime(
+            year, month, _TWO_DIGITS[text[:2]], _TWO_DIGITS[text[12:14]],
+            _TWO_DIGITS[text[15:17]], _TWO_DIGITS[text[18:20]], 0, tzinfo,
         )
+        # Only a time in year 1 or 9999 can fall outside years 1-9999 in UTC.
+        if (year == 1 or year == 9999) and not _FIRST_EPOCH <= when.timestamp() <= _LAST_EPOCH:
+            raise ValueError(text)
+        return when
     except ValueError:
         raise LineParseError(f"bad timestamp: {text!r}") from None
 
@@ -197,6 +223,12 @@ def parse_log_line(line: str, log_format: str = "ECLF") -> EclfEntry:
     are then checked; a line the pattern does not match is a
     :class:`LineParseError` naming the first slot at fault.
     """
+    return EclfEntry(*_check_line(line, log_format))
+
+
+def _check_line(line: str, log_format: str) -> tuple:
+    """The fields of :func:`parse_log_line`, checked, in ``EclfEntry``
+    order, without building the entry."""
     escaped = "\\" in line
     pattern = (_LINE_RE if escaped else _PLAIN_LINE_RE).get(log_format)
     if pattern is None:
@@ -232,7 +264,7 @@ def parse_log_line(line: str, log_format: str = "ECLF") -> EclfEntry:
     except LineParseError as exc:
         exc.line = line
         raise
-    return EclfEntry(
+    return (
         ip, None if identd == "-" else identd, None if authuser == "-" else authuser,
         timestamp, method, resource, protocol, status, bytes_sent,
         None if referrer == "-" else referrer, None if agent == "-" else agent, cookies,
@@ -299,75 +331,43 @@ def render_log_line(entry: EclfEntry, log_format: str = "ECLF") -> str:
     )
 
 
-def read_log(path: str | Path, log_format: str = "ECLF") -> Iterator[EclfEntry | LineParseError]:
-    """Yield an entry for each non-blank line, or the ``LineParseError``
-    for a line that does not parse; the error carries the line as ``.line``.
-
-    Transparently reads gzip when the file name ends with .gz.
-    """
-    path = Path(path)
-    opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "rt", encoding="utf-8", errors="replace") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            try:
-                yield parse_log_line(line, log_format)
-            except LineParseError as exc:
-                yield exc
-
-
 # ---------------------------------------------------------------------------
 # filtering and user identification
 # ---------------------------------------------------------------------------
 
-def filter_entries(entries: Iterable[EclfEntry]) -> tuple[list[EclfEntry], FilterStats]:
-    """Keep successful page requests from human clients.
+@lru_cache(maxsize=1024)
+def _is_static(resource: str) -> bool:
+    """Whether a resource names a static file by its extension, the query
+    stripped and case ignored.  A pure lookup, cached because resources
+    repeat."""
+    return resource.split("?", 1)[0].lower().endswith(STATIC_EXTENSIONS)
 
-    Drops, in order: status other than 200, static resources by extension,
-    and robot agents.  Each dropped entry is counted once, under the first
-    rule that removed it.
-    """
+
+def filter_entries(entries: Iterable[EclfEntry]) -> tuple[list[EclfEntry], FilterStats]:
+    """Keep successful page requests from human clients, by the drop rules
+    of :meth:`FilterStats.admits`."""
     stats = FilterStats()
-    kept: list[EclfEntry] = []
-    for entry in entries:
-        if entry.status != 200:
-            stats.dropped_status += 1
-            continue
-        if entry.resource.split("?", 1)[0].lower().endswith(STATIC_EXTENSIONS):
-            stats.dropped_static += 1
-            continue
-        if is_bot(entry.user_agent):
-            stats.dropped_bot += 1
-            continue
-        stats.kept += 1
-        kept.append(entry)
+    kept = [e for e in entries if stats.admits(e.status, e.resource, e.user_agent)]
     return kept, stats
 
 
 def identify_users(cleaned: Iterable[EclfEntry]) -> list[Visit]:
-    """Group kept entries into per-user visit streams keyed by (ip, agent).
+    """Group kept entries into per-user visit streams keyed by (ip, agent)."""
+    return _group_visits(
+        (e.ip, e.user_agent, VisitEvent(e.timestamp, e.resource, e.referrer)) for e in cleaned
+    )
 
-    Events are time-ordered within a user; users come out sorted by key so
-    the output is reproducible.
-    """
-    groups: dict[tuple[str, str], list[EclfEntry]] = {}
-    for entry in cleaned:
-        key = (entry.ip, entry.user_agent or "")
-        groups.setdefault(key, []).append(entry)
-    visits = []
-    for key in sorted(groups):
-        events = sorted(groups[key], key=lambda e: e.timestamp)
-        visits.append(
-            Visit(
-                user_key=key,
-                events=[
-                    VisitEvent(e.timestamp, e.resource, e.referrer) for e in events
-                ],
-            )
-        )
-    return visits
+
+def _group_visits(kept: Iterable[tuple[str, str | None, VisitEvent]]) -> list[Visit]:
+    """Group ``(ip, agent, event)`` rows into per-user visit streams keyed
+    by ``(ip, agent or "")``.  Events are time-ordered within a user by a
+    stable sort, so equal instants keep their order; users come out sorted
+    by key so the output is reproducible."""
+    groups: dict[tuple[str, str], list[VisitEvent]] = {}
+    for ip, agent, event in kept:
+        groups.setdefault((ip, agent or ""), []).append(event)
+    by_time = attrgetter("timestamp")
+    return [Visit(key, sorted(groups[key], key=by_time)) for key in sorted(groups)]
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +479,7 @@ def complete_paths(
                     stats.incomplete += 1
                 else:
                     for k in range(len(result) - 2, match - 1, -1):
-                        result.append(
-                            VisitEvent(
-                                timestamp=event.timestamp,
-                                resource=result[k].resource,
-                                inferred=True,
-                            )
-                        )
+                        result.append(VisitEvent(event.timestamp, result[k].resource, inferred=True))
                         stats.inferred += 1
         result.append(event)
     return result, stats
@@ -521,6 +515,31 @@ class PreprocessResult:
         return "\n".join(f"{k}: {v}" for k, v in pairs)
 
 
+def _kept_events(path: Path, log_format: str, result: PreprocessResult) -> Iterator[tuple]:
+    """Yield ``(ip, agent, event)`` for each line of the log that the drop
+    rules keep, counting the non-blank lines, parse errors and drop rules in
+    ``result``.  The log is read as UTF-8, each invalid byte replaced; a
+    line is checked before any drop rule."""
+    admits = result.filter_stats.admits
+    lines = parse_errors = 0
+    opener = gzip.open if path.suffix == ".gz" else open
+    with opener(path, "rt", encoding="utf-8", errors="replace") as fh:
+        for raw in fh:
+            line = raw.rstrip("\n")
+            if not line or line.isspace():
+                continue
+            lines += 1
+            try:
+                ip, _, _, when, _, resource, _, status, _, referrer, agent, _ = _check_line(
+                    line, log_format)
+            except LineParseError:
+                parse_errors += 1
+                continue
+            if admits(status, resource, agent):
+                yield ip, agent, VisitEvent(when, resource, referrer)
+    result.lines, result.parse_errors = lines, parse_errors
+
+
 def preprocess_log(
     path: str | Path,
     log_format: str = "ECLF",
@@ -530,40 +549,21 @@ def preprocess_log(
     split_at_midnight: bool = False,
     site_hosts: Iterable[str] = (),
 ) -> PreprocessResult:
-    """Run the whole pipeline over a log file."""
+    """Run the whole pipeline over a log file (gzip when its name ends with
+    .gz), reading, checking, filtering and grouping each line in one pass."""
     # Checked before the log is read: a log without a kept visitor never
     # reaches sessionize.
     _check_sessionize_args(session_gap, page_gap, mode)
-    entries = []
-    lines = 0
-    parse_errors = 0
-    for item in read_log(path, log_format):
-        lines += 1
-        if isinstance(item, LineParseError):
-            parse_errors += 1
-        else:
-            entries.append(item)
-    cleaned, filter_stats = filter_entries(entries)
-    visits = identify_users(cleaned)
-    sessions: list[Visit] = []
-    path_stats = PathStats()
+    result = PreprocessResult(sessions=[])
+    visits = _group_visits(_kept_events(Path(path), log_format, result))
+    result.users, path_stats = len(visits), result.path_stats
     for visit in visits:
-        for session in sessionize(
-            visit, session_gap, page_gap, mode, split_at_midnight
-        ):
-            completed, stats = complete_paths(session.events, site_hosts)
-            session.events = completed
+        for session in sessionize(visit, session_gap, page_gap, mode, split_at_midnight):
+            session.events, stats = complete_paths(session.events, site_hosts)
             path_stats.inferred += stats.inferred
             path_stats.incomplete += stats.incomplete
-            sessions.append(session)
-    return PreprocessResult(
-        sessions=sessions,
-        lines=lines,
-        parse_errors=parse_errors,
-        filter_stats=filter_stats,
-        users=len(visits),
-        path_stats=path_stats,
-    )
+            result.sessions.append(session)
+    return result
 
 
 _SESSION_CSV_HEADER = ("user_key", "session_id", "seq", "time", "resource", "inferred")
@@ -607,7 +607,7 @@ def read_sessions_csv(stream) -> list[tuple[str, int, int, str, bool]]:
     ):
         try:
             session, epoch = int(session_id), int(time)
-            if not -62135596800 <= epoch <= 253402300799:  # 0001-01-01 to 9999-12-31 UTC
+            if not _FIRST_EPOCH <= epoch <= _LAST_EPOCH:
                 raise ValueError(f"time {epoch} is outside years 1-9999 in UTC")
             rows.append((user_key, session, epoch, resource, csvio.flag(inferred, "inferred")))
         except ValueError as exc:

@@ -8,6 +8,7 @@ constants, so a bug in the library cannot hide in its own oracle.
 from __future__ import annotations
 
 import csv
+import gzip
 import io
 import ipaddress
 import json
@@ -29,9 +30,20 @@ from webusage.analytics import (
     bucket_label,
     pageviews_per_session,
 )
-from webusage.baseline import EclfEntry, LineParseError
+from webusage.baseline import (
+    EclfEntry,
+    FilterStats,
+    LineParseError,
+    PathStats,
+    PreprocessResult,
+    Visit,
+    VisitEvent,
+    complete_paths,
+    parse_log_line,
+    sessionize,
+)
 from webusage.compare import AccuracyReport, UniverseMismatchError
-from webusage.enrichment import UNKNOWN, ip_to_int
+from webusage.enrichment import UNKNOWN, ip_to_int, is_bot
 from webusage.events import RawRequestEvent, ReplayFormatError
 from webusage.simulator import (
     _BOT_AGENTS,
@@ -431,8 +443,8 @@ def parse_log_line_reference(line: str, log_format: str = "ECLF") -> EclfEntry:
     quoted or bracketed slot only a field in its quotes or brackets, and
     each field must be followed by a space or the end of the line.  Status
     is ``[1-5][0-9][0-9]``, bytes ``-`` or ``[0-9]+``, timestamp digits
-    ``[0-9]``; a date, time or zone offset that does not exist is a bad
-    timestamp.
+    ``[0-9]``; a date, time or zone offset that does not exist, or an
+    instant outside years 1-9999 in UTC, is a bad timestamp.
     """
     required = 7 if log_format == "CLF" else 9
     most = 7 if log_format == "CLF" else 10
@@ -502,6 +514,8 @@ def parse_log_line_reference(line: str, log_format: str = "ECLF") -> EclfEntry:
             int(year), _MONTHS_REFERENCE.index(mon) + 1, int(day), int(hh), int(mm), int(ss),
             tzinfo=timezone(-offset if sign == "-" else offset),
         )
+        if not -62135596800 <= timestamp.timestamp() <= 253402300799:
+            raise ValueError(ts_text)
     except ValueError:
         raise LineParseError(f"bad timestamp: {ts_text!r}", line) from None
     entry = EclfEntry(
@@ -522,6 +536,61 @@ def parse_log_line_reference(line: str, log_format: str = "ECLF") -> EclfEntry:
         if len(texts) == 10:
             entry.cookies = _unescape_reference(texts[9])
     return entry
+
+
+_STATIC_EXTENSIONS_REFERENCE = (".png", ".jpg", ".gif", ".css", ".js", ".ico")
+
+
+def preprocess_reference(
+    path: str | Path,
+    log_format: str = "ECLF",
+    page_gap: float = 600.0,
+    session_gap: float = 1800.0,
+    mode: str = "both",
+    split_at_midnight: bool = False,
+    site_hosts: Sequence[str] = (),
+) -> PreprocessResult:
+    """The classical pipeline as separate passes over whole lists, the
+    reference for ``baseline.preprocess_log``: parse every non-blank line
+    into an entry, filter the entries, group the kept ones by (ip, agent),
+    then sessionize each visitor and complete each session's paths."""
+    opener = gzip.open if str(path).endswith(".gz") else open
+    entries, lines, parse_errors = [], 0, 0
+    with opener(path, "rt", encoding="utf-8", errors="replace") as fh:
+        for raw in fh:
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            lines += 1
+            try:
+                entries.append(parse_log_line(line, log_format))
+            except LineParseError:
+                parse_errors += 1
+    filter_stats = FilterStats()
+    kept = []
+    for entry in entries:
+        if entry.status != 200:
+            filter_stats.dropped_status += 1
+        elif entry.resource.split("?", 1)[0].lower().endswith(_STATIC_EXTENSIONS_REFERENCE):
+            filter_stats.dropped_static += 1
+        elif is_bot(entry.user_agent):
+            filter_stats.dropped_bot += 1
+        else:
+            filter_stats.kept += 1
+            kept.append(entry)
+    groups: dict[tuple[str, str], list[EclfEntry]] = {}
+    for entry in kept:
+        groups.setdefault((entry.ip, entry.user_agent or ""), []).append(entry)
+    sessions, path_stats = [], PathStats()
+    for key in sorted(groups):
+        ordered = sorted(groups[key], key=lambda e: e.timestamp)
+        visit = Visit(key, [VisitEvent(e.timestamp, e.resource, e.referrer) for e in ordered])
+        for session in sessionize(visit, session_gap, page_gap, mode, split_at_midnight):
+            session.events, stats = complete_paths(session.events, site_hosts)
+            path_stats.inferred += stats.inferred
+            path_stats.incomplete += stats.incomplete
+            sessions.append(session)
+    return PreprocessResult(sessions, lines, parse_errors, filter_stats, len(groups), path_stats)
 
 
 def get_page(store: LogStore, page_id: int) -> PageRecord | None:

@@ -17,6 +17,7 @@ from webusage.baseline import (
     _LINE_RE,
     _PLAIN_LINE_RE,
     _format_timestamp,
+    _is_static,
     _parse_timestamp,
     _quoted,
     _referrer_resource,
@@ -25,7 +26,6 @@ from webusage.baseline import (
     identify_users,
     parse_log_line,
     preprocess_log,
-    read_log,
     read_sessions_csv,
     render_log_line,
     session_rows,
@@ -157,6 +157,9 @@ def _visit(minute_offsets, resources=None, referrers=None):
 
 
 class TestParse:
+    """FORMATS.md "Access log (ECLF / CLF)": the fields of a line, '-' for an
+    absent value, and the round trip through ``render_log_line``."""
+
     def test_sample_line_fields(self):
         entry = parse_log_line(SAMPLE)
         assert entry.ip == "193.140.253.80"
@@ -198,6 +201,15 @@ class TestParse:
     def test_dash_bytes_is_none(self):
         entry = _entry(size="-")
         assert entry.bytes_sent is None
+
+    def test_dash_is_absent_in_each_optional_field_but_cookies(self):
+        """identd, authuser, bytes, referrer and user agent read '-' as
+        absent and write absent as '-'; a cookies field of '-' is kept."""
+        line = '10.0.0.1 - - [02/Sep/2021:10:00:00 +0300] "GET /a.php HTTP/1.1" 200 - "-" "-" "-"'
+        entry = parse_log_line(line)
+        assert (entry.identd, entry.authuser, entry.bytes_sent, entry.referrer,
+                entry.user_agent, entry.cookies) == (None, None, None, None, None, "-")
+        assert render_log_line(entry) == line
 
     def test_bad_status_rejected(self):
         with pytest.raises(LineParseError):
@@ -248,6 +260,8 @@ class TestParse:
         assert render_log_line(parse_log_line(line)) == line
 
     def test_minus_zero_offset_reads_as_utc_and_renders_as_plus(self):
+        """FORMATS.md "Access log (ECLF / CLF)": the one exception to the
+        byte-for-byte round trip."""
         entry = _entry(when="02/Sep/2021:10:00:00 -0000")
         assert entry.timestamp == datetime(2021, 9, 2, 10, 0, 0, tzinfo=timezone.utc)
         assert render_log_line(entry) == _line(when="02/Sep/2021:10:00:00 +0000")
@@ -271,7 +285,8 @@ def _rendered_timestamp(when: datetime) -> str:
 
 class TestRenderedTimestamp:
     """render_log_line looks its zone text up by offset; it must write what
-    the reference formatter computes from the offset every time."""
+    the reference formatter computes from the offset every time (FORMATS.md
+    "Access log (ECLF / CLF)")."""
 
     @pytest.mark.parametrize("tz", _ZONES, ids=str)
     def test_matches_reference(self, tz):
@@ -399,10 +414,12 @@ _CLF_LINE = '10.0.0.1 - - [02/Sep/2021:10:00:00 +0300] "GET /a.php HTTP/1.1" 200
 
 
 class TestParseErrors:
-    """Each parse-error reason of FORMATS.md, word for word.  A quoted ip
-    and bare text in the quoted slots were once read as fields."""
+    """Each parse-error reason of FORMATS.md "Access log (ECLF / CLF)", word
+    for word.  A quoted ip and bare text in the quoted slots were once read
+    as fields."""
 
     @pytest.mark.parametrize("line, log_format, message", [
+        ("hello", "ECLF", "expected 9 fields for ECLF, got 1"),
         ("10.0.0.1 - -", "CLF", "expected 7 fields for CLF, got 3"),
         (_CLF_LINE, "ECLF", "expected 9 fields for ECLF, got 7"),
         (_CLF_LINE + ' "-"', "CLF", "more than 7 fields for CLF"),
@@ -429,6 +446,17 @@ class TestParseErrors:
         (_CLF_LINE.replace("Sep", "Xxx"), "CLF", "bad month: 'Xxx'"),
         (_CLF_LINE.replace("02/Sep", "31/Sep"), "CLF",
          "bad timestamp: '31/Sep/2021:10:00:00 +0300'"),
+        # Escapes are not undone in the text of a field that lacks its kind ...
+        (_CLF_LINE + ' "-" "u\\"a', "ECLF", "bad user agent: '\"u\\\\\"a'"),
+        # ... but the resource is judged, and named, with them undone.
+        (_CLF_LINE.replace("/a.php", 'a\\"b.php'), "CLF", "bad resource: 'a\"b.php'"),
+        # Kinds are judged before any check, and the checks in table order.
+        (_CLF_LINE.replace("/a.php", "a.php") + ' "-" "ua" sid=1', "ECLF",
+         "bad cookies: 'sid=1'"),
+        (_CLF_LINE.replace("/a.php", "a.php").replace(" 200 ", " 600 "), "CLF",
+         "bad resource: 'a.php'"),
+        (_CLF_LINE.replace(" 200 ", " 600 ").replace(" 5", " 5k"), "CLF", "bad status: '600'"),
+        (_CLF_LINE.replace(" 5", " 5k").replace("Sep", "Xxx"), "CLF", "bad byte count: '5k'"),
     ])
     def test_reason(self, line, log_format, message):
         with pytest.raises(LineParseError) as info:
@@ -437,22 +465,63 @@ class TestParseErrors:
 
 
 class TestReadLog:
+    """How ``preprocess_log`` reads its log (FORMATS.md "Access log (ECLF /
+    CLF)"): blank lines are skipped uncounted, a line that does not parse
+    is counted and skipped, and a .gz log is read through gzip."""
+
     def test_plain_file(self, tmp_path):
         path = tmp_path / "access.log"
-        path.write_text(SAMPLE + "\nhello\n" + SAMPLE + "\n", encoding="utf-8")
-        rows = list(read_log(path, "ECLF"))
-        assert len(rows) == 3
-        assert [type(row) for row in rows] == [EclfEntry, LineParseError, EclfEntry]
-        assert str(rows[1]) == "expected 9 fields for ECLF, got 1"
-        assert rows[1].line == "hello"
+        path.write_text(SAMPLE + "\nhello\n\n  \n" + SAMPLE + "\n", encoding="utf-8")
+        result = preprocess_log(path)
+        assert (result.lines, result.parse_errors, result.filter_stats.kept) == (3, 1, 2)
 
     def test_gzip_file(self, tmp_path):
         path = tmp_path / "access.log.gz"
         with gzip.open(path, "wt", encoding="utf-8") as fh:
             fh.write(SAMPLE + "\n")
-        rows = list(read_log(path, "ECLF"))
-        assert len(rows) == 1
-        assert rows[0].ip == "193.140.253.80"
+        result = preprocess_log(path)
+        assert (result.lines, result.parse_errors) == (1, 0)
+        assert [v.user_key[0] for v in result.sessions] == ["193.140.253.80"]
+
+
+class TestCalendarEnds:
+    """FORMATS.md "Access log (ECLF / CLF)": a log time whose instant falls
+    outside years 1-9999 in UTC is a bad timestamp, so ``preprocess`` never
+    writes a sessions CSV time that ``compare`` refuses."""
+
+    OUTSIDE = ["31/Dec/9999:23:59:59 -1400", "01/Jan/0001:00:00:00 +1400",
+               "31/Dec/9999:23:59:59 -0001", "01/Jan/0001:00:00:59 +0001"]
+    INSIDE = ["31/Dec/9999:23:59:59 +0000", "01/Jan/0001:00:00:00 -0000",
+              "31/Dec/9999:09:59:59 -1400", "01/Jan/0001:14:00:00 +1400"]
+
+    @pytest.mark.parametrize("when", OUTSIDE)
+    def test_outside_is_a_bad_timestamp(self, when):
+        line = _line(when=when)
+        with pytest.raises(LineParseError) as info:
+            parse_log_line(line)
+        assert (str(info.value), info.value.line) == (f"bad timestamp: {when!r}", line)
+        assert _parse_outcome(oracles.parse_log_line_reference, line, "ECLF")[:2] == (
+            "error", f"bad timestamp: {when!r}")
+
+    @pytest.mark.parametrize("when", INSIDE)
+    def test_inside_parses_as_its_reference(self, when):
+        line = _line(when=when)
+        assert _parse_outcome(parse_log_line, line, "ECLF") == _parse_outcome(
+            oracles.parse_log_line_reference, line, "ECLF")
+
+    def test_preprocess_writes_only_times_compare_reads(self, tmp_path):
+        log = tmp_path / "access.log"
+        log.write_text("".join(
+            _line(when=when, request=f"GET /p{i}.php HTTP/1.1") + "\n"
+            for i, when in enumerate(self.OUTSIDE[:2] + self.INSIDE[:2])
+        ), encoding="utf-8")
+        result = preprocess_log(log)
+        assert (result.lines, result.parse_errors, result.filter_stats.kept) == (4, 2, 2)
+        written = io.StringIO(newline="")
+        write_sessions_csv(result.sessions, written)
+        written.seek(0)
+        assert sorted(row[2] for row in read_sessions_csv(written)) == [
+            -62135596800, 253402300799]
 
 
 class TestFilter:
@@ -870,6 +939,8 @@ class TestCell:
         self.check(text)
 
     def test_a_quoted_cell_keeps_its_row_whole(self):
+        """FORMATS.md "Classical sessions CSV (`preprocess --out`)": a cell
+        holding a quote or a CR is quoted, and its row reads back whole."""
         when = datetime(2021, 9, 2, tzinfo=timezone.utc)
         visits = [Visit(("10.0.0.1", 'Agent "x"\r'), [VisitEvent(when, "/a\rb")], 1)]
         written = io.StringIO(newline="")
@@ -887,7 +958,7 @@ class TestLookupCaches:
     one, and errors are not cached."""
 
     def test_caches_are_bounded(self):
-        for cached in (_parse_timestamp, _referrer_resource, _quoted, csvio.cell):
+        for cached in (_parse_timestamp, _is_static, _referrer_resource, _quoted, csvio.cell):
             assert 0 < cached.cache_parameters()["maxsize"] < 10**5
 
     @settings(max_examples=200)
@@ -967,6 +1038,8 @@ class TestEndToEnd:
         assert "kept: 2" in text
 
     def test_sessions_csv_round_trip(self, tmp_path):
+        """FORMATS.md "Classical sessions CSV (`preprocess --out`)": user_key
+        is ip|agent, session ids count from 1 and time is epoch seconds."""
         visit = _visit([0, 5, 36, 38])
         sessions = sessionize(visit)
         out = tmp_path / "sessions.csv"
@@ -980,8 +1053,9 @@ class TestEndToEnd:
         assert restored[0][2] == int(visit.events[0].timestamp.timestamp())
 
     def test_sessions_csv_times_at_the_ends_of_the_calendar(self):
-        """The first second of year 1 and the last of year 9999 in UTC read
-        back as they are; a second past either is refused."""
+        """FORMATS.md "Classical sessions CSV (`preprocess --out`)": the
+        first second of year 1 and the last of year 9999 in UTC read back as
+        they are; a second past either is refused."""
         lines = ["user_key,session_id,seq,time,resource,inferred",
                  "a|b,1,1,-62135596800,/x,0", "a|b,1,2,253402300799,/y,1"]
         assert read_sessions_csv(io.StringIO("\n".join(lines) + "\n")) == [
@@ -991,6 +1065,162 @@ class TestEndToEnd:
             with pytest.raises(csvio.RowError) as info:
                 read_sessions_csv(io.StringIO(f"{lines[0]}\na|b,1,1,{epoch},/x,0\n"))
             assert str(info.value) == f"line 2: time {epoch} is outside years 1-9999 in UTC"
+
+
+# Lines that the three drop rules and the grouping act on: two addresses,
+# one agent a robot, static resources with a query and upper case, and
+# instants around midnight, each written in one of four zones, so one
+# instant may be written twice with different text.
+_SITE = "www.campus.example"
+_NEAR_MIDNIGHT = datetime(2021, 9, 2, 23, 30, tzinfo=timezone.utc)
+VISIT_ENTRIES = st.builds(
+    EclfEntry,
+    ip=st.sampled_from(["10.0.0.1", "10.0.0.1", "10.0.0.2"]),
+    identd=st.none(),
+    authuser=st.none(),
+    timestamp=st.builds(
+        lambda step, tz: (_NEAR_MIDNIGHT + timedelta(minutes=12 * step)).astimezone(tz),
+        st.integers(0, 6),
+        st.sampled_from([timezone.utc, TZ3, timezone(timedelta(hours=-5)),
+                         timezone(timedelta(hours=5, minutes=30))]),
+    ),
+    method=st.just("GET"),
+    resource=st.sampled_from(["/a.php", "/b.php", "/c.php?x=1", "/a.php", "/img/d.PNG?v=2",
+                              "/e.css"]),
+    protocol=st.just("HTTP/1.1"),
+    status=st.sampled_from([200, 200, 200, 200, 404]),
+    bytes_sent=st.just(5),
+    referrer=st.sampled_from([None, "/a.php", f"http://{_SITE}/b.php", "http://other.example/"]),
+    user_agent=st.sampled_from([None, "Mozilla/5.0", "Mozilla/5.0", "Googlebot/2.1"]),
+    cookies=st.none(),
+)
+# Each item is an entry written in the format read (None) or in a given
+# one, then mutated; or a blank line.
+_LOG_LINES = st.lists(
+    st.one_of(
+        st.tuples(VISIT_ENTRIES, st.none(), st.just([])),
+        st.tuples(VISIT_ENTRIES, st.none(), st.just([])),
+        st.tuples(LOG_ENTRIES, st.sampled_from(["ECLF", "CLF"]), LINE_MUTATIONS),
+        st.sampled_from(["", "  ", "\t", "\r", "\u2003"]),
+    ),
+    max_size=16,
+)
+
+
+class TestSinglePass:
+    """``preprocess_log`` reads, checks, filters and groups each line in one
+    pass; its counters and sessions CSV are those of the separate passes of
+    ``oracles.preprocess_reference``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _LOG_LINES,
+        st.booleans(),
+        st.sampled_from([".log", ".log.gz"]),
+        st.sampled_from(["ECLF", "CLF"]),
+        st.sampled_from(["page_gap", "session_duration", "both"]),
+        st.booleans(),
+        st.sampled_from([(), (_SITE,)]),
+    )
+    def test_matches_reference(self, tmp_path_factory, items, bad_utf8, suffix, log_format,
+                               mode, split_at_midnight, site_hosts):
+        lines = [
+            item if isinstance(item, str)
+            else _mutate(render_log_line(item[0], item[1] or log_format), item[2])
+            for item in items
+        ]
+        data = "\n".join(lines).encode("utf-8")
+        if bad_utf8:  # an invalid byte in place of each é
+            data = data.replace("é".encode("utf-8"), b"\xff")
+        path = tmp_path_factory.getbasetemp() / f"single-pass{suffix}"
+        path.write_bytes(gzip.compress(data) if suffix.endswith(".gz") else data)
+        args = dict(log_format=log_format, mode=mode, split_at_midnight=split_at_midnight,
+                    site_hosts=site_hosts)
+        results = [preprocess_log(path, **args), oracles.preprocess_reference(path, **args)]
+        texts = [result.stats_text() for result in results]
+        assert texts[0] == texts[1]
+        written = [io.StringIO(newline="") for _ in results]
+        for result, stream in zip(results, written):
+            write_sessions_csv(result.sessions, stream)
+        assert written[0].getvalue() == written[1].getvalue()
+
+    def test_equal_instants_keep_file_order(self, tmp_path):
+        log = tmp_path / "access.log"
+        log.write_text("".join(_line(when=when, request=f"GET {resource} HTTP/1.1") + "\n"
+                               for when, resource in [("02/Sep/2021:13:00:00 +0300", "/b.php"),
+                                                      ("02/Sep/2021:10:00:00 +0000", "/a.php"),
+                                                      ("02/Sep/2021:09:59:00 +0000", "/c.php")]),
+                       encoding="utf-8")
+        [session] = preprocess_log(log).sessions
+        assert [event.resource for event in session.events] == ["/c.php", "/b.php", "/a.php"]
+
+
+class TestPreprocessCounters:
+    """FORMATS.md "Classical sessions CSV (`preprocess --out`)": what each
+    counter that ``preprocess`` prints means."""
+
+    def test_counters_sum_to_the_lines_of_a_simulated_log(self, small_workload, tmp_path):
+        config = small_workload[0]
+        paths = simulate_to_dir(config, tmp_path)
+        with paths["eclf"].open("a", encoding="utf-8") as fh:
+            fh.write("junk line\n\n" + _line(request="GET /x.png HTTP/1.1", size="5k") + "\n")
+        result = preprocess_log(paths["eclf"], site_hosts=[_SITE])
+        f = result.filter_stats
+        assert min(f.kept, f.dropped_status, f.dropped_static, f.dropped_bot) > 0
+        assert result.parse_errors == 2
+        text = paths["eclf"].read_text(encoding="utf-8")
+        assert result.lines == len([line for line in text.splitlines() if line.strip()])
+        assert result.lines == (result.parse_errors + f.kept + f.dropped_status
+                                + f.dropped_static + f.dropped_bot)
+        written = io.StringIO(newline="")
+        write_sessions_csv(result.sessions, written)
+        written.seek(0)
+        rows = read_sessions_csv(written)
+        assert result.users == len({row[0] for row in rows})
+        assert len(result.sessions) == len({row[:2] for row in rows})
+        assert result.path_stats.inferred == sum(row[4] for row in rows)
+        assert f.kept == len(rows) - result.path_stats.inferred
+
+    def test_a_malformed_static_line_is_a_parse_error(self, tmp_path):
+        """A line is checked before any drop rule, so a bad line whose
+        resource is static counts under parse_errors, not dropped_static."""
+        log = tmp_path / "access.log"
+        log.write_text(_line(request="GET /x.png HTTP/1.1", size="5k") + "\n"
+                       + _line(request="GET /x.png HTTP/1.1", status=404) + "\n",
+                       encoding="utf-8")
+        stats = preprocess_log(log).stats_text()
+        assert stats.startswith("lines: 2\nparse_errors: 1\nkept: 0\ndropped_status: 1\n"
+                                "dropped_static: 0\n")
+
+    def test_incomplete_paths_count_unseen_on_site_referrers(self, tmp_path):
+        log = tmp_path / "access.log"
+        log.write_text("".join(_line(when=f"02/Sep/2021:10:0{i}:00 +0300",
+                                     request=f"GET {res} HTTP/1.1", referrer=ref) + "\n"
+                               for i, (res, ref) in enumerate([
+                                   ("/a.php", "/z.php"), ("/b.php", "/a.php"), ("/c.php", "/x.php"),
+                                   ("/d.php", "/a.php"), ("/e.php", "http://other.example/"),
+                               ])), encoding="utf-8")
+        result = preprocess_log(log)
+        # A first page's referrer is not judged; /x.php never occurred, so it
+        # is incomplete; /a.php is two pages back, so /c and /b are inferred.
+        assert (result.path_stats.incomplete, result.path_stats.inferred) == (1, 2)
+
+
+class TestSessionsCsvSeq:
+    """FORMATS.md "Classical sessions CSV (`preprocess --out`)": seq numbers
+    the events of each session from 1, and compare does not read it."""
+
+    def test_seq_restarts_in_each_session(self):
+        written = io.StringIO(newline="")
+        write_sessions_csv(sessionize(_visit([0, 5, 36, 38, 39])), written)
+        seqs = [row.split(",")[1:3] for row in written.getvalue().splitlines()[1:]]
+        assert seqs == [["1", "1"], ["1", "2"], ["2", "1"], ["2", "2"], ["2", "3"]]
+
+    def test_seq_is_not_read(self):
+        header = "user_key,session_id,seq,time,resource,inferred"
+        for seq in ("1", "7", "x", ""):
+            rows = read_sessions_csv(io.StringIO(f"{header}\na|b,1,{seq},60,/x,0\n"))
+            assert rows == [("a|b", 1, 60, "/x", False)]
 
 
 class TestUniverseChecks:

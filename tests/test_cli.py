@@ -354,6 +354,8 @@ class TestCollect:
 
 class TestPreprocess:
     def test_writes_sessions_csv_and_prints_stats(self, workspace, capsys):
+        """FORMATS.md "Classical sessions CSV (`preprocess --out`)": the
+        header, and the counters printed."""
         out = workspace["root"] / "pp.csv"
         rc = main(["preprocess", str(workspace["eclf"]), "--out", str(out)])
         printed = capsys.readouterr().out
@@ -366,6 +368,8 @@ class TestPreprocess:
             assert key in printed
 
     def test_impossible_timestamp_counts_as_parse_error(self, workspace, tmp_path, capsys):
+        """FORMATS.md "Access log (ECLF / CLF)": a bad line is counted under
+        parse_errors and preprocess goes on with the next line."""
         lines = workspace["eclf"].read_text(encoding="utf-8").splitlines()
         stamp = re.search(r"\[([^\]]*)\]", lines[1]).group(1)
         lines.insert(1, lines[1].replace(stamp, "31/Feb/2021:10:00:00 +0300"))
@@ -377,6 +381,8 @@ class TestPreprocess:
         assert f"lines: {len(lines)}\nparse_errors: 1\n" in printed
 
     def test_invalid_utf8_is_replaced_and_the_line_still_parsed(self, tmp_path, capsys):
+        """FORMATS.md "Access log (ECLF / CLF)": an invalid byte reads as
+        U+FFFD, which reaches the sessions CSV's user_key."""
         log = tmp_path / "access.log"
         log.write_bytes(
             b'10.0.0.1 - - [02/Sep/2021:10:00:00 +0300] "GET /a.php HTTP/1.1" 200 512'
@@ -758,6 +764,8 @@ class TestUnreadableInputRows:
         (f"a|b,1,1,0,{BIG},0", "field larger than field limit (131072)"),
     ])
     def test_bad_sessions_csv_row(self, workspace, tmp_path, capsys, row, reason):
+        """Each reason of FORMATS.md "Classical sessions CSV (`preprocess
+        --out`)" for a row that compare --baseline cannot read."""
         rc, baseline = self._compare(workspace, tmp_path, [row])
         assert rc == 2
         assert capsys.readouterr().err == (

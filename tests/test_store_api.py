@@ -18,7 +18,10 @@ EXEMPT = {
     "get_session": "perfbench/tracing.py wraps it by name",
     "join_sessions_pages": "perfbench/tracing.py wraps it by name",
     "session_summaries": "perfbench/tracing.py wraps it by name",
+    "filter_entries": "perfbench/tracing.py wraps it by name",
+    "identify_users": "perfbench/tracing.py wraps it by name",
     "end_session": "FORMATS.md documents it",
+    "parse_log_line": "FORMATS.md documents it",
     "render_log_line": "FORMATS.md documents it",
 }
 
