@@ -4,9 +4,9 @@ The reference pipeline reconstructs visits from an access log the way log
 miners have to: parse combined-format lines, drop irrelevant entries, key
 users by (address, agent), split visits with time heuristics, and patch
 cache-hidden navigation from referrers.  Its output is the sessions CSV,
-which this module writes and reads; ``webusage.compare`` scores the CSV's
-rows against a simulator ground truth, where the request-time collector and
-this pipeline get compared on equal footing.
+which this module writes and reads, and the :class:`PreprocessStats`
+counters; ``webusage.compare`` scores the CSV's rows against a simulator
+ground truth on equal footing with the request-time collector.
 
 Five pure lookups are cached, each in a bounded ``lru_cache`` that holds
 no state of a visit: the datetime of a log timestamp (``_parse_timestamp``),
@@ -24,7 +24,7 @@ from __future__ import annotations
 import gzip
 import re
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 from operator import attrgetter
@@ -84,6 +84,7 @@ _STATUS_CODES = {str(code): code for code in range(100, 600)}  # [1-5][0-9][0-9]
 _TWO_DIGITS = {f"{n:02d}": n for n in range(100)}  # a timestamp's pairs; faster than int()
 _ESCAPE_RE = re.compile(r"\\(.)", re.S)
 _FIRST_EPOCH, _LAST_EPOCH = -62135596800, 253402300799  # 0001-01-01 to 9999-12-31 UTC
+_FORMAT_ERROR = "log_format must be CLF or ECLF, got {!r}"
 
 
 class LineParseError(ValueError):
@@ -124,11 +125,20 @@ class Visit:
 
 
 @dataclass
-class FilterStats:
+class PreprocessStats:
+    """The counters ``preprocess`` prints, one field each, in the order of
+    FORMATS.md "Classical sessions CSV"."""
+
+    lines: int = 0
+    parse_errors: int = 0
     kept: int = 0
     dropped_status: int = 0
     dropped_static: int = 0
     dropped_bot: int = 0
+    users: int = 0
+    sessions: int = 0
+    inferred_events: int = 0
+    incomplete_paths: int = 0
 
     def admits(self, status: int, resource: str, agent: str | None) -> bool:
         """Whether a line with these fields is kept.  It is dropped for a
@@ -146,11 +156,9 @@ class FilterStats:
             return True
         return False
 
-
-@dataclass
-class PathStats:
-    inferred: int = 0
-    incomplete: int = 0
+    def text(self) -> str:
+        """One ``name: count`` line per counter, in field order."""
+        return "\n".join(f"{name}: {count}" for name, count in asdict(self).items())
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +240,7 @@ def _check_line(line: str, log_format: str) -> tuple:
     escaped = "\\" in line
     pattern = (_LINE_RE if escaped else _PLAIN_LINE_RE).get(log_format)
     if pattern is None:
-        raise ValueError(f"log_format must be CLF or ECLF, got {log_format!r}")
+        raise ValueError(_FORMAT_ERROR.format(log_format))
     m = pattern.fullmatch(line)
     if m is None:
         raise _line_error(line, log_format)
@@ -343,10 +351,10 @@ def _is_static(resource: str) -> bool:
     return resource.split("?", 1)[0].lower().endswith(STATIC_EXTENSIONS)
 
 
-def filter_entries(entries: Iterable[EclfEntry]) -> tuple[list[EclfEntry], FilterStats]:
+def filter_entries(entries: Iterable[EclfEntry]) -> tuple[list[EclfEntry], PreprocessStats]:
     """Keep successful page requests from human clients, by the drop rules
-    of :meth:`FilterStats.admits`."""
-    stats = FilterStats()
+    of :meth:`PreprocessStats.admits`."""
+    stats = PreprocessStats()
     kept = [e for e in entries if stats.admits(e.status, e.resource, e.user_agent)]
     return kept, stats
 
@@ -454,17 +462,18 @@ def _referrer_resource(referrer: str, site_hosts: frozenset[str]) -> str | None:
 
 def complete_paths(
     events: Sequence[VisitEvent],
-    site_hosts: Iterable[str] = (),
-) -> tuple[list[VisitEvent], PathStats]:
+    site_hosts: Iterable[str],
+    stats: PreprocessStats,
+) -> list[VisitEvent]:
     """Insert cache-hidden back navigations inferred from referrers.
 
     When an event's on-site referrer is not the previous page but did occur
     earlier in the session, the pages walked back over are re-inserted in
-    reverse order, marked inferred, timestamped with the following request.
-    A referrer that never occurred earlier counts as incomplete.
+    reverse order, marked inferred, timestamped with the following request,
+    and counted in ``stats.inferred_events``.  A referrer that never
+    occurred earlier counts in ``stats.incomplete_paths``.
     """
     hosts = frozenset(h.lower() for h in site_hosts)
-    stats = PathStats()
     result: list[VisitEvent] = []
     for event in events:
         if result and event.referrer:
@@ -476,13 +485,13 @@ def complete_paths(
                         match = j
                         break
                 if match is None:
-                    stats.incomplete += 1
+                    stats.incomplete_paths += 1
                 else:
                     for k in range(len(result) - 2, match - 1, -1):
                         result.append(VisitEvent(event.timestamp, result[k].resource, inferred=True))
-                        stats.inferred += 1
+                        stats.inferred_events += 1
         result.append(event)
-    return result, stats
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -492,35 +501,15 @@ def complete_paths(
 @dataclass
 class PreprocessResult:
     sessions: list[Visit]
-    lines: int = 0
-    parse_errors: int = 0
-    filter_stats: FilterStats = field(default_factory=FilterStats)
-    users: int = 0
-    path_stats: PathStats = field(default_factory=PathStats)
-
-    def stats_text(self) -> str:
-        f = self.filter_stats
-        pairs = [
-            ("lines", self.lines),
-            ("parse_errors", self.parse_errors),
-            ("kept", f.kept),
-            ("dropped_status", f.dropped_status),
-            ("dropped_static", f.dropped_static),
-            ("dropped_bot", f.dropped_bot),
-            ("users", self.users),
-            ("sessions", len(self.sessions)),
-            ("inferred_events", self.path_stats.inferred),
-            ("incomplete_paths", self.path_stats.incomplete),
-        ]
-        return "\n".join(f"{k}: {v}" for k, v in pairs)
+    stats: PreprocessStats
 
 
-def _kept_events(path: Path, log_format: str, result: PreprocessResult) -> Iterator[tuple]:
+def _kept_events(path: Path, log_format: str, stats: PreprocessStats) -> Iterator[tuple]:
     """Yield ``(ip, agent, event)`` for each line of the log that the drop
     rules keep, counting the non-blank lines, parse errors and drop rules in
-    ``result``.  The log is read as UTF-8, each invalid byte replaced; a
+    ``stats``.  The log is read as UTF-8, each invalid byte replaced; a
     line is checked before any drop rule."""
-    admits = result.filter_stats.admits
+    admits = stats.admits
     lines = parse_errors = 0
     opener = gzip.open if path.suffix == ".gz" else open
     with opener(path, "rt", encoding="utf-8", errors="replace") as fh:
@@ -537,7 +526,7 @@ def _kept_events(path: Path, log_format: str, result: PreprocessResult) -> Itera
                 continue
             if admits(status, resource, agent):
                 yield ip, agent, VisitEvent(when, resource, referrer)
-    result.lines, result.parse_errors = lines, parse_errors
+    stats.lines, stats.parse_errors = lines, parse_errors
 
 
 def preprocess_log(
@@ -551,19 +540,20 @@ def preprocess_log(
 ) -> PreprocessResult:
     """Run the whole pipeline over a log file (gzip when its name ends with
     .gz), reading, checking, filtering and grouping each line in one pass."""
-    # Checked before the log is read: a log without a kept visitor never
-    # reaches sessionize.
+    # Checked before the log is read: a log without a line never reaches
+    # _check_line, nor one without a kept visitor sessionize.
+    if log_format not in _LINE_RE:
+        raise ValueError(_FORMAT_ERROR.format(log_format))
     _check_sessionize_args(session_gap, page_gap, mode)
-    result = PreprocessResult(sessions=[])
-    visits = _group_visits(_kept_events(Path(path), log_format, result))
-    result.users, path_stats = len(visits), result.path_stats
+    stats = PreprocessStats()
+    visits = _group_visits(_kept_events(Path(path), log_format, stats))
+    sessions = []
     for visit in visits:
         for session in sessionize(visit, session_gap, page_gap, mode, split_at_midnight):
-            session.events, stats = complete_paths(session.events, site_hosts)
-            path_stats.inferred += stats.inferred
-            path_stats.incomplete += stats.incomplete
-            result.sessions.append(session)
-    return result
+            session.events = complete_paths(session.events, site_hosts, stats)
+            sessions.append(session)
+    stats.users, stats.sessions = len(visits), len(sessions)
+    return PreprocessResult(sessions, stats)
 
 
 _SESSION_CSV_HEADER = ("user_key", "session_id", "seq", "time", "resource", "inferred")

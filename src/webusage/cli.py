@@ -226,7 +226,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         )
     with replacing(args.out) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
         write_sessions_csv(result.sessions, fh)
-    print(result.stats_text())
+    print(result.stats.text())
     return 0
 
 

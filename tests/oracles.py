@@ -32,10 +32,9 @@ from webusage.analytics import (
 )
 from webusage.baseline import (
     EclfEntry,
-    FilterStats,
     LineParseError,
-    PathStats,
     PreprocessResult,
+    PreprocessStats,
     Visit,
     VisitEvent,
     complete_paths,
@@ -566,31 +565,30 @@ def preprocess_reference(
                 entries.append(parse_log_line(line, log_format))
             except LineParseError:
                 parse_errors += 1
-    filter_stats = FilterStats()
+    stats = PreprocessStats(lines=lines, parse_errors=parse_errors)
     kept = []
     for entry in entries:
         if entry.status != 200:
-            filter_stats.dropped_status += 1
+            stats.dropped_status += 1
         elif entry.resource.split("?", 1)[0].lower().endswith(_STATIC_EXTENSIONS_REFERENCE):
-            filter_stats.dropped_static += 1
+            stats.dropped_static += 1
         elif is_bot(entry.user_agent):
-            filter_stats.dropped_bot += 1
+            stats.dropped_bot += 1
         else:
-            filter_stats.kept += 1
+            stats.kept += 1
             kept.append(entry)
     groups: dict[tuple[str, str], list[EclfEntry]] = {}
     for entry in kept:
         groups.setdefault((entry.ip, entry.user_agent or ""), []).append(entry)
-    sessions, path_stats = [], PathStats()
+    sessions = []
     for key in sorted(groups):
         ordered = sorted(groups[key], key=lambda e: e.timestamp)
         visit = Visit(key, [VisitEvent(e.timestamp, e.resource, e.referrer) for e in ordered])
         for session in sessionize(visit, session_gap, page_gap, mode, split_at_midnight):
-            session.events, stats = complete_paths(session.events, site_hosts)
-            path_stats.inferred += stats.inferred
-            path_stats.incomplete += stats.incomplete
+            session.events = complete_paths(session.events, site_hosts, stats)
             sessions.append(session)
-    return PreprocessResult(sessions, lines, parse_errors, filter_stats, len(groups), path_stats)
+    stats.users, stats.sessions = len(groups), len(sessions)
+    return PreprocessResult(sessions, stats)
 
 
 def get_page(store: LogStore, page_id: int) -> PageRecord | None:

@@ -12,6 +12,7 @@ from webusage.baseline import (
     STATIC_EXTENSIONS,
     EclfEntry,
     LineParseError,
+    PreprocessStats,
     Visit,
     VisitEvent,
     _LINE_RE,
@@ -473,15 +474,27 @@ class TestReadLog:
         path = tmp_path / "access.log"
         path.write_text(SAMPLE + "\nhello\n\n  \n" + SAMPLE + "\n", encoding="utf-8")
         result = preprocess_log(path)
-        assert (result.lines, result.parse_errors, result.filter_stats.kept) == (3, 1, 2)
+        assert (result.stats.lines, result.stats.parse_errors, result.stats.kept) == (3, 1, 2)
 
     def test_gzip_file(self, tmp_path):
         path = tmp_path / "access.log.gz"
         with gzip.open(path, "wt", encoding="utf-8") as fh:
             fh.write(SAMPLE + "\n")
         result = preprocess_log(path)
-        assert (result.lines, result.parse_errors) == (1, 0)
+        assert (result.stats.lines, result.stats.parse_errors) == (1, 0)
         assert [v.user_key[0] for v in result.sessions] == ["193.140.253.80"]
+
+    @pytest.mark.parametrize("text", [None, "", "\n  \n", SAMPLE + "\n"])
+    def test_unknown_format_is_refused_before_the_log_is_read(self, tmp_path, text):
+        """A missing, empty or blank log has no line to check the format
+        with; the format is refused all the same, with the message a line
+        gets."""
+        path = tmp_path / "access.log"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            preprocess_log(path, log_format="XLF")
+        assert str(info.value) == "log_format must be CLF or ECLF, got 'XLF'"
 
 
 class TestCalendarEnds:
@@ -516,7 +529,7 @@ class TestCalendarEnds:
             for i, when in enumerate(self.OUTSIDE[:2] + self.INSIDE[:2])
         ), encoding="utf-8")
         result = preprocess_log(log)
-        assert (result.lines, result.parse_errors, result.filter_stats.kept) == (4, 2, 2)
+        assert (result.stats.lines, result.stats.parse_errors, result.stats.kept) == (4, 2, 2)
         written = io.StringIO(newline="")
         write_sessions_csv(result.sessions, written)
         written.seek(0)
@@ -687,7 +700,8 @@ class TestCompletePaths:
             VisitEvent(_mins(2), "/c.php", referrer="/b.php"),
             VisitEvent(_mins(3), "/d.php", referrer="/a.php"),
         ]
-        completed, stats = complete_paths(events)
+        stats = PreprocessStats()
+        completed = complete_paths(events, (), stats)
         resources = [(e.resource, e.inferred) for e in completed]
         assert resources == [
             ("/a.php", False),
@@ -697,8 +711,8 @@ class TestCompletePaths:
             ("/a.php", True),
             ("/d.php", False),
         ]
-        assert stats.inferred == 2
-        assert stats.incomplete == 0
+        assert stats.inferred_events == 2
+        assert stats.incomplete_paths == 0
         assert completed[3].timestamp == _mins(3)
         assert completed[4].timestamp == _mins(3)
 
@@ -707,18 +721,20 @@ class TestCompletePaths:
             VisitEvent(_mins(0), "/a.php"),
             VisitEvent(_mins(1), "/b.php", referrer="/a.php"),
         ]
-        completed, stats = complete_paths(events)
+        stats = PreprocessStats()
+        completed = complete_paths(events, (), stats)
         assert completed == events
-        assert stats.inferred == 0
+        assert stats.inferred_events == 0
 
     def test_external_referrer_untouched(self):
         events = [
             VisitEvent(_mins(0), "/a.php"),
             VisitEvent(_mins(1), "/b.php", referrer="http://elsewhere.org/x"),
         ]
-        completed, stats = complete_paths(events, site_hosts=("www.campus.example",))
+        stats = PreprocessStats()
+        completed = complete_paths(events, ("www.campus.example",), stats)
         assert completed == events
-        assert stats.inferred == 0
+        assert stats.inferred_events == 0
 
     def test_absolute_site_referrer_resolved(self):
         events = [
@@ -726,11 +742,12 @@ class TestCompletePaths:
             VisitEvent(_mins(1), "/b.php", referrer="http://www.campus.example/a.php"),
             VisitEvent(_mins(2), "/c.php", referrer="http://www.campus.example/a.php"),
         ]
-        completed, stats = complete_paths(events, site_hosts=("www.campus.example",))
+        stats = PreprocessStats()
+        completed = complete_paths(events, ("www.campus.example",), stats)
         assert [e.resource for e in completed] == [
             "/a.php", "/b.php", "/a.php", "/c.php",
         ]
-        assert stats.inferred == 1
+        assert stats.inferred_events == 1
         assert completed[2].inferred
 
     def test_unseen_referrer_counts_incomplete(self):
@@ -738,12 +755,15 @@ class TestCompletePaths:
             VisitEvent(_mins(0), "/a.php"),
             VisitEvent(_mins(1), "/b.php", referrer="/zzz.php"),
         ]
-        completed, stats = complete_paths(events)
+        stats = PreprocessStats()
+        completed = complete_paths(events, (), stats)
         assert completed == events
-        assert stats.incomplete == 1
+        assert stats.incomplete_paths == 1
 
 
 class TestScoring:
+    """FORMATS.md "Scoring (`compare`)": the rates, and the baseline's join."""
+
     def test_identical_labelings_all_ones(self):
         pred = ["a", "a", "b"]
         truth_sess = [10, 10, 11]
@@ -806,6 +826,29 @@ class TestScoring:
         visits = [Visit(("10.0.0.1", "ua|x|y"), [VisitEvent(at, "/a")], session_id=1)]
         report = score_against_truth(session_rows(visits), truth)
         assert report.exact_session_match_rate == 1.0
+
+    def test_a_rate_with_nothing_to_count_is_1(self):
+        """No event has no pair and no session; singletons have sessions
+        but no pair."""
+        assert score_labelings([], [], [], []) == AccuracyReport(1.0, 1.0, 1.0, 1.0, 1.0, 0, 0)
+        assert score_labelings(["a", "b"], ["u", "v"], [1, 2], [5, 6]) == AccuracyReport(
+            1.0, 1.0, 1.0, 1.0, 1.0, 2, 2)
+
+    def test_inferred_rows_and_cached_truth_events_are_not_joined(self):
+        """Only the CSV's rows with inferred 0 meet only the truth's events
+        with cached 0; the others would not pair up."""
+        ip = "10.0.0.1"
+        truth = GroundTruth(events=[
+            TruthEvent(1, 1, 1, 100, ip, "/a"),
+            TruthEvent(2, 1, 1, 160, ip, "/b", cached=True),
+            TruthEvent(3, 1, 1, 200, ip, "/c"),
+        ])
+        at = lambda epoch: datetime.fromtimestamp(epoch, timezone.utc)
+        events = [VisitEvent(at(100), "/a"), VisitEvent(at(200), "/d", inferred=True),
+                  VisitEvent(at(200), "/c")]
+        visits = [Visit((ip, "ua"), events, session_id=1)]
+        report = score_against_truth(session_rows(visits), truth)
+        assert report == AccuracyReport(1.0, 1.0, 1.0, 1.0, 1.0, 1, 1)
 
     @pytest.mark.parametrize("lengths", [(2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2)])
     def test_sequences_of_different_lengths_raise(self, lengths):
@@ -1009,8 +1052,8 @@ class TestEndToEnd:
         path = tmp_path / "nat.log"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         result = preprocess_log(path)
-        assert result.filter_stats.kept == 4
-        assert result.users == 1
+        assert result.stats.kept == 4
+        assert result.stats.users == 1
 
     def test_preprocess_stats_text(self, tmp_path):
         path = tmp_path / "tiny.log"
@@ -1029,7 +1072,7 @@ class TestEndToEnd:
             encoding="utf-8",
         )
         result = preprocess_log(path)
-        text = result.stats_text()
+        text = result.stats.text()
         assert "lines: 6" in text
         assert "parse_errors: 1" in text
         assert "dropped_status: 1" in text
@@ -1137,7 +1180,7 @@ class TestSinglePass:
         args = dict(log_format=log_format, mode=mode, split_at_midnight=split_at_midnight,
                     site_hosts=site_hosts)
         results = [preprocess_log(path, **args), oracles.preprocess_reference(path, **args)]
-        texts = [result.stats_text() for result in results]
+        texts = [result.stats.text() for result in results]
         assert texts[0] == texts[1]
         written = [io.StringIO(newline="") for _ in results]
         for result, stream in zip(results, written):
@@ -1165,21 +1208,21 @@ class TestPreprocessCounters:
         with paths["eclf"].open("a", encoding="utf-8") as fh:
             fh.write("junk line\n\n" + _line(request="GET /x.png HTTP/1.1", size="5k") + "\n")
         result = preprocess_log(paths["eclf"], site_hosts=[_SITE])
-        f = result.filter_stats
+        f = result.stats
         assert min(f.kept, f.dropped_status, f.dropped_static, f.dropped_bot) > 0
-        assert result.parse_errors == 2
+        assert f.parse_errors == 2
         text = paths["eclf"].read_text(encoding="utf-8")
-        assert result.lines == len([line for line in text.splitlines() if line.strip()])
-        assert result.lines == (result.parse_errors + f.kept + f.dropped_status
-                                + f.dropped_static + f.dropped_bot)
+        assert f.lines == len([line for line in text.splitlines() if line.strip()])
+        assert f.lines == (f.parse_errors + f.kept + f.dropped_status
+                           + f.dropped_static + f.dropped_bot)
         written = io.StringIO(newline="")
         write_sessions_csv(result.sessions, written)
         written.seek(0)
         rows = read_sessions_csv(written)
-        assert result.users == len({row[0] for row in rows})
+        assert f.users == len({row[0] for row in rows})
         assert len(result.sessions) == len({row[:2] for row in rows})
-        assert result.path_stats.inferred == sum(row[4] for row in rows)
-        assert f.kept == len(rows) - result.path_stats.inferred
+        assert f.inferred_events == sum(row[4] for row in rows)
+        assert f.kept == len(rows) - f.inferred_events
 
     def test_a_malformed_static_line_is_a_parse_error(self, tmp_path):
         """A line is checked before any drop rule, so a bad line whose
@@ -1188,7 +1231,7 @@ class TestPreprocessCounters:
         log.write_text(_line(request="GET /x.png HTTP/1.1", size="5k") + "\n"
                        + _line(request="GET /x.png HTTP/1.1", status=404) + "\n",
                        encoding="utf-8")
-        stats = preprocess_log(log).stats_text()
+        stats = preprocess_log(log).stats.text()
         assert stats.startswith("lines: 2\nparse_errors: 1\nkept: 0\ndropped_status: 1\n"
                                 "dropped_static: 0\n")
 
@@ -1203,7 +1246,7 @@ class TestPreprocessCounters:
         result = preprocess_log(log)
         # A first page's referrer is not judged; /x.php never occurred, so it
         # is incomplete; /a.php is two pages back, so /c and /b are inferred.
-        assert (result.path_stats.incomplete, result.path_stats.inferred) == (1, 2)
+        assert (result.stats.incomplete_paths, result.stats.inferred_events) == (1, 2)
 
 
 class TestSessionsCsvSeq:
@@ -1224,6 +1267,9 @@ class TestSessionsCsvSeq:
 
 
 class TestUniverseChecks:
+    """FORMATS.md "Scoring (`compare`)": a sessions CSV and a truth that do not describe
+    the same events are refused."""
+
     def test_mismatched_stream_raises(self, small_workload, tmp_path):
         from webusage.simulator import simulate_to_dir
 

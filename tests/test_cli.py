@@ -22,6 +22,7 @@ import pytest
 
 from webusage import cli
 from webusage.analytics import report_to_csv, report_to_plot, search_report_to_csv
+from webusage.baseline import PreprocessStats
 from webusage.cli import REPORT_KINDS, REPORTS, main
 from webusage.collector import CollectionError, Collector
 from webusage.events import AppPageResult, RawRequestEvent, parse_replay_line
@@ -91,6 +92,7 @@ class TestSimulate:
             ).read_bytes()
 
     def test_out_of_range_share_exits_2_naming_the_flag(self, tmp_path, capsys):
+        """FORMATS.md "Numeric ranges": a share is 0 to 1."""
         rc = main(["simulate", "--nat-share", "1.5", "--out", str(tmp_path / "x")])
         assert rc == 2
         err = capsys.readouterr().err
@@ -133,12 +135,14 @@ class TestCollect:
             in captured
 
     def test_missing_replay_exits_2(self, tmp_path, capsys):
+        """FORMATS.md "Exit codes": a missing file is a usage error."""
         rc = main(["collect", str(tmp_path / "nope.replay"),
                    "--store", str(tmp_path / "s.db")])
         assert rc == 2
         assert "replay file not found" in capsys.readouterr().err
 
     def test_corrupt_replay_exits_1(self, tmp_path, capsys):
+        """FORMATS.md "Exit codes": bad replay data is a runtime failure."""
         bad = tmp_path / "bad.replay"
         bad.write_text("this is not a replay line\n", encoding="utf-8")
         rc = main(["collect", str(bad), "--store", str(tmp_path / "s.db")])
@@ -178,6 +182,7 @@ class TestCollect:
             conn.close()
 
     def test_bad_geoip_file_exits_1(self, workspace, tmp_path, capsys):
+        """FORMATS.md "Exit codes": a bad GeoIP table is a runtime failure."""
         geoip = tmp_path / "geo.csv"
         geoip.write_text("0,100,AA\n50,200,BB\n", encoding="utf-8")
         rc = main(["collect", str(workspace["replay"]),
@@ -186,6 +191,8 @@ class TestCollect:
         assert "line 2" in capsys.readouterr().err
 
     def test_store_in_missing_directory_exits_1(self, workspace, tmp_path, capsys):
+        """FORMATS.md "Exit codes": a store path that cannot be opened is a
+        runtime failure."""
         rc = main(["collect", str(workspace["replay"]),
                    "--store", str(tmp_path / "missing" / "s.db")])
         assert rc == 1
@@ -285,8 +292,9 @@ class TestCollect:
         ]
 
     def test_last_event_at_the_end_of_the_calendar_is_swept(self, tmp_path, capsys):
-        # The last event's time plus the timeout is past 9999-12-31
-        # 23:59:59; the session is closed all the same.
+        """FORMATS.md "Numeric ranges": the last event's time plus the
+        timeout is past 9999-12-31 23:59:59; collect closes the session all
+        the same."""
         replay = tmp_path / "late.replay"
         replay.write_text(
             "ip=10.0.0.1 time=9999-12-31T23:59:00 method=GET url=/a token=t1\n",
@@ -355,17 +363,19 @@ class TestCollect:
 class TestPreprocess:
     def test_writes_sessions_csv_and_prints_stats(self, workspace, capsys):
         """FORMATS.md "Classical sessions CSV (`preprocess --out`)": the
-        header, and the counters printed."""
+        header, and one line per counter of its table, in the table's order,
+        which is the order of ``PreprocessStats``' fields."""
         out = workspace["root"] / "pp.csv"
         rc = main(["preprocess", str(workspace["eclf"]), "--out", str(out)])
         printed = capsys.readouterr().out
         assert rc == 0
         first = out.read_text(encoding="utf-8").splitlines()[0]
         assert first == "user_key,session_id,seq,time,resource,inferred"
-        for key in ("lines:", "parse_errors:", "kept:", "dropped_static:",
-                    "dropped_bot:", "users:", "sessions:", "inferred_events:",
-                    "incomplete_paths:"):
-            assert key in printed
+        formats = (Path(__file__).resolve().parent.parent / "FORMATS.md").read_text("utf-8")
+        table = formats.split("| counter | counts |", 1)[1].split("\n\n", 1)[0]
+        documented = re.findall(r"^\| `(\w+)` \|", table, re.M)
+        names = [line.partition(": ")[0] for line in printed.splitlines()]
+        assert names == documented == [f.name for f in dataclasses.fields(PreprocessStats)]
 
     def test_impossible_timestamp_counts_as_parse_error(self, workspace, tmp_path, capsys):
         """FORMATS.md "Access log (ECLF / CLF)": a bad line is counted under
@@ -397,6 +407,7 @@ class TestPreprocess:
         ]
 
     def test_missing_log_exits_2(self, tmp_path, capsys):
+        """FORMATS.md "Exit codes": a missing file is a usage error."""
         rc = main(["preprocess", str(tmp_path / "gone.log"),
                    "--out", str(tmp_path / "s.csv")])
         assert rc == 2
@@ -410,10 +421,11 @@ class TestPreprocess:
 
 
 class TestNumericRanges:
-    """A value outside a numeric flag's range, NaN included, exits 2 with one
-    error line naming the flag or field, and writes nothing."""
+    """FORMATS.md "Numeric ranges": a value outside a numeric flag's range, NaN
+    included, exits 2 with one error line naming the flag or field, and
+    writes nothing."""
 
-    @pytest.mark.parametrize("value", ["inf", "1e308", "nan", "1e12"])
+    @pytest.mark.parametrize("value", ["inf", "1e308", "nan", "1e12", "0", "-1"])
     def test_collect_timeout(self, workspace, tmp_path, capsys, value):
         rc = main(["collect", str(workspace["replay"]), "--store", str(tmp_path / "s.db"),
                    "--timeout", value])
@@ -453,6 +465,44 @@ class TestNumericRanges:
                 f"error: {flag[2:].replace('-', '_')} must be greater than 0, got nan\n"
             )
             assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--session-rate", "--pageviews-mean", "--nat-share",
+                                      "--dynamic-ip-share", "--cookie-loss-share",
+                                      "--cached-nav-share"])
+    def test_simulate_nan(self, tmp_path, capsys, flag):
+        rc = main(["simulate", flag, "nan", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert re.fullmatch(rf"error: {flag[2:]}: must be [^\n]*, got nan\n", err)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag", ["--page-gap", "--session-gap"])
+    def test_preprocess_gap_not_above_0(self, workspace, tmp_path, capsys, flag, value):
+        rc = main(["preprocess", str(workspace["eclf"]), flag, value,
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag[2:].replace('-', '_')} must be greater than 0, got {float(value)}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode,flag", [("page_gap", "--page-gap"),
+                                           ("session_duration", "--session-gap")])
+    def test_preprocess_inf_turns_the_rule_off(self, workspace, tmp_path, capsys, mode, flag):
+        """With its one rule off, a mode keeps each visitor in one session."""
+        assert main(["preprocess", str(workspace["eclf"]), "--mode", mode, flag, "inf",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        stats = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        assert stats["sessions"] == stats["users"] != "0"
+
+    def test_report_n_is_0_or_more(self, workspace, tmp_path, capsys):
+        store = ["report", "--store", str(workspace["store"]), "--kind", "top-ips"]
+        assert main([*store, "--n", "0"]) == 0
+        assert capsys.readouterr().out == "ip,sessions,pageviews,pageviews_per_session\n"
+        assert main([*store, "--n", "-1", "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err == "error: --n must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_largest_values_accepted(self, workspace, tmp_path):
         assert main(["simulate", "--users", "2", "--timeout", "31536000",
@@ -543,6 +593,7 @@ class TestReport:
     @pytest.mark.parametrize("n", ["-1", "-100"])
     @pytest.mark.parametrize("kind", ["top-ips", "top-users"])
     def test_negative_n_exits_2(self, workspace, capsys, kind, n):
+        """FORMATS.md "Numeric ranges" and "Exit codes": `--n` is 0 or more."""
         rc = main(["report", "--store", str(workspace["store"]),
                    "--kind", kind, "--n", n])
         captured = capsys.readouterr()
@@ -559,12 +610,15 @@ class TestReport:
         assert target.read_text(encoding="utf-8").startswith("device,sessions,ratio")
 
     def test_missing_store_exits_2(self, tmp_path, capsys):
+        """FORMATS.md "Exit codes": a missing file is a usage error."""
         rc = main(["report", "--store", str(tmp_path / "none.db"),
                    "--kind", "device"])
         assert rc == 2
         assert "store not found" in capsys.readouterr().err
 
     def test_store_that_is_not_sqlite_exits_1(self, tmp_path, capsys):
+        """FORMATS.md "Exit codes": a `--store` file that is not a store is a runtime
+        failure."""
         bogus = tmp_path / "bogus.db"
         bogus.write_text("not a database\n" * 100, encoding="utf-8")
         rc = main(["report", "--store", str(bogus), "--kind", "device"])
@@ -639,6 +693,9 @@ class TestReportsWithoutPages:
 
 
 class TestCompare:
+    """FORMATS.md "Scoring (`compare`)": both sides' reports, and each way the three
+    inputs can fail to describe one set of events."""
+
     def test_prints_both_reports_and_the_gap(self, workspace, capsys):
         rc = main(["compare", "--store", str(workspace["store"]),
                    "--baseline", str(workspace["sessions"]),
@@ -718,6 +775,26 @@ class TestCompare:
         assert rc == 2
         key = (int(real[3]), real[0].partition("|")[0], real[4])
         assert err == f"error: truth events missing from prediction: [{key}]\n"
+
+    def test_collector_side_is_checked_first(self, workspace, tmp_path, capsys):
+        """The counts, then event by event its `event_seq` before its time,
+        each before the baseline's join, which every truth here also fails."""
+        rows = self._rows(workspace["truth"])
+        events = [row for row in rows if row[0] == "event"]
+        stored = int(events[2][12])
+        events[2][12] = str(stored + 1)  # event 3's time
+        events[3][10] = "3"  # event 4's event_seq
+        truth = self._write(tmp_path / "t.csv", rows)
+        assert self._compare(workspace, capsys, truth=truth) == (
+            2, f"error: event 3: store time {stored} != truth time {stored + 1}\n")
+        events[2][10] = "2"
+        truth = self._write(tmp_path / "t.csv", rows)
+        assert self._compare(workspace, capsys, truth=truth) == (
+            2, "error: truth event 3 has event_seq 2\n")
+        rows.remove(events[-1])
+        truth = self._write(tmp_path / "t.csv", rows)
+        assert self._compare(workspace, capsys, truth=truth) == (
+            2, f"error: store holds {len(events)} pageviews, truth lists {len(events) - 1}\n")
 
     def test_event_seq_not_its_position_exits_2(self, workspace, tmp_path, capsys):
         """FORMATS.md: `event_seq` N is the N-th replay line.  A truth whose
@@ -940,8 +1017,9 @@ def _damaged(data: bytes, damage: str) -> bytes:
 
 
 class TestDamagedGzip:
-    """A `.gz` input that is not gzip, is cut short or holds corrupt data
-    ends in one `error:` line naming the file, exit 1, and writes nothing."""
+    """FORMATS.md "Exit codes": a `.gz` input that is not gzip, is cut short or
+    holds corrupt data ends in one `error:` line naming the file, exit 1,
+    and writes nothing."""
 
     DAMAGE = {
         "not-gzip": "Not a gzipped file (b'ip')",
@@ -1110,7 +1188,8 @@ class TestReadOnlyCommands:
 
 
 class TestNotAStore:
-    """report, compare and export name a --store file without the store tables."""
+    """FORMATS.md "Exit codes": report, compare and export name a --store file
+    without the store tables, with exit 1."""
 
     @pytest.fixture(params=["empty", "foreign", "text"])
     def not_a_store(self, request, tmp_path):
@@ -1434,6 +1513,8 @@ class TestFormatsContract:
 
 
 class TestParserContract:
+    """FORMATS.md "Exit codes": an argument error the parser finds exits 2."""
+
     def test_no_arguments_is_a_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main([])
@@ -1443,6 +1524,23 @@ class TestParserContract:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv,prog", [
+        (["frobnicate"], "webusage"),
+        (["collect", "r.replay", "--store", "s.db", "--frob"], "webusage"),
+        (["preprocess", "a.log", "--out", "s.csv", "--format", "XLF"], "webusage preprocess"),
+        (["report", "--store", "s.db", "--kind", "stats", "--n", "x"], "webusage report"),
+    ])
+    def test_parser_errors_print_the_usage_then_the_reason(self, tmp_path, monkeypatch, capsys,
+                                                           argv, prog):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert err.startswith(f"usage: {prog} ")
+        assert err.splitlines()[-1].startswith(f"{prog}: error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_second_call_gets_the_defaults_the_first_call_set(
         self, tmp_path, monkeypatch, capsys

@@ -3,7 +3,7 @@ import sqlite3
 import sys
 import threading
 import typing
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +22,7 @@ from webusage.simulator import _EXTERNAL_REFERRERS, _SEARCH_REFERRERS
 from webusage.storage import (
     TABLE_COLUMNS, LogStore, NotFoundError, SessionRecord, UserInfo, _field_type,
 )
+from webusage.truth import GroundTruth, TruthEvent
 
 import oracles
 
@@ -393,6 +394,8 @@ class TestSessionEnd:
         assert collector.sweep_expired(T0) == 0
 
     def test_sweep_within_the_timeout_of_the_calendar_start(self, collector):
+        """FORMATS.md "Numeric ranges": a sweep whose cutoff lies before 0001-01-01
+        closes no session."""
         collector.handle_request_begin(_event(timestamp=datetime.min))
         assert collector.sweep_expired(datetime.min) == 0
         assert collector.sweep_expired(datetime(1, 1, 1, 0, 10)) == 0
@@ -648,6 +651,30 @@ class TestReplay:
         collector = Collector(mem_store, site_hosts=HOSTS, timeout=timeout)
         replay_stream(collector, events)
         assert mem_store.session_count() == expected
+
+
+class TestCollectorLabels:
+    """FORMATS.md "Scoring (`compare`)": a page's user label is the
+    session's account when signed in, else its `sid` cookie, else its own
+    session."""
+
+    def test_account_then_cookie_then_session(self, collector, mem_store):
+        mem_store.upsert_user(UserInfo(7, "u1", "student", "female"))
+        # (token, auth user, cookies, true user): the account joins two sid
+        # cookies, one sid cookie two sessions, and no cookie nothing.
+        pages = [("a1", "u1", {"sid": "x"}, 1), ("a2", "u1", {"sid": "y"}, 1),
+                 ("c1", None, {"sid": "z"}, 2), ("c2", None, {"sid": "z"}, 2),
+                 ("l1", None, {}, 3), ("l2", None, {}, 4)]
+        replay_stream(collector, [_event(token, i, auth_user=user, cookies=cookies)
+                                  for i, (token, user, cookies, _) in enumerate(pages)])
+        epoch = int(T0.replace(tzinfo=timezone.utc).timestamp())
+        truth = GroundTruth(events=[
+            TruthEvent(i + 1, true_user, i + 1, epoch + i, "193.140.253.80", "/index.php")
+            for i, (_, _, _, true_user) in enumerate(pages)
+        ])
+        report = collector_report(mem_store, truth)
+        assert (report.user_precision, report.user_recall, report.predicted_sessions) == (
+            1.0, 1.0, 6)
 
 
 class TestGroundTruthExactness:

@@ -57,6 +57,9 @@ def make_config(**overrides) -> WorkloadConfig:
 
 
 class TestConfigValidation:
+    """FORMATS.md "Numeric ranges": the `simulate` rows, checked by
+    ``WorkloadConfig.validate``, each field's type before its range."""
+
     def test_defaults_are_valid(self):
         WorkloadConfig().validate()
 
@@ -95,6 +98,15 @@ class TestConfigValidation:
         (commands,) = [a for a in cli.build_parser()._actions
                        if isinstance(a, argparse._SubParsersAction)]
         assert f"--{flag}" in commands.choices["simulate"]._option_string_actions
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_users", 1), ("session_rate", 1000.0), ("pageviews_per_session_mean", 1.0),
+        ("pageviews_per_session_mean", 1000), ("timeout", 60), ("timeout", 31_536_000.0),
+        ("duration", 3600.0), ("duration", 315_360_000), ("nat_share", 0),
+        ("dynamic_ip_share", 1.0), ("cookie_loss_share", 0.0), ("cached_nav_share", 1),
+    ])
+    def test_range_ends_are_valid(self, field, value):
+        WorkloadConfig(**{field: value}).validate()
 
     def test_default_mixes_are_valid(self):
         for mix, valid in (
@@ -532,7 +544,7 @@ class TestPipelineAccuracy:
         with open(paths["eclf"], "rb") as src, gzip.open(gz_path, "wb") as dst:
             dst.write(src.read())
         zipped = preprocess_log(gz_path, site_hosts=[SITE_HOST])
-        assert zipped.lines == plain.lines
+        assert zipped.stats.lines == plain.stats.lines
         assert len(zipped.sessions) == len(plain.sessions)
 
 
