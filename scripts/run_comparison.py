@@ -4,7 +4,9 @@
 Generates one synthetic workload per stress scenario, runs both pipelines
 on it, and prints how well each one recovers the true users and sessions.
 The collector sees the replay stream (with identity tokens); the classical
-side sees only the access log the same traffic would have produced.
+side sees only the access log the same traffic would have produced.  Both
+run as CLI commands (``collect --users truth.csv`` and ``preprocess``), and
+each is scored from the file it writes, as ``compare`` scores it.
 
     python3 scripts/run_comparison.py --users 8 --session-rate 3 --seed 1
 """
@@ -12,18 +14,18 @@ side sees only the access log the same traffic would have produced.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from webusage.baseline import SESSIONIZE_MODES, preprocess_log, session_rows
-from webusage.collector import Collector, replay_stream
-from webusage.compare import collector_report, load_roster, score_against_truth
-from webusage.enrichment import sample_geoip_table
-from webusage.events import read_replay
-from webusage.simulator import SITE_HOST, WorkloadConfig, simulate_to_dir
+from webusage import cli
+from webusage.baseline import SESSIONIZE_MODES, read_sessions_csv
+from webusage.compare import collector_report, score_against_truth
+from webusage.simulator import WorkloadConfig, simulate_to_dir
 from webusage.storage import LogStore
 from webusage.truth import load_truth
 
@@ -40,6 +42,14 @@ SCENARIOS = (
 )
 
 
+def run(argv: list[str]) -> None:
+    """Run one CLI command in-process, its stdout discarded; it must succeed."""
+    with redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    if rc != 0:
+        raise SystemExit(f"webusage {' '.join(argv)} exited {rc}")
+
+
 def run_scenario(name: str, overrides: dict, args: argparse.Namespace) -> tuple:
     config = WorkloadConfig(
         seed=args.seed,
@@ -50,27 +60,21 @@ def run_scenario(name: str, overrides: dict, args: argparse.Namespace) -> tuple:
     )
     with tempfile.TemporaryDirectory() as tmp:
         paths = simulate_to_dir(config, tmp)
-        truth = load_truth(paths["truth"])
+        store_path, sessions_path = Path(tmp) / "usage.db", Path(tmp) / "sessions.csv"
+        run(["collect", str(paths["replay"]), "--store", str(store_path),
+             "--users", str(paths["truth"])])
+        run(["preprocess", str(paths["eclf"]), "--out", str(sessions_path),
+             "--mode", args.mode, f"--page-gap={args.page_gap}",
+             f"--session-gap={args.session_gap}"])
 
-        store = LogStore(":memory:")
+        truth = load_truth(paths["truth"])
+        store = LogStore(store_path.resolve().as_uri() + "?mode=ro")
         try:
-            load_roster(store, truth)
-            collector = Collector(store, [SITE_HOST], geoip=sample_geoip_table(),
-                                  timeout=config.timeout)
-            with open(paths["replay"], encoding="utf-8") as fh:
-                replay_stream(collector, read_replay(fh))
             collector_side = collector_report(store, truth)
         finally:
             store.close()
-
-        result = preprocess_log(
-            paths["eclf"],
-            mode=args.mode,
-            page_gap=args.page_gap,
-            session_gap=args.session_gap,
-            site_hosts=[SITE_HOST],
-        )
-        baseline_side = score_against_truth(session_rows(result.sessions), truth)
+        with open(sessions_path, encoding="utf-8", newline="") as fh:
+            baseline_side = score_against_truth(read_sessions_csv(fh), truth)
 
     return (
         name,

@@ -580,13 +580,6 @@ def write_sessions_csv(sessions: Sequence[Visit], stream) -> int:
     return n
 
 
-def session_rows(sessions: Iterable[Visit]) -> Iterator[tuple[str, int, int, str, bool]]:
-    """The rows :func:`read_sessions_csv` reads back from what
-    :func:`write_sessions_csv` writes of ``sessions``, without the file."""
-    return (("|".join(v.user_key), v.session_id, int(e.timestamp.timestamp()), e.resource,
-             e.inferred) for v in sessions for e in v.events)
-
-
 def read_sessions_csv(stream) -> list[tuple[str, int, int, str, bool]]:
     """The rows of a sessions CSV in file order, each ``(user_key,
     session_id, epoch, resource, inferred)``; any unreadable row raises

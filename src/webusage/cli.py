@@ -106,16 +106,6 @@ def _bad_utf8_line(path: Path, gzipped: bool) -> int | None:
     return None
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with replacing(out) as tmp:
-            tmp.write_text(text, encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -245,7 +235,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         else:
             report = REPORTS[args.kind](analytics, args.n)
             text = report_to_plot(report) if args.plot else report_to_csv(report)
-        _write_out(text, args.out)
+        if args.out is None or args.out == "-":
+            sys.stdout.write(text)
+        else:
+            with replacing(args.out) as tmp:
+                tmp.write_text(text, encoding="utf-8")
         return 0
     finally:
         store.close()
@@ -293,11 +287,23 @@ def cmd_export(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Takes any text that ``float()`` reads, ``-inf`` and ``-1e3`` too, as a
+    value, never as an option, so that it reaches the flag's range check."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it:
     each ``parse_args`` fills a new namespace, so no call sees another's."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="webusage",
         description="Request-time web usage collection, classical log "
                     "preprocessing, and reports over either.",

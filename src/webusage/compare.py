@@ -92,21 +92,17 @@ def score_labelings(
     )
 
 
-def load_roster(store: LogStore, truth: GroundTruth) -> int:
+def load_roster(store: LogStore, truth: GroundTruth) -> None:
     """Register the truth's account holders so replay can resolve auth users."""
-    n = 0
     with store.transaction():
         for user in truth.users:
-            if user.username is None:
-                continue
-            store.upsert_user(UserInfo(
-                user_id=user.user_id,
-                username=user.username,
-                user_type=user.user_type,
-                gender=user.gender or "not_applicable",
-            ))
-            n += 1
-    return n
+            if user.username is not None:
+                store.upsert_user(UserInfo(
+                    user_id=user.user_id,
+                    username=user.username,
+                    user_type=user.user_type,
+                    gender=user.gender or "not_applicable",
+                ))
 
 
 def collector_report(store: LogStore, truth: GroundTruth) -> AccuracyReport:

@@ -132,11 +132,8 @@ class GeoIpTable:
     """Sorted, non-overlapping inclusive integer ranges with binary search."""
 
     def __init__(self, ranges: Sequence[GeoIpRange]):
-        ordered = sorted(ranges, key=lambda r: r.start_ip)
-        self._starts = [r.start_ip for r in ordered]
-        self._ends = [r.end_ip for r in ordered]
-        self._codes = [r.country_code for r in ordered]
-        self.ranges = tuple(ordered)
+        self.ranges = tuple(sorted(ranges, key=lambda r: r.start_ip))
+        self._starts = [r.start_ip for r in self.ranges]
 
     def __len__(self) -> int:
         return len(self.ranges)
@@ -144,8 +141,8 @@ class GeoIpTable:
     def lookup(self, ip: str | int) -> str:
         value = ip_to_int(ip)
         idx = bisect.bisect_right(self._starts, value) - 1
-        if idx >= 0 and value <= self._ends[idx]:
-            return self._codes[idx]
+        if idx >= 0 and value <= self.ranges[idx].end_ip:
+            return self.ranges[idx].country_code
         return UNKNOWN
 
 
@@ -158,7 +155,12 @@ def load_geoip(source: IO[str] | Iterable[str]) -> GeoIpTable:
     found: list[tuple[GeoIpRange, int]] = []
     try:
         for line_no, row in csvio.rows(source):
-            if (row[0].lstrip().startswith("#") or (len(row) == 1 and not row[0].strip())
+            if row[0].lstrip().startswith("#"):
+                # A quote opened in a comment would hide the rows up to its close.
+                if any("\n" in cell or "\r" in cell for cell in row):
+                    raise csvio.RowError("comment spans several lines", line_no)
+                continue
+            if ((len(row) == 1 and not row[0].strip())
                     or (line_no == 1 and row == [f.name for f in fields(GeoIpRange)])):
                 continue
             csvio.check_width(row, 3, line_no)

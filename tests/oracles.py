@@ -39,9 +39,11 @@ from webusage.baseline import (
     VisitEvent,
     complete_paths,
     parse_log_line,
+    read_sessions_csv,
     sessionize,
+    write_sessions_csv,
 )
-from webusage.compare import AccuracyReport, UniverseMismatchError
+from webusage.compare import AccuracyReport, UniverseMismatchError, score_against_truth
 from webusage.enrichment import UNKNOWN, ip_to_int, is_bot
 from webusage.events import RawRequestEvent, ReplayFormatError
 from webusage.simulator import (
@@ -961,6 +963,15 @@ def write_sessions_csv_reference(sessions, stream) -> int:
             ))
             n += 1
     return n
+
+
+def score_sessions(sessions, truth) -> AccuracyReport:
+    """``score_against_truth`` over ``sessions`` as ``compare`` meets them:
+    written by ``write_sessions_csv`` and read back by ``read_sessions_csv``."""
+    text = io.StringIO(newline="")
+    write_sessions_csv(sessions, text)
+    text.seek(0)
+    return score_against_truth(read_sessions_csv(text), truth)
 
 
 _ONE_PLACE = Decimal("0.1")

@@ -17,11 +17,10 @@ from webusage.baseline import (
     parse_log_line,
     preprocess_log,
     render_log_line,
-    session_rows,
     sessionize,
 )
 from webusage.collector import Collector, replay_stream
-from webusage.compare import collector_report, load_roster, score_against_truth
+from webusage.compare import collector_report, load_roster
 from webusage.enrichment import sample_geoip_table
 from webusage.simulator import SITE_HOST, WorkloadConfig, generate, simulate_to_dir
 from webusage.storage import LogStore
@@ -130,7 +129,7 @@ class TestAcceptance:
             store.close()
         result = preprocess_log(paths["eclf"], mode="page_gap",
                                 page_gap=config.timeout, site_hosts=[SITE_HOST])
-        baseline_side = score_against_truth(session_rows(result.sessions), truth)
+        baseline_side = oracles.score_sessions(result.sessions, truth)
         elapsed = time.perf_counter() - start
         gap = (collector_side.exact_session_match_rate
                - baseline_side.exact_session_match_rate)

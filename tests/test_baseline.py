@@ -29,12 +29,11 @@ from webusage.baseline import (
     preprocess_log,
     read_sessions_csv,
     render_log_line,
-    session_rows,
     sessionize,
     write_sessions_csv,
 )
 from webusage.compare import (
-    AccuracyReport, UniverseMismatchError, _pairwise, score_against_truth, score_labelings,
+    AccuracyReport, UniverseMismatchError, _pairwise, score_labelings,
 )
 from webusage.enrichment import parse_user_agent
 from webusage.simulator import WorkloadConfig, simulate_to_dir
@@ -815,7 +814,7 @@ class TestScoring:
             Visit((ip, "ua"), [at(100, "/a")], session_id=2),
             Visit((ip, "ua"), [at(100, "/a"), at(160, "/b")], session_id=10),
         ]
-        report = score_against_truth(session_rows(sessions), truth)
+        report = oracles.score_sessions(sessions, truth)
         assert report.exact_session_match_rate == 1.0
         assert report.session_precision == report.session_recall == 1.0
 
@@ -824,7 +823,7 @@ class TestScoring:
         truth = GroundTruth(events=[TruthEvent(1, 1, 1, 100, "10.0.0.1", "/a")])
         at = datetime.fromtimestamp(100, timezone.utc)
         visits = [Visit(("10.0.0.1", "ua|x|y"), [VisitEvent(at, "/a")], session_id=1)]
-        report = score_against_truth(session_rows(visits), truth)
+        report = oracles.score_sessions(visits, truth)
         assert report.exact_session_match_rate == 1.0
 
     def test_a_rate_with_nothing_to_count_is_1(self):
@@ -847,7 +846,7 @@ class TestScoring:
         events = [VisitEvent(at(100), "/a"), VisitEvent(at(200), "/d", inferred=True),
                   VisitEvent(at(200), "/c")]
         visits = [Visit((ip, "ua"), events, session_id=1)]
-        report = score_against_truth(session_rows(visits), truth)
+        report = oracles.score_sessions(visits, truth)
         assert report == AccuracyReport(1.0, 1.0, 1.0, 1.0, 1.0, 1, 1)
 
     @pytest.mark.parametrize("lengths", [(2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2)])
@@ -949,7 +948,11 @@ class TestMatchesReference:
         assert n == oracles.write_sessions_csv_reference(visits, expected)
         assert written.getvalue() == expected.getvalue()
         written.seek(0)
-        assert read_sessions_csv(written) == list(session_rows(visits))
+        _, *rows = csv.reader(io.StringIO(expected.getvalue(), newline=""))
+        assert read_sessions_csv(written) == [
+            (key, int(session), int(time), resource, inferred == "1")
+            for key, session, _, time, resource, inferred in rows
+        ]
 
 
 class TestCell:
@@ -992,7 +995,9 @@ class TestCell:
             '"10.0.0.1|Agent ""x""\r",1,1,1630540800,"/a\rb",0\n'
         )
         written.seek(0)
-        assert read_sessions_csv(written) == list(session_rows(visits))
+        assert read_sessions_csv(written) == [
+            ('10.0.0.1|Agent "x"\r', 1, 1630540800, "/a\rb", False)
+        ]
 
 
 class TestLookupCaches:
@@ -1282,7 +1287,7 @@ class TestUniverseChecks:
             events=truth.events[:-1],
         )
         with pytest.raises(UniverseMismatchError):
-            score_against_truth(session_rows(result.sessions), wrong)
+            oracles.score_sessions(result.sessions, wrong)
 
     def test_least_unpaired_keys_are_named(self):
         """Whatever the order of the visits, the error names the least key
@@ -1293,10 +1298,10 @@ class TestUniverseChecks:
         at = lambda epoch: VisitEvent(datetime.fromtimestamp(epoch, timezone.utc), "/a")
         sessions = [Visit((ip, "a"), [at(100), at(350)], 1), Visit((ip, "b"), [at(250)], 1)]
         with pytest.raises(UniverseMismatchError) as excinfo:
-            score_against_truth(session_rows(sessions), truth)
+            oracles.score_sessions(sessions, truth)
         assert str(excinfo.value) == f"predicted event not in truth: (250, '{ip}', '/a')"
         with pytest.raises(UniverseMismatchError) as excinfo:
-            score_against_truth(session_rows([Visit((ip, "a"), [at(300)], 1)]), truth)
+            oracles.score_sessions([Visit((ip, "a"), [at(300)], 1)], truth)
         assert str(excinfo.value) == (
             f"truth events missing from prediction: "
             f"[(100, '{ip}', '/a'), (200, '{ip}', '/a'), (400, '{ip}', '/a')]"

@@ -26,7 +26,7 @@ from webusage.baseline import PreprocessStats
 from webusage.cli import REPORT_KINDS, REPORTS, main
 from webusage.collector import CollectionError, Collector
 from webusage.events import AppPageResult, RawRequestEvent, parse_replay_line
-from webusage.simulator import SITE_HOST, WorkloadConfig
+from webusage.simulator import OPTION_NAMES, SITE_HOST, WorkloadConfig
 from webusage.storage import (
     TABLE_COLUMNS, USER_TYPES, LogStore, PageRecord, SessionRecord, UserInfo,
 )
@@ -152,6 +152,8 @@ class TestCollect:
         )
 
     def test_exported_geoip_table_loads_back(self, workspace, tmp_path, capsys):
+        """FORMATS.md "Lookup data": the `log_geoip.csv` that `export` writes
+        loads as it is."""
         assert main(["export", "--store", str(workspace["store"]),
                      "--out", str(tmp_path / "export")]) == 0
         store = tmp_path / "s.db"
@@ -164,6 +166,7 @@ class TestCollect:
         assert (tmp_path / "again" / "log_geoip.csv").read_text(encoding="utf-8") == exported
 
     def test_geoip_file_is_read_as_the_csv_dialect(self, workspace, tmp_path, capsys):
+        """FORMATS.md "Lookup data": `--geoip` is read as "CSV dialect" says."""
         # A quoted cell keeps its CR LF, as in every other CSV input.
         geoip = tmp_path / "geo.csv"
         geoip.write_bytes(b'0,4294967295,"T\r\nR"\r\n')
@@ -182,7 +185,8 @@ class TestCollect:
             conn.close()
 
     def test_bad_geoip_file_exits_1(self, workspace, tmp_path, capsys):
-        """FORMATS.md "Exit codes": a bad GeoIP table is a runtime failure."""
+        """FORMATS.md "Exit codes" and "Lookup data": a bad GeoIP table is a
+        runtime failure."""
         geoip = tmp_path / "geo.csv"
         geoip.write_text("0,100,AA\n50,200,BB\n", encoding="utf-8")
         rc = main(["collect", str(workspace["replay"]),
@@ -314,6 +318,8 @@ class TestCollect:
         )
 
     def test_failed_replay_keeps_previous_store(self, workspace, tmp_path, capsys):
+        """FORMATS.md "Output files": the store is moved into place only once
+        the replay has been read to the end."""
         store = tmp_path / "kept.db"
         store.write_bytes(workspace["store"].read_bytes())
         good = workspace["replay"].read_text(encoding="utf-8").splitlines()[0]
@@ -391,8 +397,9 @@ class TestPreprocess:
         assert f"lines: {len(lines)}\nparse_errors: 1\n" in printed
 
     def test_invalid_utf8_is_replaced_and_the_line_still_parsed(self, tmp_path, capsys):
-        """FORMATS.md "Access log (ECLF / CLF)": an invalid byte reads as
-        U+FFFD, which reaches the sessions CSV's user_key."""
+        """FORMATS.md "Access log (ECLF / CLF)" and "Unreadable input rows":
+        an invalid byte reads as U+FFFD, which reaches the sessions CSV's
+        user_key."""
         log = tmp_path / "access.log"
         log.write_bytes(
             b'10.0.0.1 - - [02/Sep/2021:10:00:00 +0300] "GET /a.php HTTP/1.1" 200 512'
@@ -502,6 +509,29 @@ class TestNumericRanges:
         assert capsys.readouterr().out == "ip,sessions,pageviews,pageviews_per_session\n"
         assert main([*store, "--n", "-1", "--out", str(tmp_path / "r.csv")]) == 2
         assert capsys.readouterr().err == "error: --n must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    FLOAT_FLAGS = [("collect", "--timeout"), ("preprocess", "--page-gap"),
+                   ("preprocess", "--session-gap")] + [
+        ("simulate", f"--{OPTION_NAMES[f.name]}")
+        for f in dataclasses.fields(WorkloadConfig) if type(f.default) is float
+    ]
+
+    @pytest.mark.parametrize("value", ["-inf", "-1e3", "-nan", "-Infinity"])
+    @pytest.mark.parametrize("command,flag", FLOAT_FLAGS)
+    def test_a_negative_value_in_any_float_form_reaches_the_range_check(
+        self, workspace, tmp_path, capsys, command, flag, value
+    ):
+        """Not only a plain decimal such as `-1`: every text that `float()`
+        reads is the flag's value, not an option."""
+        inputs = {"collect": [str(workspace["replay"]), "--store", str(tmp_path / "s.db")],
+                  "preprocess": [str(workspace["eclf"]), "--out", str(tmp_path / "s.csv")],
+                  "simulate": ["--out", str(tmp_path / "x")]}
+        rc = main([command, *inputs[command], flag, value])
+        err = capsys.readouterr().err
+        name = flag[2:] + ":" if command == "simulate" else flag[2:].replace("-", "_")
+        assert rc == 2
+        assert re.fullmatch(rf"error: {name} must be [^\n]*, got {float(value)}\n", err)
         assert list(tmp_path.iterdir()) == []
 
     def test_largest_values_accepted(self, workspace, tmp_path):
@@ -816,8 +846,9 @@ class TestCompare:
 
 
 class TestUnreadableInputRows:
-    """A row of an input CSV that cannot be read ends in one `error:` line
-    naming the file and the row's 1-based line, with the documented code."""
+    """FORMATS.md "Unreadable input rows": a row of an input CSV that cannot
+    be read ends in one `error:` line naming the file and the row's 1-based
+    line, with the documented code."""
 
     BIG = "x" * (csv.field_size_limit() + 1)
 
@@ -909,12 +940,48 @@ class TestUnreadableInputRows:
             f"error: users file {users} line 2: field larger than field limit (131072)\n"
         )
 
+    @pytest.mark.parametrize("flaw", ["header", "width", "field-limit"])
+    @pytest.mark.parametrize("command,flag,what", [
+        ("collect", "--users", "users file"),
+        ("collect", "--users", "truth file"),
+        ("compare", "--truth", "truth file"),
+        ("compare", "--baseline", "baseline sessions file"),
+    ])
+    def test_each_csv_input_with_a_header_gives_the_shared_reasons(
+        self, workspace, tmp_path, capsys, command, flag, what, flaw
+    ):
+        """The reasons every CSV input shares, in one form with exit 2,
+        whichever file and command read them."""
+        header = {
+            "users file": "user_id,username,user_type,gender",
+            "truth file": workspace["truth"].read_text(encoding="utf-8").splitlines()[0],
+            "baseline sessions file":
+                workspace["sessions"].read_text(encoding="utf-8").splitlines()[0],
+        }[what]
+        text, line_no, reason = {
+            "header": (header.rpartition(",")[0] + ",x\n", 1, f"expected header {header}"),
+            "width": (f"{header}\nx\n", 2, f"expected {header.count(',') + 1} columns, got 1"),
+            "field-limit": (f"{header}\n{self.BIG}\n", 2, "field larger than field limit (131072)"),
+        }[flaw]
+        bad = tmp_path / "input.csv"
+        bad.write_text(text, encoding="utf-8")
+        if command == "collect":
+            argv = ["collect", str(workspace["replay"]), "--store", str(tmp_path / "s.db")]
+        else:
+            argv = ["compare", "--store", str(workspace["store"]),
+                    "--baseline", str(workspace["sessions"]), "--truth", str(workspace["truth"])]
+        assert main([*argv, flag, str(bad)]) == 2  # the last --truth or --baseline counts
+        assert capsys.readouterr().err == f"error: {what} {bad} line {line_no}: {reason}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["input.csv"]
+
     @pytest.mark.parametrize("row, reason", [
         (f"200,300,{BIG}", "field larger than field limit (131072)"),
         ("0,99999999999999,XX", "ip bounds must be in 0..4294967295"),
         ("-1,5,XX", "ip bounds must be in 0..4294967295"),
+        ("start_ip,end_ip,country", "ip bounds must be integers"),
     ])
     def test_bad_geoip_row(self, workspace, tmp_path, capsys, row, reason):
+        """A GeoIP row exits 1; the table has no required header."""
         geoip = tmp_path / "geo.csv"
         geoip.write_text(f"# ranges\n{row}\n", encoding="utf-8")
         rc = main(["collect", str(workspace["replay"]),
@@ -939,9 +1006,10 @@ def _spoiled(lines: list[str], out: Path) -> int:
 
 
 class TestInvalidUtf8:
-    """A byte that is not UTF-8 in an input other than the access log ends
-    in one `error:` line naming the file and the line of that byte, with
-    the exit code of the file's other unreadable rows, and writes nothing."""
+    """FORMATS.md "Unreadable input rows": a byte that is not UTF-8 in an
+    input other than the access log ends in one `error:` line naming the
+    file and the line of that byte, with the exit code of the file's other
+    unreadable rows, and writes nothing."""
 
     def _check(self, argv, tmp_path, capsys, code, what, path, line_no):
         before = sorted(tmp_path.iterdir())
@@ -1091,9 +1159,10 @@ class TestExport:
 
 
 class TestOutputTargets:
-    """Each command writes its files through one ``.NAME.PID.tmp`` moved
-    into place (FORMATS.md "CLI"): a symlink keeps naming the file it named,
-    and a target that is no regular file is refused."""
+    """FORMATS.md "Output files": each command writes its files through one
+    ``.NAME.PID.tmp`` moved into place, in the documented order; a symlink
+    keeps naming the file it named, and a target that is no regular file is
+    refused.  `compare`, and `report` to stdout, write no file."""
 
     @staticmethod
     def writers(workspace, tmp_path):
@@ -1141,6 +1210,51 @@ class TestOutputTargets:
         assert capsys.readouterr().err == f"error: {target} is not a regular file\n"
         assert target.is_fifo() if kind == "fifo" else target.is_dir()
         assert not any(tmp_path.glob(".*.tmp*"))
+
+    @pytest.mark.parametrize("command,names", [
+        ("simulate", ["events.replay", "access.log", "truth.csv"]),
+        ("export", [f"{table}.csv" for table in TABLE_COLUMNS]),  # the "Store" order
+    ])
+    def test_files_are_moved_into_place_one_by_one_in_order(self, workspace, tmp_path,
+                                                            monkeypatch, capsys, command, names):
+        moved, replace = [], os.replace
+
+        def record(src, dst):
+            assert Path(src).name == f".{Path(dst).name}.{os.getpid()}.tmp"
+            assert sorted(p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")) == [
+                Path(src).name]
+            moved.append(Path(dst).name)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", record)
+        argv, _ = self.writers(workspace, tmp_path)[command]
+        assert main(argv) == 0
+        assert moved == names
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
+    def test_report_to_stdout_writes_no_file(self, workspace, tmp_path, monkeypatch, capsys):
+        """Without `--out`, or with `--out -`, the report is the bytes that
+        `--out FILE` writes."""
+        report = ["report", "--store", str(workspace["store"]), "--kind", "device"]
+        saved = tmp_path / "saved.csv"
+        assert main([*report, "--out", str(saved)]) == 0
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        for out in ([], ["--out", "-"]):
+            assert main([*report, *out]) == 0
+            assert capsys.readouterr().out == saved.read_text(encoding="utf-8")
+        assert list(cwd.iterdir()) == []
+
+    def test_compare_writes_no_file(self, workspace, tmp_path, monkeypatch, capsys):
+        for name in ("store", "sessions", "truth"):
+            shutil.copy(workspace[name], tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", "--store", workspace["store"].name,
+                     "--baseline", workspace["sessions"].name,
+                     "--truth", workspace["truth"].name]) == 0
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("command", ["preprocess", "report"])
     def test_a_missing_directory_is_named_by_the_target(self, workspace, tmp_path, capsys,
@@ -1530,6 +1644,8 @@ class TestParserContract:
         (["collect", "r.replay", "--store", "s.db", "--frob"], "webusage"),
         (["preprocess", "a.log", "--out", "s.csv", "--format", "XLF"], "webusage preprocess"),
         (["report", "--store", "s.db", "--kind", "stats", "--n", "x"], "webusage report"),
+        (["report", "--store", "s.db", "--kind", "top-ips", "--n", "-1e3"], "webusage report"),
+        (["simulate", "--users", "-1e3", "--out", "x"], "webusage simulate"),
     ])
     def test_parser_errors_print_the_usage_then_the_reason(self, tmp_path, monkeypatch, capsys,
                                                            argv, prog):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from webusage.baseline import PreprocessStats
 from webusage.collector import (
     CollectionError,
     Collector,
@@ -16,7 +17,7 @@ from webusage.collector import (
     replay_stream,
 )
 from webusage.compare import collector_report
-from webusage.enrichment import ClientProfile, default_search_registry
+from webusage.enrichment import ClientProfile, default_bots, default_search_registry
 from webusage.events import AppPageResult, RawRequestEvent
 from webusage.simulator import _EXTERNAL_REFERRERS, _SEARCH_REFERRERS
 from webusage.storage import (
@@ -136,6 +137,18 @@ class TestRequestBegin:
         assert row.referral_class == "search_engine"
         assert row.search_engine == "google"
         assert row.search_keywords == "sakarya"
+
+    def test_a_bot_is_device_bot_here_and_dropped_by_preprocess(self, collector, mem_store):
+        """FORMATS.md "Lookup data": one bots-list rule sets the collector's
+        `device_type` to `bot` and drops the entry in `preprocess`."""
+        agents = [f"Mozilla/5.0 (compatible; {bot.upper()}/1.0)" for bot in default_bots()]
+        for n, agent in enumerate(agents):
+            collector.handle_request_begin(_event(f"bot{n}", user_agent=agent))
+            stats = PreprocessStats()
+            assert not stats.admits(200, "/index.php", agent)
+            assert stats.dropped_bot == 1
+        assert mem_store._query("SELECT DISTINCT device_type FROM log_session") == [("bot",)]
+        assert mem_store.session_count() == len(agents) > 1
 
     def test_invalid_address_is_an_unknown_country_every_time(self, mem_store):
         from webusage.enrichment import sample_geoip_table

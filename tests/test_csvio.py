@@ -59,6 +59,8 @@ class TestRule:
         assert csvio.row(values) == line
 
     def test_nul_reads_back_or_names_its_line(self):
+        """FORMATS.md "Unreadable input rows": `line contains NUL` on Python
+        3.10 only."""
         stream = io.StringIO(csvio.row(("a", "b")) + csvio.row(("n\x00", "x")), newline="")
         if oracles.CSV_REFUSES_NUL:
             with pytest.raises(csvio.RowError, match="^line 2: line contains NUL$"):
@@ -70,7 +72,7 @@ class TestRule:
 class TestRows:
     """``csvio.rows``, the one reader of every CSV input: each row with the
     line it ends on, blank lines skipped, and an unreadable row a
-    ``RowError`` naming its line."""
+    ``RowError`` naming its line (FORMATS.md "Unreadable input rows")."""
 
     def test_without_a_header_any_width_is_read(self):
         assert list(csvio.rows(io.StringIO("a\n\nb,c\n", newline=""))) == [
@@ -162,6 +164,9 @@ class TestWriters:
 
 
 class TestReplacing:
+    """FORMATS.md "Output files": ``csvio.replacing``, the one write path,
+    writes ``.NAME.PID.tmp`` and renames it onto ``NAME`` on a clean exit."""
+
     def test_a_clean_exit_moves_the_temporary_file_onto_the_target(self, tmp_path):
         target = tmp_path / "t.csv"
         target.write_text("old")
@@ -254,6 +259,9 @@ def _unsafe_writes(source: str) -> list[int]:
 
 
 class TestOneWritePath:
+    """FORMATS.md "Output files": every command writes every file through
+    ``replacing``, so the rule holds for each."""
+
     SOURCES = sorted(Path(csvio.__file__).parent.glob("*.py"))
 
     def test_every_file_is_written_through_replacing(self):

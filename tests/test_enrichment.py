@@ -33,6 +33,9 @@ FIREFOX_UBUNTU = (
 
 
 class TestUserAgents:
+    """FORMATS.md "Lookup data": the UA rules, first match of each kind
+    winning, and the bots list."""
+
     def test_firefox_on_ubuntu(self):
         profile = parse_user_agent(FIREFOX_UBUNTU)
         assert profile.browser_name == "Firefox"
@@ -93,6 +96,14 @@ class TestUserAgents:
         )
         assert parse_user_agent(ua).device_type == "tablet"
 
+    @pytest.mark.parametrize("ua, device", [
+        ("Firefox/91.0", "desktop"), ("X11; Linux", "desktop"), ("Lynx/2.8.9", "unknown"),
+    ])
+    def test_device_without_a_device_rule(self, ua, device):
+        """An agent no device rule matches is `desktop` when a browser or OS
+        rule matched it, and `unknown` otherwise."""
+        assert parse_user_agent(ua).device_type == device
+
     def test_edge_beats_chrome_token(self):
         ua = (
             "Mozilla/5.0 (Windows NT 10.0; Win64; x64) AppleWebKit/537.36"
@@ -118,6 +129,8 @@ class TestUserAgents:
 
 
 class TestGeoIp:
+    """FORMATS.md "Lookup data": the GeoIP CSV."""
+
     def test_two_rows_load(self):
         table = load_geoip(io.StringIO("0,100,AA\n200,300,BB\n"))
         assert len(table) == 2
@@ -149,9 +162,10 @@ class TestGeoIp:
     def test_header_only_as_first_row(self):
         header = "start_ip,end_ip,country_code\n"
         assert len(load_geoip(io.StringIO(header + "0,100,AA\n"))) == 1
-        with pytest.raises(GeoIpLoadError) as info:
-            load_geoip(io.StringIO("0,100,AA\n" + header))
-        assert str(info.value) == "line 2: ip bounds must be integers"
+        for before in ("0,100,AA\n", "\n", "# ranges\n"):
+            with pytest.raises(GeoIpLoadError) as info:
+                load_geoip(io.StringIO(before + header + "200,300,BB\n"))
+            assert str(info.value) == "line 2: ip bounds must be integers"
 
     @pytest.mark.parametrize("row", [
         "0,99999999999999,XX", "0,4294967296,XX", "-5,100,XX", "-10,-1,XX",
@@ -173,6 +187,19 @@ class TestGeoIp:
     def test_comments_and_blanks_skipped(self):
         table = load_geoip(io.StringIO("# header\n\n0,100,AA\n"))
         assert len(table) == 1
+
+    @pytest.mark.parametrize("text, line_no", [
+        ('# ranges,"approximate\n0,100,AA\n200,300,BB\n', 3),
+        ('0,100,AA\n# a,"b\rc"\n200,300,BB\n', 3),
+    ])
+    def test_a_comment_that_spans_lines_is_refused(self, text, line_no):
+        """A quote that a comment opens would make every row up to its close
+        part of the comment, so such a comment is refused, not skipped."""
+        with pytest.raises(GeoIpLoadError) as info:
+            load_geoip(io.StringIO(text, newline=""))
+        assert str(info.value) == f"line {line_no}: comment spans several lines"
+        table = load_geoip(io.StringIO('# ranges,"approximate"\n0,100,AA\n', newline=""))
+        assert table.ranges == (GeoIpRange(0, 100, "AA"),)
 
     def test_empty_table_is_unknown(self):
         assert GeoIpTable([]).lookup("8.8.8.8") == "unknown"
@@ -258,6 +285,8 @@ class TestLanguages:
 
 
 class TestSearchRegistry:
+    """FORMATS.md "Lookup data": the search engines TSV."""
+
     def test_google_query(self):
         registry = default_search_registry()
         got = registry.extract("http://www.google.com/search?q=sakarya")
@@ -305,9 +334,14 @@ class TestSearchRegistry:
         registry = default_search_registry()
         assert registry.extract("http://notgoogle.com/?q=x") is None
 
+    def test_label_matches_a_component_of_the_lowercased_host(self):
+        registry = default_search_registry()
+        assert registry.extract("http://WWW.Google.COM.tr/search?q=Ders") == ("google", "ders")
+
 
 class TestBundledData:
-    """The shipped lookup tables hold only what the code expects of them."""
+    """FORMATS.md "Lookup data": the shipped lookup tables hold only what
+    the code expects of them."""
 
     def test_ua_rule_kinds_and_device_names(self):
         rows = _data_rows("ua_rules.tsv", 3)

@@ -1,5 +1,5 @@
 """A run killed part-way leaves each file it writes whole or as it was
-(FORMATS.md "CLI"): one child at a time is SIGKILLed once its temporary
+(FORMATS.md "Output files"): one child at a time is SIGKILLed once its temporary
 file, or its target when written in place, holds enough bytes, and the
 next run of the same command succeeds and leaves no temporary file."""
 

@@ -6,7 +6,7 @@ import hashlib
 import io
 import itertools
 import urllib.parse
-from datetime import timezone
+from datetime import timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from webusage import cli
 from webusage.analytics import DISTRIBUTION_KINDS, Analytics
-from webusage.baseline import parse_log_line, preprocess_log, render_log_line, session_rows
+from webusage.baseline import parse_log_line, preprocess_log, render_log_line
 from webusage.collector import Collector, replay_stream
-from webusage.compare import collector_report, load_roster, score_against_truth
+from webusage.compare import collector_report, load_roster
 from webusage.enrichment import sample_geoip_table
 from webusage.events import read_replay, write_replay
 from webusage.simulator import (
@@ -30,7 +30,7 @@ from webusage.simulator import (
     generate,
     simulate_to_dir,
 )
-from webusage.storage import USER_TYPES, LogStore
+from webusage.storage import TABLE_COLUMNS, USER_TYPES, LogStore
 from webusage.truth import (
     TRUTH_HEADER,
     GroundTruth,
@@ -506,7 +506,7 @@ class TestPipelineAccuracy:
             paths["eclf"], mode="page_gap", page_gap=config.timeout,
             site_hosts=[SITE_HOST],
         )
-        baseline = score_against_truth(session_rows(result.sessions), truth)
+        baseline = oracles.score_sessions(result.sessions, truth)
         assert baseline.exact_session_match_rate == 1.0
         assert baseline.user_precision == baseline.user_recall == 1.0
 
@@ -530,7 +530,7 @@ class TestPipelineAccuracy:
             paths["eclf"], mode="page_gap", page_gap=config.timeout,
             site_hosts=[SITE_HOST],
         )
-        baseline_side = score_against_truth(session_rows(result.sessions), truth)
+        baseline_side = oracles.score_sessions(result.sessions, truth)
         assert collector_side.exact_session_match_rate == 1.0
         assert baseline_side.exact_session_match_rate < 1.0
         assert (baseline_side.exact_session_match_rate
@@ -607,9 +607,10 @@ def small_workloads(cookie_loss=_SHARES):
 
 
 class TestWorkloadProperties:
-    """FORMATS.md "Truth CSV" orders, and the paper's claim that the
-    collector is exact while identity tokens are intact, on any small
-    config rather than one seed."""
+    """FORMATS.md "Truth CSV" orders, the paper's claim that the collector
+    is exact while identity tokens are intact, and that the request API
+    with any sweep schedule stores what a replay stores, on any small config
+    rather than one seed."""
 
     @settings(max_examples=100, deadline=None)
     @given(small_workloads())
@@ -650,6 +651,49 @@ class TestWorkloadProperties:
             report.session_precision, report.session_recall,
             report.exact_session_match_rate,
         ) == (1.0,) * 5
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_workloads(), st.integers(1, 2 * 86400))
+    def test_request_api_with_sweeps_exports_what_replay_does(self, config, sweep_every):
+        """Each event sent through ``handle_request_begin`` on its own, with a
+        ``sweep_expired`` at the last point of a schedule every
+        ``sweep_every`` seconds before each event and one at the last
+        event's time plus the timeout plus 1 s, exports the bytes that
+        ``replay_stream`` exports."""
+        events, truth = generate(config)
+        replayed = collect_workload(events, truth, config)
+        live = LogStore(":memory:")
+        try:
+            load_roster(live, truth)
+            collector = Collector(live, [SITE_HOST], geoip=sample_geoip_table(),
+                                  timeout=config.timeout)
+            step = timedelta(seconds=sweep_every)
+            next_sweep = events[0].timestamp + step if events else None
+            for event in events:
+                if event.timestamp >= next_sweep:
+                    # Only the schedule's last point before the event: a sweep
+                    # at an earlier one closes a subset at the same times.
+                    next_sweep += (event.timestamp - next_sweep) // step * step
+                    collector.sweep_expired(next_sweep)
+                    next_sweep += step
+                collector.handle_request_begin(event)
+            if events:
+                collector.sweep_expired(
+                    events[-1].timestamp + timedelta(seconds=config.timeout + 1))
+            exports = [
+                {table: _exported(store, table) for table in TABLE_COLUMNS}
+                for store in (replayed, live)
+            ]
+        finally:
+            live.close()
+            replayed.close()
+        assert exports[0] == exports[1]
+
+
+def _exported(store: LogStore, table: str) -> str:
+    out = io.StringIO(newline="")
+    store.export_table(table, out)
+    return out.getvalue()
 
 
 class TestEventsFollowFromResources:
