@@ -6,7 +6,8 @@ on it, and prints how well each one recovers the true users and sessions.
 The collector sees the replay stream (with identity tokens); the classical
 side sees only the access log the same traffic would have produced.  Both
 run as CLI commands (``collect --users truth.csv`` and ``preprocess``), and
-each is scored from the file it writes, as ``compare`` scores it.
+the files they write are scored by ``cli.score_outputs``, the function
+behind ``compare``.
 
     python3 scripts/run_comparison.py --users 8 --session-rate 3 --seed 1
 """
@@ -23,11 +24,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from webusage import cli
-from webusage.baseline import SESSIONIZE_MODES, read_sessions_csv
-from webusage.compare import collector_report, score_against_truth
+from webusage.baseline import SESSIONIZE_MODES
 from webusage.simulator import WorkloadConfig, simulate_to_dir
-from webusage.storage import LogStore
-from webusage.truth import load_truth
 
 SCENARIOS = (
     ("clean", {}),
@@ -67,18 +65,12 @@ def run_scenario(name: str, overrides: dict, args: argparse.Namespace) -> tuple:
              "--mode", args.mode, f"--page-gap={args.page_gap}",
              f"--session-gap={args.session_gap}"])
 
-        truth = load_truth(paths["truth"])
-        store = LogStore(store_path.resolve().as_uri() + "?mode=ro")
-        try:
-            collector_side = collector_report(store, truth)
-        finally:
-            store.close()
-        with open(sessions_path, encoding="utf-8", newline="") as fh:
-            baseline_side = score_against_truth(read_sessions_csv(fh), truth)
+        collector_side, baseline_side = cli.score_outputs(
+            str(store_path), str(sessions_path), str(paths["truth"]))
 
     return (
         name,
-        truth.session_count(),
+        collector_side.truth_sessions,
         collector_side.exact_session_match_rate,
         baseline_side.exact_session_match_rate,
         collector_side.exact_session_match_rate

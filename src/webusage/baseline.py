@@ -559,6 +559,11 @@ def preprocess_log(
 _SESSION_CSV_HEADER = ("user_key", "session_id", "seq", "time", "resource", "inferred")
 
 
+def _epoch(when: datetime) -> int:
+    """Epoch seconds of ``when``, a naive time read as the UTC time it names."""
+    return int((when if when.tzinfo else when.replace(tzinfo=timezone.utc)).timestamp())
+
+
 def write_sessions_csv(sessions: Sequence[Visit], stream) -> int:
     """One row per event: user_key, session_id, seq, epoch, resource, inferred.
 
@@ -572,7 +577,7 @@ def write_sessions_csv(sessions: Sequence[Visit], stream) -> int:
         session_id = "" if visit.session_id is None else visit.session_id
         prefix = f"{cell(f'{visit.user_key[0]}|{visit.user_key[1]}')},{session_id}"
         stream.write("".join([
-            f"{prefix},{seq},{int(event.timestamp.timestamp())},{cell(event.resource)},"
+            f"{prefix},{seq},{_epoch(event.timestamp)},{cell(event.resource)},"
             f"{int(event.inferred)}\n"
             for seq, event in enumerate(visit.events, start=1)
         ]))

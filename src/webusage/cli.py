@@ -30,7 +30,9 @@ from .baseline import (
     write_sessions_csv,
 )
 from .collector import DEFAULT_TIMEOUT, Collector, replay_stream
-from .compare import UniverseMismatchError, collector_report, load_roster, score_against_truth
+from .compare import (
+    AccuracyReport, UniverseMismatchError, collector_report, load_roster, score_against_truth,
+)
 from .csvio import RowError, replacing, rows
 from .enrichment import GeoIpLoadError, load_geoip, sample_geoip_table
 from .events import ReplayFormatError, read_replay
@@ -245,29 +247,31 @@ def cmd_report(args: argparse.Namespace) -> int:
         store.close()
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    store_path = _require_file(args.store, "store")
-    truth_path = _require_file(args.truth, "truth file")
+def score_outputs(store: str, baseline: str, truth: str) -> tuple[AccuracyReport, AccuracyReport]:
+    """Score a store and a sessions CSV against a truth file: (collector, baseline) side."""
+    store_path = _require_file(store, "store")
+    truth_path = _require_file(truth, "truth file")
     with _naming("truth file", truth_path):
-        truth = load_truth(truth_path)
-    baseline_path = _require_file(args.baseline, "baseline sessions file")
+        ground_truth = load_truth(truth_path)
+    baseline_path = _require_file(baseline, "baseline sessions file")
     with _naming("baseline sessions file", baseline_path), \
             open(baseline_path, encoding="utf-8", newline="") as fh:
         baseline_rows = read_sessions_csv(fh)
-    store = _open_read_only(store_path)
+    log_store = _open_read_only(store_path)
     try:
-        collector_side = collector_report(store, truth)
+        collector_side = collector_report(log_store, ground_truth)
     finally:
-        store.close()
-    baseline_side = score_against_truth(baseline_rows, truth)
+        log_store.close()
+    return collector_side, score_against_truth(baseline_rows, ground_truth)
+
+
+def cmd_compare(args: argparse.Namespace) -> int:
+    collector_side, baseline_side = score_outputs(args.store, args.baseline, args.truth)
     print("collector:")
     print(collector_side.to_text())
     print("baseline:")
     print(baseline_side.to_text())
-    gap = (
-        collector_side.exact_session_match_rate
-        - baseline_side.exact_session_match_rate
-    )
+    gap = collector_side.exact_session_match_rate - baseline_side.exact_session_match_rate
     print(f"exact_session_match_rate gap (collector - baseline): {gap:.6f}")
     return 0
 

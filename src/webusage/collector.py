@@ -23,8 +23,10 @@ from datetime import datetime, timedelta
 from functools import lru_cache
 from typing import Container, Iterable
 
-from .enrichment import GeoIpTable, default_search_registry, first_language_tag, parse_user_agent
-from .events import AppPageResult, RawRequestEvent
+from .enrichment import (
+    UNKNOWN, GeoIpTable, default_search_registry, first_language_tag, parse_user_agent,
+)
+from .events import AppPageResult, RawRequestEvent, naive_utc
 from .storage import (
     LiveSession,
     LogStore,
@@ -123,14 +125,9 @@ class Collector:
         try:
             with self.store.transaction():
                 open_session = self.store.get_open_session(event.session_token)
-                if open_session is not None:
-                    now = event.timestamp
-                    if now.microsecond:
-                        now = now.replace(microsecond=0)
-                    gap = (now - open_session.last_activity).total_seconds()
-                    if gap > self.timeout:
-                        self._close(open_session, "timeout")
-                        open_session = None
+                if open_session is not None and self._expired(open_session, event.timestamp):
+                    self._close(open_session, "timeout")
+                    open_session = None
                 if open_session is None:
                     open_session = self._start_session(event)
                 else:
@@ -164,9 +161,8 @@ class Collector:
             raise CollectionError(str(exc)) from exc
 
     def sweep_expired(self, now: datetime) -> int:
-        """Retire every open session idle strictly longer than the timeout."""
-        ended = 0
-        now = now.replace(microsecond=0)
+        """Retire every open session idle strictly longer than the timeout at ``now``."""
+        now = naive_utc(now)
         try:
             cutoff = now - timedelta(seconds=self.timeout)
         except OverflowError:
@@ -175,13 +171,13 @@ class Collector:
             with self.store.transaction():
                 # The store compares whole seconds, so it returns every expired
                 # session and perhaps some at the boundary; the gap test decides.
-                for open_session in self.store.open_sessions_idle_since(cutoff):
-                    if (now - open_session.last_activity).total_seconds() > self.timeout:
-                        self._close(open_session, "timeout")
-                        ended += 1
+                expired = [s for s in self.store.open_sessions_idle_since(cutoff)
+                           if self._expired(s, now)]
+                for open_session in expired:
+                    self._close(open_session, "timeout")
         except _STORE_FAILURES as exc:
             raise CollectionError(str(exc)) from exc
-        return ended
+        return len(expired)
 
     # -- internals -----------------------------------------------------------
 
@@ -191,6 +187,11 @@ class Collector:
         self.warning_count += 1
         if len(self.warnings) < 1000:
             self.warnings.append(message)
+
+    def _expired(self, open_session: OpenSession, now: datetime) -> bool:
+        """Whether the idle gap at ``now``, in whole seconds as stored, exceeds the timeout."""
+        gap = now.replace(microsecond=0) - open_session.last_activity
+        return gap.total_seconds() > self.timeout
 
     def _close(self, open_session: OpenSession, reason: str) -> None:
         self.store.close_session(open_session.opn_id, open_session.last_activity, reason)
@@ -239,7 +240,7 @@ class Collector:
         try:
             return self.geoip.lookup(ip)
         except ValueError:
-            return "unknown"
+            return UNKNOWN
 
     def _record_page(self, event: RawRequestEvent, open_session: LiveSession) -> int:
         session_map = {"ses_id": str(open_session.opn_id)}

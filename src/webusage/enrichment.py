@@ -135,9 +135,6 @@ class GeoIpTable:
         self.ranges = tuple(sorted(ranges, key=lambda r: r.start_ip))
         self._starts = [r.start_ip for r in self.ranges]
 
-    def __len__(self) -> int:
-        return len(self.ranges)
-
     def lookup(self, ip: str | int) -> str:
         value = ip_to_int(ip)
         idx = bisect.bisect_right(self._starts, value) - 1

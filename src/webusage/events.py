@@ -78,6 +78,16 @@ class AppPageResult:
         object.__setattr__(self, "page_load_time", float(self.page_load_time))
 
 
+def naive_utc(when: datetime) -> datetime:
+    """``when`` as the naive UTC time it names; a naive time is one already."""
+    if when.tzinfo is None:
+        return when
+    try:
+        return when.astimezone(timezone.utc).replace(tzinfo=None)
+    except OverflowError:
+        raise ValueError(f"timestamp {when.isoformat()} is outside years 1-9999 in UTC") from None
+
+
 @dataclass
 class RawRequestEvent:
     """One HTTP request as seen by the application tier.
@@ -147,14 +157,7 @@ class RawRequestEvent:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if not self.session_token:
             raise ValueError("session_token must be non-empty")
-        if self.timestamp.tzinfo is not None:
-            try:
-                utc = self.timestamp.astimezone(timezone.utc)
-            except OverflowError:
-                raise ValueError(
-                    f"timestamp {self.timestamp.isoformat()} is outside years 1-9999 in UTC"
-                ) from None
-            self.timestamp = utc.replace(tzinfo=None)
+        self.timestamp = naive_utc(self.timestamp)
         if self.referrer == "":
             self.referrer = None
         if self.auth_user == "":

@@ -54,9 +54,6 @@ class GroundTruth:
     sessions: list[TruthSession] = field(default_factory=list)
     events: list[TruthEvent] = field(default_factory=list)
 
-    def session_count(self) -> int:
-        return len(self.sessions)
-
     def served_events(self) -> list[TruthEvent]:
         """Events a server would actually log (cache hits never reach it)."""
         return [e for e in self.events if not e.cached]

@@ -888,7 +888,7 @@ def emit_eclf_reference(events, truth, config, stream, noise: bool = True) -> in
 
 
 def pairwise_reference(pred: dict, truth: dict) -> tuple[float, float]:
-    """``baseline._pairwise`` counted with plain dicts, one event at a time:
+    """``compare._pairwise`` counted with plain dicts, one event at a time:
     the reference for its pairwise precision and recall."""
     contingency: dict = {}
     pred_sizes: dict = {}
@@ -951,14 +951,19 @@ def csv_row_reference(values) -> str:
 
 def write_sessions_csv_reference(sessions, stream) -> int:
     """``baseline.write_sessions_csv`` with one :func:`csv_row_reference`
-    per event: the reference for the sessions CSV bytes."""
+    per event: the reference for the sessions CSV bytes.  An event's time
+    is taken to the naive UTC time it names, and its epoch is counted
+    from 1970-01-01 00:00:00 naive."""
     stream.write(csv_row_reference(("user_key", "session_id", "seq", "time", "resource", "inferred")))
     n = 0
     for visit in sessions:
         key = f"{visit.user_key[0]}|{visit.user_key[1]}"
         for seq, event in enumerate(visit.events, start=1):
+            when = event.timestamp
+            if when.tzinfo is not None:
+                when = when.astimezone(timezone.utc).replace(tzinfo=None)
             stream.write(csv_row_reference(
-                [key, visit.session_id, seq, int(event.timestamp.timestamp()),
+                [key, visit.session_id, seq, int((when - datetime(1970, 1, 1)).total_seconds()),
                  event.resource, int(event.inferred)]
             ))
             n += 1

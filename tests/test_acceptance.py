@@ -103,7 +103,7 @@ class TestAcceptance:
             store.close()
         elapsed = time.perf_counter() - start
         ok = (
-            900 <= truth.session_count() <= 1100
+            900 <= len(truth.sessions) <= 1100
             and report.user_precision == 1.0
             and report.user_recall == 1.0
             and report.session_precision == 1.0
@@ -111,7 +111,7 @@ class TestAcceptance:
             and report.exact_session_match_rate == 1.0
             and elapsed < 30.0
         )
-        assert verdict(4, ok, f"{truth.session_count()} sessions, user and session"
+        assert verdict(4, ok, f"{len(truth.sessions)} sessions, user and session"
                               f" exact={report.exact_session_match_rate:.6f},"
                               f" {elapsed:.1f}s")
 

@@ -1,6 +1,7 @@
 import csv
 import gzip
 import io
+import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -899,7 +900,8 @@ VISITS = st.lists(st.builds(
         VisitEvent,
         timestamp=st.datetimes(
             min_value=datetime(1900, 1, 2), max_value=datetime(2100, 12, 30),
-            timezones=st.integers(-1439, 1439).map(lambda m: timezone(timedelta(minutes=m))),
+            timezones=st.none() | st.integers(-1439, 1439).map(
+                lambda m: timezone(timedelta(minutes=m))),
         ),
         resource=CSV_TEXT,
         referrer=st.none() | CSV_TEXT,
@@ -1269,6 +1271,30 @@ class TestSessionsCsvSeq:
         for seq in ("1", "7", "x", ""):
             rows = read_sessions_csv(io.StringIO(f"{header}\na|b,1,{seq},60,/x,0\n"))
             assert rows == [("a|b", 1, 60, "/x", False)]
+
+
+class TestSessionsCsvTime:
+    """FORMATS.md "Classical sessions CSV (`preprocess --out`)": an event
+    time without a UTC offset is written as the UTC time it names, whatever
+    the host's time zone."""
+
+    @pytest.mark.skipif(not hasattr(time, "tzset"), reason="time.tzset is POSIX only")
+    @pytest.mark.parametrize("zone", ["UTC0", "JST-9", "EST+5"])
+    def test_a_naive_time_is_written_as_utc_in_any_zone(self, monkeypatch, zone):
+        naive = datetime(2021, 9, 2, 10)
+        aware = datetime(2021, 9, 2, 13, tzinfo=timezone(timedelta(hours=3)))
+        visits = [Visit(("10.0.0.1", "a"), [VisitEvent(naive, "/a"), VisitEvent(aware, "/b")], 1)]
+        written = io.StringIO(newline="")
+        monkeypatch.setenv("TZ", zone)
+        time.tzset()
+        try:
+            write_sessions_csv(visits, written)
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        assert written.getvalue().splitlines()[1:] == [
+            "10.0.0.1|a,1,1,1630576800,/a,0", "10.0.0.1|a,1,2,1630576800,/b,0",
+        ]
 
 
 class TestUniverseChecks:

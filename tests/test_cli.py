@@ -131,7 +131,7 @@ class TestCollect:
         captured = capsys.readouterr().out
         assert rc == 0
         truth = load_truth(workspace["truth"])
-        assert f"sessions={truth.session_count()} pageviews={len(truth.events)}" \
+        assert f"sessions={len(truth.sessions)} pageviews={len(truth.events)}" \
             in captured
 
     def test_missing_replay_exits_2(self, tmp_path, capsys):
@@ -1522,6 +1522,18 @@ class TestFormatsContract:
         assert main(["export", "--store", str(store), "--out", str(out_dir)]) == 0
         with open(out_dir / "log_page.csv", encoding="utf-8", newline="") as fh:
             return list(csv.DictReader(fh))
+
+    def test_every_heading_is_named_by_a_test(self):
+        """Every ``##`` and ``###`` heading of FORMATS.md is quoted by some
+        file under tests/, whole or as its text before `` (``: a heading
+        ``Name (`file`)`` is named by ``"Name"``."""
+        tests = Path(__file__).resolve().parent
+        text = (tests.parent / "FORMATS.md").read_text("utf-8")
+        headings = re.findall(r"^###? (.+)$", text, re.M)
+        assert len(headings) >= 17
+        quoted = "".join(p.read_text("utf-8") for p in sorted(tests.rglob("*.py")))
+        assert [h for h in headings
+                if f'"{h}"' not in quoted and f'"{h.partition(" (")[0]}"' not in quoted] == []
 
     def test_report_kinds_list_matches_cli(self):
         text = (Path(__file__).resolve().parent.parent / "FORMATS.md").read_text()

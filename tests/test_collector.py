@@ -478,6 +478,28 @@ class TestSessionsContract:
         assert collector.sweep_expired(T0 + timedelta(seconds=120.9)) == 0
         assert collector.sweep_expired(T0 + timedelta(seconds=121)) == 1
 
+    def test_an_aware_sweep_time_is_the_utc_time_it_names(self, mem_store):
+        # FORMATS.md's example: a request at 10:00+03:00 is stored as 07:00:00.
+        collector = Collector(mem_store, site_hosts=HOSTS, timeout=60)
+        at = datetime(2021, 9, 2, 10, 0, tzinfo=timezone(timedelta(hours=3)))
+        assert collector.handle_request_begin(_event(timestamp=at)) == (1, 1)
+        assert collector.sweep_expired(datetime(2021, 9, 2, 7, 1, tzinfo=timezone.utc)) == 0
+        assert collector.sweep_expired(datetime(2021, 9, 2, 10, 1, 1, tzinfo=at.tzinfo)) == 1
+        assert mem_store.get_session(1).end_reason == "timeout"
+
+    @pytest.mark.parametrize("now", [
+        datetime.max.replace(tzinfo=timezone(timedelta(hours=-1))),
+        datetime.min.replace(tzinfo=timezone(timedelta(hours=1))),
+    ])
+    def test_an_aware_sweep_time_outside_the_calendar_is_refused_as_an_event_time(
+            self, collector, now):
+        with pytest.raises(ValueError) as from_event:
+            _event(timestamp=now)
+        with pytest.raises(ValueError) as from_sweep:
+            collector.sweep_expired(now)
+        assert str(from_sweep.value) == str(from_event.value) \
+            == f"timestamp {now.isoformat()} is outside years 1-9999 in UTC"
+
     def test_first_request_fixes_the_session_user(self, collector, mem_store):
         mem_store.upsert_user(UserInfo(7, "u0007", "academic_staff", "female"))
         opn, _ = collector.handle_request_begin(_event(seconds=0))
@@ -699,5 +721,5 @@ class TestGroundTruthExactness:
         assert report.session_precision == 1.0
         assert report.session_recall == 1.0
         assert report.exact_session_match_rate == 1.0
-        assert report.truth_sessions == truth.session_count()
-        assert report.predicted_sessions == truth.session_count()
+        assert report.truth_sessions == len(truth.sessions)
+        assert report.predicted_sessions == len(truth.sessions)

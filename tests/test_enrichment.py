@@ -133,7 +133,7 @@ class TestGeoIp:
 
     def test_two_rows_load(self):
         table = load_geoip(io.StringIO("0,100,AA\n200,300,BB\n"))
-        assert len(table) == 2
+        assert len(table.ranges) == 2
         assert table.lookup(0) == "AA"
         assert table.lookup(150) == "unknown"
         assert table.lookup(300) == "BB"
@@ -161,7 +161,7 @@ class TestGeoIp:
 
     def test_header_only_as_first_row(self):
         header = "start_ip,end_ip,country_code\n"
-        assert len(load_geoip(io.StringIO(header + "0,100,AA\n"))) == 1
+        assert len(load_geoip(io.StringIO(header + "0,100,AA\n")).ranges) == 1
         for before in ("0,100,AA\n", "\n", "# ranges\n"):
             with pytest.raises(GeoIpLoadError) as info:
                 load_geoip(io.StringIO(before + header + "200,300,BB\n"))
@@ -186,7 +186,7 @@ class TestGeoIp:
 
     def test_comments_and_blanks_skipped(self):
         table = load_geoip(io.StringIO("# header\n\n0,100,AA\n"))
-        assert len(table) == 1
+        assert len(table.ranges) == 1
 
     @pytest.mark.parametrize("text, line_no", [
         ('# ranges,"approximate\n0,100,AA\n200,300,BB\n', 3),

@@ -5,6 +5,8 @@ import gzip
 import hashlib
 import io
 import itertools
+import math
+import random
 import urllib.parse
 from datetime import timedelta, timezone
 from pathlib import Path
@@ -26,6 +28,8 @@ from webusage.simulator import (
     SITE_HOST,
     ConfigError,
     WorkloadConfig,
+    _exp_seconds,
+    _poisson,
     emit_eclf,
     generate,
     simulate_to_dir,
@@ -154,6 +158,9 @@ def truth_bytes(truth: GroundTruth) -> bytes:
 
 
 class TestDeterminism:
+    """FORMATS.md "Randomness": a (config, seed) pair produces byte-identical
+    files, and all randomness comes from the two seeded generators."""
+
     def test_generate_is_reproducible(self):
         config = make_config(nat_share=0.2, cookie_loss_share=0.1,
                              cached_nav_share=0.2, dynamic_ip_share=0.1)
@@ -185,6 +192,84 @@ class TestDeterminism:
         with open(paths["replay"], encoding="utf-8") as fh:
             loaded = list(read_replay(fh))
         assert loaded == events
+
+    def test_the_global_generator_is_neither_read_nor_moved(self):
+        config = make_config(cached_nav_share=0.2, dynamic_ip_share=0.3)
+        outputs = []
+        saved = random.getstate()
+        try:
+            for seed in (1, 2):
+                random.seed(seed)
+                state = random.getstate()
+                events, truth = generate(config)
+                log = io.StringIO()
+                emit_eclf(events, truth, config, log, noise=True)
+                assert random.getstate() == state
+                outputs.append((replay_bytes(events), truth_bytes(truth), log.getvalue()))
+        finally:
+            random.setstate(saved)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 3.0, 9.0])
+    def test_poisson_counts_uniforms_until_their_product_falls_to_exp_minus_lambda(self, lam):
+        rng, twin = random.Random(5), random.Random(5)
+        for _ in range(200):
+            count = _poisson(rng, lam)
+            if lam == 0.0:
+                assert count == 0
+                continue
+            product = 1.0
+            for drawn in itertools.count(1):
+                product *= twin.random()
+                if product <= math.exp(-lam):
+                    break
+            assert count == drawn - 1
+        assert rng.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("mean", [1.0, 60.0, 300.0])
+    def test_exponential_gaps_take_one_uniform_through_the_log_transform(self, mean):
+        rng, twin = random.Random(5), random.Random(5)
+        for _ in range(200):
+            assert _exp_seconds(rng, mean) == int(-mean * math.log(1.0 - twin.random()))
+        assert rng.getstate() == twin.getstate()
+
+
+class TestSimulatorOutputs:
+    """FORMATS.md "Simulator outputs": the three files ``simulate`` writes,
+    and noise confined to the access log."""
+
+    FLAGS = ["--users", "6", "--session-rate", "2", "--seed", "3", "--cached-nav-share", "0.3"]
+
+    def simulate(self, out, capsys, *extra) -> dict[str, bytes]:
+        assert cli.main(["simulate", *self.FLAGS, *extra, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"replay: {out / 'events.replay'}", f"eclf: {out / 'access.log'}",
+            f"truth: {out / 'truth.csv'}",
+        ]
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def test_three_files_one_replay_line_per_truth_event(self, tmp_path, capsys):
+        files = self.simulate(tmp_path, capsys)
+        assert sorted(files) == ["access.log", "events.replay", "truth.csv"]
+        truth = read_truth(io.StringIO(files["truth.csv"].decode(), newline=""))
+        assert files["events.replay"].decode().count("\n") == len(truth.events)
+        assert any(e.cached for e in truth.events)
+
+    def test_toggling_noise_never_shifts_the_main_stream(self, tmp_path, capsys):
+        noisy = self.simulate(tmp_path / "noisy", capsys)
+        quiet = self.simulate(tmp_path / "quiet", capsys, "--no-noise")
+        assert quiet["events.replay"] == noisy["events.replay"]
+        assert quiet["truth.csv"] == noisy["truth.csv"]
+        # The quiet log is the served events, and the noisy log holds them
+        # in the same order among its noise lines.
+        truth = read_truth(io.StringIO(quiet["truth.csv"].decode(), newline=""))
+        quiet_lines = quiet["access.log"].decode().splitlines()
+        assert [(e.ip, e.resource, int(e.timestamp.timestamp()))
+                for e in map(parse_log_line, quiet_lines)] \
+            == [(e.ip, e.resource, e.epoch) for e in truth.served_events()]
+        noisy_lines = iter(noisy["access.log"].decode().splitlines())
+        assert all(line in noisy_lines for line in quiet_lines)
+        assert len(noisy["access.log"]) > len(quiet["access.log"])
 
 
 class TestWorkloadShape:
@@ -233,7 +318,7 @@ class TestWorkloadShape:
 
     def test_total_cookie_loss_makes_every_event_its_own_session(self):
         events, truth = generate(make_config(cookie_loss_share=1.0))
-        assert truth.session_count() == len(truth.events)
+        assert len(truth.sessions) == len(truth.events)
         assert len({e.session_token for e in events}) == len(events)
 
     def test_nat_pool_shares_addresses_three_ways(self):
@@ -274,8 +359,8 @@ class TestWorkloadShape:
                                 pageviews_per_session_mean=7.0)
         _, truth = generate(config)
         expected_sessions = 200 * 5.0
-        assert abs(truth.session_count() - expected_sessions) / expected_sessions < 0.10
-        expected_pages = truth.session_count() * 7.0
+        assert abs(len(truth.sessions) - expected_sessions) / expected_sessions < 0.10
+        expected_pages = len(truth.sessions) * 7.0
         assert abs(len(truth.events) - expected_pages) / expected_pages < 0.10
 
     def test_signed_in_users_carry_their_username(self):
@@ -354,6 +439,9 @@ class TestWritersMatchReference:
         assert sum(text.count("\n") for text in writes) == count
 
 class TestEclfEmission:
+    """FORMATS.md "Simulator outputs": the access log misses cache-served
+    navigations and, with noise, adds log-only lines."""
+
     def emit(self, config: WorkloadConfig, noise: bool) -> tuple[list[str], int, GroundTruth]:
         events, truth = generate(config)
         buf = io.StringIO()
@@ -551,7 +639,9 @@ class TestPipelineAccuracy:
 class TestExtremeConfigBytes:
     """The sha256 of the three ``simulate`` files for two extreme configs
     that the digest workloads do not reach: every stress at 1.0 with the
-    shortest timeout, and a one-year timeout over one hour."""
+    shortest timeout, and a one-year timeout over one hour.  FORMATS.md
+    "Randomness": the pins hold on every platform the suite runs on, under
+    any hash seed."""
 
     PINNED = {
         "all-stress-timeout-60": (

@@ -974,7 +974,7 @@ class TestStats:
         _, _, truth = small_workload
         stats = sim_store.store_stats()
         assert stats["rows.log_page"] == len(truth.events)
-        assert stats["rows.log_session"] == truth.session_count()
+        assert stats["rows.log_session"] == len(truth.sessions)
         assert stats["rows.open_sessions"] == 0
         assert stats["avg_row_bytes.log_page"] > 0
         assert stats["avg_row_bytes.log_session"] > 0
