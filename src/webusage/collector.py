@@ -179,6 +179,14 @@ class Collector:
             raise CollectionError(str(exc)) from exc
         return len(expired)
 
+    def end_replay(self, last_time: datetime) -> None:
+        """Close, as ``timeout`` at its last activity, every open session
+        last active at or before ``last_time``, the time of a replay's last
+        event.  It runs in the caller's transaction: ``replay_stream`` calls
+        it as the last step of its batch."""
+        for open_session in self.store.open_sessions_idle_since(last_time):
+            self._close(open_session, "timeout")
+
     # -- internals -----------------------------------------------------------
 
     def _warn(self, message: str) -> None:
@@ -271,6 +279,9 @@ def replay_stream(
 ) -> tuple[int, int]:
     """Feed events through a collector in one batch transaction.
 
+    The batch (``LogStore.batch``) buffers the store's writes and commits
+    them once.  Each event is a nested scope in it, a mark in the buffer's
+    undo log rather than a savepoint, so a failed event leaves no trace.
     Returns (pages recorded, collection errors).  Errors never abort the
     replay; they are counted and optionally passed to ``on_error``.  The
     replay ends by closing, as ``timeout`` at its last activity, every open
@@ -280,7 +291,7 @@ def replay_stream(
     pages = 0
     errors = 0
     last_time: datetime | None = None
-    with collector.store.transaction():
+    with collector.store.batch():
         for event in events:
             last_time = event.timestamp
             try:
@@ -291,6 +302,5 @@ def replay_stream(
                 if on_error is not None:
                     on_error(exc)
         if last_time is not None:
-            for open_session in collector.store.open_sessions_idle_since(last_time):
-                collector._close(open_session, "timeout")
+            collector.end_replay(last_time)
     return pages, errors

@@ -7,7 +7,10 @@ pageview, foreign-keyed to its session).  Each table's schema is built from
 its record dataclass, whose fields are its columns, in order.  SQLite gives
 transactions and referential integrity; a process-wide lock gives
 single-writer semantics so the collector can be driven from many request
-threads.
+threads.  A replay runs as one batch (:meth:`LogStore.batch`): its session,
+page and open-session writes are buffered and written in chunks with
+``executemany``, and its nested scopes, one per event, are marks in the
+buffer's undo log rather than savepoints.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import typing
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -46,6 +49,8 @@ NO_GENDER_TYPES = ("guest", "unit_mission")
 END_REASONS = ("logout", "timeout")
 REFERRAL_CLASSES = ("direct", "internal", "search_engine", "external")
 
+# SQLite's INTEGER range; sqlite3 cannot bind an int outside it.
+_INT_MIN, _INT_MAX = -2**63, 2**63 - 1
 # A stored time: zero-padded ASCII digits, so text order is time order.
 _CANONICAL_DT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")
 # JSON's string encoder: a quoted string, escaped as json.dumps escapes it.
@@ -287,7 +292,8 @@ class _Codec:
     column, if any, whose value the store assigns.  ``encode`` refuses a
     record whose ``assigned`` column is set, runs the record's ``validate``,
     if it has one, and refuses, in a field typed ``int``, ``str`` or
-    ``bool``, any value but ``None`` and that exact type.
+    ``bool``, any value but ``None`` and that exact type, and in a field
+    typed ``int`` a value outside SQLite's 64-bit INTEGER range.
     """
 
     def __init__(self, table: str, record_type: type, order_by: str, **constraints: str):
@@ -316,6 +322,7 @@ class _Codec:
         self._encoders = [(i, conv[0]) for i, conv in converted if conv]
         self._decoders = [(i, conv[1]) for i, conv in converted if conv]
         self._typed = [(i, kind) for i, kind in enumerate(kinds) if kind in (int, str, bool)]
+        self._ints = [i for i, kind in self._typed if kind is int]
 
     def encode(self, rec: Any) -> list:
         if self.assigned is not None and getattr(rec, self.assigned) is not None:
@@ -324,9 +331,15 @@ class _Codec:
             self._validate(rec)
         row = list(self._values(rec))
         for i, kind in self._typed:
-            if row[i] is not None and type(row[i]) is not kind:
+            value = row[i]
+            if value is not None and type(value) is not kind:
                 what = "an integer" if kind is int else f"a {kind.__name__}"
-                raise ConstraintError(f"{self.names[i]} must be {what}, got {row[i]!r}")
+                raise ConstraintError(f"{self.names[i]} must be {what}, got {value!r}")
+        for i in self._ints:
+            value = row[i]
+            if value is not None and not _INT_MIN <= value <= _INT_MAX:
+                raise ConstraintError(
+                    f"{self.names[i]} must be an integer in [-2**63, 2**63 - 1], got {value!r}")
         for i, conv in self._encoders:
             if row[i] is not None:
                 row[i] = conv(row[i])
@@ -380,6 +393,25 @@ _OPEN_SESSION_SQL = (
 )
 
 
+_CLOSE_SQL = "UPDATE log_session SET ended_at = ?, end_reason = ? WHERE opn_id = ?"
+
+
+def _next_id_sql(table: str) -> str:
+    """The id ``AUTOINCREMENT`` gives the next row of ``table``: one past
+    the larger of the highest id ever given and the highest id present."""
+    col = _CODECS[table].assigned
+    return (f"(SELECT MAX(IFNULL((SELECT seq FROM sqlite_sequence WHERE name = '{table}'), 0),"
+            f" IFNULL(MAX({col}), 0)) + 1 FROM {table})")
+
+
+# What a replay batch reads once, when it opens: the next ids, and every
+# open session with its session's start and user.
+_NEXT_IDS_SQL = f"SELECT {_next_id_sql('log_session')}, {_next_id_sql('log_page')}"
+_OPEN_SESSIONS_SQL = (
+    "SELECT o.session_token, o.opn_id, o.last_activity, s.started_at, s.user_id, s.username"
+    " FROM open_sessions o JOIN log_session s ON s.opn_id = o.opn_id"
+)
+
 # The columns an AppPageResult sets: ``log_<field>`` for each of its fields.
 _RESULT_FIELDS = [f.name for f in dataclasses.fields(AppPageResult)]
 _RESULT_SQL = (f"UPDATE log_page SET {', '.join(f'log_{f} = ?' for f in _RESULT_FIELDS)}"
@@ -398,12 +430,305 @@ def _quoted_cells(col: str, text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the replay batch
+# ---------------------------------------------------------------------------
+
+# Rows a replay batch buffers before it writes them, between two events.
+_BATCH_ROWS = 1024
+_SESSION_INDEX = {name: i for i, name in enumerate(TABLE_COLUMNS["log_session"])}
+_known_fields = itemgetter(_SESSION_INDEX["started_at"], _SESSION_INDEX["user_id"],
+                           _SESSION_INDEX["username"])
+_ENDED, _REASON = _SESSION_INDEX["ended_at"], _SESSION_INDEX["end_reason"]
+
+
+def _encodable(value: Any) -> None:
+    """Raise the UnicodeEncodeError sqlite3 raises binding a str with a
+    lone surrogate, which UTF-8 cannot encode."""
+    if type(value) is str and not value.isascii():
+        value.encode()
+
+
+class _RowCheck:
+    """What SQLite refuses in a new row of one table before it stores it:
+    a lone surrogate in a TEXT cell, when it binds the row, then a NULL in a
+    ``NOT NULL`` column of the table as the store file declares it (a column
+    the codec does not write is NULL unless it has a default)."""
+
+    def __init__(self, conn: sqlite3.Connection, codec: _Codec):
+        index = {name: i for i, name in enumerate(codec.names)}
+        self.table = codec.table
+        self.not_null = [(index.get(name), name) for _, name, _, not_null, default, _
+                         in conn.execute(f"PRAGMA table_info({codec.table})")
+                         if not_null and (name in index or default is None)]
+        present = [i for i, _ in self.not_null if i is not None]
+        self.always = len(present) < len(self.not_null)  # a column that is always NULL
+        # itemgetter gives a tuple for two or more indices; a lone one is taken twice.
+        self.not_null_cells = itemgetter(*present, *present[:1]) if present else lambda row: ()
+        self.text = [i for i, sql_type in enumerate(codec.sql_types) if sql_type == "TEXT"]
+
+    def check(self, row: list) -> None:
+        for i in self.text:  # each cell is a str or None
+            cell = row[i]
+            if cell is not None and not cell.isascii():
+                cell.encode()
+        if self.always or None in self.not_null_cells(row):
+            for i, name in self.not_null:
+                if i is None or row[i] is None:
+                    raise ConstraintError(f"NOT NULL constraint failed: {self.table}.{name}")
+
+
+class _Batch:
+    """The writes of one replay batch (:meth:`LogStore.batch`), buffered and
+    written with ``executemany``.
+
+    ``log_session`` and ``log_page`` rows take their ids from each table's
+    next id, read when the batch opens.  A session closed before its row is
+    written is closed in the buffered row; one written already, or older
+    than the batch, gets a buffered ``UPDATE``.  ``opens`` maps each token
+    with an open session to ``(opn_id, last activity text, last activity)``:
+    read from ``open_sessions`` when the batch opens, then kept here, and
+    written back as the difference from ``stored``, what the table holds.
+
+    Each new row is checked, before it is buffered, for what SQLite would
+    refuse when it is written, and fails with SQLite's error: a lone
+    surrogate, a NULL in a ``NOT NULL`` column, a page or open session of a
+    missing session, and a second open row for a token or a session.  So a
+    write fails only on I/O, and then the batch is ``broken``: it writes
+    nothing more and rolls back when it exits.
+
+    An event is a nested scope: :meth:`mark` notes where its undo log
+    starts, and :meth:`release` undoes the log back to there when the event
+    failed.  Rows are written only between events, in chunks of
+    ``_BATCH_ROWS``, sessions before the pages that name them; the open
+    sessions when the batch commits, or when a read between events needs
+    every table as the batch left it.
+    """
+
+    def __init__(self, conn: sqlite3.Connection):
+        self.conn = conn
+        (self.next_session, self.next_page), = conn.execute(_NEXT_IDS_SQL)
+        self.checks = {table: _RowCheck(conn, _CODECS[table])
+                       for table in ("log_session", "open_sessions", "log_page")}
+        self.sessions: list[list] = []
+        self.pages: list[list] = []
+        self.closes: list[tuple] = []  # (ended_at, end_reason, opn_id) of written sessions
+        self.unwritten: dict[int, list] = {}  # opn_id -> its buffered row
+        self.known: dict[int, tuple] = {}  # opn_id -> (started_at, user_id, username)
+        self.opens: dict[str, tuple] = {}
+        self.open_ids: dict[int, str] = {}  # opn_id -> token
+        for token, opn_id, last_text, *known in conn.execute(_OPEN_SESSIONS_SQL):
+            self.opens[token] = (opn_id, last_text, text_to_dt(last_text))
+            self.open_ids[opn_id] = token
+            self.known[opn_id] = tuple(known)
+        self.stored = dict(self.opens)
+        self.undo: list = []
+        self.marks: list[int] = []
+        self.broken: BaseException | None = None
+
+    # -- events ------------------------------------------------------------
+
+    def _refuse_if_broken(self) -> None:
+        if self.broken is not None:
+            raise StorageError(f"the replay batch could not be written: {self.broken}")
+
+    def mark(self) -> None:
+        self._refuse_if_broken()
+        self.marks.append(len(self.undo))
+
+    def release(self, failed: bool) -> None:
+        mark = self.marks.pop()
+        if failed:
+            undo = self.undo
+            while len(undo) > mark:
+                undo.pop()()
+        if not self.marks:
+            self.undo.clear()
+            if len(self.sessions) + len(self.pages) + len(self.closes) >= _BATCH_ROWS:
+                self.write_rows()
+
+    def _log(self, undo) -> None:
+        if self.marks:  # outside an event only the outer rollback undoes
+            self.undo.append(undo)
+
+    # -- writing -------------------------------------------------------------
+
+    def write_rows(self) -> None:
+        """Write the buffered sessions, pages and closes."""
+        self._refuse_if_broken()
+        conn = self.conn
+        try:
+            if self.sessions:
+                conn.executemany(_CODECS["log_session"].insert_sql, self.sessions)
+                self.sessions.clear()
+                self.unwritten.clear()
+            if self.pages:
+                conn.executemany(_CODECS["log_page"].insert_sql, self.pages)
+                self.pages.clear()
+            if self.closes:
+                conn.executemany(_CLOSE_SQL, self.closes)
+                self.closes.clear()
+        except BaseException as exc:
+            self.broken = exc
+            raise
+
+    def write_all(self) -> None:
+        """Write every buffered change, the open sessions' included, so that
+        the tables hold what the batch did."""
+        self.write_rows()
+        opens, stored = self.opens, self.stored
+        if opens == stored:
+            return
+        # A token whose open session is another one is deleted, then inserted.
+        same = {t for t, e in opens.items() if t in stored and stored[t][0] == e[0]}
+        try:
+            self.conn.executemany("DELETE FROM open_sessions WHERE session_token = ?",
+                                  [(t,) for t in stored if t not in same])
+            self.conn.executemany(
+                "UPDATE open_sessions SET last_activity = ? WHERE session_token = ?",
+                [(opens[t][1], t) for t in same if opens[t] != stored[t]])
+            self.conn.executemany(_CODECS["open_sessions"].insert_sql, [
+                (t, e[0], e[1]) for t, e in opens.items() if t not in same])
+        except BaseException as exc:
+            self.broken = exc
+            raise
+        self.stored = dict(opens)
+
+    # -- sessions ----------------------------------------------------------
+
+    def _session(self, opn_id: int) -> tuple | None:
+        """(started_at, user_id, username) of a session, or None."""
+        known = self.known.get(opn_id)
+        if known is None:
+            known = self.conn.execute("SELECT started_at, user_id, username FROM log_session"
+                                      " WHERE opn_id = ?", (opn_id,)).fetchone()
+            if known is not None:  # a written row stays
+                self.known[opn_id] = known
+        return known
+
+    def insert_session(self, rec: SessionRecord) -> int:
+        row = _CODECS["log_session"].encode(rec)
+        self.checks["log_session"].check(row)
+        opn_id = self.next_session
+        if opn_id > _INT_MAX:  # AUTOINCREMENT's error past the last id
+            raise sqlite3.OperationalError("database or disk is full")
+        row[0] = rec.opn_id = opn_id
+        self.sessions.append(row)
+        self.unwritten[opn_id] = row
+        self.known[opn_id] = _known_fields(row)
+        self.next_session = opn_id + 1
+        self._log(self._undo_session)
+        return opn_id
+
+    def _undo_session(self) -> None:
+        opn_id = self.sessions.pop()[0]
+        del self.unwritten[opn_id], self.known[opn_id]
+        self.next_session = opn_id
+
+    def close_session(self, opn_id: int, ended_at: datetime, reason: str) -> None:
+        known = self._session(opn_id)
+        if known is None:
+            raise NotFoundError(f"no session {opn_id}")
+        if ended_at < text_to_dt(known[0]):
+            raise ConstraintError("ended_at before started_at")
+        ended = dt_to_text(ended_at)
+        row = self.unwritten.get(opn_id)
+        if row is None:
+            self.closes.append((ended, reason, opn_id))
+            self._log(self.closes.pop)
+        else:
+            before = row[_ENDED], row[_REASON]
+            row[_ENDED], row[_REASON] = ended, reason
+
+            def reopen():
+                row[_ENDED], row[_REASON] = before
+            self._log(reopen)
+
+    # -- open sessions -----------------------------------------------------
+
+    def _set_open(self, token: str, entry: tuple | None, log: bool = True) -> None:
+        """Set the token's open session, or with None close it."""
+        before = self.opens.pop(token, None)
+        if before is not None:
+            del self.open_ids[before[0]]
+        if entry is not None:
+            self.opens[token] = entry
+            self.open_ids[entry[0]] = token
+        if log and self.marks:
+            self.undo.append(lambda: self._set_open(token, before, log=False))
+
+    def get_open_session(self, token: str) -> LiveSession | None:
+        _encodable(token)
+        entry = self.opens.get(token)
+        if entry is None:
+            return None
+        opn_id, _, last_activity = entry
+        _, user_id, username = self._session(opn_id)
+        return LiveSession(token, opn_id, last_activity, user_id, username)
+
+    def put_open_session(self, open_session: OpenSession) -> None:
+        row = _CODECS["open_sessions"].encode(open_session)
+        self.checks["open_sessions"].check(row)
+        token, opn_id, last_text = row
+        # SQLite's order: the opn_id's UNIQUE, the token's PRIMARY KEY, then the session.
+        if opn_id in self.open_ids:
+            raise ConstraintError("UNIQUE constraint failed: open_sessions.opn_id")
+        if token in self.opens:
+            raise ConstraintError("UNIQUE constraint failed: open_sessions.session_token")
+        if self._session(opn_id) is None:
+            raise ForeignKeyError("FOREIGN KEY constraint failed")
+        self._set_open(token, (opn_id, last_text, open_session.last_activity.replace(microsecond=0)))
+
+    def touch_open_session(self, token: str, last_activity: datetime) -> None:
+        last_text = dt_to_text(last_activity)
+        _encodable(token)
+        entry = self.opens.get(token)
+        if entry is None:
+            raise NotFoundError(f"no open session for token {token!r}")
+        if last_text > entry[1]:
+            self._set_open(token, (entry[0], last_text, last_activity.replace(microsecond=0)))
+
+    def delete_open_session(self, token: str) -> bool:
+        _encodable(token)
+        if token not in self.opens:
+            return False
+        self._set_open(token, None)
+        return True
+
+    def open_sessions_idle_since(self, cutoff: datetime) -> list[OpenSession]:
+        cutoff_text = dt_to_text(cutoff)
+        idle = [OpenSession(token, opn_id, last_activity)
+                for token, (opn_id, last_text, last_activity) in self.opens.items()
+                if last_text <= cutoff_text]
+        return sorted(idle, key=attrgetter("opn_id"))
+
+    # -- pages ---------------------------------------------------------------
+
+    def insert_page(self, rec: PageRecord) -> int:
+        row = _CODECS["log_page"].encode(rec)
+        self.checks["log_page"].check(row)
+        if row[1] not in self.known and self._session(row[1]) is None:
+            raise ForeignKeyError("FOREIGN KEY constraint failed")
+        page_id = self.next_page
+        if page_id > _INT_MAX:
+            raise sqlite3.OperationalError("database or disk is full")
+        row[0] = rec.log_details_id = page_id
+        self.pages.append(row)
+        self.next_page = page_id + 1
+        self._log(self._undo_page)
+        return page_id
+
+    def _undo_page(self) -> None:
+        self.next_page = self.pages.pop()[0]
+
+
+# ---------------------------------------------------------------------------
 # the store
 # ---------------------------------------------------------------------------
 
 class _Transaction:
-    """One :meth:`LogStore.transaction` scope: ``BEGIN IMMEDIATE`` and
-    ``COMMIT``/``ROLLBACK`` at depth 0, a ``nested`` savepoint deeper.
+    """One :meth:`LogStore.transaction` or :meth:`LogStore.batch` scope:
+    ``BEGIN IMMEDIATE`` and ``COMMIT``/``ROLLBACK`` at depth 0, and deeper a
+    ``nested`` savepoint, or in a replay batch a mark in its undo log.
 
     A plain class rather than a generator context manager, which costs a
     generator and its frame on every request.  The store's ``_conn`` is looked
@@ -411,17 +736,30 @@ class _Transaction:
     opened sees the statements.
     """
 
-    __slots__ = ("_store", "_outer")
+    __slots__ = ("_store", "_outer", "_batched")
 
-    def __init__(self, store: LogStore):
+    def __init__(self, store: LogStore, batched: bool = False):
         self._store = store
+        self._batched = batched
 
     def __enter__(self) -> sqlite3.Connection:
         store = self._store
         store._lock.acquire()
         try:
             self._outer = store._depth == 0
-            store._conn.execute("BEGIN IMMEDIATE" if self._outer else "SAVEPOINT nested")
+            if not self._outer:
+                if store._batch is not None:
+                    store._batch.mark()
+                else:
+                    store._conn.execute("SAVEPOINT nested")
+            else:
+                store._conn.execute("BEGIN IMMEDIATE")
+                if self._batched:
+                    try:
+                        store._batch = _Batch(store._conn)
+                    except BaseException:
+                        store._conn.execute("ROLLBACK")
+                        raise
         except BaseException:
             store._lock.release()
             raise
@@ -431,22 +769,30 @@ class _Transaction:
     def __exit__(self, exc_type, exc, tb) -> None:
         store = self._store
         conn = store._conn
+        batch = store._batch
         try:
             store._depth -= 1
             if not self._outer:
-                if exc_type is not None:
-                    conn.execute("ROLLBACK TO nested")
-                conn.execute("RELEASE nested")
-            elif exc_type is not None:
+                if batch is not None:
+                    batch.release(exc_type is not None)
+                else:
+                    if exc_type is not None:
+                        conn.execute("ROLLBACK TO nested")
+                    conn.execute("RELEASE nested")
+                return
+            store._batch = None
+            if exc_type is not None:
                 conn.execute("ROLLBACK")
-            else:
-                try:
-                    conn.execute("COMMIT")
-                except BaseException:
-                    # A refused COMMIT (another connection still reading)
-                    # leaves the transaction open: undo it, as for any error.
-                    conn.execute("ROLLBACK")
-                    raise
+                return
+            try:
+                if batch is not None:
+                    batch.write_all()
+                conn.execute("COMMIT")
+            except BaseException:
+                # A refused COMMIT (another connection still reading) leaves
+                # the transaction open: undo it, as for any error.
+                conn.execute("ROLLBACK")
+                raise
         finally:
             store._lock.release()
 
@@ -456,7 +802,8 @@ class LogStore:
 
     Every method runs under one lock.  A method that writes with a single
     statement relies on SQLite's own statement atomicity; callers group
-    several calls with :meth:`transaction`.
+    several calls with :meth:`transaction`, and a replay groups its whole
+    stream with :meth:`batch`, whose writes are buffered.
     """
 
     def __init__(self, path: str | Path = ":memory:"):
@@ -465,6 +812,7 @@ class LogStore:
                                      isolation_level=None)
         self._lock = threading.RLock()
         self._depth = 0
+        self._batch: _Batch | None = None  # the open replay batch, if any
         try:
             self._conn.executescript(_SCHEMA)
         except BaseException:  # e.g. a read-only file without the tables
@@ -481,13 +829,30 @@ class LogStore:
         exits; a ``BEGIN IMMEDIATE`` that fails releases it.  An error
         raised through the outer scope, or a ``COMMIT`` SQLite refuses, rolls
         the whole transaction back.  A nested scope is a savepoint inside the
-        outer transaction: an error raised through it undoes only the writes
-        made within it.
+        outer transaction, or a mark in the buffer's undo log inside a
+        :meth:`batch`: either way an error raised through it undoes only the
+        writes made within it.
         """
         return _Transaction(self)
 
+    def batch(self) -> _Transaction:
+        """A :meth:`transaction` scope whose session, page and open-session
+        writes are buffered (see ``_Batch``), for a replay.
+
+        Its nested scopes, one per event, are marks in the batch's undo log,
+        not savepoints: an error raised through one undoes the writes
+        buffered within it.  The other writers write through, undone only
+        by the outer scope.  Inside a nested scope only the methods the
+        collector calls there see the buffered writes; a read between two
+        nested scopes writes them first.  Opened inside another scope, it is
+        a nested scope of that one.
+        """
+        return _Transaction(self, batched=True)
+
     def _query(self, sql: str, params: Sequence[Any] = ()) -> list:
         with self._lock:
+            if self._batch is not None and not self._batch.marks:
+                self._batch.write_all()
             return self._conn.execute(sql, params).fetchall()
 
     def _select(self, table: str, clause: str, params: Sequence[Any] = ()) -> list:
@@ -543,12 +908,17 @@ class LogStore:
 
     def insert_session(self, rec: SessionRecord) -> int:
         """Insert a new session and set its ``opn_id``, which the store assigns."""
-        return self._insert("log_session", rec)
+        with self._lock:
+            if self._batch is not None:
+                return self._batch.insert_session(rec)
+            return self._insert("log_session", rec)
 
     def close_session(self, opn_id: int, ended_at: datetime, reason: str) -> None:
         if reason not in END_REASONS:
             raise ConstraintError(f"bad end_reason: {reason!r}")
         with self._lock:
+            if self._batch is not None:
+                return self._batch.close_session(opn_id, ended_at, reason)
             rows = self._query(
                 "SELECT started_at FROM log_session WHERE opn_id = ?", (opn_id,)
             )
@@ -556,10 +926,7 @@ class LogStore:
                 raise NotFoundError(f"no session {opn_id}")
             if ended_at < text_to_dt(rows[0][0]):
                 raise ConstraintError("ended_at before started_at")
-            self._conn.execute(
-                "UPDATE log_session SET ended_at = ?, end_reason = ? WHERE opn_id = ?",
-                (dt_to_text(ended_at), reason, opn_id),
-            )
+            self._conn.execute(_CLOSE_SQL, (dt_to_text(ended_at), reason, opn_id))
 
     def get_session(self, opn_id: int) -> SessionRecord | None:
         rows = self._select("log_session", "WHERE opn_id = ?", (opn_id,))
@@ -572,7 +939,10 @@ class LogStore:
 
     def get_open_session(self, token: str) -> LiveSession | None:
         """The open session for a token, with its session's user."""
-        rows = self._query(_OPEN_SESSION_SQL, (token,))
+        with self._lock:
+            if self._batch is not None:
+                return self._batch.get_open_session(token)
+            rows = self._conn.execute(_OPEN_SESSION_SQL, (token,)).fetchall()
         if not rows:
             return None
         # open_sessions in TABLE_COLUMNS order, then the user (a test holds
@@ -581,10 +951,15 @@ class LogStore:
         return LiveSession(session_token, opn_id, text_to_dt(last_activity), user_id, username)
 
     def put_open_session(self, open_session: OpenSession) -> None:
-        self._insert("open_sessions", open_session)
+        with self._lock:
+            if self._batch is not None:
+                return self._batch.put_open_session(open_session)
+            self._insert("open_sessions", open_session)
 
     def touch_open_session(self, token: str, last_activity: datetime) -> None:
         with self._lock:
+            if self._batch is not None:
+                return self._batch.touch_open_session(token, last_activity)
             cur = self._conn.execute(
                 "UPDATE open_sessions SET last_activity = MAX(last_activity, ?)"
                 " WHERE session_token = ?",
@@ -595,25 +970,35 @@ class LogStore:
 
     def delete_open_session(self, token: str) -> bool:
         with self._lock:
+            if self._batch is not None:
+                return self._batch.delete_open_session(token)
             cur = self._conn.execute("DELETE FROM open_sessions WHERE session_token = ?", (token,))
             return cur.rowcount > 0
 
     def open_sessions_idle_since(self, cutoff: datetime) -> list[OpenSession]:
         """Open sessions last active at or before ``cutoff`` taken to the
         whole second, by opn_id."""
-        return self._select(
-            "open_sessions", "WHERE last_activity <= ? ORDER BY opn_id", (dt_to_text(cutoff),)
-        )
+        with self._lock:
+            if self._batch is not None:
+                return self._batch.open_sessions_idle_since(cutoff)
+            return self._select(
+                "open_sessions", "WHERE last_activity <= ? ORDER BY opn_id", (dt_to_text(cutoff),)
+            )
 
     # -- pages ---------------------------------------------------------------
 
     def insert_page(self, rec: PageRecord) -> int:
         """Insert a new page and set its ``log_details_id``, which the store
         assigns in insertion order."""
-        return self._insert("log_page", rec)
+        with self._lock:
+            if self._batch is not None:
+                return self._batch.insert_page(rec)
+            return self._insert("log_page", rec)
 
     def update_page_result(self, page_id: int, result: AppPageResult) -> None:
         with self._lock:
+            if self._batch is not None and not self._batch.marks:
+                self._batch.write_all()
             cur = self._conn.execute(_RESULT_SQL, _result_values(result) + (page_id,))
             if cur.rowcount == 0:
                 raise NotFoundError(f"no page row {page_id}")

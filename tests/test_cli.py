@@ -24,7 +24,7 @@ from webusage import cli
 from webusage.analytics import report_to_csv, report_to_plot, search_report_to_csv
 from webusage.baseline import PreprocessStats
 from webusage.cli import REPORT_KINDS, REPORTS, main
-from webusage.collector import CollectionError, Collector
+from webusage.collector import CollectionError, Collector, replay_stream
 from webusage.events import AppPageResult, RawRequestEvent, parse_replay_line
 from webusage.simulator import OPTION_NAMES, SITE_HOST, WorkloadConfig
 from webusage.storage import (
@@ -258,6 +258,8 @@ class TestCollect:
         ("1,,student,female", "username must be non-empty"),
         ("1,alice,unit_mission,female", "unit_mission records must carry gender not_applicable"),
         ("3,bob,student,male", "UNIQUE constraint failed: user_info.username"),
+        ("99999999999999999999,alice,student,female",
+         "user_id must be an integer in [-2**63, 2**63 - 1], got 99999999999999999999"),
     ])
     def test_bad_roster_cell_names_file_and_line(self, workspace, tmp_path, capsys, row, reason):
         store = tmp_path / "kept.db"
@@ -349,6 +351,27 @@ class TestCollect:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.replay"] + ["kept.db"] * existing
         if existing:
             assert store.read_bytes() == workspace["store"].read_bytes()
+
+    @pytest.mark.parametrize("server", ["99999999999999999999", "-99999999999999999999"])
+    def test_a_server_outside_64_bits_is_one_collection_error(self, tmp_path, capsys, server):
+        replay = tmp_path / "big.replay"
+        replay.write_text("".join(
+            f"ip=10.0.0.1 time=2021-09-02T10:00:0{i} method=GET url=/p{i} token=t1{extra}\n"
+            for i, extra in enumerate(["", f" server={server}", ""])
+        ), encoding="utf-8")
+        store = tmp_path / "s.db"
+        rc = main(["collect", str(replay), "--store", str(store)])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "sessions=1 pageviews=2\n",
+            "collection error: log_server must be an integer in [-2**63, 2**63 - 1],"
+            f" got {server}\n",
+        )
+        kept = LogStore(store)
+        try:
+            assert kept._query("SELECT log_url FROM log_page") == [("/p0",), ("/p2",)]
+        finally:
+            kept.close()
 
     def test_prints_only_the_first_10_collection_errors(self, tmp_path, capsys):
         replay = tmp_path / "bad_ips.replay"
@@ -1490,6 +1513,32 @@ class TestOldOpenSessionsStore:
             assert store._query("SELECT COUNT(*) FROM open_sessions") == [(0,)]
             assert store._query("SELECT ended_at, end_reason FROM log_session WHERE opn_id = ?",
                                 (opn,)) == [(str(at), "timeout" if close == "sweep" else close)]
+        finally:
+            store.close()
+
+    def test_a_replay_fails_each_session_start(self, old_store):
+        path, opn, last = old_store
+        store = LogStore(path)
+        try:
+            collector = Collector(store, [SITE_HOST])
+            before = {table: store._query(f"SELECT * FROM {table}") for table in TABLE_COLUMNS}
+            errors = []
+            # Before the open session's last activity, so the final close keeps it.
+            early = last - timedelta(seconds=1)
+            events = [self._event("new1", early), self._event("new2", early)]
+            assert replay_stream(collector, events, on_error=errors.append) == (0, 2)
+            assert [str(e) for e in errors] == [
+                "NOT NULL constraint failed: open_sessions.started_at"] * 2
+            assert {table: store._query(f"SELECT * FROM {table}")
+                    for table in TABLE_COLUMNS} == before
+            # The open session goes on, and the replay's final close ends it.
+            at = last + timedelta(seconds=60)
+            events = [self._event("new1", at), self._event("old", at), self._event("new2", at)]
+            assert replay_stream(collector, events) == (1, 2)
+            assert store._query("SELECT COUNT(*) FROM open_sessions") == [(0,)]
+            assert store._query("SELECT ended_at, end_reason FROM log_session WHERE opn_id = ?",
+                                (opn,)) == [(str(at), "timeout")]
+            assert store._query("SELECT MAX(opn_id) FROM log_session") == [(opn,)]
         finally:
             store.close()
 

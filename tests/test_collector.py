@@ -1,9 +1,11 @@
+import io
 import random
 import sqlite3
 import sys
 import threading
 import typing
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,11 @@ from webusage.collector import (
 )
 from webusage.compare import collector_report
 from webusage.enrichment import ClientProfile, default_bots, default_search_registry
-from webusage.events import AppPageResult, RawRequestEvent
+from webusage import storage
+from webusage.events import AppPageResult, RawRequestEvent, ReplayFormatError, read_replay
 from webusage.simulator import _EXTERNAL_REFERRERS, _SEARCH_REFERRERS
 from webusage.storage import (
-    TABLE_COLUMNS, LogStore, NotFoundError, SessionRecord, UserInfo, _field_type,
+    TABLE_COLUMNS, LogStore, NotFoundError, SessionRecord, StorageError, UserInfo, _field_type,
 )
 from webusage.truth import GroundTruth, TruthEvent
 
@@ -383,6 +386,58 @@ class TestConcurrentRequests:
         store.close()
 
 
+    def test_replays_and_requests_in_threads_lose_no_writes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(storage, "_BATCH_ROWS", 5)  # chunks written part-way
+        store = LogStore(tmp_path / "shared.db")
+        collector = Collector(store, site_hosts=HOSTS)
+        n_replays, n_requesters, n_events = 4, 4, 60
+        failures = []
+
+        def replay(k: int) -> None:
+            events = [_event(f"r{k}-{i % 2}", i) for i in range(n_events)]
+            try:
+                assert replay_stream(collector, events) == (n_events, 0)
+            except Exception as exc:  # reported through the assertion below
+                failures.append(exc)
+
+        def requests(k: int) -> None:
+            try:
+                for i in range(n_events):  # after every replay's last time: none closes them
+                    _, page_id = collector.handle_request_begin(_event(f"q{k}", 86400 + i))
+                    collector.handle_request_end(page_id, AppPageResult(page_title=f"t{i}"))
+            except Exception as exc:
+                failures.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=replay, args=(k,)) for k in range(n_replays)]
+            threads += [threading.Thread(target=requests, args=(k,)) for k in range(n_requesters)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        try:
+            assert not any(t.is_alive() for t in threads)
+            assert failures == []
+            total = (n_replays + n_requesters) * n_events
+            assert store._query("SELECT log_details_id FROM log_page ORDER BY 1") == [
+                (i,) for i in range(1, total + 1)]
+            # Each page is in its session, and each token has one session.
+            assert store._query("SELECT COUNT(*) FROM log_page"
+                                " WHERE log_session_serialize != '{\"ses_id\":\"' || log_opn_id || '\"}'"
+                                ) == [(0,)]
+            assert store.session_count() == 2 * n_replays + n_requesters
+            assert store._query("SELECT COUNT(*) FROM log_page WHERE log_page_title != ''") == [
+                (n_requesters * n_events,)]
+            assert sorted(o.session_token for o in oracles.iter_open_sessions(store)) == [
+                f"q{k}" for k in range(n_requesters)]
+        finally:
+            store.close()
+
+
 class TestSessionEnd:
     def test_logout_true_then_false(self, collector, mem_store):
         opn, _ = collector.handle_request_begin(_event())
@@ -625,6 +680,13 @@ class TestReplay:
         ]
 
     def test_failed_event_leaves_no_trace_in_batch(self, mem_store):
+        self._failed_events_leave_no_trace(mem_store, "transaction")
+
+    def test_failed_event_leaves_no_trace_in_a_buffered_batch(self, mem_store):
+        self._failed_events_leave_no_trace(mem_store, "batch")
+
+    @staticmethod
+    def _failed_events_leave_no_trace(mem_store, scope):
         collector = Collector(mem_store, site_hosts=HOSTS)
         events = [
             _event("tokA", 0),
@@ -633,9 +695,10 @@ class TestReplay:
             _event("tokC", 30),
         ]
         errors = []
-        # One transaction, each request a savepoint in it, as in a replay;
-        # without the replay's final close, the open sessions stay to be seen.
-        with mem_store.transaction():
+        # One transaction, each request a nested scope in it: a savepoint,
+        # or in a replay's batch a mark in its undo log.  Without the
+        # replay's final close, the open sessions stay to be seen.
+        with getattr(mem_store, scope)():
             for event in events:
                 try:
                     collector.handle_request_begin(event)
@@ -686,6 +749,197 @@ class TestReplay:
         collector = Collector(mem_store, site_hosts=HOSTS, timeout=timeout)
         replay_stream(collector, events)
         assert mem_store.session_count() == expected
+
+
+def _tables(store: LogStore) -> dict[str, list]:
+    """Every row of every table, and the ids each table has given."""
+    out = {table: store._query(f"SELECT * FROM {table} ORDER BY 1") for table in TABLE_COLUMNS}
+    out["sqlite_sequence"] = store._query("SELECT * FROM sqlite_sequence ORDER BY 1")
+    return out
+
+
+def _replayed(setup, events, batched: bool) -> tuple:
+    """Replay ``events`` into a store that ``setup`` prepared, through
+    ``replay_stream`` or, as a reference, as requests in a plain transaction,
+    each a savepoint in it, then the replay's final close: the counts, the
+    error messages and the tables."""
+    store = LogStore(":memory:")
+    try:
+        collector = Collector(store, site_hosts=HOSTS, timeout=600)
+        setup(store, collector)
+        errors = []
+        if batched:
+            counts = replay_stream(collector, events, on_error=errors.append)
+        else:
+            with store.transaction():
+                for event in events:
+                    try:
+                        collector.handle_request_begin(event)
+                    except CollectionError as exc:
+                        errors.append(exc)
+                collector.end_replay(events[-1].timestamp)
+            counts = (len(events) - len(errors), len(errors))
+        return counts, [str(e) for e in errors], _tables(store)
+    finally:
+        store.close()
+
+
+def _no_setup(store, collector):
+    pass
+
+
+_TOKENS = st.sampled_from(["tokA", "tokB", "tokC"])
+# A request as it is, signed in, or refused by the store: its page, or its URL.
+_FAULTS = st.sampled_from([None, None, "alice", "page", "url"])
+
+
+class TestReplayBatch:
+    """FORMATS.md "Sessions (request API)": a replay buffers its writes and
+    writes them in chunks in one transaction; it must store what the same
+    requests store one by one, each a savepoint, and an error through it
+    must undo it whole."""
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(storage, "_BATCH_ROWS", 2)
+
+    @staticmethod
+    def _stored_rows(store, collector):
+        """Sessions 1 and 2 open (tokA, tokB), and the top session's rows
+        (3, with pages 3 and 4) deleted, so the ids given reach past the
+        rows left."""
+        for token, seconds in (("tokA", 0), ("tokB", 10), ("tokC", 20), ("tokC", 30)):
+            collector.handle_request_begin(_event(token, seconds))
+        with store.transaction() as conn:
+            conn.execute("DELETE FROM open_sessions WHERE session_token = 'tokC'")
+            conn.execute("DELETE FROM log_page WHERE log_opn_id = 3")
+            conn.execute("DELETE FROM log_session WHERE opn_id = 3")
+
+    def test_ids_continue_past_the_stored_ones_and_an_open_session_goes_on(self):
+        events = [_event("tokA", 100), _event("tokD", 110), _event("tokA", 120)]
+        got = _replayed(self._stored_rows, events, batched=True)
+        assert got == _replayed(self._stored_rows, events, batched=False)
+        counts, _, tables = got
+        assert counts == (3, 0)
+        assert [row[:2] for row in tables["log_page"]] == [(1, 1), (2, 2), (5, 1), (6, 4), (7, 1)]
+        ends = {row[0]: row[-2:] for row in tables["log_session"]}
+        assert ends == {1: ("2021-09-02 10:02:00", "timeout"),
+                        2: ("2021-09-02 10:00:10", "timeout"),
+                        4: ("2021-09-02 10:01:50", "timeout")}
+        assert tables["open_sessions"] == []
+
+    def test_a_session_written_by_an_earlier_chunk_is_closed_in_its_row(self, small_chunks):
+        events = [
+            _event("tokA", 0),  # session 1 and its page: a chunk, written
+            _event("tokA", 20),
+            _event("tokB", 30),  # a chunk again, written
+            _bad_page_event("tokB", 40),  # fails right after the write
+            _bad_page_event("tokC", 50),  # a new session that fails
+            _event("tokA", 700),  # closes the written session 1, starts session 3
+        ]
+        statements = []
+
+        def traced(store, collector):
+            store._conn.set_trace_callback(statements.append)
+
+        got = _replayed(traced, events, batched=True)
+        assert got == _replayed(_no_setup, events, batched=False)
+        counts, errors, tables = got
+        assert counts == (4, 2)
+        assert errors == ["map keys and values must be strings"] * 2
+        assert [row[0] for row in tables["log_session"]] == [1, 2, 3]
+        assert {row[0]: row[-2:] for row in tables["log_session"]}[1] == (
+            "2021-09-02 10:00:20", "timeout")
+        assert ("UPDATE log_session SET ended_at = '2021-09-02 10:00:20', end_reason = 'timeout'"
+                " WHERE opn_id = 1") in statements
+
+    def test_an_error_through_the_outer_scope_leaves_the_store_as_it_was(self, small_chunks):
+        store = LogStore(":memory:")
+        try:
+            collector = Collector(store, site_hosts=HOSTS)
+            self._stored_rows(store, collector)
+            before = _tables(store)
+            lines = [f"ip=10.0.0.1 time=2021-09-02T11:00:{i:02d} method=GET url=/p{i} token=t{i % 2}"
+                     for i in range(7)]
+            lines.insert(5, "not a replay line")
+            with pytest.raises(ReplayFormatError, match="line 6"):
+                replay_stream(collector, read_replay(io.StringIO("\n".join(lines) + "\n")))
+            assert _tables(store) == before
+            assert not store._conn.in_transaction
+            # The store takes the next replay as if the failed one had not run.
+            assert replay_stream(collector, [_event("tokA", 100)]) == (1, 0)
+            assert store._query("SELECT MAX(log_details_id) FROM log_page") == [(5,)]
+        finally:
+            store.close()
+
+    def test_a_chunk_that_cannot_be_written_fails_the_whole_replay(self, small_chunks):
+        class FailingWrites:
+            """The store's connection, whose executemany fails as a full disk would."""
+
+            def __init__(self, conn):
+                self._conn = conn
+
+            def executemany(self, sql, rows):
+                raise sqlite3.OperationalError("disk I/O error")
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        store = LogStore(":memory:")
+        try:
+            collector = Collector(store, site_hosts=HOSTS)
+            self._stored_rows(store, collector)
+            before = _tables(store)
+            store._conn = FailingWrites(store._conn)
+            errors = []
+            events = [_event("tokA", 100), _event("tokE", 110), _event("tokA", 120)]
+            with pytest.raises(StorageError, match="the replay batch could not be written:"
+                                                   " disk I/O error"):
+                replay_stream(collector, events, on_error=errors.append)
+            # The event whose chunk failed, then each later one, fails.
+            assert [e.event for e in errors] == events[1:]
+            store._conn = store._conn._conn
+            assert _tables(store) == before
+            assert not store._conn.in_transaction
+        finally:
+            store.close()
+
+    @settings(max_examples=40, deadline=None)
+    @given(before=st.lists(st.tuples(_TOKENS, st.integers(0, 900)), max_size=4),
+           steps=st.lists(st.tuples(_TOKENS, st.integers(0, 900), _FAULTS), min_size=1,
+                          max_size=12))
+    def test_same_tables_as_requests_one_by_one(self, before, steps):
+        """Any replay, on a store with sessions open or closed before it."""
+
+        def setup(store, collector):
+            store.upsert_user(UserInfo(7, "alice", "student", "female"))
+            for token, seconds in sorted(before, key=lambda s: s[1]):
+                collector.handle_request_begin(_event(token, seconds))
+
+        events = []
+        for token, seconds, fault in sorted(steps, key=lambda s: s[1]):
+            event = _event(token, 1000 + seconds, auth_user="alice" if fault == "alice" else None)
+            if fault == "page":
+                event.get_params["x"] = 1
+            elif fault == "url":
+                event = _event(token, 1000 + seconds, url="/p\udfff.php")
+            events.append(event)
+        with mock.patch.object(storage, "_BATCH_ROWS", 3):
+            assert _replayed(setup, events, batched=True) == _replayed(setup, events, batched=False)
+
+    @pytest.mark.parametrize("token", ["tokA", "tokB"], ids=["open session", "new session"])
+    @pytest.mark.parametrize("overrides", [
+        {"cookies": {"a": "\ud800"}},
+        {"url": "/p\udfff.php"},
+    ], ids=["map value", "url"])
+    def test_unstorable_text_fails_only_its_event(self, token, overrides):
+        events = [_event("tokA", 0), _event(token, 10, **overrides), _event("tokA", 20)]
+        got = _replayed(_no_setup, events, batched=True)
+        assert got == _replayed(_no_setup, events, batched=False)
+        counts, errors, tables = got
+        assert counts == (2, 1)
+        assert len(errors) == 1 and "surrogates not allowed" in errors[0]
+        assert len(tables["log_session"]) == 1
 
 
 class TestCollectorLabels:

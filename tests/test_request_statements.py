@@ -46,10 +46,6 @@ TOUCH = (
 STARTED = "SELECT started_at FROM log_session WHERE opn_id = ?"
 CLOSE = "UPDATE log_session SET ended_at = ?, end_reason = ? WHERE opn_id = ?"
 DELETE_OPEN = "DELETE FROM open_sessions WHERE session_token = ?"
-IDLE = (
-    "SELECT session_token, opn_id, last_activity FROM open_sessions"
-    " WHERE last_activity <= ? ORDER BY opn_id"
-)
 RESULT = (
     "UPDATE log_page SET log_page_title = ?, log_web_message = ?, log_subtitle = ?,"
     " log_page_load_time = ?, log_error_text = ? WHERE log_details_id = ?"
@@ -92,6 +88,19 @@ def _insert_page(page_id, opn_id, when, user_id=None, username=None, cookies="{}
         when.date().isoformat(), 1, "", "", URL, "", "", "", cookies, session_map,
         "{}", "{}", 0.0, None, 0,
     )
+
+
+def _written_session(opn_id, when, ended, user=(None, None, "guest", "not_applicable")):
+    """A session row as a replay writes it: with its id, and closed by timeout."""
+    return _sql(
+        INSERT_SESSION, opn_id, *user, IP, *["unknown"] * 6, None, None, "direct",
+        None, None, _text(when), _text(ended), "timeout",
+    )
+
+
+def _written_page(page_id, *args, **kwargs):
+    """A page row as a replay writes it: with its id."""
+    return _insert_page(None, *args, **kwargs).replace("VALUES (NULL, ", f"VALUES ({page_id}, ", 1)
 
 
 def _event(token="tokA", seconds=0, **overrides) -> RawRequestEvent:
@@ -214,7 +223,13 @@ class TestSingleRequest:
 
 
 class TestReplay:
-    """In a replay, each request is a savepoint inside one transaction."""
+    """A replay is one transaction.  It reads the next ids, the open
+    sessions and the columns of the tables it writes once, when it opens,
+    and then runs only the reads its buffer cannot answer (here the
+    account).  Its rows are written when it commits, each session closed in
+    its row, with one executemany per table; the trace callback sees each
+    row as a statement.  Requests grouped in a plain transaction are
+    savepoints in it."""
 
     def test_replay_statements(self, traced):
         events = [
@@ -225,30 +240,28 @@ class TestReplay:
         ]
         replay_stream(traced.collector, events)
         t = [T0 + timedelta(seconds=s) for s in (0, 10, 20, 700)]
+        alice = (7, "alice", "student", "female")
         assert traced.take() == [
             "BEGIN IMMEDIATE",
-            "SAVEPOINT nested", *_start("tokA", 1, 1, t[0]), "RELEASE nested",
-            "SAVEPOINT nested",
-            _sql(OPEN, "tokB"),
+            "SELECT (SELECT MAX(IFNULL((SELECT seq FROM sqlite_sequence WHERE name = 'log_session'),"
+            " 0), IFNULL(MAX(opn_id), 0)) + 1 FROM log_session),"
+            " (SELECT MAX(IFNULL((SELECT seq FROM sqlite_sequence WHERE name = 'log_page'), 0),"
+            " IFNULL(MAX(log_details_id), 0)) + 1 FROM log_page)",
+            "PRAGMA table_info(log_session)",
+            "PRAGMA table_info(open_sessions)",
+            "PRAGMA table_info(log_page)",
+            "SELECT o.session_token, o.opn_id, o.last_activity, s.started_at, s.user_id,"
+            " s.username FROM open_sessions o JOIN log_session s ON s.opn_id = o.opn_id",
             _sql(USER, "alice"),
-            _insert_session(2, t[1], user=(7, "alice", "student", "female")),
-            _sql(INSERT_OPEN, "tokB", 2, _text(t[1])),
-            _insert_page(2, 2, t[1], user_id=7, username="alice"),
-            "RELEASE nested",
-            "SAVEPOINT nested",
-            _sql(OPEN, "tokA"),
-            _sql(TOUCH, _text(t[2]), "tokA"),
-            _insert_page(3, 1, t[2]),
-            "RELEASE nested",
-            "SAVEPOINT nested",
-            _sql(OPEN, "tokA"),
-            *_timeout_close("tokA", 1, t[2]),
-            *_start("tokA", 3, 4, t[3])[1:],
-            "RELEASE nested",
-            # the final close: every session idle at the last event's time
-            _sql(IDLE, _text(t[3])),
-            *_timeout_close("tokB", 2, t[1]),
-            *_timeout_close("tokA", 3, t[3]),
+            # tokA's first session closed by the fourth request, the other
+            # two by the final close: every session idle at the last time
+            _written_session(1, t[0], ended=t[2]),
+            _written_session(2, t[1], ended=t[1], user=alice),
+            _written_session(3, t[3], ended=t[3]),
+            _written_page(1, 1, t[0]),
+            _written_page(2, 2, t[1], user_id=7, username="alice"),
+            _written_page(3, 1, t[2]),
+            _written_page(4, 3, t[3]),
             "COMMIT",
         ]
 

@@ -499,6 +499,15 @@ class TestPages:
                  id="log-uid-text"),
     pytest.param("log_geoip", {"end_ip": "9"}, "end_ip must be an integer, got '9'",
                  id="end-ip-text"),
+    pytest.param("user_info", {"user_id": 2**63},
+                 "user_id must be an integer in [-2**63, 2**63 - 1], got 9223372036854775808",
+                 id="user-id-over-64-bits"),
+    pytest.param("log_page", {"log_server": -2**63 - 1},
+                 "log_server must be an integer in [-2**63, 2**63 - 1], got -9223372036854775809",
+                 id="log-server-under-64-bits"),
+    pytest.param("log_geoip", {"end_ip": 99999999999999999999},
+                 "end_ip must be an integer in [-2**63, 2**63 - 1], got 99999999999999999999",
+                 id="end-ip-over-64-bits"),
     pytest.param("log_session", {"browser_name": b"a,b"},
                  "browser_name must be a str, got b'a,b'", id="browser-name-bytes"),
     pytest.param("log_session", {"os_name": 5}, "os_name must be a str, got 5", id="os-name-int"),
@@ -537,6 +546,12 @@ def test_record_check_refuses_the_write_and_keeps_the_store(mem_store, table, ch
             mem_store.insert_page(_page(opn, **changes))
     assert str(info.value) == reason
     assert {name: mem_store._query(f"SELECT * FROM {name}") for name in TABLE_COLUMNS} == before
+
+
+@pytest.mark.parametrize("server", [-2**63, 2**63 - 1])
+def test_the_64_bit_bounds_are_stored(mem_store, server):
+    page_id = mem_store.insert_page(_page(mem_store.insert_session(_session()), log_server=server))
+    assert get_page(mem_store, page_id).log_server == server
 
 
 class TestUsersAndOpenSessions:
